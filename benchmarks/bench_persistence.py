@@ -2,12 +2,12 @@
 
 The write-behind AOF is flushed once per batch (after the store lock is
 released, before replies go out), so its cost at the headline load —
-64 connections × pipeline depth 16, the same SET/GET wave driver as
-``bench_server_throughput`` — should be one buffered ``write(2)`` per
-wave per connection batch, not per command. This benchmark measures
-exactly that: the same server, same driver, three persistence modes:
+64 connections × pipeline depth 16 of SET/GET waves — should be one
+buffered ``write(2)`` per wave per connection batch, not per command.
+This benchmark measures exactly that: the same server, same driver,
+three persistence modes:
 
-* ``off``      — no persistence attached (the BENCH_server baseline);
+* ``off``      — no persistence attached (the in-run baseline);
 * ``everysec`` — batched write-behind, fsync deferred to a 1 s cadence
   (the acceptance mode: must hold ≥ 90% of the ``off`` throughput);
 * ``always``   — fsync before every batch's replies (the full-durability
@@ -326,8 +326,9 @@ def write_json(rows: list[dict], headline: dict, path: str,
     document = {
         "benchmark": "bench_persistence",
         "seconds_per_mode": seconds,
-        "baseline_note": "compare off_ops_per_sec with the event-loop "
-                         "headline in BENCH_server.json (same driver)",
+        "baseline_note": "off_ops_per_sec is this driver's in-run bare "
+                         "baseline; the serving number of record is "
+                         "read_pipelined in BENCHMARK.json",
         "headline": headline,
         "results": rows,
     }

@@ -20,12 +20,7 @@ from repro.kvstore.dict import SoftDict
 from repro.kvstore.resp import RespError, RespParser, encode_command, encode_reply
 from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import (
-    EventLoopKvServer,
-    TcpKvClient,
-    TcpKvServer,
-    ThreadedKvServer,
-)
+from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient, TcpKvServer
 from repro.kvstore.values import WrongTypeError
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "EventLoopKvServer",
     "KvClient",
     "KvServer",
-    "ThreadedKvServer",
     "RespError",
     "RespParser",
     "SoftDict",

@@ -845,13 +845,13 @@ _WRITE_NAMES = frozenset((
 
 
 def cmd_replicaof(store: DataStore, args: list[bytes]) -> Any:
-    # role changes need the event loop's feed/link machinery; the
-    # threaded server (and raw dispatch) cannot host them
-    return RespError("ERR REPLICAOF requires the event-loop server")
+    # role changes need a transport's feed/link machinery; the TCP
+    # server intercepts this command, raw dispatch cannot host it
+    return RespError("ERR REPLICAOF requires a TCP server")
 
 
 def cmd_psync(store: DataStore, args: list[bytes]) -> Any:
-    return RespError("ERR PSYNC requires the event-loop server")
+    return RespError("ERR PSYNC requires a TCP server")
 
 
 def cmd_replconf(store: DataStore, args: list[bytes]) -> Any:
@@ -861,9 +861,10 @@ def cmd_replconf(store: DataStore, args: list[bytes]) -> Any:
 def cmd_wait(store: DataStore, args: list[bytes]) -> Any:
     """WAIT fallback: the already-acked count, without blocking.
 
-    The event-loop server intercepts WAIT and actually waits on the
-    feed sockets; this handler serves the threaded server, where no
-    feeds exist, and answers with what is known right now.
+    The TCP server intercepts WAIT and actually waits on the feed
+    sockets; this handler serves raw dispatch (an in-process
+    ``KvServer``), where no feeds exist, and answers with what is
+    known right now.
     """
     if len(args) != 2:
         return _wrong_args("wait")

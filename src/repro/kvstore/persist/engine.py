@@ -139,9 +139,11 @@ class Persistence:
         self._generation = 0
         self._logging = False
         self._closed = False
-        #: guards the writer (buffer + flush) — hooks append under the
-        #: server's execution lock, but flush may come from another
-        #: thread (threaded server workers, background checkpoints)
+        #: guards the writer (buffer + flush) — hooks append on the
+        #: event loop thread, but BGSAVE/rewrite checkpoints and
+        #: :meth:`close` swap the writer from whichever thread calls
+        #: them, and a replica link's apply thread feeds it through
+        #: :meth:`append_raw`
         self._io_lock = threading.Lock()
         #: guards checkpoint bookkeeping (one BGSAVE at a time)
         self._save_lock = threading.Lock()

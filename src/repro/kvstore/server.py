@@ -3,15 +3,15 @@
 Like Redis, the server is single-threaded: it consumes a client's RESP
 byte stream, executes each complete command against the store, and
 emits the RESP replies. Transport is left to the caller (the tests and
-examples drive it in-process; the TCP front-ends shuttle bytes).
+examples drive it in-process; the TCP front-end shuttles bytes).
 
-The hot path is :meth:`KvServer.pump`: the parser drains every
+The one execution path is :meth:`KvServer.pump`: the parser drains every
 complete pipelined command in one tight loop
 (:meth:`~repro.kvstore.resp.RespParser.parse_pipeline`), then this
 module executes the batch and encodes the replies directly into a
 caller-owned output buffer — zero intermediate ``bytes`` copies
-between parse, dispatch, and encode. The TCP front-ends go one step
-further and ``recv_into`` the parser's buffer, so inbound payload
+between parse, dispatch, and encode. The TCP front-end goes one step
+further and ``recv_into``s the parser's buffer, so inbound payload
 bytes are copied exactly once off the socket.
 
 Zero-copy argv discipline: the parser hands bulk payloads >=
@@ -70,13 +70,11 @@ _MSET = frozenset((b"MSET", b"mset"))
 
 # Commands the transport may intercept via ``repl_hook``: they need the
 # event loop's socket machinery (feed registration, deferred PSYNC
-# replies, blocking WAIT), which plain dispatch cannot reach. Canonical
-# casings only — an exotic casing falls through to the dispatch
-# fallbacks, which answer with a redirect-to-event-loop error.
-_REPL_NAMES = frozenset((
-    b"PSYNC", b"psync", b"REPLCONF", b"replconf",
-    b"WAIT", b"wait", b"REPLICAOF", b"replicaof",
-))
+# replies, blocking WAIT), which plain dispatch cannot reach. Matched
+# in any casing; the length gate keeps the ``upper()`` off GET/SET and
+# every other name that cannot be one of these.
+_REPL_NAMES = frozenset((b"PSYNC", b"REPLCONF", b"WAIT", b"REPLICAOF"))
+_REPL_LENS = frozenset(map(len, _REPL_NAMES))
 
 
 def _keeps_views(argv: list) -> bool:
@@ -124,7 +122,7 @@ class KvServer:
 
     @property
     def parser(self) -> RespParser:
-        """The session's parser (TCP front-ends ``recv_into`` its buffer)."""
+        """The session's parser (the TCP front-end ``recv_into``s its buffer)."""
         return self._parser
 
     def pump(self, out: bytearray) -> int:
@@ -144,7 +142,7 @@ class KvServer:
         """
         parser = self._parser
         executed = 0
-        dispatched = 0
+        rejected = 0
         observed = 0
         store = self.store
         obs = self.obs
@@ -180,8 +178,12 @@ class KvServer:
                             _materialize_views(argv)
                 start = perf_counter()
                 for argv in frames:
-                    dispatched += 1
-                    if hook is not None and argv and argv[0] in _REPL_NAMES:
+                    if (
+                        hook is not None
+                        and argv
+                        and len(argv[0]) in _REPL_LENS
+                        and argv[0].upper() in _REPL_NAMES
+                    ):
                         hook(argv, out)
                     else:
                         encode(out, run(store, argv))
@@ -205,7 +207,10 @@ class KvServer:
                 break
             # PIPELINE_FALLBACK: one frame that is not a plain command
             # array (another RESP type, a null, a mixed array) — pop it
-            # with the generic parser and answer like Redis would
+            # with the generic parser.  A valid argv joins ``frames``
+            # and runs in the loop above, ahead of whatever the next
+            # parse_pipeline appends behind it; anything else is
+            # answered like Redis would
             try:
                 argv = parser.parse_one()
             except ProtocolError as exc:
@@ -216,17 +221,12 @@ class KvServer:
             if argv is NULL:  # a client sent a RESP null as a "command"
                 argv = None
             if type(argv) is list and all(type(a) is bytes for a in argv):
-                dispatched += 1
-                begin = perf_counter()
-                encode(out, dispatch(store, argv))
-                if argv:
-                    # observe_command counts into obs.commands itself,
-                    # so this command must stay out of ``observed``
-                    obs.observe_command(argv[0], perf_counter() - begin, argv)
+                frames.append(argv)
             else:
                 encode(out, _BAD_ARGV)
-            executed += 1
-        self.commands_processed += dispatched
+                executed += 1
+                rejected += 1
+        self.commands_processed += executed - rejected
         obs.commands += observed
         return executed
 
@@ -252,68 +252,6 @@ class KvServer:
         """Process raw client bytes; return the concatenated replies."""
         out = bytearray()
         self.feed_batch(data, out)
-        return bytes(out)
-
-    def feed_input(self, data: bytes) -> None:
-        """Buffer raw client bytes without executing anything.
-
-        Pair with :meth:`pop_reply` for command-at-a-time serving.
-        """
-        self._parser.feed(data)
-
-    def pop_reply(self) -> bytes | None:
-        """Parse and execute at most one buffered command.
-
-        Returns that command's encoded reply, or ``None`` when no
-        complete command is buffered. This is the classical
-        thread-per-connection serving step — the caller takes its lock
-        and writes the reply once *per command* — kept as the measured
-        contrast to :meth:`pump`'s one-lock-per-batch hot path.
-        """
-        out = bytearray()
-        parser = self._parser
-        try:
-            argv = parser.parse_one()
-        except ProtocolError as exc:
-            # the parser quarantined itself (fresh buffer, reusable);
-            # account the drop like the batch path does
-            self._record_error(exc, out)
-            return bytes(out)
-        if argv is None:
-            return None
-        if argv is NULL:  # a client sent a RESP null as a "command"
-            argv = None
-        if parser.command_fast or (
-            type(argv) is list and all(type(a) is bytes for a in argv)
-        ):
-            if parser.command_fast:
-                # command-at-a-time serving holds argv across lock
-                # drops; zero-copy views must not leave this call
-                _materialize_views(argv)
-            self.commands_processed += 1
-            start = perf_counter()
-            encode_reply_into(out, dispatch(self.store, argv))
-            if argv:
-                self.obs.observe_command(
-                    argv[0], perf_counter() - start, argv
-                )
-        else:
-            encode_reply_into(out, _BAD_ARGV)
-        return bytes(out)
-
-    def _run(self, argv: object) -> bytes:
-        """Execute one already-parsed command vector (compat shim)."""
-        out = bytearray()
-        if type(argv) is list and all(type(a) is bytes for a in argv):
-            self.commands_processed += 1
-            start = perf_counter()
-            encode_reply_into(out, dispatch(self.store, argv))
-            if argv:
-                self.obs.observe_command(
-                    argv[0], perf_counter() - start, argv
-                )
-        else:
-            encode_reply_into(out, _BAD_ARGV)
         return bytes(out)
 
     def __repr__(self) -> str:

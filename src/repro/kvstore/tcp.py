@@ -1,31 +1,23 @@
-"""TCP front-ends: serve the store over real sockets.
+"""TCP front-end: serve the store over real sockets.
 
 :class:`~repro.kvstore.server.KvServer` is bytes-in/bytes-out; this
 module puts socket machinery around it so the store speaks RESP over
-TCP like real Redis. Two servers share one contract:
+TCP like real Redis.
 
-* :class:`EventLoopKvServer` (the default) mirrors Redis's actual
-  concurrency model: a single-threaded ``selectors`` event loop doing
-  non-blocking accept/read/write. Each readable event does
-  ``recv_into`` the session parser's buffer (bytes are copied once,
-  kernel to parser), executes *every* complete pipelined command under one lock
-  acquisition, and encodes all replies straight into the connection's
-  output buffer. Replies leave at the end of the select round — after
-  the round's single AOF group commit — in one non-blocking send per
-  connection; leftovers are written when the socket reports writable
-  (write interest is toggled on and off). Slow clients that let their
-  output buffer grow past a configurable limit are disconnected, like
-  Redis's client-output-buffer-limits.
-* :class:`ThreadedKvServer` is the classical thread-per-connection
-  design the event loop replaces, kept selectable for A/B benchmarks:
-  each connection's thread parses one command, takes the store lock,
-  executes, and writes that command's reply — one lock acquisition and
-  one socket write *per command*. Its accept and read loops block on a
-  selector shared with a shutdown socketpair instead of spinning on
-  0.2 s socket timeouts.
+:class:`EventLoopKvServer` (also spelled :data:`TcpKvServer`) mirrors
+Redis's concurrency model: a single-threaded ``selectors`` event loop
+doing non-blocking accept/read/write. Each readable event does
+``recv_into`` the session parser's buffer (bytes are copied once,
+kernel to parser), executes *every* complete pipelined command under
+one lock acquisition, and encodes all replies straight into the
+connection's output buffer. Replies leave at the end of the select
+round — after the round's single AOF group commit — in one
+non-blocking send per connection; leftovers are written when the
+socket reports writable (write interest is toggled on and off). Slow
+clients that let their output buffer grow past a configurable limit
+are disconnected, like Redis's client-output-buffer-limits.
 
-:func:`TcpKvServer` constructs either one behind a ``threaded`` flag,
-so existing callers keep working and benchmarks can compare both.
+:class:`TcpKvClient` is the matching blocking client.
 """
 
 from __future__ import annotations
@@ -66,39 +58,6 @@ _REPL_OUTPUT_BUFFER_LIMIT = 64 * 1024 * 1024
 _WAIT_MAX_BLOCK = 10.0
 
 
-class _BaseTcpServer:
-    """Shared listener setup, lifecycle, and counters."""
-
-    def __init__(
-        self,
-        store: DataStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 128,
-    ) -> None:
-        self.store = store
-        self._lock = threading.Lock()  # serialized command execution
-        self._listener = socket.create_server(
-            (host, port), backlog=backlog, reuse_port=False
-        )
-        self.address: tuple[str, int] = self._listener.getsockname()
-        self._stop = threading.Event()
-        self.connections_served = 0
-        self.commands_processed = 0
-
-    def start(self) -> "_BaseTcpServer":
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "_BaseTcpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 class _Connection:
     """Per-connection state owned by the event loop."""
 
@@ -122,13 +81,19 @@ class _Connection:
         return len(self.out) - self.pos
 
 
-class EventLoopKvServer(_BaseTcpServer):
+class EventLoopKvServer:
     """Single-threaded selector event loop over one :class:`DataStore`.
 
-    All parsing, execution, and encoding happens on the loop thread;
-    the lock is held once per readable batch only so that out-of-band
-    threads (soft-memory reclamation in tests and benchmarks, admin
-    inspection) can coordinate with command execution.
+    All parsing, execution, and encoding happens on the loop thread.
+    ``_lock`` is taken once per readable batch and once per broadcast
+    because other threads mutate the same store: a replica's
+    :class:`~repro.kvstore.repl.ReplicaLink` apply thread holds it
+    around every applied stream chunk and snapshot load, and callers
+    of :meth:`replicaof`, :meth:`promote` and
+    :meth:`enable_replication` (the ``kv_server`` main thread, tests)
+    take it from outside the loop. Nothing else in ``src/`` does;
+    in-process antagonists in tests and benches borrow it to land a
+    reclamation wave between batches.
 
     >>> # server = EventLoopKvServer(store).start()
     >>> # ... connect with TcpKvClient(server.address) ...
@@ -146,7 +111,15 @@ class EventLoopKvServer(_BaseTcpServer):
         repl_backlog: int = DEFAULT_BACKLOG_CAPACITY,
         repl_output_buffer_limit: int = _REPL_OUTPUT_BUFFER_LIMIT,
     ) -> None:
-        super().__init__(store, host, port, backlog)
+        self.store = store
+        self._lock = threading.Lock()  # see the class docstring
+        self._listener = socket.create_server(
+            (host, port), backlog=backlog, reuse_port=False
+        )
+        self.address: tuple[str, int] = self._listener.getsockname()
+        self._stop = threading.Event()
+        self.connections_served = 0
+        self.commands_processed = 0
         self.output_buffer_limit = output_buffer_limit
         self.shutdown_flush_timeout = shutdown_flush_timeout
         self.repl_backlog = repl_backlog
@@ -198,6 +171,12 @@ class EventLoopKvServer(_BaseTcpServer):
             self._thread.join(timeout=self.shutdown_flush_timeout + 5)
         if link is not None:
             link.stop()
+
+    def __enter__(self) -> "EventLoopKvServer":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
 
     # -- the loop ------------------------------------------------------
 
@@ -740,159 +719,8 @@ class EventLoopKvServer(_BaseTcpServer):
         self._waker_w.close()
 
 
-class ThreadedKvServer(_BaseTcpServer):
-    """Threaded TCP front-end over one :class:`DataStore`.
-
-    Each connection gets its own :class:`KvServer` (and therefore its
-    own RESP input buffer — interleaved partial commands from separate
-    clients must never mix), while all command execution against the
-    shared store is serialized by one lock. Serving is command-at-a-
-    time: parse one command, execute it under the lock, write its
-    reply — the classical blocking-server step the event loop's
-    per-batch execution is measured against. Accept and read block on
-    selectors shared with a shutdown socketpair, never on timeout
-    polls.
-    """
-
-    def __init__(
-        self,
-        store: DataStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 128,
-    ) -> None:
-        super().__init__(store, host, port, backlog)
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
-        # closing the write end wakes every selector blocked on the
-        # read end (EOF is level-triggered readable, forever)
-        self._stop_r, self._stop_w = socket.socketpair()
-        self._stopped = False
-        bind_server(store.obs.registry, self)
-
-    def start(self) -> "ThreadedKvServer":
-        """Begin accepting connections (returns immediately)."""
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="kv-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, close the listener, join workers."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop.set()
-        self._stop_w.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        self._listener.close()
-        for thread in self._conn_threads:
-            thread.join(timeout=5)
-        self._stop_r.close()
-        persist = self.store.persistence
-        if persist is not None:
-            persist.flush(force_fsync=True)
-
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        with selectors.DefaultSelector() as sel:
-            sel.register(self._listener, selectors.EVENT_READ)
-            sel.register(self._stop_r, selectors.EVENT_READ)
-            while not self._stop.is_set():
-                ready = sel.select()  # blocks; woken by stop socketpair
-                if self._stop.is_set():
-                    break
-                if not any(
-                    key.fileobj is self._listener for key, __ in ready
-                ):
-                    continue
-                try:
-                    conn, __ = self._listener.accept()
-                except OSError:
-                    break
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self.connections_served += 1
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name=f"kv-conn-{self.connections_served}",
-                    daemon=True,
-                )
-                # prune finished workers so a long-lived server under
-                # connection churn does not accumulate dead thread objects
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-                thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        session = KvServer(self.store)  # per-connection input buffer
-        parser = session.parser
-        try:
-            with selectors.DefaultSelector() as sel:
-                sel.register(conn, selectors.EVENT_READ)
-                sel.register(self._stop_r, selectors.EVENT_READ)
-                while not self._stop.is_set():
-                    ready = sel.select()
-                    if self._stop.is_set():
-                        break
-                    if not any(key.fileobj is conn for key, __ in ready):
-                        continue
-                    try:
-                        with parser.recv_view(_RECV_SIZE) as view:
-                            nbytes = conn.recv_into(view)
-                    except OSError:
-                        break
-                    if not nbytes:
-                        break
-                    parser.commit_recv(nbytes)
-                    persist = self.store.persistence
-                    while True:
-                        with self._lock:  # one acquisition per command
-                            reply = session.pop_reply()
-                        if reply is None:
-                            break
-                        if persist is not None:
-                            # durability before the ack, like the
-                            # event loop's per-batch flush
-                            persist.flush()
-                        self.commands_processed += 1
-                        conn.sendall(reply)
-        except OSError:
-            pass
-        finally:
-            conn.close()
-
-
-def TcpKvServer(
-    store: DataStore,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    backlog: int = 128,
-    *,
-    threaded: bool = False,
-    **options: object,
-) -> EventLoopKvServer | ThreadedKvServer:
-    """Build a TCP server for ``store``.
-
-    The event loop is the default serving plane; pass ``threaded=True``
-    to get the thread-per-connection baseline for A/B benchmarking.
-    Extra keyword ``options`` (``output_buffer_limit``,
-    ``shutdown_flush_timeout``, ``repl_backlog``,
-    ``repl_output_buffer_limit``) configure the event loop and are
-    rejected for the threaded baseline.
-    """
-    if threaded:
-        if options:
-            raise TypeError(
-                f"threaded server takes no options {sorted(options)!r}"
-            )
-        return ThreadedKvServer(store, host, port, backlog)
-    return EventLoopKvServer(store, host, port, backlog, **options)  # type: ignore[arg-type]
+#: the public spelling (docs, examples, most call sites)
+TcpKvServer = EventLoopKvServer
 
 
 class TcpKvClient:

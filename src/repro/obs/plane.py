@@ -45,9 +45,8 @@ _MAX_CMD_NAMES = 512
 class KvObservability:
     """Per-store observability: command latency, batch sizes, slowlog.
 
-    ``commands`` / ``protocol_errors`` are plain ints because every
-    writer path is serialized by the server's store lock (event loop:
-    one thread; threaded server: one lock around execution).
+    ``commands`` / ``protocol_errors`` are plain ints because commands
+    execute on one thread: the server's event loop.
     """
 
     def __init__(
@@ -384,24 +383,11 @@ def bind_persistence(
 def bind_server(
     registry: MetricsRegistry, server: Any, prefix: str = "server"
 ) -> None:
-    """Expose a TCP front-end's counters as pull gauges.
-
-    Works for both :class:`~repro.kvstore.tcp.EventLoopKvServer` and
-    :class:`~repro.kvstore.tcp.ThreadedKvServer`; attributes specific
-    to the event loop are bound only when present.  Rebinding (a new
-    server over the same store) points the gauges at the new server.
+    """Expose an :class:`~repro.kvstore.tcp.EventLoopKvServer`'s
+    counters as pull gauges.  Rebinding (a new server over the same
+    store) points the gauges at the new server.
     """
-    registry.gauge(
-        f"{prefix}.connections_served",
-        fn=lambda: server.connections_served,
-    )
-    registry.gauge(
-        f"{prefix}.commands_processed",
-        fn=lambda: server.commands_processed,
-    )
-    for attr in ("clients_dropped", "batches_executed", "max_batch"):
-        if hasattr(server, attr):
-            registry.gauge(
-                f"{prefix}.{attr}",
-                fn=lambda a=attr: getattr(server, a),
-            )
+    _bind_attrs(registry, prefix, server, (
+        "connections_served", "commands_processed",
+        "clients_dropped", "batches_executed", "max_batch",
+    ))

@@ -50,7 +50,6 @@ def build_server(
     data_dir: str | None = None,
     appendonly: bool = True,
     appendfsync: str = "everysec",
-    threaded: bool = False,
     sma_pages: int | None = None,
     smd_socket: str | None = None,
     cluster_shard: int | None = None,
@@ -74,10 +73,8 @@ def build_server(
     ``replicaof`` ("host:port") boots the process as a read-only
     replica: after local recovery it dials the master, full-syncs (or
     partial-resyncs from the backlog), and applies the stream through
-    its own SMA budget. Requires the event-loop server.
+    its own SMA budget.
     """
-    if replicaof is not None and threaded:
-        raise ValueError("--replicaof requires the event-loop server")
     if cluster_shard is not None:
         if not cluster_nodes:
             raise ValueError("--cluster-shard requires --cluster-nodes")
@@ -131,7 +128,7 @@ def build_server(
     options: dict = {}
     if repl_backlog is not None:
         options["repl_backlog"] = repl_backlog
-    server = TcpKvServer(store, host, port, threaded=threaded, **options)
+    server = TcpKvServer(store, host, port, **options)
     if replicaof is not None:
         master_host, _, master_port = replicaof.rpartition(":")
         if not master_host or not master_port.isdigit():
@@ -200,11 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         default="everysec",
     )
     parser.add_argument(
-        "--threaded",
-        action="store_true",
-        help="thread-per-connection server instead of the event loop",
-    )
-    parser.add_argument(
         "--sma-pages",
         type=int,
         default=None,
@@ -257,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         data_dir=args.dir,
         appendonly=args.appendonly == "yes",
         appendfsync=args.appendfsync,
-        threaded=args.threaded,
         sma_pages=args.sma_pages,
         smd_socket=args.smd_socket,
         cluster_shard=args.cluster_shard,

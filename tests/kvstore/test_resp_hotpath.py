@@ -105,15 +105,6 @@ class TestQuarantine:
         assert server.feed_batch(encode_command("PING"), out) == 1
         assert bytes(out) == b"+PONG\r\n"
 
-    def test_pop_reply_reusable_after_poison(self):
-        server = make_server()
-        server.feed_input(self.POISON_MID_FRAME + self.FAKE_TAIL)
-        reply = server.pop_reply()
-        assert reply is not None and reply.startswith(b"-ERR protocol error")
-        assert server.pop_reply() is None  # the fake tail was dropped
-        server.feed_input(encode_command("PING"))
-        assert server.pop_reply() == b"+PONG\r\n"
-
     def test_tcp_client_reply_stream_recovers(self):
         """The regression from the issue: ``TcpKvClient`` keeps one
         parser for the connection's lifetime; an error reply frame that
@@ -182,6 +173,36 @@ class TestDroppedByteAccounting:
         server.feed_batch(encode_command("GET", "k"), out)
         assert server.bytes_dropped == 0
         assert server.obs.protocol_dropped_bytes == 0
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_fallback_frames_share_the_main_loop(self, fast_path):
+        """Commands and not-a-command frames interleaved in one buffer:
+        replies stay in order and every executed command is counted
+        once — whether it came off the fast path or (generic parser
+        forced) was popped by the fallback and joined the same loop."""
+        server = make_server()
+        if not fast_path:
+            server._parser = RespParser(use_fast_path=False)
+        bad = b"-ERR protocol error: expected array of bulk strings\r\n"
+        out = bytearray()
+        executed = server.feed_batch(
+            encode_command("PING")
+            + b"*-1\r\n"
+            + b"*2\r\n$3\r\nGET\r\n$-1\r\n"
+            + b"+OK\r\n"
+            + encode_command("PING"),
+            out,
+        )
+        assert bytes(out) == b"+PONG\r\n" + bad * 3 + b"+PONG\r\n"
+        assert executed == 5
+        assert server.commands_processed == 2
+        obs = server.obs
+        assert obs.commands == 2 == sum(
+            snap.count for snap in obs.command_stats().values()
+        )
+        assert server.protocol_errors == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,11 @@ from repro.kvstore.store import DataStore
 from repro.kvstore.tcp import TcpKvClient, TcpKvServer
 
 
-@pytest.fixture(params=["event-loop", "threaded"])
-def server(request):
-    """Every TCP contract test runs against both serving planes."""
+@pytest.fixture(params=["event-loop"])  # one plane; the id keeps test names
+def server():
     # reclamation can arrive from another thread in TCP tests
     store = DataStore(LockedSoftMemoryAllocator(name="tcp-test"))
-    srv = TcpKvServer(store, threaded=request.param == "threaded").start()
+    srv = TcpKvServer(store).start()
     yield srv
     srv.stop()
 
@@ -100,8 +99,7 @@ class TestPipelinedReplies:
 class TestConnectionChurn:
     def test_churn_leaks_no_per_connection_state(self, server):
         """A long-lived server under connection churn must not hoard
-        dead worker-thread objects (threaded) or dangling selector
-        registrations (event loop)."""
+        dangling selector registrations."""
         import time
 
         for i in range(30):
@@ -110,17 +108,14 @@ class TestConnectionChurn:
         # one live connection forces a prune pass through accept
         with TcpKvClient(server.address) as client:
             client.execute("PING")
-            if hasattr(server, "_conn_threads"):
-                assert len(server._conn_threads) < 30
-            else:
-                # listener + waker + the one live connection; closed
-                # connections unregister as their EOFs are processed
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    if len(server._selector.get_map()) <= 3:
-                        break
-                    time.sleep(0.01)
-                assert len(server._selector.get_map()) <= 3
+            # listener + waker + the one live connection; closed
+            # connections unregister as their EOFs are processed
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                if len(server._selector.get_map()) <= 3:
+                    break
+                time.sleep(0.01)
+            assert len(server._selector.get_map()) <= 3
         assert server.connections_served == 31
 
 

@@ -7,12 +7,13 @@ tombstone propagation, WAIT, read-only enforcement, partial resync,
 and the promotion chain an ex-sibling rides after a master dies.
 """
 
+import socket
 import time
 
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
-from repro.kvstore.resp import RespError
+from repro.kvstore.resp import RespError, encode_command
 from repro.kvstore.store import DataStore
 from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 
@@ -120,6 +121,28 @@ class TestFullSyncAndStream:
             with TcpKvClient(replica.address) as rc:
                 ttl = rc.execute("TTL", "ttl-key")
         assert 90 <= ttl <= 100
+
+
+class TestMixedCaseCommands:
+    """Replication commands reach the transport in any casing."""
+
+    def test_wait_blocks_for_the_ack(self, pair):
+        master, __ = pair
+        with TcpKvClient(master.address) as mc:
+            mc.execute("SET", "a", "1")
+            assert mc.execute("Wait", 1, 5000) == 1
+
+    def test_replicaof_no_one_promotes(self, pair):
+        __, replica = pair
+        with TcpKvClient(replica.address) as rc:
+            assert str(rc.execute("ReplicaOf", "no", "one")) == "OK"
+            assert info_dict(rc)["role"] == "master"
+
+    def test_psync_gets_a_full_resync(self, pair):
+        master, __ = pair
+        with socket.create_connection(master.address, timeout=5) as sock:
+            sock.sendall(encode_command("Psync", "?", "-1"))
+            assert sock.recv(64).startswith(b"+FULLRESYNC ")
 
 
 class TestTombstonePropagation:
