@@ -67,10 +67,44 @@ class SdsHeap:
         """Release a live allocation (normal ``soft_free`` path)."""
         if not alloc.valid:
             raise ValueError(f"allocation {alloc.alloc_id} already freed")
-        del self._allocs[alloc.alloc_id]
-        self._placer.free(alloc.placement)
+        if alloc.placement is not None:  # else a resize holds it unplaced
+            del self._allocs[alloc.alloc_id]
+            self._placer.free(alloc.placement)
         alloc.valid = False
         alloc.payload = None
+
+    def resize(self, alloc: Allocation, new_size: int, payload: Any) -> bool:
+        """Move a live allocation to a ``new_size`` extent, keeping it.
+
+        The same two placer decisions as :meth:`free` followed by
+        :meth:`allocate`, in that order, but the :class:`Allocation`
+        (and every handle to it) survives and becomes the newest in age
+        order. Returns ``False`` when the caller has to act before the
+        new extent can be placed: idle pages are due back to the pool
+        (:meth:`should_release_slack`) or pages are needed. By then the
+        old extent is freed and the allocation is *unplaced* —
+        ``placement`` is ``None``, it is out of the age index, its
+        payload is still readable; call again to place it.
+        """
+        if new_size <= 0:
+            raise ValueError(f"allocation size must be positive: {new_size}")
+        if not alloc.valid:
+            raise ValueError(f"allocation {alloc.alloc_id} already freed")
+        placer = self._placer
+        if alloc.placement is not None:
+            del self._allocs[alloc.alloc_id]
+            placer.free(alloc.placement)
+            alloc.placement = None
+            if placer.free_page_count >= self.FREE_PAGE_SLACK:
+                return False
+        placement = placer.place(new_size)
+        if placement is None:
+            return False
+        alloc.size = new_size
+        alloc.placement = placement
+        alloc.payload = payload
+        self._allocs[alloc.alloc_id] = alloc
+        return True
 
     # -- inspection ---------------------------------------------------
 

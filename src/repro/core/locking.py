@@ -67,6 +67,12 @@ class LockedSoftMemoryAllocator(SoftMemoryAllocator):
         with self._lock:
             super().soft_free(ptr)
 
+    def soft_resize(
+        self, ptr: SoftPtr, new_size: int, payload: Any = None
+    ) -> SoftPtr:
+        with self._lock:
+            return super().soft_resize(ptr, new_size, payload)
+
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> SoftPtr | None:

@@ -25,16 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import SdsContext
 
 _alloc_ids = itertools.count(1)
-_alloc_seq = itertools.count(1)
 
 
 class Allocation:
     """One live soft allocation: placement + payload + lifecycle state.
 
-    ``seq`` is a global monotone stamp used for oldest-first reclamation
-    policies. ``pins`` counts active :class:`DerefScope` holds. ``payload``
-    stands in for the allocation's contents (the C++ prototype would hand
-    back raw bytes; the Python model carries an object).
+    ``alloc_id`` is a global monotone stamp (a later ``soft_malloc``
+    compares greater; a resize keeps the id). ``pins`` counts active
+    :class:`DerefScope` holds. ``payload`` stands in for the allocation's
+    contents (the C++ prototype would hand back raw bytes; the Python
+    model carries an object).
     """
 
     __slots__ = (
@@ -43,7 +43,6 @@ class Allocation:
         "placement",
         "context",
         "payload",
-        "seq",
         "pins",
         "valid",
         "group_id",
@@ -58,10 +57,10 @@ class Allocation:
     ) -> None:
         self.alloc_id: int = next(_alloc_ids)
         self.size = size
-        self.placement = placement
+        #: ``None`` only while a resize holds the allocation unplaced
+        self.placement: Placement | None = placement
         self.context = context
         self.payload = payload
-        self.seq: int = next(_alloc_seq)
         self.pins = 0
         self.valid = True
         self.group_id: int | None = None

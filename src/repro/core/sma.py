@@ -267,6 +267,57 @@ class SoftMemoryAllocator:
         if heap.should_release_slack():
             self.pool.put(heap.harvest_free_pages())
 
+    def soft_resize(
+        self, ptr: SoftPtr, new_size: int, payload: Any = None
+    ) -> SoftPtr:
+        """Re-place a live allocation at ``new_size`` holding ``payload``.
+
+        Decision-equivalent to :meth:`soft_free` followed by
+        :meth:`soft_malloc` in the same context — the old extent is
+        freed, idle pages go back to the pool, then the new extent is
+        placed, provisioning if it must — and counted as one free and
+        one allocation. What differs is identity: ``ptr`` and its
+        :class:`Allocation` survive, so soft references and group
+        membership follow the handle to the new contents, and the
+        allocation becomes the heap's newest.
+
+        If provisioning is denied the exception propagates and the
+        allocation is gone, exactly as if the ``soft_malloc`` half had
+        failed: ``ptr`` is dead, its references are dropped without
+        queue delivery (an explicit free, not a reclamation).
+        """
+        alloc = ptr.allocation
+        context = alloc.context
+        heap = context.heap
+        if not heap.resize(alloc, new_size, payload):
+            # the old extent is freed and the allocation unplaced
+            if heap.should_release_slack():
+                self.pool.put(heap.harvest_free_pages())
+            if not heap.resize(alloc, new_size, payload):
+                self._provision_unplaced(alloc, new_size)
+                if not heap.resize(alloc, new_size, payload):
+                    raise ProtocolError(
+                        f"provisioning did not make room for {new_size} bytes"
+                    )
+        self.stats.frees += 1
+        self.stats.allocations += 1
+        return ptr
+
+    def _provision_unplaced(self, alloc: Allocation, new_size: int) -> None:
+        """Provision for an allocation a resize holds unplaced."""
+        alloc.pins += 1  # the daemon may reclaim from this very heap
+        try:
+            self._provision(alloc.context, new_size)
+        except Exception:
+            if alloc.valid:  # nowhere to put it: the allocation is gone
+                alloc.context.heap.free(alloc)
+            self.groups.forget(alloc)
+            self.refs.forget(alloc)
+            self.stats.frees += 1
+            raise
+        finally:
+            alloc.pins -= 1
+
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> SoftPtr | None:

@@ -192,12 +192,14 @@ class SoftDict(SoftDataStructure):
     ) -> tuple[SoftPtr, Any | None]:
         """Insert or overwrite; returns ``(ptr, previous value or None)``.
 
-        A same-size overwrite stores the new payload through the
-        existing soft pointer — one pointer write, the way Redis swaps
-        ``dictEntry->v`` on SET — instead of free + malloc + re-chain.
-        Like a fresh insert, the overwrite refreshes the entry's age
-        (re-inserting its age-index slot), preserving the oldest-first
-        reclamation contract.
+        Overwriting a resident entry goes through its handle: a
+        same-size write stores the new payload through the existing
+        soft pointer — one pointer write, the way Redis swaps
+        ``dictEntry->v`` on SET — and a size-changing write is one
+        ``soft_resize``. Either way the chain slot is untouched, the
+        same :class:`SoftPtr` is returned, and like a fresh insert the
+        overwrite refreshes the entry's age (re-inserting its age-index
+        slot), preserving the oldest-first reclamation contract.
         """
         self._check_key(key)
         if self._ht1 is not None:  # guard inlined: hot path
@@ -208,14 +210,23 @@ class SoftDict(SoftDataStructure):
         if existing is not None:
             ptr, table, slot = existing
             __, old_value = ptr.deref()
-            if ptr.size == want and type(old_value) is not CompressedValue:
-                ptr.store((key, value))
+            if type(old_value) is not CompressedValue:
+                if ptr.size == want:
+                    ptr.store((key, value))
+                else:
+                    try:
+                        self._sma.soft_resize(ptr, want, (key, value))
+                    except Exception:
+                        self._remove_ptr(ptr, table, slot)
+                        del self._by_age[ptr.alloc_id]
+                        self._overwrite_lost(key, old_value)
+                        raise
                 del self._by_age[ptr.alloc_id]  # refresh age: now newest
                 self._by_age[ptr.alloc_id] = ptr
                 return ptr, old_value
-            # (a demoted entry is never overwritten in place — its soft
-            # size tracks the compressed bytes, not the incoming value;
-            # the free below records it as a tier displacement)
+            # a demoted entry is never overwritten through its handle —
+            # its soft size tracks the compressed bytes, not the incoming
+            # value; the free below records it as a tier displacement
             self._remove_ptr(ptr, table, slot)
             self._free(ptr)
         self._maybe_start_rehash()
@@ -225,18 +236,7 @@ class SoftDict(SoftDataStructure):
             ptr = self._alloc(want, (key, value))
         except Exception:
             if existing is not None:
-                # The size-changing overwrite already unchained and
-                # freed the old entry; a denied re-alloc means it is
-                # lost. Report the loss through the reclamation
-                # callback so the owner's ledgers (and any durability
-                # log) record that the key is gone — otherwise memory
-                # and disk would disagree about its existence.
-                self.evictions += 1
-                if self._context.callback is not None:
-                    try:
-                        self._context.callback((key, old_value))
-                    except Exception:
-                        self._context.callback_errors += 1
+                self._overwrite_lost(key, old_value)
             raise
         slot = self._hash(key) & target.mask
         bucket = target.buckets[slot]
@@ -246,6 +246,19 @@ class SoftDict(SoftDataStructure):
         target.used += 1
         self._by_age[ptr.alloc_id] = ptr
         return ptr, old_value
+
+    def _overwrite_lost(self, key: bytes, old_value: Any) -> None:
+        """A size-changing overwrite freed the old entry and was then
+        denied the new one, so the key is lost. Report the loss through
+        the reclamation callback so the owner's ledgers (and any
+        durability log) record that the key is gone — otherwise memory
+        and disk would disagree about its existence."""
+        self.evictions += 1
+        if self._context.callback is not None:
+            try:
+                self._context.callback((key, old_value))
+            except Exception:
+                self._context.callback_errors += 1
 
     def get(self, key: bytes, default: Any = None) -> Any:
         self._check_key(key)

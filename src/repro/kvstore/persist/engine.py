@@ -489,7 +489,7 @@ class Persistence:
         finally:
             self._suppress = False
 
-    def append_raw(self, data: bytes, records: int) -> None:
+    def append_raw(self, data: bytes | memoryview, records: int) -> None:
         """Append already-framed stream bytes to the AOF verbatim.
 
         The replica's local log must replay to the same state the
@@ -502,7 +502,7 @@ class Persistence:
         if writer is None:
             return
         with self._io_lock:
-            writer.buffer += data
+            writer.buffer.extend(data)  # read-only property: no ``+=``
             writer.note_records(records)
             self.stats.aof_records += records
 

@@ -386,11 +386,13 @@ class ReplicaLink(threading.Thread):
             if len(buf) < HEADER_SIZE:
                 continue
             # bytearray slices are unhashable (hash-field keys), so the
-            # scanner gets an immutable copy
-            payloads, valid = scan_frames(bytes(buf))
+            # scanner gets an immutable copy; the applied prefix handed
+            # to the backlog and the local AOF is a view of that copy
+            data = bytes(buf)
+            payloads, valid = scan_frames(data)
             if payloads:
                 records = [decode_record(p) for p in payloads]
-                raw = bytes(buf[:valid])
+                raw = memoryview(data)[:valid]
                 now_ms = int(time.time() * 1000)
                 with self._lock:
                     if self._stop_event.is_set():

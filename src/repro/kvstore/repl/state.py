@@ -19,7 +19,7 @@ load and a ``None`` check per mutation — the same discipline as
 
 Offsets count stream bytes: ``master_repl_offset`` is the total ever
 produced (master) or applied (replica); the backlog covers the byte
-range ``[backlog_off, backlog_off + len(backlog))``. A partial resync
+range ``[backlog_off, backlog_off + backlog_size)``. A partial resync
 request for ``offset`` is satisfiable iff the replication ids match
 and that offset falls inside (or exactly at the end of) the window.
 
@@ -86,8 +86,10 @@ class ReplicationState:
         self.master_repl_offset = 0
         #: records encoded since the last :meth:`drain`
         self.pending = bytearray()
-        #: the ring: stream bytes ``[backlog_off, backlog_off+len)``
-        self.backlog = bytearray()
+        #: the ring: the backlog window is ``_ring[_ring_start:]``, the
+        #: stream bytes ``[backlog_off, backlog_off + backlog_size)``
+        self._ring = bytearray()
+        self._ring_start = 0
         self.backlog_off = 0
         #: flipped by the first PSYNC ever served; until then the
         #: ``log_*`` taps are inert so a server that never replicates
@@ -137,7 +139,8 @@ class ReplicationState:
         self.replid = replid
         self.master_repl_offset = offset
         self.pending.clear()
-        self.backlog.clear()
+        self._ring.clear()
+        self._ring_start = 0
         self.backlog_off = offset
 
     # -- master-side log taps (mirror Persistence.log_*) ----------------
@@ -206,13 +209,27 @@ class ReplicationState:
 
     # -- the backlog ring ----------------------------------------------
 
-    def _append_backlog(self, data: bytes) -> None:
-        backlog = self.backlog
-        backlog += data
-        overflow = len(backlog) - self.backlog_capacity
+    @property
+    def backlog_size(self) -> int:
+        return len(self._ring) - self._ring_start
+
+    def _append_backlog(self, data: bytes | memoryview) -> None:
+        """Append, keeping the window at the last ``capacity`` bytes.
+
+        Overflow only advances the window's start; the dead prefix is
+        cut once it is as large as the window itself, so a full ring
+        pays one memmove per ``capacity`` bytes appended instead of one
+        per round.
+        """
+        ring = self._ring
+        ring += data
+        overflow = self.backlog_size - self.backlog_capacity
         if overflow > 0:
-            del backlog[:overflow]
+            self._ring_start += overflow
             self.backlog_off += overflow
+            if self._ring_start >= self.backlog_capacity:
+                del ring[:self._ring_start]
+                self._ring_start = 0
 
     def drain(self) -> bytes:
         """Move ``pending`` into the backlog; return it for the feeds."""
@@ -223,7 +240,7 @@ class ReplicationState:
         self._append_backlog(data)
         return data
 
-    def note_applied(self, raw: bytes, records: int) -> None:
+    def note_applied(self, raw: bytes | memoryview, records: int) -> None:
         """Replica side: ``raw`` stream bytes were applied verbatim."""
         self.master_repl_offset += len(raw)
         self._append_backlog(raw)
@@ -236,12 +253,12 @@ class ReplicationState:
         return (
             self.backlog_off
             <= offset
-            <= self.backlog_off + len(self.backlog)
+            <= self.backlog_off + self.backlog_size
         )
 
     def backlog_since(self, offset: int) -> bytes:
         """The stream tail from ``offset`` (caller checked the range)."""
-        return bytes(self.backlog[offset - self.backlog_off:])
+        return bytes(self._ring[self._ring_start + offset - self.backlog_off:])
 
     # -- feed registry (master) ----------------------------------------
 
@@ -275,7 +292,7 @@ class ReplicationState:
             f"role:{self.role}",
             f"replid:{self.replid}",
             f"master_repl_offset:{self.master_repl_offset}",
-            f"repl_backlog_size:{len(self.backlog)}",
+            f"repl_backlog_size:{self.backlog_size}",
             f"repl_backlog_capacity:{self.backlog_capacity}",
             f"repl_backlog_first_byte_offset:{self.backlog_off}",
         ]

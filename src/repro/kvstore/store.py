@@ -136,6 +136,8 @@ class DataStore:
         #: bytes of keys+values held in traditional memory
         self.traditional_bytes = 0
         self._rng = random.Random(0)
+        #: key whose replayed overwrite is in flight (``_restore_write``)
+        self._restoring: bytes | None = None
         #: durability plane; None until :meth:`attach_persistence`
         self._persist: "Persistence | None" = None
         #: cluster topology; None (standalone) until :meth:`attach_cluster`.
@@ -170,6 +172,11 @@ class DataStore:
         key, value = payload
         self.traditional_bytes -= len(key) + value_bytes(value)
         self._expires.pop(key, None)
+        if key == self._restoring:
+            # the old entry of a replayed overwrite whose re-admission
+            # was denied: the replay's caller counts the denial, and
+            # the log being replayed already says what it says
+            return
         self.stats.reclaimed_keys += 1
         if self._persist is not None:
             # dropped soft data must stay dropped across a restart
@@ -785,22 +792,37 @@ class DataStore:
     def _restore_write(
         self, key: bytes, value: Value, ex: float | None
     ) -> None:
-        """Replay one write. Delete-first, then insert through the soft
-        allocator (the SMD budget gates re-admission): a denied alloc
-        propagates with all ledgers clean and the key absent — the
-        entry becomes a future cache miss, exactly like reclamation.
+        """Replay one write: an overwrite through the soft allocator
+        (the SMD budget gates re-admission) that sets the record's TTL
+        or clears the key's. A denied alloc propagates with all ledgers
+        clean and the key absent — the entry becomes a future cache
+        miss, exactly like reclamation, but counted by the caller as a
+        denial, not here as a reclaimed key, and never logged.
         Client-facing stats are not touched.
         """
-        self._delete_raw(key)
-        self._dict.upsert(key, value, size=self._entry_size(key, value))
+        new_bytes = value_bytes(value)
+        self._restoring = key
+        try:
+            __, old = self._dict.upsert(
+                key,
+                value,
+                size=self.config.entry_overhead_bytes + len(key) + new_bytes,
+            )
+        finally:
+            self._restoring = None
+        if old is not None:
+            self.traditional_bytes += new_bytes - value_bytes(old)
+        else:
+            self.traditional_bytes += len(key) + new_bytes
         if type(value) is CompressedValue:
             # a snapshot carried this entry demoted: re-admission was
             # budget-gated at the compressed size, and it must live in
             # the compressed tier (drop under pressure, promote on read)
             self._dict.register_compressed(key)
-        self.traditional_bytes += len(key) + value_bytes(value)
         if ex is not None:
             self._set_expiry(key, self._now() + ex)
+        else:
+            self._expires.pop(key, None)
 
     def _restore_delete(self, key: bytes) -> None:
         self._delete_raw(key)

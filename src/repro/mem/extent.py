@@ -107,7 +107,10 @@ class ExtentMap:
         """Would ``allocate(size)`` succeed right now?"""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        return any(length >= size for _, length in self._free)
+        for _, length in self._free:
+            if length >= size:
+                return True
+        return False
 
     def fragmentation(self) -> float:
         """1 - largest_free/total_free; 0 when free space is contiguous."""

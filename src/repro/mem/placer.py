@@ -14,23 +14,27 @@ first-fit over a bounded window of recently-opened pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.mem.page import Page
 from repro.util.units import PAGE_SIZE
 
 
-@dataclass(frozen=True)
 class Placement:
-    """Where an allocation physically lives.
+    """Where an allocation physically lives (treat as immutable).
 
     Small allocations occupy ``[offset, offset+size)`` of a single page.
     Large allocations own every page in ``pages`` outright (``offset`` 0).
     """
 
-    pages: tuple[Page, ...]
-    offset: int
-    size: int
+    __slots__ = ("pages", "offset", "size")
+
+    def __init__(self, pages: tuple[Page, ...], offset: int, size: int) -> None:
+        self.pages = pages
+        self.offset = offset
+        self.size = size
+
+    def __repr__(self) -> str:
+        ids = ",".join(str(page.page_id) for page in self.pages)
+        return f"<Placement pages={ids} offset={self.offset} size={self.size}>"
 
     @property
     def is_large(self) -> bool:
@@ -117,15 +121,20 @@ class PagePlacer:
         return self._place_large(size)
 
     def _place_small(self, size: int) -> Placement | None:
-        page = self._find_open_page(size)
-        if page is None:
-            return None
-        offset = page.place(size)
-        assert offset is not None
-        self._free_pages.pop(page, None)
-        if page.free_bytes == 0:
-            self._open.pop(page, None)
-        return Placement(pages=(page,), offset=offset, size=size)
+        # one scan: try to place on each candidate instead of asking
+        # ``fits`` first and walking the winner's extents a second time
+        scanned = 0
+        for page in reversed(self._open):
+            offset = page.place(size)
+            if offset is not None:
+                self._free_pages.pop(page, None)
+                if page.free_bytes == 0:
+                    del self._open[page]
+                return Placement((page,), offset, size)
+            scanned += 1
+            if scanned >= self.SCAN_LIMIT:
+                return None
+        return None
 
     def _place_large(self, size: int) -> Placement | None:
         needed = -(-size // PAGE_SIZE)
@@ -143,7 +152,7 @@ class PagePlacer:
             # page has slack; large objects don't share pages.
             self._open.pop(page, None)
             self._free_pages.pop(page, None)
-        return Placement(pages=tuple(chosen), offset=0, size=size)
+        return Placement(tuple(chosen), 0, size)
 
     def free(self, placement: Placement) -> None:
         """Undo a placement; pages regain space but stay owned."""

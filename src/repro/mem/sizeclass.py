@@ -171,7 +171,7 @@ class SizeClassPlacer:
         if not slab.free_offsets:
             self._partial[cls].remove(page)  # slab is now full
         self._used_bytes += size
-        return Placement(pages=(page,), offset=offset, size=size)
+        return Placement((page,), offset, size)
 
     def _place_large(self, size: int) -> Placement | None:
         needed = -(-size // PAGE_SIZE)
@@ -185,7 +185,7 @@ class SizeClassPlacer:
             page.live_allocs += 1
             chosen.append(page)
         self._used_bytes += size
-        return Placement(pages=tuple(chosen), offset=0, size=size)
+        return Placement(tuple(chosen), 0, size)
 
     def free(self, placement: Placement) -> None:
         if placement.is_large:

@@ -1,0 +1,371 @@
+"""Placement equivalence: the allocator makes the same decisions, faster.
+
+Which page an extent lands in decides which pages a reclamation wave can
+harvest, so the fit *policy* is part of the system's behaviour. Two
+guards keep it fixed:
+
+* a differential test drives random malloc/free/resize/harvest sequences
+  through the real allocator and through a reference model kept only
+  here — the original ``fits``-then-``place`` first-fit scan, and resize
+  spelled ``soft_free`` then ``soft_malloc`` — and demands the same
+  (page ordinal, offset) for every operation;
+* a golden SHA-256 of the placement sequence of one seeded 20k-op trace,
+  generated at the commit *before* single-scan placement and
+  ``soft_resize`` existed, so a later policy change has to be deliberate.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.heap import SdsHeap
+from repro.core.sma import SoftMemoryAllocator
+from repro.mem.placer import PagePlacer
+from repro.util.units import PAGE_SIZE
+
+#: sha256 of ``golden_trace`` placements, generated from commit 7d8f2ad
+#: (resize spelled soft_free + soft_malloc). Regenerate only on purpose.
+GOLDEN_SEED = 20230622
+GOLDEN_OPS = 20_000
+GOLDEN_SHA256 = (
+    "76b254db49fc0653d0691e31b035edf8eac66800b10195512ed6d9dbdfc8d2bd"
+)
+
+CONTEXTS = 2
+
+
+# ----------------------------------------------------------------------
+# the reference model: fits-then-place, free-then-malloc
+# ----------------------------------------------------------------------
+
+
+class RefPage:
+    """A page as a first-fit list of free (offset, length) extents."""
+
+    def __init__(self, ordinal: int) -> None:
+        self.ordinal = ordinal
+        self.free = [(0, PAGE_SIZE)]
+        self.live = 0
+
+    @property
+    def free_bytes(self) -> int:
+        return sum(length for _, length in self.free)
+
+    def fits(self, size: int) -> bool:
+        return any(length >= size for _, length in self.free)
+
+    def place(self, size: int) -> int:
+        for i, (offset, length) in enumerate(self.free):
+            if length >= size:
+                if length == size:
+                    del self.free[i]
+                else:
+                    self.free[i] = (offset + size, length - size)
+                self.live += 1
+                return offset
+        raise AssertionError("place() after fits() must succeed")
+
+    def remove(self, offset: int, size: int) -> None:
+        self.free.append((offset, size))
+        self.free.sort()
+        merged: list[tuple[int, int]] = []
+        for off, length in self.free:
+            if merged and merged[-1][0] + merged[-1][1] == off:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            else:
+                merged.append((off, length))
+        self.free = merged
+        self.live -= 1
+
+
+class RefPlacer:
+    """The textbook placer as it stood: scan with ``fits``, then place."""
+
+    def __init__(self) -> None:
+        self.pages: dict[RefPage, None] = {}
+        self.open: dict[RefPage, None] = {}
+        self.free_pages: dict[RefPage, None] = {}
+
+    def add_page(self, page: RefPage) -> None:
+        self.pages[page] = None
+        self.open[page] = None
+        self.free_pages[page] = None
+
+    def _find_open_page(self, size: int) -> RefPage | None:
+        scanned = 0
+        for page in reversed(self.open):
+            if page.fits(size):
+                return page
+            scanned += 1
+            if scanned >= PagePlacer.SCAN_LIMIT:
+                return None
+        return None
+
+    def pages_needed(self, size: int) -> int:
+        if size <= PAGE_SIZE:
+            return 0 if self._find_open_page(size) is not None else 1
+        return max(0, -(-size // PAGE_SIZE) - len(self.free_pages))
+
+    def place(self, size: int) -> tuple[tuple[RefPage, ...], int] | None:
+        if size <= PAGE_SIZE:
+            page = self._find_open_page(size)
+            if page is None:
+                return None
+            offset = page.place(size)
+            self.free_pages.pop(page, None)
+            if page.free_bytes == 0:
+                self.open.pop(page, None)
+            return (page,), offset
+        needed = -(-size // PAGE_SIZE)
+        if len(self.free_pages) < needed:
+            return None
+        chosen = list(self.free_pages)[:needed]
+        remaining = size
+        for page in chosen:
+            chunk = min(PAGE_SIZE, remaining)
+            assert page.place(chunk) == 0
+            remaining -= chunk
+            self.open.pop(page, None)
+            self.free_pages.pop(page, None)
+        return tuple(chosen), 0
+
+    def free(self, pages: tuple[RefPage, ...], offset: int, size: int) -> None:
+        remaining = size
+        for page in pages:
+            chunk = min(PAGE_SIZE, remaining)
+            page.remove(offset, chunk)
+            remaining -= chunk
+            self.open[page] = None
+            if page.live == 0:
+                self.free_pages[page] = None
+
+    def take_free_pages(self, max_count: int | None = None) -> list[RefPage]:
+        harvested: list[RefPage] = []
+        for page in list(self.free_pages):
+            if max_count is not None and len(harvested) >= max_count:
+                break
+            del self.pages[page]
+            del self.free_pages[page]
+            self.open.pop(page, None)
+            harvested.append(page)
+        return harvested
+
+
+class RefAllocator:
+    """Heaps + LIFO pool + slack harvest, the way ``soft_free`` followed
+    by ``soft_malloc`` drives them."""
+
+    def __init__(self) -> None:
+        self.heaps = [RefPlacer() for _ in range(CONTEXTS)]
+        self.pool: list[RefPage] = []
+        self.mapped = 0
+
+    def malloc(self, ctx: int, size: int):
+        heap = self.heaps[ctx]
+        placed = heap.place(size)
+        if placed is None:
+            needed = heap.pages_needed(size)
+            take = min(needed, len(self.pool))
+            pages = self.pool[len(self.pool) - take:]
+            del self.pool[len(self.pool) - take:]
+            for _ in range(needed - take):
+                pages.append(RefPage(self.mapped))
+                self.mapped += 1
+            for page in pages:
+                heap.add_page(page)
+            placed = heap.place(size)
+            assert placed is not None
+        pages, offset = placed
+        return ctx, pages, offset, size
+
+    def free(self, handle) -> None:
+        ctx, pages, offset, size = handle
+        heap = self.heaps[ctx]
+        heap.free(pages, offset, size)
+        if len(heap.free_pages) >= SdsHeap.FREE_PAGE_SLACK:
+            self.pool.extend(heap.take_free_pages())
+
+    def resize(self, handle, size: int):
+        self.free(handle)
+        return self.malloc(handle[0], size)
+
+    def harvest(self, ctx: int, count: int) -> None:
+        self.pool.extend(self.heaps[ctx].take_free_pages(count))
+
+    def return_excess(self) -> None:
+        for heap in self.heaps:
+            heap.take_free_pages()
+        self.pool.clear()
+
+    @staticmethod
+    def where(handle) -> tuple[tuple[int, ...], int]:
+        __, pages, offset, __ = handle
+        return tuple(page.ordinal for page in pages), offset
+
+
+# ----------------------------------------------------------------------
+# the real allocator behind the same five operations
+# ----------------------------------------------------------------------
+
+
+class RealAllocator:
+    def __init__(self) -> None:
+        self.sma = SoftMemoryAllocator(name="equiv", request_batch_pages=4)
+        self.contexts = [
+            self.sma.create_context(f"c{i}") for i in range(CONTEXTS)
+        ]
+        #: page -> ordinal, by first appearance in a placement
+        self._ordinals: dict = {}
+
+    def malloc(self, ctx: int, size: int):
+        return self.sma.soft_malloc(size, self.contexts[ctx], payload=size)
+
+    def free(self, ptr) -> None:
+        self.sma.soft_free(ptr)
+
+    def resize(self, ptr, size: int):
+        return self.sma.soft_resize(ptr, size, size)
+
+    def harvest(self, ctx: int, count: int) -> None:
+        self.sma.pool.put(self.contexts[ctx].heap.harvest_free_pages(count))
+
+    def return_excess(self) -> None:
+        self.sma.return_excess()
+
+    def where(self, ptr) -> tuple[tuple[int, ...], int]:
+        placement = ptr.allocation.placement
+        ordinals = self._ordinals
+        return (
+            tuple(
+                ordinals.setdefault(page, len(ordinals))
+                for page in placement.pages
+            ),
+            placement.offset,
+        )
+
+
+def run_ops(allocator, ops, on_placed=None, after_op=None) -> None:
+    """Drive ``ops`` through ``allocator``; report every placement."""
+    live: list = []
+    for op in ops:
+        kind = op[0]
+        if kind == "malloc":
+            live.append(allocator.malloc(op[1], op[2]))
+        elif kind == "resize" and live:
+            index = op[1] % len(live)
+            live[index] = allocator.resize(live[index], op[2])
+        elif kind == "free" and live:
+            allocator.free(live.pop(op[1] % len(live)))
+            kind = None
+        elif kind == "harvest":
+            allocator.harvest(op[1], op[2])
+            kind = None
+        elif kind == "excess":
+            allocator.return_excess()
+            kind = None
+        else:
+            kind = None
+        if kind is not None and on_placed is not None:
+            handle = live[-1] if kind == "malloc" else live[op[1] % len(live)]
+            on_placed(allocator.where(handle))
+        if after_op is not None:
+            after_op()
+
+
+# ----------------------------------------------------------------------
+# differential property
+# ----------------------------------------------------------------------
+
+sizes = st.one_of(
+    st.integers(min_value=16, max_value=8 * 1024),
+    st.integers(min_value=16, max_value=512),
+    st.builds(
+        lambda pages, tail: pages * PAGE_SIZE + tail,
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+    ),
+)
+contexts = st.integers(min_value=0, max_value=CONTEXTS - 1)
+indexes = st.integers(min_value=0, max_value=1 << 16)
+operations = st.one_of(
+    st.tuples(st.just("malloc"), contexts, sizes),
+    st.tuples(st.just("malloc"), contexts, sizes),
+    st.tuples(st.just("resize"), indexes, sizes),
+    st.tuples(st.just("resize"), indexes, sizes),
+    st.tuples(st.just("free"), indexes),
+    st.tuples(st.just("harvest"), contexts, st.integers(1, 5)),
+    st.tuples(st.just("excess")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(operations, max_size=250))
+def test_same_page_and_offset_as_fits_then_place(ops):
+    real, ref = RealAllocator(), RefAllocator()
+    got: list = []
+    want: list = []
+    run_ops(real, ops, got.append, real.sma.check_invariants)
+    run_ops(ref, ops, want.append)
+    assert got == want
+    for context, heap in zip(real.contexts, ref.heaps):
+        assert context.heap.page_count == len(heap.pages)
+        assert context.heap.free_page_count == len(heap.free_pages)
+    assert real.sma.pool.page_count == len(ref.pool)
+
+
+# ----------------------------------------------------------------------
+# golden digest
+# ----------------------------------------------------------------------
+
+
+def golden_trace(seed: int = GOLDEN_SEED, count: int = GOLDEN_OPS):
+    """The seeded op sequence behind ``GOLDEN_SHA256``."""
+    rng = random.Random(seed)
+
+    def size() -> int:
+        roll = rng.random()
+        if roll < 0.05:  # multi-page
+            return rng.randint(2, 5) * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+        if roll < 0.20:
+            return rng.randint(16, 256)
+        return int(16 * 512 ** rng.random())  # log-uniform 16 B .. 8 KiB
+
+    live = 0
+    for _ in range(count):
+        roll = rng.random()
+        if live == 0 or roll < (0.25 if live > 1500 else 0.45):
+            live += 1
+            yield ("malloc", rng.randrange(CONTEXTS), size())
+        elif roll < 0.70:
+            yield ("resize", rng.randrange(1 << 16), size())
+        elif roll < 0.96:
+            live -= 1
+            yield ("free", rng.randrange(1 << 16))
+        elif roll < 0.995:
+            yield ("harvest", rng.randrange(CONTEXTS), rng.randint(1, 5))
+        else:
+            yield ("excess",)
+
+
+def placement_digest(allocator) -> str:
+    digest = hashlib.sha256()
+
+    def record(where) -> None:
+        pages, offset = where
+        digest.update(f"{','.join(map(str, pages))}@{offset};".encode())
+
+    run_ops(allocator, golden_trace(), record)
+    return digest.hexdigest()
+
+
+def test_golden_placement_digest():
+    real = RealAllocator()
+    assert placement_digest(real) == GOLDEN_SHA256
+    real.sma.check_invariants()
+
+
+def test_reference_model_reproduces_the_golden_digest():
+    assert placement_digest(RefAllocator()) == GOLDEN_SHA256

@@ -64,11 +64,11 @@ class TestSoftPtr:
         assert ptr.size == 100
         assert ptr.alloc_id > 0
 
-    def test_seq_is_monotone(self, setup):
+    def test_alloc_id_is_monotone(self, setup):
         sma, ctx = setup
         a = sma.soft_malloc(8, ctx)
         b = sma.soft_malloc(8, ctx)
-        assert a.allocation.seq < b.allocation.seq
+        assert a.alloc_id < b.alloc_id
 
 
 class TestDerefScope:

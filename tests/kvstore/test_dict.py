@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
+from repro.daemon.smd import SoftMemoryDaemon
 from repro.kvstore.dict import INITIAL_SIZE, SoftDict
 
 
@@ -33,6 +35,36 @@ class TestMappingSemantics:
         d.put(b"k", 2)
         assert d.get(b"k") == 2
         assert len(d) == 1
+
+    def test_size_changing_overwrite_goes_through_the_handle(self, sma, d):
+        for i in range(3):
+            d.put(b"k%d" % i, i, size=100)
+        ptr, table, slot = d._find(b"k0")
+        again, old = d.upsert(b"k0", "grown", size=900)
+        assert again is ptr and old == 0
+        assert d._find(b"k0") == (ptr, table, slot)  # chain slot untouched
+        assert (ptr.size, d.get(b"k0")) == (900, "grown")
+        assert len(d) == 3
+        assert list(d._by_age.values())[-1] is ptr  # age refreshed: newest
+        assert (sma.stats.allocations, sma.stats.frees) == (4, 1)
+        sma.check_invariants()
+
+    def test_overwrite_lost_to_a_denial_is_reported_as_reclaimed(self):
+        sma = SoftMemoryAllocator(name="tight", request_batch_pages=1)
+        SoftMemoryDaemon(soft_capacity_pages=1).register(sma)
+        seen = []
+        d = SoftDict(sma, callback=seen.append)
+        d.put(b"anchor", "a", size=3000)
+        d.put(b"victim", "old", size=800)
+        with pytest.raises(SoftMemoryDenied):
+            d.upsert(b"victim", "new", size=3500)
+        assert seen == [(b"victim", "old")] and d.evictions == 1
+        assert b"victim" not in d and len(d) == 1
+        assert d.get(b"anchor") == "a"
+        assert [p.deref()[0] for p in d._by_age.values()] == [b"anchor"]
+        sma.check_invariants()
+        d.put(b"victim", "back", size=800)  # the slot is reusable
+        assert d.get(b"victim") == "back"
 
     def test_delete(self, d):
         d.put(b"k", 1)

@@ -14,6 +14,11 @@ path, and hypothesis hunts the boundaries:
    reply into arbitrary chunks produces exactly the same parse as one
    big read, and every strict prefix is "incomplete", never a wrong
    answer.
+
+3. **The backlog window is the stream's tail.** After any sequence of
+   appends, on either role, the ring serves exactly the last
+   ``capacity`` bytes ever appended — however lazily its storage is
+   trimmed.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -169,3 +174,45 @@ def test_handshake_every_strict_prefix_is_incomplete(reply, data):
     # completing the core afterwards still parses correctly
     result = handshake.feed(blob[cut:core])
     assert result is not None and result[0] == expected[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=96),
+    origin=st.integers(min_value=0, max_value=1000),
+    chunks=st.lists(
+        st.tuples(st.booleans(), st.binary(min_size=0, max_size=250)),
+        max_size=40,
+    ),
+)
+def test_backlog_window_is_the_last_capacity_bytes(capacity, origin, chunks):
+    state = ReplicationState(backlog_capacity=capacity)
+    state.adopt(state.replid, origin)
+    stream = b""
+    for as_master, chunk in chunks:
+        if as_master:  # drain(): pending moves into the ring
+            state.pending += chunk
+            state.master_repl_offset += len(chunk)
+            assert state.drain() == chunk
+        else:  # note_applied(): the replica's verbatim append
+            state.note_applied(chunk, 0)
+        stream += chunk
+        window = stream[-capacity:]
+        end = origin + len(stream)
+        assert state.master_repl_offset == end
+        assert state.backlog_size == len(window)
+        assert state.backlog_off == end - len(window)
+        assert state.backlog_since(state.backlog_off) == window
+        assert f"repl_backlog_size:{len(window)}" in state.info_lines()
+        assert (
+            f"repl_backlog_first_byte_offset:{end - len(window)}"
+            in state.info_lines()
+        )
+        # the partial-resync window is inclusive at both ends, exact
+        assert state.can_partial(state.replid, state.backlog_off)
+        assert state.can_partial(state.replid, end)
+        assert not state.can_partial(state.replid, end + 1)
+        if state.backlog_off > 0:
+            assert not state.can_partial(state.replid, state.backlog_off - 1)
+        cut = state.backlog_off + len(window) // 2
+        assert state.backlog_since(cut) == window[len(window) // 2:]

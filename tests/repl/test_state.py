@@ -2,7 +2,7 @@
 
 Pure in-memory tests — no sockets. The invariants here are the ones
 the wire protocol leans on: offsets advance by exactly the encoded
-byte count, the backlog covers ``[backlog_off, backlog_off+len)``,
+byte count, the backlog covers ``[backlog_off, backlog_off+size)``,
 ``can_partial`` is inclusive of the window's end (a fully-caught-up
 replica partial-resyncs to an empty tail, not a full sync), and
 promotion keeps the stream coordinates while a full sync discards
@@ -84,7 +84,7 @@ class TestBacklogRing:
         state.log_write(b"k", b"v", None, False)
         data = state.drain()
         assert data and not state.pending
-        assert bytes(state.backlog) == data
+        assert state.backlog_since(state.backlog_off) == data
         assert state.backlog_off == 0
         assert state.drain() == b""  # idempotent when empty
 
@@ -96,8 +96,8 @@ class TestBacklogRing:
             state.log_write(b"key%d" % i, b"x" * 16, None, False)
             state.drain()
             total = state.master_repl_offset
-        assert len(state.backlog) <= 64
-        assert state.backlog_off == total - len(state.backlog)
+        assert state.backlog_size <= 64
+        assert state.backlog_off == total - state.backlog_size
 
     def test_can_partial_window_is_inclusive(self):
         state = ReplicationState(backlog_capacity=64)
@@ -106,7 +106,7 @@ class TestBacklogRing:
             state.log_write(b"key%d" % i, b"x" * 16, None, False)
             state.drain()
         lo = state.backlog_off
-        hi = state.backlog_off + len(state.backlog)
+        hi = state.backlog_off + state.backlog_size
         assert state.can_partial(state.replid, lo)
         assert state.can_partial(state.replid, hi)  # fully caught up
         assert not state.can_partial(state.replid, lo - 1)
@@ -133,7 +133,7 @@ class TestBacklogRing:
         replica.become_replica("127.0.0.1", 1)
         replica.note_applied(data, 1)
         assert replica.master_repl_offset == master.master_repl_offset
-        assert bytes(replica.backlog) == data
+        assert replica.backlog_since(replica.backlog_off) == data
         assert replica.applied_records == 1
 
 
@@ -160,7 +160,7 @@ class TestRoleTransitions:
         state.adopt("b" * 40, 9000)
         assert state.replid == "b" * 40
         assert state.master_repl_offset == 9000
-        assert not state.backlog and not state.pending
+        assert not state.backlog_size and not state.pending
         assert state.backlog_off == 9000
 
     def test_become_replica_drops_feeds(self):
