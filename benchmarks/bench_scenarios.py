@@ -48,23 +48,23 @@ import json
 import os
 import shutil
 import tempfile
-import threading
-import time
 
-from repro.core.errors import SoftMemoryDenied
-from repro.core.locking import LockedSoftMemoryAllocator
-from repro.daemon.policy import SelectionConfig
-from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
-from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
+from repro.kvstore.tcp import TcpKvClient
 from repro.kvstore.tier import TierConfig
 from repro.loadgen.driver import drive
 from repro.loadgen.engine import OperationStream, stream_digest
 from repro.loadgen.spec import WorkloadSpec, preset
-from repro.obs.plane import bind_smd
 from repro.tools.metrics_dump import diff, snapshot
-from repro.util.units import PAGE_SIZE
+
+if __package__:  # pytest collects this file as benchmarks.bench_scenarios
+    from benchmarks.pressure_rig import (
+        CAPACITY_PAGES,
+        Antagonist,
+        boot_machine,
+    )
+else:  # python benchmarks/bench_scenarios.py
+    from pressure_rig import CAPACITY_PAGES, Antagonist, boot_machine
 
 COMMITTED_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -74,10 +74,6 @@ COMMITTED_JSON = os.path.join(
 SEED = 7
 #: bench-sized key space: the prefill must fit the smoke budget
 KEYSPACE = 2048
-#: soft capacity handed to the SMD per cell (pages)
-CAPACITY_PAGES = 512
-#: budget each SMA receives at registration
-STARTUP_BUDGET_PAGES = 32
 
 #: full matrix (``main()``); the pytest smoke trims via env
 FULL_PRESETS = ("ycsb-b", "hot-key", "write-heavy")
@@ -111,67 +107,6 @@ def bench_spec(preset_name: str) -> WorkloadSpec:
     return spec
 
 
-class Antagonist(threading.Thread):
-    """Waves of competing soft allocations during the measured run.
-
-    Allocates chunk after chunk (under the server's execution lock,
-    like any out-of-band reclamation source) until the daemon denies or
-    a high-water mark is reached, then frees everything and starts the
-    next wave — repeated reclamation pressure instead of one saturating
-    push.
-    """
-
-    def __init__(
-        self,
-        server: EventLoopKvServer,
-        sma: LockedSoftMemoryAllocator,
-        *,
-        chunk_pages: int = 8,
-        high_water_pages: int = CAPACITY_PAGES // 2,
-    ) -> None:
-        super().__init__(name="scenario-antagonist", daemon=True)
-        self._server = server
-        self._sma = sma
-        self._chunk = chunk_pages
-        self._high_water = high_water_pages
-        self._halt = threading.Event()
-        self.waves = 0
-        self.denials = 0
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=10)
-
-    def run(self) -> None:
-        ctx = self._sma.create_context(name="blob", priority=10)
-        ptrs: list[object] = []
-        held = 0
-        try:
-            while not self._halt.is_set():
-                size = self._chunk * PAGE_SIZE - 64
-                try:
-                    with self._server._lock:
-                        ptr = self._sma.soft_malloc(size, ctx, payload=b"x")
-                except SoftMemoryDenied:
-                    self.denials += 1
-                    held = self._high_water  # saturated: end the wave
-                else:
-                    ptrs.append(ptr)
-                    held += self._chunk
-                if held >= self._high_water:
-                    with self._server._lock:
-                        for ptr in ptrs:
-                            self._sma.soft_free(ptr)
-                    ptrs.clear()
-                    held = 0
-                    self.waves += 1
-                    time.sleep(0.002)  # let the keyspace re-admit
-        finally:
-            with self._server._lock:
-                for ptr in ptrs:
-                    self._sma.soft_free(ptr)
-
-
 def run_cell(
     preset_name: str,
     pressure: str,
@@ -182,22 +117,6 @@ def run_cell(
     """One matrix cell: fresh machine, prefill, pressured measured run."""
     spec = bench_spec(preset_name)
     label = f"{preset_name}/{pressure}/{persist_mode}/{tier_mode}"
-    smd = SoftMemoryDaemon(
-        CAPACITY_PAGES,
-        SmdConfig(
-            selection=SelectionConfig(target_cap=3),
-            startup_budget_pages=STARTUP_BUDGET_PAGES,
-        ),
-    )
-    sma = LockedSoftMemoryAllocator(name=f"cell-{label}")
-    smd.register(sma)
-    antagonist_sma = LockedSoftMemoryAllocator(name=f"antagonist-{label}")
-    smd.register(antagonist_sma)
-    store = DataStore(
-        sma,
-        StoreConfig(tier=TierConfig(enabled=tier_mode == "on")),
-        name=f"scenario-{label}",
-    )
     persist = None
     data_dir = None
     if persist_mode != "off":
@@ -205,9 +124,9 @@ def run_cell(
         persist = Persistence(
             PersistenceConfig(dir=data_dir, appendfsync=persist_mode)
         )
-        store.attach_persistence(persist)
-    bind_smd(store.obs.registry, smd)
-    server = EventLoopKvServer(store).start()
+    server, sma, antagonist_sma = boot_machine(
+        f"scenario-{label}", TierConfig(enabled=tier_mode == "on"), persist
+    )
     client = None
     antagonist = None
     try:
@@ -219,7 +138,9 @@ def run_cell(
         host, port = server.address
         before = snapshot(host, port)
         if pressure == "antagonist":
-            antagonist = Antagonist(server, antagonist_sma)
+            antagonist = Antagonist(
+                server, antagonist_sma, high_water_pages=CAPACITY_PAGES // 2
+            )
             antagonist.start()
         elif pressure == "degraded":
             sma.mark_degraded(True)

@@ -35,22 +35,22 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-import time
 
-from repro.core.errors import SoftMemoryDenied
-from repro.core.locking import LockedSoftMemoryAllocator
-from repro.daemon.policy import SelectionConfig
-from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
-from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
+from repro.kvstore.tcp import TcpKvClient
 from repro.kvstore.tier import TierConfig
 from repro.loadgen.driver import drive
 from repro.loadgen.engine import OperationStream, stream_digest
 from repro.loadgen.spec import preset
-from repro.obs.plane import bind_smd
 from repro.tools.metrics_dump import diff, snapshot
-from repro.util.units import PAGE_SIZE
+
+if __package__:  # pytest collects this file as benchmarks.bench_tier
+    from benchmarks.pressure_rig import (
+        CAPACITY_PAGES,
+        Antagonist,
+        boot_machine,
+    )
+else:  # python benchmarks/bench_tier.py
+    from pressure_rig import CAPACITY_PAGES, Antagonist, boot_machine
 
 COMMITTED_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -59,9 +59,6 @@ COMMITTED_JSON = os.path.join(
 
 SEED = 11
 KEYSPACE = 1024
-#: soft capacity per arm (pages) — identical budgets, that is the point
-CAPACITY_PAGES = 512
-STARTUP_BUDGET_PAGES = 32
 #: the tier arm's watermark: the antagonist's waves demand more pages
 #: than the default 50%-of-entries tier can absorb, so the bench sizes
 #: the tier to the pressure the way an operator would (the budget the
@@ -92,86 +89,14 @@ def bench_spec():
     )
 
 
-class Antagonist(threading.Thread):
-    """Waves of competing soft allocations during the measured run."""
-
-    def __init__(
-        self,
-        server: EventLoopKvServer,
-        sma: LockedSoftMemoryAllocator,
-        *,
-        chunk_pages: int = 8,
-        high_water_pages: int = CAPACITY_PAGES // 3,
-    ) -> None:
-        super().__init__(name="tier-antagonist", daemon=True)
-        self._server = server
-        self._sma = sma
-        self._chunk = chunk_pages
-        self._high_water = high_water_pages
-        self._halt = threading.Event()
-        self.waves = 0
-        self.denials = 0
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=10)
-
-    def run(self) -> None:
-        ctx = self._sma.create_context(name="blob", priority=10)
-        ptrs: list[object] = []
-        held = 0
-        try:
-            while not self._halt.is_set():
-                size = self._chunk * PAGE_SIZE - 64
-                try:
-                    with self._server._lock:
-                        ptr = self._sma.soft_malloc(size, ctx, payload=b"x")
-                except SoftMemoryDenied:
-                    self.denials += 1
-                    held = self._high_water  # saturated: end the wave
-                else:
-                    ptrs.append(ptr)
-                    held += self._chunk
-                if held >= self._high_water:
-                    with self._server._lock:
-                        for ptr in ptrs:
-                            self._sma.soft_free(ptr)
-                    ptrs.clear()
-                    held = 0
-                    self.waves += 1
-                    time.sleep(0.002)  # let the keyspace re-admit
-        finally:
-            with self._server._lock:
-                for ptr in ptrs:
-                    self._sma.soft_free(ptr)
-
-
 def run_arm(tier_on: bool, seconds: float) -> dict:
     """One arm: fresh machine, prefill, idle window, antagonist window."""
     label = "on" if tier_on else "off"
     spec = bench_spec()
-    smd = SoftMemoryDaemon(
-        CAPACITY_PAGES,
-        SmdConfig(
-            selection=SelectionConfig(target_cap=3),
-            startup_budget_pages=STARTUP_BUDGET_PAGES,
-        ),
+    server, __, antagonist_sma = boot_machine(
+        f"tier-{label}",
+        TierConfig(enabled=tier_on, watermark_frac=TIER_WATERMARK),
     )
-    sma = LockedSoftMemoryAllocator(name=f"tier-{label}")
-    smd.register(sma)
-    antagonist_sma = LockedSoftMemoryAllocator(name=f"tier-ant-{label}")
-    smd.register(antagonist_sma)
-    store = DataStore(
-        sma,
-        StoreConfig(
-            tier=TierConfig(
-                enabled=tier_on, watermark_frac=TIER_WATERMARK
-            )
-        ),
-        name=f"tier-{label}",
-    )
-    bind_smd(store.obs.registry, smd)
-    server = EventLoopKvServer(store).start()
     client = None
     try:
         client = TcpKvClient(server.address, timeout=30.0)
@@ -193,7 +118,9 @@ def run_arm(tier_on: bool, seconds: float) -> dict:
 
         # window 2: the antagonist forces reclamation mid-traffic
         before = snapshot(host, port)
-        antagonist = Antagonist(server, antagonist_sma)
+        antagonist = Antagonist(
+            server, antagonist_sma, high_water_pages=CAPACITY_PAGES // 3
+        )
         antagonist.start()
         try:
             pressured = drive(client, stream.batches(), duration=seconds)

@@ -33,6 +33,7 @@ from repro.kvstore.persist.codec import (
     encode_persist,
     encode_tombstone,
     encode_write,
+    read_records,
     scan_frames,
 )
 from repro.kvstore.persist.engine import (
@@ -66,6 +67,7 @@ __all__ = [
     "encode_tombstone",
     "encode_write",
     "load_aof",
+    "read_records",
     "read_snapshot",
     "scan_frames",
     "write_snapshot",

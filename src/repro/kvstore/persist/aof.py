@@ -19,10 +19,10 @@ rollback fails, the dirty tail is left for recovery's CRC scan to cut
 off. Either way the pending buffer is retained and retried — an I/O
 error never drops acknowledged mutations silently.
 
-:func:`load_aof` reads a log back: it scans frames until the first
-torn or CRC-corrupt one, decodes the valid prefix, and (optionally)
-truncates the file at the last valid record so the next writer appends
-onto a clean tail. Garbage never raises.
+:func:`load_aof` reads a log back through the codec's one reader
+(``read_records``: the valid prefix ends at the first torn, corrupt or
+undecodable frame) and (optionally) truncates the file there so the
+next writer appends onto a clean tail. Garbage never raises.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ import os
 import time
 from typing import Callable, Protocol
 
-from repro.kvstore.persist.codec import (
-    CorruptRecord,
-    decode_record,
-    scan_frames,
-)
+from repro.kvstore.persist.codec import read_records
 
 FSYNC_POLICIES = ("always", "everysec", "no")
 
@@ -214,37 +210,20 @@ def load_aof(
 ) -> tuple[list[tuple], int]:
     """Read a log file; return ``(records, truncated_bytes)``.
 
-    Scans the frame stream up to the first torn or corrupt frame; every
-    byte past that point counts as truncated. A frame whose CRC passes
-    but whose payload fails to decode also ends the valid prefix (it
-    can only come from a logic bug or hand-edited bytes, and replaying
-    past it would risk phantom state). With ``truncate`` the file is
-    physically cut back to the valid prefix so subsequent appends
-    continue from a clean tail. A missing file is an empty log.
+    Every byte past the reader's valid prefix counts as truncated. With
+    ``truncate`` the file is physically cut back to that prefix so
+    subsequent appends continue from a clean tail. A missing file is
+    an empty log.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return [], 0
-    payloads, valid_size = scan_frames(data)
-    records: list[tuple] = []
-    for index, payload in enumerate(payloads):
-        try:
-            records.append(decode_record(payload))
-        except CorruptRecord:
-            # recompute the prefix that ends just before this payload
-            valid_size = _prefix_size(payloads[:index])
-            break
+    records, valid_size = read_records(data)
     if truncate and valid_size < len(data):
         _truncate_file(path, valid_size)
     return records, len(data) - valid_size
-
-
-def _prefix_size(payloads: list[bytes]) -> int:
-    from repro.kvstore.persist.codec import HEADER_SIZE
-
-    return sum(HEADER_SIZE + len(p) for p in payloads)
 
 
 def _truncate_file(path: str, size: int) -> None:

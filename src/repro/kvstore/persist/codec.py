@@ -64,6 +64,7 @@ __all__ = [
     "encode_trailer",
     "encode_write",
     "frame",
+    "read_records",
     "scan_frames",
 ]
 
@@ -90,7 +91,8 @@ class CorruptRecord(ValueError):
     Raised by the *decoders* when handed a payload that passed its CRC
     but does not parse (which means a logic bug or hand-crafted bytes,
     not disk corruption — CRC-failing frames never reach the decoder).
-    The file scanner converts any decode failure into clean truncation.
+    The reader (:func:`read_records`) converts any decode failure into
+    clean truncation.
     """
 
 
@@ -375,3 +377,25 @@ def decode_record(payload: bytes) -> tuple:
             _U64.unpack_from(payload, 9)[0],
         )
     raise CorruptRecord(f"unknown record kind {kind!r}")
+
+
+def read_records(data: bytes) -> tuple[list[tuple], int]:
+    """Decode the valid prefix of ``data``: ``(records, valid_size)``.
+
+    The one reader behind AOF recovery, snapshot load and the replica
+    stream. ``valid_size`` ends before the first frame that fails its
+    length or CRC check (:func:`scan_frames`) *or* passes them and still
+    fails to decode — replaying past either would risk phantom state.
+    Never raises.
+    """
+    payloads, valid_size = scan_frames(data)
+    records: list[tuple] = []
+    for payload in payloads:
+        try:
+            records.append(decode_record(payload))
+        except CorruptRecord:
+            valid_size = sum(
+                HEADER_SIZE + len(p) for p in payloads[:len(records)]
+            )
+            break
+    return records, valid_size

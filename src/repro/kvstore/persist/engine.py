@@ -37,11 +37,9 @@ import os
 import re
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.errors import SoftMemoryDenied
 from repro.kvstore.persist.aof import (
     FSYNC_POLICIES,
     AofWriter,
@@ -216,11 +214,6 @@ class Persistence:
 
     _fsync_errors_closed = 0
     _write_errors_closed = 0
-    #: True while a replication apply drives the store: its mutations
-    #: must not re-enter the log hooks (the raw stream bytes land via
-    #: :meth:`append_raw` instead — hook replay would double-log, e.g.
-    #: ``_restore_write``'s internal delete emitting a spurious D)
-    _suppress = False
 
     # ------------------------------------------------------------------
     # attach + recovery
@@ -262,31 +255,27 @@ class Persistence:
         self._sweep_tmp_files()
         bases, incrs = self._scan_generations()
         start_gen = 0
-        loaded: list[SnapshotEntry] | None = None
+        history: list[tuple] = []
         for gen in reversed(bases):
             result = read_snapshot(self._base_path(gen))
             if result is not None:
-                loaded = result[0]
+                history = result[0]  # a snapshot is the W records it holds
                 start_gen = gen
                 break
             # provably invalid (torn trailer, bad frame): keeping it
             # would only make every future recovery reject it again
             self.stats.snapshots_rejected += 1
             self._remove_quiet(self._base_path(gen))
-        if loaded is None and incrs:
-            start_gen = incrs[0]
-        now_ms = int(self._clock() * 1000)
-        if loaded:
-            for key, value, deadline_ms in loaded:
-                self._restore_entry(store, key, value, deadline_ms, now_ms)
-        # replay the contiguous run of incremental logs from start_gen up
+        else:  # no valid snapshot: the oldest log is the whole history
+            if incrs:
+                start_gen = incrs[0]
+        # append the contiguous run of incremental logs from start_gen up
         gen = start_gen
         last_seen = start_gen
         while os.path.exists(self._incr_path(gen)):
             records, truncated = load_aof(self._incr_path(gen))
             self.stats.recovery_truncated_bytes += truncated
-            for record in records:
-                self._apply_record(store, record, now_ms)
+            history += records
             self.stats.recovered_records += len(records)
             last_seen = gen
             if truncated:
@@ -307,66 +296,14 @@ class Persistence:
             gen += 1
         all_gens = [last_seen] + [g for g in bases if g <= last_seen]
         self._generation = max(all_gens, default=0)
+        # the writer is not open yet, so nothing replay does is re-logged
+        counts = store.replay(history, int(self._clock() * 1000))
+        self.stats.recovered_keys += counts.written
+        self.stats.recovery_admission_denied += counts.denied
         # keys whose final replayed deadline already passed die here —
         # after the full replay, so in-log rescues (PERSIST, rewrites)
         # were given their chance first
         self.stats.recovery_expired_dropped += store.sweep_expired()
-
-    def _restore_entry(
-        self,
-        store: "DataStore",
-        key: bytes,
-        value: Value,
-        deadline_unix_ms: "int | None",
-        now_ms: int,
-    ) -> None:
-        """Re-admit one entry, gated by the soft memory budget.
-
-        An already-past deadline is still restored (with a non-positive
-        relative TTL) rather than dropped on the spot: a later record in
-        the log — PERSIST, or a KEEPTTL-less rewrite — may legitimately
-        rescue the key, exactly as it would have live. Keys whose
-        *final* deadline is past are swept once replay completes.
-        """
-        ex: float | None = None
-        if deadline_unix_ms is not None:
-            ex = (deadline_unix_ms - now_ms) / 1000.0
-        try:
-            store._restore_write(key, value, ex)
-        except SoftMemoryDenied:
-            # budget exhausted (or degraded mode): the entry stays a
-            # future cache miss; replay continues
-            self.stats.recovery_admission_denied += 1
-            return
-        self.stats.recovered_keys += 1
-
-    def _apply_record(
-        self, store: "DataStore", record: tuple, now_ms: int
-    ) -> None:
-        kind = record[0]
-        if kind == "W":
-            __, key, value, exp_kind, deadline = record
-            if exp_kind == EXP_KEEP:
-                deadline_ms = store._restore_deadline_ms(key, now_ms)
-            elif exp_kind == EXP_ABSOLUTE:
-                deadline_ms = deadline
-            else:
-                deadline_ms = None
-            self._restore_entry(store, key, value, deadline_ms, now_ms)
-        elif kind in ("D", "T"):
-            store._restore_delete(record[1])
-        elif kind == "E":
-            __, key, deadline = record
-            # a non-positive TTL is applied too; the post-replay sweep
-            # collects it unless a later record rescinds the deadline
-            store._restore_expire(key, (deadline - now_ms) / 1000.0)
-        elif kind == "P":
-            store._restore_persist(record[1])
-        elif kind == "M":
-            store._restore_demote(record[1])
-        elif kind == "F":
-            store._restore_flush()
-        # "Z" can only appear in snapshot files, which never reach here
 
     # ------------------------------------------------------------------
     # logging hooks (called by the store under its serialization)
@@ -382,7 +319,7 @@ class Persistence:
         ex_relative: "float | None",
         keep_ttl: bool,
     ) -> None:
-        if not self._logging or self._suppress:
+        if not self._logging:
             return
         writer = self._writer
         if writer is None:
@@ -400,16 +337,24 @@ class Persistence:
             writer.records_appended += 1
             self.stats.aof_records += 1
 
-    def log_delete(self, key: bytes) -> None:
-        if not self._logging or self._suppress:
+    def _append(
+        self, encoder, *args, records: int = 1, tombstones: int = 0
+    ) -> None:
+        """``encoder(buffer, *args)`` if logging: the one guarded append
+        behind every tap but :meth:`log_write`."""
+        if not self._logging:
             return
         writer = self._writer
         if writer is None:
             return
         with self._io_lock:
-            encode_delete(writer.buffer, key)
-            writer.note_records(1)
-            self.stats.aof_records += 1
+            encoder(writer.buffer, *args)
+            writer.note_records(records)
+            self.stats.aof_records += records
+            self.stats.tombstones_logged += tombstones
+
+    def log_delete(self, key: bytes) -> None:
+        self._append(encode_delete, key)
 
     def log_demote(self, key: bytes) -> None:
         """Entry demoted into the compressed second-chance tier.
@@ -420,91 +365,32 @@ class Persistence:
         Promotions are deliberately not logged — a recovered-compressed
         entry inflates on first read exactly like a live one.
         """
-        if not self._logging or self._suppress:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encode_demote(writer.buffer, key)
-            writer.note_records(1)
-            self.stats.aof_records += 1
+        self._append(encode_demote, key)
 
     def log_tombstone(self, key: bytes) -> None:
         """Reclaimed soft entry: dropped data must stay dropped."""
-        if not self._logging or self._suppress:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encode_tombstone(writer.buffer, key)
-            writer.note_records(1)
-            self.stats.aof_records += 1
-            self.stats.tombstones_logged += 1
+        self._append(encode_tombstone, key, tombstones=1)
 
     def log_expire(self, key: bytes, ex_relative: float) -> None:
-        if not self._logging or self._suppress:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encode_expire(writer.buffer, key, self._deadline_ms(ex_relative))
-            writer.note_records(1)
-            self.stats.aof_records += 1
+        self._append(encode_expire, key, self._deadline_ms(ex_relative))
 
     def log_persist(self, key: bytes) -> None:
-        if not self._logging or self._suppress:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encode_persist(writer.buffer, key)
-            writer.note_records(1)
-            self.stats.aof_records += 1
+        self._append(encode_persist, key)
 
     def log_flush(self) -> None:
-        if not self._logging or self._suppress:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encode_flush(writer.buffer)
-            writer.note_records(1)
-            self.stats.aof_records += 1
-
-    @contextmanager
-    def hooks_suppressed(self):
-        """Silence the ``log_*`` hooks for a replication apply.
-
-        The caller holds the store's serialization for the whole
-        block, so the flag needs no lock of its own.
-        """
-        self._suppress = True
-        try:
-            yield
-        finally:
-            self._suppress = False
+        self._append(encode_flush)
 
     def append_raw(self, data: bytes | memoryview, records: int) -> None:
         """Append already-framed stream bytes to the AOF verbatim.
 
         The replica's local log must replay to the same state the
         stream produced; the master already framed and CRC'd these
-        bytes, so they go in untouched.
+        bytes, so they go in untouched — and *before* the batch is
+        applied, so a tombstone a reclamation logs mid-apply follows
+        the ``W`` it kills.
         """
-        if not self._logging or not data:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            writer.buffer.extend(data)  # read-only property: no ``+=``
-            writer.note_records(records)
-            self.stats.aof_records += records
+        if data:
+            self._append(bytearray.extend, data, records=records)
 
     # ------------------------------------------------------------------
     # flushing (called by the serving loop, once per batch)

@@ -25,11 +25,9 @@ import os
 from repro.kvstore.persist.codec import (
     EXP_ABSOLUTE,
     EXP_NONE,
-    CorruptRecord,
-    decode_record,
     encode_trailer,
     encode_write,
-    scan_frames,
+    read_records,
 )
 from repro.kvstore.values import CompressedValue, Value
 
@@ -72,12 +70,14 @@ def write_snapshot(
     return len(out)
 
 
-def read_snapshot(path: str) -> tuple[list[SnapshotEntry], int] | None:
+def read_snapshot(path: str) -> tuple[list[tuple], int] | None:
     """Load and validate a snapshot; ``None`` means *invalid or missing*.
 
-    Valid requires: magic intact, every frame scanning cleanly to the
+    Valid requires: magic intact, every frame reading cleanly to the
     end of the file, the final record being a Z trailer whose count
-    matches the number of entries. Never raises on garbage.
+    matches the number of entries. Returns the ``W`` records (ready for
+    ``DataStore.replay``) and the save timestamp. Never raises on
+    garbage.
     """
     try:
         with open(path, "rb") as fh:
@@ -89,39 +89,21 @@ def read_snapshot(path: str) -> tuple[list[SnapshotEntry], int] | None:
     return load_snapshot_bytes(data[len(MAGIC):])
 
 
-def load_snapshot_bytes(
-    body: bytes,
-) -> tuple[list[SnapshotEntry], int] | None:
+def load_snapshot_bytes(body: bytes) -> tuple[list[tuple], int] | None:
     """Validate a magic-less snapshot body (a full-sync payload).
 
-    Same contract as :func:`read_snapshot` minus the file concerns:
-    every frame must scan cleanly to the end, sealed by a Z trailer
-    whose count matches. ``None`` means invalid; never raises.
+    Same contract as :func:`read_snapshot` minus the file concerns.
+    ``None`` means invalid; never raises.
     """
-    payloads, valid_size = scan_frames(body)
-    if valid_size != len(body) or not payloads:
+    records, valid_size = read_records(body)
+    if valid_size != len(body) or not records:
         return None  # torn tail or trailing garbage: not a sealed capture
-    entries: list[SnapshotEntry] = []
-    trailer: tuple | None = None
-    for index, payload in enumerate(payloads):
-        try:
-            record = decode_record(payload)
-        except CorruptRecord:
-            return None
-        if record[0] == "Z":
-            if index != len(payloads) - 1:
-                return None  # trailer must seal the file
-            trailer = record
-        elif record[0] == "W":
-            __, key, value, exp_kind, deadline = record
-            entries.append(
-                (key, value, deadline if exp_kind == EXP_ABSOLUTE else None)
-            )
-        else:
-            return None  # snapshots hold only W records + the trailer
-    if trailer is None or trailer[1] != len(entries):
-        return None
-    return entries, trailer[2]
+    trailer = records.pop()
+    if trailer[0] != "Z" or trailer[1] != len(records):
+        return None  # the trailer must seal the file and count its entries
+    if any(record[0] != "W" for record in records):
+        return None  # snapshots hold only W records + the trailer
+    return records, trailer[2]
 
 
 def materialize_entries(store, now_unix: float) -> list[SnapshotEntry]:

@@ -15,7 +15,7 @@ from repro.kvstore.repl.state import (
     ReplicaFeed,
     ReplicationState,
 )
-from repro.kvstore.repl.link import ReplicaLink, SyncHandshake, apply_record
+from repro.kvstore.repl.link import ReplicaLink, SyncHandshake, apply_stream
 
 __all__ = [
     "DEFAULT_BACKLOG_CAPACITY",
@@ -23,5 +23,5 @@ __all__ = [
     "ReplicaLink",
     "ReplicationState",
     "SyncHandshake",
-    "apply_record",
+    "apply_stream",
 ]

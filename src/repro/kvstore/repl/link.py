@@ -14,15 +14,14 @@ node has never synced), and parses the reply with the incremental
   ring and resumes the raw stream mid-flight.
 
 After the handshake the socket carries nothing but CRC-framed codec
-records. The link scans complete frames out of its receive buffer,
-applies them under the server's execution lock with persistence hooks
-suppressed (the raw stream bytes are appended to the local AOF
-verbatim instead — replaying an apply would double-log), advances the
-replication offset by exactly the bytes applied, and acks with
-``REPLCONF ACK <offset>`` after every applied batch and on idle
-heartbeats. Budget denials count as future misses and never stop the
-stream; tombstones always apply, so the replica's dropped-set never
-diverges from the master's.
+records. Under the server's execution lock, :func:`apply_stream` reads
+the complete records out of the receive buffer, appends their raw bytes
+to the local AOF verbatim, replays them (``DataStore.replay`` logs
+nothing itself), and advances the replication offset by exactly the
+bytes applied; the link then acks with ``REPLCONF ACK <offset>``, as it
+does on idle heartbeats. Budget denials count as future misses and
+never stop the stream; tombstones always apply, so the replica's
+dropped-set never diverges from the master's.
 
 A dropped link (closed socket, torn frame, CRC failure) tears the
 session down and redials with exponential backoff; every redial tries
@@ -34,31 +33,27 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
-from repro.core.errors import SoftMemoryDenied
 from repro.kvstore.persist.codec import (
-    EXP_ABSOLUTE,
-    EXP_KEEP,
     HEADER_SIZE,
     MAX_RECORD_SIZE,
-    CorruptRecord,
-    decode_record,
-    scan_frames,
+    read_records,
 )
 from repro.kvstore.persist.snapshot import load_snapshot_bytes
 from repro.kvstore.resp import encode_command
 from repro.kvstore.wire import FRAME_HEADER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kvstore.persist.engine import Persistence
     from repro.kvstore.repl.state import ReplicationState
     from repro.kvstore.store import DataStore
 
 _RECV_SIZE = 65536
 #: cap on any single handshake line (status or bulk-length header)
 _MAX_LINE = 512
+_CONNECT_TIMEOUT = 5.0
+#: ceiling of the redial backoff (seconds)
+_MAX_BACKOFF = 2.0
 
 
 class HandshakeError(ConnectionError):
@@ -154,49 +149,31 @@ class SyncHandshake:
         return self.result
 
 
-def apply_record(
-    store: "DataStore",
-    state: "ReplicationState",
-    record: tuple,
-    now_ms: int,
-) -> None:
-    """Apply one decoded stream record to the replica's store.
+def apply_stream(
+    store: "DataStore", state: "ReplicationState", data: bytes, now_ms: int
+) -> int:
+    """Apply the complete records at the head of ``data``: one batch.
 
-    The mirror of ``Persistence._apply_record`` with replication
-    accounting: a budget-denied write is a future miss (counted, never
-    raised — degraded-daemon mode keeps the stream moving), and a
-    tombstone always lands so the dropped-set cannot diverge.
+    The link's whole batch step, run under the server's execution lock;
+    returns the bytes consumed (0: no complete record yet). The raw
+    bytes enter the local AOF buffer *before* the batch is replayed, so
+    a tombstone logged mid-apply — a key this replica's own budget
+    reclaimed to admit the batch — follows the ``W`` it kills. A restart
+    can then lose a key the same batch re-wrote after its reclamation
+    (a miss, the safe direction), but can never resurrect one.
     """
-    kind = record[0]
-    if kind == "W":
-        __, key, value, exp_kind, deadline = record
-        if exp_kind == EXP_KEEP:
-            deadline_ms = store._restore_deadline_ms(key, now_ms)
-        elif exp_kind == EXP_ABSOLUTE:
-            deadline_ms = deadline
-        else:
-            deadline_ms = None
-        ex: float | None = None
-        if deadline_ms is not None:
-            ex = (deadline_ms - now_ms) / 1000.0
-        try:
-            store._restore_write(key, value, ex)
-        except SoftMemoryDenied:
-            state.apply_denied += 1
-    elif kind == "T":
-        state.tombstones_applied += 1
-        store._restore_delete(record[1])
-    elif kind == "D":
-        store._restore_delete(record[1])
-    elif kind == "E":
-        store._restore_expire(record[1], (record[2] - now_ms) / 1000.0)
-    elif kind == "P":
-        store._restore_persist(record[1])
-    elif kind == "M":
-        store._restore_demote(record[1])
-    elif kind == "F":
-        store._restore_flush()
-    # "Z" seals snapshots and never travels the incremental stream
+    records, valid = read_records(data)
+    if not records:
+        return 0
+    raw = memoryview(data)[:valid]
+    persist = store.persistence
+    if persist is not None:
+        persist.append_raw(raw, len(records))
+    counts = store.replay(records, now_ms)
+    state.apply_denied += counts.denied
+    state.tombstones_applied += counts.tombstones
+    state.note_applied(raw, len(records))
+    return valid
 
 
 class ReplicaLink(threading.Thread):
@@ -207,18 +184,11 @@ class ReplicaLink(threading.Thread):
         store: "DataStore",
         state: "ReplicationState",
         lock: threading.Lock,
-        *,
-        persist: "Persistence | None" = None,
-        connect_timeout: float = 5.0,
-        max_backoff: float = 2.0,
     ) -> None:
         super().__init__(name="kv-replica-link", daemon=True)
         self._store = store
         self._state = state
         self._lock = lock
-        self._persist = persist
-        self._connect_timeout = connect_timeout
-        self._max_backoff = max_backoff
         # not "_stop": Thread._stop() is a CPython-internal method
         self._stop_event = threading.Event()
         self._sock: socket.socket | None = None
@@ -268,7 +238,7 @@ class ReplicaLink(threading.Thread):
             started = time.monotonic()
             try:
                 self._sync_once()
-            except (OSError, HandshakeError, CorruptRecord):
+            except (OSError, HandshakeError):
                 pass
             finally:
                 sock = self._sock
@@ -282,10 +252,10 @@ class ReplicaLink(threading.Thread):
                 break
             state.link_status = "down"
             # a session that streamed for a while earned a fresh backoff
-            if time.monotonic() - started > 2 * self._max_backoff:
+            if time.monotonic() - started > 2 * _MAX_BACKOFF:
                 backoff = 0.05
             self._stop_event.wait(backoff)
-            backoff = min(backoff * 2, self._max_backoff)
+            backoff = min(backoff * 2, _MAX_BACKOFF)
 
     def _sync_once(self) -> None:
         state = self._state
@@ -293,9 +263,7 @@ class ReplicaLink(threading.Thread):
         if host is None or port is None:
             raise ConnectionError("no master configured")
         state.link_status = "connecting"
-        sock = socket.create_connection(
-            (host, port), timeout=self._connect_timeout
-        )
+        sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT)
         self._sock = sock
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # a node that has synced before owns a stream position worth
@@ -335,40 +303,27 @@ class ReplicaLink(threading.Thread):
         loaded = load_snapshot_bytes(payload)
         if loaded is None:
             raise ConnectionError("invalid full-sync payload")
-        entries, __ = loaded
+        records, __ = loaded
         store = self._store
         state = self._state
-        persist = self._persist
         now_ms = int(time.time() * 1000)
         with self._lock:
             if self._stop_event.is_set():
                 raise ConnectionError("link stopped")
-            suppress = (
-                persist.hooks_suppressed() if persist is not None
-                else nullcontext()
-            )
-            with suppress:
-                store._restore_flush()
-                for key, value, deadline_ms in entries:
-                    ex: float | None = None
-                    if deadline_ms is not None:
-                        ex = (deadline_ms - now_ms) / 1000.0
-                    try:
-                        store._restore_write(key, value, ex)
-                    except SoftMemoryDenied:
-                        state.apply_denied += 1
+            # flush, then re-admit every entry through this node's budget
+            counts = store.replay([("F",), *records], now_ms)
+            state.apply_denied += counts.denied
             state.adopt(replid, offset)
             state.full_syncs_done += 1
             state.link_status = "up"
+            persist = store.persistence
             if persist is not None:
                 # seal the synced state as a local base-<g>.snap so a
                 # replica restart recovers it without the master
                 persist.checkpoint(background=False)
 
     def _stream(self, sock: socket.socket, initial: bytes) -> None:
-        state = self._state
         store = self._store
-        persist = self._persist
         buf = bytearray(initial)
         sock.settimeout(0.2)
         pending_first = bool(buf)
@@ -383,30 +338,18 @@ class ReplicaLink(threading.Thread):
                     raise ConnectionError("master closed the stream")
                 buf += chunk
             pending_first = False
-            if len(buf) < HEADER_SIZE:
-                continue
             # bytearray slices are unhashable (hash-field keys), so the
-            # scanner gets an immutable copy; the applied prefix handed
+            # reader gets an immutable copy; the applied prefix handed
             # to the backlog and the local AOF is a view of that copy
             data = bytes(buf)
-            payloads, valid = scan_frames(data)
-            if payloads:
-                records = [decode_record(p) for p in payloads]
-                raw = memoryview(data)[:valid]
-                now_ms = int(time.time() * 1000)
-                with self._lock:
-                    if self._stop_event.is_set():
-                        raise ConnectionError("link stopped")
-                    suppress = (
-                        persist.hooks_suppressed() if persist is not None
-                        else nullcontext()
-                    )
-                    with suppress:
-                        for record in records:
-                            apply_record(store, state, record, now_ms)
-                    state.note_applied(raw, len(records))
-                    if persist is not None:
-                        persist.append_raw(raw, len(records))
+            with self._lock:
+                if self._stop_event.is_set():
+                    raise ConnectionError("link stopped")
+                valid = apply_stream(
+                    store, self._state, data, int(time.time() * 1000)
+                )
+            if valid:
+                persist = store.persistence
                 if persist is not None:
                     persist.flush()
                 del buf[:valid]
@@ -417,7 +360,7 @@ class ReplicaLink(threading.Thread):
                     length > MAX_RECORD_SIZE
                     or len(buf) >= HEADER_SIZE + length
                 ):
-                    # the full frame is here yet failed to scan: that is
+                    # the full frame is here yet failed to read: that is
                     # corruption on the wire, not a short read — resync
                     raise ConnectionError("corrupt replication stream")
 

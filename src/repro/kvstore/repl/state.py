@@ -169,43 +169,34 @@ class ReplicationState:
             encode_write(out, key, value, EXP_NONE)
         self.master_repl_offset += len(out) - before
 
-    def _log_keyed(self, encoder, key: bytes) -> None:
+    def _append(self, encoder, *args) -> None:
+        """Encode one record into ``pending``, if this node streams."""
         if self.role != "master" or not self.stream_started:
             return
         out = self.pending
         before = len(out)
-        encoder(out, key)
+        encoder(out, *args)
         self.master_repl_offset += len(out) - before
 
     def log_delete(self, key: bytes) -> None:
-        self._log_keyed(encode_delete, key)
+        self._append(encode_delete, key)
 
     def log_tombstone(self, key: bytes) -> None:
         """SMA reclamation (or a second-chance drop): the tombstone
         travels the stream so dropped-stays-dropped holds fleet-wide."""
-        self._log_keyed(encode_tombstone, key)
+        self._append(encode_tombstone, key)
 
     def log_demote(self, key: bytes) -> None:
-        self._log_keyed(encode_demote, key)
+        self._append(encode_demote, key)
 
     def log_persist(self, key: bytes) -> None:
-        self._log_keyed(encode_persist, key)
+        self._append(encode_persist, key)
 
     def log_expire(self, key: bytes, ex_relative: float) -> None:
-        if self.role != "master" or not self.stream_started:
-            return
-        out = self.pending
-        before = len(out)
-        encode_expire(out, key, self._deadline_ms(ex_relative))
-        self.master_repl_offset += len(out) - before
+        self._append(encode_expire, key, self._deadline_ms(ex_relative))
 
     def log_flush(self) -> None:
-        if self.role != "master" or not self.stream_started:
-            return
-        out = self.pending
-        before = len(out)
-        encode_flush(out)
-        self.master_repl_offset += len(out) - before
+        self._append(encode_flush)
 
     # -- the backlog ring ----------------------------------------------
 

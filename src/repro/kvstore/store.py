@@ -23,10 +23,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
+from repro.core.errors import SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.dict import SoftDict
+from repro.kvstore.persist.codec import EXP_ABSOLUTE, EXP_KEEP
 from repro.kvstore.tier import TierConfig
 from repro.obs.plane import (
     KvObservability,
@@ -105,6 +107,17 @@ class StoreStats:
         return self.hits / total if total else 0.0
 
 
+class ReplayCounts(NamedTuple):
+    """What one :meth:`DataStore.replay` did, for its caller's stats."""
+
+    #: ``W`` records re-admitted
+    written: int
+    #: ``W`` records the soft budget refused (future cache misses)
+    denied: int
+    #: ``T`` records applied
+    tombstones: int
+
+
 class DataStore:
     """Single-threaded keyspace with Redis semantics."""
 
@@ -136,7 +149,7 @@ class DataStore:
         #: bytes of keys+values held in traditional memory
         self.traditional_bytes = 0
         self._rng = random.Random(0)
-        #: key whose replayed overwrite is in flight (``_restore_write``)
+        #: key whose own ``W`` or ``M`` record :meth:`replay` is applying
         self._restoring: bytes | None = None
         #: durability plane; None until :meth:`attach_persistence`
         self._persist: "Persistence | None" = None
@@ -174,8 +187,8 @@ class DataStore:
         self._expires.pop(key, None)
         if key == self._restoring:
             # the old entry of a replayed overwrite whose re-admission
-            # was denied: the replay's caller counts the denial, and
-            # the log being replayed already says what it says
+            # was denied: :meth:`replay` counts the denial, and the log
+            # being replayed already says what it says
             return
         self.stats.reclaimed_keys += 1
         if self._persist is not None:
@@ -195,6 +208,8 @@ class DataStore:
         self.traditional_bytes -= compressed.original_bytes - len(
             compressed.data
         )
+        if key == self._restoring:
+            return  # a replayed M: the log being replayed already holds it
         if self._persist is not None:
             self._persist.log_demote(key)
         if self.repl is not None:
@@ -326,10 +341,13 @@ class DataStore:
             value = self._dict.promote(key)
         return value
 
-    def _write(
-        self, key: bytes, value: Value, *, ex: float | None, keep_ttl: bool
-    ) -> None:
-        """Insert or replace a value, keeping all ledgers consistent."""
+    def _put(self, key: bytes, value: Value) -> None:
+        """Insert or replace through the soft allocator, ledgers exact.
+
+        Unlogged, like :meth:`_remove` and :meth:`_clear`: a live command
+        is a primitive plus client stats plus the paired ``log_*`` calls,
+        :meth:`replay` is the primitive alone.
+        """
         new_bytes = value_bytes(value)
         __, old = self._dict.upsert(
             key,
@@ -341,6 +359,12 @@ class DataStore:
             self.traditional_bytes += new_bytes - value_bytes(old)
         else:
             self.traditional_bytes += len(key) + new_bytes
+
+    def _write(
+        self, key: bytes, value: Value, *, ex: float | None, keep_ttl: bool
+    ) -> None:
+        """Insert or replace a value, keeping all ledgers consistent."""
+        self._put(key, value)
         if ex is not None:
             self._set_expiry(key, self._now() + ex)
         elif not keep_ttl:
@@ -598,13 +622,18 @@ class DataStore:
                 self.stats.keys_deleted += 1
         return removed
 
-    def _delete_raw(self, key: bytes) -> bool:
+    def _remove(self, key: bytes) -> bool:
         value = self._dict.get(key)
         if value is None:
             return False
         self._dict.delete(key)
         self._expires.pop(key, None)
         self.traditional_bytes -= len(key) + value_bytes(value)
+        return True
+
+    def _delete_raw(self, key: bytes) -> bool:
+        if not self._remove(key):
+            return False
         if self._persist is not None:
             # expiry-driven deletes flow through here too: an expired
             # key is propagated as a delete, the way Redis logs DEL
@@ -740,11 +769,14 @@ class DataStore:
         self.sweep_expired()
         return len(self._dict)
 
-    def flushall(self) -> None:
+    def _clear(self) -> None:
         self._dict.clear()
         self._expires.clear()
         self._expiry_heap.clear()
         self.traditional_bytes = 0
+
+    def flushall(self) -> None:
+        self._clear()
         if self._persist is not None:
             self._persist.log_flush()
         if self.repl is not None:
@@ -789,74 +821,90 @@ class DataStore:
         self.cluster = state
         return state
 
-    def _restore_write(
-        self, key: bytes, value: Value, ex: float | None
-    ) -> None:
-        """Replay one write: an overwrite through the soft allocator
-        (the SMD budget gates re-admission) that sets the record's TTL
-        or clears the key's. A denied alloc propagates with all ledgers
-        clean and the key absent — the entry becomes a future cache
-        miss, exactly like reclamation, but counted by the caller as a
-        denial, not here as a reclaimed key, and never logged.
-        Client-facing stats are not touched.
+    def replay(self, records: Iterable[tuple], now_ms: int) -> ReplayCounts:
+        """Apply decoded codec records: the one way back into a store.
+
+        AOF recovery, snapshot load, replica full sync and the replica
+        stream all land here, and nothing else switches on a record's
+        kind. ``now_ms`` is the unix-epoch instant the records' absolute
+        deadlines are measured against.
+
+        Replay runs the unlogged primitives only, so it never re-logs
+        and touches no client-facing stats. A ``W`` is an overwrite
+        through the soft allocator — the SMD budget gates re-admission.
+        A denied one leaves the key absent with every ledger clean, like
+        a reclamation, but is *counted* in the result (never raised,
+        never a reclaimed key, never a tombstone): the record's own key
+        is marked in ``_restoring`` while it is applied, which silences
+        the callbacks for that key alone. A tap for any other key — a
+        self-reclaim the write caused, an SMD demand on another thread —
+        is logged like at any other time. ``T`` and ``D`` always land.
+        ``EXP_KEEP`` resolves against the key's current TTL, a ``W``
+        without expiry clears it, and already-past deadlines are applied
+        (a later ``P`` or rewrite may rescue the key; whoever replays a
+        whole history sweeps afterwards).
         """
-        new_bytes = value_bytes(value)
-        self._restoring = key
-        try:
-            __, old = self._dict.upsert(
-                key,
-                value,
-                size=self.config.entry_overhead_bytes + len(key) + new_bytes,
-            )
-        finally:
-            self._restoring = None
-        if old is not None:
-            self.traditional_bytes += new_bytes - value_bytes(old)
-        else:
-            self.traditional_bytes += len(key) + new_bytes
-        if type(value) is CompressedValue:
-            # a snapshot carried this entry demoted: re-admission was
-            # budget-gated at the compressed size, and it must live in
-            # the compressed tier (drop under pressure, promote on read)
-            self._dict.register_compressed(key)
-        if ex is not None:
-            self._set_expiry(key, self._now() + ex)
-        else:
-            self._expires.pop(key, None)
-
-    def _restore_delete(self, key: bytes) -> None:
-        self._delete_raw(key)
-
-    def _restore_demote(self, key: bytes) -> None:
-        """Replay a demote record: re-compress the entry in place.
-
-        Demotion only returns bytes to the heap, so replay never needs
-        budget. With the tier disabled on this boot the record is
-        skipped — the entry simply stays resident, which recovery's
-        budget gate already allowed.
-        """
-        if self._dict.tier.enabled:
-            self._dict.demote(key)
-
-    def _restore_expire(self, key: bytes, seconds: float) -> None:
-        if key in self._dict:
-            self._set_expiry(key, self._now() + seconds)
-
-    def _restore_persist(self, key: bytes) -> None:
-        self._expires.pop(key, None)
-
-    def _restore_flush(self) -> None:
-        self._dict.clear()
-        self._expires.clear()
-        self._expiry_heap.clear()
-        self.traditional_bytes = 0
-
-    def _restore_deadline_ms(self, key: bytes, now_ms: int) -> int | None:
-        """Existing TTL of ``key`` as absolute unix ms (EXP_KEEP replay)."""
-        deadline = self._expires.get(key)
-        if deadline is None:
-            return None
-        return now_ms + int((deadline - self._now()) * 1000)
+        now = self._now()
+        soft_dict = self._dict
+        expires = self._expires
+        written = denied = tombstones = 0
+        for record in records:
+            kind = record[0]
+            if kind == "W":
+                __, key, value, exp_kind, deadline_ms = record
+                ex: float | None = None
+                if exp_kind == EXP_ABSOLUTE:
+                    ex = (deadline_ms - now_ms) / 1000.0
+                elif exp_kind == EXP_KEEP:
+                    kept = expires.get(key)
+                    if kept is not None:
+                        # carried at the log's millisecond granularity
+                        ex = int((kept - now) * 1000) / 1000.0
+                self._restoring = key
+                try:
+                    self._put(key, value)
+                except SoftMemoryDenied:
+                    # budget exhausted (or degraded mode): a future miss
+                    denied += 1
+                    continue
+                finally:
+                    self._restoring = None
+                if type(value) is CompressedValue:
+                    # a snapshot carried this entry demoted: admitted at
+                    # the compressed size, it must live in the compressed
+                    # tier (drop under pressure, promote on read)
+                    soft_dict.register_compressed(key)
+                if ex is not None:
+                    self._set_expiry(key, now + ex)
+                else:
+                    expires.pop(key, None)
+                written += 1
+            elif kind == "D":
+                self._remove(record[1])
+            elif kind == "T":
+                tombstones += 1
+                self._remove(record[1])
+            elif kind == "E":
+                __, key, deadline_ms = record
+                if key in soft_dict:
+                    ex = (deadline_ms - now_ms) / 1000.0
+                    self._set_expiry(key, now + ex)
+            elif kind == "P":
+                expires.pop(record[1], None)
+            elif kind == "M":
+                # demotion only returns bytes to the heap, so it needs no
+                # budget; with the tier off on this boot the entry stays
+                # resident, which the budget gate already allowed
+                if soft_dict.tier.enabled:
+                    self._restoring = record[1]
+                    try:
+                        soft_dict.demote(record[1])
+                    finally:
+                        self._restoring = None
+            elif kind == "F":
+                self._clear()
+            # "Z" seals a snapshot; its loader strips it
+        return ReplayCounts(written, denied, tombstones)
 
     def memory_usage(self, key: bytes) -> int | None:
         """MEMORY USAGE: soft + traditional bytes of one key."""

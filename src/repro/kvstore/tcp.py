@@ -407,12 +407,7 @@ class EventLoopKvServer:
         for conn in list(self._feed_conns):
             self._close(conn)
         state.become_replica(host, port)
-        self._link = ReplicaLink(
-            self.store,
-            state,
-            self._lock,
-            persist=self.store.persistence,
-        )
+        self._link = ReplicaLink(self.store, state, self._lock)
         self._link.start()
 
     def _promote_locked(self) -> None:

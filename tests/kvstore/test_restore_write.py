@@ -1,8 +1,8 @@
-"""``DataStore._restore_write``: replayed writes are overwrites.
+"""``DataStore.replay``: replayed writes are overwrites.
 
-Both replay paths — a replica applying the master's stream
-(``apply_record``) and ``Persistence`` recovering its log — funnel every
-``W`` record through ``_restore_write``, which overwrites through
+Both replay callers — a replica applying the master's stream
+(``apply_stream``) and ``Persistence`` recovering its log — hand every
+``W`` record to ``DataStore.replay``, which overwrites through
 ``SoftDict.upsert`` (one lookup, same-size writes in place, size changes
 through the handle). The contract that must survive a budget too small
 to re-admit the new value:
@@ -19,15 +19,9 @@ import pytest
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SoftMemoryDaemon
-from repro.kvstore.persist.codec import (
-    EXP_ABSOLUTE,
-    EXP_NONE,
-    decode_record,
-    encode_write,
-    scan_frames,
-)
+from repro.kvstore.persist.codec import EXP_ABSOLUTE, EXP_NONE, encode_write
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
-from repro.kvstore.repl import ReplicationState, apply_record
+from repro.kvstore.repl import ReplicationState, apply_stream
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig
 from repro.kvstore.values import CompressedValue
@@ -74,15 +68,7 @@ class Replica:
         self.store.repl = self.state
 
     def apply(self, raw: bytes) -> None:
-        payloads, valid = scan_frames(raw)
-        assert valid == len(raw)
-        with self.persist.hooks_suppressed():
-            for payload in payloads:
-                apply_record(
-                    self.store, self.state, decode_record(payload), NOW_MS
-                )
-        self.state.note_applied(raw, len(payloads))
-        self.persist.append_raw(raw, len(payloads))
+        assert apply_stream(self.store, self.state, raw, NOW_MS) == len(raw)
         self.persist.flush()
 
 

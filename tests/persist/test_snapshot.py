@@ -6,6 +6,7 @@ import os
 from collections import deque
 
 from repro.kvstore.persist.codec import (
+    EXP_ABSOLUTE,
     EXP_NONE,
     encode_delete,
     encode_trailer,
@@ -33,11 +34,16 @@ def test_round_trip(tmp_path):
     assert written == os.path.getsize(path)
     loaded = read_snapshot(path)
     assert loaded is not None
-    entries, saved_ms = loaded
+    records, saved_ms = loaded  # the W records, ready for replay
     assert saved_ms == 123456
-    assert len(entries) == len(ENTRIES)
-    for (key, value, deadline), (k2, v2, d2) in zip(ENTRIES, entries):
-        assert k2 == key and d2 == deadline
+    assert len(records) == len(ENTRIES)
+    for (key, value, deadline), record in zip(ENTRIES, records):
+        kind, k2, v2, exp_kind, d2 = record
+        assert kind == "W" and k2 == key
+        if deadline is None:
+            assert exp_kind == EXP_NONE
+        else:
+            assert exp_kind == EXP_ABSOLUTE and d2 == deadline
         if isinstance(value, deque):
             assert list(v2) == list(value)
         else:

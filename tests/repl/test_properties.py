@@ -24,8 +24,8 @@ path, and hypothesis hunts the boundaries:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sma import SoftMemoryAllocator
-from repro.kvstore.repl import ReplicationState, SyncHandshake, apply_record
-from repro.kvstore.persist.codec import decode_record, scan_frames
+from repro.kvstore.repl import ReplicationState, SyncHandshake, apply_stream
+from repro.kvstore.persist.codec import read_records
 from repro.kvstore.store import DataStore
 
 KEYS = [b"k%d" % i for i in range(8)]
@@ -67,17 +67,15 @@ def produce_stream(op_list) -> bytes:
 def test_prefix_replay_never_resurrects(op_list, data):
     stream = produce_stream(op_list)
     cut = data.draw(st.integers(0, len(stream)), label="cut")
-    payloads, valid = scan_frames(stream[:cut])
+    records, valid = read_records(stream[:cut])
     # a mid-frame cut floors to the last complete frame — exactly what
-    # the replica's scanner does with a torn read
+    # the replica's reader does with a torn read
     assert valid <= cut
-    records = [decode_record(p) for p in payloads]
 
     store = DataStore(SoftMemoryAllocator(name="prefix-replay"))
     state = ReplicationState()
     state.become_replica("127.0.0.1", 0)
-    for record in records:
-        apply_record(store, state, record, now_ms=0)
+    assert apply_stream(store, state, stream[:cut], now_ms=0) == valid
 
     last: dict[bytes, str] = {}
     for record in records:
@@ -97,8 +95,9 @@ def test_prefix_replay_never_resurrects(op_list, data):
             )
     tombs = sum(1 for r in records if r[0] == "T")
     assert state.tombstones_applied == tombs
-    assert state.applied_records == 0  # apply_record leaves accounting
-    # to note_applied; only the tombstone/denial counters move here
+    # the batch step advances the offset by exactly the bytes applied
+    assert state.applied_records == len(records)
+    assert state.master_repl_offset == valid
 
 
 def chunked(blob: bytes, cuts: list[int]):
