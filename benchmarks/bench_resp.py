@@ -3,7 +3,9 @@
 The zero-copy hot path rewrite is held to its numbers by this file:
 ``main()`` writes ``BENCH_resp.json`` (committed at the repo root) and
 the pytest gate re-measures on every CI run, failing on a >10%
-regression of the normalized parse or encode cost.
+regression of the normalized encode cost or of any command-parse
+scenario — the tokeniser's slow cases (large, CRLF-laden and wide
+frames) are held next to its headline.
 
 Raw nanoseconds are machine-dependent, so the gate compares
 *normalized* costs: each metric is divided by a fixed pure-Python
@@ -17,6 +19,10 @@ Scenarios (ns per command / per reply):
   through ``RespParser.parse_pipeline`` (the event-loop serving path).
 * ``parse_large_zero_copy`` — 4 KiB SET payloads with the server's
   zero-copy threshold, so bulk bodies come out as memoryviews.
+* ``parse_binary_crlf`` — 256 B binary SET payloads that contain CRLF,
+  which no ``$len`` header certifies: every value is read by position.
+* ``parse_wide_mset`` — ``*41`` MSETs: a multi-digit count and a frame
+  wider than the tokeniser's smallest window.
 * ``parse_generic`` — the same small batch through the recursive
   fallback parser (``use_fast_path=False``); kept for comparison and
   to assert the fast path actually pays for itself.
@@ -51,7 +57,14 @@ COMMITTED_JSON = os.path.join(REPO_ROOT, "BENCH_resp.json")
 #: is 16; 64 keeps the loop hot long enough to time cleanly)
 BATCH_DEPTH = 64
 LARGE_VALUE_SIZE = 4096
-GATED_METRICS = ("parse_small", "encode_mixed")
+BINARY_VALUE = (bytes(range(48, 110)) + b"\r\n") * 4
+GATED_METRICS = (
+    "parse_small",
+    "parse_large_zero_copy",
+    "parse_binary_crlf",
+    "parse_wide_mset",
+    "encode_mixed",
+)
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +144,16 @@ def _large_batch() -> tuple[bytes, int]:
     return b"".join(parts), 8
 
 
+def _binary_batch() -> tuple[bytes, int]:
+    parts = [encode_command("SET", f"bin{i}", BINARY_VALUE) for i in range(16)]
+    return b"".join(parts), 16
+
+
+def _wide_batch() -> tuple[bytes, int]:
+    pairs = [f"k{j}" if j % 2 == 0 else f"value-{j}" for j in range(40)]
+    return encode_command("MSET", *pairs) * 8, 8
+
+
 def _parse_cost_ns(
     payload: bytes,
     commands: int,
@@ -189,15 +212,17 @@ def run_suite(quick: bool) -> dict:
     target = 0.03 if quick else 0.15
     calibration = _calibration_ns(target)
     small, n_small = _small_batch()
-    large, n_large = _large_batch()
+
+    def as_served(batch: tuple[bytes, int]) -> float:
+        return _parse_cost_ns(
+            *batch, target, zero_copy_threshold=ZERO_COPY_THRESHOLD
+        )
+
     metrics = {
         "parse_small": _parse_cost_ns(small, n_small, target),
-        "parse_large_zero_copy": _parse_cost_ns(
-            large,
-            n_large,
-            target,
-            zero_copy_threshold=ZERO_COPY_THRESHOLD,
-        ),
+        "parse_large_zero_copy": as_served(_large_batch()),
+        "parse_binary_crlf": as_served(_binary_batch()),
+        "parse_wide_mset": as_served(_wide_batch()),
         "parse_generic": _parse_cost_ns(
             small, n_small, target, use_fast_path=False
         ),

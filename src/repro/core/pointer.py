@@ -83,47 +83,44 @@ class SoftPtr:
     might trigger reclamation.
     """
 
-    __slots__ = ("_alloc",)
+    #: ``allocation`` is the SMA / SDS layers' accessor; a slot, not a
+    #: property, because ``SoftDict.get`` reads it per chain element
+    __slots__ = ("allocation",)
 
     def __init__(self, alloc: Allocation) -> None:
-        self._alloc = alloc
+        self.allocation = alloc
 
     @property
     def valid(self) -> bool:
         """True while the allocation has not been reclaimed or freed."""
-        return self._alloc.valid
+        return self.allocation.valid
 
     @property
     def alloc_id(self) -> int:
-        return self._alloc.alloc_id
+        return self.allocation.alloc_id
 
     @property
     def size(self) -> int:
-        return self._alloc.size
+        return self.allocation.size
 
     def deref(self) -> Any:
         """Return the payload, or raise if the memory was reclaimed."""
-        if not self._alloc.valid:
-            raise ReclaimedMemoryError(self._alloc.alloc_id)
-        return self._alloc.payload
+        if not self.allocation.valid:
+            raise ReclaimedMemoryError(self.allocation.alloc_id)
+        return self.allocation.payload
 
     def store(self, payload: Any) -> None:
         """Overwrite the payload in place (a write through the pointer)."""
-        if not self._alloc.valid:
-            raise ReclaimedMemoryError(self._alloc.alloc_id)
-        self._alloc.payload = payload
+        if not self.allocation.valid:
+            raise ReclaimedMemoryError(self.allocation.alloc_id)
+        self.allocation.payload = payload
 
     def try_deref(self) -> Any | None:
         """Payload if live, ``None`` if reclaimed — the cache-lookup idiom."""
-        return self._alloc.payload if self._alloc.valid else None
-
-    # Internal accessor for the SMA / SDS layers.
-    @property
-    def allocation(self) -> Allocation:
-        return self._alloc
+        return self.allocation.payload if self.allocation.valid else None
 
     def __repr__(self) -> str:
-        return f"<SoftPtr -> {self._alloc!r}>"
+        return f"<SoftPtr -> {self.allocation!r}>"
 
 
 class DerefScope:

@@ -29,7 +29,11 @@ import time
 from typing import Any, Callable, Iterator
 
 from repro.core.context import ReclaimCallback
-from repro.core.errors import SoftMemoryDegraded, SoftMemoryDenied
+from repro.core.errors import (
+    ReclaimedMemoryError,
+    SoftMemoryDegraded,
+    SoftMemoryDenied,
+)
 from repro.core.pointer import SoftPtr
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.tier import (
@@ -261,14 +265,28 @@ class SoftDict(SoftDataStructure):
                 self._context.callback_errors += 1
 
     def get(self, key: bytes, default: Any = None) -> Any:
-        self._check_key(key)
-        if self._ht1 is not None:  # guard inlined: hot path
+        # every GET lands here, so ``_check_key``, ``_find`` and
+        # ``SoftPtr.deref`` are inlined: same probe, same liveness check
+        if type(key) is not bytes:
+            self._check_key(key)
+        if self._ht1 is not None:
             self._rehash_step()
-        found = self._find(key)
-        if found is None:
-            return default
-        __, value = found[0].deref()
-        return value
+        h = hash(key)
+        table = self._ht0
+        while True:
+            chain = table.buckets[h & table.mask]
+            if chain:
+                for ptr in chain:
+                    alloc = ptr.allocation
+                    if not alloc.valid:
+                        raise ReclaimedMemoryError(alloc.alloc_id)
+                    entry_key, value = alloc.payload
+                    if entry_key == key:
+                        return value
+            ht1 = self._ht1
+            if ht1 is None or table is ht1:
+                return default
+            table = ht1
 
     def __contains__(self, key: bytes) -> bool:
         return self._find(key) is not None
@@ -393,8 +411,8 @@ class SoftDict(SoftDataStructure):
         if self.demote(key):
             return True
         if not ptr.allocation.valid:
-            # demote() lost the extent swap and already accounted the
-            # entry as dropped — nothing further to do
+            # demote() lost the extent swap (``tier.demote_swap_lost``)
+            # and already accounted the entry as dropped
             return True
         # too small / incompressible: the victim drops like before
         found = self._find(key)
@@ -412,8 +430,9 @@ class SoftDict(SoftDataStructure):
         records. Returns ``True`` when the entry ends up (or already
         was) compressed; ``False`` when it stays resident (absent,
         pinned, too small, or incompressible). A failed extent swap —
-        vanishingly rare — loses the entry and accounts it exactly like
-        a reclamation drop.
+        counted in ``tier_stats.demote_swap_lost``, and at benchmark
+        scale the common outcome, not a rare one — loses the entry and
+        accounts it exactly like a reclamation drop.
         """
         found = self._find(key)
         if found is None:
@@ -438,6 +457,7 @@ class SoftDict(SoftDataStructure):
         if new_ptr is None:
             # placement failed even into the freed extent; the data is
             # gone — account it exactly like a reclamation drop
+            self.tier_stats.demote_swap_lost += 1
             self._remove_ptr(ptr, table, slot)
             self.evictions += 1
             callback = self._context.callback

@@ -25,12 +25,11 @@ The parser is built for a zero-copy serving hot path:
   once — kernel to parser buffer — instead of kernel → recv ``bytes``
   → buffer.
 * :meth:`RespParser.parse_pipeline` drains every complete command
-  array in one tight loop (no per-command method dispatch), and in
-  zero-copy mode hands large bulk payloads out as ``memoryview``
-  slices of the buffer instead of ``bytes`` copies. **Ownership
-  rule:** those views are valid only until the parser is next fed;
-  whoever retains a payload (the store, the slowlog) must materialize
-  it to ``bytes`` first. See DESIGN.md §7.
+  array by tokenising the buffer on CRLF, and in zero-copy mode hands
+  large bulk payloads out as ``memoryview`` slices of the buffer.
+  **Ownership rule:** those views are valid only until the parser is
+  next fed; whoever retains a payload (the store, the slowlog) must
+  materialize it to ``bytes`` first. See DESIGN.md §7.
 * A :class:`ProtocolError` *quarantines* the parser: the poisoned
   buffer is dropped (``last_error_dropped`` records how many bytes),
   and the parser is immediately safe to reuse — a client or server
@@ -40,6 +39,7 @@ The parser is built for a zero-copy serving hot path:
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any
 
 from repro.kvstore.wire import (
@@ -211,6 +211,26 @@ PIPELINE_FALLBACK = 1
 _COMPACT_AT = 16384
 #: a drained buffer larger than this is released back to the allocator
 _SHRINK_AT = 1 << 20
+_UNTERMINATED = "bulk string not terminated by CRLF"
+#: bounds of the slice :meth:`RespParser.parse_pipeline` splits at a time
+_WINDOW_MIN = 64
+_WINDOW_MAX = 4096
+#: canonical ``*N`` count lines; wider or zero-padded ones are decoded
+_ARRAY_COUNTS = {b"*%d" % n: n for n in range(64)}
+
+
+@cache
+def _bulk_headers(threshold: int | None) -> tuple:
+    """``$len`` tokens by payload length; ``None`` from the threshold up."""
+    return tuple(
+        b"$%d" % n if threshold is None or n < threshold else None
+        for n in range(_WINDOW_MAX + 1)
+    )
+
+
+def _span(tokens: list, lo: int, hi: int) -> int:
+    """Bytes ``tokens[lo:hi]`` (``hi > lo``) and their CRLFs cover."""
+    return len(CRLF.join(tokens[lo:hi])) + 2
 
 
 class RespParser:
@@ -242,11 +262,7 @@ class RespParser:
         self._len = 0  # valid bytes in ``_buf`` (the rest is slack)
         self.zero_copy_threshold = zero_copy_threshold
         self._use_fast_path = use_fast_path
-        #: True iff the last :meth:`parse_one` value came from the
-        #: command fast path, which certifies a list of only ``bytes``
-        #: (plus, in zero-copy mode, ``memoryview``) elements — servers
-        #: can then skip re-validating the argv
-        self.command_fast = False
+        self._window = _WINDOW_MIN  # bytes the next tokeniser pass splits
         #: lifetime count of memoryview payloads handed out
         self.views_created = 0
         #: lifetime count of :class:`ProtocolError` quarantines
@@ -329,142 +345,128 @@ class RespParser:
         self._buf = bytearray()
         self._pos = 0
         self._len = 0
-        self.command_fast = False
 
     # -- parsing -------------------------------------------------------
 
     def parse_pipeline(self, out: list, limit: int | None = None) -> int:
         """Append every complete command array to ``out`` in one pass.
 
-        The serving hot path: client commands are ``*N`` arrays of
-        bulk strings, parsed here in one tight loop over the buffer —
-        no per-command method dispatch, single-digit lengths decoded
-        without ``int()``, and (in zero-copy mode) large payloads
-        sliced as ``memoryview`` instead of copied.
+        The serving hot path (DESIGN.md §7): a bounded window of the
+        buffer is split on CRLF at C speed, an argument whose ``$len``
+        header names exactly the length of the token behind it is
+        *certified*, and a certified frame's argv is a slice of the
+        token list. Any other argument (``zero_copy_threshold`` bytes
+        or more, CRLF in the payload, a payload past the window, a
+        zero-padded header) is read *by position*: length decoded,
+        terminator checked, ``memoryview`` handed out at argv index
+        >= 2, and the next window opens behind its frame.
 
-        Returns :data:`PIPELINE_MORE` when the buffer is drained (a
-        trailing partial frame stays buffered for the next feed) or
-        :data:`PIPELINE_FALLBACK` when the next frame is anything but
-        a plain command array (another type byte, a null array, or an
-        array holding a non-bulk/null element) — pop that one frame
-        with :meth:`parse_one`. Raises :class:`ProtocolError` (after
-        quarantining) on malformed input; frames appended to ``out``
-        before the poison remain valid.
+        Returns :data:`PIPELINE_MORE` when drained (a trailing partial
+        frame stays buffered) or :data:`PIPELINE_FALLBACK` when the
+        next frame is not a plain command array (another type byte, a
+        null array, a non-bulk or null element): pop that one with
+        :meth:`parse_one`. Raises :class:`ProtocolError` (after
+        quarantining); frames appended before the poison stay valid.
         """
         end_of_data = self._len
         pos = frame_start = self._pos
         if not self._use_fast_path:
             return PIPELINE_FALLBACK if pos < end_of_data else PIPELINE_MORE
         buf = self._buf
-        find = buf.find
         zc_min = self.zero_copy_threshold
-        mv = None
+        header_of = _bulk_headers(zc_min)
+        count_of = _ARRAY_COUNTS.get
+        mv = None  # one view of the buffer, sliced per zero-copy payload
         try:
-            while pos < end_of_data:
-                frame_start = pos
-                if buf[pos] != 0x2A:  # not b"*": generic frame
-                    return PIPELINE_FALLBACK
-                # single-digit count with CRLF at the fixed offset is
-                # virtually every client command — decoded with three
-                # index reads, no find() and no int()
-                if (
-                    pos + 4 <= end_of_data
-                    and buf[pos + 2] == 0x0D
-                    and buf[pos + 3] == 0x0A
-                ):
-                    count = buf[pos + 1] - 0x30
-                    if not 0 <= count <= 9:
-                        if buf[pos + 1] == 0x2D:  # b"-": null/negative
+            while True:
+                stop = pos + self._window
+                if stop > end_of_data:
+                    stop = end_of_data
+                tokens = bytes(buf[pos:stop]).split(CRLF)
+                last, i = len(tokens) - 1, 0  # no CRLF behind tokens[last]
+                while i < last:  # tokens[i] heads a frame
+                    head = tokens[i]
+                    count = count_of(head)
+                    if count is None:  # wide, zero-padded, or no array
+                        frame_start = pos + _span(tokens, 0, i) if i else pos
+                        if head[:1] != b"*" or head[1:2] == b"-":
+                            self._pos = frame_start
                             return PIPELINE_FALLBACK
-                        raise ProtocolError(
-                            f"invalid integer "
-                            f"{bytes(buf[pos + 1:pos + 2])!r}"
-                        )
-                    pos += 4
-                else:
-                    hdr_end = find(CRLF, pos + 1, end_of_data)
-                    if hdr_end < 0:
-                        break  # incomplete count line
-                    if buf[pos + 1] == 0x2D:
-                        return PIPELINE_FALLBACK
-                    try:
-                        count = int(bytes(buf[pos + 1:hdr_end]))
-                    except ValueError:
-                        raise ProtocolError(
-                            f"invalid integer "
-                            f"{bytes(buf[pos + 1:hdr_end])!r}"
-                        ) from None
-                    pos = hdr_end + 2
-                argv: list[Any] = []
-                append = argv.append
-                complete = True
-                for i in range(count):
-                    if pos >= end_of_data:
-                        complete = False
-                        break
-                    if buf[pos] != 0x24:  # not b"$": mixed array
-                        return PIPELINE_FALLBACK
-                    if (
-                        pos + 4 <= end_of_data
-                        and buf[pos + 2] == 0x0D
-                        and buf[pos + 3] == 0x0A
-                    ):
-                        length = buf[pos + 1] - 0x30
-                        if not 0 <= length <= 9:
-                            if buf[pos + 1] == 0x2D:  # null bulk
-                                return PIPELINE_FALLBACK
-                            raise ProtocolError(
-                                f"invalid integer "
-                                f"{bytes(buf[pos + 1:pos + 2])!r}"
-                            )
-                        start = pos + 4
-                    else:
-                        hdr_end = find(CRLF, pos + 1, end_of_data)
-                        if hdr_end < 0:
-                            complete = False
+                        count = _parse_int(head[1:])
+                    after = i + 1 + 2 * count
+                    argv = tokens[i + 2:after if after < last else last:2]
+                    k = i + 1  # token index of the next ``$len`` header
+                    for arg in argv:
+                        if tokens[k] != header_of[len(arg)]:
                             break
-                        if buf[pos + 1] == 0x2D:
-                            # null bulk inside a command is not a valid
-                            # argv — let the generic parser produce it
-                            # (negative lengths < -1 error there too)
-                            return PIPELINE_FALLBACK
-                        try:
-                            length = int(bytes(buf[pos + 1:hdr_end]))
-                        except ValueError:
-                            raise ProtocolError(
-                                f"invalid integer "
-                                f"{bytes(buf[pos + 1:hdr_end])!r}"
-                            ) from None
-                        start = hdr_end + 2
-                    stop = start + length
-                    if stop + 2 > end_of_data:
-                        complete = False
-                        break
-                    if buf[stop] != 0x0D or buf[stop + 1] != 0x0A:
-                        raise ProtocolError(
-                            "bulk string not terminated by CRLF"
-                        )
-                    if zc_min is not None and length >= zc_min and i >= 2:
-                        if mv is None:
-                            mv = memoryview(buf)
-                        append(mv[start:stop])
-                        self.views_created += 1
+                        k += 2
                     else:
-                        append(bytes(buf[start:stop]))
-                    pos = stop + 2
-                if not complete:
-                    break  # leave ``_pos`` at this frame's start
-                out.append(argv)
-                self._pos = pos  # commit frame by frame
-                if limit is not None and len(out) >= limit:
-                    break
-            return PIPELINE_MORE
+                        if after <= last:
+                            out.append(argv)
+                            i = after
+                            if limit is not None and len(out) >= limit:
+                                self._pos = pos + _span(tokens, 0, i)
+                                return PIPELINE_MORE
+                            continue
+                    # certification ends at token k: on by position
+                    del argv[(k - i - 1) >> 1:]
+                    frame_start = pos + _span(tokens, 0, i) if i else pos
+                    certified = frame_start + _span(tokens, i, k) - pos
+                    pos += certified
+                    self._window = (
+                        _WINDOW_MIN if 2 * certified < _WINDOW_MIN
+                        else min(2 * certified, _WINDOW_MAX)
+                    )
+                    for n in range(len(argv), count):
+                        if pos >= end_of_data:
+                            break
+                        if buf[pos] != 0x24:  # not b"$": mixed array
+                            self._pos = frame_start
+                            return PIPELINE_FALLBACK
+                        eol = buf.find(CRLF, pos + 1, end_of_data)
+                        if eol < 0:
+                            break
+                        digits = buf[pos + 1:eol]
+                        if not digits.isdigit():
+                            if digits[:1] != b"-":
+                                _parse_int(digits)  # raises
+                            self._pos = frame_start  # null or negative
+                            return PIPELINE_FALLBACK
+                        length = int(digits)
+                        start = eol + 2
+                        pos = start + length + 2
+                        if pos > end_of_data:
+                            break
+                        if buf[pos - 2] != 0x0D or buf[pos - 1] != 0x0A:
+                            raise ProtocolError(_UNTERMINATED)
+                        if zc_min is not None and length >= zc_min and n >= 2:
+                            if mv is None:
+                                mv = memoryview(buf)
+                            argv.append(mv[start:pos - 2])
+                            self.views_created += 1
+                        else:
+                            argv.append(bytes(buf[start:pos - 2]))
+                    else:  # the frame is whole
+                        out.append(argv)
+                        if limit is None or len(out) < limit:
+                            break
+                        frame_start = pos  # at the limit: commit this frame
+                    self._pos = frame_start  # a partial frame stays whole
+                    return PIPELINE_MORE
+                else:
+                    consumed = stop - len(tokens[last]) - pos
+                    self._pos = pos = pos + consumed
+                    if 2 * consumed > self._window:
+                        self._window = min(2 * consumed, _WINDOW_MAX)
+                    if tokens[last][:1] not in (b"", b"*"):
+                        return PIPELINE_FALLBACK  # another type byte
+                    if stop == end_of_data:
+                        return PIPELINE_MORE
+                    if not last:  # a count line wider than a window
+                        return PIPELINE_FALLBACK
         except ProtocolError:
             self._quarantine(frame_start)
             raise
-        finally:
-            if mv is not None:
-                mv.release()
 
     def parse_one(self) -> Any | None:
         """Return the next complete value, or ``None`` if more bytes needed.
@@ -473,7 +475,6 @@ class RespParser:
         by :meth:`parse_all`, which callers should prefer; here a null
         parse returns the :data:`NULL` sentinel.
         """
-        self.command_fast = False
         pos = self._pos
         if pos >= self._len:
             return None
@@ -481,7 +482,6 @@ class RespParser:
             frames: list[Any] = []
             status = self.parse_pipeline(frames, limit=1)
             if frames:
-                self.command_fast = True
                 return frames[0]
             if status == PIPELINE_MORE:
                 return None
@@ -524,7 +524,7 @@ class RespParser:
             raise _Incomplete
         data = bytes(self._buf[self._pos:end])
         if self._buf[end:end + 2] != CRLF:
-            raise ProtocolError("bulk string not terminated by CRLF")
+            raise ProtocolError(_UNTERMINATED)
         self._pos = end + 2
         return data
 
@@ -576,10 +576,10 @@ NULL = _Null()
 
 
 def _parse_int(line: bytes) -> int:
-    try:
+    # digits behind at most one ``-``: int() also takes ``1_0``, ``+3``, `` 1``
+    if line.isdigit() or (line[:1] == b"-" and line[1:].isdigit()):
         return int(line)
-    except ValueError:
-        raise ProtocolError(f"invalid integer {line!r}") from None
+    raise ProtocolError(f"invalid integer {bytes(line)!r}")
 
 
 def _decode_line(line: bytes) -> str:

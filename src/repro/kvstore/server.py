@@ -5,8 +5,8 @@ byte stream, executes each complete command against the store, and
 emits the RESP replies. Transport is left to the caller (the tests and
 examples drive it in-process; the TCP front-end shuttles bytes).
 
-The one execution path is :meth:`KvServer.pump`: the parser drains every
-complete pipelined command in one tight loop
+The one execution path is :meth:`KvServer.pump`: the parser tokenises
+every complete pipelined command out of its buffer
 (:meth:`~repro.kvstore.resp.RespParser.parse_pipeline`), then this
 module executes the batch and encodes the replies directly into a
 caller-owned output buffer — zero intermediate ``bytes`` copies

@@ -412,9 +412,21 @@ class DataStore:
 
     def get(self, key: bytes) -> bytes | None:
         """GET: ``None`` for missing, expired, or *reclaimed* keys."""
-        value = self._read(key)
-        if value is None or type(value) is bytes:
+        # :meth:`_read` inlined — every GET lands here
+        stats = self.stats
+        if self._expires and self._check_expired(key):
+            stats.misses += 1
+            return None
+        value = self._dict.get(key)
+        if value is None:
+            stats.misses += 1
+            return None
+        if type(value) is bytes:
+            stats.hits += 1
             return value
+        if type(value) is CompressedValue:
+            value = self._dict.promote(key)
+        stats.hits += 1
         return expect_type(value, bytes)
 
     def getdel(self, key: bytes) -> bytes | None:

@@ -90,6 +90,9 @@ class TierStats:
     displacements: int = 0
     #: deflate declined (too small / incompressible) — victim dropped
     incompressible: int = 0
+    #: deflate succeeded but the allocator found no extent for the
+    #: compressed stub after freeing the victim's — victim dropped
+    demote_swap_lost: int = 0
     #: promote re-admission denied by the soft budget; the read is still
     #: served from a transient inflation, the entry stays compressed
     promotion_denials: int = 0

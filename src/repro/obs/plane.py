@@ -316,6 +316,7 @@ def bind_tier(
             "second_chance_drops",
             "displacements",
             "incompressible",
+            "demote_swap_lost",
             "promotion_denials",
             "bytes_saved",
         ),

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import SoftMemoryDenied
+from repro.core.errors import ReclaimedMemoryError, SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SoftMemoryDaemon
 from repro.kvstore.dict import INITIAL_SIZE, SoftDict
@@ -88,8 +88,9 @@ class TestMappingSemantics:
     def test_non_bytes_key_rejected(self, d):
         with pytest.raises(TypeError):
             d.put("str-key", 1)
-        with pytest.raises(TypeError):
-            d.get("str-key")
+        for key in ("str-key", bytearray(b"k"), memoryview(b"k"), None):
+            with pytest.raises(TypeError):
+                d.get(key)
 
 
 class TestIncrementalRehash:
@@ -114,6 +115,42 @@ class TestIncrementalRehash:
         assert d.is_rehashing
         for i in range(INITIAL_SIZE + 1):
             assert d.get(str(i).encode()) == i
+
+    def test_get_finds_keys_in_either_table_mid_rehash(self, d):
+        keys = [b"key:%d" % i for i in range(300)]
+        for i, key in enumerate(keys):
+            d.put(key, i)
+        assert d.is_rehashing
+        seen = set()
+        for i, key in enumerate(keys):
+            if not d.is_rehashing:
+                break
+            where = "ht0" if d._find(key)[1] is d._ht0 else "ht1"
+            assert d.get(key) == i  # also migrates one bucket
+            seen.add(where)
+        assert seen == {"ht0", "ht1"}
+        assert d.get(b"absent") is None
+
+    def test_get_refuses_a_reclaimed_pointer_in_the_chain(self, d):
+        # two keys in one bucket of the initial 4-bucket table
+        by_slot: dict[int, list[bytes]] = {}
+        for i in range(64):
+            key = b"k%d" % i
+            chain = by_slot.setdefault(hash(key) & (INITIAL_SIZE - 1), [])
+            chain.append(key)
+            if len(chain) == 2:
+                break
+        first, second = chain
+        d.put(first, 1)
+        d.put(second, 2)
+        assert d.get(second) == 2
+        # the allocation dies under the dict: a lookup walking the chain
+        # must raise rather than compare against freed memory
+        d._find(first)[0].allocation.valid = False
+        with pytest.raises(ReclaimedMemoryError):
+            d.get(first)
+        with pytest.raises(ReclaimedMemoryError):
+            d.get(second)
 
     def test_delete_during_rehash(self, d):
         for i in range(INITIAL_SIZE + 1):

@@ -259,7 +259,6 @@ class TestInternedReplies:
         p = RespParser()
         p.feed(b"*0\r\n")
         assert p.parse_one() == []
-        assert p.command_fast
 
     def test_multi_digit_frames(self):
         p = RespParser()

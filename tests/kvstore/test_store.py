@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
+from repro.kvstore.resp import encode_command
+from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore, StoreConfig
+from repro.kvstore.tier import TierConfig
+from repro.kvstore.values import WrongTypeError
 from repro.sim.clock import SimClock
 
 
@@ -64,6 +68,58 @@ class TestStrings:
             store.set("str", b"v")
         with pytest.raises(TypeError):
             store.set(b"k", 123)
+
+
+class TestGetCounts:
+    """``DataStore.get`` carries ``_read`` inline: what it returns and
+    what it counts must be what the two calls returned and counted."""
+
+    def counts(self, store):
+        stats = store.stats
+        return stats.hits, stats.misses, stats.expired_keys
+
+    def test_hit_and_miss(self, store):
+        store.set(b"k", b"v")
+        assert store.get(b"k") == b"v"
+        assert store.get(b"nope") is None
+        assert self.counts(store) == (1, 1, 0)
+
+    def test_expired_key_is_a_miss_and_is_deleted(self, store, clock):
+        store.set(b"k", b"v", ex=10)
+        clock.advance(11)
+        assert store.get(b"k") is None
+        assert self.counts(store) == (0, 1, 1)
+        assert store.dbsize() == 0
+        assert store.get(b"k") is None  # gone, no longer "expired"
+        assert self.counts(store) == (0, 2, 1)
+
+    def test_compressed_entry_is_promoted_and_counted_as_a_hit(self, clock):
+        sma = SoftMemoryAllocator(name="get-tier", request_batch_pages=1)
+        config = StoreConfig(
+            time_fn=lambda: clock.now, tier=TierConfig(enabled=True)
+        )
+        store = DataStore(sma, config)
+        store.set(b"k", b"A" * 2000)
+        assert store.keyspace.demote(b"k")
+        tier_stats = store.keyspace.tier_stats
+        assert (tier_stats.demotions, tier_stats.promotions) == (1, 0)
+        assert store.get(b"k") == b"A" * 2000
+        assert self.counts(store) == (1, 0, 0)
+        assert (tier_stats.demotions, tier_stats.promotions) == (1, 1)
+        assert store.keyspace.compressed_entries == 0
+        assert store.get(b"k") == b"A" * 2000  # resident again
+        assert self.counts(store) == (2, 0, 0)
+        assert tier_stats.promotions == 1
+
+    def test_list_value_is_wrongtype_and_still_a_hit(self, store):
+        store.rpush(b"l", b"a")
+        with pytest.raises(WrongTypeError):
+            store.get(b"l")
+        assert self.counts(store) == (1, 0, 0)
+        server = KvServer(store)
+        reply = server.feed(encode_command("GET", "l"))
+        assert reply.startswith(b"-WRONGTYPE")
+        assert self.counts(store) == (2, 0, 0)
 
 
 class TestExpiry:

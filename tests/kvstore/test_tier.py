@@ -310,6 +310,47 @@ class TestDemotePromote:
         assert snapshot["tier.promote_latency.count"] >= 1
 
 
+def test_every_demote_attempt_is_accounted(store, monkeypatch):
+    """attempts == demotions + incompressible + demote_swap_lost.
+
+    A seeded pressure run: mixed-size values, a fifth of them random
+    bytes, a quarter of the pages reclaimed after every write burst. A
+    victim demotes, is refused by the codec, or loses the extent swap —
+    and the last is no corner case, which is why it has a counter.
+    """
+    import random
+
+    attempts = []
+    demote_or_drop = SoftDict._demote_or_drop
+    monkeypatch.setattr(
+        SoftDict,
+        "_demote_or_drop",
+        lambda self, alloc_id, ptr: (
+            attempts.append(alloc_id) or demote_or_drop(self, alloc_id, ptr)
+        ),
+    )
+    rng = random.Random(7)
+    for _ in range(4):
+        for _ in range(400):
+            size = rng.randint(64, 2048)
+            noise = size if rng.random() < 0.2 else size // 10
+            value = rng.randbytes(noise) + b"z" * (size - noise)
+            store.set(b"key:%04d" % rng.randrange(1024), value)
+        for _ in range(200):
+            store.get(b"key:%04d" % rng.randrange(1024))
+        store.sma.reclaim(store.soft_pages // 4)
+    ts = store.keyspace.tier_stats
+    assert attempts
+    assert len(attempts) == (
+        ts.demotions + ts.incompressible + ts.demote_swap_lost
+    )
+    assert min(ts.demotions, ts.incompressible, ts.demote_swap_lost) > 0
+    snapshot = store.obs.registry.snapshot()
+    assert snapshot["tier.demote_swap_lost"] == ts.demote_swap_lost
+    assert identity_holds(store.keyspace)
+    store.sma.check_invariants()
+
+
 class TestRegisterCompressed:
     def test_adopts_inserted_compressed_value(self, store):
         cv = deflate_value(b"r" * 800, TIER)
