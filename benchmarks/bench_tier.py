@@ -11,7 +11,8 @@ on or off. Each arm runs two measured windows:
 * ``antagonist`` — a competing SMA allocates in waves, forcing
   reclamation out of the keyspace *during* the measured run. With the
   tier off, every reclaimed key is a future miss; with it on, victims
-  demote to zlib-compressed residency and reads promote them back.
+  demote to zlib-compressed residency and reads are served from the
+  stubs (back to residency only where the heap already owns the room).
 
 The headline is the antagonist-window soft hit rate: tier-on must
 recover **≥ +10 percentage points** over plain drop at the same soft
@@ -152,6 +153,7 @@ def run_arm(tier_on: bool, seconds: float) -> dict:
             "reclaimed_keys": keyspace.get("reclaimed_keys", 0),
             "tier_demotions": soft.get("tier.demotions", 0),
             "tier_promotions": soft.get("tier.promotions", 0),
+            "tier_promotion_denials": soft.get("tier.promotion_denials", 0),
             "tier_second_chance_drops": soft.get(
                 "tier.second_chance_drops", 0
             ),
@@ -201,7 +203,8 @@ def print_table(off: dict, on: dict, headline: dict) -> None:
     print("-" * 78)
     print(
         f"{'arm':>6} {'idle ops/s':>11} {'press ops/s':>12} "
-        f"{'hit%':>7} {'reclaimed':>9} {'demoted':>8} {'promoted':>9}"
+        f"{'hit%':>7} {'reclaimed':>9} {'demoted':>8} {'promoted':>9} "
+        f"{'from stub':>9}"
     )
     for row in (off, on):
         hit = row["pressured_hit_rate"]
@@ -210,7 +213,8 @@ def print_table(off: dict, on: dict, headline: dict) -> None:
             f"{row['pressured_ops_per_sec']:>12.0f} "
             f"{100 * hit if hit is not None else 0:>7.1f} "
             f"{row['reclaimed_keys']:>9} {row['tier_demotions']:>8} "
-            f"{row['tier_promotions']:>9}"
+            f"{row['tier_promotions']:>9} "
+            f"{row['tier_promotion_denials']:>9}"
         )
     print("-" * 78)
     print(
@@ -237,9 +241,11 @@ def check(off: dict, on: dict, headline: dict) -> None:
     assert off["tier_demotions"] == 0
     assert off["reclaimed_keys"] > 0, "tier-off arm never lost a key"
     assert on["tier_demotions"] > 0, "tier-on arm never demoted"
-    assert on["tier_promotions"] > 0, "no read ever promoted"
+    assert on["tier_promotions"] + on["tier_promotion_denials"] > 0, (
+        "no read of a demoted key was ever served"
+    )
     assert on["promote_count"] > 0 and on["promote_p99_s"] is not None, (
-        "promote latency histogram never observed a promotion"
+        "promote latency histogram never observed a stub read"
     )
     # the headline: demote-before-drop recovers hit rate under pressure
     assert headline["hit_rate_recovered_points"] is not None

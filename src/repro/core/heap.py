@@ -106,6 +106,28 @@ class SdsHeap:
         self._allocs[alloc.alloc_id] = alloc
         return True
 
+    def relocate(self, alloc: Allocation, new_size: int, payload: Any) -> bool:
+        """Move a live allocation inside the pages this heap already owns.
+
+        To a smaller extent it cannot fail (:meth:`PagePlacer.shrink`).
+        To a larger one the new extent is placed before the old one is
+        freed, so ``False`` — no room without new pages — leaves all as
+        it was. No unplaced state, nothing for the SMA to provision; the
+        allocation keeps its handle and its place in age order.
+        """
+        placer = self._placer
+        if new_size < alloc.size:
+            placement = placer.shrink(alloc.placement, new_size)
+        else:
+            placement = placer.place(new_size)
+            if placement is None:
+                return False
+            placer.free(alloc.placement)
+        alloc.placement = placement
+        alloc.size = new_size
+        alloc.payload = payload
+        return True
+
     # -- inspection ---------------------------------------------------
 
     @property

@@ -75,9 +75,15 @@ class LockedSoftMemoryAllocator(SoftMemoryAllocator):
 
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
-    ) -> SoftPtr | None:
+    ) -> SoftPtr:
         with self._lock:
             return super().soft_demote(ptr, new_size, payload)
+
+    def soft_promote(
+        self, ptr: SoftPtr, new_size: int, payload: Any = None
+    ) -> bool:
+        with self._lock:
+            return super().soft_promote(ptr, new_size, payload)
 
     def reclaim(self, demand_pages: int) -> ReclamationStats:
         with self._lock:

@@ -19,7 +19,7 @@ One SMA runs inside each participating process. It:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import Any, Protocol
 
 from repro.core.budget import BudgetLedger
 from repro.core.context import PlacerFactory, ReclaimCallback, SdsContext
@@ -37,9 +37,6 @@ from repro.mem.page import Page
 from repro.mem.physical import PhysicalMemory
 from repro.mem.virtual import VirtualAddressSpace
 from repro.util.units import PAGE_SIZE, bytes_to_pages
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 
 class DaemonClient(Protocol):
@@ -99,7 +96,7 @@ class SmaStats:
         self.reclamations = 0
         #: budget asks refused locally while the daemon was unreachable
         self.degraded_denials = 0
-        #: allocations shrunk in place into the compressed tier
+        #: allocations relocated at compressed size (second-chance tier)
         self.demotions = 0
 
 
@@ -320,22 +317,17 @@ class SoftMemoryAllocator:
 
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
-    ) -> SoftPtr | None:
-        """Shrink a live allocation in place (second-chance demotion).
+    ) -> SoftPtr:
+        """Second-chance demotion: move a live allocation to a smaller
+        extent holding ``payload``. Cannot fail.
 
-        The old extent is freed and ``new_size`` bytes are placed in the
-        *same* heap holding ``payload`` (the compressed entry). The swap
-        never provisions — no pool draw, no budget request, no daemon
-        round-trip — which makes it safe to call from inside a
-        reclamation handler: demotion can only *return* bytes to the
-        heap, so the surrounding wave harvests more whole pages, never
-        fewer.
-
-        Tries allocate-before-free first (so a placement failure loses
-        nothing), then free-before-allocate (the freed extent reopens
-        its page to first-fit). Returns the new pointer, or ``None`` if
-        placement failed even then — in that case the old allocation is
-        already gone and the caller must treat the victim as dropped.
+        The old extent is freed and the new one placed inside pages the
+        heap already owns (:meth:`SdsHeap.relocate`) — no pool draw, no
+        budget request, no daemon round-trip — so it is safe inside a
+        reclamation handler, where it can only *return* bytes to the
+        heap. As with :meth:`soft_resize`, ``ptr`` and its
+        :class:`Allocation` survive: references and groups follow the
+        handle.
         """
         alloc = ptr.allocation
         if not alloc.valid:
@@ -344,25 +336,29 @@ class SoftMemoryAllocator:
             raise ValueError(
                 f"demotion must shrink: {new_size} >= {alloc.size}"
             )
-        context = alloc.context
-        heap = context.heap
         saved = alloc.size - new_size
-        self.groups.forget(alloc)
-        new_alloc = heap.allocate(new_size, context, payload)
-        if new_alloc is None:
-            heap.free(alloc)
-            self.refs.notify_reclaimed(alloc)
-            new_alloc = heap.allocate(new_size, context, payload)
-        else:
-            heap.free(alloc)
-            self.refs.notify_reclaimed(alloc)
-        if new_alloc is None:
-            return None
+        alloc.context.heap.relocate(alloc, new_size, payload)
         self.stats.demotions += 1
         if self._active_stats is not None:
             self._active_stats.allocations_demoted += 1
             self._active_stats.bytes_demoted += saved
-        return SoftPtr(new_alloc)
+        return ptr
+
+    def soft_promote(
+        self, ptr: SoftPtr, new_size: int, payload: Any = None
+    ) -> bool:
+        """Undo a demotion — if the heap owns the room (the read path).
+
+        The mirror of :meth:`soft_demote`: the allocation moves to a
+        ``new_size`` extent only where one can be placed without new
+        pages. ``False`` means nothing changed: there was no such room,
+        or a reclamation on another thread already took the allocation.
+        Only writes grow a heap; a read never provisions.
+        """
+        alloc = ptr.allocation
+        return alloc.valid and alloc.context.heap.relocate(
+            alloc, new_size, payload
+        )
 
     def _provision(self, context: SdsContext, size: int) -> None:
         """Make the context's heap able to place ``size`` bytes."""
@@ -700,8 +696,3 @@ class SoftMemoryAllocator:
             f"<SMA {self.name!r} held={self.budget.held}p "
             f"granted={self.budget.granted}p contexts={len(self._contexts)}>"
         )
-
-
-def soft_pages_for(size_bytes: int) -> int:
-    """Pages required to hold ``size_bytes`` of allocations (helper)."""
-    return bytes_to_pages(size_bytes)

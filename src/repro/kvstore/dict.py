@@ -15,12 +15,12 @@ callback cleans up the traditional side.
 
 With a :class:`~repro.kvstore.tier.TierConfig` enabled, eviction grows
 a middle state: the oldest resident entry *demotes* — its value is
-zlib-compressed and the soft allocation shrunk in place via
-``SoftMemoryAllocator.soft_demote`` — instead of dropping. Only a
-later pressure wave (or the tier watermark) truly drops compressed
-entries, firing the usual reclamation callback; a read in between
-*promotes* the entry back to residency, budget-gated like recovery
-re-admission.
+zlib-compressed and the soft allocation relocated at compressed size
+via ``SoftMemoryAllocator.soft_demote``, which cannot fail — instead of
+dropping. Only a later pressure wave (or the tier watermark) truly
+drops compressed entries, firing the usual reclamation callback; a read
+in between is served from the stub, and *promotes* the entry back to
+residency only where the heap already owns the room.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ import time
 from typing import Any, Callable, Iterator
 
 from repro.core.context import ReclaimCallback
-from repro.core.errors import (
-    ReclaimedMemoryError,
-    SoftMemoryDegraded,
-    SoftMemoryDenied,
-)
+from repro.core.errors import ReclaimedMemoryError
 from repro.core.pointer import SoftPtr
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.tier import (
@@ -383,45 +379,36 @@ class SoftDict(SoftDataStructure):
         tier = self.tier
         if tier.enabled:
             compressed = len(self._compressed_age)
-            if compressed:
-                total = self._ht0.used + (self._ht1.used if self._ht1 else 0)
-                if compressed > tier.watermark_frac * total:
-                    if self._drop_oldest_compressed():
-                        return True
-            for alloc_id, ptr in self._by_age.items():
-                if not ptr.allocation.pinned:
-                    return self._demote_or_drop(alloc_id, ptr)
-            return self._drop_oldest_compressed()
-        for alloc_id, ptr in self._by_age.items():
+            if compressed > tier.watermark_frac * len(self):
+                if self._drop_oldest_compressed():
+                    return True
+        for ptr in self._by_age.values():
             if not ptr.allocation.pinned:
-                key, __ = ptr.deref()
-                found = self._find(key)
-                assert found is not None and found[0] is ptr
-                self._remove_ptr(ptr, found[1], found[2])
-                del self._by_age[alloc_id]
-                self._reclaim_ptr(ptr)
+                if tier.enabled:
+                    self._demote_or_drop(ptr)
+                else:
+                    self._drop(ptr)
                 return True
         # entries recovered in compressed form stay reclaimable even
         # with the tier switched off (no-op unless such entries exist)
         return self._drop_oldest_compressed()
 
-    def _demote_or_drop(self, alloc_id: int, ptr: SoftPtr) -> bool:
+    def _demote_or_drop(self, ptr: SoftPtr) -> None:
         """Demote one resident victim, dropping it if compression fails."""
         key, __ = ptr.deref()
-        if self.demote(key):
-            return True
-        if not ptr.allocation.valid:
-            # demote() lost the extent swap (``tier.demote_swap_lost``)
-            # and already accounted the entry as dropped
-            return True
-        # too small / incompressible: the victim drops like before
+        if not self.demote(key):
+            # too small / incompressible: the victim drops like before
+            self.tier_stats.incompressible += 1
+            self._drop(ptr)
+
+    def _drop(self, ptr: SoftPtr) -> None:
+        """Unlink one entry and free it on the reclamation path."""
+        key, __ = ptr.deref()
         found = self._find(key)
         assert found is not None and found[0] is ptr
-        self.tier_stats.incompressible += 1
         self._remove_ptr(ptr, found[1], found[2])
-        del self._by_age[alloc_id]
+        self._by_age.pop(ptr.alloc_id, None)
         self._reclaim_ptr(ptr)
-        return True
 
     def demote(self, key: bytes) -> bool:
         """Demote one entry into the compressed tier right now.
@@ -429,15 +416,13 @@ class SoftDict(SoftDataStructure):
         Used by the eviction policy and by recovery replay of demote
         records. Returns ``True`` when the entry ends up (or already
         was) compressed; ``False`` when it stays resident (absent,
-        pinned, too small, or incompressible). A failed extent swap —
-        counted in ``tier_stats.demote_swap_lost``, and at benchmark
-        scale the common outcome, not a rare one — loses the entry and
-        accounts it exactly like a reclamation drop.
+        pinned, too small, or incompressible). Never removes an entry:
+        once the value compresses, ``soft_demote`` cannot fail.
         """
         found = self._find(key)
         if found is None:
             return False
-        ptr, table, slot = found
+        ptr = found[0]
         __, value = ptr.deref()
         if type(value) is CompressedValue:
             return True
@@ -449,31 +434,8 @@ class SoftDict(SoftDataStructure):
         new_size = ptr.size - compressed.original_bytes + len(compressed.data)
         if not 0 < new_size < ptr.size:
             return False
-        chain = table.buckets[slot]
-        assert chain is not None
-        index = chain.index(ptr)
-        new_ptr = self._sma.soft_demote(ptr, new_size, (key, compressed))
-        self._by_age.pop(ptr.alloc_id, None)
-        if new_ptr is None:
-            # placement failed even into the freed extent; the data is
-            # gone — account it exactly like a reclamation drop
-            self.tier_stats.demote_swap_lost += 1
-            self._remove_ptr(ptr, table, slot)
-            self.evictions += 1
-            callback = self._context.callback
-            if callback is not None:
-                try:
-                    callback((key, value))
-                except Exception:
-                    self._context.callback_errors += 1
-            return False
-        chain[index] = new_ptr
-        self._compressed_age[new_ptr.alloc_id] = new_ptr
-        self._context.compressed_bytes += len(compressed.data)
-        self.tier_stats.demotions += 1
-        self.tier_stats.bytes_saved += (
-            compressed.original_bytes - len(compressed.data)
-        )
+        self._sma.soft_demote(ptr, new_size, (key, compressed))
+        self._enter_tier(ptr, compressed)
         if self.on_demoted is not None:
             # the owner's ledger/durability hook must not abort the
             # reclamation wave the demotion is servicing
@@ -484,62 +446,48 @@ class SoftDict(SoftDataStructure):
         return True
 
     def _drop_oldest_compressed(self) -> bool:
-        for alloc_id, ptr in self._compressed_age.items():
+        for ptr in self._compressed_age.values():
             if ptr.allocation.pinned:
                 continue
-            key, compressed = ptr.deref()
-            found = self._find(key)
-            assert found is not None and found[0] is ptr
-            self._remove_ptr(ptr, found[1], found[2])
-            del self._compressed_age[alloc_id]
+            __, compressed = ptr.deref()
+            del self._compressed_age[ptr.alloc_id]
             self._context.compressed_bytes -= len(compressed.data)
             self.tier_stats.second_chance_drops += 1
-            self._reclaim_ptr(ptr)
+            self._drop(ptr)
             return True
         return False
 
     def promote(self, key: bytes) -> Any | None:
-        """Inflate a demoted entry back to residency; return its value.
+        """Inflate a demoted entry and return its value.
 
-        Re-admission of the inflated size is budget-gated exactly like
-        recovery re-admission: on denial (or degraded daemon) the entry
-        stays compressed and the caller still gets the transiently
-        inflated value — the read is served either way, which is the
-        hit-rate recovery the tier exists for.
+        The read is served from the stub either way. The entry goes back
+        to residency only if its full size fits in pages the heap
+        already owns (``soft_promote``); otherwise it stays compressed
+        and the denial is counted — a read never draws on the pool, the
+        budget or the daemon. A write, or an extent freed later,
+        re-admits it.
 
         Returns ``None`` if the key is absent or not compressed.
         """
         found = self._find(key)
         if found is None:
             return None
-        ptr, table, slot = found
+        ptr = found[0]
         __, compressed = ptr.deref()
         if type(compressed) is not CompressedValue:
             return None
         started = time.perf_counter()
         value = inflate_value(compressed)
         new_size = ptr.size + compressed.original_bytes - len(compressed.data)
-        alloc = ptr.allocation
-        alloc.pins += 1  # re-admission may reclaim against this dict
-        try:
-            new_ptr = self._alloc(new_size, (key, value))
-        except (SoftMemoryDenied, SoftMemoryDegraded):
+        if self._sma.soft_promote(ptr, new_size, (key, value)):
+            del self._compressed_age[ptr.alloc_id]
+            self._by_age[ptr.alloc_id] = ptr
+            self._context.compressed_bytes -= len(compressed.data)
+            self.tier_stats.promotions += 1
+            if self.on_promoted is not None:
+                self.on_promoted(key, value, compressed)
+        else:
             self.tier_stats.promotion_denials += 1
-            if self.observe_promote is not None:
-                self.observe_promote(time.perf_counter() - started)
-            return value  # transient inflation; entry stays compressed
-        finally:
-            alloc.pins -= 1
-        chain = table.buckets[slot]
-        assert chain is not None
-        chain[chain.index(ptr)] = new_ptr
-        del self._compressed_age[alloc.alloc_id]
-        self._by_age[new_ptr.alloc_id] = new_ptr
-        self._context.compressed_bytes -= len(compressed.data)
-        self.tier_stats.promotions += 1
-        self._free(ptr)
-        if self.on_promoted is not None:
-            self.on_promoted(key, value, compressed)
         if self.observe_promote is not None:
             self.observe_promote(time.perf_counter() - started)
         return value
@@ -561,14 +509,19 @@ class SoftDict(SoftDataStructure):
         __, value = ptr.deref()
         if type(value) is not CompressedValue:
             return False
-        if ptr.alloc_id in self._compressed_age:
-            return True
-        self._by_age.pop(ptr.alloc_id, None)
-        self._compressed_age[ptr.alloc_id] = ptr
-        self._context.compressed_bytes += len(value.data)
-        self.tier_stats.demotions += 1
-        self.tier_stats.bytes_saved += value.original_bytes - len(value.data)
+        if ptr.alloc_id not in self._compressed_age:
+            self._enter_tier(ptr, value)
         return True
+
+    def _enter_tier(self, ptr: SoftPtr, compressed: CompressedValue) -> None:
+        """Move an entry's handle from the resident to the compressed index."""
+        del self._by_age[ptr.alloc_id]
+        self._compressed_age[ptr.alloc_id] = ptr
+        self._context.compressed_bytes += len(compressed.data)
+        self.tier_stats.demotions += 1
+        self.tier_stats.bytes_saved += (
+            compressed.original_bytes - len(compressed.data)
+        )
 
     @property
     def compressed_entries(self) -> int:

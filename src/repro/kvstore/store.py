@@ -315,10 +315,9 @@ class DataStore:
     def _read(self, key: bytes) -> Value | None:
         """Lazy-expiring raw read with hit/miss accounting.
 
-        A read of a demoted entry promotes it back to residency (or
-        serves a transient inflation when the budget denies the
-        re-admission) — either way the read is a hit, which is the
-        hit-rate recovery the second-chance tier exists for.
+        A read of a demoted entry is served from its stub (and goes
+        back to residency where the heap owns the room) — a hit, which
+        is the hit-rate recovery the second-chance tier exists for.
         """
         if self._expires and self._check_expired(key):
             self.stats.misses += 1
@@ -905,14 +904,17 @@ class DataStore:
                 expires.pop(record[1], None)
             elif kind == "M":
                 # demotion only returns bytes to the heap, so it needs no
-                # budget; with the tier off on this boot the entry stays
-                # resident, which the budget gate already allowed
+                # budget and cannot lose the key; with the tier off on
+                # this boot the entry stays resident, which the budget
+                # gate already allowed
                 if soft_dict.tier.enabled:
+                    keys = len(soft_dict)
                     self._restoring = record[1]
                     try:
                         soft_dict.demote(record[1])
                     finally:
                         self._restoring = None
+                    assert len(soft_dict) == keys, "a replayed M dropped"
             elif kind == "F":
                 self._clear()
             # "Z" seals a snapshot; its loader strips it

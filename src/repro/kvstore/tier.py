@@ -5,8 +5,9 @@ resident or gone. This module adds the state in between: *demotion*
 zlib-compresses the value bytes and re-admits the entry at compressed
 size, so the reclamation wave still frees real budget (the extent
 shrinks) while the data stays recoverable. Only a later pressure wave,
-or the compressed-tier watermark, truly drops it; a read in between
-*promotes* (inflates) it back to residency.
+or the compressed-tier watermark, truly drops it; a read in between is
+served from the stub, which *promotes* (goes back to residency) only
+into room the heap already owns.
 
 Wire format: the plaintext fed to zlib is the persistence codec's typed
 value serialization (tag + chunks), so deflate/inflate round-trips all
@@ -90,11 +91,8 @@ class TierStats:
     displacements: int = 0
     #: deflate declined (too small / incompressible) — victim dropped
     incompressible: int = 0
-    #: deflate succeeded but the allocator found no extent for the
-    #: compressed stub after freeing the victim's — victim dropped
-    demote_swap_lost: int = 0
-    #: promote re-admission denied by the soft budget; the read is still
-    #: served from a transient inflation, the entry stays compressed
+    #: reads served from the stub because the heap owned no room for
+    #: the full size: a transient inflation, the entry stays compressed
     promotion_denials: int = 0
     bytes_saved: int = 0  # original − compressed, summed over demotions
 

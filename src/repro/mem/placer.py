@@ -172,6 +172,25 @@ class PagePlacer:
             if page.is_free:
                 self._free_pages[page] = None
 
+    def shrink(self, placement: Placement, new_size: int) -> Placement:
+        """Move ``placement`` to a smaller extent; cannot fail, needs no page.
+
+        The old extent is freed, then the new one goes where
+        :meth:`place` puts it, else into the first entirely-free page,
+        else into the page the old extent just left. That fallback page
+        is re-opened as the newest, so the shrunk extents that follow
+        pack into it and the pages they leave free wholly.
+        """
+        self.free(placement)
+        moved = self.place(new_size)
+        if moved is None:  # small, and no room in the scan window
+            page = next(iter(self._free_pages), placement.pages[0])
+            self._open.pop(page, None)
+            self._open[page] = None
+            moved = self._place_small(new_size)
+            assert moved is not None
+        return moved
+
     def take_free_pages(self, max_count: int | None = None) -> list[Page]:
         """Remove and return up to ``max_count`` entirely-free pages.
 

@@ -211,6 +211,27 @@ class SizeClassPlacer:
                 self._partial.setdefault(slab.slot_size, []).append(page)
         self._used_bytes -= placement.size
 
+    def shrink(self, placement: Placement, new_size: int) -> Placement:
+        """:meth:`PagePlacer.shrink`'s contract: cannot fail, needs no page.
+
+        :meth:`place` already formats an entirely-free page when the new
+        class has no partial slab; the last resort is the slot the old
+        extent just left, whatever its class.
+        """
+        self.free(placement)
+        moved = self.place(new_size)
+        if moved is None:
+            page = placement.pages[0]
+            slab = self._slabs[page]
+            offset = slab.free_offsets.pop()
+            assert offset == placement.offset
+            page.live_allocs += 1
+            if not slab.free_offsets:
+                self._partial[slab.slot_size].remove(page)
+            self._used_bytes += new_size
+            moved = Placement((page,), offset, new_size)
+        return moved
+
     # -- quality metrics ---------------------------------------------------
 
     def fragmentation(self) -> float:

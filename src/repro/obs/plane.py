@@ -303,8 +303,9 @@ def bind_tier(
     ``soft_dict`` is a :class:`~repro.kvstore.dict.SoftDict` (typed
     ``Any`` to keep the obs plane import-light).  Returns the observe
     callable for the ``tier.promote_latency`` histogram — the dict
-    calls it with each promotion's inflate-to-readmit duration in
-    seconds, so p99 promote cost is visible next to command latency.
+    calls it with the duration in seconds of each read of a demoted
+    entry (inflate, plus re-admission when the heap owns the room), so
+    the p99 cost of a stub read is visible next to command latency.
     """
     _bind_attrs(
         registry,
@@ -316,7 +317,6 @@ def bind_tier(
             "second_chance_drops",
             "displacements",
             "incompressible",
-            "demote_swap_lost",
             "promotion_denials",
             "bytes_saved",
         ),

@@ -48,6 +48,11 @@ from repro.daemon.registry import ProcessRecord
 from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
 from repro.rpc.config import DEFAULT_RPC_CONFIG, ReplyCache, RpcConfig
 from repro.rpc.framing import FrameClosed, FrameStream
+from repro.util.eventlog import EventLog
+
+#: events the hosted daemon's log keeps: it records every request, grant
+#: and demand for the life of the machine's one daemon process
+EVENT_LOG_BOUND = 4096
 
 
 class _RemoteBudget:
@@ -242,7 +247,11 @@ class RpcDaemonServer:
         rpc_config: RpcConfig | None = None,
     ) -> None:
         self.socket_path = socket_path
-        self.smd = SoftMemoryDaemon(soft_capacity_pages, config=config)
+        self.smd = SoftMemoryDaemon(
+            soft_capacity_pages,
+            config=config,
+            event_log=EventLog(max_events=EVENT_LOG_BOUND),
+        )
         self.rpc_config = rpc_config or DEFAULT_RPC_CONFIG
         self._lock = threading.Lock()  # serializes daemon state changes
         self._connections: list[_Connection] = []

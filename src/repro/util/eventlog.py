@@ -7,6 +7,7 @@ Benchmarks then turn the log into the time series the paper plots.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -30,10 +31,15 @@ class Event:
 
 
 class EventLog:
-    """Append-only list of events with simple query helpers."""
+    """Append-only log of events with simple query helpers.
 
-    def __init__(self) -> None:
-        self._events: list[Event] = []
+    Unbounded by default — a simulator's whole run is its timeline.
+    With ``max_events`` it is a ring of the most recent events, for a
+    long-lived process; subscribers see every event either way.
+    """
+
+    def __init__(self, max_events: int | None = None) -> None:
+        self._events: deque[Event] = deque(maxlen=max_events)
         self._subscribers: list[Callable[[Event], None]] = []
         #: subscriber callbacks that raised inside :meth:`record`
         self.subscriber_errors = 0

@@ -166,6 +166,27 @@ class TestServerEdgeCases:
             assert server.smd.registry.get(agent.pid).granted_pages == 5
             agent.close()
 
+    def test_hosted_daemon_keeps_a_bounded_event_log(self, tmp_path):
+        """The RPC host lives as long as the machine and logs every
+        request, grant and release: its log must be a ring."""
+        from repro.rpc.server import EVENT_LOG_BOUND
+
+        server = RpcDaemonServer(str(tmp_path / "smd.sock"), 10)
+        try:
+            smd = server.smd
+            seen = []
+            smd.log.subscribe(lambda event: seen.append(event.kind))
+            pid = smd.register(LockedSoftMemoryAllocator(name="c")).pid
+            for _ in range(10 * EVENT_LOG_BOUND):
+                smd.handle_request(pid, 1)
+                smd.handle_release(pid, 1)
+            assert smd.requests == 10 * EVENT_LOG_BOUND
+            assert len(smd.log) == EVENT_LOG_BOUND
+            assert smd.log.last("release") is smd.log[-1]
+            assert len(seen) >= 30 * EVENT_LOG_BOUND  # every event observed
+        finally:
+            server.stop()
+
     def test_release_settles_ledger(self, tmp_path):
         from repro.sds.soft_linked_list import SoftLinkedList
         from repro.util.units import PAGE_SIZE

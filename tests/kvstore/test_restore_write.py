@@ -11,6 +11,11 @@ to re-admit the new value:
 * the caller counts a denial (``apply_denied`` /
   ``recovery_admission_denied``); ``stats.reclaimed_keys`` is untouched;
 * nothing is logged — the replica's AOF holds exactly the stream bytes.
+
+A replayed ``M`` is the other record that moves an extent. It relocates
+the entry at compressed size inside the pages the heap owns and cannot
+lose it — it used to drop the key, without a tombstone, whenever the
+stub found no extent.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ import pytest
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SoftMemoryDaemon
-from repro.kvstore.persist.codec import EXP_ABSOLUTE, EXP_NONE, encode_write
+from repro.kvstore.persist.codec import (
+    EXP_ABSOLUTE,
+    EXP_NONE,
+    encode_demote,
+    encode_write,
+)
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.repl import ReplicationState, apply_stream
 from repro.kvstore.store import DataStore, StoreConfig
@@ -166,3 +176,68 @@ def test_replayed_overwrite_of_a_compressed_entry_is_a_displacement(tmp_path):
     assert store.traditional_bytes == len(K2) + 1500
     store.sma.check_invariants()
     replica.persist.close()
+
+
+# ----------------------------------------------------------------------
+# a replayed M cannot lose its key
+# ----------------------------------------------------------------------
+
+#: budget pages -> the ``W`` records that fill them. One page: the
+#: tightest budget. Ten pages of one entry each, every one too full to
+#: take the stub: ``key-0``'s page is outside the placer's scan window,
+#: which is where the swap used to be lost and the key dropped.
+DEMOTE_CASES = {
+    1: [(K1, ANCHOR, None), (K2, SMALL, None)],
+    10: [(b"key-%d" % i, bytes([97 + i]) * 3950, None) for i in range(10)],
+}
+
+
+def demote_stream(pages: int) -> tuple[bytes, bytes, bytes]:
+    """``W…M``: fill the budget, then demote the oldest key."""
+    writes = DEMOTE_CASES[pages]
+    key, value, __ = writes[0]
+    out = bytearray(stream_of(*writes))
+    encode_demote(out, key)
+    return bytes(out), key, value
+
+
+def assert_demoted_not_dropped(store: DataStore, key, value, pages):
+    soft_dict = store._dict
+    assert sorted(store.keys()) == sorted(k for k, __, __ in DEMOTE_CASES[pages])
+    assert type(soft_dict.get(key)) is CompressedValue
+    assert soft_dict.compressed_entries == 1
+    stats = soft_dict.tier_stats
+    assert (stats.demotions, stats.second_chance_drops) == (1, 0)
+    assert store.stats.reclaimed_keys == 0 and soft_dict.evictions == 0
+    assert store.sma.budget.held <= pages
+    assert store.get(key) == value  # served from the stub
+    store.sma.check_invariants()
+
+
+@pytest.mark.parametrize("pages", sorted(DEMOTE_CASES))
+def test_replica_apply_of_a_demote_keeps_the_key(tmp_path, pages):
+    raw, key, value = demote_stream(pages)
+    replica = Replica(tmp_path, tight_sma(pages), tier=TierConfig(enabled=True))
+    replica.apply(raw)
+    assert replica.state.apply_denied == 0
+    assert_demoted_not_dropped(replica.store, key, value, pages)
+    # the replica's AOF is the stream: no T for a lost key, no second M
+    assert replica.persist.aof_size == len(raw)
+    assert replica.persist.stats.tombstones_logged == 0
+    replica.persist.close()
+
+
+@pytest.mark.parametrize("pages", sorted(DEMOTE_CASES))
+def test_recovery_of_a_demote_keeps_the_key(tmp_path, pages):
+    raw, key, value = demote_stream(pages)
+    with open(tmp_path / "incr-0.aof", "wb") as fh:
+        fh.write(raw)
+    store = DataStore(tight_sma(pages), StoreConfig(tier=TierConfig(enabled=True)))
+    persist = Persistence(PersistenceConfig(dir=str(tmp_path)), clock=UNIX)
+    store.attach_persistence(persist)
+    assert persist.stats.recovery_admission_denied == 0
+    assert_demoted_not_dropped(store, key, value, pages)
+    persist.flush()
+    assert persist.aof_size == len(raw)  # replay appended nothing
+    assert persist.stats.tombstones_logged == 0
+    persist.close()

@@ -17,6 +17,8 @@ from repro.kvstore.tier import (
 )
 from repro.kvstore.values import CompressedValue, value_bytes
 
+from tests.core.test_tier_moves import SpyDaemon, page_state
+
 TIER = TierConfig(enabled=True)
 
 
@@ -177,8 +179,11 @@ class TestDemotePromote:
         for i in range(20):
             assert store.get(f"k{i}".encode()) == b"A" * 2000
         assert store.stats.hits == hits_before + 20
-        assert store._dict.tier_stats.promotions == demoted
-        assert store._dict.compressed_entries == 0
+        # every demoted key was served from its stub; it went back to
+        # residency only where the heap already owned the room
+        ts = store._dict.tier_stats
+        assert ts.promotions + ts.promotion_denials == demoted
+        assert store._dict.compressed_entries == demoted - ts.promotions
         assert identity_holds(store._dict)
         store.sma.check_invariants()
 
@@ -271,11 +276,21 @@ class TestDemotePromote:
         ts = store._dict.tier_stats
         assert ts.demotions > 0
         assert store.traditional_bytes == trad_before - ts.bytes_saved
-        # promoting restores the original accounting
+        # a read served from the stub leaves the accounting alone; one
+        # that promotes restores it (deleting the newest key opens a
+        # hole inside the placer's scan window)
+        assert store.delete(b"k9") == 1
+        trad_before -= len(b"k9") + 2000
         for k, v in list(store._dict.items()):
             if type(v) is CompressedValue:
                 store.get(k)
-        assert store.traditional_bytes == trad_before
+        assert ts.promotions > 0 and ts.promotion_denials > 0
+        still_saved = sum(
+            v.original_bytes - len(v.data)
+            for __, v in store._dict.items()
+            if type(v) is CompressedValue
+        )
+        assert store.traditional_bytes == trad_before - still_saved
         store.sma.check_invariants()
 
     def test_tier_off_reproduces_plain_drop(self):
@@ -311,12 +326,12 @@ class TestDemotePromote:
 
 
 def test_every_demote_attempt_is_accounted(store, monkeypatch):
-    """attempts == demotions + incompressible + demote_swap_lost.
+    """attempts == demotions + incompressible: there is no third outcome.
 
     A seeded pressure run: mixed-size values, a fifth of them random
     bytes, a quarter of the pages reclaimed after every write burst. A
-    victim demotes, is refused by the codec, or loses the extent swap —
-    and the last is no corner case, which is why it has a counter.
+    victim demotes or is refused by the codec; once its value
+    compresses, placing the stub cannot fail.
     """
     import random
 
@@ -325,8 +340,8 @@ def test_every_demote_attempt_is_accounted(store, monkeypatch):
     monkeypatch.setattr(
         SoftDict,
         "_demote_or_drop",
-        lambda self, alloc_id, ptr: (
-            attempts.append(alloc_id) or demote_or_drop(self, alloc_id, ptr)
+        lambda self, ptr: (
+            attempts.append(ptr.alloc_id) or demote_or_drop(self, ptr)
         ),
     )
     rng = random.Random(7)
@@ -341,14 +356,105 @@ def test_every_demote_attempt_is_accounted(store, monkeypatch):
         store.sma.reclaim(store.soft_pages // 4)
     ts = store.keyspace.tier_stats
     assert attempts
-    assert len(attempts) == (
-        ts.demotions + ts.incompressible + ts.demote_swap_lost
-    )
-    assert min(ts.demotions, ts.incompressible, ts.demote_swap_lost) > 0
-    snapshot = store.obs.registry.snapshot()
-    assert snapshot["tier.demote_swap_lost"] == ts.demote_swap_lost
+    assert len(attempts) == ts.demotions + ts.incompressible
+    assert min(ts.demotions, ts.incompressible) > 0
+    assert "tier.demote_swap_lost" not in store.obs.registry.snapshot()
     assert identity_holds(store.keyspace)
     store.sma.check_invariants()
+
+
+class TestAReadNeverProvisions:
+    """Promotion happens only inside pages the heap already owns."""
+
+    @pytest.fixture
+    def squeezed(self):
+        """40 one-to-a-page entries, the oldest demoted by a wave that
+        took its pages: the budget is taut and no hole fits an entry."""
+        daemon = SpyDaemon()
+        sma = SoftMemoryAllocator(daemon, name="taut", request_batch_pages=1)
+        store = DataStore(sma, StoreConfig(tier=TIER))
+        for i in range(40):
+            store.set(b"k%02d" % i, bytes([65 + i % 26]) * 2000)
+        assert store.sma.reclaim(8).pages_reclaimed == 8
+        assert sma.budget.granted == sma.budget.held == store.soft_pages
+        assert sma.pool.page_count == 0
+        demoted = [
+            k for k, v in store._dict.items() if type(v) is CompressedValue
+        ]
+        assert len(demoted) >= 8
+        return store, daemon, demoted
+
+    def test_reads_of_demoted_keys_cost_no_daemon_traffic(self, squeezed):
+        store, daemon, demoted = squeezed
+        ts = store._dict.tier_stats
+        before = page_state(store.sma, daemon)
+        hits = store.stats.hits
+        for n in range(1000):
+            key = demoted[n % len(demoted)]
+            assert store.get(key) == bytes([65 + int(key[1:]) % 26]) * 2000
+        assert page_state(store.sma, daemon) == before
+        assert (ts.promotions, ts.promotion_denials) == (0, 1000)
+        assert store.stats.hits == hits + 1000
+        assert store._dict.compressed_entries == len(demoted)
+        assert identity_holds(store._dict)
+        store.sma.check_invariants()
+
+    def test_the_same_read_promotes_into_a_fitting_hole(self, squeezed):
+        store, daemon, demoted = squeezed
+        dct, ts = store._dict, store._dict.tier_stats
+        key = demoted[0]
+        ptr = dct._find(key)[0]
+        compressed = dct.get(key)
+        compressed_bytes = dct.compressed_bytes
+        trad = store.traditional_bytes
+        # a freed extent inside the scan window is room the heap owns
+        assert store.delete(b"k39") == 1
+        trad -= len(b"k39") + 2000
+        before = page_state(store.sma, daemon)
+        value = bytes([65 + int(key[1:]) % 26]) * 2000
+        assert store.get(key) == value
+        assert page_state(store.sma, daemon) == before
+        assert (ts.promotions, ts.promotion_denials) == (1, 0)
+        assert dct._find(key)[0] is ptr  # the handle survived
+        assert ptr.size == store._entry_size(key, value)
+        assert ptr.alloc_id in dct._by_age
+        assert ptr.alloc_id not in dct._compressed_age
+        assert list(dct._by_age)[-1] == ptr.alloc_id  # newest resident
+        assert dct.compressed_entries == len(demoted) - 1
+        assert dct.compressed_bytes == compressed_bytes - len(compressed.data)
+        assert store.traditional_bytes == trad + 2000 - len(compressed.data)
+        assert identity_holds(dct)
+        store.sma.check_invariants()
+        # the hole is spent: the next demoted key is served from its stub
+        assert store.get(demoted[1]) is not None
+        assert (ts.promotions, ts.promotion_denials) == (1, 1)
+
+
+def test_wave_over_a_full_heap_meets_its_quota_without_a_drop(store):
+    """Every victim compresses, so under the watermark every victim is a
+    demotion: the stubs pack into dense pages, the pages the victims
+    leave free wholly, and the wave is paid in full with no key lost."""
+    import random
+
+    rng = random.Random(11)
+    for i in range(400):
+        size = rng.randint(512, 2048)
+        store.set(b"key:%04d" % i, bytes([97 + i % 26]) * size)
+    dct, sma = store._dict, store.sma
+    assert sma.budget.unused == 0 and sma.pool.page_count == 0
+    assert dct.context.heap.free_page_count < 4  # a full heap
+    quota = store.soft_pages // 4
+    stats = sma.reclaim(quota)
+    assert stats.pages_from_sds == quota  # met from live data alone
+    assert stats.allocations_freed == 0
+    assert stats.allocations_demoted == dct.tier_stats.demotions > 0
+    assert store.stats.reclaimed_keys == 0
+    assert dct.tier_stats.second_chance_drops == 0
+    assert dct.tier_stats.incompressible == 0
+    assert len(dct) == 400
+    assert dct.compressed_entries < TIER.watermark_frac * len(dct)
+    assert identity_holds(dct)
+    sma.check_invariants()
 
 
 class TestRegisterCompressed:
@@ -372,18 +478,21 @@ class TestRegisterCompressed:
 
 
 class TestSoftDemotePrimitive:
-    def test_demote_shrinks_in_place_without_budget_traffic(self):
+    def test_demote_relocates_without_budget_traffic(self):
         sma = SoftMemoryAllocator(name="sd-test")
         context = sma.create_context("c")
         ptr = sma.soft_malloc(3000, context, "payload")
+        alloc_id = ptr.alloc_id
         requests_before = sma.stats.daemon_requests
-        new_ptr = sma.soft_demote(ptr, 300, "small")
-        assert new_ptr is not None
-        assert new_ptr.size == 300
-        assert new_ptr.deref() == "small"
+        mapped_before = sma.stats.pages_mapped
+        assert sma.soft_demote(ptr, 300, "small") is ptr  # handle survives
+        assert ptr.valid and ptr.alloc_id == alloc_id
+        assert ptr.size == 300
+        assert ptr.deref() == "small"
         assert sma.stats.daemon_requests == requests_before
+        assert sma.stats.pages_mapped == mapped_before
         assert sma.stats.demotions == 1
-        assert not ptr.allocation.valid
+        assert sma.live_bytes == 300
         sma.check_invariants()
 
     def test_demote_to_larger_size_rejected(self):

@@ -12,8 +12,9 @@ TCP — then drives seeded traffic phases through a counting client:
 * ``pressure`` — the antagonist allocates until the daemon reclaims
   keyspace entries (reclaimed keys, over-reclaim, trace events);
 * ``tier``     — (with ``tier=True``) a ``MEMORY PURGE`` wave demotes
-  entries into the compressed second-chance tier, reads promote a
-  sample back, and a deeper wave forces second-chance drops;
+  entries into the compressed second-chance tier, reads of a sample
+  are served from their stubs, and a deeper wave forces second-chance
+  drops;
 * ``degraded`` — the store's SMA is marked degraded mid-traffic, so
   writes needing budget surface as OOM error replies, not crashes;
 * ``poison``   — malformed RESP frames on throwaway connections.
@@ -63,6 +64,7 @@ from repro.kvstore.resp import (
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 from repro.kvstore.tier import TierConfig
+from repro.kvstore.values import CompressedValue
 from repro.obs.plane import bind_smd
 from repro.util.units import PAGE_SIZE
 
@@ -234,17 +236,24 @@ class SoakHarness:
     def phase_tier(self, purge_pages: int = 24) -> None:
         """Demote → promote → second wave, all over live TCP.
 
-        A ``MEMORY PURGE`` wave compresses victims in place, seeded
-        reads promote a sample back to residency, and a much deeper
-        second wave pushes the tier past its watermark into real
-        second-chance drops — the full lifecycle the tier conservation
-        identity (check 8) spans. Only meaningful with ``tier=True``.
+        A ``MEMORY PURGE`` wave relocates victims at compressed size,
+        reads of a sample of them are served from their stubs (back to
+        residency where the heap owns the room, counted as a denial
+        where it does not), and a much deeper second wave pushes the
+        tier past its watermark into real second-chance drops — the
+        full lifecycle the tier conservation identity (check 8) spans.
+        Only meaningful with ``tier=True``.
         """
         client = self.client
         client.execute(b"MEMORY", b"PURGE", b"%d" % purge_pages)
-        # promote a seeded slice of the fill keys back to residency
-        for i in range(0, 200, 2):
-            client.execute(b"GET", b"fill:%d" % i)
+        with self.server._lock:
+            demoted = [
+                key
+                for key, value in self.store.keyspace.items()
+                if type(value) is CompressedValue
+            ]
+        for key in demoted[::2]:
+            assert client.execute(b"GET", key) is not None
         # the second pressure wave: deep enough to exhaust residents
         # and spill the tier itself (second-chance drops, tombstones)
         client.execute(b"MEMORY", b"PURGE", b"%d" % (purge_pages * 4))

@@ -74,10 +74,11 @@ def test_soak_with_persistence_is_exact_and_recoverable(tmp_path):
 
 def test_tier_soak_identity_holds_every_phase():
     """The second-chance tier under full soak: the tier phase drives
-    demote → promote → second-chance drop over live TCP, and the tier
-    conservation identity (check 8) is asserted after *every* phase —
-    alongside the SMD identity, which must stay exact with compressed
-    entries charged at compressed size."""
+    demote → read (promote, or serve from the stub) → second-chance
+    drop over live TCP, and the tier conservation identity (check 8) is
+    asserted after *every* phase — alongside the SMD identity, which
+    must stay exact with compressed entries charged at compressed
+    size."""
     with SoakHarness(seed=1234, tier=True) as soak:
         soak.run(rounds=SOAK_ROUNDS)
         # the tier phase ran and was checked (7 phases/round with tier)
@@ -86,7 +87,10 @@ def test_tier_soak_identity_holds_every_phase():
         ts = soak.store._dict.tier_stats
         # the full lifecycle really happened:
         assert ts.demotions > 0
+        # reads of demoted keys were served: back to residency where
+        # the heap owned the room, from the stub where it did not
         assert ts.promotions > 0
+        assert ts.promotion_denials > 0
         assert ts.second_chance_drops > 0
         # demotion genuinely compressed bytes out of the soft budget
         assert ts.bytes_saved > 0

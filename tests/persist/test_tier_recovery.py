@@ -5,7 +5,7 @@ The tier-specific contracts:
 * a demoted entry is *not* lost data — it survives a restart, recovered
   back into the compressed tier (from a snapshot's ``C`` value or by
   replaying the AOF's ``M`` demote record), and a read after recovery
-  promotes it exactly like before;
+  is served from it exactly like before;
 * recovery re-admission of a compressed entry is budget-gated at its
   *compressed* size — a budget too small for the inflated value but big
   enough for the compressed bytes keeps the entry;
@@ -86,10 +86,12 @@ def test_demoted_entry_survives_restart_via_aof(tmp_path):
         k for k, v in store2._dict.items() if type(v) is CompressedValue
     }
     assert recovered == set(demoted)
-    # a read promotes and returns the original bytes
+    # a read returns the original bytes, served from the stub: the
+    # entry goes back to residency only if the heap owns the room
     assert store2.get(demoted[0]) == b"A" * 2000
-    assert store2._dict.tier_stats.promotions == 1
-    assert store2._dict.compressed_entries == len(demoted) - 1
+    ts = store2._dict.tier_stats
+    assert ts.promotions + ts.promotion_denials == 1
+    assert store2._dict.compressed_entries == len(demoted) - ts.promotions
     persist2.close()
 
 
@@ -220,9 +222,8 @@ def test_demoted_entries_survive_a_real_server_restart(tmp_path):
             assert int(fields[b"reclaimed_keys"]) == 0  # demoted, not lost
             for k in written:  # every key still served pre-restart
                 assert client.execute("GET", k) == b"V" * 2000
-            # the reads promoted them all; demote again so the restart
-            # actually exercises compressed-entry recovery
-            client.execute("MEMORY", "PURGE", "8")
+            # a read does not grow the heap, so most stay compressed and
+            # the restart exercises compressed-entry recovery
             fields = _info_fields(client)
             compressed_before = int(fields[b"compressed_entries"])
             assert compressed_before > 0
@@ -237,8 +238,13 @@ def test_demoted_entries_survive_a_real_server_restart(tmp_path):
             for k in written:  # nothing was lost across the restart
                 assert client.execute("GET", k) == b"V" * 2000
             fields = _info_fields(client)
-            assert int(fields[b"compressed_entries"]) == 0  # all promoted
-            assert int(fields[b"tier.promotions"]) == compressed_before
+            served = int(fields[b"tier.promotions"]) + int(
+                fields[b"tier.promotion_denials"]
+            )
+            assert served == compressed_before  # each read from its stub
+            assert int(fields[b"compressed_entries"]) == (
+                compressed_before - int(fields[b"tier.promotions"])
+            )
     finally:
         terminate(proc2)
 

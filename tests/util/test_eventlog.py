@@ -58,6 +58,24 @@ class TestEventLog:
         log.record(1, "b")
         assert [e.kind for e in seen] == ["a", "b"]
 
+    def test_bounded_log_is_a_ring_of_the_most_recent(self):
+        log = EventLog(max_events=4)
+        seen = []
+        log.subscribe(seen.append)
+        for n in range(10):
+            log.record(n, "tick" if n % 2 else "tock", n=n)
+        assert len(log) == 4
+        assert [e.detail["n"] for e in log] == [6, 7, 8, 9]
+        assert log[0].detail["n"] == 6 and log[-1].detail["n"] == 9
+        assert [e.detail["n"] for e in log.of_kind("tick")] == [7, 9]
+        assert len(seen) == 10  # subscribers still see every event
+
+    def test_default_is_unbounded(self):
+        log = EventLog()
+        for n in range(10_000):
+            log.record(n, "tick")
+        assert len(log) == 10_000
+
     def test_clear(self):
         log = EventLog()
         log.record(0, "a")
