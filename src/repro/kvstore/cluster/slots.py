@@ -109,6 +109,7 @@ KEYLESS = frozenset((
     b"PING", b"ECHO", b"INFO", b"SLOWLOG", b"CONFIG", b"DBSIZE",
     b"FLUSHALL", b"SAVE", b"BGSAVE", b"BGREWRITEAOF", b"LASTSAVE",
     b"CLUSTER", b"KEYS", b"SCAN", b"RANDOMKEY", b"MEMORY",
+    b"REPLICAOF", b"PSYNC", b"REPLCONF", b"WAIT",
 ))
 
 #: every argument is a key

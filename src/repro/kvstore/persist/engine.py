@@ -550,19 +550,7 @@ class Persistence:
             thread.join(timeout=10)
         if final_snapshot and self._store is not None:
             try:
-                entries = self._materialize(self._store)
-                gen = self._generation + 1
-                if self._logging:
-                    with self._io_lock:
-                        writer = self._writer
-                        if writer is not None:
-                            writer.flush(force_fsync=True)
-                    self._generation = gen
-                    with self._io_lock:
-                        self._open_writer()
-                else:
-                    self._generation = gen
-                self._write_base(gen, entries)
+                self.checkpoint(background=False)
             except OSError:
                 pass
         self._logging = False

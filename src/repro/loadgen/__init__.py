@@ -18,8 +18,8 @@ Layout:
 * :mod:`repro.loadgen.driver` — drive a stream against any client with
   ``execute_pipeline`` and measure it.
 
-The CLI lives at ``python -m repro.tools.loadgen``; the scenario-matrix
-runner built on top is ``benchmarks/bench_scenarios.py``.
+The CLI lives at ``python -m repro.tools.loadgen``; the repo benchmark
+(``benchmarks/e2e``) builds its workloads from these presets.
 """
 
 from repro.loadgen.driver import DriverReport, drive

@@ -10,7 +10,7 @@ batches. The stream is a pure function of (spec, seed):
   processes and ``PYTHONHASHSEED`` values;
 * no wall clock, no I/O — two streams built from the same (spec, seed)
   yield byte-identical operations forever (asserted by the property
-  tests and the scenario matrix's per-cell stream digest).
+  tests and the golden stream digests in ``tests/loadgen``).
 
 Verb semantics (the YCSB translation):
 
@@ -214,8 +214,8 @@ def stream_digest(
     """SHA-256 over the first ``op_count`` encoded operations.
 
     Two runs that report the same digest generated byte-identical
-    operation streams — the determinism receipt the scenario matrix
-    commits per cell and CI re-derives.
+    operation streams — the determinism receipt every ``benchmarks/e2e``
+    result carries and ``tests/loadgen`` pins as goldens.
     """
     from repro.kvstore.resp import encode_command
 

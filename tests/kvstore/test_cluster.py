@@ -53,6 +53,8 @@ class TestClusterState:
         assert state.check([b"PING"]) is None
         assert state.check([b"INFO"]) is None
         assert state.check([b"CLUSTER", b"SLOTS"]) is None
+        assert state.check([b"WAIT", b"1", b"100"]) is None
+        assert state.moved_replies == 0
 
     def test_same_shard_multikey_passes(self):
         # bar and {bar}x share a shard via the hash tag
@@ -83,6 +85,16 @@ class TestClusterCommands:
         assert reply.message == "MOVED 12182 127.0.0.1:7001"
         # and the owned key still works
         assert dispatch(store, [b"SET", LOW_KEY, b"v"]) == "OK"
+
+    def test_replication_verbs_are_never_moved(self):
+        # b"1" and b"listening-port" hash to shard 1's range; neither
+        # is a key, so shard 0 answers them itself
+        store = make_store(0)
+        assert dispatch(store, [b"WAIT", b"1", b"100"]) == 0
+        assert dispatch(
+            store, [b"REPLCONF", b"listening-port", b"7000"]
+        ) == "OK"
+        assert store.cluster.moved_replies == 0
 
     def test_cluster_keyslot(self):
         store = make_store(0)
@@ -166,6 +178,13 @@ class TestClusterKvClient:
             assert client.execute(b"SET", key, b"v") == "OK"
             assert client.execute(b"GET", key) == b"v"
         assert client.moved_redirects == 0
+
+    def test_wait_routes_like_a_keyless_command(self, two_shards):
+        # not to whichever shard owns the slot of its replica count
+        client, addresses, _ = two_shards
+        assert key_hash_slot(b"1") > 8191  # shard 1's range
+        assert client._addr_for((b"WAIT", b"1", b"100")) == addresses[0]
+        assert client.execute(b"WAIT", b"0", b"0") == 0
 
     def test_stale_map_heals_via_moved(self, two_shards):
         client, addresses, _ = two_shards

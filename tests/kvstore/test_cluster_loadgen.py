@@ -1,7 +1,7 @@
 """ClusterKvClient under loadgen scenario load.
 
-Three phenomena the scenario matrix depends on, each driven by the
-workload engine rather than hand-rolled commands:
+Three phenomena a cluster under workload traffic shows, each driven by
+the workload engine rather than hand-rolled commands:
 
 * CROSSSLOT — untagged sequential multi-key runs straddle slot
   boundaries and must come back as in-place errors (counted, not

@@ -4,15 +4,20 @@ The generic TCP contract is covered by ``test_tcp.py`` (parametrized
 over both servers); this file targets what is specific to the single
 threaded event loop — interleaved partial frames across many sockets,
 deep pipeline ordering, slow-client backpressure, protocol poison mid
-pipeline, and shutdown with output still owed.
+pipeline, shutdown with output still owed, and the AOF group commit
+(one write per select round, not per record).
 """
 
 import socket
 import time
+from collections import Counter
+from functools import partial
 
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore.persist.aof import RealFile
+from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespError, RespParser, encode_command
 from repro.kvstore.store import DataStore
 from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
@@ -222,6 +227,60 @@ class TestCleanShutdown:
         server.stop()  # double stop must be a no-op
         with pytest.raises(OSError):
             socket.create_connection(address, timeout=0.5)
+
+
+class CountedFile(RealFile):
+    """A log file that counts its write(2)s and fsyncs into ``counts``."""
+
+    def __init__(self, path, counts):
+        super().__init__(path)
+        self._counts = counts
+
+    def write(self, data):
+        self._counts["writes"] += 1
+        return super().write(data)
+
+    def fsync(self):
+        self._counts["fsyncs"] += 1
+        super().fsync()
+
+
+class TestGroupCommit:
+    """The AOF costs one buffered write per select round that logged
+    anything — counted, not inferred from a throughput ratio, so a lost
+    group commit or a stray per-record fsync fails at any machine load."""
+
+    @pytest.mark.parametrize("policy", ["always", "everysec"])
+    def test_one_write_per_round_not_per_record(self, store, tmp_path, policy):
+        counts = Counter()
+        persist = Persistence(
+            PersistenceConfig(
+                dir=str(tmp_path), appendfsync=policy, fsync_interval=3600.0
+            ),
+            file_factory=partial(CountedFile, counts=counts),
+        )
+        store.attach_persistence(persist)
+        try:
+            with EventLoopKvServer(store) as server:
+                with TcpKvClient(server.address) as client:
+                    for burst in range(8):
+                        replies = client.execute_pipeline(
+                            *[("SET", f"k{burst}:{i}", "v") for i in range(64)]
+                        )
+                        assert all(str(r) == "OK" for r in replies)
+                # every reply is out, so every round's commit has run
+                assert persist.stats.aof_records == 512
+                assert persist.aof_pending_bytes == 0 < persist.aof_size
+                flushes = persist.stats.flushes
+                assert counts["writes"] == flushes >= 1
+                assert flushes <= server.batches_executed < 512
+                if policy == "always":
+                    assert 1 <= counts["fsyncs"] <= flushes
+                else:  # the deferred fsync is an hour away
+                    assert counts["fsyncs"] == 0
+        finally:
+            persist.close()
+        assert counts["fsyncs"] >= 1  # close seals the log
 
 
 class TestReclamationUnderEventLoop:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.kvstore import server
 from repro.kvstore.cluster.slots import (
+    KEYLESS,
     SLOT_COUNT,
     command_keys,
     crc16,
@@ -117,6 +119,15 @@ class TestCommandKeys:
         assert command_keys([b"PING"]) == []
         assert command_keys([b"INFO", b"stats"]) == []
         assert command_keys([b"CLUSTER", b"SLOTS"]) == []
+
+    def test_replication_verbs_are_keyless(self):
+        # WAIT's first argument is a replica count, not a key
+        assert command_keys([b"WAIT", b"1", b"100"]) == []
+        assert command_keys([b"REPLCONF", b"listening-port", b"7000"]) == []
+        assert command_keys([b"PSYNC", b"?", b"-1"]) == []
+        assert command_keys([b"REPLICAOF", b"127.0.0.1", b"7000"]) == []
+        # every verb the transport intercepts is one the slot gate skips
+        assert server._REPL_NAMES <= KEYLESS
 
     def test_multikey_commands(self):
         assert command_keys([b"MGET", b"a", b"b", b"c"]) == [b"a", b"b", b"c"]

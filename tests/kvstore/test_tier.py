@@ -3,19 +3,25 @@
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
+from repro.kvstore.client import KvClient
 from repro.kvstore.dict import SoftDict
 from repro.kvstore.persist.codec import (
     decode_record,
     encode_demote,
     scan_frames,
 )
+from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import (
     TierConfig,
+    TierStats,
     deflate_value,
     inflate_value,
 )
 from repro.kvstore.values import CompressedValue, value_bytes
+from repro.loadgen.driver import drive
+from repro.loadgen.engine import OperationStream
+from repro.loadgen.spec import preset
 
 from tests.core.test_tier_moves import SpyDaemon, page_state
 
@@ -323,6 +329,31 @@ class TestDemotePromote:
                 store.get(k)
         snapshot = store.obs.registry.snapshot()
         assert snapshot["tier.promote_latency.count"] >= 1
+
+
+def test_an_unpressured_tier_never_reaches_the_codec(store, monkeypatch):
+    """The tier is free when idle, structurally: with the tier on and no
+    reclamation, a served read-mostly stream never calls the codec and
+    moves no tier counter — all that is left on the command path is the
+    ``type(value) is`` branch."""
+
+    def codec_reached(*args):
+        raise AssertionError("tier codec called with no pressure")
+
+    monkeypatch.setattr("repro.kvstore.dict.deflate_value", codec_reached)
+    monkeypatch.setattr("repro.kvstore.dict.inflate_value", codec_reached)
+    client = KvClient(KvServer(store))
+    spec = preset(
+        "ycsb-b", keyspace=1024,
+        value_dist="uniform", value_lo=512, value_hi=2048,
+    )
+    stream = OperationStream(spec, 11)
+    drive(client, stream.prefill_batches(), max_ops=spec.keyspace)
+    report = drive(client, stream.batches(), max_ops=4000)
+    assert report.errors == 0
+    assert store.stats.hits > 0 and store.stats.misses == 0
+    assert store.keyspace.tier_stats == TierStats()
+    assert store.keyspace.compressed_entries == 0
 
 
 def test_every_demote_attempt_is_accounted(store, monkeypatch):

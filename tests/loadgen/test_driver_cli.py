@@ -12,7 +12,7 @@ from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore
 from repro.loadgen.driver import DriverReport, drive
 from repro.loadgen.engine import OperationStream, stream_digest
-from repro.loadgen.spec import preset
+from repro.loadgen.spec import PRESETS, preset
 from repro.tools import loadgen as cli
 
 
@@ -97,17 +97,25 @@ def test_drive_accumulates_across_phases():
     assert report.batches > 1
 
 
-def test_drive_against_a_real_store_runs_clean():
+#: the commands a mix verb is sent as, where that is not its own name
+COMMANDS_OF = {"insert": {"set"}, "scan": {"mget"}, "rmw": {"get", "set"}}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_drive_against_a_real_store_runs_clean(name):
     store = DataStore(SoftMemoryAllocator(name="loadgen-driver-test"))
     client = KvClient(KvServer(store))
-    spec = preset("ycsb-a", keyspace=128)
+    spec = preset(name, keyspace=128)
     stream = OperationStream(spec, 7)
-    drive(client, stream.prefill_batches(), max_ops=spec.keyspace)
+    prefill = drive(client, stream.prefill_batches(), max_ops=spec.keyspace)
+    assert prefill.ops == spec.keyspace and prefill.errors == 0
     report = drive(client, stream.batches(), max_ops=400)
     assert report.ops >= 400
     assert report.errors == 0
     assert report.ops_per_sec > 0
-    assert set(report.verbs) == {"get", "set"}
+    assert set(report.verbs) == set().union(
+        *(COMMANDS_OF.get(verb, {verb}) for verb, _ in spec.mix)
+    )
 
 
 # ----------------------------------------------------------------------

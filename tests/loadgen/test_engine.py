@@ -62,6 +62,25 @@ def test_stream_digest_is_reproducible_and_seed_sensitive():
     )
 
 
+def test_stream_digests_match_the_committed_goldens():
+    """Two runs of the same code agreeing proves little; these three
+    were committed on another machine, so a changed sampler constant
+    or draw order fails here instead of silently changing every
+    workload built on the presets."""
+    resized = dict(
+        keyspace=2048, value_dist="uniform", value_lo=64, value_hi=1024
+    )
+    assert stream_digest(preset("ycsb-b", **resized), 7) == (
+        "276d55f3cfb6a75b3b6a6a7563b1c2783544857e0338699e1b6f553aad0d1815"
+    )
+    assert stream_digest(preset("hot-key", **resized), 7) == (
+        "521e0746fb85bea28f55a4e3294c33ce2b03459e1e66232386b53bbe4185caa8"
+    )
+    assert stream_digest(preset("write-heavy", keyspace=2048), 7) == (
+        "7bbcd6b1e4fe30ca1c032e2c9395b69f72e751d0b40d8f9392b90d653bb583cf"
+    )
+
+
 def test_batch_boundaries_are_deterministic_too():
     spec = preset("ttl-churn", keyspace=256)  # mixed-depth preset
     a = [len(b) for b in itertools.islice(
