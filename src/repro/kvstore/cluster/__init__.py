@@ -6,7 +6,9 @@ Two packages in this repo are named "cluster"; they are unrelated:
   N real ``EventLoopKvServer`` OS processes, each owning a contiguous
   range of the 16384 CRC16 hash slots, ``MOVED`` redirects, a
   slot-routing client, and a supervisor that also hosts the one
-  machine-wide Soft Memory Daemon all shards register with.
+  machine-wide Soft Memory Daemon all shards register with. The
+  package owns slot math and topology; *which* arguments are keys is
+  the command table's ``keys`` column (``repro.kvstore.commands``).
 * ``repro.cluster`` is the *scheduling simulation*: a synthetic-trace
   Borg-like cluster scheduler used to quantify the paper's section-2
   claims (kill-based vs soft-memory-aware pressure policies). Nothing
@@ -18,7 +20,6 @@ simulated clock, it lives in ``repro.cluster``.
 
 from repro.kvstore.cluster.slots import (
     SLOT_COUNT,
-    command_keys,
     crc16,
     hash_tag,
     key_hash_slot,
@@ -63,7 +64,6 @@ __all__ = [
     "ClusterSupervisor",
     "ShardProcess",
     "build_nodes",
-    "command_keys",
     "crc16",
     "free_ports",
     "hash_tag",

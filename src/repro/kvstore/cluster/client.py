@@ -26,12 +26,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kvstore.cluster.slots import (
-    SLOT_COUNT,
-    command_keys,
-    key_hash_slot,
-)
+from repro.kvstore.cluster.slots import SLOT_COUNT, key_hash_slot
 from repro.kvstore.cluster.state import parse_moved
+from repro.kvstore.commands import lookup
 from repro.kvstore.resp import RespError
 from repro.kvstore.tcp import TcpKvClient
 
@@ -173,9 +170,14 @@ class ClusterKvClient:
         return out
 
     def _addr_for(self, command: tuple) -> Address:
-        # command_keys is pure sequence math (slices + len), so the
-        # tuple goes in as-is — no per-command list copy on the hot path
-        keys = command_keys(command)
+        # route by the first key the server's own command table names;
+        # keyless, unknown and too-short commands go to the default
+        # node, whose reply (an error, for the last two) is the answer
+        name = command[0] if command else b""
+        row = lookup(name if isinstance(name, bytes) else _key_bytes(name))
+        if row is None or row.keys is None:
+            return self._default
+        keys = command[row.keys]
         if not keys:
             return self._default
         key = keys[0]

@@ -14,6 +14,10 @@ boot, and no live resharding exists — which is why the serving plane
 only ever answers ``MOVED`` (permanent owner), never ``ASK``
 (migration in flight).
 
+Which arguments of a command *are* keys is not decided here: that is
+the ``keys`` column of the command table (``repro.kvstore.commands``),
+read by the dispatcher's gate and by the cluster client alike.
+
 CRC16 parameters (CCITT / XMODEM, the ones Redis documents in
 ``cluster-spec``): polynomial 0x1021, init 0x0000, no reflection, no
 final xor. ``crc16(b"123456789") == 0x31C3``.
@@ -92,54 +96,3 @@ def partition_slots(shards: int) -> list[tuple[int, int]]:
         ranges.append((start, start + size - 1))
         start += size
     return ranges
-
-
-# ----------------------------------------------------------------------
-# command key extraction
-# ----------------------------------------------------------------------
-#
-# The dispatch-side MOVED check and the cluster client both need to know
-# which argv positions are keys. The table below covers every command in
-# ``repro.kvstore.commands``; commands absent from all sets follow the
-# default rule (first key at argv[1]), which is correct for the whole
-# single-key family (GET/SET/INCR/HSET/LPUSH/...).
-
-#: commands that reference no key at all — never redirected
-KEYLESS = frozenset((
-    b"PING", b"ECHO", b"INFO", b"SLOWLOG", b"CONFIG", b"DBSIZE",
-    b"FLUSHALL", b"SAVE", b"BGSAVE", b"BGREWRITEAOF", b"LASTSAVE",
-    b"CLUSTER", b"KEYS", b"SCAN", b"RANDOMKEY", b"MEMORY",
-    b"REPLICAOF", b"PSYNC", b"REPLCONF", b"WAIT",
-))
-
-#: every argument is a key
-_ALL_KEYS = frozenset((b"MGET", b"DEL", b"EXISTS"))
-
-#: keys at odd positions (key value key value ...)
-_KV_PAIRS = frozenset((b"MSET",))
-
-#: exactly two keys, at argv[1] and argv[2]
-_TWO_KEYS = frozenset((b"RENAME", b"RENAMENX"))
-
-
-def command_keys(argv):
-    """The key arguments of one parsed command vector (any sequence).
-
-    Returns an empty (possibly sliced) sequence for keyless commands
-    and the empty vector. Unknown commands follow the default
-    first-key rule so a future single-key command is redirected
-    correctly without a table update; a future *multi*-key command
-    must be added to the sets above.
-    """
-    if len(argv) < 2:
-        return []
-    name = argv[0].upper()
-    if name in KEYLESS:
-        return []
-    if name in _ALL_KEYS:
-        return argv[1:]
-    if name in _KV_PAIRS:
-        return argv[1::2]
-    if name in _TWO_KEYS:
-        return argv[1:3]
-    return argv[1:2]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.kvstore.cluster.slots import (
     SLOT_COUNT,
-    command_keys,
     key_hash_slot,
     partition_slots,
 )
@@ -96,25 +95,18 @@ class ClusterState:
     def node_id(self) -> str:
         return self.myself.node_id
 
-    def owner_of(self, slot: int) -> ClusterNode:
-        return self._owner[slot]
-
     def owns(self, slot: int) -> bool:
         return self._owner[slot] is self.myself
 
-    def check(self, argv: list) -> RespError | None:
-        """MOVED/CROSSSLOT gate for one parsed command vector.
+    def check(self, keys: list[bytes]) -> RespError | None:
+        """MOVED/CROSSSLOT gate for the keys of one command.
 
-        Returns ``None`` when every key of the command lives on this
-        shard (or the command is keyless); otherwise the error reply
-        the dispatcher must answer instead of executing. Zero-copy
-        ``memoryview`` payloads never appear at key positions (keys are
-        argv[1] and the parser only hands out views at index >= 2 for
-        the audited SET shapes), so keys are always ``bytes`` here.
+        ``keys`` is what the command table's ``keys`` column slices out
+        of a well-formed argv — never empty, always ``bytes`` (the
+        server materialises key positions before dispatch). Returns
+        ``None`` when every key lives on this shard; otherwise the
+        error reply the dispatcher must answer instead of executing.
         """
-        keys = command_keys(argv)
-        if not keys:
-            return None
         myself = self.myself
         owner = self._owner
         first = owner[key_hash_slot(keys[0])]

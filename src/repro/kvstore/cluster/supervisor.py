@@ -256,9 +256,6 @@ class ClusterSupervisor:
         except Exception:
             return False
 
-    def ping_all(self) -> list[bool]:
-        return [self.ping(shard) for shard in self.shards]
-
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.health_interval):
             for shard in self.shards:

@@ -1,7 +1,16 @@
-"""Command table: RESP argument vectors to store operations.
+"""The command table: everything the server knows about a command.
 
-Each handler takes the store and the argument list (bytes, excluding the
-command name) and returns a reply value for
+:data:`COMMANDS` maps each command name to one :class:`Command` row —
+handler, arity, key positions, write flag, zero-copy audit, transport
+ownership — the way Redis keeps one ``redisCommandTable``. Everything
+that needs to know something about a command reads a column:
+:func:`dispatch` (arity, then the cluster and replica gates), the
+cluster client (which argument routes), ``KvServer.pump`` (which argv
+may keep ``memoryview`` payloads, which names the TCP transport
+serves). No other module keeps a list of command names.
+
+Each handler takes the store and the argument list (bytes, excluding
+the command name, already arity-checked) and returns a reply value for
 :func:`repro.kvstore.resp.encode_reply`. Errors are returned as
 :class:`~repro.kvstore.resp.RespError` values, never raised, matching
 how a Redis server answers a bad command without dying.
@@ -9,6 +18,7 @@ how a Redis server answers a bad command without dying.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.errors import SoftMemoryDenied
@@ -45,8 +55,6 @@ def cmd_ping(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_echo(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("echo")
     return args[0]
 
 
@@ -54,8 +62,6 @@ def cmd_set(store: DataStore, args: list[bytes]) -> Any:
     if len(args) == 2:  # plain SET key value: skip option scanning
         store.set(args[0], args[1])
         return OK
-    if len(args) < 2:
-        return _wrong_args("set")
     key, value, *opts = args
     ex: float | None = None
     keep_ttl = False
@@ -78,8 +84,6 @@ def cmd_set(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_setnx(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("setnx")
     key, value = args
     if store.exists(key):
         return 0
@@ -88,27 +92,21 @@ def cmd_setnx(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_get(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("get")
     return store.get(args[0])
 
 
 def cmd_getset(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("getset")
     old = store.get(args[0])
     store.set(args[0], args[1])
     return old
 
 
 def cmd_mget(store: DataStore, args: list[bytes]) -> Any:
-    if not args:
-        return _wrong_args("mget")
     return [store.get(key) for key in args]
 
 
 def cmd_mset(store: DataStore, args: list[bytes]) -> Any:
-    if not args or len(args) % 2:
+    if len(args) % 2:  # arity says "at least one pair"; parity is ours
         return _wrong_args("mset")
     for i in range(0, len(args), 2):
         store.set(args[i], args[i + 1])
@@ -116,80 +114,54 @@ def cmd_mset(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_del(store: DataStore, args: list[bytes]) -> Any:
-    if not args:
-        return _wrong_args("del")
     return store.delete(*args)
 
 
 def cmd_exists(store: DataStore, args: list[bytes]) -> Any:
-    if not args:
-        return _wrong_args("exists")
     return store.exists(*args)
 
 
 def cmd_expire(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("expire")
     return int(store.expire(args[0], _parse_int(args[1])))
 
 
 def cmd_ttl(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("ttl")
     return store.ttl(args[0])
 
 
 def cmd_persist(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("persist")
     return int(store.persist(args[0]))
 
 
 def cmd_incr(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("incr")
     return store.incrby(args[0], 1)
 
 
 def cmd_decr(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("decr")
     return store.incrby(args[0], -1)
 
 
 def cmd_incrby(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("incrby")
     return store.incrby(args[0], _parse_int(args[1]))
 
 
 def cmd_decrby(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("decrby")
     return store.incrby(args[0], -_parse_int(args[1]))
 
 
 def cmd_append(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("append")
     return store.append(args[0], args[1])
 
 
 def cmd_strlen(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("strlen")
     return store.strlen(args[0])
 
 
 def cmd_keys(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("keys")
     return store.keys(args[0])
 
 
 def cmd_dbsize(store: DataStore, args: list[bytes]) -> Any:
-    if args:
-        return _wrong_args("dbsize")
     return store.dbsize()
 
 
@@ -205,8 +177,6 @@ _NO_PERSISTENCE = RespError(
 
 def cmd_save(store: DataStore, args: list[bytes]) -> Any:
     """SAVE: synchronous checkpoint (snapshot + AOF rotation)."""
-    if args:
-        return _wrong_args("save")
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
@@ -217,8 +187,6 @@ def cmd_save(store: DataStore, args: list[bytes]) -> Any:
 
 def cmd_bgsave(store: DataStore, args: list[bytes]) -> Any:
     """BGSAVE: materialize under the lock, serialize in a thread."""
-    if args:
-        return _wrong_args("bgsave")
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
@@ -232,8 +200,6 @@ def cmd_bgrewriteaof(store: DataStore, args: list[bytes]) -> Any:
     snapshot carries exactly the live keys and the fresh incremental
     log starts empty, so the on-disk footprint is proportional to the
     keyspace again no matter how much history the old log held."""
-    if args:
-        return _wrong_args("bgrewriteaof")
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
@@ -244,8 +210,6 @@ def cmd_bgrewriteaof(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_lastsave(store: DataStore, args: list[bytes]) -> Any:
-    if args:
-        return _wrong_args("lastsave")
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
@@ -383,8 +347,6 @@ def cmd_info(store: DataStore, args: list[bytes]) -> Any:
 
 def cmd_slowlog(store: DataStore, args: list[bytes]) -> Any:
     """SLOWLOG GET [count] | LEN | RESET | HELP (Redis reply shape)."""
-    if not args:
-        return _wrong_args("slowlog")
     sub = args[0].upper()
     slowlog = store.obs.slowlog
     if sub == b"GET":
@@ -431,8 +393,6 @@ _CONFIG_PARAMS = (
 
 def cmd_config(store: DataStore, args: list[bytes]) -> Any:
     """CONFIG GET/SET for the slowlog and persistence knobs."""
-    if len(args) < 2:
-        return _wrong_args("config")
     sub = args[0].upper()
     obs = store.obs
     persist = store.persistence
@@ -512,8 +472,6 @@ def cmd_config(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_memory(store: DataStore, args: list[bytes]) -> Any:
-    if not args:
-        return _wrong_args("memory")
     sub = args[0].upper()
     if sub == b"USAGE":
         if len(args) != 2:
@@ -561,8 +519,6 @@ def cmd_cluster(store: DataStore, args: list[bytes]) -> Any:
     ``SLOTS``/``SHARDS`` answer the empty array on a standalone server
     so cluster clients can probe any node and degrade gracefully.
     """
-    if not args:
-        return _wrong_args("cluster")
     sub = args[0].upper()
     state = store.cluster
     if sub == b"KEYSLOT":
@@ -627,47 +583,33 @@ def cmd_cluster(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_type(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("type")
     name = store.type_of(args[0])
     return SimpleString((name or b"none").decode())
 
 
 def cmd_getdel(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("getdel")
     return store.getdel(args[0])
 
 
 def cmd_getrange(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("getrange")
     return store.getrange(args[0], _parse_int(args[1]), _parse_int(args[2]))
 
 
 def cmd_setrange(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("setrange")
     return store.setrange(args[0], _parse_int(args[1]), args[2])
 
 
 def cmd_setex(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("setex")
     store.set(args[0], args[2], ex=_parse_int(args[1]))
     return OK
 
 
 def cmd_psetex(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("psetex")
     store.set(args[0], args[2], ex=_parse_int(args[1]) / 1000.0)
     return OK
 
 
 def cmd_rename(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("rename")
     try:
         store.rename(args[0], args[1])
     except KeyError:
@@ -676,8 +618,6 @@ def cmd_rename(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_renamenx(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("renamenx")
     try:
         return int(store.renamenx(args[0], args[1]))
     except KeyError:
@@ -685,14 +625,10 @@ def cmd_renamenx(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_randomkey(store: DataStore, args: list[bytes]) -> Any:
-    if args:
-        return _wrong_args("randomkey")
     return store.randomkey()
 
 
 def cmd_scan(store: DataStore, args: list[bytes]) -> Any:
-    if not args:
-        return _wrong_args("scan")
     cursor = _parse_int(args[0])
     match: bytes | None = None
     count = 10
@@ -712,57 +648,41 @@ def cmd_scan(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_expireat(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("expireat")
     return int(store.expireat(args[0], _parse_int(args[1])))
 
 
 def cmd_pttl(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("pttl")
     return store.pttl(args[0])
 
 
 def cmd_hset(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) < 3 or len(args) % 2 == 0:
+    if len(args) % 2 == 0:  # key, then whole field/value pairs
         return _wrong_args("hset")
     mapping = dict(zip(args[1::2], args[2::2]))
     return store.hset(args[0], mapping)
 
 
 def cmd_hget(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("hget")
     return store.hget(args[0], args[1])
 
 
 def cmd_hdel(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) < 2:
-        return _wrong_args("hdel")
     return store.hdel(args[0], *args[1:])
 
 
 def cmd_hlen(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("hlen")
     return store.hlen(args[0])
 
 
 def cmd_hkeys(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("hkeys")
     return store.hkeys(args[0])
 
 
 def cmd_hvals(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("hvals")
     return store.hvals(args[0])
 
 
 def cmd_hgetall(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("hgetall")
     flat: list[bytes] = []
     for fld, value in store.hgetall(args[0]).items():
         flat.append(fld)
@@ -771,56 +691,38 @@ def cmd_hgetall(store: DataStore, args: list[bytes]) -> Any:
 
 
 def cmd_hexists(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("hexists")
     return int(store.hexists(args[0], args[1]))
 
 
 def cmd_hincrby(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("hincrby")
     return store.hincrby(args[0], args[1], _parse_int(args[2]))
 
 
 def cmd_lpush(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) < 2:
-        return _wrong_args("lpush")
     return store.lpush(args[0], *args[1:])
 
 
 def cmd_rpush(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) < 2:
-        return _wrong_args("rpush")
     return store.rpush(args[0], *args[1:])
 
 
 def cmd_lpop(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("lpop")
     return store.lpop(args[0])
 
 
 def cmd_rpop(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("rpop")
     return store.rpop(args[0])
 
 
 def cmd_llen(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 1:
-        return _wrong_args("llen")
     return store.llen(args[0])
 
 
 def cmd_lrange(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 3:
-        return _wrong_args("lrange")
     return store.lrange(args[0], _parse_int(args[1]), _parse_int(args[2]))
 
 
 def cmd_lindex(store: DataStore, args: list[bytes]) -> Any:
-    if len(args) != 2:
-        return _wrong_args("lindex")
     return store.lindex(args[0], _parse_int(args[1]))
 
 
@@ -828,20 +730,10 @@ def cmd_lindex(store: DataStore, args: list[bytes]) -> Any:
 # replication
 # ----------------------------------------------------------------------
 
-#: commands a read-only replica refuses (exact Redis wording — typed
+#: what a read-only replica answers a write (exact Redis wording — typed
 #: clients key off the READONLY prefix)
 READONLY_MESSAGE = "READONLY You can't write against a read only replica."
 _READONLY = RespError(READONLY_MESSAGE)
-
-#: every command whose handler can mutate the keyspace; the replica
-#: gate checks the upper-cased name against this set
-_WRITE_NAMES = frozenset((
-    b"SET", b"SETNX", b"GETSET", b"MSET", b"DEL", b"EXPIRE", b"EXPIREAT",
-    b"PERSIST", b"INCR", b"DECR", b"INCRBY", b"DECRBY", b"APPEND",
-    b"FLUSHALL", b"GETDEL", b"SETRANGE", b"SETEX", b"PSETEX", b"RENAME",
-    b"RENAMENX", b"HSET", b"HDEL", b"HINCRBY", b"LPUSH", b"RPUSH",
-    b"LPOP", b"RPOP",
-))
 
 
 def cmd_replicaof(store: DataStore, args: list[bytes]) -> Any:
@@ -866,8 +758,6 @@ def cmd_wait(store: DataStore, args: list[bytes]) -> Any:
     ``KvServer``), where no feeds exist, and answers with what is
     known right now.
     """
-    if len(args) != 2:
-        return _wrong_args("wait")
     _parse_int(args[0])
     _parse_int(args[1])
     repl = store.repl
@@ -876,134 +766,182 @@ def cmd_wait(store: DataStore, args: list[bytes]) -> Any:
     return repl.acked_by(repl.master_repl_offset)
 
 
-COMMANDS: dict[bytes, Handler] = {
-    b"PING": cmd_ping,
-    b"ECHO": cmd_echo,
-    b"SET": cmd_set,
-    b"SETNX": cmd_setnx,
-    b"GET": cmd_get,
-    b"GETSET": cmd_getset,
-    b"MGET": cmd_mget,
-    b"MSET": cmd_mset,
-    b"DEL": cmd_del,
-    b"EXISTS": cmd_exists,
-    b"EXPIRE": cmd_expire,
-    b"TTL": cmd_ttl,
-    b"PERSIST": cmd_persist,
-    b"INCR": cmd_incr,
-    b"DECR": cmd_decr,
-    b"INCRBY": cmd_incrby,
-    b"DECRBY": cmd_decrby,
-    b"APPEND": cmd_append,
-    b"STRLEN": cmd_strlen,
-    b"KEYS": cmd_keys,
-    b"DBSIZE": cmd_dbsize,
-    b"FLUSHALL": cmd_flushall,
-    b"SAVE": cmd_save,
-    b"BGSAVE": cmd_bgsave,
-    b"BGREWRITEAOF": cmd_bgrewriteaof,
-    b"LASTSAVE": cmd_lastsave,
-    b"INFO": cmd_info,
-    b"SLOWLOG": cmd_slowlog,
-    b"CONFIG": cmd_config,
-    b"MEMORY": cmd_memory,
-    b"CLUSTER": cmd_cluster,
-    b"TYPE": cmd_type,
-    b"GETDEL": cmd_getdel,
-    b"GETRANGE": cmd_getrange,
-    b"SETRANGE": cmd_setrange,
-    b"SETEX": cmd_setex,
-    b"PSETEX": cmd_psetex,
-    b"RENAME": cmd_rename,
-    b"RENAMENX": cmd_renamenx,
-    b"RANDOMKEY": cmd_randomkey,
-    b"SCAN": cmd_scan,
-    b"EXPIREAT": cmd_expireat,
-    b"PTTL": cmd_pttl,
-    b"HSET": cmd_hset,
-    b"HGET": cmd_hget,
-    b"HDEL": cmd_hdel,
-    b"HLEN": cmd_hlen,
-    b"HKEYS": cmd_hkeys,
-    b"HVALS": cmd_hvals,
-    b"HGETALL": cmd_hgetall,
-    b"HEXISTS": cmd_hexists,
-    b"HINCRBY": cmd_hincrby,
-    b"LPUSH": cmd_lpush,
-    b"RPUSH": cmd_rpush,
-    b"LPOP": cmd_lpop,
-    b"RPOP": cmd_rpop,
-    b"LLEN": cmd_llen,
-    b"LRANGE": cmd_lrange,
-    b"LINDEX": cmd_lindex,
-    b"REPLICAOF": cmd_replicaof,
-    b"PSYNC": cmd_psync,
-    b"REPLCONF": cmd_replconf,
-    b"WAIT": cmd_wait,
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Command:
+    """One row of the table (Redis: of ``redisCommandTable``)."""
+
+    handler: Handler
+    #: argv length including the name; negative means "at least" (:func:`fits`)
+    arity: int
+    #: the slice of argv that holds the keys; ``None`` for a keyless
+    #: command, which a cluster shard never redirects
+    keys: slice | None = None
+    #: can mutate the keyspace: a read-only replica refuses it
+    write: bool = False
+    #: the argv length (same convention) at which the handler is
+    #: audited to sink payload ``memoryview``s — it hands them straight
+    #: to ``DataStore.set``, which materialises, and calls no ``bytes``
+    #: method on them. 0: the server materialises every argument first.
+    views: int = 0
+    #: needs the event loop's sockets (feed registration, deferred
+    #: PSYNC replies, blocking WAIT): the TCP server's ``repl_hook``
+    #: serves it, the handler here is the raw-dispatch fallback
+    transport: bool = False
+
+
+def fits(shape: int, argc: int) -> bool:
+    """Does an argv of ``argc`` elements (name included) fit ``shape`` —
+    an exact length or, negative, a minimum one? Redis's arity
+    convention; the ``arity`` and ``views`` columns both use it."""
+    return argc == shape or (shape < 0 and argc >= -shape)
+
+
+_KEY = slice(1, 2)  # the single-key family: argv[1]
+_KEYS = slice(1, None)  # every argument is a key
+_PAIRS = slice(1, None, 2)  # key value key value ...
+_TWO = slice(1, 3)  # source and destination
+
+COMMANDS: dict[bytes, Command] = {
+    b"PING": Command(cmd_ping, -1),
+    b"ECHO": Command(cmd_echo, 2),
+    b"SET": Command(cmd_set, -3, _KEY, write=True, views=3),
+    b"SETNX": Command(cmd_setnx, 3, _KEY, write=True, views=3),
+    b"GET": Command(cmd_get, 2, _KEY),
+    b"GETSET": Command(cmd_getset, 3, _KEY, write=True, views=3),
+    b"MGET": Command(cmd_mget, -2, _KEYS),
+    b"MSET": Command(cmd_mset, -3, _PAIRS, write=True, views=-3),
+    b"DEL": Command(cmd_del, -2, _KEYS, write=True),
+    b"EXISTS": Command(cmd_exists, -2, _KEYS),
+    b"EXPIRE": Command(cmd_expire, 3, _KEY, write=True),
+    b"TTL": Command(cmd_ttl, 2, _KEY),
+    b"PERSIST": Command(cmd_persist, 2, _KEY, write=True),
+    b"INCR": Command(cmd_incr, 2, _KEY, write=True),
+    b"DECR": Command(cmd_decr, 2, _KEY, write=True),
+    b"INCRBY": Command(cmd_incrby, 3, _KEY, write=True),
+    b"DECRBY": Command(cmd_decrby, 3, _KEY, write=True),
+    b"APPEND": Command(cmd_append, 3, _KEY, write=True),
+    b"STRLEN": Command(cmd_strlen, 2, _KEY),
+    b"KEYS": Command(cmd_keys, 2),
+    b"DBSIZE": Command(cmd_dbsize, 1),
+    b"FLUSHALL": Command(cmd_flushall, -1, write=True),
+    b"SAVE": Command(cmd_save, 1),
+    b"BGSAVE": Command(cmd_bgsave, 1),
+    b"BGREWRITEAOF": Command(cmd_bgrewriteaof, 1),
+    b"LASTSAVE": Command(cmd_lastsave, 1),
+    b"INFO": Command(cmd_info, -1),
+    b"SLOWLOG": Command(cmd_slowlog, -2),
+    b"CONFIG": Command(cmd_config, -3),
+    b"MEMORY": Command(cmd_memory, -2),
+    b"CLUSTER": Command(cmd_cluster, -2),
+    b"TYPE": Command(cmd_type, 2, _KEY),
+    b"GETDEL": Command(cmd_getdel, 2, _KEY, write=True),
+    b"GETRANGE": Command(cmd_getrange, 4, _KEY),
+    b"SETRANGE": Command(cmd_setrange, 4, _KEY, write=True),
+    b"SETEX": Command(cmd_setex, 4, _KEY, write=True, views=4),
+    b"PSETEX": Command(cmd_psetex, 4, _KEY, write=True, views=4),
+    b"RENAME": Command(cmd_rename, 3, _TWO, write=True),
+    b"RENAMENX": Command(cmd_renamenx, 3, _TWO, write=True),
+    b"RANDOMKEY": Command(cmd_randomkey, 1),
+    b"SCAN": Command(cmd_scan, -2),
+    b"EXPIREAT": Command(cmd_expireat, 3, _KEY, write=True),
+    b"PTTL": Command(cmd_pttl, 2, _KEY),
+    b"HSET": Command(cmd_hset, -4, _KEY, write=True),
+    b"HGET": Command(cmd_hget, 3, _KEY),
+    b"HDEL": Command(cmd_hdel, -3, _KEY, write=True),
+    b"HLEN": Command(cmd_hlen, 2, _KEY),
+    b"HKEYS": Command(cmd_hkeys, 2, _KEY),
+    b"HVALS": Command(cmd_hvals, 2, _KEY),
+    b"HGETALL": Command(cmd_hgetall, 2, _KEY),
+    b"HEXISTS": Command(cmd_hexists, 3, _KEY),
+    b"HINCRBY": Command(cmd_hincrby, 4, _KEY, write=True),
+    b"LPUSH": Command(cmd_lpush, -3, _KEY, write=True),
+    b"RPUSH": Command(cmd_rpush, -3, _KEY, write=True),
+    b"LPOP": Command(cmd_lpop, 2, _KEY, write=True),
+    b"RPOP": Command(cmd_rpop, 2, _KEY, write=True),
+    b"LLEN": Command(cmd_llen, 2, _KEY),
+    b"LRANGE": Command(cmd_lrange, 4, _KEY),
+    b"LINDEX": Command(cmd_lindex, 3, _KEY),
+    b"REPLICAOF": Command(cmd_replicaof, 3, transport=True),
+    b"PSYNC": Command(cmd_psync, 3, transport=True),
+    b"REPLCONF": Command(cmd_replconf, -1, transport=True),
+    b"WAIT": Command(cmd_wait, 3, transport=True),
 }
 
 
-# Exact-bytes handler lookup: clients overwhelmingly send a command name
-# in one fixed case, so resolving it through `.upper()` allocates a fresh
-# bytes object per command. The cache is seeded with the canonical upper
-# and lower spellings and learns other casings on first sight (bounded,
-# and only for names that resolve — garbage can't grow it).
-_HANDLERS: dict[bytes, Handler] = {}
-for _name, _handler in COMMANDS.items():
-    _HANDLERS[_name] = _handler
-    _HANDLERS[_name.lower()] = _handler
-_HANDLERS_MAX = 4 * len(_HANDLERS)
+# Exact-bytes lookup: clients overwhelmingly send a command name in one
+# fixed case, so resolving it through `.upper()` allocates a fresh bytes
+# object per command. The cache is seeded with the canonical upper and
+# lower spellings and learns other casings on first sight (bounded, and
+# only for names that resolve — garbage can't grow it).
+_SPELLINGS: dict[bytes, Command] = {
+    spelling: command
+    for name, command in COMMANDS.items()
+    for spelling in (name, name.lower())
+}
+_SPELLINGS_MAX = 4 * len(_SPELLINGS)
 
 
-def lookup(name: bytes) -> Handler | None:
-    """Resolve a command name (any casing) to its handler."""
-    handler = _HANDLERS.get(name)
-    if handler is None:
-        handler = COMMANDS.get(name.upper())
-        if handler is not None and len(_HANDLERS) < _HANDLERS_MAX:
-            _HANDLERS[name] = handler
-    return handler
+def lookup(name: bytes) -> Command | None:
+    """Resolve a command name (any casing) to its table row."""
+    command = _SPELLINGS.get(name)
+    if command is None:
+        command = COMMANDS.get(name.upper())
+        if command is not None and len(_SPELLINGS) < _SPELLINGS_MAX:
+            _SPELLINGS[name] = command
+    return command
 
 
 _EMPTY_CMD = RespError("ERR empty command")
 
 
 def dispatch(store: DataStore, argv: list[bytes]) -> Any:
-    """Execute one parsed command vector against the store."""
+    """Execute one parsed command vector against the store.
+
+    Refusals come in the order of Redis's ``processCommand``: unknown
+    command, wrong arity, ``MOVED``/``CROSSSLOT`` (a cluster shard asked
+    about keys it does not own), ``READONLY`` (a replica asked to
+    write) — then the handler runs.
+    """
     if not argv:
         return _EMPTY_CMD
-    # cluster gate: a shard answers MOVED for keys outside its slot
-    # range before any execution. Standalone stores pay one attribute
-    # load and a None check per command — nothing else.
-    if store.cluster is not None:
-        redirect = store.cluster.check(argv)
-        if redirect is not None:
-            return redirect
     name = argv[0]
-    # replica gate: a read-only replica refuses writes before any
-    # execution. Non-replicating stores pay one attribute load and a
-    # None check per command — the same bargain as the cluster gate.
+    # the two gates: a store that is neither a cluster shard nor a
+    # replica pays one attribute load and a None check for each
+    cluster = store.cluster
     repl = store.repl
-    if repl is not None and repl.role == "replica":
-        if name.upper() in _WRITE_NAMES:
-            return _READONLY
+    replica = repl is not None and repl.role == "replica"
     try:
-        # GET/SET dominate cache workloads; their common shapes skip
-        # the handler indirection and argv[1:] slice entirely (still
-        # inside the try so WRONGTYPE/OOM containment is identical)
-        if name == b"GET":
-            if len(argv) == 2:
-                return store.get(argv[1])
-        elif name == b"SET" and len(argv) == 3:
-            store.set(argv[1], argv[2])
-            return OK
-        handler = _HANDLERS.get(name) or lookup(name)
-        if handler is None:
+        # GET/SET dominate cache workloads; where no gate can refuse
+        # them, their common shapes skip the table probe, the handler
+        # indirection and the argv[1:] slice entirely (still inside the
+        # try so WRONGTYPE/OOM containment is identical)
+        if cluster is None:
+            if name == b"GET":
+                if len(argv) == 2:
+                    return store.get(argv[1])
+            elif name == b"SET" and len(argv) == 3 and not replica:
+                store.set(argv[1], argv[2])
+                return OK
+        command = _SPELLINGS.get(name) or lookup(name)
+        if command is None:
             return RespError(
                 f"ERR unknown command "
                 f"'{name.decode(errors='backslashreplace')}'"
             )
-        return handler(store, argv[1:])
+        if not fits(command.arity, len(argv)):
+            return _wrong_args(name.decode().lower())
+        if cluster is not None and command.keys is not None:
+            redirect = cluster.check(argv[command.keys])
+            if redirect is not None:
+                return redirect
+        if replica and command.write:
+            return _READONLY
+        return command.handler(store, argv[1:])
     except WrongTypeError as exc:
         return RespError(str(exc))  # Redis sends WRONGTYPE without ERR
     except SoftMemoryDenied:
@@ -1014,6 +952,11 @@ def dispatch(store: DataStore, argv: list[bytes]) -> Any:
         return RespError(
             "OOM command not allowed when soft memory cannot be allocated"
         )
+    except OverflowError:
+        # an integer argument too large for the float it feeds (SETEX k
+        # <400 digits> v): Redis's out-of-range reply, not a dead
+        # serving thread
+        return RespError("ERR value is not an integer or out of range")
     except ValueError as exc:
         return RespError(f"ERR {exc}")
     except TypeError as exc:

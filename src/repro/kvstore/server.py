@@ -17,11 +17,11 @@ bytes are copied exactly once off the socket.
 Zero-copy argv discipline: the parser hands bulk payloads >=
 :data:`ZERO_COPY_THRESHOLD` bytes out as ``memoryview`` slices of its
 buffer (argv index >= 2 only). Those views die with the batch — before
-dispatch, :func:`_keeps_views` decides per command shape whether its
-handler is audited to sink views safely (the SET family materializes
-inside ``DataStore.set``); every other command gets views materialized
-to ``bytes`` up front, and the slowlog always receives materialized
-argv. See DESIGN.md §7.
+dispatch, the command table's ``views`` column says at which argv
+length a handler is audited to sink them safely (the SET family
+materializes inside ``DataStore.set``); every other argv gets its
+views materialized to ``bytes`` up front, key positions always do, and
+the slowlog always receives materialized argv. See DESIGN.md §7.
 
 Per-command latency feeds the store's observability plane
 (``store.obs``) at one clock read per command: the end-of-command
@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from time import perf_counter
 
-from repro.kvstore.commands import dispatch
+from repro.kvstore.commands import COMMANDS, dispatch, fits, lookup
 from repro.kvstore.resp import (
     NULL,
     PIPELINE_MORE,
@@ -59,42 +59,37 @@ _BAD_ARGV = RespError("ERR protocol error: expected array of bulk strings")
 #: than the view bookkeeping
 ZERO_COPY_THRESHOLD = 512
 
-# Command shapes whose handlers are audited to tolerate ``memoryview``
-# payloads in argv[2:]: they only pass values into ``DataStore.set``
-# (which materializes) and never call bytes methods on them. Seeded
-# with the canonical casings clients actually send; any other casing
-# just loses the zero-copy fast path, never correctness.
-_SET3 = frozenset((b"SET", b"set", b"SETNX", b"setnx", b"GETSET", b"getset"))
-_SET4 = frozenset((b"SETEX", b"setex", b"PSETEX", b"psetex"))
-_MSET = frozenset((b"MSET", b"mset"))
+# The exact-bytes view audit: spelling -> the one argv length at which
+# the table lets that command's payload views through. Only the
+# canonical casings clients actually send are seeded; anything else
+# (and MSET, whose audited shape is a range) takes the slow path below.
+_VIEW_SHAPES = {
+    spelling: command.views
+    for name, command in COMMANDS.items()
+    if command.views > 0
+    for spelling in (name, name.lower())
+}
 
-# Commands the transport may intercept via ``repl_hook``: they need the
-# event loop's socket machinery (feed registration, deferred PSYNC
-# replies, blocking WAIT), which plain dispatch cannot reach. Matched
-# in any casing; the length gate keeps the ``upper()`` off GET/SET and
-# every other name that cannot be one of these.
-_REPL_NAMES = frozenset((b"PSYNC", b"REPLCONF", b"WAIT", b"REPLICAOF"))
-_REPL_LENS = frozenset(map(len, _REPL_NAMES))
-
-
-def _keeps_views(argv: list) -> bool:
-    """May ``argv`` reach its handler with memoryview payloads intact?
-
-    Only exact audited shapes qualify — ``SET key value EX 10`` (len 5)
-    scans its options with ``bytes`` methods, so it must not keep
-    views even though plain ``SET key value`` (len 3) may.
-    """
-    n = len(argv)
-    if n == 3:
-        return argv[0] in _SET3
-    if n == 4:
-        return argv[0] in _SET4
-    return argv[0] in _MSET
+# Name lengths of the commands the transport may intercept via
+# ``repl_hook`` (the table's ``transport`` column): the length gate
+# keeps the table probe off GET/SET and every other name that cannot
+# be one of them.
+_TRANSPORT_LENS = frozenset(
+    len(name) for name, command in COMMANDS.items() if command.transport
+)
 
 
 def _materialize_views(argv: list) -> None:
-    """Replace memoryview elements of ``argv`` with ``bytes`` copies."""
-    for i in range(2, len(argv)):
+    """Replace ``argv``'s memoryviews with ``bytes`` copies: all of
+    them, or — where the table keeps this shape's payloads zero-copy —
+    only those at key positions, so nothing ever hashes a view."""
+    command = lookup(argv[0])
+    n = len(argv)
+    if command is not None and command.views and fits(command.views, n):
+        positions = range(n)[command.keys]
+    else:
+        positions = range(2, n)
+    for i in positions:
         if type(argv[i]) is memoryview:
             argv[i] = bytes(argv[i])
 
@@ -160,6 +155,7 @@ class KvServer:
         encode = encode_reply_into
         run = dispatch
         hook = self.repl_hook
+        view_shape = _VIEW_SHAPES.get
         frames: list[list] = []
         while True:
             views_before = parser.views_created
@@ -171,18 +167,22 @@ class KvServer:
                 status = PIPELINE_MORE  # quarantined: buffer is empty
             if frames:
                 if parser.views_created != views_before:
-                    # the batch carries zero-copy payloads: commands
-                    # outside the audited shapes get bytes up front
+                    # the batch carries zero-copy payloads (index >= 2
+                    # only): argv outside the table's audited shapes
+                    # get bytes up front
                     for argv in frames:
-                        if argv and not _keeps_views(argv):
+                        n = len(argv)
+                        if n > 2 and view_shape(argv[0]) != n:
                             _materialize_views(argv)
                 start = perf_counter()
                 for argv in frames:
                     if (
                         hook is not None
                         and argv
-                        and len(argv[0]) in _REPL_LENS
-                        and argv[0].upper() in _REPL_NAMES
+                        and len(argv[0]) in _TRANSPORT_LENS
+                        and (command := lookup(argv[0])) is not None
+                        and command.transport
+                        and fits(command.arity, len(argv))
                     ):
                         hook(argv, out)
                     else:
@@ -191,7 +191,9 @@ class KvServer:
                     if argv:
                         cell = cell_of(argv[0])
                         if cell is None:
-                            cell = learn(argv[0])
+                            cell = learn(
+                                argv[0], lookup(argv[0]) is not None
+                            )
                         duration = end - start
                         cell.observe(bisect_left(bounds, duration), duration)
                         observed += 1

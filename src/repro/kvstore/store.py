@@ -23,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.core.errors import SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
@@ -44,6 +44,7 @@ from repro.kvstore.values import (
     type_name,
     value_bytes,
 )
+from repro.util.units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kvstore.cluster.state import ClusterState
@@ -404,8 +405,6 @@ class DataStore:
         # the batch, so this is the point where bytes must materialize
         if type(value) is memoryview:
             value = bytes(value)
-        if type(key) is memoryview:
-            key = bytes(key)
         self._check_types(key, value)
         self._write(key, value, ex=ex, keep_ttl=keep_ttl)
 
@@ -449,6 +448,10 @@ class DataStore:
         """SETRANGE: overwrite at ``offset``, zero-padding as needed."""
         if offset < 0:
             raise ValueError("offset is out of range")
+        # the zero padding below is sized by a client's integer, before
+        # the soft allocator can refuse it: cap it where Redis does
+        if offset + len(chunk) > 512 * MIB:
+            raise ValueError("string exceeds maximum allowed size (512MB)")
         raw = self._peek(key)
         raw = expect_type(raw, bytes) if raw is not None else b""
         if len(raw) < offset:
@@ -772,9 +775,6 @@ class DataStore:
                 matcher = regex.match
                 window = [k for k in window if matcher(k)]
         return next_cursor, window
-
-    def scan_iter(self) -> Iterator[bytes]:
-        yield from self._dict.keys()
 
     def dbsize(self) -> int:
         self.sweep_expired()

@@ -427,15 +427,11 @@ class EventLoopKvServer:
         session's pump). PSYNC replies are deferred to this round's
         broadcast step so the snapshot/backlog cut lands *after* the
         round's writes drain — the feed's first stream byte is exactly
-        offset."""
+        offset. The session only hands over argv whose length fits the
+        command table's arity; a malformed one gets ``dispatch``'s
+        reply."""
         name = argv[0].upper()
         if name == b"PSYNC":
-            if len(argv) != 3:
-                encode_reply_into(
-                    out,
-                    RespError("ERR wrong number of arguments for 'psync'"),
-                )
-                return
             state = self.store.repl
             if state is not None and state.role == "replica":
                 encode_reply_into(
@@ -460,14 +456,6 @@ class EventLoopKvServer:
             self._handle_wait(argv, out)
             return
         if name == b"REPLICAOF":
-            if len(argv) != 3:
-                encode_reply_into(
-                    out,
-                    RespError(
-                        "ERR wrong number of arguments for 'replicaof'"
-                    ),
-                )
-                return
             if (
                 argv[1].upper() == b"NO"
                 and argv[2].upper() == b"ONE"
@@ -494,11 +482,6 @@ class EventLoopKvServer:
         the feeds and pumps their ack sockets *directly* with select,
         bounded by the timeout. The loop thread stalls for the
         duration — the documented cost of read-your-writes here."""
-        if len(argv) != 3:
-            encode_reply_into(
-                out, RespError("ERR wrong number of arguments for 'wait'")
-            )
-            return
         try:
             numreplicas = int(argv[1])
             timeout_ms = int(argv[2])

@@ -14,7 +14,6 @@ import itertools
 
 from repro.mem.errors import FrameLeakError
 from repro.mem.physical import PhysicalMemory
-from repro.util.units import PAGE_SIZE
 
 _vpage_ids = itertools.count(1)
 
@@ -51,10 +50,6 @@ class VirtualAddressSpace:
     @property
     def backed_pages(self) -> int:
         return len(self._backed)
-
-    @property
-    def backed_bytes(self) -> int:
-        return len(self._backed) * PAGE_SIZE
 
     @property
     def unbacked_pages(self) -> int:

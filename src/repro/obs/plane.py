@@ -91,7 +91,7 @@ class KvObservability:
         """Record one executed command (called under the server lock)."""
         cell = self._cmd_cells.get(name)
         if cell is None:
-            cell = self._learn_command(name)
+            cell = self._learn_command(name, True)
         cell.observe(bisect_left(self._bounds, duration), duration)
         self.commands += 1
         if duration >= self._slow_s:
@@ -103,20 +103,24 @@ class KvObservability:
             bisect_left(self._batch_bounds, executed), executed
         )
 
-    def _learn_command(self, name: bytes) -> Any:
+    def _learn_command(self, name: bytes, known: bool) -> Any:
         """Resolve a command name to its histogram cell (first sight).
 
         All casings of one command share one histogram, registered as
         ``cmd.<NAME>.latency``.  The exact-bytes mapping is bounded so
         hostile random casings cannot grow it without limit (they fall
-        back to re-resolving, still correct)."""
-        canonical = name.upper()
+        back to re-resolving, still correct).  ``known`` is the
+        caller's word that the name resolves in the command table: a
+        name that does not shares the one ``cmd.UNKNOWN.latency``
+        series and is never cached, so garbage cannot grow the
+        registry either."""
+        canonical = name.upper() if known else b"UNKNOWN"
         label = canonical.decode("ascii", errors="backslashreplace")
         hist = self.registry.histogram(
             f"cmd.{label}.latency", bounds=self._bounds
         )
         cell = hist.shared_cell()
-        if len(self._cmd_cells) < _MAX_CMD_NAMES:
+        if known and len(self._cmd_cells) < _MAX_CMD_NAMES:
             self._cmd_cells[name] = cell
             self._cmd_cells.setdefault(canonical, cell)
         return cell

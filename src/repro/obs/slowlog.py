@@ -62,11 +62,6 @@ class Slowlog:
         #: lifetime count of entries ever logged (monotonic; survives reset)
         self.total_logged = 0
 
-    @property
-    def threshold_s(self) -> float:
-        """The threshold in seconds (what the hot path compares against)."""
-        return self.threshold_us / 1e6
-
     def add(self, argv: Iterable[bytes], duration_s: float) -> None:
         """Record one command unconditionally (caller checked the threshold)."""
         entry = SlowlogEntry(

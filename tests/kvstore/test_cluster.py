@@ -22,7 +22,7 @@ from repro.kvstore.cluster.state import (
 from repro.kvstore.commands import dispatch
 from repro.kvstore.resp import RespError
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvServer
+from repro.kvstore.tcp import TcpKvClient, TcpKvServer
 
 # keys with known owners under a 2-shard split (slots 0-8191 / 8192-16383)
 LOW_KEY = b"bar"  # slot 5061 -> shard 0
@@ -39,31 +39,33 @@ def make_store(shard: int) -> DataStore:
 class TestClusterState:
     def test_owned_key_passes(self):
         state = ClusterState(0, ADDRESSES)
-        assert state.check([b"GET", LOW_KEY]) is None
+        assert state.check([LOW_KEY]) is None
 
     def test_foreign_key_moved(self):
         state = ClusterState(0, ADDRESSES)
-        err = state.check([b"GET", HIGH_KEY])
+        err = state.check([HIGH_KEY])
         assert isinstance(err, RespError)
         assert err.message == "MOVED 12182 127.0.0.1:7001"
         assert state.moved_replies == 1
 
     def test_keyless_commands_always_pass(self):
-        state = ClusterState(0, ADDRESSES)
-        assert state.check([b"PING"]) is None
-        assert state.check([b"INFO"]) is None
-        assert state.check([b"CLUSTER", b"SLOTS"]) is None
-        assert state.check([b"WAIT", b"1", b"100"]) is None
-        assert state.moved_replies == 0
+        # the gate is only ever asked about keys: a keyless command
+        # never reaches it, whatever its arguments hash to
+        store = make_store(0)
+        assert dispatch(store, [b"PING"]) == "PONG"
+        assert b"cluster_enabled:1" in dispatch(store, [b"INFO"])
+        assert len(dispatch(store, [b"CLUSTER", b"SLOTS"])) == 2
+        assert dispatch(store, [b"WAIT", b"1", b"100"]) == 0
+        assert store.cluster.moved_replies == 0
 
     def test_same_shard_multikey_passes(self):
         # bar and {bar}x share a shard via the hash tag
         state = ClusterState(0, ADDRESSES)
-        assert state.check([b"MGET", LOW_KEY, b"{bar}x"]) is None
+        assert state.check([LOW_KEY, b"{bar}x"]) is None
 
     def test_cross_shard_multikey_is_crossslot(self):
         state = ClusterState(0, ADDRESSES)
-        err = state.check([b"MGET", LOW_KEY, HIGH_KEY])
+        err = state.check([LOW_KEY, HIGH_KEY])
         assert isinstance(err, RespError)
         assert err.message.startswith("CROSSSLOT")
         assert state.crossslot_replies == 1
@@ -247,6 +249,33 @@ class TestClusterKvClient:
                 assert client.moved_redirects == 0
         finally:
             server.stop()
+
+    def test_mset_with_a_zero_copy_key_does_not_kill_the_shard(
+        self, two_shards
+    ):
+        # a key of >= ZERO_COPY_THRESHOLD bytes at argv[3] is parsed as a
+        # memoryview; it used to reach the slot hash as one, and the
+        # AttributeError took the event loop (and its listener) down
+        _, addresses, stores = two_shards
+        big_key = b"{a}" + b"k" * 600
+        owner = next(
+            shard for shard, store in enumerate(stores)
+            if store.cluster.owns(key_hash_slot(b"{a}x"))
+        )
+        for shard, address in enumerate(addresses):
+            with TcpKvClient(address) as conn:
+                reply, pong = conn.execute_pipeline(
+                    (b"MSET", b"{a}x", b"v", big_key, b"v2"), (b"PING",)
+                )
+                if shard == owner:
+                    assert reply == "OK"
+                    assert conn.execute(b"GET", big_key) == b"v2"
+                else:
+                    assert reply.message.startswith("MOVED ")
+                assert pong == "PONG"
+            # and the listener still accepts
+            with TcpKvClient(address) as again:
+                assert again.execute(b"PING") == "PONG"
 
     def test_close_idempotent(self, two_shards):
         client, _, _ = two_shards

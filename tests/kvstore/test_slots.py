@@ -1,4 +1,4 @@
-"""Hash-slot math: CRC16 vectors, hash tags, partitioning, key tables.
+"""Hash-slot math: CRC16 vectors, hash tags, partitioning.
 
 The slot function must match Redis's ``keyHashSlot`` bit-for-bit —
 these vectors (including the canonical CRC16-XMODEM check value
@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kvstore import server
 from repro.kvstore.cluster.slots import (
-    KEYLESS,
     SLOT_COUNT,
-    command_keys,
     crc16,
     hash_tag,
     key_hash_slot,
@@ -107,38 +104,3 @@ class TestPartition:
             if start <= slot <= end
         ]
         assert len(owners) == 1
-
-
-class TestCommandKeys:
-    def test_single_key_commands(self):
-        assert command_keys([b"GET", b"k"]) == [b"k"]
-        assert command_keys([b"SET", b"k", b"v"]) == [b"k"]
-        assert command_keys([b"INCRBY", b"k", b"5"]) == [b"k"]
-
-    def test_keyless_commands(self):
-        assert command_keys([b"PING"]) == []
-        assert command_keys([b"INFO", b"stats"]) == []
-        assert command_keys([b"CLUSTER", b"SLOTS"]) == []
-
-    def test_replication_verbs_are_keyless(self):
-        # WAIT's first argument is a replica count, not a key
-        assert command_keys([b"WAIT", b"1", b"100"]) == []
-        assert command_keys([b"REPLCONF", b"listening-port", b"7000"]) == []
-        assert command_keys([b"PSYNC", b"?", b"-1"]) == []
-        assert command_keys([b"REPLICAOF", b"127.0.0.1", b"7000"]) == []
-        # every verb the transport intercepts is one the slot gate skips
-        assert server._REPL_NAMES <= KEYLESS
-
-    def test_multikey_commands(self):
-        assert command_keys([b"MGET", b"a", b"b", b"c"]) == [b"a", b"b", b"c"]
-        assert command_keys([b"DEL", b"a", b"b"]) == [b"a", b"b"]
-        assert command_keys([b"MSET", b"a", b"1", b"b", b"2"]) == [b"a", b"b"]
-        assert command_keys([b"RENAME", b"src", b"dst"]) == [b"src", b"dst"]
-
-    def test_case_insensitive(self):
-        assert command_keys([b"get", b"k"]) == [b"k"]
-        assert command_keys([b"ping"]) == []
-
-    def test_bare_command_has_no_keys(self):
-        assert command_keys([b"GET"]) == []
-        assert command_keys([]) == []

@@ -143,6 +143,15 @@ class TestStringExtensions:
         with pytest.raises(ValueError):
             store.setrange(b"k", -1, b"x")
 
+    def test_setrange_offset_cannot_size_an_allocation_past_512mb(self, store):
+        # the padding is allocated before the soft allocator sees it:
+        # 2**62 used to raise MemoryError out of the serving loop
+        with pytest.raises(ValueError, match="512MB"):
+            store.setrange(b"k", 2 ** 62, b"x")
+        with pytest.raises(ValueError, match="512MB"):
+            store.setrange(b"k", 512 * 1024 * 1024, b"x")
+        assert store.get(b"k") is None
+
 
 class TestKeyManagement:
     def test_type_of(self, store):

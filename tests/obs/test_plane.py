@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
+from repro.kvstore.resp import encode_command
+from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore
 from repro.obs.plane import _MAX_CMD_NAMES, KvObservability, bind_smd
 
@@ -55,6 +57,36 @@ class TestObserveCommand:
         snap = obs.batch_hist.snapshot()
         assert snap.count == 2
         assert snap.vmax == 16
+
+
+class TestNamesTheTableDoesNotKnow:
+    """Only a name that resolves in the command table gets its own
+    latency series; garbage shares one and is never cached."""
+
+    def test_unknown_names_share_one_histogram(self):
+        store = DataStore(SoftMemoryAllocator(name="unknown-names"))
+        session = KvServer(store)
+        session.feed(encode_command("GET", "k"))
+        before = len(list(store.obs.registry.names()))
+        cached = len(store.obs._cmd_cells)
+        for i in range(5000):
+            reply = session.feed(encode_command("NOPE%d" % i, "k"))
+            assert reply.startswith(b"-ERR unknown command")
+        assert len(list(store.obs.registry.names())) <= before + 1
+        assert len(store.obs._cmd_cells) == cached
+        assert store.obs.command_stats()["UNKNOWN"].count == 5000
+        assert store.obs.commands == 5001
+        info = session.feed(encode_command("INFO", "latency"))
+        assert len(info) < 4096
+
+    def test_known_casings_still_share_their_own(self):
+        store = DataStore(SoftMemoryAllocator(name="known-names"))
+        session = KvServer(store)
+        for spelling in ("gEt", "GET", "get"):
+            session.feed(encode_command(spelling, "k"))
+        stats = store.obs.command_stats()
+        assert stats["GET"].count == 3
+        assert "UNKNOWN" not in stats
 
 
 class TestBindings:
