@@ -41,9 +41,9 @@ import multiprocessing as mp
 import os
 import time
 
+from repro.kvstore import TcpKvClient
 from repro.kvstore.cluster.client import ClusterKvClient
 from repro.kvstore.cluster.supervisor import ClusterSupervisor
-from repro.kvstore.tcp import TcpKvClient
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMITTED_JSON = os.path.join(REPO_ROOT, "BENCH_cluster.json")

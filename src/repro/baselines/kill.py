@@ -72,13 +72,3 @@ class KillRestartModel:
             refill_seconds=refill_seconds,
             degraded_requests=to_refill,
         )
-
-    def reclamation_comparison(
-        self, entries_reclaimed: int
-    ) -> float:
-        """Simulated seconds a *reclamation* of the same entries costs.
-
-        For the head-to-head: reclamation pays per-entry callbacks but
-        keeps the process alive and the rest of the cache warm.
-        """
-        return entries_reclaimed * self.costs.callback_cost

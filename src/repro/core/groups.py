@@ -70,7 +70,3 @@ class GroupRegistry:
             if not members:
                 del self._members[alloc.group_id]
         alloc.group_id = None
-
-    @property
-    def group_count(self) -> int:
-        return len(self._members)

@@ -153,9 +153,6 @@ class SdsHeap:
         """
         return iter(list(self._allocs.values()))
 
-    def iter_newest_first(self) -> Iterator[Allocation]:
-        return iter(list(reversed(self._allocs.values())))
-
     def allocations(self) -> list[Allocation]:
         return list(self._allocs.values())
 

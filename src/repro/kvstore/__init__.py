@@ -12,20 +12,20 @@ single-threaded stand-in:
   the reclamation callback that cleans up associated traditional memory
   (the code path the paper measures as dominating reclamation time),
 * :mod:`~repro.kvstore.server` / :mod:`~repro.kvstore.client` — bytes-in
-  bytes-out command dispatch and a convenience client.
+  bytes-out command dispatch and the two clients (in-process, TCP),
+* :mod:`~repro.kvstore.tcp` — the selector event-loop transport.
 """
 
-from repro.kvstore.client import KvClient
+from repro.kvstore.client import KvClient, TcpKvClient
 from repro.kvstore.dict import SoftDict
 from repro.kvstore.resp import RespError, RespParser, encode_command, encode_reply
 from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient, TcpKvServer
+from repro.kvstore.tcp import TcpKvServer
 from repro.kvstore.values import WrongTypeError
 
 __all__ = [
     "DataStore",
-    "EventLoopKvServer",
     "KvClient",
     "KvServer",
     "RespError",

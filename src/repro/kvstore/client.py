@@ -1,16 +1,25 @@
-"""Convenience client over a :class:`~repro.kvstore.server.KvServer`.
+"""The two clients: in-process over a session, blocking over a socket.
 
-Encodes commands through the real RESP codec and decodes real RESP
-replies, so every client call exercises the full wire path both ways
-(the in-process equivalent of a TCP connection to the server).
+:class:`KvClient` drives a :class:`~repro.kvstore.server.KvServer`
+directly; :class:`TcpKvClient` is the blocking client that matches
+:class:`~repro.kvstore.tcp.TcpKvServer`. Both encode commands through
+the real RESP codec and decode real RESP replies, so every call
+exercises the full wire path both ways, and both share one contract:
+``execute`` raises an error reply, ``execute_pipeline`` returns them
+in place.
 """
 
 from __future__ import annotations
 
+import select
+import socket
+from collections import deque
 from typing import Any
 
 from repro.kvstore.resp import RespError, RespParser, encode_command
 from repro.kvstore.server import KvServer
+
+_RECV_SIZE = 65536
 
 
 class KvClient:
@@ -101,3 +110,127 @@ class KvClient:
                 key, __, value = line.partition(":")
                 out[key] = value
         return out
+
+
+class TcpKvClient:
+    """Blocking RESP client over a real socket.
+
+    Replies are consumed strictly in FIFO order through an internal
+    queue: when one ``recv`` delivers several parsed replies (batched
+    or pipelined), the extras are kept for the following calls instead
+    of being discarded. A call that fails mid-exchange (any
+    ``OSError``: a read timeout, the server closing) closes the client
+    before the error propagates — the reply it gave up on may still
+    arrive, and a later call must raise rather than take it for its
+    own. Together: the client can never desync from the server.
+
+    ``timeout`` bounds every read/write after the connection is up;
+    ``connect_timeout`` bounds only the dial (it defaults to
+    ``timeout``, but a supervisor health-checking a possibly-dead shard
+    wants a short dial bound without throttling data reads).
+    """
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        timeout: float = 5.0,
+        connect_timeout: float | None = None,
+    ) -> None:
+        self._sock = socket.create_connection(
+            address,
+            timeout=timeout if connect_timeout is None else connect_timeout,
+        )
+        self._sock.settimeout(timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._parser = RespParser()
+        self._replies: deque[Any] = deque()
+
+    def execute(self, *args: Any) -> Any:
+        """Send one command, block for its reply."""
+        try:
+            self._sock.sendall(encode_command(*args))
+            return self._next_reply()
+        except OSError:
+            self.close()
+            raise
+
+    def execute_pipeline(self, *commands: tuple) -> list[Any]:
+        """Send several commands in one burst, collect all replies.
+
+        RESP errors are returned in-place (not raised), like real
+        pipelined clients do — one failed command must not discard the
+        replies that follow it. Deep pipelines interleave sending with
+        reading: a fire-the-whole-payload ``sendall`` deadlocks once
+        both socket buffers fill with replies the client is not yet
+        draining, so the payload is pushed with ``select`` and replies
+        are parsed as they arrive.
+        """
+        if not commands:
+            return []
+        payload = b"".join(encode_command(*command) for command in commands)
+        try:
+            self._send_draining(payload)
+            return [self._next_reply(raise_errors=False) for _ in commands]
+        except OSError:
+            self.close()
+            raise
+
+    def _send_draining(self, payload: bytes) -> None:
+        """Push ``payload`` out, buffering whatever replies come back."""
+        sock = self._sock
+        timeout = sock.gettimeout()
+        sent = 0
+        sock.setblocking(False)
+        try:
+            with memoryview(payload) as view:
+                while sent < len(payload):
+                    readable, writable, __ = select.select(
+                        [sock], [sock], [], timeout
+                    )
+                    if not readable and not writable:
+                        raise TimeoutError("pipeline send timed out")
+                    if readable:
+                        self._recv()
+                    if writable:
+                        try:
+                            sent += sock.send(view[sent:])
+                        except (BlockingIOError, InterruptedError):
+                            pass
+        finally:
+            sock.settimeout(timeout)
+
+    def _recv(self) -> None:
+        """One ``recv`` straight into the parser's buffer."""
+        with self._parser.recv_view(_RECV_SIZE) as view:
+            nbytes = self._sock.recv_into(view)
+        if not nbytes:
+            raise ConnectionError("server closed the connection")
+        self._parser.commit_recv(nbytes)
+
+    def _next_reply(self, *, raise_errors: bool = True) -> Any:
+        while not self._replies:
+            self._replies.extend(self._parser.parse_all())
+            if not self._replies:
+                self._recv()
+        reply = self._replies.popleft()
+        if raise_errors and isinstance(reply, RespError):
+            raise reply
+        return reply
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Rebound the read/write timeout of the live connection."""
+        self._sock.settimeout(timeout)
+
+    @property
+    def closed(self) -> bool:
+        return self._sock.fileno() < 0
+
+    def close(self) -> None:
+        """Close the socket; safe to call any number of times."""
+        self._sock.close()
+
+    def __enter__(self) -> "TcpKvClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

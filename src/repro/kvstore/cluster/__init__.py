@@ -3,7 +3,7 @@
 Two packages in this repo are named "cluster"; they are unrelated:
 
 * ``repro.kvstore.cluster`` (**this package**) is the *serving plane*:
-  N real ``EventLoopKvServer`` OS processes, each owning a contiguous
+  N real ``TcpKvServer`` OS processes, each owning a contiguous
   range of the 16384 CRC16 hash slots, ``MOVED`` redirects, a
   slot-routing client, and a supervisor that also hosts the one
   machine-wide Soft Memory Daemon all shards register with. The

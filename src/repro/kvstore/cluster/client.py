@@ -1,7 +1,7 @@
 """Cluster-aware RESP client: slot routing, MOVED chasing, pipelines.
 
 :class:`ClusterKvClient` exposes the same ``execute`` /
-``execute_pipeline`` API as :class:`~repro.kvstore.tcp.TcpKvClient`, so
+``execute_pipeline`` API as :class:`~repro.kvstore.client.TcpKvClient`, so
 every existing bench, soak, and harness can run against a cluster
 unchanged. Internally it keeps:
 
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.kvstore.client import TcpKvClient
 from repro.kvstore.cluster.slots import SLOT_COUNT, key_hash_slot
 from repro.kvstore.cluster.state import parse_moved
 from repro.kvstore.commands import lookup
 from repro.kvstore.resp import RespError
-from repro.kvstore.tcp import TcpKvClient
 
 Address = tuple[str, int]
 
@@ -76,10 +76,6 @@ class ClusterKvClient:
         self.moved_redirects = 0
         self.slot_map_refreshes = 0
         self.commands_sent = 0
-        #: ``addr -> last replication coordinates seen`` — consulted
-        #: when a node stops answering, so a dead shard reports its
-        #: last-known offset instead of vanishing from the picture
-        self.last_known_offsets: dict[str, dict[str, Any]] = {}
         self.refresh_slot_map()
 
     # -- topology ------------------------------------------------------
@@ -124,50 +120,6 @@ class ClusterKvClient:
             self.slot_map_refreshes += 1
             return True
         return False
-
-    def replication_offsets(self) -> dict[str, dict[str, Any]]:
-        """Per-node replication coordinates across the topology.
-
-        Returns ``{"host:port": {role, offset, replid, stale}}``. A
-        node that answers updates :attr:`last_known_offsets`; a node
-        that refuses the connection reports its cached coordinates
-        with ``stale: True`` — an unreachable shard's last-known
-        offset is load-bearing during failover triage (who was
-        furthest ahead?), so it must not be dropped.
-        """
-        out: dict[str, dict[str, Any]] = {}
-        for host, port in self.known_nodes():
-            key = f"{host}:{port}"
-            try:
-                payload = self._conn((host, port)).execute(
-                    b"INFO", b"replication"
-                )
-                fields: dict[str, str] = {}
-                for line in bytes(payload).decode().splitlines():
-                    name, sep, value = line.partition(":")
-                    if sep and not line.startswith("#"):
-                        fields[name] = value
-                entry = {
-                    "role": fields.get("role"),
-                    "offset": int(fields.get("master_repl_offset", 0)),
-                    "replid": fields.get("replid"),
-                    "stale": False,
-                }
-                self.last_known_offsets[key] = dict(entry)
-            except (OSError, ConnectionError, RespError):
-                self._drop_conn((host, port))
-                cached = self.last_known_offsets.get(key)
-                if cached is not None:
-                    entry = {**cached, "stale": True}
-                else:
-                    entry = {
-                        "role": None,
-                        "offset": None,
-                        "replid": None,
-                        "stale": True,
-                    }
-            out[key] = entry
-        return out
 
     def _addr_for(self, command: tuple) -> Address:
         # route by the first key the server's own command table names;

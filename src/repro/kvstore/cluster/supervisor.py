@@ -36,7 +36,7 @@ import tempfile
 import threading
 import time
 
-from repro.kvstore.tcp import TcpKvClient
+from repro.kvstore.client import TcpKvClient
 from repro.rpc.server import RpcDaemonServer
 
 Address = tuple[str, int]

@@ -221,10 +221,6 @@ class ReplicaLink(threading.Thread):
         if self.is_alive():
             self.join(timeout)
 
-    @property
-    def stopped(self) -> bool:
-        return self._stop_event.is_set()
-
     # -- the session loop ----------------------------------------------
 
     def run(self) -> None:

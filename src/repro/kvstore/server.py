@@ -38,7 +38,6 @@ Redis closing the connection, but with the drop visible in stats.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from time import perf_counter
 
 from repro.kvstore.commands import COMMANDS, dispatch, fits, lookup
@@ -141,15 +140,14 @@ class KvServer:
         observed = 0
         store = self.store
         obs = self.obs
-        # the observation is inlined (not a call to obs.observe_command)
-        # because this loop is the serving hot path: with the cell map,
-        # bounds, and slowlog threshold hoisted to locals, the cost per
-        # command is one clock read, one dict get, one bisect, and one
-        # cell update.  The threshold is sampled per batch, so a CONFIG
-        # SET takes effect from the next readable event.
-        cell_of = obs._cmd_cells.get
+        # the observation is inlined because this loop is the serving
+        # hot path: with the histogram map and slowlog threshold
+        # hoisted to locals, the cost per command is one clock read,
+        # one dict get, and one histogram update.  The threshold is
+        # sampled per batch, so a CONFIG SET takes effect from the next
+        # readable event.
+        hist_of = obs._cmd_hists.get
         learn = obs._learn_command
-        bounds = obs._bounds
         slow_s = obs._slow_s
         slowlog_add = obs.slowlog.add
         encode = encode_reply_into
@@ -189,13 +187,13 @@ class KvServer:
                         encode(out, run(store, argv))
                     end = perf_counter()
                     if argv:
-                        cell = cell_of(argv[0])
-                        if cell is None:
-                            cell = learn(
+                        hist = hist_of(argv[0])
+                        if hist is None:
+                            hist = learn(
                                 argv[0], lookup(argv[0]) is not None
                             )
                         duration = end - start
-                        cell.observe(bisect_left(bounds, duration), duration)
+                        hist.observe(duration)
                         observed += 1
                         if duration >= slow_s:
                             slowlog_add(_copy_argv(argv), duration)

@@ -2,7 +2,7 @@
 
 Works with every client in the repo that speaks the pipelining
 contract — :class:`~repro.kvstore.client.KvClient` (in-process),
-:class:`~repro.kvstore.tcp.TcpKvClient` (one socket),
+:class:`~repro.kvstore.client.TcpKvClient` (one socket),
 :class:`~repro.kvstore.cluster.ClusterKvClient` (slot-routed) — because
 all three expose ``execute_pipeline(*commands)`` returning replies in
 command order with error replies in place.

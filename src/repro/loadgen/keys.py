@@ -99,10 +99,6 @@ class ZipfianChooser(KeyChooser):
             self._eta = 0.0
         self._half_pow = 1.0 + 0.5 ** theta
 
-    def rank_probability(self, rank: int) -> float:
-        """Exact ``P(rank)`` — monotonically decreasing in ``rank``."""
-        return (1.0 / (rank + 1) ** self.theta) / self._zetan
-
     def choose(self, rng: random.Random) -> int:
         u = rng.random()
         uz = u * self._zetan

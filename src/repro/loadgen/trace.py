@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
-
 from repro.kvstore.resp import RespParser, encode_command
 from repro.loadgen.engine import Op, OperationStream
 from repro.loadgen.spec import WorkloadSpec
 
-__all__ = ["TraceError", "read_trace", "record_trace", "replay_batches"]
+__all__ = ["TraceError", "read_trace", "record_trace"]
 
 _MAGIC = b"#repro-loadgen-trace v1 "
 
@@ -124,27 +122,6 @@ def read_trace(path: str | Path) -> tuple[dict, list[list[Op]]]:
             f"{meta.get('ops')} ops, file holds {len(batches)} / {ops}"
         )
     return meta, batches
-
-
-def replay_batches(path: str | Path) -> Iterator[list[Op]]:
-    """The trace's batches, in recorded order (driver-compatible)."""
-    __, batches = read_trace(path)
-    yield from batches
-
-
-def reencode(batches: Iterable[list[Op]]) -> bytes:
-    """The RESP payload bytes for ``batches`` (sans header).
-
-    ``read_trace`` + ``reencode`` is the round-trip identity the tests
-    pin: re-encoding a loaded trace reproduces the file payload
-    exactly.
-    """
-    chunks: list[bytes] = []
-    for batch in batches:
-        chunks.append(b"*%d\r\n" % len(batch))
-        for op in batch:
-            chunks.append(encode_command(*op))
-    return b"".join(chunks)
 
 
 def trace_spec(meta: dict) -> WorkloadSpec:

@@ -92,11 +92,6 @@ class ExtentMap:
     def used_bytes(self) -> int:
         return self.capacity - self.free_bytes
 
-    @property
-    def is_empty(self) -> bool:
-        """True when nothing is allocated in the region."""
-        return self.free_bytes == self.capacity
-
     def largest_free_extent(self) -> int:
         """Length of the largest single free extent (0 when full)."""
         if not self._free:

@@ -9,7 +9,7 @@ between processes before the pool runs dry.
 from __future__ import annotations
 
 from repro.mem.errors import FrameLeakError, OutOfMemoryError
-from repro.util.units import PAGE_SIZE, bytes_to_pages, format_bytes
+from repro.util.units import PAGE_SIZE, format_bytes
 
 
 class PhysicalMemory:
@@ -70,12 +70,6 @@ class PhysicalMemory:
         if self.used_frames > self.peak_frames:
             self.peak_frames = self.used_frames
 
-    def allocate_bytes(self, size: int) -> int:
-        """Allocate whole frames covering ``size`` bytes; return the count."""
-        frames = bytes_to_pages(size)
-        self.allocate_frames(frames)
-        return frames
-
     def release_frames(self, frames: int) -> None:
         """Return ``frames`` frames to the pool."""
         if frames < 0:
@@ -86,8 +80,3 @@ class PhysicalMemory:
                 f"{self.used_frames} are allocated"
             )
         self.used_frames -= frames
-
-    def release_bytes(self, size: int) -> int:
-        frames = bytes_to_pages(size)
-        self.release_frames(frames)
-        return frames

@@ -38,8 +38,6 @@ class SystemAllocator:
             owner="sysalloc"
         )
         self._live: dict[int, Placement] = {}
-        #: pages harvested from frees, reused before mapping new ones
-        self._page_cache: list[Page] = []
         self.total_allocs = 0
         self.total_frees = 0
 
@@ -71,28 +69,11 @@ class SystemAllocator:
 
     def _grow(self, pages: int) -> None:
         for _ in range(pages):
-            if self._page_cache:
-                page = self._page_cache.pop()
-            else:
-                if self._physical is not None:
-                    if not self._physical.can_allocate(1):
-                        raise OutOfMemoryError(1, self._physical.free_frames)
-                    self._physical.allocate_frames(1)
-                page = Page()
-            self._placer.add_page(page)
-
-    def trim(self) -> int:
-        """Return fully-free pages to the machine; give back the count.
-
-        Mirrors a real allocator's ``malloc_trim``: without this, freed
-        pages stay cached for reuse.
-        """
-        pages = self._placer.take_free_pages()
-        if self._physical is not None:
-            self._physical.release_frames(len(pages))
-        else:
-            self._page_cache.extend(pages)
-        return len(pages)
+            if self._physical is not None:
+                if not self._physical.can_allocate(1):
+                    raise OutOfMemoryError(1, self._physical.free_frames)
+                self._physical.allocate_frames(1)
+            self._placer.add_page(Page())
 
     @property
     def live_allocations(self) -> int:

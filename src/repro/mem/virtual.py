@@ -5,7 +5,8 @@ the operating system upon a reclamation demand, tracks the released
 virtual pages to re-back them with physical pages before extending the
 heap" (section 4). This module models exactly that: a virtual page stays
 part of the address space after release; its physical frame is gone until
-:meth:`VirtualAddressSpace.reback` restores one.
+the next :meth:`VirtualAddressSpace.map_pages` re-backs it, before any
+new virtual page is minted.
 """
 
 from __future__ import annotations
@@ -48,18 +49,9 @@ class VirtualAddressSpace:
         )
 
     @property
-    def backed_pages(self) -> int:
-        return len(self._backed)
-
-    @property
     def unbacked_pages(self) -> int:
         """Released virtual pages awaiting re-backing."""
         return len(self._unbacked)
-
-    @property
-    def virtual_pages(self) -> int:
-        """Total virtual footprint (backed + released-but-tracked)."""
-        return len(self._backed) + len(self._unbacked)
 
     def map_pages(self, count: int) -> list[VirtualPage]:
         """Extend the address space by ``count`` freshly backed pages.
@@ -115,18 +107,6 @@ class VirtualAddressSpace:
                     break
             self.release(victims)
         return count
-
-    def reback(self, count: int) -> list[VirtualPage]:
-        """Explicitly re-back up to ``count`` released pages."""
-        count = min(count, len(self._unbacked))
-        if count == 0:
-            return []
-        self._physical.allocate_frames(count)
-        pages = [self._unbacked.pop() for _ in range(count)]
-        for vpage in pages:
-            vpage.backed = True
-        self._backed.update(pages)
-        return pages
 
     def destroy(self) -> None:
         """Tear down the address space, returning all frames (process exit)."""

@@ -2,9 +2,9 @@
 
 Dependency-free runtime telemetry for every layer of the reproduction:
 
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, and fixed-bucket latency histograms (lock-free per-thread
-  cells, merged on read);
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with pull
+  gauges and fixed-bucket latency histograms (one cell each, written
+  in place by an already-serialized caller);
 * :mod:`repro.obs.slowlog` — a Redis-SLOWLOG-style bounded ring of the
   slowest commands;
 * :mod:`repro.obs.plane` — :class:`KvObservability`, the serving-plane
@@ -20,7 +20,6 @@ command), because per-command latency cannot be reconstructed later.
 """
 
 from repro.obs.metrics import (
-    Counter,
     Gauge,
     HistSnapshot,
     Histogram,
@@ -38,7 +37,6 @@ from repro.obs.plane import (
 from repro.obs.slowlog import Slowlog, SlowlogEntry
 
 __all__ = [
-    "Counter",
     "Gauge",
     "MultiGauge",
     "Histogram",

@@ -1,23 +1,24 @@
-"""Counters, gauges, and fixed-bucket histograms behind one registry.
+"""Pull gauges and fixed-bucket histograms behind one registry.
 
 Design constraints (see ISSUE 3):
 
 * **dependency-free** — pure stdlib, importable anywhere the core is;
-* **lock-cheap** — the write paths take no locks.  Counters and
-  histograms keep one cell per writer thread (keyed by
-  ``threading.get_ident()``); each thread mutates only its own cell, so
-  writes never race, and readers merge the cells on demand.  Creating a
-  metric or a new thread cell does take the registry/metric into a tiny
-  critical section, but that happens once per (metric, thread);
-* **monotonic counters** — counters and histogram counts can only grow,
-  which is what lets the soak harness assert "no counter ever
-  decreases" across arbitrary traffic.
+* **lock-free writes** — the only metric written per event is the
+  histogram, and every writer in this repo is already serialized
+  (commands and tier promotions run under the serving plane's
+  execution lock, batch sizes are recorded by its one loop thread), so
+  a :class:`Histogram` *is* its one cell: ``observe`` updates the
+  bucket counts, count, sum and extrema in place.  Only creating a
+  metric takes the registry lock;
+* **monotonic histograms** — counts and sums can only grow, which is
+  what lets the soak harness assert "no series ever decreases" across
+  arbitrary traffic.
 
-Gauges come in three flavours: set-value (``set``/``add``), *pull*
-(a zero-argument callable sampled at snapshot time — how the SMA/SMD/
-RPC stats structs are exposed with zero hot-path cost), and
-:class:`MultiGauge` (a callable returning a ``suffix -> value`` dict,
-for per-process fan-out that changes membership at runtime).
+Everything else is *pull*: a :class:`Gauge` is a zero-argument callable
+sampled at snapshot time — how the SMA/SMD/RPC stats structs and the
+servers' plain-int counters are exposed with zero hot-path cost — and a
+:class:`MultiGauge` is a callable returning a ``suffix -> value`` dict,
+for per-process fan-out that changes membership at runtime.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
-    "Counter",
     "Gauge",
     "MultiGauge",
     "Histogram",
@@ -48,61 +48,18 @@ DEFAULT_LATENCY_BOUNDS: tuple[float, ...] = tuple(
 ) + (10.0,)
 
 
-class Counter:
-    """Monotonic event counter with per-thread cells.
-
-    ``inc`` touches only the calling thread's cell (one dict store), so
-    concurrent writers never lose increments; ``value`` sums the cells.
-    """
-
-    __slots__ = ("name", "_cells")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._cells: dict[int, int] = {}
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        ident = threading.get_ident()
-        cells = self._cells
-        cells[ident] = cells.get(ident, 0) + amount
-
-    @property
-    def value(self) -> int:
-        return sum(self._cells.values())
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
-
-
 class Gauge:
-    """Point-in-time value: either set by the owner or pulled via ``fn``."""
+    """Point-in-time value pulled from ``fn`` whenever it is read."""
 
-    __slots__ = ("name", "_fn", "_value")
+    __slots__ = ("name", "_fn")
 
-    def __init__(
-        self, name: str, fn: Callable[[], float] | None = None
-    ) -> None:
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
         self.name = name
         self._fn = fn
-        self._value: float = 0.0
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise TypeError(f"gauge {self.name!r} is pull-only")
-        self._value = value
-
-    def add(self, delta: float) -> None:
-        if self._fn is not None:
-            raise TypeError(f"gauge {self.name!r} is pull-only")
-        self._value += delta
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self._value
+        return self._fn()
 
     def __repr__(self) -> str:
         return f"<Gauge {self.name}={self.value}>"
@@ -128,31 +85,9 @@ class MultiGauge:
         return f"<MultiGauge {self.name}>"
 
 
-class _HistCell:
-    """One writer thread's slice of a histogram."""
-
-    __slots__ = ("counts", "count", "total", "vmin", "vmax")
-
-    def __init__(self, buckets: int) -> None:
-        self.counts = [0] * buckets
-        self.count = 0
-        self.total = 0.0
-        self.vmin = float("inf")
-        self.vmax = float("-inf")
-
-    def observe(self, index: int, value: float) -> None:
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-
-
 @dataclass(frozen=True)
 class HistSnapshot:
-    """Immutable merged view of a histogram (supports ``+`` for merges)."""
+    """Immutable view of a histogram at one instant."""
 
     bounds: tuple[float, ...]
     counts: tuple[int, ...]  # len(bounds) + 1 (last = overflow)
@@ -160,29 +95,6 @@ class HistSnapshot:
     total: float
     vmin: float
     vmax: float
-
-    def __add__(self, other: "HistSnapshot") -> "HistSnapshot":
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        # An empty side's vmin/vmax are 0.0 sentinels, not observations —
-        # they must not clamp the merged extrema.
-        if self.count == 0:
-            vmin, vmax = other.vmin, other.vmax
-        elif other.count == 0:
-            vmin, vmax = self.vmin, self.vmax
-        else:
-            vmin = min(self.vmin, other.vmin)
-            vmax = max(self.vmax, other.vmax)
-        return HistSnapshot(
-            bounds=self.bounds,
-            counts=tuple(
-                a + b for a, b in zip(self.counts, other.counts)
-            ),
-            count=self.count + other.count,
-            total=self.total + other.total,
-            vmin=vmin,
-            vmax=vmax,
-        )
 
     @property
     def mean(self) -> float:
@@ -221,16 +133,14 @@ class HistSnapshot:
 
 
 class Histogram:
-    """Fixed-bucket histogram with per-thread cells.
+    """Fixed-bucket histogram: one cell, one write method.
 
-    ``observe`` is the general lock-free path.  ``cell_for_caller``
-    hands out the calling thread's raw cell so an externally serialized
-    hot loop (the kvstore serving plane, which already executes under
-    one lock) can update it without re-resolving the thread ident per
-    event.
+    Writers must be externally serialized (see the module docstring);
+    the serving plane holds the histogram itself and calls
+    :meth:`observe` per event.
     """
 
-    __slots__ = ("name", "bounds", "_cells", "_cells_lock")
+    __slots__ = ("name", "bounds", "counts", "count", "total", "vmin", "vmax")
 
     def __init__(
         self, name: str, bounds: Iterable[float] | None = None
@@ -242,66 +152,31 @@ class Histogram:
         if any(b >= a for b, a in zip(chosen, chosen[1:])):
             raise ValueError(f"bounds must be strictly increasing: {chosen}")
         self.bounds = chosen
-        self._cells: dict[int, _HistCell] = {}
-        self._cells_lock = threading.Lock()
-
-    def cell_for_caller(self) -> _HistCell:
-        ident = threading.get_ident()
-        cell = self._cells.get(ident)
-        if cell is None:
-            with self._cells_lock:
-                cell = self._cells.get(ident)
-                if cell is None:
-                    cell = _HistCell(len(self.bounds) + 1)
-                    self._cells[ident] = cell
-        return cell
-
-    def shared_cell(self) -> _HistCell:
-        """One cell shared by all writers — for externally serialized
-        hot loops (the serving plane executes under a single lock), so
-        the per-event thread-ident lookup of :meth:`observe` is paid
-        once instead of per observation.  Do NOT mix with unserialized
-        multi-threaded writers."""
-        with self._cells_lock:
-            cell = self._cells.get("shared")  # type: ignore[arg-type]
-            if cell is None:
-                cell = _HistCell(len(self.bounds) + 1)
-                self._cells["shared"] = cell  # type: ignore[index]
-            return cell
+        self.counts = [0] * (len(chosen) + 1)  # last = overflow
+        self.count = 0
+        self.total = 0.0
+        self.vmin = float("inf")
+        self.vmax = float("-inf")
 
     def observe(self, value: float) -> None:
-        self.cell_for_caller().observe(bisect_left(self.bounds, value), value)
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.total += value
+        if value < self.vmin:
+            self.vmin = value
+        if value > self.vmax:
+            self.vmax = value
 
     def snapshot(self) -> HistSnapshot:
-        counts = [0] * (len(self.bounds) + 1)
-        count = 0
-        total = 0.0
-        vmin = float("inf")
-        vmax = float("-inf")
-        for cell in list(self._cells.values()):
-            for i, n in enumerate(cell.counts):
-                counts[i] += n
-            count += cell.count
-            total += cell.total
-            if cell.vmin < vmin:
-                vmin = cell.vmin
-            if cell.vmax > vmax:
-                vmax = cell.vmax
+        count = self.count
         return HistSnapshot(
             bounds=self.bounds,
-            counts=tuple(counts),
+            counts=tuple(self.counts),
             count=count,
-            total=total,
-            vmin=vmin if count else 0.0,
-            vmax=vmax if count else 0.0,
+            total=self.total,
+            vmin=self.vmin if count else 0.0,
+            vmax=self.vmax if count else 0.0,
         )
-
-    @property
-    def count(self) -> int:
-        return sum(cell.count for cell in list(self._cells.values()))
-
-    def quantile(self, q: float) -> float:
-        return self.snapshot().quantile(q)
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count}>"
@@ -338,15 +213,10 @@ class MetricsRegistry:
                 )
             return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(
-        self, name: str, fn: Callable[[], float] | None = None
-    ) -> Gauge:
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         gauge = self._get_or_create(name, Gauge, lambda: Gauge(name, fn))
-        if fn is not None and gauge._fn is not fn:
-            # re-binding an existing pull gauge (e.g. a fresh server
+        if gauge._fn is not fn:
+            # re-binding an existing gauge (e.g. a fresh server
             # front-end over the same store) points it at the new source
             gauge._fn = fn
         return gauge
@@ -390,9 +260,7 @@ class MetricsRegistry:
         """
         out: dict[str, float] = {}
         for name, metric in list(self._metrics.items()):
-            if isinstance(metric, Counter):
-                out[name] = metric.value
-            elif isinstance(metric, Gauge):
+            if isinstance(metric, Gauge):
                 try:
                     out[name] = metric.value
                 except Exception:
@@ -418,15 +286,13 @@ class MetricsRegistry:
     def monotonic_snapshot(self) -> dict[str, float]:
         """Only the series guaranteed never to decrease.
 
-        Counters, histogram counts, and histogram sums (observations
-        are durations, hence non-negative).  The soak harness diffs two
+        Histogram counts, buckets, and sums (observations are durations
+        or batch sizes, hence non-negative).  The soak harness diffs two
         of these to assert monotonicity across a traffic phase.
         """
         out: dict[str, float] = {}
         for name, metric in list(self._metrics.items()):
-            if isinstance(metric, Counter):
-                out[name] = metric.value
-            elif isinstance(metric, Histogram):
+            if isinstance(metric, Histogram):
                 snap = metric.snapshot()
                 out[f"{name}.count"] = snap.count
                 out[f"{name}.sum"] = snap.total

@@ -1,14 +1,14 @@
 """The serving-plane observability sink and per-layer metric bindings.
 
 :class:`KvObservability` is the one genuinely hot piece of the
-observability plane: the RESP servers call :meth:`observe_command` once
-per executed command, so it is written for minimum per-event cost — a
-pre-resolved histogram cell per command name (learned on first sight,
-bounded), one ``bisect`` into shared bucket bounds, and a threshold
-compare for the slowlog.  Everything else in this module is *pull*:
-``bind_*`` helpers register gauges whose callables read the existing
-stats structs (``SmaStats``, ``AgentStats``, the SMD counters, server
-counters) only when a snapshot is taken, adding zero cost to the
+observability plane: ``KvServer.pump`` observes every executed command
+inline, so the sink is laid out for minimum per-event cost — one
+histogram per command name (resolved on first sight, bounded), found
+by one dict probe on the exact name bytes, and a slowlog threshold the
+loop compares against a local.  Everything else in this module is
+*pull*: ``bind_*`` helpers register gauges whose callables read the
+existing stats structs (``SmaStats``, ``AgentStats``, the SMD counters,
+server counters) only when a snapshot is taken, adding zero cost to the
 allocator and daemon hot paths.
 
 Every :class:`~repro.kvstore.store.DataStore` owns a
@@ -19,12 +19,12 @@ and the ``repro.tools.metrics_dump`` CLI read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
     HistSnapshot,
+    Histogram,
     MetricsRegistry,
 )
 from repro.obs.slowlog import Slowlog
@@ -69,8 +69,8 @@ class KvObservability:
             else DEFAULT_LATENCY_BOUNDS
         )
         #: exact command-name bytes (any casing) -> that command's
-        #: histogram cell; resolved once per name, then O(1) per event
-        self._cmd_cells: dict[bytes, Any] = {}
+        #: histogram; resolved once per name, then O(1) per event
+        self._cmd_hists: dict[bytes, Histogram] = {}
         self._slow_s = slowlog_threshold_us / 1e6
         self.commands = 0
         self.protocol_errors = 0
@@ -80,31 +80,15 @@ class KvObservability:
         self.batch_hist = self.registry.histogram(
             "server.pipeline_batch", bounds=BATCH_BOUNDS
         )
-        self._batch_cell = self.batch_hist.shared_cell()
-        self._batch_bounds = self.batch_hist.bounds
 
     # -- hot path -------------------------------------------------------
 
-    def observe_command(
-        self, name: bytes, duration: float, argv: list[bytes]
-    ) -> None:
-        """Record one executed command (called under the server lock)."""
-        cell = self._cmd_cells.get(name)
-        if cell is None:
-            cell = self._learn_command(name, True)
-        cell.observe(bisect_left(self._bounds, duration), duration)
-        self.commands += 1
-        if duration >= self._slow_s:
-            self.slowlog.add(argv, duration)
-
     def observe_batch(self, executed: int) -> None:
         """Record one readable event's pipelined command count."""
-        self._batch_cell.observe(
-            bisect_left(self._batch_bounds, executed), executed
-        )
+        self.batch_hist.observe(executed)
 
-    def _learn_command(self, name: bytes, known: bool) -> Any:
-        """Resolve a command name to its histogram cell (first sight).
+    def _learn_command(self, name: bytes, known: bool) -> Histogram:
+        """Resolve a command name to its histogram (first sight).
 
         All casings of one command share one histogram, registered as
         ``cmd.<NAME>.latency``.  The exact-bytes mapping is bounded so
@@ -119,11 +103,10 @@ class KvObservability:
         hist = self.registry.histogram(
             f"cmd.{label}.latency", bounds=self._bounds
         )
-        cell = hist.shared_cell()
-        if known and len(self._cmd_cells) < _MAX_CMD_NAMES:
-            self._cmd_cells[name] = cell
-            self._cmd_cells.setdefault(canonical, cell)
-        return cell
+        if known and len(self._cmd_hists) < _MAX_CMD_NAMES:
+            self._cmd_hists[name] = hist
+            self._cmd_hists.setdefault(canonical, hist)
+        return hist
 
     # -- slowlog config -------------------------------------------------
 
@@ -301,15 +284,15 @@ def bind_store(
 
 def bind_tier(
     registry: MetricsRegistry, soft_dict: Any, prefix: str = "tier"
-) -> Any:
+) -> Callable[[float], None]:
     """Expose the compressed second-chance tier as pull gauges.
 
     ``soft_dict`` is a :class:`~repro.kvstore.dict.SoftDict` (typed
-    ``Any`` to keep the obs plane import-light).  Returns the observe
-    callable for the ``tier.promote_latency`` histogram — the dict
-    calls it with the duration in seconds of each read of a demoted
-    entry (inflate, plus re-admission when the heap owns the room), so
-    the p99 cost of a stub read is visible next to command latency.
+    ``Any`` to keep the obs plane import-light).  Returns the
+    ``tier.promote_latency`` histogram's ``observe`` — the dict calls
+    it with the duration in seconds of each read of a demoted entry
+    (inflate, plus re-admission when the heap owns the room), so the
+    p99 cost of a stub read is visible next to command latency.
     """
     _bind_attrs(
         registry,
@@ -336,16 +319,9 @@ def bind_tier(
     registry.gauge(
         f"{prefix}.enabled", fn=lambda: int(soft_dict.tier.enabled)
     )
-    hist = registry.histogram(
+    return registry.histogram(
         f"{prefix}.promote_latency", bounds=DEFAULT_LATENCY_BOUNDS
-    )
-    cell = hist.shared_cell()
-    bounds = hist.bounds
-
-    def observe(duration: float) -> None:
-        cell.observe(bisect_left(bounds, duration), duration)
-
-    return observe
+    ).observe
 
 
 def bind_persistence(
@@ -388,8 +364,8 @@ def bind_persistence(
 def bind_server(
     registry: MetricsRegistry, server: Any, prefix: str = "server"
 ) -> None:
-    """Expose an :class:`~repro.kvstore.tcp.EventLoopKvServer`'s
-    counters as pull gauges.  Rebinding (a new server over the same
+    """Expose a :class:`~repro.kvstore.tcp.TcpKvServer`'s counters as
+    pull gauges.  Rebinding (a new server over the same
     store) points the gauges at the new server.
     """
     _bind_attrs(registry, prefix, server, (

@@ -80,13 +80,6 @@ class Slowlog:
             entries[self._start] = entry
             self._start = (self._start + 1) % self.max_len
 
-    def maybe_add(self, argv: Iterable[bytes], duration_s: float) -> bool:
-        """Record the command iff it is at or above the threshold."""
-        if duration_s * 1e6 >= self.threshold_us:
-            self.add(argv, duration_s)
-            return True
-        return False
-
     def entries(self, count: int | None = None) -> list[SlowlogEntry]:
         """Newest-first entries (like ``SLOWLOG GET``)."""
         entries = self._entries

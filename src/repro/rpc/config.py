@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class RetryPolicy:
         return min(
             self.base_delay * (self.multiplier ** attempt), self.max_delay
         )
-
-    def delays(self) -> Iterator[float]:
-        """The finite schedule of post-attempt backoffs."""
-        for attempt in range(max(0, self.attempts - 1)):
-            yield self.delay(attempt)
 
 
 @dataclass(frozen=True)

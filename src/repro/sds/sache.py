@@ -98,11 +98,6 @@ class Sache(SoftDataStructure):
         self._sweep_cleared()
         return len(self._entries)
 
-    @property
-    def cleared_pending(self) -> int:
-        """References reclaimed but not yet swept from the index."""
-        return len(self._cleared)
-
     def _insert(self, key: Hashable, value: Any) -> None:
         size = self._size_of(value) if self._size_of else self._entry_size
         ptr = self._alloc(size, value)

@@ -154,18 +154,6 @@ class SoftBuffer(SoftDataStructure):
     def live_segments(self) -> int:
         return sum(1 for p in self._segments.values() if p.valid)
 
-    @property
-    def available_bytes(self) -> int:
-        """Bytes still readable (live segments x their coverage)."""
-        total = 0
-        for seg_index, ptr in self._segments.items():
-            if not ptr.valid:
-                continue
-            seg_start = seg_index * self.segment_size
-            seg_end = min(seg_start + self.segment_size, self._length)
-            total += max(0, seg_end - seg_start)
-        return total
-
     def segments(self) -> Iterator[tuple[int, bool]]:
         """(segment index, alive?) in order."""
         for seg_index in sorted(self._segments):

@@ -96,10 +96,6 @@ class SoftLRUCache(SoftDataStructure):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def _evict_lru_for_capacity(self) -> None:
         """Capacity eviction (normal free path; no reclamation callback)."""
         key = next(iter(self._entries))

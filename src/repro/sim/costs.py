@@ -59,7 +59,3 @@ class CostModel:
     def allocation_time(self, count: int, pages_mapped: int = 0) -> float:
         """Simulated duration of ``count`` soft allocations."""
         return count * self.alloc_cost + pages_mapped * self.page_map_cost
-
-    def restart_time(self, entries_to_refill: int = 0) -> float:
-        """Downtime + refill work after killing and restarting a process."""
-        return self.restart_cost + entries_to_refill * self.refill_cost_per_entry

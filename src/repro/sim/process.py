@@ -74,22 +74,6 @@ class SimProcess:
         """Physical bytes attributable to this process right now."""
         return self.traditional_bytes + self.soft_bytes
 
-    def grow_traditional(self, pages: int) -> None:
-        """Take more traditional frames (may raise OutOfMemoryError)."""
-        self.machine.physical.allocate_frames(pages)
-        self.traditional_pages += pages
-        self.record.traditional_pages = self.traditional_pages
-
-    def shrink_traditional(self, pages: int) -> None:
-        if pages > self.traditional_pages:
-            raise ValueError(
-                f"cannot shrink {pages} pages; only "
-                f"{self.traditional_pages} held"
-            )
-        self.machine.physical.release_frames(pages)
-        self.traditional_pages -= pages
-        self.record.traditional_pages = self.traditional_pages
-
     # -- lifecycle --------------------------------------------------------
 
     def kill(self) -> None:

@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
             client = ClusterKvClient(addresses)
         else:
-            from repro.kvstore.tcp import TcpKvClient
+            from repro.kvstore.client import TcpKvClient
 
             client = TcpKvClient(addresses[0])
         try:

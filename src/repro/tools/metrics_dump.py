@@ -29,7 +29,7 @@ import json
 import sys
 from typing import Any
 
-from repro.kvstore.tcp import TcpKvClient
+from repro.kvstore.client import TcpKvClient
 
 
 def parse_info(payload: bytes) -> dict[str, dict[str, Any]]:

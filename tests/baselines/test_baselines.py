@@ -9,6 +9,7 @@ from repro.baselines.swap import (
     pressure_cost_soft,
     pressure_cost_swap,
 )
+from repro.core.reclaim import ReclamationStats
 from repro.core.sma import SoftMemoryAllocator
 from repro.sds.soft_linked_list import SoftLinkedList
 from repro.util.units import PAGE_SIZE
@@ -29,7 +30,9 @@ class TestKillRestart:
         killing costs far more."""
         model = KillRestartModel()
         kill = model.episode(130_000, request_rate=5000)
-        reclaim_seconds = model.reclamation_comparison(26_000)
+        stats = ReclamationStats()
+        stats.callbacks_invoked = stats.allocations_freed = 26_000
+        reclaim_seconds = model.costs.reclamation_time(stats)
         assert kill.total_disruption_seconds > reclaim_seconds
 
     def test_partial_refetch(self):

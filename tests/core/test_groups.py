@@ -69,9 +69,9 @@ class TestGroupRegistry:
         sma, ctx = setup
         a = sma.soft_malloc(8, ctx)
         sma.groups.group(a)
-        before = sma.groups.group_count
+        before = len(sma.groups._members)
         sma.soft_free(a)
-        assert sma.groups.group_count == before - 1
+        assert len(sma.groups._members) == before - 1
 
 
 class TestGroupedReclamation:

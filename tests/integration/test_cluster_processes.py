@@ -16,11 +16,11 @@ import time
 
 import pytest
 
+from repro.kvstore import TcpKvClient
 from repro.kvstore.cluster import ClusterKvClient
 from repro.kvstore.cluster.slots import key_hash_slot
 from repro.kvstore.cluster.supervisor import ClusterSupervisor
 from repro.kvstore.resp import RespError
-from repro.kvstore.tcp import TcpKvClient
 
 pytestmark = pytest.mark.timeout(180)
 

@@ -19,10 +19,10 @@ from repro.kvstore.cluster.state import (
     node_id_for,
     parse_moved,
 )
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.commands import dispatch
 from repro.kvstore.resp import RespError
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvClient, TcpKvServer
 
 # keys with known owners under a 2-shard split (slots 0-8191 / 8192-16383)
 LOW_KEY = b"bar"  # slot 5061 -> shard 0

@@ -19,11 +19,11 @@ import itertools
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
+from repro.kvstore import TcpKvServer
 from repro.kvstore.cluster import ClusterKvClient
 from repro.kvstore.cluster.slots import key_hash_slot
 from repro.kvstore.cluster.state import ClusterState
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvServer
 from repro.loadgen.driver import DriverReport, drive
 from repro.loadgen.engine import OperationStream
 from repro.loadgen.spec import preset

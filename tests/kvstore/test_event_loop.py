@@ -16,11 +16,11 @@ from functools import partial
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.persist.aof import RealFile
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespError, RespParser, encode_command
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def store():
 
 @pytest.fixture
 def server(store):
-    srv = EventLoopKvServer(store).start()
+    srv = TcpKvServer(store).start()
     yield srv
     srv.stop()
 
@@ -112,7 +112,7 @@ class TestDeepPipelines:
 
 class TestSlowClientBackpressure:
     def test_slow_client_is_disconnected_at_the_limit(self, store):
-        server = EventLoopKvServer(store, output_buffer_limit=64 * 1024)
+        server = TcpKvServer(store, output_buffer_limit=64 * 1024)
         server.start()
         try:
             seed = TcpKvClient(server.address)
@@ -181,7 +181,7 @@ class TestCleanShutdown:
     def test_stop_flushes_pending_output(self, store):
         """stop() while a reader still owes us bytes: every reply the
         server accepted must arrive before the socket closes."""
-        server = EventLoopKvServer(store).start()
+        server = TcpKvServer(store).start()
         client = TcpKvClient(server.address, timeout=10)
         value = b"v" * 100_000
         assert str(client.execute("SET", "wide", value)) == "OK"
@@ -219,7 +219,7 @@ class TestCleanShutdown:
         client.close()
 
     def test_stop_is_idempotent_and_releases_the_port(self, store):
-        server = EventLoopKvServer(store).start()
+        server = TcpKvServer(store).start()
         address = server.address
         with TcpKvClient(address) as client:
             client.execute("SET", "k", "v")
@@ -261,7 +261,7 @@ class TestGroupCommit:
         )
         store.attach_persistence(persist)
         try:
-            with EventLoopKvServer(store) as server:
+            with TcpKvServer(store) as server:
                 with TcpKvClient(server.address) as client:
                     for burst in range(8):
                         replies = client.execute_pipeline(

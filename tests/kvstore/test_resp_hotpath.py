@@ -35,9 +35,9 @@ from repro.kvstore.resp import (
     encode_command,
     encode_reply,
 )
+from repro.kvstore import TcpKvClient
 from repro.kvstore.server import KvServer, ZERO_COPY_THRESHOLD
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvClient
 
 
 def make_server(name: str = "hotpath") -> KvServer:

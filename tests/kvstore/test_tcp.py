@@ -5,9 +5,9 @@ import threading
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.resp import RespError
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvClient, TcpKvServer
 
 
 @pytest.fixture(params=["event-loop"])  # one plane; the id keeps test names

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import TcpKvClient, TcpKvServer
 
 
 @pytest.fixture
@@ -64,9 +66,45 @@ class TestTimeouts:
             client = TcpKvClient(listener.getsockname(), timeout=0.2)
             with pytest.raises((socket.timeout, OSError)):
                 client.execute(b"PING")
-            client.close()
+            assert client.closed
         finally:
             listener.close()
+
+    def test_a_timed_out_client_never_hands_out_the_late_reply(self):
+        # a listener that answers the first request only after the
+        # client has given up on it: the late ``FIRST`` must not become
+        # the reply of the next command
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        answered = threading.Event()
+
+        def answer_late():
+            peer, __ = listener.accept()
+            with peer:
+                peer.recv(4096)
+                time.sleep(0.3)
+                try:
+                    peer.sendall(b"+FIRST\r\n")
+                except OSError:
+                    pass  # the client has hung up already
+                answered.set()
+
+        late = threading.Thread(target=answer_late, daemon=True)
+        late.start()
+        try:
+            client = TcpKvClient(listener.getsockname(), timeout=0.1)
+            with pytest.raises(OSError):
+                client.execute(b"GET", b"a")
+            assert client.closed
+            assert answered.wait(5.0)
+            with pytest.raises(OSError):
+                client.execute(b"PING")
+        finally:
+            client.close()
+            listener.close()
+            late.join(5.0)
+        assert not late.is_alive()
 
 
 class TestClose:

@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kvstore.resp import encode_command
 from repro.loadgen.engine import OperationStream
 from repro.loadgen.spec import PRESETS, preset
 from repro.loadgen.trace import (
@@ -18,10 +19,25 @@ from repro.loadgen.trace import (
     _MAGIC,
     read_trace,
     record_trace,
-    reencode,
-    replay_batches,
     trace_spec,
 )
+
+
+
+def replay_batches(path):
+    """The trace's batches, in recorded order (driver-compatible)."""
+    return read_trace(path)[1]
+
+
+def reencode(batches):
+    """The RESP payload bytes for ``batches`` (sans header): the
+    oracle of the ``read_trace`` round-trip identity."""
+    chunks = []
+    for batch in batches:
+        chunks.append(b"*%d\r\n" % len(batch))
+        chunks.extend(encode_command(*op) for op in batch)
+    return b"".join(chunks)
+
 
 preset_names = st.sampled_from(sorted(PRESETS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

@@ -54,7 +54,6 @@ class TestFree:
         off = em.allocate(400)
         em.free(off, 400)
         assert em.free_bytes == 1000
-        assert em.is_empty
 
     def test_coalesce_with_predecessor(self):
         em = ExtentMap(300)
@@ -170,7 +169,7 @@ def test_random_alloc_free_preserves_invariants(sizes, rng):
         assert em.used_bytes == sum(sz for _, sz in live)
     for off, sz in live:
         em.free(off, sz)
-    assert em.is_empty
+    assert em.used_bytes == 0
     em.check_invariants()
 
 

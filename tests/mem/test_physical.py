@@ -52,18 +52,6 @@ class TestPhysicalMemory:
         with pytest.raises(FrameLeakError):
             pm.release_frames(2)
 
-    def test_allocate_bytes_rounds_up(self):
-        pm = PhysicalMemory(MIB)
-        frames = pm.allocate_bytes(PAGE_SIZE + 1)
-        assert frames == 2
-        assert pm.used_frames == 2
-
-    def test_release_bytes_rounds_up(self):
-        pm = PhysicalMemory(MIB)
-        pm.allocate_bytes(2 * PAGE_SIZE)
-        assert pm.release_bytes(PAGE_SIZE + 1) == 2
-        assert pm.used_frames == 0
-
     def test_peak_tracking(self):
         pm = PhysicalMemory(MIB)
         pm.allocate_frames(5)

@@ -44,18 +44,6 @@ class TestUnbounded:
         assert alloc.page_count == 3
         alloc.free(a)
 
-    def test_trim_caches_pages_for_reuse(self):
-        alloc = SystemAllocator()
-        ids = [alloc.malloc(KIB) for _ in range(8)]
-        for i in ids:
-            alloc.free(i)
-        trimmed = alloc.trim()
-        assert trimmed == 2
-        assert alloc.page_count == 0
-        # Reuse: next malloc should not fail and reuses cached pages.
-        alloc.malloc(KIB)
-        assert alloc.page_count == 1
-
     def test_counters(self):
         alloc = SystemAllocator()
         a = alloc.malloc(10)
@@ -79,16 +67,8 @@ class TestBounded:
         with pytest.raises(OutOfMemoryError):
             alloc.malloc(PAGE_SIZE)
 
-    def test_trim_returns_frames_to_machine(self):
-        pm = PhysicalMemory(MIB)
-        alloc = SystemAllocator(pm)
-        a = alloc.malloc(PAGE_SIZE)
-        alloc.free(a)
-        alloc.trim()
-        assert pm.used_frames == 0
-
     def test_free_alone_does_not_return_frames(self):
-        # like a real malloc: freed memory stays cached until trim
+        # like a real malloc: freed memory stays with the allocator
         pm = PhysicalMemory(MIB)
         alloc = SystemAllocator(pm)
         a = alloc.malloc(PAGE_SIZE)

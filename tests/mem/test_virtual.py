@@ -20,7 +20,6 @@ class TestMapping:
         assert len(pages) == 4
         assert all(p.backed for p in pages)
         assert physical.used_frames == 4
-        assert vas.backed_pages == 4
 
     def test_map_zero(self, physical):
         vas = VirtualAddressSpace(physical)
@@ -43,9 +42,7 @@ class TestReleaseAndReback:
         pages = vas.map_pages(4)
         vas.release(pages[:2])
         assert physical.used_frames == 2
-        assert vas.backed_pages == 2
-        assert vas.unbacked_pages == 2
-        assert vas.virtual_pages == 4  # address space did not shrink
+        assert vas.unbacked_pages == 2  # address space did not shrink
 
     def test_released_pages_marked_unbacked(self, physical):
         vas = VirtualAddressSpace(physical)
@@ -61,7 +58,7 @@ class TestReleaseAndReback:
         vas.release(pages)
         new_pages = vas.map_pages(2)
         assert set(new_pages) <= set(pages)  # reused, not new
-        assert vas.virtual_pages == 3
+        assert vas.unbacked_pages == 1
 
     def test_map_grows_after_rebacking_exhausted(self, physical):
         vas = VirtualAddressSpace(physical)
@@ -69,7 +66,8 @@ class TestReleaseAndReback:
         vas.release(pages)
         new_pages = vas.map_pages(3)
         assert pages[0] in new_pages
-        assert vas.virtual_pages == 3
+        assert len(set(new_pages)) == 3
+        assert vas.unbacked_pages == 0
 
     def test_release_unmapped_page_rejected(self, physical):
         vas1 = VirtualAddressSpace(physical)
@@ -85,27 +83,11 @@ class TestReleaseAndReback:
         with pytest.raises(FrameLeakError):
             vas.release(pages)
 
-    def test_explicit_reback(self, physical):
-        vas = VirtualAddressSpace(physical)
-        pages = vas.map_pages(4)
-        vas.release(pages)
-        rebacked = vas.reback(2)
-        assert len(rebacked) == 2
-        assert all(p.backed for p in rebacked)
-        assert physical.used_frames == 2
-
-    def test_reback_caps_at_unbacked_count(self, physical):
-        vas = VirtualAddressSpace(physical)
-        pages = vas.map_pages(1)
-        vas.release(pages)
-        assert len(vas.reback(10)) == 1
-
     def test_release_any(self, physical):
         vas = VirtualAddressSpace(physical)
         vas.map_pages(5)
         released = vas.release_any(3)
         assert released == 3
-        assert vas.backed_pages == 2
         assert physical.used_frames == 2
 
     def test_release_any_caps_at_backed(self, physical):
@@ -121,7 +103,6 @@ class TestDestroy:
         vas.release(pages[:3])
         vas.destroy()
         assert physical.used_frames == 0
-        assert vas.backed_pages == 0
         assert vas.unbacked_pages == 0
 
     def test_shared_pool_isolation(self, physical):

@@ -4,7 +4,7 @@ every phase.
 The harness wires the full machine the observability plane spans — an
 in-process SMD arbitrating tight soft capacity, the kvstore's SMA, an
 antagonist SMA whose allocations force real reclamation episodes
-against the keyspace, and an :class:`EventLoopKvServer` over live
+against the keyspace, and an :class:`TcpKvServer` over live
 TCP — then drives seeded traffic phases through a counting client:
 
 * ``fill``     — pipelined SETs sized to consume soft capacity;
@@ -61,8 +61,8 @@ from repro.kvstore.resp import (
     RespError,
     RespParser,
 )
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 from repro.kvstore.tier import TierConfig
 from repro.kvstore.values import CompressedValue
 from repro.obs.plane import bind_smd
@@ -161,7 +161,7 @@ class SoakHarness:
             )
             self.store.attach_persistence(self.persistence)
         bind_smd(self.store.obs.registry, self.smd)
-        self.server = EventLoopKvServer(self.store).start()
+        self.server = TcpKvServer(self.store).start()
         self.client = CountingClient(self.server.address)
         self._last_monotonic: dict[str, float] = {}
         self.phases_run: list[str] = []

@@ -21,9 +21,9 @@ import pytest
 
 from repro.core.errors import SoftMemoryDenied
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient
 from repro.kvstore.cluster import ClusterKvClient
 from repro.kvstore.cluster.supervisor import ClusterSupervisor
-from repro.kvstore.tcp import TcpKvClient
 from repro.rpc import SmaAgent
 from repro.sds.soft_linked_list import SoftLinkedList
 from repro.tools.metrics_dump import parse_info

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.store import DataStore, StoreConfig
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 from repro.kvstore.tier import TierConfig
 from repro.tools import metrics_dump
 
@@ -20,7 +20,7 @@ from repro.tools import metrics_dump
 @pytest.fixture
 def server():
     store = DataStore(LockedSoftMemoryAllocator(name="info-test"))
-    srv = EventLoopKvServer(store).start()
+    srv = TcpKvServer(store).start()
     yield srv
     srv.stop()
 
@@ -35,7 +35,7 @@ def tier_servers():
             LockedSoftMemoryAllocator(name=f"tier-info-{i}"),
             StoreConfig(tier=TierConfig(enabled=True)),
         )
-        servers.append(EventLoopKvServer(store).start())
+        servers.append(TcpKvServer(store).start())
     yield servers
     for srv in servers:
         srv.stop()

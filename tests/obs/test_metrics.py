@@ -1,65 +1,29 @@
-"""Unit tests for the metrics core: counters, gauges, histograms, registry."""
+"""Unit tests for the metrics core: pull gauges, one-cell histograms,
+the registry — and that the series ``INFO`` reports survived the core
+losing its set-value gauges, counters and per-thread cells."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
+from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import DataStore, TcpKvClient, TcpKvServer
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
-
-
-class TestCounter:
-    def test_increments_and_sums(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
-
-    def test_rejects_negative(self):
-        c = Counter("c")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_concurrent_increments_never_lost(self):
-        c = Counter("c")
-
-        def worker():
-            for _ in range(10_000):
-                c.inc()
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 40_000
+from repro.tools.metrics_dump import parse_info
 
 
 class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge("g")
-        g.set(10)
-        g.add(-3)
-        assert g.value == 7
-
     def test_pull_gauge_reads_source(self):
         box = {"v": 1}
         g = Gauge("g", fn=lambda: box["v"])
         assert g.value == 1
         box["v"] = 9
         assert g.value == 9
-
-    def test_pull_gauge_rejects_set(self):
-        g = Gauge("g", fn=lambda: 0)
-        with pytest.raises(TypeError):
-            g.set(1)
 
 
 class TestHistogram:
@@ -90,22 +54,6 @@ class TestHistogram:
         assert snap.count == 0
         assert snap.quantile(0.5) == 0.0
 
-    def test_merge_requires_same_bounds(self):
-        a = Histogram("a", bounds=[1.0]).snapshot()
-        b = Histogram("b", bounds=[2.0]).snapshot()
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_merge_adds(self):
-        ha = Histogram("a", bounds=[1.0, 10.0])
-        hb = Histogram("b", bounds=[1.0, 10.0])
-        ha.observe(0.5)
-        hb.observe(5.0)
-        merged = ha.snapshot() + hb.snapshot()
-        assert merged.count == 2
-        assert merged.vmin == 0.5
-        assert merged.vmax == 5.0
-
     def test_quantiles_within_observed_range(self):
         h = Histogram("h")
         for v in (1e-5, 2e-5, 3e-4, 0.81):
@@ -114,24 +62,17 @@ class TestHistogram:
         for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
             assert snap.vmin <= snap.quantile(q) <= snap.vmax
 
-    def test_shared_cell_is_stable(self):
-        h = Histogram("h", bounds=[1.0])
-        assert h.shared_cell() is h.shared_cell()
-        h.shared_cell().observe(0, 0.5)
-        assert h.count == 1
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry()
-        assert reg.counter("c") is reg.counter("c")
         assert reg.histogram("h") is reg.histogram("h")
+        assert reg.gauge("g", fn=int) is reg.gauge("g", fn=int)
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("x")
+        reg.histogram("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.gauge("x", fn=int)
 
     def test_gauge_rebinds_to_new_source(self):
         reg = MetricsRegistry()
@@ -161,7 +102,7 @@ class TestRegistry:
             raise RuntimeError("dead source")
 
         reg.gauge("bad", fn=boom)
-        reg.counter("good").inc()
+        reg.gauge("good", fn=lambda: 1)
         snap = reg.snapshot()
         assert "bad" not in snap
         assert snap["good"] == 1
@@ -169,11 +110,122 @@ class TestRegistry:
 
     def test_monotonic_snapshot_only_counters_and_hists(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g").set(7)
+        reg.gauge("g", fn=lambda: 7)
         reg.histogram("h", bounds=[1.0]).observe(0.5)
         mono = reg.monotonic_snapshot()
-        assert mono["c"] == 3
-        assert "g" not in mono
+        assert "g" not in mono  # a gauge may go down
         assert mono["h.count"] == 1
+        assert mono["h.sum"] == 0.5
         assert mono["h.bucket0"] == 1
+
+
+# ----------------------------------------------------------------------
+# the series INFO reports, pinned against the parent of the PR that
+# made a histogram one cell: same script, same names
+# ----------------------------------------------------------------------
+
+_SCRIPT = [
+    command
+    for i in range(20)
+    for command in (
+        ("SET", "k%d" % i, "v" * (i + 1)),
+        ("GET", "k%d" % i),
+        ("get", "k%d" % i),
+        ("INCR", "n"),
+        ("HSET", "h", "k%d" % i, i),
+        ("LPUSH", "l", i),
+        ("MGET", "k%d" % i, "missing"),
+        ("EXPIRE", "k%d" % i, 100),
+        ("DEL", "k%d" % i) if i % 2 else ("PING",),
+        ("NOPE%d" % i,),
+    )
+]
+
+#: ``INFO``'s keys per section after ``_SCRIPT``, captured at commit
+#: 83a13ce (per-thread cells, set-value gauges, a Counter type)
+_INFO_KEYS = {
+    "Server": [
+        "name", "commands_processed", "protocol_errors",
+        "protocol_dropped_bytes", "slowlog_len", "slowlog_total",
+        "slowlog_threshold_us",
+    ],
+    "Keyspace": [
+        "keys", "soft_bytes", "soft_pages", "traditional_bytes", "hits",
+        "misses", "hit_rate", "expired_keys", "reclaimed_keys",
+        "keyspace_rehashing", "evictions", "compressed_entries",
+        "compressed_bytes", "oom_denials",
+    ],
+    "Persistence": ["enabled", "aof_enabled"],
+    "Replication": ["role", "connected_replicas", "master_repl_offset"],
+    "Cluster": ["cluster_enabled"],
+    "SoftMemory": [
+        "sma.callback_errors", "sma.contexts", "sma.degraded",
+        "sma.granted_pages", "sma.held_pages", "sma.live_allocations",
+        "sma.live_bytes", "sma.pool_pages", "sma.stats.allocations",
+        "sma.stats.batch_denials", "sma.stats.daemon_requests",
+        "sma.stats.degraded_denials", "sma.stats.frees",
+        "sma.stats.pages_mapped", "sma.stats.pages_rebacked",
+        "sma.stats.pages_released", "sma.stats.reclamations",
+        "sma.unused_pages", "tier.bytes_saved", "tier.compressed_bytes",
+        "tier.compressed_entries", "tier.demotions", "tier.displacements",
+        "tier.enabled", "tier.incompressible", "tier.promote_latency.count",
+        "tier.promote_latency.max", "tier.promote_latency.mean",
+        "tier.promote_latency.p50", "tier.promote_latency.p99",
+        "tier.promote_latency.sum", "tier.promotion_denials",
+        "tier.promotions", "tier.second_chance_drops",
+    ],
+    "Stats": [
+        "server.batches_executed", "server.clients_dropped",
+        "server.commands_processed", "server.connections_served",
+        "server.max_batch", "server.pipeline_batch.count",
+        "server.pipeline_batch.max", "server.pipeline_batch.mean",
+        "server.pipeline_batch.p50", "server.pipeline_batch.p99",
+        "server.pipeline_batch.sum", "store.keys", "store.soft_bytes",
+        "store.stats.expired_keys", "store.stats.hits",
+        "store.stats.keys_deleted", "store.stats.keys_set",
+        "store.stats.misses", "store.stats.oom_denials",
+        "store.stats.reclaimed_keys", "store.traditional_bytes",
+        "gauge_errors",
+    ],
+    "Latency": [
+        f"cmd.{name}.{field}"
+        for name in (
+            "DEL", "EXPIRE", "GET", "HSET", "INCR", "LPUSH", "MGET", "PING",
+            "SET", "UNKNOWN",
+        )
+        for field in ("count", "mean_us", "p50_us", "p99_us", "max_us")
+    ],
+}
+
+
+class TestInfoReportsTheSameSeries:
+    @pytest.fixture(scope="class")
+    def served(self):
+        """(store, INFO as ``{section: {key: value}}``) after the script."""
+        store = DataStore(LockedSoftMemoryAllocator(name="info-keys"))
+        with TcpKvServer(store) as server:
+            with TcpKvClient(server.address) as client:
+                for at in range(0, len(_SCRIPT), 20):
+                    client.execute_pipeline(*_SCRIPT[at:at + 20])
+                sections = parse_info(client.execute("INFO"))
+        return store, sections
+
+    def test_every_section_has_the_parents_keys(self, served):
+        __, sections = served
+        assert len(_SCRIPT) == 200
+        assert {s: list(keys) for s, keys in sections.items()} == _INFO_KEYS
+
+    def test_commands_equals_the_sum_of_command_counts(self, served):
+        store, sections = served
+        counts = {
+            key: value
+            for key, value in sections["Latency"].items()
+            if key.endswith(".count")
+        }
+        assert counts["cmd.GET.count"] == 40  # both casings, one series
+        assert counts["cmd.UNKNOWN.count"] == 20
+        # the INFO that printed them had not been observed yet
+        assert sections["Server"]["commands_processed"] == 200
+        assert sum(counts.values()) == 200
+        stats = store.obs.command_stats()
+        assert store.obs.commands == sum(s.count for s in stats.values())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
 from repro.kvstore.resp import encode_command
@@ -10,45 +12,69 @@ from repro.kvstore.store import DataStore
 from repro.obs.plane import _MAX_CMD_NAMES, KvObservability, bind_smd
 
 
+@pytest.fixture
+def session():
+    return KvServer(DataStore(SoftMemoryAllocator(name="observed")))
+
+
 class TestObserveCommand:
-    def test_counts_and_histograms_agree(self):
-        obs = KvObservability("t")
+    """What ``pump`` records per executed command, through ``feed``."""
+
+    def test_counts_and_histograms_agree(self, session):
         for i in range(50):
-            obs.observe_command(b"GET", 1e-5, [b"GET", b"k"])
-        obs.observe_command(b"SET", 2e-5, [b"SET", b"k", b"v"])
+            session.feed(encode_command("GET", "k"))
+        session.feed(encode_command("SET", "k", "v"))
+        obs = session.obs
         stats = obs.command_stats()
         assert stats["GET"].count == 50
         assert stats["SET"].count == 1
-        assert obs.commands == sum(s.count for s in stats.values())
+        assert obs.commands == sum(s.count for s in stats.values()) == 51
 
-    def test_casings_share_one_histogram(self):
-        obs = KvObservability("t")
-        obs.observe_command(b"get", 1e-5, [b"get"])
-        obs.observe_command(b"GET", 1e-5, [b"GET"])
-        obs.observe_command(b"GeT", 1e-5, [b"GeT"])
-        assert obs.command_stats()["GET"].count == 3
+    def test_casings_share_one_histogram(self, session):
+        for spelling in ("get", "GET", "GeT"):
+            session.feed(encode_command(spelling, "k"))
+        assert session.obs.command_stats()["GET"].count == 3
 
-    def test_learned_names_bounded(self):
-        obs = KvObservability("t")
-        for i in range(_MAX_CMD_NAMES + 100):
-            obs.observe_command(b"CMD%d" % i, 1e-5, [b"CMD%d" % i])
-        assert len(obs._cmd_cells) <= _MAX_CMD_NAMES
+    def test_learned_names_bounded(self, session):
+        # 612 of the 4,096 casings of one 12-letter name the table knows
+        name = "bgrewriteaof"
+        spellings = [
+            "".join(
+                c.upper() if mask >> bit & 1 else c
+                for bit, c in enumerate(name)
+            )
+            for mask in range(_MAX_CMD_NAMES + 100)
+        ]
+        for spelling in spellings:
+            session.feed(encode_command(spelling, "too", "many", "args"))
+        obs = session.obs
+        assert len(obs._cmd_hists) <= _MAX_CMD_NAMES
         # overflowing names are still counted, just not cached
         assert obs.commands == _MAX_CMD_NAMES + 100
+        assert (
+            obs.command_stats()["BGREWRITEAOF"].count == _MAX_CMD_NAMES + 100
+        )
 
-    def test_slow_commands_reach_slowlog(self):
-        obs = KvObservability("t", slowlog_threshold_us=1000)
-        obs.observe_command(b"GET", 1e-5, [b"GET", b"fast"])
-        obs.observe_command(b"KEYS", 0.5, [b"KEYS", b"*"])
-        entries = obs.slowlog.entries()
+    def test_slow_commands_reach_slowlog(self, session, monkeypatch):
+        # pump reads the clock before a batch and after each command
+        ticks = iter([0.0, 1e-5, 1.0, 1.5])
+        monkeypatch.setattr("repro.kvstore.server.perf_counter", ticks.__next__)
+        session.obs.set_slowlog_threshold_us(1000)
+        session.feed(encode_command("GET", "fast"))
+        session.feed(encode_command("KEYS", "*"))
+        entries = session.obs.slowlog.entries()
         assert len(entries) == 1
-        assert entries[0].argv[0] == b"KEYS"
+        assert entries[0].argv == (b"KEYS", b"*")
+        assert entries[0].duration_us == 500_000
+        assert session.obs.command_stats()["KEYS"].vmax == 0.5
 
-    def test_threshold_reconfigure(self):
-        obs = KvObservability("t", slowlog_threshold_us=10_000)
-        obs.set_slowlog_threshold_us(0)
-        obs.observe_command(b"GET", 1e-6, [b"GET", b"k"])
-        assert len(obs.slowlog) == 1
+    def test_threshold_reconfigure(self, session):
+        session.obs.set_slowlog_threshold_us(3_600_000_000)  # an hour
+        session.feed(encode_command("GET", "k"))
+        assert len(session.obs.slowlog) == 0
+        session.obs.set_slowlog_threshold_us(0)
+        session.feed(encode_command("GET", "k"))
+        assert len(session.obs.slowlog) == 1
 
     def test_batch_histogram(self):
         obs = KvObservability("t")
@@ -68,12 +94,12 @@ class TestNamesTheTableDoesNotKnow:
         session = KvServer(store)
         session.feed(encode_command("GET", "k"))
         before = len(list(store.obs.registry.names()))
-        cached = len(store.obs._cmd_cells)
+        cached = len(store.obs._cmd_hists)
         for i in range(5000):
             reply = session.feed(encode_command("NOPE%d" % i, "k"))
             assert reply.startswith(b"-ERR unknown command")
         assert len(list(store.obs.registry.names())) <= before + 1
-        assert len(store.obs._cmd_cells) == cached
+        assert len(store.obs._cmd_hists) == cached
         assert store.obs.command_stats()["UNKNOWN"].count == 5000
         assert store.obs.commands == 5001
         info = session.feed(encode_command("INFO", "latency"))

@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.kvstore.tcp import TcpKvClient
+from repro.kvstore import TcpKvClient
 
 pytestmark = pytest.mark.timeout(300)
 

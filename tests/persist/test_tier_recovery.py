@@ -27,8 +27,8 @@ from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig
 from repro.kvstore.values import CompressedValue
 
+from repro.kvstore import TcpKvClient
 from tests.persist.test_crash_recovery import spawn_server, terminate
-from repro.kvstore.tcp import TcpKvClient
 
 pytestmark = pytest.mark.timeout(300)
 

@@ -1,6 +1,6 @@
 """Live in-process master↔replica pairs over real sockets.
 
-These tests run full :class:`EventLoopKvServer` instances in one
+These tests run full :class:`TcpKvServer` instances in one
 process (real TCP, real ReplicaLink threads) and exercise the
 replication contract end to end: full sync, incremental streaming,
 tombstone propagation, WAIT, read-only enforcement, partial resync,
@@ -13,16 +13,16 @@ import time
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.resp import RespError, encode_command
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 
 pytestmark = pytest.mark.timeout(120)
 
 
-def make_server(name: str, **options) -> EventLoopKvServer:
+def make_server(name: str, **options) -> TcpKvServer:
     store = DataStore(LockedSoftMemoryAllocator(name=name))
-    return EventLoopKvServer(store, **options).start()
+    return TcpKvServer(store, **options).start()
 
 
 def wait_until(cond, timeout: float = 15.0, interval: float = 0.01):
@@ -44,7 +44,7 @@ def info_dict(client: TcpKvClient) -> dict[str, str]:
     return out
 
 
-def wait_for_feeds(master: EventLoopKvServer, count: int = 1):
+def wait_for_feeds(master: TcpKvServer, count: int = 1):
     """Block until ``count`` replicas finished PSYNC and are attached.
 
     WAIT only counts attached feeds, so tests that write little and
@@ -143,6 +143,39 @@ class TestMixedCaseCommands:
         with socket.create_connection(master.address, timeout=5) as sock:
             sock.sendall(encode_command("Psync", "?", "-1"))
             assert sock.recv(64).startswith(b"+FULLRESYNC ")
+
+
+class TestRefusals:
+    """Two of Redis's refusals: neither changes a role nor stalls the
+    loop, and the server goes on serving."""
+
+    @pytest.mark.parametrize("port", [0, 65536, 99999999])
+    def test_replicaof_refuses_a_port_that_is_not_one(self, port):
+        server = make_server("repl-bad-port")
+        try:
+            with TcpKvClient(server.address) as client:
+                with pytest.raises(RespError) as excinfo:
+                    client.execute("REPLICAOF", "127.0.0.1", port)
+                assert excinfo.value.message == "ERR Invalid master port"
+                assert info_dict(client)["role"] == "master"
+                assert str(client.execute("SET", "a", "1")) == "OK"
+            # the same check stands behind ``kv_server --replicaof``
+            with pytest.raises(ValueError):
+                server.replicaof("127.0.0.1", port)
+            assert server.store.repl is None  # nothing was engaged
+        finally:
+            server.stop()
+
+    def test_wait_refuses_a_negative_timeout(self, pair):
+        # read as "no deadline" it stalled the loop for its 10 s cap
+        # waiting on a second replica that does not exist
+        master, __ = pair
+        with TcpKvClient(master.address) as mc:
+            with pytest.raises(RespError) as excinfo:
+                mc.execute("WAIT", 2, -1)
+            assert excinfo.value.message == "ERR timeout is negative"
+            assert str(mc.execute("SET", "a", "1")) == "OK"
+            assert mc.execute("WAIT", 1, 5000) == 1
 
 
 class TestTombstonePropagation:

@@ -3,8 +3,8 @@
 Covers the client/tooling surface that rides along with replication:
 the typed :class:`ReadOnlyReplicaError`, the loadgen driver's error
 classification and replica read routing, and the last-known
-replication-offset caches in :class:`ClusterKvClient` and
-``metrics_dump`` that keep a dead node's final coordinates visible.
+replication section ``metrics_dump`` caches so a dead node's final
+coordinates stay visible.
 """
 
 import time
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
-from repro.kvstore.cluster import ClusterKvClient
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.resp import (
     ReadOnlyReplicaError,
     RespError,
@@ -20,16 +20,15 @@ from repro.kvstore.resp import (
     make_resp_error,
 )
 from repro.kvstore.store import DataStore
-from repro.kvstore.tcp import EventLoopKvServer, TcpKvClient
 from repro.loadgen.driver import DriverReport, drive
 from repro.tools import metrics_dump
 
 pytestmark = pytest.mark.timeout(120)
 
 
-def make_server(name: str) -> EventLoopKvServer:
+def make_server(name: str) -> TcpKvServer:
     store = DataStore(LockedSoftMemoryAllocator(name=name))
-    return EventLoopKvServer(store).start()
+    return TcpKvServer(store).start()
 
 
 class TestTypedReadonlyError:
@@ -164,42 +163,6 @@ class TestReadFromReplica:
 
 
 class TestLastKnownOffsets:
-    def test_cluster_client_keeps_dead_node_offsets(self):
-        server = make_server("offsets-node")
-        host, port = server.address
-        key = f"{host}:{port}"
-        client = ClusterKvClient([(host, port)])
-        try:
-            client.execute("SET", "a", "1")
-            live = client.replication_offsets()
-            assert live[key]["role"] == "master"
-            assert live[key]["stale"] is False
-            assert isinstance(live[key]["offset"], int)
-            server.stop()
-            dead = client.replication_offsets()
-            assert dead[key]["stale"] is True
-            # the last-known coordinates survive, not a dropped entry
-            assert dead[key]["offset"] == live[key]["offset"]
-            assert dead[key]["replid"] == live[key]["replid"]
-        finally:
-            client.close()
-            server.stop()
-
-    def test_unknown_dead_node_reports_nulls_not_crash(self):
-        server = make_server("offsets-ghost")
-        host, port = server.address
-        client = ClusterKvClient([(host, port)])
-        client.last_known_offsets.clear()
-        server.stop()
-        try:
-            dead = client.replication_offsets()
-            entry = dead[f"{host}:{port}"]
-            assert entry == {
-                "role": None, "offset": None, "replid": None, "stale": True,
-            }
-        finally:
-            client.close()
-
     def test_metrics_dump_keeps_last_replication_section(self):
         server = make_server("dump-node")
         host, port = server.address

@@ -90,9 +90,9 @@ class TestReclamationRecompute:
         for i in range(10):
             cache.get(i)
         sma.reclaim(2)
-        assert cache.cleared_pending == 4
-        len(cache)  # any API call sweeps
-        assert cache.cleared_pending == 0
+        assert len(cache._cleared) == 4  # reclaimed, not yet swept
+        assert len(cache) == 6  # any API call sweeps
+        assert len(cache._cleared) == 0
 
     def test_oldest_entries_reclaimed_first(self, sma):
         cache = Sache(sma, lambda k: k, entry_size=2048)

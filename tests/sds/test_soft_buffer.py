@@ -55,7 +55,6 @@ class TestWriteRead:
         buf = SoftBuffer(sma, segment_size=100)
         buf.write(b"x" * 250)
         assert buf.live_segments == 3
-        assert buf.available_bytes == 250
 
     def test_invalid_segment_size(self, sma):
         with pytest.raises(ValueError):
@@ -105,9 +104,12 @@ class TestReclamation:
 
     def test_available_bytes_shrinks(self, sma, buf):
         buf.write(b"x" * (3 * PAGE_SIZE))
-        assert buf.available_bytes == 3 * PAGE_SIZE
+        assert buf.live_segments == 3
         sma.reclaim(2)
-        assert buf.available_bytes == PAGE_SIZE
+        # the two oldest pages are gone, the newest still reads
+        assert buf.live_segments == 1
+        assert buf.try_read(0, 2 * PAGE_SIZE) is None
+        assert buf.read(2 * PAGE_SIZE, PAGE_SIZE) == b"x" * PAGE_SIZE
         assert len(buf) == 3 * PAGE_SIZE  # length never shrinks
 
     def test_pinned_range_survives(self, sma, buf):

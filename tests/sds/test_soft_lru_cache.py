@@ -35,12 +35,6 @@ class TestCacheApi:
         c.get("x")
         assert c.hit_rate == 0.5
 
-    def test_reset_counters(self, sma):
-        c = SoftLRUCache(sma)
-        c.get("x")
-        c.reset_counters()
-        assert c.hit_rate == 0.0
-
     def test_delete(self, sma):
         c = SoftLRUCache(sma)
         c.put("k", 1)

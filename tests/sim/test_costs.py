@@ -26,7 +26,7 @@ class TestCalibration:
     def test_restart_with_refill_dwarfs_reclamation(self):
         """Killing Redis costs more than reclaiming 2 MiB from it."""
         model = CostModel()
-        kill = model.restart_time(entries_to_refill=130_000)
+        kill = model.restart_cost + 130_000 * model.refill_cost_per_entry
         stats = ReclamationStats()
         stats.callbacks_invoked = stats.allocations_freed = 26_000
         reclaim = model.reclamation_time(stats)
@@ -55,10 +55,6 @@ class TestComposition:
         )
         with_pages = model.allocation_time(1000, pages_mapped=250)
         assert with_pages > model.allocation_time(1000)
-
-    def test_restart_time_floor(self):
-        model = CostModel()
-        assert model.restart_time() == model.restart_cost
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

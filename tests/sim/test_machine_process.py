@@ -24,19 +24,6 @@ class TestSpawnAndFootprint:
         assert proc.soft_bytes == 10 * PAGE_SIZE
         assert machine.physical.used_frames == 10
 
-    def test_grow_shrink_traditional(self, machine):
-        proc = machine.spawn("svc", traditional_pages=10)
-        proc.grow_traditional(5)
-        assert proc.traditional_pages == 15
-        assert proc.record.traditional_pages == 15
-        proc.shrink_traditional(10)
-        assert machine.physical.used_frames == 5
-
-    def test_shrink_below_zero_rejected(self, machine):
-        proc = machine.spawn("svc", traditional_pages=1)
-        with pytest.raises(ValueError):
-            proc.shrink_traditional(2)
-
     def test_traditional_oom(self):
         machine = Machine(MachineConfig(total_memory_bytes=MIB))
         with pytest.raises(OutOfMemoryError):
