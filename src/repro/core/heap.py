@@ -45,7 +45,7 @@ class SdsHeap:
     # -- placement ---------------------------------------------------
 
     def pages_needed(self, size: int) -> int:
-        """Pages the SMA must supply before ``allocate(size)`` succeeds."""
+        """Pages the SMA must supply after ``allocate(size)`` missed."""
         return self._placer.pages_needed(size)
 
     def add_pages(self, pages: list[Page]) -> None:
@@ -80,20 +80,22 @@ class SdsHeap:
         :meth:`allocate`, in that order, but the :class:`Allocation`
         (and every handle to it) survives and becomes the newest in age
         order. Returns ``False`` when the caller has to act before the
-        new extent can be placed: idle pages are due back to the pool
-        (:meth:`should_release_slack`) or pages are needed. By then the
-        old extent is freed and the allocation is *unplaced* —
-        ``placement`` is ``None``, it is out of the age index, its
-        payload is still readable; call again to place it.
+        new extent can be placed. Either idle pages are due back to the
+        pool — :meth:`should_release_slack` says so, and no placement
+        was tried yet — or the placement missed and pages are needed.
+        By then the old extent is freed and the allocation is
+        *unplaced* — ``placement`` is ``None``, it is out of the age
+        index, its payload is still readable; call again to place it.
         """
         if new_size <= 0:
             raise ValueError(f"allocation size must be positive: {new_size}")
         if not alloc.valid:
             raise ValueError(f"allocation {alloc.alloc_id} already freed")
         placer = self._placer
-        if alloc.placement is not None:
+        placement = alloc.placement
+        if placement is not None:
             del self._allocs[alloc.alloc_id]
-            placer.free(alloc.placement)
+            placer.free(placement)
             alloc.placement = None
             if placer.free_page_count >= self.FREE_PAGE_SLACK:
                 return False

@@ -37,7 +37,10 @@ class LockedSoftMemoryAllocator(SoftMemoryAllocator):
     """Drop-in SMA whose public operations are mutually exclusive.
 
     The lock is re-entrant because reclamation re-enters the allocator:
-    a demand runs SDS handlers, which call :meth:`reclaim_free`.
+    a demand runs SDS handlers, which call :meth:`reclaim_free`. The
+    base class is called by name: ``super()`` builds a proxy and looks
+    the method up again on every call, and the allocation entry points
+    run per command.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -51,43 +54,53 @@ class LockedSoftMemoryAllocator(SoftMemoryAllocator):
         callback: ReclaimCallback | None = None,
     ) -> SdsContext:
         with self._lock:
-            return super().create_context(name, priority, callback)
+            return SoftMemoryAllocator.create_context(
+                self, name, priority, callback
+            )
 
     def remove_context(self, context: SdsContext) -> None:
         with self._lock:
-            super().remove_context(context)
+            SoftMemoryAllocator.remove_context(self, context)
 
     def soft_malloc(
         self, size: int, context: SdsContext, payload: Any = None
     ) -> SoftPtr:
         with self._lock:
-            return super().soft_malloc(size, context, payload)
+            return SoftMemoryAllocator.soft_malloc(
+                self, size, context, payload
+            )
 
     def soft_free(self, ptr: SoftPtr) -> None:
         with self._lock:
-            super().soft_free(ptr)
+            SoftMemoryAllocator.soft_free(self, ptr)
 
     def soft_resize(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> SoftPtr:
         with self._lock:
-            return super().soft_resize(ptr, new_size, payload)
+            return SoftMemoryAllocator.soft_resize(
+                self, ptr, new_size, payload
+            )
 
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> SoftPtr:
         with self._lock:
-            return super().soft_demote(ptr, new_size, payload)
+            return SoftMemoryAllocator.soft_demote(
+                self, ptr, new_size, payload
+            )
 
     def soft_promote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> bool:
         with self._lock:
-            return super().soft_promote(ptr, new_size, payload)
+            return SoftMemoryAllocator.soft_promote(
+                self, ptr, new_size, payload
+            )
 
     def reclaim(self, demand_pages: int) -> ReclamationStats:
         with self._lock:
-            return super().reclaim(demand_pages)
+            return SoftMemoryAllocator.reclaim(self, demand_pages)
 
     def try_reclaim(
         self, demand_pages: int, timeout: float
@@ -103,33 +116,33 @@ class LockedSoftMemoryAllocator(SoftMemoryAllocator):
         if not self._lock.acquire(timeout=timeout):
             return None
         try:
-            return super().reclaim(demand_pages)
+            return SoftMemoryAllocator.reclaim(self, demand_pages)
         finally:
             self._lock.release()
 
     def reclaim_flexible(self, demand_pages: int) -> ReclamationStats:
         with self._lock:
-            return super().reclaim_flexible(demand_pages)
+            return SoftMemoryAllocator.reclaim_flexible(self, demand_pages)
 
     def reclaim_free(self, ptr: SoftPtr) -> None:
         with self._lock:
-            super().reclaim_free(ptr)
+            SoftMemoryAllocator.reclaim_free(self, ptr)
 
     def reserve_budget(self, pages: int) -> int:
         with self._lock:
-            return super().reserve_budget(pages)
+            return SoftMemoryAllocator.reserve_budget(self, pages)
 
     def return_excess(self, keep_pool_pages: int = 0) -> int:
         with self._lock:
-            return super().return_excess(keep_pool_pages)
+            return SoftMemoryAllocator.return_excess(self, keep_pool_pages)
 
     def destroy(self) -> None:
         with self._lock:
-            super().destroy()
+            SoftMemoryAllocator.destroy(self)
 
     def check_invariants(self) -> None:
         with self._lock:
-            super().check_invariants()
+            SoftMemoryAllocator.check_invariants(self)
 
 
 def pinned_read(ptr: SoftPtr) -> Any:

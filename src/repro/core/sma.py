@@ -284,13 +284,15 @@ class SoftMemoryAllocator:
         queue delivery (an explicit free, not a reclamation).
         """
         alloc = ptr.allocation
-        context = alloc.context
-        heap = context.heap
+        heap = alloc.context.heap
         if not heap.resize(alloc, new_size, payload):
-            # the old extent is freed and the allocation unplaced
-            if heap.should_release_slack():
+            # the old extent is freed and the allocation unplaced:
+            # either slack is due and nothing was tried yet, or the
+            # scan window was walked and missed — it is not walked again
+            slack = heap.should_release_slack()
+            if slack:
                 self.pool.put(heap.harvest_free_pages())
-            if not heap.resize(alloc, new_size, payload):
+            if not (slack and heap.resize(alloc, new_size, payload)):
                 self._provision_unplaced(alloc, new_size)
                 if not heap.resize(alloc, new_size, payload):
                     raise ProtocolError(
@@ -361,10 +363,8 @@ class SoftMemoryAllocator:
         )
 
     def _provision(self, context: SdsContext, size: int) -> None:
-        """Make the context's heap able to place ``size`` bytes."""
+        """Add the pages whose lack made the heap miss ``size`` bytes."""
         needed = context.heap.pages_needed(size)
-        if needed == 0:
-            return
         pages = self.pool.take(needed)
         shortfall = needed - len(pages)
         if shortfall > 0:

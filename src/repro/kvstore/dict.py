@@ -201,7 +201,8 @@ class SoftDict(SoftDataStructure):
         overwrite refreshes the entry's age (re-inserting its age-index
         slot), preserving the oldest-first reclamation contract.
         """
-        self._check_key(key)
+        if type(key) is not bytes:
+            self._check_key(key)
         if self._ht1 is not None:  # guard inlined: hot path
             self._rehash_step()
         want = size or self._entry_size
@@ -209,20 +210,24 @@ class SoftDict(SoftDataStructure):
         old_value: Any | None = None
         if existing is not None:
             ptr, table, slot = existing
-            __, old_value = ptr.deref()
+            alloc = ptr.allocation  # read once; ``_find`` saw it live
+            if not alloc.valid:
+                raise ReclaimedMemoryError(alloc.alloc_id)
+            old_value = alloc.payload[1]
             if type(old_value) is not CompressedValue:
-                if ptr.size == want:
-                    ptr.store((key, value))
+                by_age, alloc_id = self._by_age, alloc.alloc_id
+                if alloc.size == want:
+                    alloc.payload = (key, value)
                 else:
                     try:
                         self._sma.soft_resize(ptr, want, (key, value))
                     except Exception:
                         self._remove_ptr(ptr, table, slot)
-                        del self._by_age[ptr.alloc_id]
+                        del by_age[alloc_id]
                         self._overwrite_lost(key, old_value)
                         raise
-                del self._by_age[ptr.alloc_id]  # refresh age: now newest
-                self._by_age[ptr.alloc_id] = ptr
+                del by_age[alloc_id]  # refresh age: now newest
+                by_age[alloc_id] = ptr
                 return ptr, old_value
             # a demoted entry is never overwritten through its handle —
             # its soft size tracks the compressed bytes, not the incoming
@@ -347,8 +352,10 @@ class SoftDict(SoftDataStructure):
             chain = table.buckets[slot]
             if chain:
                 for ptr in chain:
-                    entry_key, __ = ptr.deref()
-                    if entry_key == key:
+                    alloc = ptr.allocation  # ``SoftPtr.deref``, inlined
+                    if not alloc.valid:
+                        raise ReclaimedMemoryError(alloc.alloc_id)
+                    if alloc.payload[0] == key:
                         return ptr, table, slot
             ht1 = self._ht1
             if ht1 is None or table is ht1:

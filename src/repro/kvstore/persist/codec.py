@@ -337,6 +337,22 @@ def decode_record(payload: bytes) -> tuple:
         raise CorruptRecord("empty record")
     kind = payload[0:1]
     if kind == b"W":
+        # the mirror of :func:`encode_write`'s fast path: a plain SET is
+        # ``W klen key S vlen value \x00`` and nothing else, so once the
+        # two lengths add up to the payload's, every chunk is in bounds.
+        # Anything that does not add up takes the general path below,
+        # which accepts it or names what is wrong with it.
+        total = len(payload)
+        if total >= 11:
+            tag_at = 5 + _U32.unpack_from(payload, 1)[0]
+            if tag_at + 6 <= total and payload[tag_at] == 0x53:  # b"S"
+                value_at = tag_at + 5
+                end = value_at + _U32.unpack_from(payload, tag_at + 1)[0]
+                if end + 1 == total and not payload[end]:
+                    return (
+                        "W", payload[5:tag_at], payload[value_at:end],
+                        EXP_NONE, 0,
+                    )
         key, offset = _read_chunk(payload, 1)
         value, offset = _decode_value(payload, offset)
         if offset >= len(payload):

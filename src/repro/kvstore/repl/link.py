@@ -320,9 +320,13 @@ class ReplicaLink(threading.Thread):
 
     def _stream(self, sock: socket.socket, initial: bytes) -> None:
         store = self._store
-        buf = bytearray(initial)
+        #: received and not yet applied: the torn frame a read ended in
+        #: (or the handshake's leftover). Immutable ``bytes`` throughout,
+        #: because the reader slices hash-field keys out of it; a chunk
+        #: that arrives with nothing carried over is applied as it is
+        data = initial
         sock.settimeout(0.2)
-        pending_first = bool(buf)
+        pending_first = bool(data)
         while not self._stop_event.is_set():
             if not pending_first:
                 try:
@@ -332,12 +336,8 @@ class ReplicaLink(threading.Thread):
                     continue
                 if not chunk:
                     raise ConnectionError("master closed the stream")
-                buf += chunk
+                data = data + chunk if data else chunk
             pending_first = False
-            # bytearray slices are unhashable (hash-field keys), so the
-            # reader gets an immutable copy; the applied prefix handed
-            # to the backlog and the local AOF is a view of that copy
-            data = bytes(buf)
             with self._lock:
                 if self._stop_event.is_set():
                     raise ConnectionError("link stopped")
@@ -348,13 +348,13 @@ class ReplicaLink(threading.Thread):
                 persist = store.persistence
                 if persist is not None:
                     persist.flush()
-                del buf[:valid]
+                data = data[valid:]
                 self._send_ack(sock)
-            if len(buf) >= HEADER_SIZE:
-                length, __ = FRAME_HEADER.unpack_from(buf, 0)
+            if len(data) >= HEADER_SIZE:
+                length, __ = FRAME_HEADER.unpack_from(data, 0)
                 if (
                     length > MAX_RECORD_SIZE
-                    or len(buf) >= HEADER_SIZE + length
+                    or len(data) >= HEADER_SIZE + length
                 ):
                     # the full frame is here yet failed to read: that is
                     # corruption on the wire, not a short read — resync

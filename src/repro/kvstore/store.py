@@ -348,7 +348,8 @@ class DataStore:
         is a primitive plus client stats plus the paired ``log_*`` calls,
         :meth:`replay` is the primitive alone.
         """
-        new_bytes = value_bytes(value)
+        # a string is its own length; only containers need the walk
+        new_bytes = len(value) if type(value) is bytes else value_bytes(value)
         __, old = self._dict.upsert(
             key,
             value,
@@ -356,7 +357,9 @@ class DataStore:
         )
         if old is not None:
             # same key: only the value side of the ledger moves
-            self.traditional_bytes += new_bytes - value_bytes(old)
+            self.traditional_bytes += new_bytes - (
+                len(old) if type(old) is bytes else value_bytes(old)
+            )
         else:
             self.traditional_bytes += len(key) + new_bytes
 

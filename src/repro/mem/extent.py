@@ -13,7 +13,7 @@ free list with eager coalescing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 
 class ExtentMap:
@@ -53,40 +53,44 @@ class ExtentMap:
         """Return the extent ``[offset, offset+size)`` to the free list."""
         if size <= 0:
             raise ValueError(f"free size must be positive, got {size}")
-        if offset < 0 or offset + size > self.capacity:
+        end = offset + size
+        if offset < 0 or end > self.capacity:
             raise ValueError(
-                f"extent [{offset}, {offset + size}) outside region "
+                f"extent [{offset}, {end}) outside region "
                 f"of capacity {self.capacity}"
             )
         free = self._free
         i = bisect_left(free, (offset, 0))
-        # Overlap checks against the neighbours on either side.
+        # Overlap checks against the neighbours on either side (-1: no
+        # neighbour there — no extent starts or ends below zero).
+        nxt_off = nxt_len = prev_off = prev_len = -1
         if i < len(free):
-            nxt_off, _ = free[i]
-            if offset + size > nxt_off:
+            nxt_off, nxt_len = free[i]
+            if end > nxt_off:
                 raise ValueError(
-                    f"double free: [{offset}, {offset + size}) overlaps "
+                    f"double free: [{offset}, {end}) overlaps "
                     f"free extent at {nxt_off}"
                 )
         if i > 0:
             prev_off, prev_len = free[i - 1]
             if prev_off + prev_len > offset:
                 raise ValueError(
-                    f"double free: [{offset}, {offset + size}) overlaps "
+                    f"double free: [{offset}, {end}) overlaps "
                     f"free extent [{prev_off}, {prev_off + prev_len})"
                 )
-        freed = size
-        # Coalesce with successor.
-        if i < len(free) and free[i][0] == offset + size:
-            size += free[i][1]
-            free.pop(i)
-        # Coalesce with predecessor.
-        if i > 0 and free[i - 1][0] + free[i - 1][1] == offset:
-            prev_off, prev_len = free[i - 1]
-            free[i - 1] = (prev_off, prev_len + size)
+        # Coalesce with whichever neighbours touch; ``i`` is already
+        # where the extent belongs, so nothing is searched for twice.
+        if prev_off + prev_len == offset:
+            if nxt_off == end:
+                free[i - 1] = (prev_off, prev_len + size + nxt_len)
+                del free[i]
+            else:
+                free[i - 1] = (prev_off, prev_len + size)
+        elif nxt_off == end:
+            free[i] = (offset, size + nxt_len)
         else:
-            insort(free, (offset, size))
-        self.free_bytes += freed
+            free.insert(i, (offset, size))
+        self.free_bytes += size
 
     @property
     def used_bytes(self) -> int:
@@ -97,15 +101,6 @@ class ExtentMap:
         if not self._free:
             return 0
         return max(length for _, length in self._free)
-
-    def fits(self, size: int) -> bool:
-        """Would ``allocate(size)`` succeed right now?"""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        for _, length in self._free:
-            if length >= size:
-                return True
-        return False
 
     def fragmentation(self) -> float:
         """1 - largest_free/total_free; 0 when free space is contiguous."""

@@ -2,8 +2,10 @@
 
 The paper's efficacy argument (section 3.1) hinges on knowing, per page,
 whether every allocation inside it has been freed — only *entirely free*
-pages can be returned to the operating system. :class:`Page` therefore
-tracks live allocation count and bytes via an :class:`ExtentMap`.
+pages can be returned to the operating system. A :class:`Page` is
+therefore an :class:`ExtentMap` of one page's bytes plus a live
+allocation count; the placer that owns the page keeps the count where
+it places and frees.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.util.units import PAGE_SIZE
 _page_ids = itertools.count(1)
 
 
-class Page:
+class Page(ExtentMap):
     """A physical-frame-backed page usable for intra-page allocation.
 
     Pages are identity objects: two pages are equal only if they are the
@@ -24,12 +26,12 @@ class Page:
     pool currently holding the page.
     """
 
-    __slots__ = ("page_id", "owner", "_extents", "live_allocs")
+    __slots__ = ("page_id", "owner", "live_allocs")
 
     def __init__(self, owner: str = "") -> None:
+        super().__init__(PAGE_SIZE)
         self.page_id: int = next(_page_ids)
         self.owner = owner
-        self._extents = ExtentMap(PAGE_SIZE)
         self.live_allocs = 0
 
     def __repr__(self) -> str:
@@ -39,45 +41,17 @@ class Page:
         )
 
     @property
-    def used_bytes(self) -> int:
-        return self._extents.used_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self._extents.free_bytes
-
-    @property
     def is_free(self) -> bool:
         """True when no live allocation remains — reclaimable as a page."""
         return self.live_allocs == 0
 
-    def fits(self, size: int) -> bool:
-        return self._extents.fits(size)
-
-    def place(self, size: int) -> int | None:
-        """Place an allocation of ``size`` bytes; return its offset."""
-        offset = self._extents.allocate(size)
-        if offset is not None:
-            self.live_allocs += 1
-        return offset
-
-    def remove(self, offset: int, size: int) -> None:
-        """Free the allocation previously placed at ``offset``."""
-        if self.live_allocs <= 0:
-            raise ValueError(f"page {self.page_id} has no live allocations")
-        self._extents.free(offset, size)
-        self.live_allocs -= 1
-
     def reset(self) -> None:
         """Drop all occupancy state (used when a page changes hands)."""
-        self._extents = ExtentMap(PAGE_SIZE)
+        super().__init__(PAGE_SIZE)
         self.live_allocs = 0
 
-    def fragmentation(self) -> float:
-        return self._extents.fragmentation()
-
     def check_invariants(self) -> None:
-        self._extents.check_invariants()
+        super().check_invariants()
         assert self.live_allocs >= 0
         if self.live_allocs == 0:
             assert self.used_bytes == 0, "free page with used bytes"

@@ -82,24 +82,14 @@ class PagePlacer:
         return len(self._free_pages)
 
     def pages_needed(self, size: int) -> int:
-        """Pages the caller must add for ``size`` to be placeable now.
+        """Pages the caller must add after ``place(size)`` returned ``None``.
 
-        Zero means :meth:`place` will succeed without new pages.
+        Asked only on a miss, and the miss already walked the scan
+        window: a small allocation needs the one page the window lacks.
         """
         if size <= PAGE_SIZE:
-            return 0 if self._find_open_page(size) is not None else 1
-        needed = -(-size // PAGE_SIZE)
-        return max(0, needed - len(self._free_pages))
-
-    def _find_open_page(self, size: int) -> Page | None:
-        scanned = 0
-        for page in reversed(self._open):
-            if page.fits(size):
-                return page
-            scanned += 1
-            if scanned >= self.SCAN_LIMIT:
-                return None
-        return None
+            return 1
+        return max(0, -(-size // PAGE_SIZE) - len(self._free_pages))
 
     def add_page(self, page: Page) -> None:
         """Hand the placer a (fully free) page to allocate from."""
@@ -114,23 +104,24 @@ class PagePlacer:
 
     def place(self, size: int) -> Placement | None:
         """Place ``size`` bytes; ``None`` means caller must add pages."""
+        if size > PAGE_SIZE:
+            return self._place_large(size)
         if size <= 0:
             raise ValueError(f"allocation size must be positive: {size}")
-        if size <= PAGE_SIZE:
-            return self._place_small(size)
-        return self._place_large(size)
-
-    def _place_small(self, size: int) -> Placement | None:
-        # one scan: try to place on each candidate instead of asking
-        # ``fits`` first and walking the winner's extents a second time
+        # first fit, newest page first. One compare passes over a page
+        # too full to matter; a page that might fit has its free list
+        # walked once, and the winner's accounting is done right here
         scanned = 0
         for page in reversed(self._open):
-            offset = page.place(size)
-            if offset is not None:
-                self._free_pages.pop(page, None)
-                if page.free_bytes == 0:
-                    del self._open[page]
-                return Placement((page,), offset, size)
+            if page.free_bytes >= size:
+                offset = page.allocate(size)
+                if offset is not None:
+                    page.live_allocs += 1
+                    if page.live_allocs == 1:
+                        del self._free_pages[page]
+                    if not page.free_bytes:
+                        del self._open[page]
+                    return Placement((page,), offset, size)
             scanned += 1
             if scanned >= self.SCAN_LIMIT:
                 return None
@@ -145,8 +136,9 @@ class PagePlacer:
         remaining = size
         for page in chosen:
             chunk = min(PAGE_SIZE, remaining)
-            offset = page.place(chunk)
+            offset = page.allocate(chunk)
             assert offset == 0
+            page.live_allocs += 1
             remaining -= chunk
             # Dedicated pages leave the small-object pool even if the tail
             # page has slack; large objects don't share pages.
@@ -156,20 +148,20 @@ class PagePlacer:
 
     def free(self, placement: Placement) -> None:
         """Undo a placement; pages regain space but stay owned."""
-        if placement.is_large:
-            remaining = placement.size
-            for page in placement.pages:
-                chunk = min(PAGE_SIZE, remaining)
-                page.remove(0, chunk)
-                remaining -= chunk
-                self._open[page] = None
-                if page.is_free:
-                    self._free_pages[page] = None
-        else:
-            page = placement.pages[0]
-            page.remove(placement.offset, placement.size)
+        # a small placement is the one-page case of the large one
+        offset = placement.offset
+        remaining = placement.size
+        for page in placement.pages:
+            if page.live_allocs <= 0:
+                raise ValueError(
+                    f"page {page.page_id} has no live allocations"
+                )
+            chunk = remaining if remaining < PAGE_SIZE else PAGE_SIZE
+            page.free(offset, chunk)
+            page.live_allocs -= 1
+            remaining -= chunk
             self._open[page] = None
-            if page.is_free:
+            if not page.live_allocs:
                 self._free_pages[page] = None
 
     def shrink(self, placement: Placement, new_size: int) -> Placement:
@@ -187,7 +179,7 @@ class PagePlacer:
             page = next(iter(self._free_pages), placement.pages[0])
             self._open.pop(page, None)
             self._open[page] = None
-            moved = self._place_small(new_size)
+            moved = self.place(new_size)
             assert moved is not None
         return moved
 

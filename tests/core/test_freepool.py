@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.freepool import FreePool
 from repro.mem.page import Page
+from repro.mem.placer import PagePlacer
 
 
 class TestFreePool:
@@ -33,8 +34,9 @@ class TestFreePool:
 
     def test_dirty_page_rejected(self):
         pool = FreePool()
-        page = Page()
-        page.place(10)
+        placer = PagePlacer()
+        placer.add_page(Page())
+        page = placer.place(10).pages[0]
         with pytest.raises(ValueError):
             pool.put([page])
 

@@ -91,9 +91,11 @@ class TestHarvest:
         heap = heap_with(0)
         allocs = []
         for i in range(100):
-            if heap.pages_needed(2048):
-                heap.add_pages([Page()])
-            allocs.append(heap.allocate(2048, ctx, i))
+            alloc = heap.allocate(2048, ctx, i)
+            if alloc is None:
+                heap.add_pages([Page() for _ in range(heap.pages_needed(2048))])
+                alloc = heap.allocate(2048, ctx, i)
+            allocs.append(alloc)
         assert heap.page_count == 50
         for alloc in allocs[:6]:
             heap.free(alloc)

@@ -5,10 +5,12 @@ harvest, so the fit *policy* is part of the system's behaviour. Two
 guards keep it fixed:
 
 * a differential test drives random malloc/free/resize/harvest sequences
-  through the real allocator and through a reference model kept only
-  here — the original ``fits``-then-``place`` first-fit scan, and resize
-  spelled ``soft_free`` then ``soft_malloc`` — and demands the same
-  (page ordinal, offset) for every operation;
+  — and the tier's two moves, demote and promote — through the real
+  allocator and through a reference model kept only here — the original
+  ``fits``-then-``place`` first-fit scan, resize spelled ``soft_free``
+  then ``soft_malloc``, a move spelled free-then-place (shrinking) or
+  place-then-free (growing) inside the pages the heap owns — and
+  demands the same (page ordinal, offset) for every operation;
 * a golden SHA-256 of the placement sequence of one seeded 20k-op trace,
   generated at the commit *before* single-scan placement and
   ``soft_resize`` existed, so a later policy change has to be deliberate.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.heap import SdsHeap
@@ -142,6 +145,21 @@ class RefPlacer:
             if page.live == 0:
                 self.free_pages[page] = None
 
+    def shrink(self, pages: tuple[RefPage, ...], offset: int, size: int,
+               new_size: int) -> tuple[tuple[RefPage, ...], int]:
+        """Free, then place where ``place`` would; else in the first
+        entirely-free page; else back in the page just left, re-opened
+        as the newest. Cannot fail."""
+        self.free(pages, offset, size)
+        placed = self.place(new_size)
+        if placed is None:
+            page = next(iter(self.free_pages), pages[0])
+            self.open.pop(page, None)
+            self.open[page] = None
+            placed = self.place(new_size)
+            assert placed is not None
+        return placed
+
     def take_free_pages(self, max_count: int | None = None) -> list[RefPage]:
         harvested: list[RefPage] = []
         for page in list(self.free_pages):
@@ -152,6 +170,11 @@ class RefPlacer:
             self.open.pop(page, None)
             harvested.append(page)
         return harvested
+
+
+def demoted_size(size: int, cut: int) -> int | None:
+    """The size a ``("demote", index, cut)`` op shrinks ``size`` to."""
+    return 1 + cut % (size - 1) if size > 1 else None
 
 
 class RefAllocator:
@@ -192,6 +215,27 @@ class RefAllocator:
         self.free(handle)
         return self.malloc(handle[0], size)
 
+    def demote(self, handle, cut: int):
+        """To a smaller extent, inside the pages the heap owns: no pool,
+        no slack harvest, no new page."""
+        ctx, pages, offset, size = handle
+        new_size = demoted_size(size, cut)
+        if new_size is None:
+            return handle
+        pages, offset = self.heaps[ctx].shrink(pages, offset, size, new_size)
+        return ctx, pages, offset, new_size
+
+    def promote(self, handle, growth: int):
+        """To a larger extent, placed before the old one is freed — or
+        nowhere: a miss leaves the handle as it was."""
+        ctx, pages, offset, size = handle
+        heap = self.heaps[ctx]
+        placed = heap.place(size + growth)
+        if placed is None:
+            return handle
+        heap.free(pages, offset, size)
+        return ctx, placed[0], placed[1], size + growth
+
     def harvest(self, ctx: int, count: int) -> None:
         self.pool.extend(self.heaps[ctx].take_free_pages(count))
 
@@ -229,6 +273,19 @@ class RealAllocator:
     def resize(self, ptr, size: int):
         return self.sma.soft_resize(ptr, size, size)
 
+    def demote(self, ptr, cut: int):
+        new_size = demoted_size(ptr.size, cut)
+        if new_size is None:
+            return ptr
+        return self.sma.soft_demote(ptr, new_size, new_size)
+
+    def promote(self, ptr, growth: int):
+        new_size = ptr.size + growth
+        mapped = self.sma.stats.pages_mapped
+        self.sma.soft_promote(ptr, new_size, new_size)
+        assert self.sma.stats.pages_mapped == mapped, "a promotion provisioned"
+        return ptr
+
     def harvest(self, ctx: int, count: int) -> None:
         self.sma.pool.put(self.contexts[ctx].heap.harvest_free_pages(count))
 
@@ -254,9 +311,9 @@ def run_ops(allocator, ops, on_placed=None, after_op=None) -> None:
         kind = op[0]
         if kind == "malloc":
             live.append(allocator.malloc(op[1], op[2]))
-        elif kind == "resize" and live:
+        elif kind in ("resize", "demote", "promote") and live:
             index = op[1] % len(live)
-            live[index] = allocator.resize(live[index], op[2])
+            live[index] = getattr(allocator, kind)(live[index], op[2])
         elif kind == "free" and live:
             allocator.free(live.pop(op[1] % len(live)))
             kind = None
@@ -295,6 +352,8 @@ operations = st.one_of(
     st.tuples(st.just("malloc"), contexts, sizes),
     st.tuples(st.just("resize"), indexes, sizes),
     st.tuples(st.just("resize"), indexes, sizes),
+    st.tuples(st.just("demote"), indexes, indexes),
+    st.tuples(st.just("promote"), indexes, st.integers(0, 2 * PAGE_SIZE)),
     st.tuples(st.just("free"), indexes),
     st.tuples(st.just("harvest"), contexts, st.integers(1, 5)),
     st.tuples(st.just("excess")),
@@ -314,6 +373,55 @@ def test_same_page_and_offset_as_fits_then_place(ops):
         assert context.heap.page_count == len(heap.pages)
         assert context.heap.free_page_count == len(heap.free_pages)
     assert real.sma.pool.page_count == len(ref.pool)
+
+
+def test_a_resize_that_must_provision_lands_where_free_then_malloc_does():
+    """Nine pages of 512-byte extents, every other one freed: each page
+    of the scan window has 2 KiB free in 512-byte holes. Resizing an
+    extent of the oldest page to 1 KiB misses the whole window — its own
+    page has the room now, but lies outside it — and needs a new page."""
+    ops = [("malloc", 0, 512)] * 72 + [("free", k) for k in range(36)]
+    ops.append(("resize", 0, 1024))
+    real, ref = RealAllocator(), RefAllocator()
+    got: list = []
+    want: list = []
+    mapped: list = []
+    run_ops(
+        real, ops, got.append,
+        lambda: mapped.append(real.sma.stats.pages_mapped),
+    )
+    run_ops(ref, ops, want.append)
+    assert mapped[-2:] == [9, 10], "the resize did not provision"
+    assert got == want
+    assert got[-1] == ((9,), 0)
+    real.sma.check_invariants()
+
+
+@pytest.mark.parametrize("spare_page", [True, False])
+def test_a_demotion_the_window_has_no_room_for(spare_page):
+    """``shrink``'s two fallbacks. Every page is cut 2000 + 2032 + 64;
+    freeing the 64 re-opens a page with no room for anything bigger.
+    The victim's page is opened first and eight more after it, so when
+    its 2000-byte extent shrinks to 1500 the window has no room and its
+    own page lies outside the window. With a spare page — the oldest,
+    entirely free — the extent moves there; without, it goes back into
+    the page it left, which becomes the newest."""
+    pages = 10 if spare_page else 9
+    ops = [("malloc", 0, size) for size in (2000, 2032, 64)] * pages
+    if spare_page:
+        ops += [("free", 0)] * 3
+    ops.append(("free", 2))  # the victim page's 64
+    ops += [("free", index) for index in range(4, 20, 2)]  # the window's
+    ops.append(("demote", 0, 1499))
+    real, ref = RealAllocator(), RefAllocator()
+    got: list = []
+    want: list = []
+    run_ops(real, ops, got.append, real.sma.check_invariants)
+    run_ops(ref, ops, want.append)
+    assert got == want
+    assert got[-1] == ((0,), 0)
+    assert real.sma.stats.pages_mapped == pages
+    assert real.contexts[0].heap.free_page_count == 0
 
 
 # ----------------------------------------------------------------------

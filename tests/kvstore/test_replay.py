@@ -406,3 +406,43 @@ def test_undecodable_payload_ends_the_prefix_for_all_three_callers(tmp_path):
     finally:
         ours.close()
         theirs.close()
+
+
+class ScriptedSocket:
+    """``recv`` hands out the scripted reads, then says the master left."""
+
+    def __init__(self, reads) -> None:
+        self.reads = [read for read in reads if read]
+        self.acks: list[int] = []
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def recv(self, size: int) -> bytes:
+        return self.reads.pop(0) if self.reads else b""
+
+    def sendall(self, data: bytes) -> None:
+        self.acks.append(int(data.split(b"\r\n")[-2]))
+
+
+@pytest.mark.parametrize("leftover", [False, True])
+def test_the_link_carries_a_torn_frame_over_at_every_split(leftover):
+    """A read that ends mid-frame: the link applies what is whole, acks
+    it, and keeps only the tail for the next read — whether the first
+    piece came from a ``recv`` or was left over by the handshake."""
+    body = sealed_body()
+    __, whole = read_records(body)
+    for cut in range(len(body) + 1):
+        store = DataStore(SoftMemoryAllocator(name="carry"))
+        state = ReplicationState()
+        state.become_replica("127.0.0.1", 1)
+        link = ReplicaLink(store, state, threading.Lock())
+        head, tail = body[:cut], body[cut:]
+        sock = ScriptedSocket([tail] if leftover else [head, tail])
+        with pytest.raises(ConnectionError, match="master closed"):
+            link._stream(sock, head if leftover else b"")
+        assert state.master_repl_offset == whole == len(body), cut
+        assert store.get(b"plain") == b"value"
+        # one ack per applied read, each at a frame boundary
+        assert sock.acks == sorted(set(sock.acks)) and sock.acks[-1] == whole
+        assert all(read_records(body[:ack])[1] == ack for ack in sock.acks)

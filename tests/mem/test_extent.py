@@ -119,16 +119,6 @@ class TestQueries:
         em.allocate(100)
         assert em.largest_free_extent() == 0
 
-    def test_fits(self):
-        em = ExtentMap(300)
-        a = em.allocate(100)
-        em.allocate(100)
-        em.free(a, 100)
-        assert em.fits(100)
-        # 200 free in total but not contiguous
-        assert em.free_bytes == 200
-        assert not em.fits(150)
-
     def test_fragmentation_zero_when_contiguous(self):
         em = ExtentMap(100)
         assert em.fragmentation() == 0.0

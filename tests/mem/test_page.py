@@ -1,9 +1,20 @@
-"""Tests for page occupancy tracking."""
+"""Tests for page occupancy tracking.
+
+A page's live-allocation count is kept by the placer that owns it, so
+the occupancy tests drive their page through a one-page placer.
+"""
 
 import pytest
 
 from repro.mem.page import Page
+from repro.mem.placer import PagePlacer, Placement
 from repro.util.units import PAGE_SIZE
+
+
+def owned_page() -> tuple[PagePlacer, Page]:
+    placer, page = PagePlacer(owner="test"), Page()
+    placer.add_page(page)
+    return placer, page
 
 
 class TestPage:
@@ -18,47 +29,42 @@ class TestPage:
         assert Page().page_id != Page().page_id
 
     def test_place_tracks_allocs_and_bytes(self):
-        page = Page()
-        off = page.place(100)
-        assert off == 0
+        placer, page = owned_page()
+        placement = placer.place(100)
+        assert placement.pages == (page,)
+        assert placement.offset == 0
         assert page.live_allocs == 1
         assert page.used_bytes == 100
         assert not page.is_free
 
     def test_remove_returns_to_free(self):
-        page = Page()
-        off = page.place(100)
-        page.remove(off, 100)
+        placer, page = owned_page()
+        placer.free(placer.place(100))
         assert page.is_free
         assert page.used_bytes == 0
 
     def test_place_when_full_returns_none(self):
-        page = Page()
-        page.place(PAGE_SIZE)
-        assert page.place(1) is None
+        placer, page = owned_page()
+        placer.place(PAGE_SIZE)
+        assert placer.place(1) is None
         assert page.live_allocs == 1  # failed place does not count
 
     def test_two_kib_elements_two_per_page(self):
         # The paper's section 3.1 example: 2 KiB list elements, two per page.
-        page = Page()
-        assert page.place(2048) is not None
-        assert page.place(2048) is not None
-        assert page.place(1) is None
+        placer, page = owned_page()
+        assert placer.place(2048) is not None
+        assert placer.place(2048) is not None
+        assert placer.place(1) is None
+        assert page.live_allocs == 2
 
     def test_remove_without_allocs_rejected(self):
-        page = Page()
+        placer, page = owned_page()
         with pytest.raises(ValueError):
-            page.remove(0, 10)
-
-    def test_fits(self):
-        page = Page()
-        page.place(PAGE_SIZE - 10)
-        assert page.fits(10)
-        assert not page.fits(11)
+            placer.free(Placement((page,), 0, 10))
 
     def test_reset(self):
-        page = Page()
-        page.place(500)
+        placer, page = owned_page()
+        placer.place(500)
         page.reset()
         assert page.is_free
         assert page.free_bytes == PAGE_SIZE
@@ -69,16 +75,16 @@ class TestPage:
         assert "heap:test" in repr(page)
 
     def test_invariants_on_fresh_and_used(self):
-        page = Page()
+        placer, page = owned_page()
         page.check_invariants()
-        off = page.place(64)
+        placement = placer.place(64)
         page.check_invariants()
-        page.remove(off, 64)
+        placer.free(placement)
         page.check_invariants()
 
     def test_fragmentation_after_interior_free(self):
-        page = Page()
-        a = page.place(1024)
-        page.place(1024)
-        page.remove(a, 1024)
+        placer, page = owned_page()
+        first = placer.place(1024)
+        placer.place(1024)
+        placer.free(first)
         assert page.fragmentation() > 0.0

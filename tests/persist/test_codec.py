@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kvstore.persist import codec
 from repro.kvstore.persist.codec import (
     EXP_ABSOLUTE,
     EXP_KEEP,
@@ -31,8 +32,11 @@ from repro.kvstore.persist.codec import (
     encode_trailer,
     encode_write,
     frame,
+    read_records,
     scan_frames,
 )
+from repro.kvstore.values import CompressedValue
+from repro.kvstore.wire import U32, U64
 
 # keys/values that hunt for framing bugs: empty, CRLF, NULs, bytes that
 # look like frame headers, and high-bit garbage
@@ -83,6 +87,131 @@ def test_write_record_round_trip(key, value, deadline_ms):
             )
 
 
+# ----------------------------------------------------------------------
+# the fast decode path is the general path
+# ----------------------------------------------------------------------
+
+
+def general_decode_write(payload: bytes) -> tuple:
+    """The ``W`` grammar read field by field — the oracle: what the
+    general branch of ``decode_record`` returns for a valid record."""
+    at = 1
+
+    def chunk() -> bytes:
+        nonlocal at
+        size = U32.unpack_from(payload, at)[0]
+        at += 4 + size
+        return payload[at - size:at]
+
+    def u32() -> int:
+        nonlocal at
+        at += 4
+        return U32.unpack_from(payload, at - 4)[0]
+
+    assert payload[0:1] == b"W"
+    key = chunk()
+    tag = payload[at:at + 1]
+    at += 1
+    if tag == b"S":
+        value = chunk()
+    elif tag == b"H":
+        value = {}
+        for _ in range(u32()):
+            fld = chunk()
+            value[fld] = chunk()
+    elif tag == b"L":
+        value = deque(chunk() for _ in range(u32()))
+    else:
+        assert tag == b"C"
+        original = u32()
+        kind = payload[at:at + 1]
+        at += 1
+        value = CompressedValue(chunk(), original, kind)
+    exp_kind = payload[at]
+    at += 1
+    deadline = 0
+    if exp_kind == EXP_ABSOLUTE:
+        deadline = U64.unpack_from(payload, at)[0]
+        at += 8
+    assert at == len(payload)
+    return ("W", key, value, exp_kind, deadline)
+
+
+def comparable(record: tuple) -> tuple:
+    """``CompressedValue`` compares by identity: spell its fields out."""
+    value = record[2]
+    if type(value) is CompressedValue:
+        value = ("C", value.data, value.original_bytes, value.kind)
+    return record[:2] + (value,) + record[3:]
+
+
+_compressed = st.builds(
+    CompressedValue,
+    _nasty,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([b"S", b"H", b"L"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=_nasty,
+    value=_values | _compressed,
+    exp_kind=st.sampled_from([EXP_NONE, EXP_KEEP, EXP_ABSOLUTE]),
+    deadline_ms=st.integers(0, 2**63 - 1),
+)
+def test_decode_returns_what_the_general_branch_returns(
+    key, value, exp_kind, deadline_ms
+):
+    out = bytearray()
+    encode_write(out, key, value, exp_kind, deadline_ms)
+    (payload,), __ = scan_frames(bytes(out))
+    got, want = decode_record(payload), general_decode_write(payload)
+    deadline = deadline_ms if exp_kind == EXP_ABSOLUTE else 0
+    assert comparable(got) == comparable(want) == comparable(
+        ("W", key, value, exp_kind, deadline)
+    )
+    assert type(got[2]) is type(want[2]) is type(value)
+    # one byte more or one byte less is never the same record
+    with pytest.raises(CorruptRecord):
+        decode_record(payload + b"\x00")
+    with pytest.raises(CorruptRecord):
+        decode_record(payload[:-1])
+
+
+@pytest.mark.parametrize(
+    "value, exp_kind, fast",
+    [
+        (b"plain", EXP_NONE, True),
+        (b"", EXP_NONE, True),
+        (b"plain", EXP_KEEP, False),
+        (b"plain", EXP_ABSOLUTE, False),
+        ({b"f": b"v"}, EXP_NONE, False),
+        (deque([b"a"]), EXP_NONE, False),
+        (CompressedValue(b"zz", 9, b"S"), EXP_NONE, False),
+    ],
+)
+def test_only_a_plain_set_takes_the_fast_path(
+    monkeypatch, value, exp_kind, fast
+):
+    """The general branch reads chunk by chunk; the fast path never does."""
+    chunks_read = []
+    real = codec._read_chunk
+
+    def counted(payload, offset):
+        chunks_read.append(offset)
+        return real(payload, offset)
+
+    monkeypatch.setattr(codec, "_read_chunk", counted)
+    out = bytearray()
+    encode_write(out, b"key", value, exp_kind, 12345)
+    (payload,), __ = scan_frames(bytes(out))
+    assert comparable(decode_record(payload)) == comparable(
+        general_decode_write(payload)
+    )
+    assert (not chunks_read) is fast
+
+
 @settings(max_examples=100, deadline=None)
 @given(key=_nasty, deadline_ms=st.integers(0, 2**63 - 1))
 def test_keyed_records_round_trip(key, deadline_ms):
@@ -129,48 +258,80 @@ def test_scan_stops_at_appended_garbage(records, garbage):
     assert valid >= len(blob)
 
 
+def _log(first_value, exp_kind) -> bytes:
+    """A log whose first record is the one under test, then one of each
+    shape a real log carries behind it."""
+    out = bytearray()
+    encode_write(out, b"first \r\n\x00", first_value, exp_kind, 2**40)
+    encode_delete(out, b"gone")
+    encode_write(out, b"", b"", EXP_NONE)
+    encode_write(out, b"list", deque([b"x" * 100, bytes(range(256))]), EXP_KEEP)
+    encode_expire(out, b"lease", 2**41)
+    encode_flush(out)
+    return bytes(out)
+
+
+#: the sweeps below run over each of these: a log of opaque payloads
+#: (framing alone: nothing in it decodes), a log that opens with a plain
+#: ``W`` (``decode_record``'s fast path) and one that opens with a ``W``
+#: the fast path must hand on (a hash, an absolute deadline)
+SWEEP_LOGS = {
+    "opaque": b"".join(
+        frame(p)
+        for p in (
+            b"W-ish payload \r\n\x00", b"", b"x" * 100, bytes(range(256)),
+            b"tail",
+        )
+    ),
+    "plain W": _log(b"value \r\n\x00\xff", EXP_NONE),
+    "general W": _log({b"field": b"value", b"": b""}, EXP_ABSOLUTE),
+}
+
+
 def test_truncation_sweep_every_offset():
     """Satellite: chop a valid log at EVERY byte offset.
 
     At every cut the scanner must return a clean prefix of the original
-    records — never raise, never invent a record, never resurrect bytes
-    past the cut.
+    frames and the reader a clean prefix of the original records — never
+    raise, never invent a record, never resurrect bytes past the cut.
     """
-    records = [
-        b"W-ish payload \r\n\x00",
-        b"",
-        b"x" * 100,
-        bytes(range(256)),
-        b"tail",
-    ]
-    blob = b"".join(frame(p) for p in records)
-    boundaries = []
-    offset = 0
-    for payload in records:
-        offset += HEADER_SIZE + len(payload)
-        boundaries.append(offset)
-    for cut in range(len(blob) + 1):
-        payloads, valid = scan_frames(blob[:cut])
-        whole = sum(1 for b in boundaries if b <= cut)
-        assert payloads == records[:whole], f"cut={cut}"
-        assert valid == (boundaries[whole - 1] if whole else 0), f"cut={cut}"
+    for label, blob in SWEEP_LOGS.items():
+        frames, __ = scan_frames(blob)
+        records, __ = read_records(blob)
+        boundaries = [0]
+        for payload in frames:
+            boundaries.append(boundaries[-1] + HEADER_SIZE + len(payload))
+        assert boundaries[-1] == len(blob)
+        assert len(records) == (0 if label == "opaque" else len(frames))
+        for cut in range(len(blob) + 1):
+            at = f"{label} cut={cut}"
+            whole = sum(1 for b in boundaries[1:] if b <= cut)
+            payloads, valid = scan_frames(blob[:cut])
+            assert payloads == frames[:whole], at
+            assert valid == boundaries[whole], at
+            decoded = min(whole, len(records))
+            assert read_records(blob[:cut]) == (
+                records[:decoded], boundaries[decoded]
+            ), at
 
 
 def test_bit_flip_sweep_first_record():
     """Flipping any single bit of a record's bytes kills it cleanly."""
-    payload = b"the only record"
-    blob = frame(payload) + frame(b"second")
-    first_len = HEADER_SIZE + len(payload)
-    for byte_index in range(first_len):
-        for bit in range(8):
-            damaged = bytearray(blob)
-            damaged[byte_index] ^= 1 << bit
-            payloads, valid = scan_frames(bytes(damaged))
-            # the damaged first frame must not survive; a corrupt
-            # length/CRC may also take the second frame with it (the
-            # scanner cannot trust alignment past damage), but it must
-            # never yield the damaged payload as valid
-            assert payload not in payloads
+    for label, blob in SWEEP_LOGS.items():
+        frames, __ = scan_frames(blob)
+        records, __ = read_records(blob)
+        for byte_index in range(HEADER_SIZE + len(frames[0])):
+            for bit in range(8):
+                damaged = bytearray(blob)
+                damaged[byte_index] ^= 1 << bit
+                payloads, valid = scan_frames(bytes(damaged))
+                # the damaged first frame must not survive; a corrupt
+                # length/CRC may also take the frames behind it (the
+                # scanner cannot trust alignment past damage), but it
+                # must never yield the damaged payload as valid
+                assert frames[0] not in payloads, label
+                survivors, __ = read_records(bytes(damaged))
+                assert not records or records[0] not in survivors, label
 
 
 def test_length_field_bomb_is_rejected():
@@ -188,6 +349,10 @@ def test_length_field_bomb_is_rejected():
         b"W\x01\x00\x00\x00kSx",  # bad value length
         b"W\x01\x00\x00\x00kS\x00\x00\x00\x00\x07",  # unknown expiry kind
         b"W\x01\x00\x00\x00kS\x00\x00\x00\x00\x02\x01",  # short deadline
+        b"W\x01\x00\x00\x00kS\x01\x00\x00\x00v\x00!",  # plain W + a byte
+        b"W\x01\x00\x00\x00kS\x01\x00\x00\x00v\x00\x00",  # ... + a zero
+        b"W\x01\x00\x00\x00kS\x02\x00\x00\x00v\x00",  # value overshoots
+        b"W\x01\x00\x00\x00kS\x01\x00\x00\x00v",  # no expiry clause
         b"D\x01\x00\x00\x00kX",  # trailing bytes
         b"E\x01\x00\x00\x00k\x01\x02",  # bad E size
         b"F!",  # trailing bytes in F
