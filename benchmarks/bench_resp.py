@@ -29,12 +29,8 @@ Scenarios (ns per command / per reply):
 * ``encode_mixed``  — ``encode_reply_into`` over the reply mix a
   SET/GET workload produces (interned +OK, bulk, int, null).
 
-Configuration:
-
-* ``BENCH_RESP_QUICK=1`` (or ``--quick``) — CI-smoke budget.
-* ``BENCH_RESP_JSON`` — path to write results (default: skip under
-  pytest, ``BENCH_resp.json`` under ``main()``).
-* ``BENCH_RESP_MAX_REGRESSION`` — gate tolerance (default ``0.10``).
+Configuration: ``BENCH_RESP_QUICK=1`` (or ``--quick``) — CI-smoke
+budget. Only ``main()`` writes ``BENCH_resp.json``.
 
 Run:  pytest benchmarks/bench_resp.py --benchmark-only -q -s
 or:   python benchmarks/bench_resp.py [--quick]
@@ -52,6 +48,8 @@ from repro.kvstore.server import ZERO_COPY_THRESHOLD
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMITTED_JSON = os.path.join(REPO_ROOT, "BENCH_resp.json")
+#: gate tolerance against the committed numbers
+MAX_REGRESSION = 0.10
 
 #: pipeline depth of the parse workloads (the serving headline's depth
 #: is 16; 64 keeps the loop hot long enough to time cleanly)
@@ -275,10 +273,6 @@ def test_resp_codec_no_regression(benchmark):
     doc = benchmark.pedantic(lambda: run_suite(quick), rounds=1, iterations=1)
     print_table(doc)
 
-    json_path = os.environ.get("BENCH_RESP_JSON")
-    if json_path:
-        write_json(doc, json_path)
-
     # the tentpole must pay for itself: batch fast path beats the
     # recursive generic parser outright (measured ~2x; 1.15 absorbs
     # noise without letting "fast path slower than fallback" through)
@@ -291,23 +285,19 @@ def test_resp_codec_no_regression(benchmark):
         return  # first run on a fresh tree: nothing committed to gate on
     with open(COMMITTED_JSON) as handle:
         committed = json.load(handle)
-    tolerance = float(os.environ.get("BENCH_RESP_MAX_REGRESSION", "0.10"))
     for key in GATED_METRICS:
         # A metric passes if EITHER comparison is within tolerance:
         # raw ns/op holds on the machine that committed the baseline,
         # normalized holds across hosts of different speeds. A real
         # codec regression moves both; calibration jitter moves only
         # one, so requiring both to fail keeps the gate stable.
-        raw_ok = (
-            doc["metrics_ns"][key]
-            <= committed["metrics_ns"][key] * (1 + tolerance)
-        )
-        norm_ok = (
+        raw = doc["metrics_ns"][key] / committed["metrics_ns"][key]
+        norm = (
             doc["metrics_normalized"][key]
-            <= committed["metrics_normalized"][key] * (1 + tolerance)
+            / committed["metrics_normalized"][key]
         )
-        assert raw_ok or norm_ok, (
-            f"{key} regressed beyond {tolerance:.0%}: "
+        assert min(raw, norm) <= 1 + MAX_REGRESSION, (
+            f"{key} regressed beyond {MAX_REGRESSION:.0%}: "
             f"{doc['metrics_ns'][key]:.1f} ns/op vs committed "
             f"{committed['metrics_ns'][key]:.1f}; normalized "
             f"{doc['metrics_normalized'][key]:.4f} vs "
@@ -319,9 +309,8 @@ def main() -> None:
     quick = "--quick" in sys.argv or os.environ.get("BENCH_RESP_QUICK") == "1"
     doc = run_suite(quick)
     print_table(doc)
-    path = os.environ.get("BENCH_RESP_JSON", COMMITTED_JSON)
-    write_json(doc, path)
-    print(f"wrote {path}")
+    write_json(doc, COMMITTED_JSON)
+    print(f"wrote {COMMITTED_JSON}")
 
 
 if __name__ == "__main__":

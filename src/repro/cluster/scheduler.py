@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.cluster.job import Job, JobState, MachineSlot
 from repro.cluster.metrics import ClusterMetrics
-from repro.daemon.weights import WeightFn, paper_weight
+from repro.daemon.weights import paper_weight
 
 
 class PressurePolicy(enum.Enum):
@@ -32,21 +32,23 @@ class PressurePolicy(enum.Enum):
     SOFT = "soft"
 
 
+#: simulation step, seconds
+TICK = 1.0
+#: hard stop for pathological schedules
+MAX_TIME = 1e6
+#: delay before an evicted job may be re-placed (restart cost)
+RESTART_BACKOFF = 10.0
+#: only jobs at or above this priority may trigger pressure
+#: (Borg evicts victims for *higher-priority* arrivals; batch waits)
+PRESSURE_PRIORITY = 1
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Cluster sizing and simulation step."""
+    """Cluster sizing: every experiment states its machines."""
 
-    machine_count: int = 4
-    machine_capacity_pages: int = 2048
-    tick: float = 1.0
-    #: hard stop for pathological schedules
-    max_time: float = 1e6
-    #: delay before an evicted job may be re-placed (restart cost)
-    restart_backoff: float = 10.0
-    #: only jobs at or above this priority may trigger pressure
-    #: (Borg evicts victims for *higher-priority* arrivals; batch waits)
-    pressure_priority: int = 1
-    weight_fn: WeightFn = paper_weight
+    machine_count: int
+    machine_capacity_pages: int
     policy: PressurePolicy = PressurePolicy.SOFT
 
 
@@ -70,8 +72,7 @@ class ClusterSim:
 
     def run(self) -> ClusterMetrics:
         """Advance until every job finished (or max_time)."""
-        cfg = self.config
-        while self.now < cfg.max_time:
+        while self.now < MAX_TIME:
             self._admit_arrivals()
             self._schedule_pending()
             self._grow_caches()
@@ -79,7 +80,7 @@ class ClusterSim:
             self._sample_utilization()
             if self._all_done():
                 break
-            self.now += cfg.tick
+            self.now += TICK
         self.metrics.finalize(self.jobs, self.now)
         return self.metrics
 
@@ -133,7 +134,7 @@ class ClusterSim:
                 self._start(job, machine)
                 return True
         # Low-priority jobs wait; higher priorities may apply pressure.
-        if job.priority < self.config.pressure_priority:
+        if job.priority < PRESSURE_PRIORITY:
             return False
         machine = max(self.machines, key=lambda m: m.free_pages)
         self._relieve_pressure(machine, need - machine.free_pages, job)
@@ -181,11 +182,10 @@ class ClusterSim:
         self, machine: MachineSlot, needed_pages: int, beneficiary: Job
     ) -> bool:
         """Soft memory: shrink caches by descending reclamation weight."""
-        cfg = self.config
         freed = 0
         targets = sorted(
             (j for j in machine.jobs if j.cache_held > 0 and j is not beneficiary),
-            key=lambda j: -cfg.weight_fn(j.mandatory_pages, j.cache_held),
+            key=lambda j: -paper_weight(j.mandatory_pages, j.cache_held),
         )
         if targets:
             self.metrics.reclamation_events += 1
@@ -208,7 +208,7 @@ class ClusterSim:
     def _kill(self, job: Job, machine: MachineSlot) -> None:
         machine.jobs.remove(job)
         job.evict()
-        job.eligible_at = self.now + self.config.restart_backoff
+        job.eligible_at = self.now + RESTART_BACKOFF
         self._pending.append(job)
 
     # -- per-tick dynamics ---------------------------------------------------
@@ -226,13 +226,12 @@ class ClusterSim:
                 job.cache_held += grab
 
     def _make_progress(self) -> None:
-        tick = self.config.tick
         for machine in self.machines:
             for job in list(machine.jobs):
-                job.progress += job.progress_rate() * tick
+                job.progress += job.progress_rate() * TICK
                 if job.progress >= job.duration:
                     job.state = JobState.FINISHED
-                    job.finish_time = self.now + tick
+                    job.finish_time = self.now + TICK
                     job.cache_held = 0
                     machine.jobs.remove(job)
 

@@ -16,6 +16,18 @@ from repro.cluster.job import Job
 from repro.sim.workload import DiurnalLoad
 
 
+#: mean job duration in seconds (exponential)
+MEAN_DURATION = 120.0
+#: log-normal sigma of the mandatory memory ask
+MANDATORY_SIGMA = 0.8
+#: cache size as a fraction of the mandatory ask (uniform range)
+CACHE_FRACTION = (0.25, 1.0)
+#: probability of priority levels 0 (batch) and 1 (mid); the rest is prod
+P_BATCH, P_MID = 0.7, 0.2
+#: day length for the diurnal pattern, in trace seconds
+DIURNAL_PERIOD = 2000.0
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Synthetic trace parameters."""
@@ -23,21 +35,11 @@ class TraceConfig:
     job_count: int = 200
     #: mean seconds between arrivals (Poisson process)
     mean_interarrival: float = 5.0
-    #: mean job duration in seconds (exponential)
-    mean_duration: float = 120.0
-    #: log-normal parameters of the mandatory memory ask, in pages
+    #: log-normal median of the mandatory memory ask, in pages
     mandatory_median_pages: int = 256
-    mandatory_sigma: float = 0.8
-    #: cache size as a fraction of the mandatory ask (uniform range)
-    cache_fraction: tuple[float, float] = (0.25, 1.0)
-    #: probability of priority levels 0 (batch) / 1 (mid) / 2 (prod)
-    priority_mix: tuple[float, float, float] = (0.7, 0.2, 0.1)
-    cache_speedup: float = 0.5
     #: "poisson" for a flat arrival rate, "diurnal" to modulate the
     #: rate by the day/night curve (section 2's shifting consumption)
     arrival_pattern: str = "poisson"
-    #: day length for the diurnal pattern, in trace seconds
-    diurnal_period: float = 2000.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,27 +55,23 @@ def synthetic_trace(config: TraceConfig | None = None) -> list[Job]:
     rng = random.Random(cfg.seed)
     jobs: list[Job] = []
     t = 0.0
-    p_batch, p_mid, __ = cfg.priority_mix
-    load = DiurnalLoad(
-        peak_rps=2.0, trough_rps=0.25, period=cfg.diurnal_period
-    )
+    load = DiurnalLoad(peak_rps=2.0, trough_rps=0.25, period=DIURNAL_PERIOD)
     for job_id in range(cfg.job_count):
         gap = rng.expovariate(1.0 / cfg.mean_interarrival)
         if cfg.arrival_pattern == "diurnal":
             # high load shortens gaps, night stretches them
             gap /= load.rate(t)
         t += gap
-        duration = max(1.0, rng.expovariate(1.0 / cfg.mean_duration))
+        duration = max(1.0, rng.expovariate(1.0 / MEAN_DURATION))
         mandatory = max(
-            1, int(rng.lognormvariate(0, cfg.mandatory_sigma)
+            1, int(rng.lognormvariate(0, MANDATORY_SIGMA)
                    * cfg.mandatory_median_pages)
         )
-        lo, hi = cfg.cache_fraction
-        cache = int(mandatory * rng.uniform(lo, hi))
+        cache = int(mandatory * rng.uniform(*CACHE_FRACTION))
         u = rng.random()
-        if u < p_batch:
+        if u < P_BATCH:
             priority = 0
-        elif u < p_batch + p_mid:
+        elif u < P_BATCH + P_MID:
             priority = 1
         else:
             priority = 2
@@ -85,7 +83,6 @@ def synthetic_trace(config: TraceConfig | None = None) -> list[Job]:
                 priority=priority,
                 mandatory_pages=mandatory,
                 cache_pages=cache,
-                cache_speedup=cfg.cache_speedup,
             )
         )
     return jobs

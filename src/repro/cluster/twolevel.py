@@ -23,32 +23,31 @@ split the paper proposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.job import Job, JobState
+from repro.cluster.scheduler import PRESSURE_PRIORITY, RESTART_BACKOFF, TICK
 from repro.core.errors import SoftMemoryDenied
-from repro.daemon.smd import SmdConfig
 from repro.sds.soft_linked_list import SoftLinkedList
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.process import SimProcess
 from repro.util.units import PAGE_SIZE
 
 
+#: hard stop for pathological schedules
+MAX_TIME = 1e5
+#: cache pages a job may grow per tick (daemon traffic rate limit)
+CACHE_GROWTH_PER_TICK = 8
+
+
 @dataclass(frozen=True)
 class TwoLevelConfig:
-    """Cluster shape for the integrated simulation."""
+    """Cluster shape for the integrated simulation; the step, restart
+    cost and kill priority are the upper-level simulator's."""
 
-    machine_count: int = 3
-    machine_memory_bytes: int = 1024 * PAGE_SIZE
-    soft_capacity_bytes: int = 512 * PAGE_SIZE
-    smd: SmdConfig = field(default_factory=SmdConfig)
-    tick: float = 1.0
-    max_time: float = 1e5
-    #: cache pages a job may grow per tick (daemon traffic rate limit)
-    cache_growth_per_tick: int = 8
-    restart_backoff: float = 10.0
-    #: minimum priority allowed to kill for *traditional* placement
-    pressure_priority: int = 1
+    machine_count: int
+    machine_memory_bytes: int
+    soft_capacity_bytes: int
 
 
 @dataclass
@@ -113,7 +112,6 @@ class IntegratedCluster:
             Machine(MachineConfig(
                 total_memory_bytes=config.machine_memory_bytes,
                 soft_capacity_bytes=config.soft_capacity_bytes,
-                smd=config.smd,
             ))
             for _ in range(config.machine_count)
         ]
@@ -128,8 +126,7 @@ class IntegratedCluster:
     # ------------------------------------------------------------------
 
     def run(self) -> TwoLevelMetrics:
-        cfg = self.config
-        while self.now < cfg.max_time:
+        while self.now < MAX_TIME:
             self._admit_arrivals()
             self._schedule_pending()
             self._grow_caches()
@@ -137,7 +134,7 @@ class IntegratedCluster:
             self._sample()
             if self._all_done():
                 break
-            self.now += cfg.tick
+            self.now += TICK
         self._finalize()
         return self.metrics
 
@@ -201,7 +198,7 @@ class IntegratedCluster:
             if self._traditional_free(idx) >= need:
                 self._start(job, idx)
                 return True
-        if job.priority < self.config.pressure_priority:
+        if job.priority < PRESSURE_PRIORITY:
             return False
         # Traditional pressure: Borg-style kill on the roomiest machine.
         idx = max(
@@ -240,7 +237,7 @@ class IntegratedCluster:
                 break
             running.process.kill()
             running.job.evict()
-            running.job.eligible_at = self.now + self.config.restart_backoff
+            running.job.eligible_at = self.now + RESTART_BACKOFF
             del self._running[job_id]
             self._pending.append(running.job)
             self.metrics.evictions += 1
@@ -256,7 +253,7 @@ class IntegratedCluster:
         """
         for __, running in self._running.values():
             want = min(
-                self.config.cache_growth_per_tick,
+                CACHE_GROWTH_PER_TICK,
                 running.job.cache_pages - running.cache_held,
             )
             for i in range(max(0, want)):
@@ -266,16 +263,15 @@ class IntegratedCluster:
                     break
 
     def _make_progress(self) -> None:
-        tick = self.config.tick
         finished: list[int] = []
         for job_id, (idx, running) in self._running.items():
-            running.job.progress += running.progress_rate() * tick
+            running.job.progress += running.progress_rate() * TICK
             if running.job.progress >= running.job.duration:
                 finished.append(job_id)
         for job_id in finished:
             __, running = self._running.pop(job_id)
             running.job.state = JobState.FINISHED
-            running.job.finish_time = self.now + tick
+            running.job.finish_time = self.now + TICK
             running.process.kill()  # graceful exit frees everything
 
     def _sample(self) -> None:

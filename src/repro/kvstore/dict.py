@@ -33,6 +33,7 @@ from repro.core.errors import ReclaimedMemoryError
 from repro.core.pointer import SoftPtr
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.tier import (
+    WATERMARK_FRAC,
     TierConfig,
     TierStats,
     deflate_value,
@@ -386,7 +387,7 @@ class SoftDict(SoftDataStructure):
         tier = self.tier
         if tier.enabled:
             compressed = len(self._compressed_age)
-            if compressed > tier.watermark_frac * len(self):
+            if compressed > WATERMARK_FRAC * len(self):
                 if self._drop_oldest_compressed():
                     return True
         for ptr in self._by_age.values():

@@ -34,6 +34,8 @@ from typing import Callable, Protocol
 from repro.kvstore.persist.codec import read_records
 
 FSYNC_POLICIES = ("always", "everysec", "no")
+#: seconds an ``everysec`` writer may leave written bytes unsynced
+FSYNC_INTERVAL = 1.0
 
 
 class BinaryFile(Protocol):
@@ -83,7 +85,6 @@ class AofWriter:
         path: str,
         *,
         fsync_policy: str = "everysec",
-        fsync_interval: float = 1.0,
         file_factory: FileFactory = RealFile,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -91,7 +92,6 @@ class AofWriter:
             raise ValueError(f"unknown fsync policy {fsync_policy!r}")
         self.path = path
         self.fsync_policy = fsync_policy
-        self.fsync_interval = fsync_interval
         self._clock = clock
         self._file: BinaryFile | None = file_factory(path)
         self._pending = bytearray()
@@ -166,7 +166,7 @@ class AofWriter:
                 self._fsync(file)
         elif self.fsync_policy == "everysec":
             now = self._clock()
-            if unsynced and now - self._last_fsync >= self.fsync_interval:
+            if unsynced and now - self._last_fsync >= FSYNC_INTERVAL:
                 self._fsync(file)
         return True
 

@@ -72,6 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _BASE_RE = re.compile(r"^base-(\d+)\.snap$")
 _INCR_RE = re.compile(r"^incr-(\d+)\.aof$")
+#: previous generations kept after a checkpoint (fallback targets for a
+#: corrupt newest snapshot)
+KEEP_GENERATIONS = 1
 
 
 @dataclass
@@ -81,16 +84,10 @@ class PersistenceConfig:
     dir: str
     appendonly: bool = True
     appendfsync: str = "everysec"  # always | everysec | no
-    fsync_interval: float = 1.0
-    #: previous generations kept after a checkpoint (fallback targets
-    #: for a corrupt newest snapshot)
-    keep_generations: int = 1
 
     def __post_init__(self) -> None:
         if self.appendfsync not in FSYNC_POLICIES:
             raise ValueError(f"unknown appendfsync {self.appendfsync!r}")
-        if self.keep_generations < 0:
-            raise ValueError("keep_generations must be non-negative")
 
 
 @dataclass
@@ -238,7 +235,6 @@ class Persistence:
         self._writer = AofWriter(
             self._incr_path(self._generation),
             fsync_policy=self.config.appendfsync,
-            fsync_interval=self.config.fsync_interval,
             file_factory=self._file_factory,
         )
 
@@ -477,8 +473,8 @@ class Persistence:
             self.bgsave_in_progress = False
 
     def _cleanup(self, current_gen: int) -> None:
-        """Drop generations older than the configured fallback window."""
-        keep_from = current_gen - self.config.keep_generations
+        """Drop generations older than the fallback window."""
+        keep_from = current_gen - KEEP_GENERATIONS
         bases, incrs = self._scan_generations()
         for gen in bases:
             if gen < keep_from:

@@ -62,14 +62,12 @@ class ReplNode:
         store: DataStore,
         lock: threading.Lock,
         *,
-        backlog: int,
         flush: Callable[[Any], bool],
         close: Callable[[Any], None],
         recv: Callable[[Any], bool],
     ) -> None:
         self._store = store
         self._lock = lock
-        self._backlog = backlog
         self._flush = flush
         self._close = close
         self._recv = recv
@@ -85,7 +83,7 @@ class ReplNode:
         """The store's replication state, created on first use."""
         state = self._store.repl
         if state is None:
-            state = ReplicationState(backlog_capacity=self._backlog)
+            state = ReplicationState()
             self._store.repl = state
         return state
 

@@ -80,7 +80,6 @@ class StoreConfig:
     """
 
     entry_overhead_bytes: int = 56
-    keyspace_priority: int = 0
     #: clock used for TTLs; swap in a SimClock's ``now`` for simulation
     time_fn: Callable[[], float] = field(default=time.monotonic)
     #: compressed second-chance tier policy (disabled reproduces the
@@ -134,7 +133,6 @@ class DataStore:
         self._dict = SoftDict(
             sma,
             name=f"{name}-keyspace",
-            priority=self.config.keyspace_priority,
             callback=self._on_entry_reclaimed,
             tier=self.config.tier,
         )

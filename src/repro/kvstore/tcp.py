@@ -16,7 +16,7 @@ Replies leave at the end of the select round — after the round's
 single AOF group commit — in one non-blocking send per connection;
 leftovers are written when the socket reports writable (write interest
 is toggled on and off). Slow clients that let their output buffer grow
-past a configurable limit are disconnected, like Redis's
+past a fixed limit are disconnected, like Redis's
 client-output-buffer-limits.
 """
 
@@ -29,14 +29,18 @@ import threading
 import time
 from functools import partial
 
+from repro.kvstore.persist.aof import FSYNC_INTERVAL
 from repro.kvstore.repl.node import ReplNode
-from repro.kvstore.repl.state import DEFAULT_BACKLOG_CAPACITY, ReplicationState
+from repro.kvstore.repl.state import ReplicationState
 from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore
 from repro.obs.plane import bind_server
 
 _RECV_SIZE = 65536
-#: default per-connection pending-output cap before the server declares
+_LISTEN_BACKLOG = 128
+#: seconds ``stop()`` keeps flushing pending replies before it closes
+_SHUTDOWN_FLUSH_TIMEOUT = 5.0
+#: per-connection pending-output cap before the server declares
 #: the client too slow and disconnects it (Redis: client-output-buffer-limit)
 _OUTPUT_BUFFER_LIMIT = 8 * 1024 * 1024
 #: replica feeds get a far larger allowance than interactive clients —
@@ -92,29 +96,20 @@ class TcpKvServer:
         store: DataStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        backlog: int = 128,
-        output_buffer_limit: int = _OUTPUT_BUFFER_LIMIT,
-        shutdown_flush_timeout: float = 5.0,
-        repl_backlog: int = DEFAULT_BACKLOG_CAPACITY,
-        repl_output_buffer_limit: int = _REPL_OUTPUT_BUFFER_LIMIT,
     ) -> None:
         self.store = store
         self._lock = threading.Lock()  # see the class docstring
         self._listener = socket.create_server(
-            (host, port), backlog=backlog, reuse_port=False
+            (host, port), backlog=_LISTEN_BACKLOG, reuse_port=False
         )
         self.address: tuple[str, int] = self._listener.getsockname()
         self._stop = threading.Event()
         self.connections_served = 0
         self.commands_processed = 0
-        self.output_buffer_limit = output_buffer_limit
-        self.shutdown_flush_timeout = shutdown_flush_timeout
-        self.repl_output_buffer_limit = repl_output_buffer_limit
         #: the replication protocol (its docstring lists the hand-overs)
         self._repl = ReplNode(
             store,
             self._lock,
-            backlog=repl_backlog,
             flush=self._flush,
             close=self._close,
             recv=self._on_readable,
@@ -156,7 +151,7 @@ class TcpKvServer:
         except OSError:
             pass
         if self._thread is not None:
-            self._thread.join(timeout=self.shutdown_flush_timeout + 5)
+            self._thread.join(timeout=_SHUTDOWN_FLUSH_TIMEOUT + 5)
         if link is not None:
             link.stop()
 
@@ -197,7 +192,7 @@ class TcpKvServer:
                 timeout = None
                 if persist is not None and persist.aof_enabled:
                     if persist.config.appendfsync == "everysec":
-                        timeout = persist.config.fsync_interval
+                        timeout = FSYNC_INTERVAL
                 events = self._selector.select(timeout)
                 flush_queue: list[_Connection] = []
                 for key, mask in events:
@@ -336,9 +331,9 @@ class TcpKvServer:
             pos = 0
         conn.pos = pos
         limit = (
-            self.repl_output_buffer_limit
+            _REPL_OUTPUT_BUFFER_LIMIT
             if conn.feed is not None
-            else self.output_buffer_limit
+            else _OUTPUT_BUFFER_LIMIT
         )
         if len(out) - pos > limit:
             self.clients_dropped += 1
@@ -376,7 +371,7 @@ class TcpKvServer:
             for key in list(self._selector.get_map().values())
             if isinstance(key.data, _Connection)
         ]
-        deadline = time.monotonic() + self.shutdown_flush_timeout
+        deadline = time.monotonic() + _SHUTDOWN_FLUSH_TIMEOUT
         pending = [c for c in conns if c.pending]
         while pending and (remaining := deadline - time.monotonic()) > 0:
             try:

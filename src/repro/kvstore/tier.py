@@ -34,38 +34,30 @@ __all__ = [
 ]
 
 
+#: values smaller than this are not worth a deflate call
+MIN_VALUE_BYTES = 64
+#: compressed bytes must be at most this fraction of the original, else
+#: the victim is judged incompressible and dropped outright
+MIN_RATIO = 0.75
+#: the tier's bound: once more than this fraction of a dict's entries
+#: are compressed, an eviction drops the oldest compressed entry (a
+#: second-chance drop) instead of demoting yet another resident
+WATERMARK_FRAC = 0.5
+
+
 @dataclass(frozen=True)
 class TierConfig:
     """Second-chance tier policy.
 
     ``enabled`` gates the whole mechanism (off reproduces the paper's
-    plain keep/drop). ``min_value_bytes`` skips values too small to be
-    worth a deflate call; ``min_ratio`` requires the compressed bytes to
-    be at most that fraction of the original, else the entry is judged
-    incompressible and dropped outright when victimized.
-    ``watermark_frac`` bounds the tier: when more than that fraction of
-    a dict's entries are already compressed, further evictions drop the
-    oldest compressed entry (a second-chance drop) instead of demoting
-    yet another resident.
+    plain keep/drop); ``compress_level`` is zlib's. What the policy
+    fixes is the three constants above.
     """
 
     enabled: bool = False
-    min_value_bytes: int = 64
-    min_ratio: float = 0.75
-    watermark_frac: float = 0.5
     compress_level: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_value_bytes < 0:
-            raise ValueError(
-                f"min_value_bytes must be non-negative: {self.min_value_bytes}"
-            )
-        if not 0.0 < self.min_ratio <= 1.0:
-            raise ValueError(f"min_ratio must be in (0, 1]: {self.min_ratio}")
-        if not 0.0 < self.watermark_frac <= 1.0:
-            raise ValueError(
-                f"watermark_frac must be in (0, 1]: {self.watermark_frac}"
-            )
         if not 0 <= self.compress_level <= 9:
             raise ValueError(
                 f"compress_level must be 0..9: {self.compress_level}"
@@ -110,19 +102,19 @@ def deflate_value(value: Value, config: TierConfig) -> CompressedValue | None:
     """Compress ``value`` for demotion, or ``None`` if not worth it.
 
     ``None`` means the caller should fall back to dropping the victim:
-    the value is below ``min_value_bytes``, compresses worse than
-    ``min_ratio``, or is already compressed.
+    the value is below :data:`MIN_VALUE_BYTES`, compresses worse than
+    :data:`MIN_RATIO`, or is already compressed.
     """
     from repro.kvstore.values import value_bytes
 
     if type(value) is CompressedValue:
         return None
     original = value_bytes(value)
-    if original < config.min_value_bytes:
+    if original < MIN_VALUE_BYTES:
         return None
     kind, plain = _serialize(value)
     data = zlib.compress(plain, config.compress_level)
-    if len(data) > original * config.min_ratio:
+    if len(data) > original * MIN_RATIO:
         return None
     return CompressedValue(data, original, kind)
 

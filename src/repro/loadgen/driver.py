@@ -149,18 +149,17 @@ def drive(
     client: PipelinedClient,
     batches: Iterable[list[Op]] | Iterator[list[Op]],
     *,
-    max_ops: int | None = None,
-    duration: float | None = None,
+    max_ops: int,
     report: DriverReport | None = None,
     replica_client: PipelinedClient | None = None,
     read_from_replica: float = 0.0,
 ) -> DriverReport:
-    """Send batches until ``max_ops`` ops or ``duration`` seconds.
+    """Send batches until ``max_ops`` ops have gone out.
 
-    At least one of the bounds must be given (the engine's streams are
-    endless), and ``max_ops`` bounds *this call's* ops — accumulating
-    into a shared ``report`` (e.g. prefill + measured run in one tally)
-    does not eat a later call's budget.
+    The bound is required (the engine's streams are endless) and bounds
+    *this call's* ops — accumulating into a shared ``report`` (e.g.
+    prefill + measured run in one tally) does not eat a later call's
+    budget.
     Replies are counted, classified, and *verified in number*: a
     reply-count mismatch means client/server desync and does raise.
 
@@ -168,8 +167,6 @@ def drive(
     are split out of each batch and pipelined at the replica; their
     empty replies count as ``replica_stale_reads`` in the report.
     """
-    if max_ops is None and duration is None:
-        raise ValueError("drive() needs max_ops and/or duration")
     if replica_client is None and read_from_replica:
         raise ValueError("read_from_replica needs a replica_client")
     router = (
@@ -180,7 +177,6 @@ def drive(
     rep = report if report is not None else DriverReport()
     ops_before = rep.ops
     started = time.perf_counter()
-    deadline = started + duration if duration is not None else None
     for batch in batches:
         if router is not None:
             primary_ops: list[Op] = []
@@ -234,9 +230,7 @@ def drive(
                 rep.replica_reads += 1
                 if reply is None:
                     rep.replica_stale_reads += 1
-        if max_ops is not None and rep.ops - ops_before >= max_ops:
-            break
-        if deadline is not None and t1 >= deadline:
+        if rep.ops - ops_before >= max_ops:
             break
     rep.elapsed += time.perf_counter() - started
     return rep

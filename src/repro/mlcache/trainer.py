@@ -2,7 +2,7 @@
 
 Per step, the accelerator needs one batch; the input pipeline delivers
 it from cache hits (cheap) and storage fetches (expensive, overlapped
-``io_parallelism`` wide). Step latency is ``max(compute, io)`` — the
+:data:`IO_PARALLELISM` wide). Step latency is ``max(compute, io)`` — the
 classic "input pipeline is the bottleneck" model from Plumber/Quiver
 that section 2 leans on.
 """
@@ -15,15 +15,17 @@ from repro.mlcache.cache import InformedCache
 from repro.mlcache.dataset import SyntheticDataset
 
 
+BATCH_SIZE = 64
+#: accelerator time per batch (seconds)
+COMPUTE_TIME = 10e-3
+#: concurrent storage fetches
+IO_PARALLELISM = 8
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Training-loop parameters."""
 
-    batch_size: int = 64
-    #: accelerator time per batch (seconds)
-    compute_time: float = 10e-3
-    #: concurrent storage fetches
-    io_parallelism: int = 8
     epochs: int = 1
 
 
@@ -56,20 +58,17 @@ class TrainerSim:
         self.reports: list[EpochReport] = []
 
     def run_epoch(self, epoch: int = 0) -> EpochReport:
-        cfg = self.config
         report = EpochReport(epoch=epoch)
         self.cache.start_epoch()
         consumed = 0
         while consumed < self.dataset.sample_count:
-            hits, fetches = self.cache.draw_batch(cfg.batch_size)
+            hits, fetches = self.cache.draw_batch(BATCH_SIZE)
             got = hits + fetches
             if got == 0:
                 break
-            io_time = (
-                -(-fetches // cfg.io_parallelism) * self.dataset.fetch_cost
-            )
-            step_time = max(cfg.compute_time, io_time)
-            if io_time > cfg.compute_time:
+            io_time = -(-fetches // IO_PARALLELISM) * self.dataset.fetch_cost
+            step_time = max(COMPUTE_TIME, io_time)
+            if io_time > COMPUTE_TIME:
                 report.io_bound_steps += 1
             report.sim_seconds += step_time
             report.hits += hits

@@ -366,7 +366,7 @@ class SmaAgent:
         attempt = 0
         while not self._closed.is_set():
             if self._degraded.is_set():
-                if self._socket_path is None or not self._config.reconnect:
+                if self._socket_path is None:  # nowhere to redial
                     if self._closed.wait(0.1):
                         break
                     continue

@@ -15,7 +15,7 @@ from typing import Any
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff schedule.
+    """Exponential backoff schedule: the delay doubles per try.
 
     ``attempts`` counts total tries (1 = no retry). ``attempts <= 0``
     means unlimited — used for the reconnect loop, which never gives
@@ -24,16 +24,16 @@ class RetryPolicy:
 
     attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 2.0
 
     def delay(self, attempt: int) -> float:
         """Backoff to sleep after 0-indexed try ``attempt``."""
         if attempt < 0:
             raise ValueError(f"attempt must be non-negative: {attempt}")
-        return min(
-            self.base_delay * (self.multiplier ** attempt), self.max_delay
-        )
+        # the unlimited loop counts tries for as long as the daemon is
+        # down and 2.0 ** 1024 is an OverflowError: 64 doublings already
+        # outgrow any max_delay, so saturate the exponent there
+        return min(self.base_delay * 2.0 ** min(attempt, 64), self.max_delay)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class RpcConfig:
     exhausting the schedule declares the daemon unreachable (degraded
     mode). ``heartbeat_interval`` is the PING cadence (0 disables) and
     ``heartbeat_timeout`` the silence window after which the peer is
-    presumed dead. ``reconnect`` enables the background redial loop
-    driven by ``reconnect_backoff``.
+    presumed dead; a degraded agent redials in the background on the
+    ``reconnect_backoff`` schedule until it is closed.
 
     Daemon side: ``demand_timeout`` bounds one DEMAND/REPORT exchange;
     ``heartbeat_timeout`` reaps clients that pinged once and then went
@@ -62,11 +62,8 @@ class RpcConfig:
     demand_lock_timeout: float = 2.0
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 5.0
-    reconnect: bool = True
     reconnect_backoff: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            attempts=0, base_delay=0.05, multiplier=2.0, max_delay=2.0
-        )
+        default_factory=lambda: RetryPolicy(attempts=0)
     )
 
 

@@ -31,7 +31,6 @@ class MachineConfig:
     total_memory_bytes: int = 64 * MIB
     soft_capacity_bytes: int = 20 * MIB
     smd: SmdConfig = field(default_factory=SmdConfig)
-    costs: CostModel = field(default_factory=CostModel)
 
 
 class Machine:
@@ -41,7 +40,7 @@ class Machine:
         self.config = config or MachineConfig()
         self.clock = SimClock()
         self.log = EventLog()
-        self.costs = self.config.costs
+        self.costs = CostModel()
         self.physical = PhysicalMemory(self.config.total_memory_bytes)
         self.smd = SoftMemoryDaemon(
             soft_capacity_pages=bytes_to_pages(

@@ -27,7 +27,7 @@ import signal
 import sys
 import threading
 
-from repro.kvstore.cluster.supervisor import ClusterSupervisor, free_ports
+from repro.kvstore.cluster.supervisor import ClusterSupervisor
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,55 +40,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        help="first shard port (consecutive); default: free ports",
-    )
-    parser.add_argument(
         "--capacity",
         type=int,
         default=4096,
         help="machine-wide soft capacity (pages) shared by all shards",
     )
     parser.add_argument(
-        "--startup-budget",
-        type=int,
-        default=16,
-        help="pages each shard is granted at registration",
-    )
-    parser.add_argument(
         "--dir",
         default=None,
         help="data root; each shard persists under <dir>/shard-<i>",
     )
-    parser.add_argument(
-        "--no-restart",
-        action="store_true",
-        help="do not restart crashed/unresponsive shards",
-    )
-    parser.add_argument(
-        "--health-interval",
-        type=float,
-        default=0.5,
-        help="seconds between PING health checks",
-    )
     args = parser.parse_args(argv)
-
-    if args.port_base is not None:
-        ports = list(range(args.port_base, args.port_base + args.shards))
-    else:
-        ports = free_ports(args.host, args.shards)
 
     supervisor = ClusterSupervisor(
         args.shards,
         host=args.host,
-        ports=ports,
         soft_capacity_pages=args.capacity,
-        startup_budget_pages=args.startup_budget,
         data_dir=args.dir,
-        health_interval=args.health_interval,
-        restart=not args.no_restart,
     )
 
     done = threading.Event()

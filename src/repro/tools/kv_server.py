@@ -56,8 +56,6 @@ def build_server(
     cluster_nodes: str | None = None,
     tier: bool = True,
     replicaof: str | None = None,
-    repl_backlog: int | None = None,
-    name: str = "kv-server",
 ):
     """Construct (store, persistence-or-None, unstarted server).
 
@@ -75,6 +73,7 @@ def build_server(
     partial-resyncs from the backlog), and applies the stream through
     its own SMA budget.
     """
+    name = "kv-server"
     if cluster_shard is not None:
         if not cluster_nodes:
             raise ValueError("--cluster-shard requires --cluster-nodes")
@@ -86,7 +85,7 @@ def build_server(
             addresses.append((node_host, int(node_port)))
         cluster_state = ClusterState(cluster_shard, addresses)
         host, port = addresses[cluster_shard]
-        name = f"{name}-shard{cluster_shard}"
+        name += f"-shard{cluster_shard}"
     else:
         cluster_state = None
 
@@ -125,10 +124,7 @@ def build_server(
             )
         )
         store.attach_persistence(persistence)  # recovery happens here
-    options: dict = {}
-    if repl_backlog is not None:
-        options["repl_backlog"] = repl_backlog
-    server = TcpKvServer(store, host, port, **options)
+    server = TcpKvServer(store, host, port)
     if replicaof is not None:
         master_host, _, master_port = replicaof.rpartition(":")
         if not master_host or not master_port.isdigit():
@@ -188,13 +184,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--appendonly",
         choices=("yes", "no"),
-        default="yes",
-        help="append mutations to the AOF (requires --dir)",
+        default=None,
+        help="append mutations to the AOF (default yes; requires --dir)",
     )
     parser.add_argument(
         "--appendfsync",
         choices=FSYNC_POLICIES,
-        default="everysec",
+        default=None,
+        help="default everysec; requires --dir",
     )
     parser.add_argument(
         "--sma-pages",
@@ -230,32 +227,26 @@ def main(argv: list[str] | None = None) -> int:
         metavar="HOST:PORT",
         help="boot as a read-only replica of this master",
     )
-    parser.add_argument(
-        "--repl-backlog",
-        type=int,
-        default=None,
-        help="replication backlog ring capacity in bytes",
-    )
     args = parser.parse_args(argv)
 
-    if args.dir is None and args.appendonly == "yes" and "--appendonly" in (
-        argv or sys.argv
+    # None means "not given", however the flag was spelled or abbreviated
+    if args.dir is None and (
+        args.appendonly == "yes" or args.appendfsync is not None
     ):
-        parser.error("--appendonly requires --dir")
+        parser.error("--appendonly and --appendfsync require --dir")
 
     store, persistence, server = build_server(
         host=args.host,
         port=args.port,
         data_dir=args.dir,
-        appendonly=args.appendonly == "yes",
-        appendfsync=args.appendfsync,
+        appendonly=args.appendonly != "no",
+        appendfsync=args.appendfsync or "everysec",
         sma_pages=args.sma_pages,
         smd_socket=args.smd_socket,
         cluster_shard=args.cluster_shard,
         cluster_nodes=args.cluster_nodes,
         tier=args.tier == "on",
         replicaof=args.replicaof,
-        repl_backlog=args.repl_backlog,
     )
     shutdown = GracefulShutdown(server, persistence, store.smd_agent)
     signal.signal(signal.SIGTERM, shutdown.request)

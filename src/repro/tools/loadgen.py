@@ -13,7 +13,7 @@ Modes (combine freely):
   slot-routing client is used automatically when more than one address
   is given or ``--cluster`` is passed).
 
-Everything is deterministic: same ``--preset``/overrides and ``--seed``
+Everything is deterministic: the same ``--preset`` and ``--seed``
 produce byte-identical operation streams (``--digest`` prints the
 SHA-256 receipt over the first 2048 encoded ops).
 """
@@ -45,18 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ops", type=int, default=10_000,
         help="operation budget for dry runs / recording / driving",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="time bound (seconds) when driving a live server",
-    )
-    parser.add_argument(
-        "--keyspace", type=int, default=None,
-        help="override the preset's key space size",
-    )
-    parser.add_argument(
-        "--hash-tags", action="store_true",
-        help="group keys in {tags} so multi-key runs stay on one slot",
     )
     parser.add_argument(
         "--record", metavar="PATH",
@@ -105,12 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         _list_presets()
         return 0
 
-    overrides: dict = {}
-    if args.keyspace is not None:
-        overrides["keyspace"] = args.keyspace
-    if args.hash_tags:
-        overrides["hash_tags"] = True
-
     if args.replay:
         meta, batches = read_trace(args.replay)
         spec = trace_spec(meta)
@@ -118,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         batch_source = iter(batches)
         op_budget = meta["ops"]
     else:
-        spec = preset(args.preset, **overrides)
+        spec = preset(args.preset)
         seed = args.seed
         stream = OperationStream(spec, seed)
         batch_source = stream.batches()
@@ -167,12 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                     max_ops=spec.keyspace,
                 )
                 batch_source = prefill_stream.batches()
-            report = drive(
-                client,
-                batch_source,
-                max_ops=None if args.duration else op_budget,
-                duration=args.duration,
-            )
+            report = drive(client, batch_source, max_ops=op_budget)
         finally:
             client.close()
         document = {

@@ -64,13 +64,12 @@ def _coerce(value: str) -> Any:
     return value
 
 
-def snapshot(
-    host: str, port: int, *, slowlog_count: int = 16
-) -> dict[str, Any]:
-    """One observability snapshot of the server at ``host:port``."""
+def snapshot(host: str, port: int) -> dict[str, Any]:
+    """One observability snapshot of the server at ``host:port``: every
+    INFO section and the newest 16 slowlog entries."""
     with TcpKvClient((host, port)) as client:
         info_payload = client.execute(b"INFO")
-        slowlog = client.execute(b"SLOWLOG", b"GET", str(slowlog_count))
+        slowlog = client.execute(b"SLOWLOG", b"GET", b"16")
     assert isinstance(info_payload, bytes)
     return {
         "address": f"{host}:{port}",
@@ -104,9 +103,7 @@ def parse_addr(spec: str, *, default_host: str = "127.0.0.1") -> tuple[str, int]
 _LAST_REPLICATION: dict[str, dict[str, Any]] = {}
 
 
-def cluster_snapshot(
-    addresses: list[tuple[str, int]], *, slowlog_count: int = 16
-) -> dict[str, Any]:
+def cluster_snapshot(addresses: list[tuple[str, int]]) -> dict[str, Any]:
     """Per-shard snapshots plus summed machine-wide ``# Stats``.
 
     Shards that refuse the connection are recorded as
@@ -129,7 +126,7 @@ def cluster_snapshot(
     for host, port in addresses:
         address = f"{host}:{port}"
         try:
-            shard = snapshot(host, port, slowlog_count=slowlog_count)
+            shard = snapshot(host, port)
         except (OSError, ConnectionError) as exc:
             entry: dict[str, Any] = {"address": address, "error": str(exc)}
             known = _LAST_REPLICATION.get(address)
@@ -201,12 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shard address; repeat for a merged multi-shard snapshot",
     )
     parser.add_argument(
-        "--slowlog-count",
-        type=int,
-        default=16,
-        help="newest slowlog entries to include (default 16)",
-    )
-    parser.add_argument(
         "--diff",
         nargs=2,
         metavar=("BEFORE", "AFTER"),
@@ -214,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "-o",
-        "--output",
+        dest="output",
         default="-",
         help="write JSON here instead of stdout",
     )
@@ -228,13 +219,10 @@ def main(argv: list[str] | None = None) -> int:
         document = diff(before, after)
     elif args.addr:
         document = cluster_snapshot(
-            [parse_addr(spec, default_host=args.host) for spec in args.addr],
-            slowlog_count=args.slowlog_count,
+            [parse_addr(spec, default_host=args.host) for spec in args.addr]
         )
     else:
-        document = snapshot(
-            args.host, args.port, slowlog_count=args.slowlog_count
-        )
+        document = snapshot(args.host, args.port)
 
     text = json.dumps(document, indent=2, sort_keys=True)
     if args.output == "-":

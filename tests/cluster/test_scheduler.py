@@ -16,6 +16,9 @@ def job(job_id, arrival=0.0, duration=10.0, priority=0,
     )
 
 
+FOUR_MACHINES = dict(machine_count=4, machine_capacity_pages=2048)
+
+
 def run(jobs, policy=PressurePolicy.SOFT, **cfg):
     defaults = dict(machine_count=1, machine_capacity_pages=1000, policy=policy)
     defaults.update(cfg)
@@ -135,11 +138,11 @@ class TestPolicyComparison:
         cfg = TraceConfig(job_count=120, seed=seed)
         kill_sim = ClusterSim(
             synthetic_trace(cfg),
-            ClusterConfig(policy=PressurePolicy.KILL),
+            ClusterConfig(**FOUR_MACHINES, policy=PressurePolicy.KILL),
         )
         soft_sim = ClusterSim(
             synthetic_trace(cfg),
-            ClusterConfig(policy=PressurePolicy.SOFT),
+            ClusterConfig(**FOUR_MACHINES, policy=PressurePolicy.SOFT),
         )
         kill = kill_sim.run()
         soft = soft_sim.run()
@@ -148,7 +151,7 @@ class TestPolicyComparison:
 
     def test_metrics_rows_have_stable_schema(self):
         cfg = TraceConfig(job_count=30, seed=5)
-        sim = ClusterSim(synthetic_trace(cfg), ClusterConfig())
+        sim = ClusterSim(synthetic_trace(cfg), ClusterConfig(**FOUR_MACHINES))
         row = sim.run().row()
         assert set(row) == {
             "policy", "completed", "evictions", "wasted_cpu_s", "reclaims",
@@ -158,7 +161,7 @@ class TestPolicyComparison:
     def test_all_jobs_accounted(self):
         cfg = TraceConfig(job_count=60, seed=8)
         jobs = synthetic_trace(cfg)
-        sim = ClusterSim(jobs, ClusterConfig())
+        sim = ClusterSim(jobs, ClusterConfig(**FOUR_MACHINES))
         metrics = sim.run()
         terminal = sum(
             1 for j in jobs

@@ -1,7 +1,12 @@
 """Tests for synthetic cluster trace generation."""
 
 from repro.cluster.job import Job, JobState
-from repro.cluster.trace import TraceConfig, synthetic_trace
+from repro.cluster.trace import (
+    CACHE_FRACTION,
+    DIURNAL_PERIOD,
+    TraceConfig,
+    synthetic_trace,
+)
 
 
 class TestTraceGeneration:
@@ -41,9 +46,10 @@ class TestTraceGeneration:
             assert job.state is JobState.PENDING
 
     def test_cache_fraction_bounds(self):
-        cfg = TraceConfig(job_count=300, cache_fraction=(0.5, 0.5), seed=9)
-        for job in synthetic_trace(cfg):
-            assert job.cache_pages <= job.mandatory_pages * 0.5 + 1
+        lo, hi = CACHE_FRACTION
+        for job in synthetic_trace(TraceConfig(job_count=300, seed=9)):
+            fraction = job.cache_pages / job.mandatory_pages
+            assert lo - 1 / job.mandatory_pages < fraction <= hi
 
 
 class TestJobMechanics:
@@ -97,13 +103,13 @@ class TestDiurnalArrivals:
     def test_diurnal_arrivals_cluster_by_daytime(self):
         cfg = TraceConfig(
             job_count=400, seed=6, arrival_pattern="diurnal",
-            mean_interarrival=2.0, diurnal_period=2000.0,
+            mean_interarrival=2.0,
         )
         jobs = synthetic_trace(cfg)
         # classify arrivals by phase of day: mid-day half vs night half
         day, night = 0, 0
         for job in jobs:
-            phase = (job.arrival % 2000.0) / 2000.0
+            phase = (job.arrival % DIURNAL_PERIOD) / DIURNAL_PERIOD
             if 0.25 <= phase < 0.75:
                 day += 1
             else:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.trace import TraceConfig, synthetic_trace
+from repro.cluster.scheduler import TICK
 from repro.cluster.twolevel import IntegratedCluster, TwoLevelConfig
 from repro.util.units import PAGE_SIZE
 
@@ -103,13 +104,13 @@ class TestSoftLevel:
         """
         a = job(0, duration=2000, priority=2, mandatory=32, cache=300)
         b = job(1, duration=2000, priority=0, mandatory=32, cache=300)
-        sim = IntegratedCluster([a, b], config(cache_growth_per_tick=32))
-        for _ in range(60):
+        sim = IntegratedCluster([a, b], config())
+        for _ in range(240):  # 8 cache pages a tick: 4x the ticks 32 took
             sim._admit_arrivals()
             sim._schedule_pending()
             sim._grow_caches()
             sim._make_progress()
-            sim.now += sim.config.tick
+            sim.now += TICK
         running = {r.job.job_id: r for __, r in sim._running.values()}
         total = running[0].cache_held + running[1].cache_held
         assert total <= 512

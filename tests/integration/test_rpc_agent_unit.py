@@ -1,7 +1,10 @@
 """Unit tests for the client agent against a scripted fake daemon."""
 
+import contextlib
+import dataclasses
 import socket
 import threading
+import time
 
 import pytest
 
@@ -20,8 +23,8 @@ SCRIPTED_CONFIG = RpcConfig(
 )
 
 
-@pytest.fixture
-def harness():
+@contextlib.contextmanager
+def wired(config=SCRIPTED_CONFIG, **agent_kwargs):
     """An agent wired to a scripted daemon end of a socketpair."""
     client_sock, daemon_sock = socket.socketpair(
         socket.AF_UNIX, socket.SOCK_STREAM
@@ -34,7 +37,7 @@ def harness():
     def build_agent():
         agent_holder["agent"] = SmaAgent(
             FrameStream(client_sock), sma, name="unit",
-            config=SCRIPTED_CONFIG,
+            config=config, **agent_kwargs,
         )
 
     builder = threading.Thread(target=build_agent)
@@ -47,6 +50,42 @@ def harness():
     yield agent, sma, daemon
     agent.close()
     daemon.close()
+
+
+@pytest.fixture
+def harness():
+    with wired() as parts:
+        yield parts
+
+
+class TestBackoff:
+    def test_delay_saturates_instead_of_overflowing(self):
+        policy = RetryPolicy(attempts=0)
+        assert policy.delay(0) == policy.base_delay
+        assert policy.delay(3) == 8 * policy.base_delay
+        assert policy.delay(10**6) == policy.max_delay
+
+    def test_monitor_outlives_a_long_daemon_outage(self, monkeypatch):
+        """The unlimited redial loop counts tries for as long as the
+        daemon is down; try 1,024 used to raise OverflowError outside
+        the loop's ``try`` and leave the process degraded for good."""
+        dials = []
+
+        def refuse(path, config, wrapper):
+            dials.append(path)
+            raise ConnectionRefusedError(path)
+
+        monkeypatch.setattr(SmaAgent, "_dial", staticmethod(refuse))
+        no_wait = RetryPolicy(attempts=0, base_delay=0.0, max_delay=0.0)
+        config = dataclasses.replace(SCRIPTED_CONFIG, reconnect_backoff=no_wait)
+        with wired(config, socket_path="/nonexistent/smd.sock") as parts:
+            agent, __, daemon = parts
+            daemon.close()
+            deadline = time.monotonic() + 30
+            while len(dials) <= 1100 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(dials) > 1100
+            assert agent.degraded and agent._monitor.is_alive()
 
 
 class TestAgentRequests:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore.persist import aof
 from repro.kvstore.persist.aof import RealFile
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespError, RespParser, encode_command
@@ -112,7 +113,7 @@ class TestDeepPipelines:
 
 class TestSlowClientBackpressure:
     def test_slow_client_is_disconnected_at_the_limit(self, store):
-        server = TcpKvServer(store, output_buffer_limit=64 * 1024)
+        server = TcpKvServer(store)  # cuts a client off at 8 MiB unread
         server.start()
         try:
             seed = TcpKvClient(server.address)
@@ -251,12 +252,14 @@ class TestGroupCommit:
     group commit or a stray per-record fsync fails at any machine load."""
 
     @pytest.mark.parametrize("policy", ["always", "everysec"])
-    def test_one_write_per_round_not_per_record(self, store, tmp_path, policy):
+    def test_one_write_per_round_not_per_record(
+        self, store, tmp_path, policy, monkeypatch
+    ):
         counts = Counter()
+        # a busy box must not let the deferred fsync come due mid-test
+        monkeypatch.setattr(aof, "FSYNC_INTERVAL", 3600.0)
         persist = Persistence(
-            PersistenceConfig(
-                dir=str(tmp_path), appendfsync=policy, fsync_interval=3600.0
-            ),
+            PersistenceConfig(dir=str(tmp_path), appendfsync=policy),
             file_factory=partial(CountedFile, counts=counts),
         )
         store.attach_persistence(persist)

@@ -13,6 +13,7 @@ from repro.kvstore.persist.codec import (
 from repro.kvstore.server import KvServer
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import (
+    WATERMARK_FRAC,
     TierConfig,
     TierStats,
     deflate_value,
@@ -108,7 +109,10 @@ class TestTierConfigValidation:
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        """Out of range is a ValueError; the three the policy fixed as
+        constants are no longer fields at all."""
+        gone = kwargs.keys() - TierConfig.__dataclass_fields__.keys()
+        with pytest.raises(TypeError if gone else ValueError):
             TierConfig(**kwargs)
 
     def test_disabled_by_default(self):
@@ -216,16 +220,15 @@ class TestDemotePromote:
             assert store.get(f"k{i}".encode()) is None
 
     def test_watermark_caps_the_tier(self, store):
-        config = TierConfig(enabled=True, watermark_frac=0.25)
         sma = SoftMemoryAllocator(name="wm-test", request_batch_pages=1)
-        store = DataStore(sma, StoreConfig(tier=config))
+        store = DataStore(sma, StoreConfig(tier=TIER))
         self.fill(store, n=16)
-        for _ in range(8):
+        for _ in range(12):  # half the keyspace demotes, then it drops
             store._dict.evict_one()
         dct = store._dict
         total = len(dct)
         assert dct.compressed_entries <= max(
-            1, int(config.watermark_frac * total) + 1
+            1, int(WATERMARK_FRAC * total) + 1
         )
         assert dct.tier_stats.second_chance_drops > 0
         assert identity_holds(dct)
@@ -483,7 +486,7 @@ def test_wave_over_a_full_heap_meets_its_quota_without_a_drop(store):
     assert dct.tier_stats.second_chance_drops == 0
     assert dct.tier_stats.incompressible == 0
     assert len(dct) == 400
-    assert dct.compressed_entries < TIER.watermark_frac * len(dct)
+    assert dct.compressed_entries < WATERMARK_FRAC * len(dct)
     assert identity_holds(dct)
     sma.check_invariants()
 

@@ -60,7 +60,6 @@ def test_fsync_policies(tmp_path):
     eachsec = AofWriter(
         str(tmp_path / "sec.aof"),
         fsync_policy="everysec",
-        fsync_interval=1.0,
         clock=clock,
     )
     _records(eachsec, 1)

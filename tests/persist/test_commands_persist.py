@@ -12,6 +12,7 @@ from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespError, SimpleString
 from repro.kvstore.store import DataStore
 from repro.tools.kv_server import GracefulShutdown, build_server
+from repro.tools.kv_server import main as kv_server_main
 
 
 @pytest.fixture
@@ -227,3 +228,23 @@ class TestGracefulShutdown:
             assert 0 < store2.ttl(b"survivor") <= 500
         finally:
             persistence2.close()
+
+
+class TestDurabilityFlagsNeedADir:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--appendonly", "yes"],
+            ["--appendonly=yes"],
+            ["--appendo", "yes"],  # argparse accepts any unique prefix
+            ["--appendfsync", "always"],
+            ["--appendfsync=no"],
+        ],
+    )
+    def test_refused_however_the_flag_is_spelled(self, argv, capsys):
+        """Without ``--dir`` there is no log: the server used to start
+        and silently persist nothing for every spelling but the first."""
+        with pytest.raises(SystemExit) as exit_:
+            kv_server_main(["--port", "0", *argv])
+        assert exit_.value.code == 2
+        assert "require --dir" in capsys.readouterr().err

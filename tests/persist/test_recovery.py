@@ -279,7 +279,7 @@ def test_checkpoint_rotates_generation_and_recovers(tmp_path):
 
 def test_corrupt_newest_base_falls_back_to_older(tmp_path):
     unix = FakeUnix()
-    store, persist = open_persist(tmp_path, unix, keep_generations=10)
+    store, persist = open_persist(tmp_path, unix)
     store.set(b"a", b"1")
     assert persist.checkpoint()  # base-1
     store.set(b"b", b"2")
@@ -291,7 +291,7 @@ def test_corrupt_newest_base_falls_back_to_older(tmp_path):
     with open(newest, "r+b") as fh:
         fh.truncate(os.path.getsize(newest) - 3)  # torn trailer
 
-    store2, persist2 = open_persist(tmp_path, unix, keep_generations=10)
+    store2, persist2 = open_persist(tmp_path, unix)
     # base-1 + incr-1 + incr-2 reconstruct everything base-2 held
     assert store2.get(b"a") == b"1"
     assert store2.get(b"b") == b"2"

@@ -14,15 +14,16 @@ import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore.repl.state import DEFAULT_BACKLOG_CAPACITY
 from repro.kvstore.resp import RespError, encode_command
 from repro.kvstore.store import DataStore
 
 pytestmark = pytest.mark.timeout(120)
 
 
-def make_server(name: str, **options) -> TcpKvServer:
+def make_server(name: str) -> TcpKvServer:
     store = DataStore(LockedSoftMemoryAllocator(name=name))
-    return TcpKvServer(store, **options).start()
+    return TcpKvServer(store).start()
 
 
 def wait_until(cond, timeout: float = 15.0, interval: float = 0.01):
@@ -249,7 +250,7 @@ class TestResyncPaths:
             master.stop()
 
     def test_stale_offset_falls_back_to_full_sync(self):
-        master = make_server("stale-master", repl_backlog=256)
+        master = make_server("stale-master")
         replica = make_server("stale-replica")
         try:
             replica.replicaof(*master.address)
@@ -260,13 +261,14 @@ class TestResyncPaths:
                 # detach, then push the backlog origin far past the
                 # replica's offset: partial must be refused
                 replica.promote()
-                for i in range(50):
-                    mc.execute("SET", f"fill{i}", "x" * 32)
+                fill = b"x" * (DEFAULT_BACKLOG_CAPACITY // 32)
+                for i in range(50):  # 1.5x the ring the master keeps
+                    mc.execute("SET", f"fill{i}", fill)
                 replica.replicaof(*master.address)
                 wait_until(lambda: replica.store.repl.full_syncs_done >= 2)
                 assert master.store.repl.sync_partial_err >= 1
                 with TcpKvClient(replica.address) as rc:
-                    wait_until(lambda: rc.execute("GET", "fill49") == b"x" * 32)
+                    wait_until(lambda: rc.execute("GET", "fill49") == fill)
         finally:
             replica.stop()
             master.stop()
