@@ -13,7 +13,7 @@ single-threaded stand-in:
   (the code path the paper measures as dominating reclamation time),
 * :mod:`~repro.kvstore.server` / :mod:`~repro.kvstore.client` — bytes-in
   bytes-out command dispatch and the two clients (in-process, TCP),
-* :mod:`~repro.kvstore.tcp` — the selector event-loop transport.
+* :mod:`~repro.kvstore.tcp` — the epoll event-loop transport.
 """
 
 from repro.kvstore.client import KvClient, TcpKvClient

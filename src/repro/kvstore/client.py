@@ -162,7 +162,7 @@ class TcpKvClient:
         replies that follow it. Deep pipelines interleave sending with
         reading: a fire-the-whole-payload ``sendall`` deadlocks once
         both socket buffers fill with replies the client is not yet
-        draining, so the payload is pushed with ``select`` and replies
+        draining, so the payload is pushed with ``poll`` and replies
         are parsed as they arrive.
         """
         if not commands:
@@ -179,19 +179,21 @@ class TcpKvClient:
         """Push ``payload`` out, buffering whatever replies come back."""
         sock = self._sock
         timeout = sock.gettimeout()
+        wait_ms = None if timeout is None else timeout * 1000
         sent = 0
         sock.setblocking(False)
+        both = select.poll()  # any fd number; select() ends at 1023
+        both.register(sock, select.POLLIN | select.POLLOUT)
         try:
             with memoryview(payload) as view:
                 while sent < len(payload):
-                    readable, writable, __ = select.select(
-                        [sock], [sock], [], timeout
-                    )
-                    if not readable and not writable:
+                    ready = both.poll(wait_ms)
+                    if not ready:
                         raise TimeoutError("pipeline send timed out")
-                    if readable:
-                        self._recv()
-                    if writable:
+                    mask = ready[0][1]  # the one registered socket's
+                    if mask & ~select.POLLOUT:
+                        self._recv()  # data, or the error that woke us
+                    if mask & select.POLLOUT:
                         try:
                             sent += sock.send(view[sent:])
                         except (BlockingIOError, InterruptedError):
@@ -201,11 +203,8 @@ class TcpKvClient:
 
     def _recv(self) -> None:
         """One ``recv`` straight into the parser's buffer."""
-        with self._parser.recv_view(_RECV_SIZE) as view:
-            nbytes = self._sock.recv_into(view)
-        if not nbytes:
+        if not self._parser.recv_from(self._sock, _RECV_SIZE):
             raise ConnectionError("server closed the connection")
-        self._parser.commit_recv(nbytes)
 
     def _next_reply(self, *, raise_errors: bool = True) -> Any:
         while not self._replies:

@@ -16,10 +16,10 @@ on a feed socket (:meth:`~ReplNode.absorb`), a closed feed connection
 (:meth:`~ReplNode.feed_closed`), the step between a round's group
 commit and its reply drain (:meth:`~ReplNode.broadcast`, behind the
 loop's inline test of ``psync_requests`` and ``state.pending``), and
-``stop()`` (``link``). In return it lends its execution lock and its
-``flush``, ``close`` and ``recv`` of one connection — its per-socket
-record, of which ``sock``, ``parser``, ``out``, ``pending``, ``queued``
-and ``feed`` are touched here.
+``stop()`` (``link``). In return it lends its execution lock, its map
+of live connections by fd, and its ``flush``, ``close`` and ``recv`` of
+one — its per-socket record, of which ``sock``, ``fd``, ``parser``,
+``out``, ``pending``, ``queued`` and ``feed`` are touched here.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class ReplNode:
         self,
         store: DataStore,
         lock: threading.Lock,
+        live: dict,
         *,
         flush: Callable[[Any], bool],
         close: Callable[[Any], None],
@@ -68,6 +69,7 @@ class ReplNode:
     ) -> None:
         self._store = store
         self._lock = lock
+        self._live = live  # fd -> conn; ``get(conn.fd) is conn`` is liveness
         self._flush = flush
         self._close = close
         self._recv = recv
@@ -158,7 +160,7 @@ class ReplNode:
 
         Runs under the (non-reentrant) execution lock, so it must not
         re-enter any locking path: it pushes pending stream bytes to
-        the feeds and pumps their ack sockets *directly* with select,
+        the feeds and pumps their ack sockets *directly* with poll,
         bounded by the timeout. The loop thread stalls for the
         duration — the documented cost of read-your-writes here."""
         try:
@@ -176,27 +178,20 @@ class ReplNode:
         data = state.drain()
         for conn in list(self.feed_conns):  # flush may close + remove
             conn.out += data
-            if conn.pending and conn.sock.fileno() >= 0:
-                self._flush(conn)
+            if conn.pending:
+                self._flush(conn)  # answers False for a closed one
         budget = timeout_ms / 1000.0 if timeout_ms else _WAIT_MAX_BLOCK
         deadline = time.monotonic() + min(budget, _WAIT_MAX_BLOCK)
         while state.acked_by(target) < numreplicas:
             remaining = deadline - time.monotonic()
-            by_sock = {
-                conn.sock: conn
-                for conn in self.feed_conns
-                if conn.sock.fileno() >= 0
-            }
-            if remaining <= 0 or not by_sock:
+            if remaining <= 0 or not self.feed_conns:
                 break
-            try:
-                readable, __, __ = select.select(
-                    list(by_sock), [], [], min(0.05, remaining)
-                )
-            except (OSError, ValueError):
-                break
-            for sock in readable:
-                self._recv(by_sock[sock])  # a feed: lands in absorb()
+            waiter = select.poll()  # any fd number; select() ends at 1023
+            for conn in self.feed_conns:
+                if self._live.get(conn.fd) is conn:
+                    waiter.register(conn.fd, select.POLLIN)
+            for fd, __ in waiter.poll(min(50.0, remaining * 1000)):
+                self._recv(self._live[fd])  # a feed: lands in absorb()
         return state.acked_by(target)
 
     # -- the broadcast step ----------------------------------------------
@@ -214,12 +209,12 @@ class ReplNode:
             data = state.drain() if state.role == "master" else b""
             if data:
                 for conn in self.feed_conns:
-                    if conn.sock.fileno() >= 0:
+                    if self._live.get(conn.fd) is conn:
                         conn.out += data
                         owed.append(conn)
             requests, self.psync_requests = self.psync_requests, []
             for conn, replid, offset in requests:
-                if conn.sock.fileno() < 0:
+                if self._live.get(conn.fd) is not conn:
                     continue
                 if state.role == "master":
                     self._serve_psync(state, conn, replid, offset)

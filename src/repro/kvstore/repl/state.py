@@ -7,7 +7,7 @@ load and a ``None`` check per mutation — the same discipline as
 
 * **master** — the ``log_*`` taps re-encode every mutation with the
   ``persist/codec.py`` encoders into a ``pending`` buffer; the event
-  loop drains it once per select round (right after the AOF group
+  loop drains it once per poll round (right after the AOF group
   commit) into the connected feeds *and* the in-memory backlog ring,
   from which a bounced replica can partial-resync instead of paying a
   full snapshot transfer.

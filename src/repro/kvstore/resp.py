@@ -20,8 +20,8 @@ array ``*``           ``list`` (``None`` for null)
 The parser is built for a zero-copy serving hot path:
 
 * The internal buffer is a reusable ``bytearray`` that sockets can
-  ``recv_into`` directly (:meth:`RespParser.recv_view` /
-  :meth:`RespParser.commit_recv`), so inbound bytes are copied exactly
+  ``recv_into`` directly (:meth:`RespParser.recv_from`; by hand,
+  ``recv_view`` + ``commit_recv``), so inbound bytes are copied exactly
   once — kernel to parser buffer — instead of kernel → recv ``bytes``
   → buffer.
 * :meth:`RespParser.parse_pipeline` drains every complete command
@@ -237,7 +237,7 @@ class RespParser:
     """Incremental RESP parser.
 
     Feed it raw bytes (:meth:`feed`, or zero-copy via
-    :meth:`recv_view` + :meth:`commit_recv`); pop complete values with
+    :meth:`recv_from` a socket); pop complete values with
     :meth:`parse_one`, drain everything with :meth:`parse_all`, or —
     on the serving hot path — drain whole pipelined command batches
     with :meth:`parse_pipeline`. Partial input is buffered until
@@ -311,6 +311,21 @@ class RespParser:
     def commit_recv(self, nbytes: int) -> None:
         """Mark ``nbytes`` written through :meth:`recv_view` as valid."""
         self._len += nbytes
+
+    def recv_from(self, sock: Any, hint: int = 65536) -> int:
+        """One ``sock.recv_into`` the buffer; the byte count (0 at EOF).
+        A drained parser that already holds ``hint`` bytes of buffer
+        receives into the ``bytearray`` itself — no view, nothing to
+        release; anything else composes :meth:`recv_view`."""
+        buf = self._buf
+        if self._pos == self._len and hint <= len(buf) <= _SHRINK_AT:
+            nbytes = sock.recv_into(buf)  # raises before any state moves
+            self._pos, self._len = 0, nbytes
+            return nbytes
+        with self.recv_view(hint) as view:
+            nbytes = sock.recv_into(view)
+        self.commit_recv(nbytes)
+        return nbytes
 
     def _reset_if_drained(self) -> None:
         if self._pos == self._len:

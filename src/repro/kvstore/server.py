@@ -123,8 +123,8 @@ class KvServer:
         """Execute every complete buffered command, replies into ``out``.
 
         The serving hot path: callers land raw client bytes in the
-        parser (:meth:`feed_batch`, or zero-copy via
-        ``parser.recv_view`` + ``parser.commit_recv``) and pump.
+        parser (:meth:`feed_batch`, or zero-copy: the TCP loop's one
+        ``parser.recv_from(sock)`` per readable event) and pump.
         Returns the number of commands executed. Incomplete trailing
         commands stay buffered for the next feed — exactly how a
         socket server handles short reads. On a malformed frame the

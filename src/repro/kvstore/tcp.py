@@ -7,12 +7,12 @@ protocol a server speaks is :mod:`repro.kvstore.repl.node`; the
 matching blocking client is :class:`repro.kvstore.client.TcpKvClient`.
 
 :class:`TcpKvServer` mirrors Redis's concurrency model: a
-single-threaded ``selectors`` event loop doing non-blocking
-accept/read/write. Each readable event does ``recv_into`` the session
-parser's buffer (bytes are copied once, kernel to parser), executes
+single-threaded event loop on ``epoll`` itself (``poll`` elsewhere),
+non-blocking accept/read/write. Each readable event does ``recv_into`` the
+session parser's buffer (bytes are copied once, kernel to parser), executes
 *every* complete pipelined command under one lock acquisition, and
 encodes all replies straight into the connection's output buffer.
-Replies leave at the end of the select round — after the round's
+Replies leave at the end of the poll round — after the round's
 single AOF group commit — in one non-blocking send per connection;
 leftovers are written when the socket reports writable (write interest
 is toggled on and off). Slow clients that let their output buffer grow
@@ -23,7 +23,6 @@ client-output-buffer-limits.
 from __future__ import annotations
 
 import select
-import selectors
 import socket
 import threading
 import time
@@ -48,18 +47,21 @@ _OUTPUT_BUFFER_LIMIT = 8 * 1024 * 1024
 #: briefly-slow replica forces a resync (Redis: the separate "slave"
 #: client-output-buffer-limit class)
 _REPL_OUTPUT_BUFFER_LIMIT = 64 * 1024 * 1024
+#: interest masks, spelt alike by ``epoll`` and ``poll`` (a hang-up needs none)
+_READ, _WRITE = select.POLLIN, select.POLLOUT
 
 
 class _Connection:
     """Per-connection state owned by the event loop."""
 
     __slots__ = (
-        "sock", "session", "parser", "out", "pos", "want_write", "queued",
-        "feed",
+        "sock", "fd", "session", "parser", "out", "pos", "want_write",
+        "queued", "feed",
     )
 
     def __init__(self, sock: socket.socket, store: DataStore) -> None:
         self.sock = sock
+        self.fd = sock.fileno()  # the map key; -1 on the socket once closed
         self.session = KvServer(store)  # per-connection input buffer
         self.parser = self.session.parser  # cached: one lookup per recv
         self.out = bytearray()  # encoded replies not yet on the wire
@@ -74,7 +76,7 @@ class _Connection:
 
 
 class TcpKvServer:
-    """Single-threaded selector event loop over one :class:`DataStore`.
+    """Single-threaded ``epoll`` event loop over one :class:`DataStore`.
 
     All parsing, execution, and encoding happens on the loop thread.
     ``_lock`` is taken once per readable batch and once per broadcast
@@ -106,21 +108,28 @@ class TcpKvServer:
         self._stop = threading.Event()
         self.connections_served = 0
         self.commands_processed = 0
+        #: fd -> live connection; ``get(conn.fd) is conn`` is liveness
+        self._conns: dict[int, _Connection] = {}
         #: the replication protocol (its docstring lists the hand-overs)
         self._repl = ReplNode(
             store,
             self._lock,
+            self._conns,
             flush=self._flush,
             close=self._close,
             recv=self._on_readable,
         )
         self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, None)
+        #: the poll object and its timeout units per second — the one
+        #: difference between the two shapes of ``poll() -> [(fd, mask)]``
+        self._poller, self._per_second = (
+            (select.epoll(), 1) if hasattr(select, "epoll")
+            else (select.poll(), 1000)
+        )
+        self._poller.register(self._listener.fileno(), _READ)
         # waker: stop() signals the (possibly idle, fully blocked) loop
         self._waker_r, self._waker_w = socket.socketpair()
-        self._waker_r.setblocking(False)
-        self._selector.register(self._waker_r, selectors.EVENT_READ, "waker")
+        self._poller.register(self._waker_r.fileno(), _READ)
         self._thread: threading.Thread | None = None
         self.clients_dropped = 0  # slow clients disconnected at the limit
         self.batches_executed = 0  # readable events that ran >= 1 command
@@ -161,6 +170,11 @@ class TcpKvServer:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
+    @property
+    def connected_clients(self) -> int:
+        """Connections open now, feeds included (Redis's INFO name)."""
+        return len(self._conns)
+
     # -- replication: the locked entry points for other threads ---------
 
     def enable_replication(self) -> ReplicationState:
@@ -183,28 +197,41 @@ class TcpKvServer:
     # -- the loop ------------------------------------------------------
 
     def _loop(self) -> None:
-        repl = self._repl
+        repl, store, conns = self._repl, self.store, self._conns
+        poll, per_second = self._poller.poll, self._per_second
+        listener, stopped = self._listener.fileno(), self._stop.is_set
+        flush, recv = self._flush, self._on_readable
         try:
-            while not self._stop.is_set():
+            while not stopped():
                 # with an everysec AOF, cap the block so a quiet server
                 # still retires the deferred fsync within its window
-                persist = self.store.persistence
+                persist = store.persistence
                 timeout = None
                 if persist is not None and persist.aof_enabled:
                     if persist.config.appendfsync == "everysec":
-                        timeout = FSYNC_INTERVAL
-                events = self._selector.select(timeout)
+                        timeout = FSYNC_INTERVAL * per_second
                 flush_queue: list[_Connection] = []
-                for key, mask in events:
-                    if key.data is None:
-                        self._accept()
-                    elif key.data == "waker":
-                        try:
-                            self._waker_r.recv(64)
-                        except OSError:
-                            pass
-                    else:
-                        self._handle(key.data, mask, flush_queue)
+                accepting = False
+                for fd, mask in poll(timeout):
+                    conn = conns.get(fd)
+                    if conn is None:
+                        # listener, waker (the ``while`` sees ``_stop``),
+                        # or closed by an earlier event of this round
+                        accepting |= fd == listener
+                        continue
+                    # backlog from earlier rounds (earlier commits cover
+                    # it) drains first, before this round generates more
+                    if mask & _WRITE and not flush(conn):
+                        continue
+                    if mask & ~_WRITE and not recv(conn):
+                        continue
+                    if not conn.queued and len(conn.out) > conn.pos:
+                        conn.queued = True
+                        flush_queue.append(conn)
+                if accepting:
+                    # after the events: an fd number freed this round
+                    # cannot come back under a mask still in the list
+                    self._accept()
                 if persist is not None:
                     # group commit: ONE write(2) (and, under `always`,
                     # one fsync) covers every batch executed this round;
@@ -215,7 +242,7 @@ class TcpKvServer:
                 # writes go to every feed, and deferred PSYNC replies
                 # (snapshot or backlog tail) are served — after the
                 # drain, so a brand-new feed cannot see bytes twice
-                state = self.store.repl
+                state = store.repl
                 if state is not None and (
                     repl.psync_requests or state.pending
                 ):
@@ -226,8 +253,7 @@ class TcpKvServer:
                 # syscall on the wire, not one per readable event
                 for conn in flush_queue:
                     conn.queued = False
-                    if conn.sock.fileno() >= 0:
-                        self._flush(conn)
+                    flush(conn)
         finally:
             self._shutdown()
 
@@ -242,22 +268,8 @@ class TcpKvServer:
             self.connections_served += 1
             conn = _Connection(sock, self.store)
             conn.session.repl_hook = partial(self._repl.command, conn)
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-
-    def _handle(
-        self, conn: _Connection, mask: int, flush_queue: list[_Connection]
-    ) -> None:
-        if mask & selectors.EVENT_WRITE:
-            # backlog from earlier rounds (already covered by earlier
-            # commits) drains first, before this round generates more
-            if not self._flush(conn):
-                return
-        if mask & selectors.EVENT_READ:
-            if not self._on_readable(conn):
-                return
-        if not conn.queued and len(conn.out) > conn.pos:
-            conn.queued = True
-            flush_queue.append(conn)
+            self._conns[conn.fd] = conn
+            self._poller.register(conn.fd, _READ)
 
     def _on_readable(self, conn: _Connection) -> bool:
         """Recv straight into the parser buffer, execute the batch.
@@ -266,19 +278,15 @@ class TcpKvServer:
         *not* flushed here — the loop sends each connection's round of
         replies in one syscall after the round's group commit.
         """
-        parser = conn.parser
         try:
-            with parser.recv_view(_RECV_SIZE) as view:
-                nbytes = conn.sock.recv_into(view)
+            nbytes = conn.parser.recv_from(conn.sock, _RECV_SIZE)
         except (BlockingIOError, InterruptedError):
             return True
         except OSError:
+            nbytes = 0
+        if not nbytes:  # EOF, reset, or the hang-up that woke us
             self._close(conn)
             return False
-        if not nbytes:
-            self._close(conn)
-            return False
-        parser.commit_recv(nbytes)
         if conn.feed is not None:
             # a replica feed socket carries nothing but REPLCONF ACKs
             return self._repl.absorb(conn)
@@ -295,10 +303,12 @@ class TcpKvServer:
     def _flush(self, conn: _Connection) -> bool:
         """Write as much pending output as the socket accepts.
 
-        Returns False when the connection was closed (slow-client limit
-        or socket error). Toggles write interest so the selector only
-        watches sockets that actually owe bytes.
+        Returns False when the connection is closed (already, at the
+        slow-client limit, or on a socket error). Toggles write interest
+        so the poll only watches sockets that actually owe bytes.
         """
+        if self._conns.get(conn.fd) is not conn:
+            return False
         out = conn.out
         pos = conn.pos
         send = conn.sock.send
@@ -323,7 +333,7 @@ class TcpKvServer:
             conn.pos = 0
             if conn.want_write:
                 conn.want_write = False
-                self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+                self._poller.modify(conn.fd, _READ)
             return True
         # partial write: keep the unsent tail, bound it, watch writable
         if pos > _RECV_SIZE:
@@ -341,19 +351,17 @@ class TcpKvServer:
             return False
         if not conn.want_write:
             conn.want_write = True
-            self._selector.modify(
-                conn.sock,
-                selectors.EVENT_READ | selectors.EVENT_WRITE,
-                conn,
-            )
+            self._poller.modify(conn.fd, _READ | _WRITE)
         return True
 
     def _close(self, conn: _Connection) -> None:
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.sock.close()
+        if self._conns.get(conn.fd) is conn:
+            self._conns.pop(conn.fd, None)  # replicaof() may race the loop
+            try:  # before close(): poll keeps a closed fd, epoll drops it
+                self._poller.unregister(conn.fd)
+            except (KeyError, ValueError, OSError):
+                pass
+            conn.sock.close()
         if conn.feed is not None:
             self._repl.feed_closed(conn)
 
@@ -366,32 +374,24 @@ class TcpKvServer:
             # commit before the reply drain below: if the loop died
             # mid-round, pending replies must not beat their log bytes
             persist.flush(force_fsync=True)
-        conns = [
-            key.data
-            for key in list(self._selector.get_map().values())
-            if isinstance(key.data, _Connection)
-        ]
+        conns = list(self._conns.values())
         deadline = time.monotonic() + _SHUTDOWN_FLUSH_TIMEOUT
-        pending = [c for c in conns if c.pending]
+        pending = {c.fd: c for c in conns if c.pending}
+        waiter = select.poll()  # any fd number; select() ends at 1023
+        for fd in pending:
+            waiter.register(fd, _WRITE)
         while pending and (remaining := deadline - time.monotonic()) > 0:
-            try:
-                __, writable, __ = select.select(
-                    [], [c.sock for c in pending], [], remaining
-                )
-            except (OSError, ValueError):
-                break
-            if not writable:
-                break
-            # a failed or over-limit flush closes the connection
-            pending = [
-                c for c in pending
-                if (c.sock not in writable or self._flush(c)) and c.pending
-            ]
+            for fd, __ in waiter.poll(remaining * 1000):
+                # a failed or over-limit flush closes the connection
+                if not (self._flush(pending[fd]) and pending[fd].pending):
+                    waiter.unregister(fd)  # done: it would poll ready forever
+                    del pending[fd]
         for conn in conns:
             self._close(conn)
         if persist is not None:
             persist.flush(force_fsync=True)
-        self._selector.close()
+        if hasattr(self._poller, "close"):  # epoll is a descriptor itself
+            self._poller.close()
         self._listener.close()
         self._waker_r.close()
         self._waker_w.close()

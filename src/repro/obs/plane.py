@@ -369,6 +369,6 @@ def bind_server(
     store) points the gauges at the new server.
     """
     _bind_attrs(registry, prefix, server, (
-        "connections_served", "commands_processed",
+        "connected_clients", "connections_served", "commands_processed",
         "clients_dropped", "batches_executed", "max_batch",
     ))

@@ -139,6 +139,9 @@ class _Connection:
         self.handler = threading.Thread(
             target=self._handler_loop, daemon=True
         )
+
+    def start(self) -> None:
+        """Begin reading — once the server lists the connection."""
         self.reader.start()
         self.handler.start()
 
@@ -309,13 +312,14 @@ class RpcDaemonServer:
             except OSError:
                 break
             connection = _Connection(self, sock)
-            with self._conn_lock:
+            with self._conn_lock:  # listed before its first frame is read
                 # prune connections whose teardown already completed so
                 # the list cannot grow without bound under churn
                 self._connections = [
                     c for c in self._connections if not c.closed
                 ]
                 self._connections.append(connection)
+            connection.start()
 
     def _monitor_loop(self) -> None:
         """Reap clients that heartbeated once and then went silent."""

@@ -472,3 +472,40 @@ class TestRetryMachinery:
             assert connection._demand_events == {}
             agent.close()
             victim.close()
+
+    def test_a_welcomed_client_is_already_listed(
+        self, socket_path, monkeypatch
+    ):
+        """A connection reads its first frame only once ``connections()``
+        lists it: whoever holds a ``welcome`` finds its record there.
+        No sleeping — an accept loop that starts the reader before it
+        lists the connection is held right there until the hello is
+        handled, and the handler records what the list said."""
+        from repro.rpc import server as rpc_server
+
+        handled = threading.Event()
+        listed = []
+
+        class HeldWhileUnlisted(rpc_server._Connection):
+            def __init__(self, server, sock):
+                super().__init__(server, sock)
+                if self.reader.is_alive():  # reading, and not listed yet
+                    handled.wait(5)
+
+        class Recording(RpcDaemonServer):
+            def handle_frame(self, connection, frame):
+                if frame.get("op") == "hello":
+                    listed.append(connection in self.connections())
+                super().handle_frame(connection, frame)
+                handled.set()
+
+        monkeypatch.setattr(rpc_server, "_Connection", HeldWhileUnlisted)
+        with Recording(socket_path, soft_capacity_pages=4):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(10)
+            sock.connect(socket_path)
+            client = FrameStream(sock)
+            client.send({"op": "hello", "name": "early", "held": 0})
+            assert client.recv()["op"] == "welcome"
+            client.close()
+        assert listed == [True]

@@ -1,11 +1,11 @@
-"""Event-loop serving plane: the scenarios a selector loop must survive.
+"""Event-loop serving plane: the scenarios an event loop must survive.
 
 The generic TCP contract is covered by ``test_tcp.py`` (parametrized
 over both servers); this file targets what is specific to the single
 threaded event loop — interleaved partial frames across many sockets,
 deep pipeline ordering, slow-client backpressure, protocol poison mid
 pipeline, shutdown with output still owed, and the AOF group commit
-(one write per select round, not per record).
+(one write per poll round, not per record).
 """
 
 import socket
@@ -247,7 +247,7 @@ class CountedFile(RealFile):
 
 
 class TestGroupCommit:
-    """The AOF costs one buffered write per select round that logged
+    """The AOF costs one buffered write per poll round that logged
     anything — counted, not inferred from a throughput ratio, so a lost
     group commit or a stray per-record fsync fails at any machine load."""
 

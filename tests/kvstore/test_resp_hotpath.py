@@ -515,3 +515,78 @@ class TestRecvView:
         assert len(total) == 200
         assert all(v == [b"SET", b"key", b"x" * 100] for v in total)
         assert p.buffered_bytes == 0
+
+
+class TestRecvFrom:
+    """``recv_from`` is the one receive call: into the ``bytearray``
+    itself when the parser is drained and roomy, else through
+    ``recv_view`` + ``commit_recv`` — and the parse cannot tell which."""
+
+    class Scripted:
+        """A socket whose ``recv_into`` lands the next scripted chunk and
+        remembers what kind of buffer it was handed."""
+
+        def __init__(self, *chunks) -> None:  # bytes, or what to raise
+            self.chunks = list(chunks)
+            self.buffers: list[type] = []
+
+        def recv_into(self, buffer) -> int:
+            self.buffers.append(type(buffer))
+            chunk = self.chunks.pop(0)
+            if isinstance(chunk, type):
+                raise chunk
+            buffer[: len(chunk)] = chunk
+            return len(chunk)
+
+    def test_first_receive_sizes_the_buffer_then_drained_ones_reuse_it(self):
+        p = RespParser()
+        sock = self.Scripted(
+            encode_command("SET", "k", "v"), encode_command("GET", "k")
+        )
+        assert p.recv_from(sock, 4096) == len(encode_command("SET", "k", "v"))
+        assert p.parse_all() == [[b"SET", b"k", b"v"]]
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == [[b"GET", b"k"]]
+        # an empty buffer goes through the view; a drained one does not
+        assert sock.buffers == [memoryview, bytearray]
+
+    def test_a_partial_frame_keeps_its_bytes_and_takes_the_view(self):
+        p = RespParser()
+        data = encode_command("SET", "key", "value")
+        sock = self.Scripted(data[:9], data[9:], encode_command("PING"))
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == [] and p.buffered_bytes == 9
+        p.recv_from(sock, 4096)  # not drained: lands behind the 9 bytes
+        assert p.parse_all() == [[b"SET", b"key", b"value"]]
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == [[b"PING"]]
+        assert sock.buffers == [memoryview, memoryview, bytearray]
+
+    def test_an_oversized_or_undersized_buffer_is_not_received_into(self):
+        p = RespParser()
+        big, ping = encode_command("SET", "k", "x" * (1 << 20)), b"+PING\r\n"
+        sock = self.Scripted(big, ping, ping)
+        p.recv_from(sock, len(big))
+        assert p.parse_all() == [[b"SET", b"k", b"x" * (1 << 20)]]
+        # drained, but inflated past the shrink bound: released, not reused
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == ["PING"]
+        assert len(p._buf) == 4096
+        # drained, but smaller than the caller asks for: grown first
+        p.recv_from(sock, 8192)
+        assert p.parse_all() == ["PING"]
+        assert sock.buffers == [memoryview] * 3 and len(p._buf) >= 8192
+
+    def test_zero_bytes_and_a_raising_socket_leave_the_parser_as_it_was(self):
+        p = RespParser()
+        ping = encode_command("PING")
+        sock = self.Scripted(ping, b"", BlockingIOError, ping)
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == [[b"PING"]]
+        assert p.recv_from(sock, 4096) == 0  # EOF: nothing to parse
+        assert p.parse_all() == [] and p.buffered_bytes == 0
+        with pytest.raises(BlockingIOError):
+            p.recv_from(sock, 4096)
+        assert p.parse_all() == [] and p.buffered_bytes == 0
+        p.recv_from(sock, 4096)
+        assert p.parse_all() == [[b"PING"]]

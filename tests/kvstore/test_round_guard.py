@@ -1,0 +1,128 @@
+"""A structural guard on the serving round: syscalls counted, no clock.
+
+With no AOF, no feed and no pending PSYNC, one round of the event loop
+is ``poll -> recv_into -> pump -> send`` and nothing is built around
+those three calls. What this file pins, through a counting poll object
+and counting accepted sockets (``transport_standins.py``):
+
+* one depth-1 GET is exactly one ``poll``, one ``recv_into`` and one
+  ``send``; write interest is never touched, and the parser builds no
+  ``memoryview`` to receive (no ``recv_view``, none handed out);
+* a 16-deep pipelined batch is the same three calls — the calls are
+  per round, not per command;
+* a partial write costs exactly one ``modify`` to watch the socket
+  writable and one to stop, and one more round.
+
+The poll stand-in is installed as ``select.epoll`` (``select.poll``
+where there is none), so the file also runs against a tree whose loop
+goes through ``selectors``: EXPERIMENTS.md shows it red there.
+"""
+
+from __future__ import annotations
+
+import select
+import socket
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvServer, resp
+from repro.kvstore.resp import RespParser, encode_command
+from repro.kvstore.store import DataStore
+from tests.kvstore.transport_standins import CountingListener, CountingPoll
+
+GET = encode_command("GET", "k")
+REPLY = b"$1\r\nv\r\n"
+
+
+def read_exactly(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        assert chunk, "server closed the connection"
+        data += chunk
+    return data
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """One served connection whose first exchange is already behind it:
+    its ``client`` socket, the ``counts`` since, the ``polls`` made,
+    the accepted ``sockets`` and the ``parsers`` that built a view."""
+    counts: Counter = Counter()
+    polls: list[CountingPoll] = []
+    kind = "epoll" if hasattr(select, "epoll") else "poll"
+    real_poll = getattr(select, kind)
+
+    def counting_poll():
+        polls.append(CountingPoll(real_poll(), counts))
+        return polls[-1]
+
+    def counting_memoryview(obj):
+        counts["memoryview"] += 1
+        return memoryview(obj)
+
+    real_recv_view = RespParser.recv_view
+    parsers = []
+
+    def counting_recv_view(self, hint=65536):
+        counts["recv_view"] += 1
+        parsers.append(self)
+        return real_recv_view(self, hint)
+
+    monkeypatch.setattr(select, kind, counting_poll)
+    # a module global shadows the builtin for every call resp.py makes
+    monkeypatch.setattr(resp, "memoryview", counting_memoryview, raising=False)
+    monkeypatch.setattr(RespParser, "recv_view", counting_recv_view)
+    store = DataStore(LockedSoftMemoryAllocator(name="round-guard"))
+    server = TcpKvServer(store)
+    listener = server._listener = CountingListener(server._listener, counts)
+    server.start()
+    client = socket.create_connection(server.address, timeout=5)
+    client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    try:
+        # the accept round, and the first receive sizes the parser's buffer
+        client.sendall(encode_command("SET", "k", "v"))
+        assert read_exactly(client, 5) == b"+OK\r\n"
+        counts.clear()
+        yield SimpleNamespace(
+            client=client, counts=counts, polls=polls,
+            sockets=listener.accepted, parsers=parsers,
+        )
+    finally:
+        client.close()
+        server.stop()
+
+
+def one_round(served, depth: int) -> None:
+    served.client.sendall(GET * depth)
+    replies = read_exactly(served.client, len(REPLY) * depth)
+    assert replies == REPLY * depth
+
+
+def test_a_depth_1_get_is_three_syscalls_and_nothing_built(served):
+    one_round(served, 1)
+    assert served.counts == Counter(poll=1, recv_into=1, send=1)
+    for __ in range(10):
+        one_round(served, 1)
+    assert served.counts == Counter(poll=11, recv_into=11, send=11)
+    # the one view ever built sized the buffer, before the counting began
+    assert [p.views_created for p in served.parsers] == [0]
+
+
+def test_a_16_deep_round_is_the_same_three_calls(served):
+    one_round(served, 16)
+    assert served.counts == Counter(poll=1, recv_into=1, send=1)
+
+
+def test_a_partial_write_is_one_modify_on_and_one_off(served):
+    (sock,), (poll,) = served.sockets, served.polls
+    sock.script = [3, BlockingIOError]  # the kernel takes 3 bytes, then none
+    one_round(served, 1)
+    assert poll.masks == [select.POLLIN | select.POLLOUT, select.POLLIN]
+    # the round that parked the tail, and the writable round that sent it
+    assert served.counts == Counter(poll=2, recv_into=1, send=3, modify=2)
+    one_round(served, 1)  # and the connection is back to three calls
+    assert served.counts == Counter(poll=3, recv_into=2, send=4, modify=2)

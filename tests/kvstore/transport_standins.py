@@ -1,0 +1,124 @@
+"""Counting stand-ins for what the serving loop touches in the kernel.
+
+Shared by ``test_round_guard.py`` (counts per round, real ``poll``) and
+``test_transport_edges.py`` (rounds the test writes itself). Nothing
+here reads a clock: a test counts calls, or scripts what they return.
+"""
+
+from __future__ import annotations
+
+import select
+from collections import Counter
+
+
+class CountingSocket:
+    """An accepted socket that counts ``recv_into`` and ``send``.
+
+    ``script`` holds the next ``send`` outcomes: an ``int`` is how many
+    bytes the kernel takes, an exception class is raised instead; when
+    it runs out the real socket answers.
+    """
+
+    def __init__(self, sock, counts: Counter) -> None:
+        self._sock = sock
+        self.counts = Counter()  # this socket's own
+        self._totals = counts  # every socket of the server
+        self.script: list = []
+
+    def recv_into(self, buffer) -> int:
+        self.counts["recv_into"] += 1
+        self._totals["recv_into"] += 1
+        return self._sock.recv_into(buffer)
+
+    def send(self, data) -> int:
+        self.counts["send"] += 1
+        self._totals["send"] += 1
+        if self.script:
+            step = self.script.pop(0)
+            if not isinstance(step, int):
+                raise step
+            data = bytes(data[:step])
+        return self._sock.send(data)
+
+    def __getattr__(self, name):  # fileno, close, setsockopt, ...
+        return getattr(self._sock, name)
+
+
+class CountingListener:
+    """The server's listener, handing out :class:`CountingSocket`."""
+
+    def __init__(self, listener, counts: Counter) -> None:
+        self._listener = listener
+        self._counts = counts
+        self.accepted: list[CountingSocket] = []
+
+    def accept(self):
+        sock, peer = self._listener.accept()
+        self.accepted.append(CountingSocket(sock, self._counts))
+        return self.accepted[-1], peer
+
+    def __getattr__(self, name):
+        return getattr(self._listener, name)
+
+
+class CountingPoll:
+    """A real poll object that counts what the loop asks of it.
+
+    A ``poll`` counts when it *returns*: an idle loop is parked inside
+    its next call, so the count is still while nothing arrives.
+    """
+
+    def __init__(self, real, counts: Counter) -> None:
+        self._real = real
+        self._counts = counts
+        self.masks: list[int] = []  # what each ``modify`` asked for
+
+    def poll(self, *args):
+        events = self._real.poll(*args)
+        self._counts["poll"] += 1
+        return events
+
+    def modify(self, fd, mask) -> None:
+        self._counts["modify"] += 1
+        self.masks.append(mask)
+        self._real.modify(fd, mask)
+
+    def __getattr__(self, name):  # register, unregister, close, fileno
+        return getattr(self._real, name)
+
+
+class ScriptedPoll:
+    """The loop's poll object, with the test's rounds for the kernel's.
+
+    Each round is a callable, run when the loop polls — the moment
+    another thread could act between the kernel's answer and the loop
+    reading it — that returns the round's ``[(fd, mask)]``. After the
+    last one the server is stopped, so the loop ends in its shutdown.
+    """
+
+    def __init__(self, server, *rounds) -> None:
+        self._real = server._poller
+        self._server = server
+        self._rounds = list(rounds)
+
+    def poll(self, timeout=None):
+        if not self._rounds:
+            self._server.stop()  # no loop thread to join: returns at once
+            return []
+        return self._rounds.pop(0)()
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def drive(server, *rounds) -> None:
+    """Run ``server``'s loop on this thread: ``rounds``, then shutdown."""
+    server._poller = ScriptedPoll(server, *rounds)
+    server._loop()
+
+
+def readable(fd: int) -> None:
+    """Block until the kernel has something (bytes, EOF) on ``fd``."""
+    waiter = select.poll()
+    waiter.register(fd, select.POLLIN)
+    assert waiter.poll(5000), f"nothing arrived on fd {fd}"

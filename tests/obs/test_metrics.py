@@ -142,7 +142,8 @@ _SCRIPT = [
 ]
 
 #: ``INFO``'s keys per section after ``_SCRIPT``, captured at commit
-#: 83a13ce (per-thread cells, set-value gauges, a Counter type)
+#: 83a13ce (per-thread cells, set-value gauges, a Counter type); the one
+#: key added since is ``server.connected_clients`` (the transport's fd map)
 _INFO_KEYS = {
     "Server": [
         "name", "commands_processed", "protocol_errors",
@@ -176,7 +177,8 @@ _INFO_KEYS = {
     ],
     "Stats": [
         "server.batches_executed", "server.clients_dropped",
-        "server.commands_processed", "server.connections_served",
+        "server.commands_processed", "server.connected_clients",
+        "server.connections_served",
         "server.max_batch", "server.pipeline_batch.count",
         "server.pipeline_batch.max", "server.pipeline_batch.mean",
         "server.pipeline_batch.p50", "server.pipeline_batch.p99",
