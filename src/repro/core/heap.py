@@ -74,11 +74,12 @@ class SdsHeap:
         alloc.payload = None
 
     def resize(self, alloc: Allocation, new_size: int, payload: Any) -> bool:
-        """Move a live allocation to a ``new_size`` extent, keeping it.
+        """Resize a live allocation to ``new_size``, keeping it.
 
-        The same two placer decisions as :meth:`free` followed by
-        :meth:`allocate`, in that order, but the :class:`Allocation`
-        (and every handle to it) survives and becomes the newest in age
+        In place when the page has room (the placer's ``resize``), else
+        the same two placer decisions as :meth:`free` followed by
+        :meth:`allocate`, in that order; the :class:`Allocation` (and
+        every handle to it) survives and becomes the newest in age
         order. Returns ``False`` when the caller has to act before the
         new extent can be placed. Either idle pages are due back to the
         pool — :meth:`should_release_slack` says so, and no placement
@@ -92,16 +93,20 @@ class SdsHeap:
         if not alloc.valid:
             raise ValueError(f"allocation {alloc.alloc_id} already freed")
         placer = self._placer
-        placement = alloc.placement
-        if placement is not None:
+        old = alloc.placement
+        placement = None
+        if old is not None:
             del self._allocs[alloc.alloc_id]
-            placer.free(placement)
-            alloc.placement = None
-            if placer.free_page_count >= self.FREE_PAGE_SLACK:
-                return False
-        placement = placer.place(new_size)
+            placement = placer.resize(old, new_size)
+            if placement is None:
+                placer.free(old)
+                alloc.placement = None
+                if placer.free_page_count >= self.FREE_PAGE_SLACK:
+                    return False
         if placement is None:
-            return False
+            placement = placer.place(new_size)
+            if placement is None:
+                return False
         alloc.size = new_size
         alloc.placement = placement
         alloc.payload = payload

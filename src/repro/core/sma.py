@@ -267,13 +267,14 @@ class SoftMemoryAllocator:
     def soft_resize(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
     ) -> SoftPtr:
-        """Re-place a live allocation at ``new_size`` holding ``payload``.
+        """Resize a live allocation to ``new_size`` holding ``payload``.
 
-        Decision-equivalent to :meth:`soft_free` followed by
+        In place when the page has room (:meth:`SdsHeap.resize`), else
+        decision-equivalent to :meth:`soft_free` followed by
         :meth:`soft_malloc` in the same context — the old extent is
         freed, idle pages go back to the pool, then the new extent is
-        placed, provisioning if it must — and counted as one free and
-        one allocation. What differs is identity: ``ptr`` and its
+        placed, provisioning if it must. Either way it is counted as one
+        free and one allocation. What differs is identity: ``ptr`` and its
         :class:`Allocation` survive, so soft references and group
         membership follow the handle to the new contents, and the
         allocation becomes the heap's newest.

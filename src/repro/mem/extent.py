@@ -92,6 +92,21 @@ class ExtentMap:
             free.insert(i, (offset, size))
         self.free_bytes += size
 
+    def extend(self, end: int, size: int) -> bool:
+        """Reserve ``[end, end+size)`` if a long enough free extent starts
+        at ``end`` — an in-place grow: one bisect, no walk."""
+        free = self._free
+        i = bisect_left(free, (end, 0))
+        offset, length = free[i] if i < len(free) else (end, 0)
+        if offset != end or length < size:
+            return False
+        if length == size:
+            del free[i]
+        else:
+            free[i] = (end + size, length - size)
+        self.free_bytes -= size
+        return True
+
     @property
     def used_bytes(self) -> int:
         return self.capacity - self.free_bytes

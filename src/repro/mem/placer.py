@@ -164,6 +164,25 @@ class PagePlacer:
             if not page.live_allocs:
                 self._free_pages[page] = None
 
+    def resize(self, placement: Placement, new_size: int) -> Placement | None:
+        """Resize a one-page placement where it lies, else ``None`` (and
+        nothing changed). A shrink frees the tail and re-opens the page as
+        :meth:`free` does; a grow takes the free extent at the old end."""
+        old = placement.size
+        if old > PAGE_SIZE or new_size > PAGE_SIZE:
+            return None
+        page = placement.pages[0]
+        offset = placement.offset
+        if new_size < old:
+            page.free(offset + new_size, old - new_size)
+            self._open[page] = None
+        elif new_size > old:
+            if not page.extend(offset + old, new_size - old):
+                return None
+            if not page.free_bytes:
+                del self._open[page]
+        return Placement(placement.pages, offset, new_size)
+
     def shrink(self, placement: Placement, new_size: int) -> Placement:
         """Move ``placement`` to a smaller extent; cannot fail, needs no page.
 

@@ -211,6 +211,15 @@ class SizeClassPlacer:
                 self._partial.setdefault(slab.slot_size, []).append(page)
         self._used_bytes -= placement.size
 
+    def resize(self, placement: Placement, new_size: int) -> Placement | None:
+        """:meth:`PagePlacer.resize`'s contract: the same slot when
+        ``new_size`` is of its size class (a large slab's never is)."""
+        slot_size = self._slabs[placement.pages[0]].slot_size
+        if new_size > PAGE_SIZE or class_for(new_size) != slot_size:
+            return None
+        self._used_bytes += new_size - placement.size
+        return Placement(placement.pages, placement.offset, new_size)
+
     def shrink(self, placement: Placement, new_size: int) -> Placement:
         """:meth:`PagePlacer.shrink`'s contract: cannot fail, needs no page.
 

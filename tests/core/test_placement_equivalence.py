@@ -7,13 +7,13 @@ guards keep it fixed:
 * a differential test drives random malloc/free/resize/harvest sequences
   — and the tier's two moves, demote and promote — through the real
   allocator and through a reference model kept only here — the original
-  ``fits``-then-``place`` first-fit scan, resize spelled ``soft_free``
-  then ``soft_malloc``, a move spelled free-then-place (shrinking) or
-  place-then-free (growing) inside the pages the heap owns — and
-  demands the same (page ordinal, offset) for every operation;
+  ``fits``-then-``place`` first-fit scan, resize spelled "in place when
+  the page has room, else ``soft_free`` then ``soft_malloc``", a move
+  spelled free-then-place (shrinking) or place-then-free (growing)
+  inside the pages the heap owns — and demands the same (page ordinal,
+  offset) for every operation;
 * a golden SHA-256 of the placement sequence of one seeded 20k-op trace,
-  generated at the commit *before* single-scan placement and
-  ``soft_resize`` existed, so a later policy change has to be deliberate.
+  so a later policy change has to be deliberate.
 """
 
 from __future__ import annotations
@@ -29,19 +29,23 @@ from repro.core.sma import SoftMemoryAllocator
 from repro.mem.placer import PagePlacer
 from repro.util.units import PAGE_SIZE
 
-#: sha256 of ``golden_trace`` placements, generated from commit 7d8f2ad
-#: (resize spelled soft_free + soft_malloc). Regenerate only on purpose.
+#: sha256 of ``golden_trace`` placements. Generated from commit 7d8f2ad
+#: as 76b254db… (resize spelled soft_free + soft_malloc); regenerated
+#: once, when a resize began to stay in place whenever its page has room
+#: (a shrink keeps its offset, a grow takes the free bytes right behind
+#: it) and to fall back to free-then-malloc only otherwise. Mallocs,
+#: frees and the fit scan are as before. Regenerate only on purpose.
 GOLDEN_SEED = 20230622
 GOLDEN_OPS = 20_000
 GOLDEN_SHA256 = (
-    "76b254db49fc0653d0691e31b035edf8eac66800b10195512ed6d9dbdfc8d2bd"
+    "1dd7610574a54ecf2d1a4e946c97c0344432e674fb7cc61bfa43be01806931a0"
 )
 
 CONTEXTS = 2
 
 
 # ----------------------------------------------------------------------
-# the reference model: fits-then-place, free-then-malloc
+# the reference model: fits-then-place, in place else free-then-malloc
 # ----------------------------------------------------------------------
 
 
@@ -72,6 +76,11 @@ class RefPage:
         raise AssertionError("place() after fits() must succeed")
 
     def remove(self, offset: int, size: int) -> None:
+        self.release(offset, size)
+        self.live -= 1
+
+    def release(self, offset: int, size: int) -> None:
+        """Return bytes to the free list; the allocation count stays."""
         self.free.append((offset, size))
         self.free.sort()
         merged: list[tuple[int, int]] = []
@@ -81,7 +90,17 @@ class RefPage:
             else:
                 merged.append((off, length))
         self.free = merged
-        self.live -= 1
+
+    def take_after(self, end: int, size: int) -> bool:
+        """Take ``size`` bytes from a free extent starting at ``end``."""
+        for i, (offset, length) in enumerate(self.free):
+            if offset == end and length >= size:
+                if length == size:
+                    del self.free[i]
+                else:
+                    self.free[i] = (offset + size, length - size)
+                return True
+        return False
 
 
 class RefPlacer:
@@ -145,6 +164,25 @@ class RefPlacer:
             if page.live == 0:
                 self.free_pages[page] = None
 
+    def resize(self, pages: tuple[RefPage, ...], offset: int, size: int,
+               new_size: int) -> bool:
+        """In place, both sizes within one page: a shrink returns the
+        tail and re-opens the page as ``free`` does; a grow needs a free
+        extent starting at the old end, long enough. ``False``: nothing
+        changed."""
+        if size > PAGE_SIZE or new_size > PAGE_SIZE:
+            return False
+        page = pages[0]
+        if new_size < size:
+            page.release(offset + new_size, size - new_size)
+            self.open[page] = None
+        elif new_size > size:
+            if not page.take_after(offset + size, new_size - size):
+                return False
+            if page.free_bytes == 0:
+                self.open.pop(page, None)
+        return True
+
     def shrink(self, pages: tuple[RefPage, ...], offset: int, size: int,
                new_size: int) -> tuple[tuple[RefPage, ...], int]:
         """Free, then place where ``place`` would; else in the first
@@ -179,7 +217,7 @@ def demoted_size(size: int, cut: int) -> int | None:
 
 class RefAllocator:
     """Heaps + LIFO pool + slack harvest, the way ``soft_free`` followed
-    by ``soft_malloc`` drives them."""
+    by ``soft_malloc`` drives them — and a resize in place first."""
 
     def __init__(self) -> None:
         self.heaps = [RefPlacer() for _ in range(CONTEXTS)]
@@ -212,8 +250,12 @@ class RefAllocator:
             self.pool.extend(heap.take_free_pages())
 
     def resize(self, handle, size: int):
+        """In place when the page has room, else free then malloc."""
+        ctx, pages, offset, old = handle
+        if self.heaps[ctx].resize(pages, offset, old, size):
+            return ctx, pages, offset, size
         self.free(handle)
-        return self.malloc(handle[0], size)
+        return self.malloc(ctx, size)
 
     def demote(self, handle, cut: int):
         """To a smaller extent, inside the pages the heap owns: no pool,
@@ -378,10 +420,12 @@ def test_same_page_and_offset_as_fits_then_place(ops):
 def test_a_resize_that_must_provision_lands_where_free_then_malloc_does():
     """Nine pages of 512-byte extents, every other one freed: each page
     of the scan window has 2 KiB free in 512-byte holes. Resizing an
-    extent of the oldest page to 1 KiB misses the whole window — its own
-    page has the room now, but lies outside it — and needs a new page."""
+    extent of the oldest page to 1.5 KiB cannot grow in place — only a
+    512-byte hole lies behind it — and misses the whole window — its own
+    page has the room once the extent is freed, but lies outside it — so
+    it needs a new page."""
     ops = [("malloc", 0, 512)] * 72 + [("free", k) for k in range(36)]
-    ops.append(("resize", 0, 1024))
+    ops.append(("resize", 0, 1536))
     real, ref = RealAllocator(), RefAllocator()
     got: list = []
     want: list = []

@@ -11,6 +11,9 @@ through a stand-in free list that counts its own iterations:
   ``soft_malloc`` / ``soft_resize``, a miss that ends in provisioning
   included (the layers above the placer do not ask it the same
   question again);
+* a ``soft_resize`` that stays in place walks nothing and asks
+  ``place`` nothing; one that cannot stay costs exactly the
+  free-then-place it did before the in-place try existed;
 * a ``soft_promote`` the heap has no room for walks nothing when the
   whole window is too full — on a squeezed store that is what most
   stub reads are.
@@ -124,3 +127,49 @@ def test_a_denied_promotion_over_a_full_window_walks_nothing(walks):
     assert not walks, sorted(walks.values())
     assert home[0].allocation.placement is before
     assert context.heap.page_count == 10
+
+
+@pytest.fixture
+def places(monkeypatch) -> list:
+    """Sizes ``PagePlacer.place`` was asked for, from here on."""
+    asked: list = []
+    real_place = PagePlacer.place
+
+    def counting_place(self, size: int):
+        asked.append(size)
+        return real_place(self, size)
+
+    monkeypatch.setattr(PagePlacer, "place", counting_place)
+    return asked
+
+
+def test_an_in_place_resize_walks_nothing_and_places_nothing(walks, places):
+    sma, context, home, __, ___ = fragmented_heap()
+    home_page = page_of(home[0])
+    walks.clear()
+    places.clear()
+    # a shrink frees its tail; the grow back takes that tail again
+    for size in (SLOT // 2, SLOT):
+        sma.soft_resize(home[0], size)
+        assert page_of(home[0]) is home_page
+        assert home[0].allocation.placement.offset == 0
+    assert not walks, sorted(walks.values())
+    assert places == []
+    assert context.heap.page_count == 10
+
+
+def test_a_resize_that_cannot_stay_costs_what_free_then_place_does(
+    walks, places
+):
+    """The in-place try is one bisect, then the old path runs as it did:
+    one ``place`` that misses, provisioning, one ``place`` that lands —
+    and the walks of the miss test above."""
+    sma, context, home, holed, brim = fragmented_heap()
+    home_page = page_of(home[0])
+    walks.clear()
+    places.clear()
+    sma.soft_resize(home[0], 2 * SLOT)  # home[1] is live behind it
+    assert places == [2 * SLOT, 2 * SLOT]
+    assert max(walks.values()) == 1, sorted(walks.values())
+    assert walks[home_page] == 0 and walks[brim] == 0
+    assert set(walks) == {page_of(home[0]), *holed[2:]}

@@ -9,7 +9,7 @@ Three things are pinned here.
   and ``Persistence`` recovery of the same bytes. The expected digest
   and counts were generated at commit d67adf9 from the two apply paths
   that existed then (``link.apply_record`` and
-  ``Persistence._apply_record``), regenerated once since (see
+  ``Persistence._apply_record``), regenerated twice since (see
   ``GOLDEN_DIGEST``), and must not move.
 * **Tombstones during an apply.** A key the replica's own budget
   reclaims while a batch is applied gets its ``T`` in the local AOF,
@@ -86,11 +86,19 @@ GOLDEN_PAGES = 60
 #: land in other holes, and under the 60-page budget 17 more ``W``
 #: records find no room (367). Records, kinds, tombstones, expiries and
 #: the 648 demotions are as before; nothing in this stream reads, so
-#: promote admission does not show here.
-GOLDEN_DIGEST = "df64d406bd23058f107504a78f111316e646226cb9777f8d594f58780a190c39"
+#: promote admission does not show here. Regenerated again (from
+#: df64d406…, 367 denials, 3218 keys) when a size-changing overwrite
+#: began to resize in place whenever its page has room — a shrink frees
+#: its tail, a grow takes the free extent behind it — and to free then
+#: place only otherwise. The stream is unchanged; only where overwrites
+#: land moved. Values here swing 40 B ↔ 3 KiB under a 60-page budget
+#: that binds, and a shrink kept in place leaves its page partly live
+#: outside the scan window instead of draining it, so 127 more ``W``
+#: records find no room (494) and 127 fewer keys survive (3091).
+GOLDEN_DIGEST = "29a1cc92d2f52e6de1fee6af803a81d08c5e7e681d4772b3e33cdc56b50df40e"
 GOLDEN_KINDS = {"W": 3585, "E": 490, "M": 649, "T": 486, "D": 490, "P": 298, "F": 2}
-GOLDEN_DENIED = 367
-GOLDEN_RECOVERED_KEYS = 3218
+GOLDEN_DENIED = 494
+GOLDEN_RECOVERED_KEYS = 3091
 GOLDEN_EXPIRED_DROPPED = 16
 
 
