@@ -369,7 +369,11 @@ class SoftMemoryAllocator:
         pages = self.pool.take(needed)
         shortfall = needed - len(pages)
         if shortfall > 0:
-            self._ensure_budget(shortfall)
+            try:
+                self._ensure_budget(shortfall)
+            except BaseException:  # denied: the pool keeps what it held
+                self.pool.put(pages)
+                raise
             pages.extend(self._map_pages(shortfall))
         context.heap.add_pages(pages)
 

@@ -46,6 +46,50 @@ _SRC_ROOT = os.path.dirname(
 )
 
 
+def spawn_kv_server(
+    args: list[str], stderr_path: str, timeout: float
+) -> tuple[subprocess.Popen, Address]:
+    """Start ``python -m repro.tools.kv_server *args`` and wait up to
+    ``timeout`` seconds for its ``READY <host> <port>`` line.
+
+    stderr is appended to ``stderr_path``. A process that exits, prints
+    anything else or stays silent is killed, and ``RuntimeError``
+    carries the tail of its stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    with open(stderr_path, "ab") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.kv_server", *args],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+            text=True,
+        )
+    line = ""
+    done = threading.Event()
+
+    def read() -> None:
+        nonlocal line
+        line = proc.stdout.readline().strip()
+        done.set()
+
+    threading.Thread(target=read, daemon=True).start()
+    if done.wait(timeout) and line.startswith("READY "):
+        __, host, port = line.split()
+        return proc, (host, int(port))
+    proc.kill()
+    proc.wait()
+    try:
+        with open(stderr_path) as fh:
+            detail = fh.read()[-2000:]
+    except OSError:
+        detail = ""
+    raise RuntimeError(
+        f"kv_server {' '.join(args)} failed to start (got {line!r}):\n{detail}"
+    )
+
+
 def free_ports(host: str, count: int) -> list[int]:
     """Reserve ``count`` distinct free TCP ports on ``host``.
 
@@ -145,8 +189,12 @@ class ClusterSupervisor:
 
     def start(self, *, ready_timeout: float = 30.0) -> "ClusterSupervisor":
         self.daemon.start()
-        for shard in self.shards:
-            self._spawn(shard, ready_timeout=ready_timeout)
+        try:
+            for shard in self.shards:
+                self._spawn(shard, ready_timeout=ready_timeout)
+        except BaseException:
+            self.stop()  # what started: __exit__ never runs if we raise
+            raise
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="kv-cluster-monitor", daemon=True
         )
@@ -185,10 +233,9 @@ class ClusterSupervisor:
 
     # -- spawning ------------------------------------------------------
 
-    def _shard_argv(self, shard: ShardProcess) -> list[str]:
+    def _shard_args(self, shard: ShardProcess) -> list[str]:
         nodes = ",".join(f"{h}:{p}" for h, p in self.addresses)
         argv = [
-            sys.executable, "-m", "repro.tools.kv_server",
             "--cluster-shard", str(shard.index),
             "--cluster-nodes", nodes,
             "--smd-socket", self.smd_socket,
@@ -201,46 +248,13 @@ class ClusterSupervisor:
         return argv
 
     def _spawn(self, shard: ShardProcess, *, ready_timeout: float) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
         stderr_path = os.path.join(
             self.workdir, f"shard-{shard.index}.stderr"
         )
-        with open(stderr_path, "ab") as stderr:
-            shard.proc = subprocess.Popen(
-                self._shard_argv(shard),
-                stdout=subprocess.PIPE,
-                stderr=stderr,
-                env=env,
-                text=True,
-            )
         shard.ping_failures = 0
-        self._await_ready(shard, ready_timeout, stderr_path)
-
-    def _await_ready(
-        self, shard: ShardProcess, timeout: float, stderr_path: str
-    ) -> None:
-        line = ""
-        done = threading.Event()
-
-        def read() -> None:
-            nonlocal line
-            line = shard.proc.stdout.readline().strip()
-            done.set()
-
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
-        if not done.wait(timeout) or not line.startswith("READY "):
-            shard.proc.kill()
-            try:
-                with open(stderr_path) as fh:
-                    detail = fh.read()[-2000:]
-            except OSError:
-                detail = ""
-            raise RuntimeError(
-                f"shard {shard.index} failed to start "
-                f"(got {line!r}):\n{detail}"
-            )
+        shard.proc, __ = spawn_kv_server(
+            self._shard_args(shard), stderr_path, ready_timeout
+        )
 
     # -- health --------------------------------------------------------
 

@@ -68,7 +68,7 @@ class TierConfig:
 class TierStats:
     """Lifecycle counters for one dict's second-chance tier.
 
-    The conservation identity the obs soak asserts per phase::
+    The conservation identity the oracle asserts after every step::
 
         demotions == promotions + second_chance_drops
                      + displacements + still-compressed entries

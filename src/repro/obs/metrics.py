@@ -11,8 +11,8 @@ Design constraints (see ISSUE 3):
   bucket counts, count, sum and extrema in place.  Only creating a
   metric takes the registry lock;
 * **monotonic histograms** — counts and sums can only grow, which is
-  what lets the soak harness assert "no series ever decreases" across
-  arbitrary traffic.
+  what lets ``repro.obs.oracle`` assert over ``INFO`` that no series
+  ever decreases across arbitrary traffic.
 
 Everything else is *pull*: a :class:`Gauge` is a zero-argument callable
 sampled at snapshot time — how the SMA/SMD/RPC stats structs and the
@@ -281,23 +281,6 @@ class MetricsRegistry:
                 out[f"{name}.p50"] = snap.quantile(0.50)
                 out[f"{name}.p99"] = snap.quantile(0.99)
                 out[f"{name}.max"] = snap.vmax
-        return out
-
-    def monotonic_snapshot(self) -> dict[str, float]:
-        """Only the series guaranteed never to decrease.
-
-        Histogram counts, buckets, and sums (observations are durations
-        or batch sizes, hence non-negative).  The soak harness diffs two
-        of these to assert monotonicity across a traffic phase.
-        """
-        out: dict[str, float] = {}
-        for name, metric in list(self._metrics.items()):
-            if isinstance(metric, Histogram):
-                snap = metric.snapshot()
-                out[f"{name}.count"] = snap.count
-                out[f"{name}.sum"] = snap.total
-                for i, n in enumerate(snap.counts):
-                    out[f"{name}.bucket{i}"] = n
         return out
 
     def __repr__(self) -> str:

@@ -34,6 +34,7 @@ is exactly the kill semantics the paper describes).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import socket
@@ -283,6 +284,8 @@ class RpcDaemonServer:
 
     def stop(self) -> None:
         self._stop.set()
+        with contextlib.suppress(OSError), socket.socket(socket.AF_UNIX) as waker:
+            waker.connect(self.socket_path)  # ends a blocked accept() now
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         if self._monitor_thread is not None:

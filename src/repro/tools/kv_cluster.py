@@ -71,7 +71,6 @@ def main(argv: list[str] | None = None) -> int:
         supervisor.start()
     except RuntimeError as exc:
         print(f"cluster failed to start: {exc}", file=sys.stderr)
-        supervisor.stop()
         return 1
 
     for shard in supervisor.shards:

@@ -5,7 +5,7 @@ Connects to a running RESP server, issues the extended ``INFO`` and
 twin of the human-readable ``INFO`` text.  Two snapshots taken before
 and after an experiment diff into "what happened in between": every
 numeric series is subtracted, which is exactly meaningful for the
-monotonic counters and histogram counts the soak harness relies on.
+monotonic counters and histogram counts the invariant oracle relies on.
 
 Repeating ``--addr host:port`` snapshots a whole cluster in one
 document: a ``shards`` list with each shard's full snapshot plus a

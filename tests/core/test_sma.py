@@ -87,6 +87,20 @@ class TestMallocFree:
         sma.soft_malloc(PAGE_SIZE, other)
         assert sma.stats.pages_mapped == mapped_before
 
+    def test_a_denied_provision_leaves_the_pool_whole(self, sma):
+        """Pool pages taken toward an allocation whose budget is then
+        denied go back to the pool, not off the books."""
+        ctx = sma.create_context("a")
+        for p in [sma.soft_malloc(PAGE_SIZE, ctx) for _ in range(8)]:
+            sma.soft_free(p)
+        pooled = sma.pool.page_count
+        sma.mark_degraded(True)
+        size = (pooled + sma.budget.headroom + 1) * PAGE_SIZE
+        with pytest.raises(SoftMemoryDenied):
+            sma.soft_malloc(size, sma.create_context("b"))
+        assert sma.pool.page_count == pooled
+        sma.check_invariants()
+
     def test_large_allocation(self, sma):
         ctx = sma.create_context("c")
         ptr = sma.soft_malloc(3 * PAGE_SIZE + 1, ctx)

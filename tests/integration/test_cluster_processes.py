@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -19,8 +20,10 @@ import pytest
 from repro.kvstore import TcpKvClient
 from repro.kvstore.cluster import ClusterKvClient
 from repro.kvstore.cluster.slots import key_hash_slot
-from repro.kvstore.cluster.supervisor import ClusterSupervisor
+from repro.kvstore.cluster.supervisor import ClusterSupervisor, free_ports
 from repro.kvstore.resp import RespError
+from repro.obs.oracle import check_smd
+from tests.fleet import settle
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -73,13 +76,7 @@ class TestServing:
         smd = cluster.smd
         # both shard processes registered with the supervisor's daemon
         assert smd.pages_granted >= 2 * cluster.startup_budget_pages
-        assert (
-            smd.assigned_pages
-            == smd.pages_granted
-            - smd.pages_released
-            - smd.pages_reclaimed
-            - smd.pages_forfeited
-        )
+        check_smd(smd)
 
     def test_shard_info_reports_cluster(self, cluster):
         with TcpKvClient(cluster.shards[0].address) as direct:
@@ -146,22 +143,21 @@ class TestRestart:
     def test_restarted_shard_reregisters_with_smd(self, cluster):
         # after the restart above, the ledger must still balance: the
         # dead process's grant was forfeited, the new one re-granted
-        smd = cluster.smd
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            if (
-                smd.assigned_pages
-                == smd.pages_granted
-                - smd.pages_released
-                - smd.pages_reclaimed
-                - smd.pages_forfeited
-            ):
-                break
-            time.sleep(0.2)
-        assert (
-            smd.assigned_pages
-            == smd.pages_granted
-            - smd.pages_released
-            - smd.pages_reclaimed
-            - smd.pages_forfeited
-        )
+        settle(lambda: check_smd(cluster.smd), timeout=30)
+
+
+def test_a_shard_that_never_starts_leaves_nothing_running(tmp_path):
+    """Shard 1's port is taken, so ``start()`` raises — after stopping
+    shard 0 and the daemon, since ``__exit__`` will never run."""
+    holder = socket.create_server(("127.0.0.1", 0))
+    supervisor = ClusterSupervisor(
+        2, ports=[free_ports("127.0.0.1", 1)[0], holder.getsockname()[1]],
+        workdir=str(tmp_path),
+    )
+    try:
+        with pytest.raises(RuntimeError, match="failed to start"):
+            supervisor.start(ready_timeout=30)
+    finally:
+        holder.close()
+    assert supervisor.shards[0].proc.poll() is not None
+    assert not os.path.exists(supervisor.smd_socket)

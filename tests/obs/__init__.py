@@ -1,1 +1,1 @@
-"""Observability-plane tests: metrics, slowlog, INFO, and the soak harness."""
+"""Observability-plane tests: metrics, slowlog, INFO, and the fleet schedules."""

@@ -108,15 +108,23 @@ class TestRegistry:
         assert snap["good"] == 1
         assert reg.gauge_errors == 1
 
-    def test_monotonic_snapshot_only_counters_and_hists(self):
+    def test_histogram_series_never_decrease(self):
+        """What the oracle holds monotonic over INFO: a histogram's
+        count and sum grow with every observation; a gauge may fall."""
+        level = [7]
         reg = MetricsRegistry()
-        reg.gauge("g", fn=lambda: 7)
-        reg.histogram("h", bounds=[1.0]).observe(0.5)
-        mono = reg.monotonic_snapshot()
-        assert "g" not in mono  # a gauge may go down
-        assert mono["h.count"] == 1
-        assert mono["h.sum"] == 0.5
-        assert mono["h.bucket0"] == 1
+        reg.gauge("g", fn=lambda: level[0])
+        hist = reg.histogram("h", bounds=[1.0])
+        before = reg.snapshot()
+        for value in (0.5, 0.0, 2.0):
+            hist.observe(value)
+            level[0] -= 1
+            after = reg.snapshot()
+            for key in ("h.count", "h.sum"):
+                assert after.get(key, 0) >= before.get(key, 0)
+            assert after["g"] < before["g"]
+            before = after
+        assert (after["h.count"], after["h.sum"]) == (3, 2.5)
 
 
 # ----------------------------------------------------------------------

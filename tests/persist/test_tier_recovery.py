@@ -27,8 +27,7 @@ from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig
 from repro.kvstore.values import CompressedValue
 
-from repro.kvstore import TcpKvClient
-from tests.persist.test_crash_recovery import spawn_server, terminate
+from tests.fleet import Node
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -197,87 +196,62 @@ def test_aof_replay_with_tier_off_skips_demote_records(tmp_path):
     persist2.close()
 
 
-def _info_fields(client: TcpKvClient) -> dict[bytes, bytes]:
-    info = client.execute("INFO")
-    return dict(
-        line.split(b":", 1) for line in info.split(b"\r\n") if b":" in line
-    )
-
-
 def test_demoted_entries_survive_a_real_server_restart(tmp_path):
     """The crash-harness variant: a real subprocess demotes under a
     ``MEMORY PURGE`` pressure wave; a SIGTERM restart serves every key,
     the compressed ones recovered back into the tier."""
-    data_dir = str(tmp_path)
-    proc, addr = spawn_server(data_dir)
+    node = Node("kv", str(tmp_path), "process", durable=True).start()
     written = [f"key-{i:04d}" for i in range(40)]
     try:
-        with TcpKvClient(addr) as client:
-            for k in written:
-                assert str(client.execute("SET", k, "V" * 2000)) == "OK"
-            client.execute("MEMORY", "PURGE", "8")
-            fields = _info_fields(client)
-            demotions = int(fields.get(b"tier.demotions", b"0"))
-            assert demotions > 0, "the purge wave never demoted anything"
-            assert int(fields[b"reclaimed_keys"]) == 0  # demoted, not lost
-            for k in written:  # every key still served pre-restart
-                assert client.execute("GET", k) == b"V" * 2000
-            # a read does not grow the heap, so most stay compressed and
-            # the restart exercises compressed-entry recovery
-            fields = _info_fields(client)
-            compressed_before = int(fields[b"compressed_entries"])
-            assert compressed_before > 0
-    finally:
-        terminate(proc)  # graceful: final snapshot carries C values
+        for k in written:
+            assert str(node.call("SET", k, "V" * 2000)) == "OK"
+        node.call("MEMORY", "PURGE", "8")
+        info = node.info()
+        assert info["tier.demotions"] > 0, "the purge wave never demoted anything"
+        assert info["reclaimed_keys"] == 0  # demoted, not lost
+        for k in written:  # every key still served pre-restart
+            assert node.call("GET", k) == b"V" * 2000
+        # a read does not grow the heap, so most stay compressed and
+        # the restart exercises compressed-entry recovery
+        compressed_before = node.info()["compressed_entries"]
+        assert compressed_before > 0
+        node.down(graceful=True)  # final snapshot carries C values
 
-    proc2, addr2 = spawn_server(data_dir)
-    try:
-        with TcpKvClient(addr2) as client:
-            fields = _info_fields(client)
-            assert int(fields[b"compressed_entries"]) == compressed_before
-            for k in written:  # nothing was lost across the restart
-                assert client.execute("GET", k) == b"V" * 2000
-            fields = _info_fields(client)
-            served = int(fields[b"tier.promotions"]) + int(
-                fields[b"tier.promotion_denials"]
-            )
-            assert served == compressed_before  # each read from its stub
-            assert int(fields[b"compressed_entries"]) == (
-                compressed_before - int(fields[b"tier.promotions"])
-            )
+        node.start()
+        assert node.info()["compressed_entries"] == compressed_before
+        for k in written:  # nothing was lost across the restart
+            assert node.call("GET", k) == b"V" * 2000
+        info = node.info()
+        served = info["tier.promotions"] + info["tier.promotion_denials"]
+        assert served == compressed_before  # each read from its stub
+        assert info["compressed_entries"] == (
+            compressed_before - info["tier.promotions"]
+        )
     finally:
-        terminate(proc2)
+        node.down(graceful=True)
 
 
 def test_second_chance_drops_stay_dropped_across_real_restart(tmp_path):
     """Purge past the tier's capacity: the dropped keys' tombstones hold
     across a restart (no resurrection from their older W/M records)."""
-    data_dir = str(tmp_path)
-    proc, addr = spawn_server(data_dir)
+    node = Node("kv", str(tmp_path), "process", durable=True).start()
     written = [f"key-{i:04d}" for i in range(20)]
     try:
-        with TcpKvClient(addr) as client:
-            for k in written:
-                assert str(client.execute("SET", k, "W" * 2000)) == "OK"
-            # demote everything, then keep purging until drops happen
-            client.execute("MEMORY", "PURGE", "64")
-            fields = _info_fields(client)
-            drops = int(fields.get(b"tier.second_chance_drops", b"0"))
-            assert drops > 0, "the purge never reached the drop stage"
-            gone = [
-                k for k in written if client.execute("GET", k) is None
-            ]
-            assert len(gone) == drops
-    finally:
-        terminate(proc)
+        for k in written:
+            assert str(node.call("SET", k, "W" * 2000)) == "OK"
+        # demote everything, then keep purging until drops happen
+        node.call("MEMORY", "PURGE", "64")
+        drops = node.info()["tier.second_chance_drops"]
+        assert drops > 0, "the purge never reached the drop stage"
+        gone = [k for k in written if node.call("GET", k) is None]
+        assert len(gone) == drops
+        node.down(graceful=True)
 
-    proc2, addr2 = spawn_server(data_dir)
-    try:
-        with TcpKvClient(addr2) as client:
-            for k in gone:  # dropped data stays dropped
-                assert client.execute("GET", k) is None
-            survivors = [k for k in written if k not in gone]
-            for k in survivors:
-                assert client.execute("GET", k) == b"W" * 2000
+        node.start()
+        for k in gone:  # dropped data stays dropped
+            assert node.call("GET", k) is None
+        for k in written:
+            if k not in gone:
+                assert node.call("GET", k) == b"W" * 2000
     finally:
-        terminate(proc2)
+        node.down(graceful=True)

@@ -17,6 +17,7 @@ from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.repl.state import DEFAULT_BACKLOG_CAPACITY
 from repro.kvstore.resp import RespError, encode_command
 from repro.kvstore.store import DataStore
+from repro.obs.oracle import flat_info
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -35,14 +36,8 @@ def wait_until(cond, timeout: float = 15.0, interval: float = 0.01):
     assert cond(), "condition never became true"
 
 
-def info_dict(client: TcpKvClient) -> dict[str, str]:
-    text = bytes(client.execute("INFO")).decode()
-    out = {}
-    for line in text.splitlines():
-        if ":" in line and not line.startswith("#"):
-            key, __, value = line.partition(":")
-            out[key] = value
-    return out
+def info_dict(client: TcpKvClient) -> dict:
+    return flat_info(client.execute("INFO"))
 
 
 def wait_for_feeds(master: TcpKvServer, count: int = 1):

@@ -26,7 +26,7 @@ NEEDED = {
     "StoreConfig.entry_overhead_bytes": "benchmarks/e2e/ledger.py reads it",
     "TierConfig.compress_level": "ROADMAP 7(a) sweeps tier off / 1 / 6 / 9",
     "SelectionConfig.target_cap": "the paper's capped number of targets "
-    "(3.3); tests/daemon/test_policy.py and tests/obs/soak.py size it",
+    "(3.3); tests/daemon/test_policy.py sizes it",
     "SelectionConfig.distribution": "paper 7, greedy vs proportional; "
     "tests/daemon/test_proactive.py is its only driver yet",
     "TraceConfig.arrival_pattern": "paper 2's shifting consumption; "

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: public names only ``tests/`` reaches, and who needs each one
 NEEDED = {
-    "monotonic_snapshot": "tests/obs/soak.py, until ROADMAP 5's oracle",
     "join_bgsave": "the tests' only deterministic wait for a BGSAVE",
     "unsubscribe": "ROADMAP 6's trace-ring subscribers detach with it",
     "aof_path": "tests size, read and corrupt the live log through it",
