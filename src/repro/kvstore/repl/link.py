@@ -1,8 +1,10 @@
 """The replica side: the sync handshake, record apply, and the link.
 
-:class:`ReplicaLink` is one background thread per replica server. It
-dials the master, sends ``PSYNC <replid> <offset>`` (``? -1`` when this
-node has never synced), and parses the reply with the incremental
+:class:`ReplicaLink` is one replica server's session with its master,
+driven by that server's own event loop: its socket is one more fd on
+the loop's poll object. It dials without blocking, sends ``PSYNC
+<replid> <offset>`` (``? -1`` when this node has never synced) once the
+socket is writable, and parses the reply with the incremental
 :class:`SyncHandshake`:
 
 * ``+FULLRESYNC <replid> <offset>`` followed by a ``$<len>``-prefixed
@@ -14,24 +16,27 @@ node has never synced), and parses the reply with the incremental
   ring and resumes the raw stream mid-flight.
 
 After the handshake the socket carries nothing but CRC-framed codec
-records. Under the server's execution lock, :func:`apply_stream` reads
-the complete records out of the receive buffer, appends their raw bytes
-to the local AOF verbatim, replays them (``DataStore.replay`` logs
-nothing itself), and advances the replication offset by exactly the
-bytes applied; the link then acks with ``REPLCONF ACK <offset>``, as it
-does on idle heartbeats. Budget denials count as future misses and
-never stop the stream; tombstones always apply, so the replica's
-dropped-set never diverges from the master's.
+records. Each readable event is one read: :func:`apply_stream` takes
+the complete records out of what arrived, appends their raw bytes to
+the local AOF verbatim, replays them (``DataStore.replay`` logs nothing
+itself), and advances the replication offset by exactly the bytes
+applied; the link then flushes the AOF buffer and acks with ``REPLCONF
+ACK <offset>``, as it does after 0.2 s of quiet. Apply, read serving
+and the group commit share the one loop thread, so nothing here takes
+a lock. Budget denials count as future misses and never stop the
+stream; tombstones always apply, so the replica's dropped-set never
+diverges from the master's.
 
-A dropped link (closed socket, torn frame, CRC failure) tears the
-session down and redials with exponential backoff; every redial tries
-partial resync first.
+A dropped link (closed socket, torn frame, CRC failure, a dial or
+handshake quiet for 5 s) closes the session and redials with
+exponential backoff; every redial tries partial resync first.
 """
 
 from __future__ import annotations
 
+import errno
+import select
 import socket
-import threading
 import time
 from typing import TYPE_CHECKING
 
@@ -51,7 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _RECV_SIZE = 65536
 #: cap on any single handshake line (status or bulk-length header)
 _MAX_LINE = 512
+#: seconds a dial, or a handshake between two reads, may stay quiet
 _CONNECT_TIMEOUT = 5.0
+#: seconds of quiet on an up link before it acks anyway
+_IDLE_ACK = 0.2
 #: ceiling of the redial backoff (seconds)
 _MAX_BACKOFF = 2.0
 
@@ -154,13 +162,13 @@ def apply_stream(
 ) -> int:
     """Apply the complete records at the head of ``data``: one batch.
 
-    The link's whole batch step, run under the server's execution lock;
-    returns the bytes consumed (0: no complete record yet). The raw
-    bytes enter the local AOF buffer *before* the batch is replayed, so
-    a tombstone logged mid-apply — a key this replica's own budget
-    reclaimed to admit the batch — follows the ``W`` it kills. A restart
-    can then lose a key the same batch re-wrote after its reclamation
-    (a miss, the safe direction), but can never resurrect one.
+    The link's whole batch step, on the server's loop thread; returns
+    the bytes consumed (0: no complete record yet). The raw bytes enter
+    the local AOF buffer *before* the batch is replayed, so a tombstone
+    logged mid-apply — a key this replica's own budget reclaimed to
+    admit the batch — follows the ``W`` it kills. A restart can then
+    lose a key the same batch re-wrote after its reclamation (a miss,
+    the safe direction), but can never resurrect one.
     """
     records, valid = read_records(data)
     if not records:
@@ -176,91 +184,107 @@ def apply_stream(
     return valid
 
 
-class ReplicaLink(threading.Thread):
-    """Background thread that keeps one replica synced to its master."""
+class ReplicaLink:
+    """One replica's session with its master, on the server's event loop.
+
+    The socket is registered with the server's poll object; the loop
+    hands its events to :meth:`on_event` and runs :meth:`tick` once a
+    round, bounding its poll by the returned seconds. A failure of any
+    step closes the session and schedules the redial.
+    """
 
     def __init__(
-        self,
-        store: "DataStore",
-        state: "ReplicationState",
-        lock: threading.Lock,
+        self, store: "DataStore", state: "ReplicationState", poller
     ) -> None:
-        super().__init__(name="kv-replica-link", daemon=True)
         self._store = store
         self._state = state
-        self._lock = lock
-        # not "_stop": Thread._stop() is a CPython-internal method
-        self._stop_event = threading.Event()
-        self._sock: socket.socket | None = None
+        self._poller = poller
+        self.sock: socket.socket | None = None
+        self.fd = -1  # the socket's number while it is registered
+        self._handshake: SyncHandshake | None = None  # while status "sync"
+        #: received and not yet applied: the torn frame a read ended in.
+        #: Immutable ``bytes`` throughout, because the reader slices
+        #: hash-field keys out of it; a chunk that arrives with nothing
+        #: carried over is applied as it is
+        self._data = b""
+        self._backoff = 0.05
+        self._dialed: float | None = None  # monotonic; None: never dialed
+        #: when :meth:`tick` acts: redial (no socket), give up (a dial or
+        #: handshake gone quiet), or send an idle ACK (streaming)
+        self._due = 0.0
 
-    # -- lifecycle ------------------------------------------------------
+    def tick(self) -> float:
+        """Run the timer if it is due; seconds until it is due again."""
+        now = time.monotonic()
+        if now >= self._due:
+            try:
+                if self.sock is None:
+                    self._dial(now)
+                elif self._state.link_status == "up":
+                    self._send_ack()  # idle heartbeat: lag signal
+                    self._due = now + _IDLE_ACK
+                else:  # a dial or handshake gone quiet
+                    self._drop(now)
+            except OSError:
+                self._drop(now)
+        return max(0.0, self._due - now)
 
-    def request_stop(self) -> None:
-        """Ask the link to die without joining it.
+    def on_event(self, mask: int) -> None:
+        """The loop saw ``mask`` on this link's socket."""
+        try:
+            if self._state.link_status == "connecting":
+                self._connected()
+            else:
+                self._receive()
+        except OSError:  # HandshakeError and ConnectionError included
+            self._drop(time.monotonic())
 
-        Safe to call while holding the server lock (the link thread may
-        be blocked on that very lock, so joining here would deadlock —
-        the link re-checks the stop event after every lock acquisition
-        and unwinds).
-        """
-        self._stop_event.set()
-        sock = self._sock
+    def close(self) -> None:
+        """End the session; nothing is redialed."""
+        sock, self.sock = self.sock, None
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            # before close(): poll keeps a closed fd, epoll drops it
+            self._poller.unregister(self.fd)
+            sock.close()
+        self.fd = -1
+        self._handshake = None
+        self._data = b""
 
-    def stop(self, timeout: float = 5.0) -> None:
-        """Request stop and join. Never call while holding the lock."""
-        self.request_stop()
-        if self.is_alive():
-            self.join(timeout)
+    # -- the session's steps ------------------------------------------
 
-    # -- the session loop ----------------------------------------------
+    def _drop(self, now: float) -> None:
+        self.close()
+        self._state.link_status = "down"
+        # a session that streamed for a while earned a fresh backoff
+        if now - self._dialed > 2 * _MAX_BACKOFF:
+            self._backoff = 0.05
+        self._due = now + self._backoff
+        self._backoff = min(self._backoff * 2, _MAX_BACKOFF)
 
-    def run(self) -> None:
+    def _dial(self, now: float) -> None:
         state = self._state
-        backoff = 0.05
-        first = True
-        while not self._stop_event.is_set():
-            if not first:
-                state.reconnects += 1
-            first = False
-            started = time.monotonic()
-            try:
-                self._sync_once()
-            except (OSError, HandshakeError):
-                pass
-            finally:
-                sock = self._sock
-                self._sock = None
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-            if self._stop_event.is_set():
-                break
-            state.link_status = "down"
-            # a session that streamed for a while earned a fresh backoff
-            if time.monotonic() - started > 2 * _MAX_BACKOFF:
-                backoff = 0.05
-            self._stop_event.wait(backoff)
-            backoff = min(backoff * 2, _MAX_BACKOFF)
-
-    def _sync_once(self) -> None:
-        state = self._state
-        host, port = state.master_host, state.master_port
-        if host is None or port is None:
-            raise ConnectionError("no master configured")
+        if self._dialed is not None:
+            state.reconnects += 1
+        self._dialed = now
         state.link_status = "connecting"
-        sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT)
-        self._sock = sock
+        family, kind, proto, __, addr = socket.getaddrinfo(
+            state.master_host, state.master_port, type=socket.SOCK_STREAM
+        )[0]
+        sock = socket.socket(family, kind, proto)
+        sock.setblocking(False)
+        self.sock, self.fd = sock, sock.fileno()
+        self._poller.register(self.fd, select.POLLOUT)
+        self._due = now + _CONNECT_TIMEOUT
+        err = sock.connect_ex(addr)
+        if err not in (0, errno.EINPROGRESS):
+            raise ConnectionError(err)
+
+    def _connected(self) -> None:
+        """The dial finished: send ``PSYNC`` and await the reply."""
+        sock, state = self.sock, self._state
+        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            raise ConnectionError(err)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # a node that has synced before owns a stream position worth
         # offering; a fresh one can only ask for everything
@@ -270,28 +294,34 @@ class ReplicaLink(threading.Thread):
             )
         else:
             request = encode_command(b"PSYNC", b"?", b"-1")
-        sock.sendall(request)
+        sock.sendall(request)  # a fresh socket's buffer takes it whole
+        self._poller.modify(self.fd, select.POLLIN)
         state.link_status = "sync"
-        handshake = SyncHandshake()
-        result = None
-        while result is None:
-            if self._stop_event.is_set():
-                raise ConnectionError("link stopped")
-            chunk = sock.recv(_RECV_SIZE)
-            if not chunk:
-                raise ConnectionError("master closed during handshake")
+        self._handshake = SyncHandshake()
+
+    def _receive(self) -> None:
+        """One read: the handshake's next bytes, or stream to apply."""
+        try:
+            chunk = self.sock.recv(_RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        if not chunk:
+            raise ConnectionError("master closed the stream")
+        handshake = self._handshake
+        if handshake is not None:
             result = handshake.feed(chunk)
-        if result[0] == "FULLRESYNC":
-            __, replid, offset, payload, leftover = result
-            self._load_full_sync(replid, offset, payload)
-        else:
-            __, leftover = result
-            with self._lock:
-                if self._stop_event.is_set():
-                    raise ConnectionError("link stopped")
-                state.partial_syncs_done += 1
-                state.link_status = "up"
-        self._stream(sock, leftover)
+            if result is None:
+                self._due = time.monotonic() + _CONNECT_TIMEOUT
+                return
+            self._handshake = None
+            if result[0] == "FULLRESYNC":
+                __, replid, offset, payload, chunk = result
+                self._load_full_sync(replid, offset, payload)
+            else:
+                __, chunk = result
+                self._state.partial_syncs_done += 1
+                self._state.link_status = "up"
+        self._stream(chunk)
 
     def _load_full_sync(
         self, replid: str, offset: int, payload: bytes
@@ -302,66 +332,43 @@ class ReplicaLink(threading.Thread):
         records, __ = loaded
         store = self._store
         state = self._state
-        now_ms = int(time.time() * 1000)
-        with self._lock:
-            if self._stop_event.is_set():
-                raise ConnectionError("link stopped")
-            # flush, then re-admit every entry through this node's budget
-            counts = store.replay([("F",), *records], now_ms)
-            state.apply_denied += counts.denied
-            state.adopt(replid, offset)
-            state.full_syncs_done += 1
-            state.link_status = "up"
+        # flush, then re-admit every entry through this node's budget
+        counts = store.replay([("F",), *records], int(time.time() * 1000))
+        state.apply_denied += counts.denied
+        state.adopt(replid, offset)
+        state.full_syncs_done += 1
+        state.link_status = "up"
+        persist = store.persistence
+        if persist is not None:
+            # seal the synced state as a local base-<g>.snap so a
+            # replica restart recovers it without the master
+            persist.checkpoint(background=False)
+
+    def _stream(self, chunk: bytes) -> None:
+        """Apply what is whole of the carried tail plus ``chunk``, ack
+        it, and keep the torn frame the read ended in."""
+        store = self._store
+        data = self._data + chunk if self._data else chunk
+        valid = apply_stream(store, self._state, data, int(time.time() * 1000))
+        if valid:
             persist = store.persistence
             if persist is not None:
-                # seal the synced state as a local base-<g>.snap so a
-                # replica restart recovers it without the master
-                persist.checkpoint(background=False)
+                persist.flush()
+            data = data[valid:]
+            self._send_ack()
+        self._due = time.monotonic() + _IDLE_ACK
+        if len(data) >= HEADER_SIZE:
+            length, __ = FRAME_HEADER.unpack_from(data, 0)
+            if length > MAX_RECORD_SIZE or len(data) >= HEADER_SIZE + length:
+                # the full frame is here yet failed to read: that is
+                # corruption on the wire, not a short read — resync
+                raise ConnectionError("corrupt replication stream")
+        self._data = data
 
-    def _stream(self, sock: socket.socket, initial: bytes) -> None:
-        store = self._store
-        #: received and not yet applied: the torn frame a read ended in
-        #: (or the handshake's leftover). Immutable ``bytes`` throughout,
-        #: because the reader slices hash-field keys out of it; a chunk
-        #: that arrives with nothing carried over is applied as it is
-        data = initial
-        sock.settimeout(0.2)
-        pending_first = bool(data)
-        while not self._stop_event.is_set():
-            if not pending_first:
-                try:
-                    chunk = sock.recv(_RECV_SIZE)
-                except socket.timeout:
-                    self._send_ack(sock)  # idle heartbeat: lag signal
-                    continue
-                if not chunk:
-                    raise ConnectionError("master closed the stream")
-                data = data + chunk if data else chunk
-            pending_first = False
-            with self._lock:
-                if self._stop_event.is_set():
-                    raise ConnectionError("link stopped")
-                valid = apply_stream(
-                    store, self._state, data, int(time.time() * 1000)
-                )
-            if valid:
-                persist = store.persistence
-                if persist is not None:
-                    persist.flush()
-                data = data[valid:]
-                self._send_ack(sock)
-            if len(data) >= HEADER_SIZE:
-                length, __ = FRAME_HEADER.unpack_from(data, 0)
-                if (
-                    length > MAX_RECORD_SIZE
-                    or len(data) >= HEADER_SIZE + length
-                ):
-                    # the full frame is here yet failed to read: that is
-                    # corruption on the wire, not a short read — resync
-                    raise ConnectionError("corrupt replication stream")
-
-    def _send_ack(self, sock: socket.socket) -> None:
-        sock.sendall(
+    def _send_ack(self) -> None:
+        # a master that left this many ACKs unread is gone: a full
+        # buffer fails the send and the link redials
+        self.sock.sendall(
             encode_command(
                 b"REPLCONF", b"ACK",
                 str(self._state.master_repl_offset),

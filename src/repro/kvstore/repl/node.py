@@ -5,27 +5,28 @@
 round's broadcast step, cuts new feeds in (backlog tail or fresh
 snapshot), ships each round's stream bytes to every feed, absorbs the
 feeds' ``REPLCONF ACK`` offsets, and flips the node between master and
-replica (starting and stopping its ``ReplicaLink``). Roles, offsets and
+replica (opening and closing its ``ReplicaLink``). Roles, offsets and
 the backlog ring stay in the ``ReplicationState`` on ``store.repl``;
 this module owns only what needs sockets.
 
-The transport (``kvstore/tcp.py``) hands over control in five places
-and nowhere else: a command whose table row says ``transport``
+The transport (``kvstore/tcp.py``) hands over control in five places and
+nowhere else: a command whose table row says ``transport``
 (:meth:`~ReplNode.command`, the session's ``repl_hook``), bytes received
 on a feed socket (:meth:`~ReplNode.absorb`), a closed feed connection
-(:meth:`~ReplNode.feed_closed`), the step between a round's group
-commit and its reply drain (:meth:`~ReplNode.broadcast`, behind the
-loop's inline test of ``psync_requests`` and ``state.pending``), and
-``stop()`` (``link``). In return it lends its execution lock, its map
-of live connections by fd, and its ``flush``, ``close`` and ``recv`` of
-one — its per-socket record, of which ``sock``, ``fd``, ``parser``,
-``out``, ``pending``, ``queued`` and ``feed`` are touched here.
+(:meth:`~ReplNode.feed_closed`), the step between a round's group commit
+and its reply drain (:meth:`~ReplNode.broadcast`, behind the loop's
+inline test of ``psync_requests`` and ``state.pending``), and ``link`` —
+whose ``tick`` the loop runs once a round, whose socket's events it
+passes on and which its shutdown closes. In return it lends its poll
+object, its map of live connections by fd, and its ``flush``, ``close``
+and ``recv`` of one — its per-socket record, of which ``sock``, ``fd``,
+``parser``, ``out``, ``pending``, ``queued`` and ``feed`` are touched
+here. Everything runs on the transport's one loop thread.
 """
 
 from __future__ import annotations
 
 import select
-import threading
 import time
 from typing import Any, Callable
 
@@ -49,18 +50,12 @@ _BAD_PORT = "Invalid master port"
 
 
 class ReplNode:
-    """Feeds, deferred syncs and the replica link of one server.
-
-    Everything but :meth:`broadcast` runs with the transport's
-    execution lock already held (inside a session's pump, or under the
-    transport's locked ``replicaof`` / ``promote`` /
-    ``enable_replication``) or touches only loop-thread state.
-    """
+    """Feeds, deferred syncs and the replica link of one server."""
 
     def __init__(
         self,
         store: DataStore,
-        lock: threading.Lock,
+        poller: Any,
         live: dict,
         *,
         flush: Callable[[Any], bool],
@@ -68,7 +63,7 @@ class ReplNode:
         recv: Callable[[Any], bool],
     ) -> None:
         self._store = store
-        self._lock = lock
+        self._poller = poller  # the link's socket is registered there
         self._live = live  # fd -> conn; ``get(conn.fd) is conn`` is liveness
         self._flush = flush
         self._close = close
@@ -79,7 +74,7 @@ class ReplNode:
         self.psync_requests: list[tuple[Any, str, int]] = []
         self.link: ReplicaLink | None = None
 
-    # -- roles (caller holds the lock, or runs before the loop starts) ---
+    # -- roles (on the loop thread, or before the loop starts) ----------
 
     def ensure(self) -> ReplicationState:
         """The store's replication state, created on first use."""
@@ -95,23 +90,20 @@ class ReplNode:
             raise ValueError(_BAD_PORT)
         state = self.ensure()
         if self.link is not None:
-            # never join under the lock — the link thread may be
-            # blocked on this very lock; it observes the stop event
-            # after every acquisition and unwinds
-            self.link.request_stop()
+            self.link.close()
         # a replica serves no feeds: drop them so their clients resync
         # against whoever is master now
         for conn in list(self.feed_conns):
             self._close(conn)
         state.become_replica(host, port)
-        self.link = ReplicaLink(self._store, state, self._lock)
-        self.link.start()
+        # dialed by the loop's next tick
+        self.link = ReplicaLink(self._store, state, self._poller)
 
     def promote(self) -> None:
         """Become a master (``REPLICAOF NO ONE``)."""
         link, self.link = self.link, None
         if link is not None:
-            link.request_stop()
+            link.close()
         self.ensure().become_master()
 
     # -- commands the table routes to the transport ----------------------
@@ -158,11 +150,11 @@ class ReplNode:
     def _wait(self, argv: list) -> "int | RespError":
         """WAIT numreplicas timeout — block until enough acks arrive.
 
-        Runs under the (non-reentrant) execution lock, so it must not
-        re-enter any locking path: it pushes pending stream bytes to
-        the feeds and pumps their ack sockets *directly* with poll,
-        bounded by the timeout. The loop thread stalls for the
-        duration — the documented cost of read-your-writes here."""
+        Runs inside a session's pump, so it cannot wait for a later
+        round: it pushes pending stream bytes to the feeds and pumps
+        their ack sockets *directly* with poll, bounded by the timeout.
+        The loop thread stalls for the duration — the documented cost
+        of read-your-writes here."""
         try:
             numreplicas = int(argv[1])
             timeout_ms = int(argv[2])
@@ -203,28 +195,27 @@ class ReplNode:
         then new feeds are cut in at the post-drain offset — via the
         backlog tail (partial) or a fresh snapshot (full), either of
         which already covers those bytes."""
-        with self._lock:
-            state = self._store.repl  # not None: the loop's gate saw it
-            owed = []
-            data = state.drain() if state.role == "master" else b""
-            if data:
-                for conn in self.feed_conns:
-                    if self._live.get(conn.fd) is conn:
-                        conn.out += data
-                        owed.append(conn)
-            requests, self.psync_requests = self.psync_requests, []
-            for conn, replid, offset in requests:
-                if self._live.get(conn.fd) is not conn:
-                    continue
-                if state.role == "master":
-                    self._serve_psync(state, conn, replid, offset)
-                else:  # role flipped between request and broadcast
-                    encode_reply_into(conn.out, _NOT_MASTER)
-                owed.append(conn)
-            for conn in owed:
-                if not conn.queued:
-                    conn.queued = True
-                    flush_queue.append(conn)
+        state = self._store.repl  # not None: the loop's gate saw it
+        owed = []
+        data = state.drain() if state.role == "master" else b""
+        if data:
+            for conn in self.feed_conns:
+                if self._live.get(conn.fd) is conn:
+                    conn.out += data
+                    owed.append(conn)
+        requests, self.psync_requests = self.psync_requests, []
+        for conn, replid, offset in requests:
+            if self._live.get(conn.fd) is not conn:
+                continue
+            if state.role == "master":
+                self._serve_psync(state, conn, replid, offset)
+            else:  # role flipped between request and broadcast
+                encode_reply_into(conn.out, _NOT_MASTER)
+            owed.append(conn)
+        for conn in owed:
+            if not conn.queued:
+                conn.queued = True
+                flush_queue.append(conn)
 
     def _serve_psync(
         self, state: ReplicationState, conn: Any, replid: str, offset: int
@@ -262,14 +253,13 @@ class ReplNode:
 
     def absorb(self, conn: Any) -> bool:
         """Take the REPLCONF ACKs the transport just received on a feed
-        socket; False when the connection was closed. Lock-free: a feed
-        socket carries nothing else and never dispatches a command."""
+        socket; False when the connection was closed. A feed socket
+        carries nothing else and never dispatches a command."""
         try:
             frames = conn.parser.parse_all()
         except ProtocolError:
             self._close(conn)  # a feed that talks garbage must resync
             return False
-        feed = conn.feed  # a replicaof() on another thread may clear it
         for argv in frames:
             if (
                 type(argv) is list
@@ -281,17 +271,11 @@ class ReplNode:
                     ack = int(argv[2])
                 except ValueError:
                     continue
-                if feed is not None:
-                    self._store.repl.note_ack(feed, ack)
+                self._store.repl.note_ack(conn.feed, ack)
         return True
 
     def feed_closed(self, conn: Any) -> None:
-        """A feed's connection closed: the loop or a ``replicaof()``
-        caller says so, possibly both at once."""
-        feed, conn.feed = conn.feed, None
-        if feed is not None:
-            self._store.repl.drop_feed(feed)
-            try:
-                self.feed_conns.remove(conn)
-            except ValueError:
-                pass
+        """A feed's connection closed (the transport's ``_close``)."""
+        self._store.repl.drop_feed(conn.feed)
+        conn.feed = None
+        self.feed_conns.remove(conn)

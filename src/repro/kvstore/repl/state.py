@@ -11,25 +11,31 @@ load and a ``None`` check per mutation — the same discipline as
   commit) into the connected feeds *and* the in-memory backlog ring,
   from which a bounced replica can partial-resync instead of paying a
   full snapshot transfer.
-* **replica** — :class:`~repro.kvstore.repl.link.ReplicaLink` advances
-  the same offset as it applies the stream, and appends the applied
-  bytes to its *own* backlog ring, so a promoted replica can serve
+* **replica** — :class:`~repro.kvstore.repl.link.ReplicaLink` appends
+  the stream bytes it applies to its *own* backlog ring, which advances
+  the same offset, so a promoted replica can serve
   partial resyncs to its ex-siblings from the same stream coordinates
   (psync2-lite: promotion keeps the replication id).
 
 Offsets count stream bytes: ``master_repl_offset`` is the total ever
-produced (master) or applied (replica); the backlog covers the byte
-range ``[backlog_off, backlog_off + backlog_size)``. A partial resync
-request for ``offset`` is satisfiable iff the replication ids match
-and that offset falls inside (or exactly at the end of) the window.
+produced (master) or applied (replica) — derived, as the end of the
+backlog window plus what ``pending`` holds, so it cannot disagree with
+the bytes. The backlog covers the byte range ``[backlog_off,
+backlog_off + backlog_size)``. A partial resync request for ``offset``
+is satisfiable iff the replication ids match and that offset falls
+inside (or exactly at the end of) the window.
 
-Everything here is mutated under the owning server's execution lock
-(or on its loop thread), so the state needs no lock of its own.
+Everything here runs on the owning server's loop thread, but for one
+writer: a master's reclamation served on ``SmaAgent``'s reader thread
+(a daemon's DEMAND) logs its tombstones through :meth:`log_tombstone`.
+``_pending_lock`` makes each append to ``pending`` and each
+:meth:`drain` whole against it.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -82,10 +88,9 @@ class ReplicationState:
         self.replid = _new_replid()
         self.backlog_capacity = backlog_capacity
         self._clock = clock
-        #: total stream bytes produced (master) / applied (replica)
-        self.master_repl_offset = 0
         #: records encoded since the last :meth:`drain`
         self.pending = bytearray()
+        self._pending_lock = threading.Lock()  # see the module docstring
         #: the ring: the backlog window is ``_ring[_ring_start:]``, the
         #: stream bytes ``[backlog_off, backlog_off + backlog_size)``
         self._ring = bytearray()
@@ -137,7 +142,6 @@ class ReplicationState:
         """Full sync landed: take the master's id and offset; the old
         backlog is in dead coordinates and is discarded."""
         self.replid = replid
-        self.master_repl_offset = offset
         self.pending.clear()
         self._ring.clear()
         self._ring_start = 0
@@ -158,25 +162,23 @@ class ReplicationState:
         if self.role != "master" or not self.stream_started:
             return
         out = self.pending
-        before = len(out)
-        if ex_relative is not None:
-            encode_write(
-                out, key, value, EXP_ABSOLUTE, self._deadline_ms(ex_relative)
-            )
-        elif keep_ttl:
-            encode_write(out, key, value, EXP_KEEP)
-        else:
-            encode_write(out, key, value, EXP_NONE)
-        self.master_repl_offset += len(out) - before
+        with self._pending_lock:
+            if ex_relative is not None:
+                encode_write(
+                    out, key, value, EXP_ABSOLUTE,
+                    self._deadline_ms(ex_relative),
+                )
+            elif keep_ttl:
+                encode_write(out, key, value, EXP_KEEP)
+            else:
+                encode_write(out, key, value, EXP_NONE)
 
     def _append(self, encoder, *args) -> None:
         """Encode one record into ``pending``, if this node streams."""
         if self.role != "master" or not self.stream_started:
             return
-        out = self.pending
-        before = len(out)
-        encoder(out, *args)
-        self.master_repl_offset += len(out) - before
+        with self._pending_lock:
+            encoder(self.pending, *args)
 
     def log_delete(self, key: bytes) -> None:
         self._append(encode_delete, key)
@@ -204,6 +206,11 @@ class ReplicationState:
     def backlog_size(self) -> int:
         return len(self._ring) - self._ring_start
 
+    @property
+    def master_repl_offset(self) -> int:
+        """Total stream bytes produced (master) / applied (replica)."""
+        return self.backlog_off + self.backlog_size + len(self.pending)
+
     def _append_backlog(self, data: bytes | memoryview) -> None:
         """Append, keeping the window at the last ``capacity`` bytes.
 
@@ -226,14 +233,14 @@ class ReplicationState:
         """Move ``pending`` into the backlog; return it for the feeds."""
         if not self.pending:
             return b""
-        data = bytes(self.pending)
-        self.pending.clear()
-        self._append_backlog(data)
+        with self._pending_lock:
+            data = bytes(self.pending)
+            self.pending.clear()
+            self._append_backlog(data)
         return data
 
     def note_applied(self, raw: bytes | memoryview, records: int) -> None:
         """Replica side: ``raw`` stream bytes were applied verbatim."""
-        self.master_repl_offset += len(raw)
         self._append_backlog(raw)
         self.applied_records += records
 

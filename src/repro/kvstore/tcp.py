@@ -10,8 +10,9 @@ matching blocking client is :class:`repro.kvstore.client.TcpKvClient`.
 single-threaded event loop on ``epoll`` itself (``poll`` elsewhere),
 non-blocking accept/read/write. Each readable event does ``recv_into`` the
 session parser's buffer (bytes are copied once, kernel to parser), executes
-*every* complete pipelined command under one lock acquisition, and
-encodes all replies straight into the connection's output buffer.
+*every* complete pipelined command, and encodes all replies straight
+into the connection's output buffer. A replica's link to its master is
+one more socket on the same loop (``repl/link.py``).
 Replies leave at the end of the poll round — after the round's
 single AOF group commit — in one non-blocking send per connection;
 leftovers are written when the socket reports writable (write interest
@@ -78,15 +79,12 @@ class _Connection:
 class TcpKvServer:
     """Single-threaded ``epoll`` event loop over one :class:`DataStore`.
 
-    All parsing, execution, and encoding happens on the loop thread.
-    ``_lock`` is taken once per readable batch and once per broadcast
-    because other threads mutate the same store: a replica's link
-    thread (``repl/link.py``) holds it around every applied stream
-    chunk and snapshot load, and callers of :meth:`replicaof`,
-    :meth:`promote` and :meth:`enable_replication` (the ``kv_server``
-    main thread, tests) take it from outside the loop. Nothing else in
-    ``src/`` does; in-process antagonists in tests and benches borrow
-    it to land a reclamation wave between batches.
+    All parsing, execution and encoding happens on the loop thread, and
+    so does a replica's stream apply; the one other thread that reaches
+    the store is ``SmaAgent``'s, serving a daemon's DEMAND (DESIGN.md
+    §7). :meth:`replicaof` and :meth:`enable_replication` configure a
+    server before :meth:`start`; a running one changes role through
+    the ``REPLICAOF`` command.
 
     >>> # server = TcpKvServer(store).start()
     >>> # ... connect with TcpKvClient(server.address) ...
@@ -100,7 +98,6 @@ class TcpKvServer:
         port: int = 0,
     ) -> None:
         self.store = store
-        self._lock = threading.Lock()  # see the class docstring
         self._listener = socket.create_server(
             (host, port), backlog=_LISTEN_BACKLOG, reuse_port=False
         )
@@ -110,21 +107,21 @@ class TcpKvServer:
         self.commands_processed = 0
         #: fd -> live connection; ``get(conn.fd) is conn`` is liveness
         self._conns: dict[int, _Connection] = {}
-        #: the replication protocol (its docstring lists the hand-overs)
-        self._repl = ReplNode(
-            store,
-            self._lock,
-            self._conns,
-            flush=self._flush,
-            close=self._close,
-            recv=self._on_readable,
-        )
         self._listener.setblocking(False)
         #: the poll object and its timeout units per second — the one
         #: difference between the two shapes of ``poll() -> [(fd, mask)]``
         self._poller, self._per_second = (
             (select.epoll(), 1) if hasattr(select, "epoll")
             else (select.poll(), 1000)
+        )
+        #: the replication protocol (its docstring lists the hand-overs)
+        self._repl = ReplNode(
+            store,
+            self._poller,
+            self._conns,
+            flush=self._flush,
+            close=self._close,
+            recv=self._on_readable,
         )
         self._poller.register(self._listener.fileno(), _READ)
         # waker: stop() signals the (possibly idle, fully blocked) loop
@@ -152,17 +149,12 @@ class TcpKvServer:
         if self._stop.is_set():
             return
         self._stop.set()
-        link = self._repl.link
-        if link is not None:
-            link.request_stop()
         try:
             self._waker_w.send(b"\0")
         except OSError:
             pass
         if self._thread is not None:
             self._thread.join(timeout=_SHUTDOWN_FLUSH_TIMEOUT + 5)
-        if link is not None:
-            link.stop()
 
     def __enter__(self) -> "TcpKvServer":
         return self.start()
@@ -175,24 +167,19 @@ class TcpKvServer:
         """Connections open now, feeds included (Redis's INFO name)."""
         return len(self._conns)
 
-    # -- replication: the locked entry points for other threads ---------
+    # -- replication: configuration before start() ---------------------
 
     def enable_replication(self) -> ReplicationState:
         """Engage the replication plane eagerly (INFO shows it even
-        before the first PSYNC). Safe to call repeatedly."""
-        with self._lock:
-            return self._repl.ensure()
+        before the first PSYNC). Safe to call repeatedly; before
+        :meth:`start`."""
+        return self._repl.ensure()
 
     def replicaof(self, host: str, port: int) -> None:
-        """Point this server at a master (``REPLICAOF host port``);
-        ``ValueError`` when ``port`` is not one."""
-        with self._lock:
-            self._repl.replicaof(host, port)
-
-    def promote(self) -> None:
-        """Make this server a master (``REPLICAOF NO ONE``)."""
-        with self._lock:
-            self._repl.promote()
+        """Boot as a replica of ``host:port``, dialed once the loop
+        runs; ``ValueError`` when ``port`` is not one. Before
+        :meth:`start`: a running server takes ``REPLICAOF``."""
+        self._repl.replicaof(host, port)
 
     # -- the loop ------------------------------------------------------
 
@@ -210,14 +197,24 @@ class TcpKvServer:
                 if persist is not None and persist.aof_enabled:
                     if persist.config.appendfsync == "everysec":
                         timeout = FSYNC_INTERVAL * per_second
+                link = repl.link
+                if link is not None:
+                    # the link's timers: redial, give up, idle ACK
+                    due = link.tick() * per_second
+                    if timeout is None or due < timeout:
+                        timeout = due
                 flush_queue: list[_Connection] = []
                 accepting = False
                 for fd, mask in poll(timeout):
                     conn = conns.get(fd)
                     if conn is None:
                         # listener, waker (the ``while`` sees ``_stop``),
-                        # or closed by an earlier event of this round
-                        accepting |= fd == listener
+                        # the link to a master, or closed by an earlier
+                        # event of this round
+                        if fd == listener:
+                            accepting = True
+                        elif repl.link is not None and fd == repl.link.fd:
+                            repl.link.on_event(mask)
                         continue
                     # backlog from earlier rounds (earlier commits cover
                     # it) drains first, before this round generates more
@@ -290,8 +287,7 @@ class TcpKvServer:
         if conn.feed is not None:
             # a replica feed socket carries nothing but REPLCONF ACKs
             return self._repl.absorb(conn)
-        with self._lock:  # one acquisition for the whole pipelined batch
-            executed = conn.session.pump(conn.out)
+        executed = conn.session.pump(conn.out)
         if executed:
             self.commands_processed += executed
             self.batches_executed += 1
@@ -356,7 +352,7 @@ class TcpKvServer:
 
     def _close(self, conn: _Connection) -> None:
         if self._conns.get(conn.fd) is conn:
-            self._conns.pop(conn.fd, None)  # replicaof() may race the loop
+            del self._conns[conn.fd]
             try:  # before close(): poll keeps a closed fd, epoll drops it
                 self._poller.unregister(conn.fd)
             except (KeyError, ValueError, OSError):
@@ -388,6 +384,8 @@ class TcpKvServer:
                     del pending[fd]
         for conn in conns:
             self._close(conn)
+        if self._repl.link is not None:
+            self._repl.link.close()
         if persist is not None:
             persist.flush(force_fsync=True)
         if hasattr(self._poller, "close"):  # epoll is a descriptor itself

@@ -129,8 +129,8 @@ def build_server(
         master_host, _, master_port = replicaof.rpartition(":")
         if not master_host or not master_port.isdigit():
             raise ValueError("--replicaof wants HOST:PORT")
-        # engaged before start(): no connections exist yet, the link
-        # dials as soon as the thread spins up
+        # engaged before start(): no connections exist yet, the loop's
+        # first round dials
         server.replicaof(master_host, int(master_port))
     return store, persistence, server
 

@@ -501,6 +501,22 @@ class Fleet:
         assert info.get("sync_partial_ok", 0) >= len(self.nodes) - 1
         assert info.get("sync_full", 0) == full, "a sibling re-transferred the keyspace"
 
+    def bounce(self) -> None:
+        """Every replica is sent ``REPLICAOF`` its own master: each link
+        closes, redials and resumes from the master's backlog."""
+        if len(self.nodes) < 2 or self.supervisor:
+            return
+        before = self.master.info()
+        host, port = self.master.address
+        for replica in self.nodes[1:]:
+            assert replica.call(b"REPLICAOF", host, str(port)) == "OK"
+        self.wait_links()
+        info = self.master.info()
+        assert info["sync_partial_ok"] == (
+            before["sync_partial_ok"] + len(self.nodes) - 1
+        ), "a bounced replica did not resume from the backlog"
+        assert info["sync_full"] == before["sync_full"]
+
     def newborn(self, **server) -> None:
         """A fresh replica has no stream position: full sync only."""
         full = self.master.info().get("sync_full", 0)

@@ -92,8 +92,8 @@ class TestDeepPipelines:
             assert replies == [str(i).encode() for i in range(depth)]
 
     def test_batch_executes_under_one_lock(self, server):
-        """A pipelined burst lands as a handful of batches, not one
-        lock round-trip per command."""
+        """A pipelined burst lands as a handful of batches (one pump
+        each), not one per command."""
         depth = 200
         with TcpKvClient(server.address) as client:
             client.execute_pipeline(

@@ -23,8 +23,8 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import select
 import socket
-import threading
 from collections import Counter, deque
 
 import pytest
@@ -50,7 +50,12 @@ from repro.kvstore.persist.codec import (
 )
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.persist.snapshot import load_snapshot_bytes
-from repro.kvstore.repl import ReplicaLink, ReplicationState, apply_stream
+from repro.kvstore.repl import (
+    ReplicaLink,
+    ReplicationState,
+    SyncHandshake,
+    apply_stream,
+)
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig, deflate_value
 from repro.kvstore.values import CompressedValue, type_name
@@ -403,11 +408,13 @@ def test_undecodable_payload_ends_the_prefix_for_all_three_callers(tmp_path):
     store = DataStore(SoftMemoryAllocator(name="link"))
     state = ReplicationState()
     state.become_replica("127.0.0.1", 1)
-    link = ReplicaLink(store, state, threading.Lock())
+    link = ReplicaLink(store, state, select.poll())
     ours, theirs = socket.socketpair()
+    link.sock = ours
     try:
+        theirs.sendall(data)
         with pytest.raises(ConnectionError, match="corrupt replication stream"):
-            link._stream(ours, data)
+            link._receive()
         assert state.master_repl_offset == head
         assert store.get(b"before") == b"v"
         assert theirs.recv(256).endswith(b"\r\n%d\r\n" % head)  # the ACK
@@ -416,15 +423,15 @@ def test_undecodable_payload_ends_the_prefix_for_all_three_callers(tmp_path):
         theirs.close()
 
 
+CONTINUE = b"+CONTINUE\r\n"
+
+
 class ScriptedSocket:
     """``recv`` hands out the scripted reads, then says the master left."""
 
     def __init__(self, reads) -> None:
         self.reads = [read for read in reads if read]
         self.acks: list[int] = []
-
-    def settimeout(self, timeout) -> None:
-        pass
 
     def recv(self, size: int) -> bytes:
         return self.reads.pop(0) if self.reads else b""
@@ -444,11 +451,14 @@ def test_the_link_carries_a_torn_frame_over_at_every_split(leftover):
         store = DataStore(SoftMemoryAllocator(name="carry"))
         state = ReplicationState()
         state.become_replica("127.0.0.1", 1)
-        link = ReplicaLink(store, state, threading.Lock())
+        link = ReplicaLink(store, state, select.poll())
         head, tail = body[:cut], body[cut:]
-        sock = ScriptedSocket([tail] if leftover else [head, tail])
+        reads = [CONTINUE + head, tail] if leftover else [CONTINUE, head, tail]
+        link.sock = sock = ScriptedSocket(reads)
+        link._handshake = SyncHandshake()  # where the PSYNC left it
         with pytest.raises(ConnectionError, match="master closed"):
-            link._stream(sock, head if leftover else b"")
+            while True:  # one readable event each
+                link._receive()
         assert state.master_repl_offset == whole == len(body), cut
         assert store.get(b"plain") == b"value"
         # one ack per applied read, each at a frame boundary

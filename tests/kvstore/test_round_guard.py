@@ -11,7 +11,12 @@ and counting accepted sockets (``transport_standins.py``):
 * a 16-deep pipelined batch is the same three calls — the calls are
   per round, not per command;
 * a partial write costs exactly one ``modify`` to watch the socket
-  writable and one to stop, and one more round.
+  writable and one to stop, and one more round;
+* a replica's link to its master is one more socket on its own loop:
+  attaching one starts no thread, and a stream chunk is one ``poll``,
+  one ``recv`` and one ``sendall`` (the ACK). The replica's loop runs
+  on the test's thread there, its rounds written by hand, so its idle
+  ACK cannot land inside the counted round.
 
 The poll stand-in is installed as ``select.epoll`` (``select.poll``
 where there is none), so the file also runs against a tree whose loop
@@ -22,16 +27,24 @@ from __future__ import annotations
 
 import select
 import socket
+import threading
+import time
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
-from repro.kvstore import TcpKvServer, resp
+from repro.kvstore import TcpKvClient, TcpKvServer, resp
 from repro.kvstore.resp import RespParser, encode_command
 from repro.kvstore.store import DataStore
-from tests.kvstore.transport_standins import CountingListener, CountingPoll
+from tests.kvstore.transport_standins import (
+    CountingListener,
+    CountingPoll,
+    CountingSocket,
+    drive,
+    readable,
+)
 
 GET = encode_command("GET", "k")
 REPLY = b"$1\r\nv\r\n"
@@ -121,8 +134,84 @@ def test_a_partial_write_is_one_modify_on_and_one_off(served):
     (sock,), (poll,) = served.sockets, served.polls
     sock.script = [3, BlockingIOError]  # the kernel takes 3 bytes, then none
     one_round(served, 1)
+    # the tail reaches the client from inside the writable round, which
+    # turns write interest off only after its send: let that round end
+    for __ in range(1000):
+        if len(poll.masks) == 2:
+            break
+        time.sleep(0.001)
     assert poll.masks == [select.POLLIN | select.POLLOUT, select.POLLIN]
     # the round that parked the tail, and the writable round that sent it
     assert served.counts == Counter(poll=2, recv_into=1, send=3, modify=2)
     one_round(served, 1)  # and the connection is back to three calls
     assert served.counts == Counter(poll=3, recv_into=2, send=4, modify=2)
+
+
+# -- a replica ------------------------------------------------------------
+
+
+def bare_server(name: str) -> TcpKvServer:
+    return TcpKvServer(DataStore(LockedSoftMemoryAllocator(name=name)))
+
+
+def test_an_attached_replica_adds_no_thread():
+    master = bare_server("guard-master").start()
+    replica = bare_server("guard-replica").start()
+    try:
+        before = set(threading.enumerate())
+        with TcpKvClient(replica.address) as client:
+            assert str(client.execute("REPLICAOF", *master.address)) == "OK"
+            for __ in range(1500):  # the first sync: bounded, not timed
+                if b"master_link_status:up" in client.execute("INFO"):
+                    break
+                time.sleep(0.01)
+            assert b"master_link_status:up" in client.execute("INFO")
+            started = [t for t in threading.enumerate() if t not in before]
+            assert [t.name for t in started] == []
+    finally:
+        replica.stop()
+        master.stop()
+
+
+def test_an_applied_stream_chunk_is_one_poll_one_recv_one_sendall():
+    master = bare_server("chunk-master").start()
+    replica = bare_server("chunk-replica")
+    replica.replicaof(*master.address)
+    link = replica._repl.link
+    counts: Counter = Counter()
+    seen = {}
+
+    def dialed():  # the round's tick dialed before this poll
+        waiter = select.poll()
+        waiter.register(link.fd, select.POLLOUT)
+        assert waiter.poll(5000), "the dial never finished"
+        return [(link.fd, select.POLLOUT)]
+
+    def synced():  # the PSYNC reply, one read at a time
+        if replica.store.repl.link_status == "up":
+            return []
+        readable(link.fd)
+        return [(link.fd, select.POLLIN)]
+
+    def chunk():
+        assert replica.store.repl.link_status == "up"
+        link.sock = CountingSocket(link.sock, counts)
+        with TcpKvClient(master.address) as client:
+            assert str(client.execute("SET", "k", "v")) == "OK"
+        readable(link.fd)
+        counts["poll"] += 1  # this one
+        return [(link.fd, select.POLLIN)]
+
+    def after():
+        seen["counts"] = +counts
+        seen["applied"] = replica.store.get(b"k")
+        return []
+
+    try:
+        drive(replica, dialed, *[synced] * 4, chunk, after)
+    finally:
+        master.stop()
+    assert seen == {
+        "counts": Counter(poll=1, recv=1, sendall=1),
+        "applied": b"v",
+    }

@@ -2,7 +2,7 @@
 
 The loop keys connections by fd number and reads one event list per
 round, so what must hold is about *order inside a round*: a connection
-an earlier event (or another thread) closed is not touched again, an
+an earlier event closed is not touched again, an
 fd number freed in a round is not reused under a mask still in the
 list, and a hang-up that arrives without ``POLLIN`` still closes. Such
 rounds are written by hand (``ScriptedPoll``) and run on the test's own
@@ -120,39 +120,34 @@ def synced_feed(server, replica: socket.socket):
     return sync
 
 
-def test_a_feed_closed_by_replicaof_on_another_thread_is_skipped(
+def test_a_feed_closed_by_replicaof_earlier_in_the_round_is_skipped(
     server, connect
 ):
-    replica = connect()
+    replica, client = connect(), connect()
     silent = socket.create_server(("127.0.0.1", 0))  # never answers PSYNC
     before = Counter()
 
-    def ack_races_replicaof():
-        (feed,) = server._listener.accepted
-        fd = feed.fileno()
+    def replicaof_then_ack():
+        feed, other = server._listener.accepted
         assert len(server.store.repl.feeds) == 1
+        client.sendall(encode_command("REPLICAOF", *silent.getsockname()))
         replica.sendall(encode_command("REPLCONF", "ACK", "0"))
-        readable(fd)
-        # the kernel has answered; before the loop reads the answer:
-        other = threading.Thread(
-            target=server.replicaof, args=silent.getsockname()
-        )
-        other.start()
-        other.join(5)
-        assert not other.is_alive()
+        readable(other.fileno()), readable(feed.fileno())
         before.update(feed.counts)
-        return [(fd, IN)]
+        # the client's event is listed first: its REPLICAOF closes the feed
+        return [(other.fileno(), IN), (feed.fileno(), IN)]
 
     try:
         drive(
             server, accept(server), synced_feed(server, replica),
-            ack_races_replicaof,
+            replicaof_then_ack,
         )
     finally:
         silent.close()
-    (feed,) = server._listener.accepted
+    feed, other = server._listener.accepted
     assert feed.counts == before  # no recv on the closed socket
     assert server.store.repl.feeds == []
+    assert client.recv(64) == b"+OK\r\n"
 
 
 def test_a_reused_fd_number_is_not_handed_the_old_mask(server, connect):
@@ -253,7 +248,9 @@ def wait_until(cond, what: str, timeout: float = 10.0) -> None:
 def test_wait_blocks_for_the_ack_of_a_feed_above_fd_1023(high_fds):
     master, replica = started("high-master"), started("high-replica")
     try:
-        replica.replicaof(*master.address)
+        with socket.create_connection(replica.address, timeout=10) as client:
+            client.sendall(encode_command("REPLICAOF", *master.address))
+            assert [str(r) for r in read_replies(client, 1)] == ["OK"]
         wait_until(
             lambda: master.store.repl is not None and master.store.repl.feeds,
             "the replica never attached",

@@ -12,7 +12,8 @@ from collections import Counter
 
 
 class CountingSocket:
-    """An accepted socket that counts ``recv_into`` and ``send``.
+    """A socket that counts ``recv_into``, ``recv``, ``send`` and
+    ``sendall``: an accepted one, or a replica's link to its master.
 
     ``script`` holds the next ``send`` outcomes: an ``int`` is how many
     bytes the kernel takes, an exception class is raised instead; when
@@ -25,14 +26,24 @@ class CountingSocket:
         self._totals = counts  # every socket of the server
         self.script: list = []
 
+    def _count(self, call: str) -> None:
+        self.counts[call] += 1
+        self._totals[call] += 1
+
     def recv_into(self, buffer) -> int:
-        self.counts["recv_into"] += 1
-        self._totals["recv_into"] += 1
+        self._count("recv_into")
         return self._sock.recv_into(buffer)
 
+    def recv(self, size: int) -> bytes:
+        self._count("recv")
+        return self._sock.recv(size)
+
+    def sendall(self, data) -> None:
+        self._count("sendall")
+        self._sock.sendall(data)
+
     def send(self, data) -> int:
-        self.counts["send"] += 1
-        self._totals["send"] += 1
+        self._count("send")
         if self.script:
             step = self.script.pop(0)
             if not isinstance(step, int):

@@ -19,6 +19,7 @@ from tests.fleet import Fleet, rounds
 STEPS = [
     "fill", "churn", "burst", ("burst", 0, True), "purge", "antagonist",
     "degraded", "poison", "kill", "term", "failover", "newborn", "deregister",
+    "bounce",
 ]
 
 
@@ -31,14 +32,15 @@ def topology(where, kind="thread") -> Fleet:
 
 def test_a_reclaimed_key_never_resurrects_nor_turns_stale(tmp_path):
     """Half the keys a purge took are re-written in a batch that purges
-    again: after a crash, a failover and a cold restart, a key still
-    taken is absent and a re-written one holds its last value or none."""
+    again: after a crash, a replica bounce, a failover and a cold
+    restart, a key still taken is absent and a re-written one holds its
+    last value or none."""
     with topology(tmp_path) as fleet:
         fleet.run(("burst", 40), ("purge", 2, False))
         taken = set(fleet.gone)
         fleet.run(("burst", 0, True))
         assert taken & fleet.gone and taken - fleet.gone
-        fleet.run("kill", "failover", "term")
+        fleet.run("kill", "bounce", "failover", "term")
 
 
 @settings(

@@ -1,8 +1,9 @@
 """Live in-process master↔replica pairs over real sockets.
 
-These tests run full :class:`TcpKvServer` instances in one
-process (real TCP, real ReplicaLink threads) and exercise the
-replication contract end to end: full sync, incremental streaming,
+These tests run full :class:`TcpKvServer` instances in one process
+(real TCP; each replica's link is a socket on its own event loop),
+change roles the way a client does, with ``REPLICAOF``, and exercise
+the replication contract end to end: full sync, incremental streaming,
 tombstone propagation, WAIT, read-only enforcement, partial resync,
 and the promotion chain an ex-sibling rides after a master dies.
 """
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore.repl import link as link_module
 from repro.kvstore.repl.state import DEFAULT_BACKLOG_CAPACITY
 from repro.kvstore.resp import RespError, encode_command
 from repro.kvstore.store import DataStore
@@ -40,6 +42,13 @@ def info_dict(client: TcpKvClient) -> dict:
     return flat_info(client.execute("INFO"))
 
 
+def follow(server: TcpKvServer, master: "TcpKvServer | None") -> None:
+    """``REPLICAOF`` ``master``'s address, or ``NO ONE`` for ``None``."""
+    argv = ("NO", "ONE") if master is None else master.address
+    with TcpKvClient(server.address) as client:
+        assert str(client.execute("REPLICAOF", *argv)) == "OK"
+
+
 def wait_for_feeds(master: TcpKvServer, count: int = 1):
     """Block until ``count`` replicas finished PSYNC and are attached.
 
@@ -56,7 +65,7 @@ def wait_for_feeds(master: TcpKvServer, count: int = 1):
 def pair():
     master = make_server("repl-master")
     replica = make_server("repl-replica")
-    replica.replicaof(*master.address)
+    follow(replica, master)
     wait_for_feeds(master)
     yield master, replica
     replica.stop()
@@ -197,6 +206,26 @@ class TestTombstonePropagation:
         assert state.tombstones_applied > 0
 
 
+class TestLinkTimers:
+    def test_a_master_that_never_answers_is_redialed(self, monkeypatch):
+        """The dial lands in a listener's backlog and the PSYNC reply
+        never comes: the handshake limit closes the link, the backoff
+        redials, and the replica keeps serving meanwhile."""
+        monkeypatch.setattr(link_module, "_CONNECT_TIMEOUT", 0.1)
+        silent = socket.create_server(("127.0.0.1", 0))  # accepts nothing
+        replica = make_server("repl-silent-master")
+        try:
+            with TcpKvClient(replica.address) as rc:
+                host, port = silent.getsockname()
+                assert str(rc.execute("REPLICAOF", host, port)) == "OK"
+                wait_until(lambda: replica.store.repl.reconnects >= 2)
+                assert info_dict(rc)["full_syncs_done"] == 0
+                assert rc.execute("GET", "a") is None
+        finally:
+            replica.stop()
+            silent.close()
+
+
 class TestResyncPaths:
     def test_reconnect_partial_resyncs_from_backlog(self, pair):
         master, replica = pair
@@ -205,7 +234,7 @@ class TestResyncPaths:
             assert mc.execute("WAIT", 1, 5000) == 1
             # bounce the link: the new session offers (replid, offset)
             # and the master still holds that offset in its backlog
-            replica.replicaof(*master.address)
+            follow(replica, master)
             wait_until(lambda: replica.store.repl.partial_syncs_done >= 1)
             assert master.store.repl.sync_partial_ok >= 1
             assert master.store.repl.sync_full == 1
@@ -218,8 +247,8 @@ class TestResyncPaths:
         b = make_server("chain-b")
         c = make_server("chain-c")
         try:
-            b.replicaof(*master.address)
-            c.replicaof(*master.address)
+            follow(b, master)
+            follow(c, master)
             wait_for_feeds(master, 2)
             with TcpKvClient(master.address) as mc:
                 for i in range(50):
@@ -228,8 +257,8 @@ class TestResyncPaths:
             # the master dies; B is promoted and keeps the replid +
             # offset, so C partial-resyncs instead of a full transfer
             master.stop()
-            b.promote()
-            c.replicaof(*b.address)
+            follow(b, None)
+            follow(c, b)
             wait_until(lambda: c.store.repl.partial_syncs_done >= 1)
             assert b.store.repl.sync_partial_ok >= 1
             assert b.store.repl.sync_full == 0
@@ -248,18 +277,18 @@ class TestResyncPaths:
         master = make_server("stale-master")
         replica = make_server("stale-replica")
         try:
-            replica.replicaof(*master.address)
+            follow(replica, master)
             wait_for_feeds(master)
             with TcpKvClient(master.address) as mc:
                 mc.execute("SET", "a", "1")
                 assert mc.execute("WAIT", 1, 5000) == 1
                 # detach, then push the backlog origin far past the
                 # replica's offset: partial must be refused
-                replica.promote()
+                follow(replica, None)
                 fill = b"x" * (DEFAULT_BACKLOG_CAPACITY // 32)
                 for i in range(50):  # 1.5x the ring the master keeps
                     mc.execute("SET", f"fill{i}", fill)
-                replica.replicaof(*master.address)
+                follow(replica, master)
                 wait_until(lambda: replica.store.repl.full_syncs_done >= 2)
                 assert master.store.repl.sync_partial_err >= 1
                 with TcpKvClient(replica.address) as rc:

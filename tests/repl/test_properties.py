@@ -191,7 +191,6 @@ def test_backlog_window_is_the_last_capacity_bytes(capacity, origin, chunks):
     for as_master, chunk in chunks:
         if as_master:  # drain(): pending moves into the ring
             state.pending += chunk
-            state.master_repl_offset += len(chunk)
             assert state.drain() == chunk
         else:  # note_applied(): the replica's verbatim append
             state.note_applied(chunk, 0)

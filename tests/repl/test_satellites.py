@@ -49,7 +49,8 @@ class TestTypedReadonlyError:
         master = make_server("typed-master")
         replica = make_server("typed-replica")
         try:
-            replica.replicaof(*master.address)
+            with TcpKvClient(replica.address) as rc:
+                assert str(rc.execute("REPLICAOF", *master.address)) == "OK"
             # WAIT only counts replicas that finished their PSYNC, so
             # let the feed attach before racing a write against it
             deadline = time.monotonic() + 15

@@ -9,6 +9,9 @@ promotion keeps the stream coordinates while a full sync discards
 them.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.kvstore.persist.codec import (
@@ -19,6 +22,7 @@ from repro.kvstore.persist.codec import (
     encode_delete,
     encode_tombstone,
     encode_write,
+    read_records,
     scan_frames,
 )
 from repro.kvstore.repl import ReplicationState
@@ -75,6 +79,54 @@ class TestOffsets:
         state.log_write(b"k", b"v", None, True)
         payloads, __ = scan_frames(bytes(state.pending))
         assert decode_record(payloads[0])[3] == EXP_KEEP
+
+
+class TestTwoWriters:
+    def test_a_tombstone_logged_off_the_loop_never_tears_the_stream(self):
+        """A master serves a daemon's DEMAND on ``SmaAgent``'s reader
+        thread, so ``log_tombstone`` runs there while the loop runs
+        ``log_write`` and ``drain``: no record may be cut or lost, and
+        the offset counts exactly the bytes. Ten rounds, a drain after
+        every write: each round alone catches a lost record in about
+        two runs of three."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for __ in range(10):
+                self.two_writers(writes=4_000)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def two_writers(writes: int) -> None:
+        state = ReplicationState()
+        state.stream_started = True
+        drained: list[bytes] = []
+        start = threading.Barrier(2)
+
+        def loop():
+            start.wait()
+            for i in range(writes):
+                state.log_write(b"k%d" % i, b"v" * 32, None, False)
+                drained.append(state.drain())
+
+        def agent():
+            start.wait()
+            for i in range(writes):
+                state.log_tombstone(b"t%d" % i)
+
+        threads = [threading.Thread(target=f) for f in (loop, agent)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        drained.append(state.drain())
+        stream = b"".join(drained)
+        records, valid = read_records(stream)
+        assert valid == len(stream)
+        assert len(records) == 2 * writes
+        assert state.master_repl_offset == len(stream)
 
 
 class TestBacklogRing:
