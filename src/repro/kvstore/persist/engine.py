@@ -135,11 +135,9 @@ class Persistence:
         self._logging = False
         self._closed = False
         #: guards the writer (buffer + flush) — hooks append on the
-        #: event loop thread (a replica's stream too, through
-        #: :meth:`append_raw`), but a reclamation served on
-        #: ``SmaAgent``'s reader thread logs its tombstones here, and
-        #: BGSAVE/rewrite checkpoints and :meth:`close` swap the writer
-        #: from whichever thread calls them
+        #: event loop thread (a replica's stream and a daemon's DEMAND
+        #: too), but BGSAVE/rewrite checkpoints and :meth:`close` swap
+        #: the writer from whichever thread calls them
         self._io_lock = threading.Lock()
         #: guards checkpoint bookkeeping (one BGSAVE at a time)
         self._save_lock = threading.Lock()

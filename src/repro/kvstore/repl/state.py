@@ -25,17 +25,15 @@ backlog_off + backlog_size)``. A partial resync request for ``offset``
 is satisfiable iff the replication ids match and that offset falls
 inside (or exactly at the end of) the window.
 
-Everything here runs on the owning server's loop thread, but for one
-writer: a master's reclamation served on ``SmaAgent``'s reader thread
-(a daemon's DEMAND) logs its tombstones through :meth:`log_tombstone`.
-``_pending_lock`` makes each append to ``pending`` and each
-:meth:`drain` whole against it.
+Everything here runs on the owning server's loop thread, a master's
+reclamation included: a daemon's DEMAND is served between rounds
+(``rpc/agent.py``'s ``LoopAgent``), so its tombstones are logged on
+the thread that drains them.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -90,7 +88,6 @@ class ReplicationState:
         self._clock = clock
         #: records encoded since the last :meth:`drain`
         self.pending = bytearray()
-        self._pending_lock = threading.Lock()  # see the module docstring
         #: the ring: the backlog window is ``_ring[_ring_start:]``, the
         #: stream bytes ``[backlog_off, backlog_off + backlog_size)``
         self._ring = bytearray()
@@ -162,23 +159,21 @@ class ReplicationState:
         if self.role != "master" or not self.stream_started:
             return
         out = self.pending
-        with self._pending_lock:
-            if ex_relative is not None:
-                encode_write(
-                    out, key, value, EXP_ABSOLUTE,
-                    self._deadline_ms(ex_relative),
-                )
-            elif keep_ttl:
-                encode_write(out, key, value, EXP_KEEP)
-            else:
-                encode_write(out, key, value, EXP_NONE)
+        if ex_relative is not None:
+            encode_write(
+                out, key, value, EXP_ABSOLUTE,
+                self._deadline_ms(ex_relative),
+            )
+        elif keep_ttl:
+            encode_write(out, key, value, EXP_KEEP)
+        else:
+            encode_write(out, key, value, EXP_NONE)
 
     def _append(self, encoder, *args) -> None:
         """Encode one record into ``pending``, if this node streams."""
         if self.role != "master" or not self.stream_started:
             return
-        with self._pending_lock:
-            encoder(self.pending, *args)
+        encoder(self.pending, *args)
 
     def log_delete(self, key: bytes) -> None:
         self._append(encode_delete, key)
@@ -233,10 +228,9 @@ class ReplicationState:
         """Move ``pending`` into the backlog; return it for the feeds."""
         if not self.pending:
             return b""
-        with self._pending_lock:
-            data = bytes(self.pending)
-            self.pending.clear()
-            self._append_backlog(data)
+        data = bytes(self.pending)
+        self.pending.clear()
+        self._append_backlog(data)
         return data
 
     def note_applied(self, raw: bytes | memoryview, records: int) -> None:

@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kvstore.cluster.state import ClusterState
     from repro.kvstore.persist.engine import Persistence
     from repro.kvstore.repl.state import ReplicationState
+    from repro.rpc.agent import LoopAgent
 
 
 @lru_cache(maxsize=256)
@@ -161,6 +162,9 @@ class DataStore:
         #: dispatcher and the mutation taps read it per command, and
         #: one attribute load is the whole standalone-mode cost.
         self.repl: "ReplicationState | None" = None
+        #: the link to a soft memory daemon (``kv_server --smd-socket``),
+        #: a ``LoopAgent`` that the serving loop drives; None without one
+        self.smd_agent: "LoopAgent | None" = None
         #: observability plane shared by every server wrapping this store
         self.obs = KvObservability(name=name)
         bind_store(self.obs.registry, self)
@@ -849,8 +853,8 @@ class DataStore:
         never a reclaimed key, never a tombstone): the record's own key
         is marked in ``_restoring`` while it is applied, which silences
         the callbacks for that key alone. A tap for any other key — a
-        self-reclaim the write caused, an SMD demand on another thread —
-        is logged like at any other time. ``T`` and ``D`` always land.
+        self-reclaim the write caused — is logged like at any other
+        time. ``T`` and ``D`` always land.
         ``EXP_KEEP`` resolves against the key's current TTL, a ``W``
         without expiry clears it, and already-past deadlines are applied
         (a later ``P`` or rewrite may rescue the key; whoever replays a

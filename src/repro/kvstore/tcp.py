@@ -12,7 +12,8 @@ non-blocking accept/read/write. Each readable event does ``recv_into`` the
 session parser's buffer (bytes are copied once, kernel to parser), executes
 *every* complete pipelined command, and encodes all replies straight
 into the connection's output buffer. A replica's link to its master is
-one more socket on the same loop (``repl/link.py``).
+one more socket on the same loop (``repl/link.py``), and so is a kv
+process's link to its soft memory daemon (``rpc/agent.py``).
 Replies leave at the end of the poll round — after the round's
 single AOF group commit — in one non-blocking send per connection;
 leftovers are written when the socket reports writable (write interest
@@ -80,9 +81,10 @@ class TcpKvServer:
     """Single-threaded ``epoll`` event loop over one :class:`DataStore`.
 
     All parsing, execution and encoding happens on the loop thread, and
-    so does a replica's stream apply; the one other thread that reaches
-    the store is ``SmaAgent``'s, serving a daemon's DEMAND (DESIGN.md
-    §7). :meth:`replicaof` and :meth:`enable_replication` configure a
+    so do a replica's stream apply and a daemon's DEMAND, served through
+    the store's ``smd_agent`` (a :class:`~repro.rpc.agent.LoopAgent`)
+    between rounds: no other thread touches the store (DESIGN.md §7).
+    :meth:`replicaof` and :meth:`enable_replication` configure a
     server before :meth:`start`; a running one changes role through
     the ``REPLICAOF`` command.
 
@@ -128,6 +130,8 @@ class TcpKvServer:
         self._waker_r, self._waker_w = socket.socketpair()
         self._poller.register(self._waker_r.fileno(), _READ)
         self._thread: threading.Thread | None = None
+        #: the fd the daemon link is registered under; -1: none
+        self._agent_fd = -1
         self.clients_dropped = 0  # slow clients disconnected at the limit
         self.batches_executed = 0  # readable events that ran >= 1 command
         self.max_batch = 0  # largest command count in one batch
@@ -188,6 +192,7 @@ class TcpKvServer:
         poll, per_second = self._poller.poll, self._per_second
         listener, stopped = self._listener.fileno(), self._stop.is_set
         flush, recv = self._flush, self._on_readable
+        agent = store.smd_agent
         try:
             while not stopped():
                 # with an everysec AOF, cap the block so a quiet server
@@ -197,6 +202,11 @@ class TcpKvServer:
                 if persist is not None and persist.aof_enabled:
                     if persist.config.appendfsync == "everysec":
                         timeout = FSYNC_INTERVAL * per_second
+                if agent is not None:
+                    # before the link's tick, which may open a socket
+                    due = self._tend(agent) * per_second
+                    if timeout is None or due < timeout:
+                        timeout = due
                 link = repl.link
                 if link is not None:
                     # the link's timers: redial, give up, idle ACK
@@ -209,12 +219,14 @@ class TcpKvServer:
                     conn = conns.get(fd)
                     if conn is None:
                         # listener, waker (the ``while`` sees ``_stop``),
-                        # the link to a master, or closed by an earlier
-                        # event of this round
+                        # the link to a master or to the daemon, or
+                        # closed by an earlier event of this round
                         if fd == listener:
                             accepting = True
                         elif repl.link is not None and fd == repl.link.fd:
                             repl.link.on_event(mask)
+                        elif fd == self._agent_fd:
+                            agent.on_readable()
                         continue
                     # backlog from earlier rounds (earlier commits cover
                     # it) drains first, before this round generates more
@@ -266,7 +278,35 @@ class TcpKvServer:
             conn = _Connection(sock, self.store)
             conn.session.repl_hook = partial(self._repl.command, conn)
             self._conns[conn.fd] = conn
+            if conn.fd == self._agent_fd:
+                # the daemon link's number, closed this round and reused:
+                # the close dropped that registration, this one replaces it
+                self._agent_fd = -1
             self._poller.register(conn.fd, _READ)
+
+    def _tend(self, agent) -> float:
+        """The daemon link's timers, its socket kept registered; the
+        seconds until it is next due. The agent closes its socket
+        itself, so one closed since the last round is unregistered here
+        by number, before ``tick`` or the link's can open a socket that
+        reuses it (and ``_accept`` forgets a number it reuses)."""
+        fileno = agent.fileno
+        if fileno() != self._agent_fd:
+            self._watch(fileno())
+        due = agent.tick()
+        if fileno() != self._agent_fd:
+            self._watch(fileno())
+        return due
+
+    def _watch(self, fd: int) -> None:
+        if self._agent_fd >= 0:
+            try:  # a closed fd: poll keeps it, epoll already dropped it
+                self._poller.unregister(self._agent_fd)
+            except (KeyError, ValueError, OSError):
+                pass
+        if fd >= 0:
+            self._poller.register(fd, _READ)
+        self._agent_fd = fd
 
     def _on_readable(self, conn: _Connection) -> bool:
         """Recv straight into the parser buffer, execute the batch.

@@ -12,7 +12,9 @@ daemon, all as newline-delimited JSON frames.
   connections; reclamation demands travel *to* clients mid-request.
 * :class:`~repro.rpc.agent.SmaAgent` — runs inside a client process:
   implements the SMA's ``DaemonClient`` protocol over the socket and
-  services incoming demands on a background thread.
+  services incoming demands on a background thread; its
+  :class:`~repro.rpc.agent.LoopAgent` twin has no thread, and a kv
+  process's event loop drives it.
 
 The content of soft memory stays process-local (Python cannot map pages
 across processes); what crosses the wire is the *protocol* — budgets,

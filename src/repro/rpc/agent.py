@@ -1,37 +1,40 @@
 """Client-process side of the cross-process protocol.
 
-The :class:`SmaAgent` plugs into a
-:class:`~repro.core.locking.LockedSoftMemoryAllocator` as its daemon
-client: budget requests and releases become socket round-trips, and a
-background reader thread services the daemon's incoming DEMAND frames
-by running the SMA's reclamation and sending back the REPORT.
+The :class:`SmaAgent` plugs into an SMA as its daemon client: budget
+requests and releases become socket round-trips, and an incoming
+DEMAND runs the SMA's reclamation and sends back the REPORT.
 
-Fault tolerance (see ``docs/PROTOCOL.md``):
+One event-driven core speaks the protocol: :meth:`~SmaAgent.fileno`,
+:meth:`~SmaAgent.on_readable` (every whole frame one read delivers) and
+:meth:`~SmaAgent.tick` (heartbeat, silence, redial; it returns the
+seconds until it is next due). :class:`SmaAgent` drives it from one
+thread of its own; a kv process's event loop drives a
+:class:`LoopAgent`, so a DEMAND reaches the store on its one thread.
 
-* round-trips retry with exponential backoff under
-  :class:`~repro.rpc.config.RpcConfig`; the daemon deduplicates by
-  frame id, so a retry whose original was actually processed gets the
-  cached reply instead of a double grant;
-* a monitor thread sends PING frames and declares the daemon dead
-  after ``heartbeat_timeout`` of silence;
-* on connection loss the agent flips the SMA into *degraded mode* —
-  no new grants (asks fail fast with
-  :class:`~repro.core.errors.SoftMemoryDegraded`, a
-  ``SoftMemoryDenied`` subclass, never an unhandled transport error),
-  existing soft memory stays usable — and keeps redialing in the
-  background; on reconnect it re-registers and resyncs the budget
-  ledger with the daemon.
+Fault tolerance (see ``docs/PROTOCOL.md``): round-trips retry with
+exponential backoff under :class:`~repro.rpc.config.RpcConfig`, and
+the daemon deduplicates by frame id, so a retry whose original was
+processed gets the cached reply, never a double grant. PINGs go out
+every ``heartbeat_interval``; ``heartbeat_timeout`` of silence, like
+any transport failure, flips the SMA into *degraded mode* — asks fail
+fast with :class:`~repro.core.errors.SoftMemoryDegraded` (a
+``SoftMemoryDenied``), existing soft memory stays usable — and the
+core redials: it sends HELLO without waiting, and the WELCOME a later
+read picks up re-registers and resyncs the budget ledger.
 
-Locking note: the application thread blocks inside ``request`` while
-holding the SMA's lock, so an incoming demand for *this* process could
-not take it — the daemon therefore never demands from a client with an
-in-flight request (its advertised ``reclaimable`` is zero while busy).
+Locking note: the daemon stops demanding from a client once its
+REQUEST arrives (it advertises zero ``reclaimable`` while busy), but a
+DEMAND sent before that still lands mid-ask. :class:`SmaAgent` waits
+``demand_lock_timeout`` at most for the SMA's lock, which the asking
+thread holds, then reports zero pages; :class:`LoopAgent` reports zero
+pages at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import select
 import socket
 import threading
 import time
@@ -42,7 +45,8 @@ from repro.core.errors import (
     SoftMemoryDegraded,
     SoftMemoryDenied,
 )
-from repro.core.locking import LockedSoftMemoryAllocator
+from repro.core.reclaim import ReclamationStats
+from repro.core.sma import SoftMemoryAllocator
 from repro.rpc.config import DEFAULT_RPC_CONFIG, ReplyCache, RpcConfig
 from repro.rpc.framing import FrameClosed, FrameStream
 
@@ -50,6 +54,10 @@ _request_ids = itertools.count(1)
 
 #: sentinel reply installed for waiters when the connection dies
 _CONN_LOST_OP = "__connection_lost__"
+
+#: seconds :meth:`SmaAgent.tick` reports when no timer runs (heartbeats
+#: off, or degraded with nowhere to redial)
+_IDLE = 3600.0
 
 StreamWrapper = Callable[[FrameStream], FrameStream]
 
@@ -85,7 +93,7 @@ class AgentStats:
 
 
 class SmaAgent:
-    """Connects one process's SMA to a remote daemon.
+    """Connects one process's SMA to a remote daemon, on one thread.
 
     Usage (inside the worker process)::
 
@@ -99,7 +107,7 @@ class SmaAgent:
     def __init__(
         self,
         stream: FrameStream,
-        sma: LockedSoftMemoryAllocator,
+        sma: SoftMemoryAllocator,
         *,
         name: str,
         traditional_pages: int = 0,
@@ -122,35 +130,34 @@ class SmaAgent:
         self._closed = threading.Event()
         self._degraded = threading.Event()
         self._degraded_at = 0.0
+        self._handshaking = False  # a redial's HELLO awaits its WELCOME
+        self._attempt = 0  # redials since the connection was lost
+        self._due = 0.0  # monotonic time :meth:`tick` acts next
         self._last_recv = time.monotonic()
         self._demand_cache = ReplyCache(32)
         self.stats = AgentStats()
         self.demands_served = 0
 
-        # handshake (before the reader thread exists: plain recv)
-        welcome = self._handshake(stream, resync=False)
+        # the first handshake blocks, bounded by the connect timeout
+        stream.send(self._hello(resync=False))
+        welcome = stream.recv()
+        if welcome.get("op") != "welcome":
+            raise ConnectionError(f"bad handshake reply: {welcome!r}")
+        # liveness is the heartbeat's job from here on, so an
+        # idle-but-healthy connection must never time out a read
+        stream.settimeout(None)
         self.pid = int(welcome["pid"])
         sma.connect_daemon(self)  # must precede any budget changes
         startup = int(welcome.get("startup_budget", 0))
         if startup:
             sma.budget.grant(startup)
-
-        self._reader = threading.Thread(
-            target=self._reader_loop, args=(stream,),
-            name=f"sma-agent-{name}", daemon=True,
-        )
-        self._reader.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop,
-            name=f"sma-agent-{name}-monitor", daemon=True,
-        )
-        self._monitor.start()
+        self._monitor = self._start()
 
     @classmethod
     def connect(
         cls,
         socket_path: str,
-        sma: LockedSoftMemoryAllocator,
+        sma: SoftMemoryAllocator,
         *,
         traditional_pages: int = 0,
         timeout: float | None = None,
@@ -186,28 +193,47 @@ class SmaAgent:
             stream = stream_wrapper(stream)
         return stream
 
-    def _handshake(
-        self, stream: FrameStream, *, resync: bool
-    ) -> dict[str, Any]:
-        """HELLO/WELCOME exchange; bounded by the connect timeout."""
-        hello = {
-            "op": "hello", "name": self.name,
-            "traditional_pages": self.traditional_pages,
-            **self._state(),
+    def _hello(self, *, resync: bool) -> dict[str, Any]:
+        return {
+            "op": "hello", "name": self.name, "resync": resync,
+            "traditional_pages": self.traditional_pages, **self._state(),
         }
-        if resync:
-            hello["resync"] = True
-        stream.send(hello)
-        welcome = stream.recv()
-        if welcome.get("op") != "welcome":
-            raise ConnectionError(f"bad handshake reply: {welcome!r}")
-        # handshake done: liveness is the heartbeat's job from here on,
-        # so an idle-but-healthy connection must never time out a recv
-        stream.settimeout(None)
-        return welcome
+
+    # -- the driver (overridden by LoopAgent) -------------------------
+
+    def _start(self) -> threading.Thread | None:
+        thread = threading.Thread(
+            target=self._drive, name=f"sma-agent-{self.name}", daemon=True
+        )
+        thread.start()
+        return thread
+
+    def _drive(self) -> None:
+        """The one thread: the core's timers, and its reads."""
+        while not self._closed.is_set():
+            timeout = self.tick()
+            fd = self.fileno()
+            if fd < 0:  # degraded: nothing to read until a redial
+                self._closed.wait(timeout)
+                continue
+            waiter = select.poll()
+            waiter.register(fd, select.POLLIN)
+            if waiter.poll(timeout * 1000):  # close() wakes it: shutdown
+                self.on_readable()
+
+    def _reclaim(self, pages: int) -> ReclamationStats | None:
+        # Bounded lock wait: if an application thread holds the SMA
+        # lock while blocked on a daemon round-trip, stalling here
+        # would deadlock the episode against us — report zero instead.
+        return self._sma.try_reclaim(
+            pages, timeout=self._config.demand_lock_timeout
+        )
+
+    def _await(self, done: threading.Event) -> bool:
+        return done.wait(timeout=self._config.request_timeout)
 
     # ------------------------------------------------------------------
-    # DaemonClient protocol (called by the SMA, app thread)
+    # DaemonClient protocol (called by the SMA)
     # ------------------------------------------------------------------
 
     @property
@@ -257,6 +283,13 @@ class SmaAgent:
         with self._send_lock:
             self._stream.send(frame)
 
+    def _send_or_lose(self, frame: dict[str, Any]) -> None:
+        stream = self._stream
+        try:
+            self._send(frame)
+        except (FrameClosed, OSError):
+            self._connection_lost(stream)
+
     def _round_trip(self, frame: dict[str, Any]) -> dict[str, Any]:
         """One id-tagged exchange, retried with exponential backoff.
 
@@ -264,7 +297,7 @@ class SmaAgent:
         cache can answer a retry whose original reply was lost without
         re-executing the operation. Every exit path removes the id from
         both the pending and reply maps — a late reply for a timed-out
-        id is dropped by the reader, never stranded.
+        id is dropped on arrival, never stranded.
         """
         retry = self._config.request_retry
         attempts = max(1, retry.attempts)
@@ -284,7 +317,7 @@ class SmaAgent:
                     self._replies.pop(request_id, None)
                 self._connection_lost(self._stream)
                 break
-            answered = done.wait(timeout=self._config.request_timeout)
+            answered = self._await(done)
             with self._pending_lock:
                 self._pending.pop(request_id, None)
                 # the reply may land between the wait timing out and
@@ -301,29 +334,37 @@ class SmaAgent:
                 time.sleep(retry.delay(attempt))
         if not self._closed.is_set() and not self._degraded.is_set():
             # daemon up but unresponsive past the whole schedule:
-            # treat as dead so the monitor starts redialing
+            # treat as dead so the core starts redialing
             self._connection_lost(self._stream)
         raise DaemonUnreachable(frame.get("op", ""))
 
-    # -- reader --------------------------------------------------------
+    # -- the core ------------------------------------------------------
 
-    def _reader_loop(self, stream: FrameStream) -> None:
-        while not self._closed.is_set():
-            try:
-                frame = stream.recv()
-            except (FrameClosed, OSError, ValueError):
-                break
+    def fileno(self) -> int:
+        """The daemon socket's number; -1 while there is none."""
+        return self._stream.fileno()
+
+    def on_readable(self) -> None:
+        """Handle every whole frame one read of the socket delivers."""
+        stream = self._stream
+        try:
+            frames = stream.recv_ready()
+        except (FrameClosed, OSError, ValueError):
+            # a dead daemon is a *transport* event, not a denial
+            self._connection_lost(stream)
+            return
+        if frames:
             self._last_recv = time.monotonic()
+        for frame in frames:
             op = frame.get("op")
             if op == "demand":
                 self._serve_demand(frame)
             elif op == "ping":
-                try:
-                    self._send({"op": "pong", "t": frame.get("t")})
-                except (FrameClosed, OSError):
-                    break
+                self._send_or_lose({"op": "pong", "t": frame.get("t")})
             elif op == "pong":
                 self.stats.pongs_received += 1
+            elif op == "welcome":
+                self._resync(frame)
             else:
                 request_id = frame.get("id")
                 with self._pending_lock:
@@ -333,23 +374,61 @@ class SmaAgent:
                     # no waiter: late reply for a timed-out id — drop it
                 if event is not None:
                     event.set()
-        # a dead daemon is a *transport* event, not a denial: transition
-        # to degraded mode and fail waiters with the distinct sentinel
-        self._connection_lost(stream)
 
-    def _connection_lost(self, stream: FrameStream | None) -> None:
-        """Idempotent transition into degraded mode."""
+    def tick(self) -> float:
+        """Run the timer if it is due; seconds until it is due again.
+
+        Connected, the timer is the heartbeat: silence past
+        ``heartbeat_timeout`` loses the connection, else a PING goes
+        out. Degraded, it is the redial, or the give-up on a redial
+        whose WELCOME never came.
+        """
+        now = time.monotonic()
+        if now < self._due:  # the common case: a kv loop asks every round
+            return self._due - now
+        if self._closed.is_set():
+            return _IDLE
+        config = self._config
+        if self._handshaking:
+            self._connection_lost(self._stream)
+        elif self._degraded.is_set():
+            if self._socket_path is None:  # nowhere to redial
+                self._due = now + _IDLE
+            else:
+                self._redial(now)
+        elif config.heartbeat_interval <= 0:
+            self._due = now + _IDLE
+        else:
+            self._due = now + config.heartbeat_interval
+            silence = now - self._last_recv
+            if 0 < config.heartbeat_timeout < silence:
+                self._connection_lost(self._stream)
+            else:
+                self.stats.pings_sent += 1
+                self._send_or_lose({"op": "ping", "t": now})
+        return max(0.0, self._due - now)
+
+    def _connection_lost(self, stream: FrameStream) -> None:
+        """Idempotent transition into degraded mode (or, for a redial's
+        stream, the end of that attempt); schedules the next redial."""
         with self._transition_lock:
-            if self._closed.is_set() or self._degraded.is_set():
+            if self._closed.is_set() or stream is not self._stream:
+                return  # closed, or a stale stream outliving a reconnect
+            if self._degraded.is_set() and not self._handshaking:
                 return
-            if stream is not None and stream is not self._stream:
-                return  # a stale reader outliving a reconnect
-            self._degraded.set()
-            self._degraded_at = time.monotonic()
-            self.stats.degraded_entries += 1
-            self._sma.mark_degraded(True)
+            now = time.monotonic()
+            if not self._degraded.is_set():
+                self._degraded.set()
+                self._degraded_at = now
+                self.stats.degraded_entries += 1
+                self._sma.mark_degraded(True)
+                self._attempt = 0
+            self._handshaking = False
+            self._due = now + self._config.reconnect_backoff.delay(
+                self._attempt
+            )
         try:
-            self._stream.close()
+            stream.close()
         except OSError:
             pass
         with self._pending_lock:
@@ -360,89 +439,53 @@ class SmaAgent:
         for _request_id, event in waiters:
             event.set()
 
-    # -- heartbeat + reconnect (monitor thread) ------------------------
-
-    def _monitor_loop(self) -> None:
-        attempt = 0
-        while not self._closed.is_set():
-            if self._degraded.is_set():
-                if self._socket_path is None:  # nowhere to redial
-                    if self._closed.wait(0.1):
-                        break
-                    continue
-                if self._closed.wait(
-                    self._config.reconnect_backoff.delay(attempt)
-                ):
-                    break
-                attempt += 1
-                try:
-                    self._reconnect()
-                except Exception:
-                    continue  # next backoff step
-                attempt = 0
-            else:
-                interval = self._config.heartbeat_interval
-                if interval <= 0:
-                    if self._closed.wait(0.2):
-                        break
-                    continue
-                if self._closed.wait(interval):
-                    break
-                if self._closed.is_set() or self._degraded.is_set():
-                    continue
-                silence = time.monotonic() - self._last_recv
-                if (
-                    self._config.heartbeat_timeout > 0
-                    and silence > self._config.heartbeat_timeout
-                ):
-                    self._connection_lost(self._stream)
-                    continue
-                try:
-                    self._send({"op": "ping", "t": time.monotonic()})
-                    self.stats.pings_sent += 1
-                except (FrameClosed, OSError):
-                    self._connection_lost(self._stream)
-
-    def _reconnect(self) -> None:
-        """Dial, re-register, resync the ledger, leave degraded mode."""
+    def _redial(self, now: float) -> None:
+        """Dial without waiting and send HELLO; :meth:`_resync` runs
+        when the WELCOME is read, :meth:`tick` gives up if it is not."""
+        self._attempt += 1
+        self._due = now + self._config.reconnect_backoff.delay(self._attempt)
         assert self._socket_path is not None
-        stream = self._dial(
-            self._socket_path, self._config, self._stream_wrapper
-        )
         try:
-            welcome = self._handshake(stream, resync=True)
-        except Exception:
-            stream.close()
-            raise
-        accepted = int(welcome.get("resync_budget", 0))
-        with self._send_lock:
-            self._stream = stream
+            stream = self._dial(  # a unix connect is queued or refused
+                self._socket_path,
+                dataclasses.replace(self._config, connect_timeout=0.0),
+                self._stream_wrapper,
+            )
+        except OSError:
+            return  # next backoff step
+        self._stream, self._handshaking = stream, True
+        self._due = now + self._config.connect_timeout
+        self._send_or_lose(self._hello(resync=True))
+
+    def _resync(self, welcome: dict[str, Any]) -> None:
+        """Re-register, resync the ledger, leave degraded mode."""
+        if not self._handshaking:
+            return
+        stream = self._stream
+        stream.settimeout(None)
         self.pid = int(welcome["pid"])
         self._demand_cache.clear()  # demand ids restart per connection
-        self._last_recv = time.monotonic()
-        self._reader = threading.Thread(
-            target=self._reader_loop, args=(stream,),
-            name=f"sma-agent-{self.name}", daemon=True,
-        )
-        self._reader.start()
         # Ledger resync: the daemon re-accepted what its free capacity
         # allowed; shed the overdraft locally (budget tier first, so
         # usually zero disturbance), then report the settled ledger so
         # both sides agree even if shedding under-fulfilled.
-        overdraft = self._sma.budget.granted - accepted
+        overdraft = self._sma.budget.granted - int(
+            welcome.get("resync_budget", 0)
+        )
         if overdraft > 0:
-            shed = self._sma.try_reclaim(
-                overdraft, timeout=self._config.demand_lock_timeout
-            )
+            shed = self._reclaim(overdraft)
             if shed is not None:
                 self.stats.resync_pages_shed += shed.pages_reclaimed
         try:
             self._send({"op": "resync", **self._state()})
         except (FrameClosed, OSError):
-            stream.close()
-            raise
+            self._connection_lost(stream)
+            return
+        now = time.monotonic()
         self.stats.reconnects += 1
-        self.stats.degraded_seconds += time.monotonic() - self._degraded_at
+        self.stats.degraded_seconds += now - self._degraded_at
+        self._handshaking, self._attempt = False, 0
+        self._last_recv = self._due = now
         self._sma.mark_degraded(False)
         self._degraded.clear()
 
@@ -450,30 +493,12 @@ class SmaAgent:
 
     def _serve_demand(self, frame: dict[str, Any]) -> None:
         demand_id = frame.get("id")
-        cached = self._demand_cache.get(demand_id)
-        if cached is not None:
-            # duplicate DEMAND (retry or injected): do not reclaim twice
-            try:
-                self._send(cached)
-            except (FrameClosed, OSError):
-                pass
-            return
-        # Bounded lock wait: if our own application thread holds the
-        # SMA lock while blocked on a daemon round-trip, stalling here
-        # would deadlock the episode against us — report zero instead.
-        stats = self._sma.try_reclaim(
-            int(frame["pages"]), timeout=self._config.demand_lock_timeout
-        )
-        if stats is None:
-            report = {
-                "op": "report", "id": demand_id,
-                "pages_reclaimed": 0, "pages_from_budget": 0,
-                "pages_from_pool": 0, "pages_from_sds": 0,
-                "allocations_freed": 0, "callbacks_invoked": 0,
-                "callback_errors": 0, "busy": True,
-            }
-        else:
-            self.demands_served += 1
+        report = self._demand_cache.get(demand_id)
+        if report is None:
+            stats = self._reclaim(int(frame["pages"]))
+            served = stats is not None
+            if not served:  # the SMA is mid-ask: nothing to give
+                stats = ReclamationStats()
             report = {
                 "op": "report",
                 "id": demand_id,
@@ -484,13 +509,12 @@ class SmaAgent:
                 "allocations_freed": stats.allocations_freed,
                 "callbacks_invoked": stats.callbacks_invoked,
                 "callback_errors": stats.callback_errors,
-                **self._state(),
+                **(self._state() if served else {"busy": True}),
             }
-            self._demand_cache.put(demand_id, report)
-        try:
-            self._send(report)
-        except (FrameClosed, OSError):
-            pass  # reader will notice the dead stream on its next recv
+            if served:  # a duplicate DEMAND must not reclaim twice
+                self.demands_served += 1
+                self._demand_cache.put(demand_id, report)
+        self._send_or_lose(report)
 
     def close(self) -> None:
         if self._closed.is_set():
@@ -501,5 +525,40 @@ class SmaAgent:
                 time.monotonic() - self._degraded_at
             )
         self._stream.close()
-        self._reader.join(timeout=5)
-        self._monitor.join(timeout=5)
+        if self._monitor is not None:
+            self._monitor.join(timeout=5)
+
+
+class LoopAgent(SmaAgent):
+    """An agent its tenant's event loop drives: no thread of its own.
+
+    The loop polls :meth:`fileno`, calls :meth:`on_readable` when it is
+    readable and :meth:`tick` once a round, so a DEMAND is served
+    between rounds through the plain SMA's ``reclaim``. A REQUEST or
+    RELEASE reads its own reply, answering PINGs meanwhile and a DEMAND
+    with zero pages: mid-ask the SMA has already sized what it misses
+    and holds pool pages in a local list, so it is not re-entered.
+    """
+
+    _asking = False
+
+    def _start(self) -> None:
+        return None
+
+    def _reclaim(self, pages: int) -> ReclamationStats | None:
+        return None if self._asking else self._sma.reclaim(pages)
+
+    def _await(self, done: threading.Event) -> bool:
+        deadline = time.monotonic() + self._config.request_timeout
+        waiter = select.poll()
+        waiter.register(self.fileno(), select.POLLIN)
+        self._asking = True
+        try:
+            while not done.is_set() and (
+                left := deadline - time.monotonic()
+            ) > 0:
+                if waiter.poll(left * 1000):
+                    self.on_readable()
+        finally:
+            self._asking = False
+        return done.is_set()

@@ -51,8 +51,9 @@ class RpcConfig:
 
     Daemon side: ``demand_timeout`` bounds one DEMAND/REPORT exchange;
     ``heartbeat_timeout`` reaps clients that pinged once and then went
-    silent. ``demand_lock_timeout`` is the client's bounded SMA-lock
-    wait while serving a demand (the deadlock backstop).
+    silent. ``demand_lock_timeout`` is a threaded client's bounded
+    SMA-lock wait while serving a demand (the deadlock backstop; a
+    loop-driven client never waits for a lock).
     """
 
     connect_timeout: float = 10.0

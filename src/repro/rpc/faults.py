@@ -157,27 +157,38 @@ class FaultyStream:
             self._inner.send(frame)
 
     def recv(self) -> dict[str, Any]:
+        while not self._replay:
+            self._replay = self._arrive(self._inner.recv())
+        return self._replay.pop()
+
+    def recv_ready(self) -> list[dict[str, Any]]:
+        frames, self._replay = self._replay, []
+        for frame in self._inner.recv_ready():
+            frames += self._arrive(frame)
+        return frames
+
+    def _arrive(self, frame: dict[str, Any]) -> list[dict[str, Any]]:
+        """What this side sees of one received frame: 0, 1 or 2 copies."""
         stats = self._injector.stats
-        if self._replay:
-            return self._replay.pop()
-        while True:
-            frame = self._inner.recv()
-            stats.frames_received += 1
-            fate = self._injector._roll()
-            if fate.get("disconnect"):
-                stats.disconnects += 1
-                self._inner.close()
-                raise FrameClosed("injected disconnect (recv)")
-            if fate.get("drop"):
-                stats.dropped += 1
-                continue
-            if fate.get("delay"):
-                stats.delayed += 1
-                time.sleep(self._injector.plan.delay_s)
-            if fate.get("duplicate"):
-                stats.duplicated += 1
-                self._replay.append(frame)
-            return frame
+        stats.frames_received += 1
+        fate = self._injector._roll()
+        if fate.get("disconnect"):
+            stats.disconnects += 1
+            self._inner.close()
+            raise FrameClosed("injected disconnect (recv)")
+        if fate.get("drop"):
+            stats.dropped += 1
+            return []
+        if fate.get("delay"):
+            stats.delayed += 1
+            time.sleep(self._injector.plan.delay_s)
+        if fate.get("duplicate"):
+            stats.duplicated += 1
+            return [frame, frame]
+        return [frame]
+
+    def fileno(self) -> int:
+        return self._inner.fileno()
 
     def settimeout(self, timeout: float | None) -> None:
         self._inner.settimeout(timeout)

@@ -18,7 +18,8 @@ class FrameClosed(ConnectionError):
 
 
 class FrameStream:
-    """Blocking frame reader/writer over a connected socket.
+    """Frame reader/writer over a connected socket: :meth:`recv` blocks
+    for one frame, :meth:`recv_ready` takes what one read delivers.
 
     ``max_frame_bytes`` bounds the receive buffer: a peer that streams
     garbage without a newline is detected instead of growing the buffer
@@ -50,28 +51,52 @@ class FrameStream:
         (``socket.timeout`` propagates).
         """
         while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = bytes(self._buffer[:newline])
-                del self._buffer[:newline + 1]
-                frame = json.loads(line)
-                if not isinstance(frame, dict):
-                    raise ValueError(f"frame is not an object: {frame!r}")
+            frame = self._take()
+            if frame is not None:
                 return frame
+            self._fill(self._sock.recv(65536))
+
+    def recv_ready(self) -> list[dict[str, Any]]:
+        """Every whole frame buffered after one read that never waits:
+        none when nothing arrived. Raises as :meth:`recv` does."""
+        try:
+            self._fill(self._sock.recv(65536, socket.MSG_DONTWAIT))
+        except (BlockingIOError, InterruptedError):
+            pass
+        frames = []
+        while (frame := self._take()) is not None:
+            frames.append(frame)
+        return frames
+
+    def _take(self) -> dict[str, Any] | None:
+        newline = self._buffer.find(b"\n")
+        if newline < 0:
             if len(self._buffer) > self._max_frame_bytes:
                 raise ValueError(
                     f"frame exceeds {self._max_frame_bytes} bytes "
                     "without a terminator"
                 )
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                if self._buffer:
-                    raise FrameClosed(
-                        "peer closed mid-frame "
-                        f"({len(self._buffer)} bytes buffered)"
-                    )
-                raise FrameClosed("peer closed the connection")
-            self._buffer.extend(chunk)
+            return None
+        line = bytes(self._buffer[:newline])
+        del self._buffer[:newline + 1]
+        frame = json.loads(line)
+        if not isinstance(frame, dict):
+            raise ValueError(f"frame is not an object: {frame!r}")
+        return frame
+
+    def _fill(self, chunk: bytes) -> None:
+        if not chunk:
+            if self._buffer:
+                raise FrameClosed(
+                    "peer closed mid-frame "
+                    f"({len(self._buffer)} bytes buffered)"
+                )
+            raise FrameClosed("peer closed the connection")
+        self._buffer.extend(chunk)
+
+    def fileno(self) -> int:
+        """The socket's number; -1 once it is closed."""
+        return self._sock.fileno()
 
     def settimeout(self, timeout: float | None) -> None:
         """Adjust the underlying socket's timeout (None = blocking)."""

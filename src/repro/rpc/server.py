@@ -25,9 +25,10 @@ Fault tolerance (see ``docs/PROTOCOL.md``):
   and the follow-up ``resync`` frame settles the final ledger.
 
 Liveness: a client with an in-flight request advertises zero
-reclaimable pages, so episodes triggered by other clients skip it —
-the demand that could deadlock against its blocked application thread
-is never sent. A crashed client is deregistered on disconnect and its
+reclaimable pages, so episodes triggered by other clients skip it once
+the reader has seen that request; a demand sent just before it lands
+mid-ask, and the client answers it with zero pages. A crashed client
+is deregistered on disconnect, any demand waiting on it ends, and its
 budget returns to the unassigned pool (its memory died with it, which
 is exactly the kill semantics the paper describes).
 """
@@ -221,6 +222,10 @@ class _Connection:
                     self.proxy.busy = True
                 self._inbox.put(frame)
         self._inbox.put(None)  # wake the handler for teardown
+        with self._demand_lock:  # and a DEMAND no REPORT will answer
+            waiting = list(self._demand_events.values())
+        for event in waiting:
+            event.set()
 
     def _handler_loop(self) -> None:
         while True:

@@ -1,6 +1,6 @@
 """Run a standalone kvstore server process (the crash-test target).
 
-Boots a :class:`~repro.kvstore.store.DataStore` over a locked SMA,
+Boots a :class:`~repro.kvstore.store.DataStore` over an SMA,
 optionally attaches the durability plane (``--dir`` enables it, with
 recovery on startup), serves RESP over TCP, and shuts down gracefully
 on SIGTERM/SIGINT: stop accepting, flush the append-only log with a
@@ -35,7 +35,7 @@ import signal
 import sys
 import threading
 
-from repro.core.locking import LockedSoftMemoryAllocator
+from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.persist.aof import FSYNC_POLICIES
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.store import DataStore, StoreConfig
@@ -63,9 +63,11 @@ def build_server(
     runs without spawning a subprocess.
 
     ``smd_socket`` registers the SMA with an out-of-process daemon over
-    the RPC plane; the live :class:`~repro.rpc.agent.SmaAgent` is
-    stashed on ``store.smd_agent`` so the shutdown path can close it
-    (forfeiting the budget back to the machine-wide ledger).
+    the RPC plane; the live :class:`~repro.rpc.agent.LoopAgent` is
+    stashed on ``store.smd_agent``, where the server's event loop
+    drives it and the shutdown path closes it (forfeiting the budget
+    back to the machine-wide ledger). No thread but the loop touches
+    the store, so the SMA takes no lock.
     ``cluster_shard``/``cluster_nodes`` attach the hash-slot topology;
     the node's own host:port from the table overrides ``host``/``port``.
     ``replicaof`` ("host:port") boots the process as a read-only
@@ -89,14 +91,14 @@ def build_server(
     else:
         cluster_state = None
 
-    sma = LockedSoftMemoryAllocator(name=name)
+    sma = SoftMemoryAllocator(name=name)
     agent = None
     if smd_socket is not None:
         # the machine-wide budget: this process's SMA becomes one
         # tenant of the single daemon all shards share
-        from repro.rpc.agent import SmaAgent
+        from repro.rpc.agent import LoopAgent
 
-        agent = SmaAgent.connect(smd_socket, sma)
+        agent = LoopAgent.connect(smd_socket, sma)
     elif sma_pages is not None:
         # a real budget: an in-process daemon with finite capacity, so
         # over-budget writes are denied (and replay re-admission gated)
@@ -160,11 +162,14 @@ class GracefulShutdown:
                 return
             self._done = True
         self._server.stop()  # drains replies + force-fsyncs the AOF
+        if self._agent is not None:
+            # forfeit the remaining grant back to the machine ledger,
+            # before the closing snapshot: with the loop stopped nothing
+            # reads the daemon's socket, and an unread DEMAND would hold
+            # the daemon's episode for ``demand_timeout``
+            self._agent.close()
         if self._persistence is not None:
             self._persistence.close(final_snapshot=True)
-        if self._agent is not None:
-            # forfeit the remaining grant back to the machine ledger
-            self._agent.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -255,8 +255,7 @@ class Fleet:
             self.check()
 
     def check(self) -> None:
-        for node in self.nodes:  # a round boundary: the group commit takes
-            node.call(b"PING")  # what a reclamation logged off the loop
+        self.wait()  # every byte the step streamed is in each replica's AOF
         infos = {n.key: n.info() for n in self.nodes}
         self.oracle.check(infos)  # each node's own books: once, no retry
         for node in self.nodes:
@@ -267,6 +266,10 @@ class Fleet:
                     f"{node.key}: INFO counts {info['commands_processed']} "
                     f"commands, its client sent {node.client.sent - 1}")
             if node.parts is not None:  # in this process: the SMA's own books
+                # off the loop, yet unraced: the loop mutates its SMA
+                # for a client or a DEMAND, and between steps no client
+                # sends and no tenant asks the daemon (``press`` joins
+                # its thread), so no DEMAND is in flight
                 node.parts[0].sma.check_invariants()
         if self.rival is not None:
             self.rival[0].check_invariants()
@@ -365,6 +368,30 @@ class Fleet:
     def antagonist(self, pages=96) -> None:
         """A tenant that is not a node allocates until the daemon denies
         it three times, forcing reclamation through the nodes' caches."""
+        self._rival_allocates(pages)
+        self.learn = True
+        self.wait()
+
+    def press(self, pages=96, n=80) -> None:
+        """The antagonist allocates on a thread while a burst of SETs
+        runs against the master, so DEMANDs land mid-traffic; a SET the
+        budget refuses is not acked."""
+        with ThreadPoolExecutor(1) as pool:
+            allocating = pool.submit(self._rival_allocates, pages)
+            for __ in range(n):
+                key = b"seq-%06d" % self.seq
+                self.seq += 1
+                value = b"val-%d-" % self.seq + b"x" * 40
+                try:
+                    assert self.client.execute(b"SET", key, value) == "OK"
+                except RespError:
+                    continue
+                self.acked[key] = value
+            allocating.result()
+        self.learn = True
+        self.wait()
+
+    def _rival_allocates(self, pages) -> None:
         if self.rival is None:
             sma = LockedSoftMemoryAllocator(name="antagonist", request_batch_pages=8)
             agent = SmaAgent.connect(self.daemon.socket_path, sma)
@@ -377,8 +404,6 @@ class Fleet:
                 got += 1
             except SoftMemoryDenied:
                 denials += 1
-        self.learn = True
-        self.wait()
 
     def deregister(self) -> None:
         """The antagonist exits; the daemon forfeits what it held."""

@@ -8,17 +8,20 @@ application code; a dead daemon flips the SMA into degraded mode (a
 reconnect re-registers the process and resyncs the budget ledger.
 """
 
+import dataclasses
 import socket
 import threading
 import time
 
 import pytest
 
+import repro.rpc.agent
 from repro.core.errors import (
     SoftMemoryDegraded,
     SoftMemoryDenied,
 )
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.kvstore import TcpKvClient
 from repro.rpc import (
     FaultInjector,
     FaultPlan,
@@ -29,6 +32,7 @@ from repro.rpc import (
 )
 from repro.rpc.framing import FrameClosed, FrameStream
 from repro.sds.soft_linked_list import SoftLinkedList
+from repro.tools.kv_server import build_server
 from repro.util.units import PAGE_SIZE
 
 # Tight time constants so fault paths resolve in test time.
@@ -275,6 +279,68 @@ class TestDaemonDeath:
         finally:
             agent.close()
             srv2.stop()
+
+
+class TestDrivers:
+    def test_a_threaded_tenant_runs_one_agent_thread(self, socket_path):
+        """Reads, heartbeats and redials share the agent's one thread."""
+        with RpcDaemonServer(socket_path, 50, rpc_config=FAST):
+            before = set(threading.enumerate())
+            sma = LockedSoftMemoryAllocator(name="one")
+            agent = SmaAgent.connect(socket_path, sma, config=FAST)
+            started = [t.name for t in threading.enumerate()
+                       if t not in before and t.name.startswith("sma-agent")]
+            agent.close()
+        assert started == ["sma-agent-one"]
+
+    def test_a_hung_daemon_never_stalls_the_loop_and_a_new_one_heals_it(
+        self, socket_path, monkeypatch
+    ):
+        """A ``kv_server --smd-socket`` store's agent redials from its
+        event loop: while the socket's listener never answers HELLO the
+        loop keeps serving, and a daemon that comes back is rejoined,
+        its ledger matching the SMA's."""
+        monkeypatch.setattr(
+            repro.rpc.agent, "DEFAULT_RPC_CONFIG",
+            dataclasses.replace(FAST, connect_timeout=5.0),
+        )
+        srv = RpcDaemonServer(socket_path, 200, rpc_config=FAST).start()
+        store, __, server = build_server(smd_socket=socket_path)
+        server.start()
+        agent = store.smd_agent
+        try:
+            with TcpKvClient(server.address, timeout=2.0) as client:
+                srv.stop()
+                assert wait_until(lambda: agent.degraded)
+                hung = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                hung.bind(socket_path)
+                hung.listen(64)  # queues every HELLO, answers none
+                try:
+                    for __ in range(40):  # each well inside connect_timeout
+                        assert client.execute("PING") == "PONG"
+                        time.sleep(0.05)
+                    assert agent.degraded
+                    hung.setblocking(False)
+                    parked, __ = hung.accept()  # a redial awaits its WELCOME
+                    assert FrameStream(parked).recv()["op"] == "hello"
+                    parked.close()
+                finally:
+                    hung.close()
+                srv = RpcDaemonServer(socket_path, 200, rpc_config=FAST).start()
+                assert wait_until(lambda: not agent.degraded), "no reconnect"
+                assert client.execute("SET", "k", "v" * 5000) == "OK"
+                record = srv.smd.registry.get(agent.pid)
+                assert wait_until(
+                    lambda: record.granted_pages == store.sma.budget.granted
+                )
+                assert agent.stats.reconnects == 1
+                # the loop watches the redialed socket: a DEMAND is served
+                (connection,) = srv.connections()
+                assert connection.demand(1)["op"] == "report"
+        finally:
+            server.stop()
+            agent.close()
+            srv.stop()
 
 
 class TestHeartbeats:

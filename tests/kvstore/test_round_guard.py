@@ -16,7 +16,14 @@ and counting accepted sockets (``transport_standins.py``):
   attaching one starts no thread, and a stream chunk is one ``poll``,
   one ``recv`` and one ``sendall`` (the ACK). The replica's loop runs
   on the test's thread there, its rounds written by hand, so its idle
-  ACK cannot land inside the counted round.
+  ACK cannot land inside the counted round;
+* a kv process's link to its soft memory daemon is one more socket on
+  the loop too: a ``build_server(smd_socket=...)`` server runs no
+  thread but its loop, a served DEMAND is one ``recv`` and one
+  ``sendall`` on the loop's thread, a server without a daemon link
+  tests for one once a round, and a DEMAND that lands while the loop
+  waits on its own REQUEST is answered from the loop with zero pages,
+  never through ``try_reclaim``.
 
 The poll stand-in is installed as ``select.epoll`` (``select.poll``
 where there is none), so the file also runs against a tree whose loop
@@ -25,8 +32,11 @@ goes through ``selectors``: EXPERIMENTS.md shows it red there.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import select
 import socket
+import textwrap
 import threading
 import time
 from collections import Counter
@@ -34,14 +44,18 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.rpc.agent
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer, resp
 from repro.kvstore.resp import RespParser, encode_command
 from repro.kvstore.store import DataStore
+from repro.rpc.config import RpcConfig
+from repro.tools.kv_server import build_server
 from tests.kvstore.transport_standins import (
     CountingListener,
     CountingPoll,
     CountingSocket,
+    ScriptedDaemon,
     drive,
     readable,
 )
@@ -215,3 +229,124 @@ def test_an_applied_stream_chunk_is_one_poll_one_recv_one_sendall():
         "counts": Counter(poll=1, recv=1, sendall=1),
         "applied": b"v",
     }
+
+
+# -- a daemon link ---------------------------------------------------------
+
+
+@pytest.fixture
+def tenant(tmp_path, monkeypatch):
+    """An unstarted ``build_server(smd_socket=...)`` server, its store,
+    the scripted daemon it registered with — one page of startup
+    budget, and no heartbeats, so no PING lands in a counted round —
+    and the threads that ran before it was built."""
+    monkeypatch.setattr(
+        repro.rpc.agent, "DEFAULT_RPC_CONFIG", RpcConfig(heartbeat_interval=0.0)
+    )
+    daemon = ScriptedDaemon(tmp_path / "smd.sock")
+    before = set(threading.enumerate())
+    with daemon.welcoming(startup_pages=1):
+        store, __, server = build_server(smd_socket=daemon.path)
+    try:
+        yield SimpleNamespace(
+            store=store, server=server, daemon=daemon, before=before
+        )
+    finally:
+        server.stop()
+        store.smd_agent.close()
+        daemon.close()
+
+
+def test_an_smd_tenant_runs_no_thread_but_its_loop(tenant):
+    tenant.server.start()
+    started = [
+        t.name for t in threading.enumerate() if t not in tenant.before
+    ]
+    assert started == ["kv-event-loop"]
+
+
+def test_a_served_demand_is_one_recv_and_one_sendall_on_the_loop(tenant):
+    store, daemon = tenant.store, tenant.daemon
+    stream = store.smd_agent._stream
+    fd = stream._sock.fileno()
+    store.set(b"k", b"v" * 3000)  # the startup page: something to reclaim
+    counts: Counter = Counter()
+    seen = {}
+
+    def demand():
+        stream._sock = CountingSocket(stream._sock, counts)
+        daemon.send({"op": "demand", "id": 1, "pages": 1})
+        readable(fd)
+        return [(fd, select.POLLIN)]
+
+    def after():
+        seen["counts"] = +counts
+        return []
+
+    drive(tenant.server, demand, after)
+    report = daemon.recv()
+    assert seen["counts"] == Counter(recv=1, sendall=1)
+    assert (report["op"], report["id"], report["pages_reclaimed"]) == (
+        "report", 1, 1
+    )
+
+
+def test_a_server_without_a_daemon_link_tests_for_one_once_a_round():
+    """The loop body names the agent in one ``is None`` test, and only
+    the round's ``conn is None`` branch reaches for its fd."""
+    source = textwrap.dedent(inspect.getsource(TcpKvServer._loop))
+    (body,) = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.While)]
+    tests = [
+        n for n in ast.walk(body)
+        if isinstance(n, ast.Compare)
+        and isinstance(n.left, ast.Name) and n.left.id == "agent"
+        and isinstance(n.ops[0], (ast.Is, ast.IsNot))
+    ]
+    assert len(tests) == 1
+
+
+def test_a_demand_during_the_loops_own_request_is_answered_from_the_loop(
+    tenant, monkeypatch
+):
+    """The daemon got the loop's REQUEST, sends a DEMAND and grants only
+    once the REPORT is back: the loop, blocked in its own round trip,
+    answers it with zero pages and never reaches ``try_reclaim``."""
+    daemon, agent = tenant.daemon, tenant.store.smd_agent
+    tries = []
+    real_try = LockedSoftMemoryAllocator.try_reclaim
+    monkeypatch.setattr(
+        LockedSoftMemoryAllocator, "try_reclaim",
+        lambda *a, **kw: tries.append(a) or real_try(*a, **kw),
+    )
+    senders = []
+    real_send = agent._stream.send
+
+    def spied_send(frame):
+        senders.append((frame["op"], threading.current_thread().name))
+        real_send(frame)
+
+    agent._stream.send = spied_send
+    seen = {}
+
+    def script():
+        request = daemon.recv()
+        assert request["op"] == "request"
+        daemon.send({"op": "demand", "id": 7, "pages": 2})
+        seen["report"] = daemon.recv()
+        daemon.send({"op": "grant", "id": request["id"],
+                     "pages": request["pages"]})
+        daemon.serve()
+
+    scripted = threading.Thread(target=script)
+    scripted.start()
+    tenant.server.start()
+    with TcpKvClient(tenant.server.address) as client:
+        for key in ("k1", "k2"):  # the second outgrows the startup page
+            assert str(client.execute("SET", key, "v" * 3000)) == "OK"
+    scripted.join(10)
+    report = seen["report"]
+    assert (report["op"], report["id"], report["pages_reclaimed"]) == (
+        "report", 7, 0
+    )
+    assert ("report", "kv-event-loop") in senders
+    assert tries == [] and agent.demands_served == 0

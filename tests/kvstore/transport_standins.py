@@ -3,12 +3,20 @@
 Shared by ``test_round_guard.py`` (counts per round, real ``poll``) and
 ``test_transport_edges.py`` (rounds the test writes itself). Nothing
 here reads a clock: a test counts calls, or scripts what they return.
+:class:`ScriptedDaemon` stands in for the soft memory daemon at the
+other end of a kv process's ``--smd-socket``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import queue
 import select
+import socket
+import threading
 from collections import Counter
+
+from repro.rpc.framing import FrameStream
 
 
 class CountingSocket:
@@ -34,9 +42,9 @@ class CountingSocket:
         self._count("recv_into")
         return self._sock.recv_into(buffer)
 
-    def recv(self, size: int) -> bytes:
+    def recv(self, size: int, *flags: int) -> bytes:
         self._count("recv")
-        return self._sock.recv(size)
+        return self._sock.recv(size, *flags)
 
     def sendall(self, data) -> None:
         self._count("sendall")
@@ -133,3 +141,84 @@ def readable(fd: int) -> None:
     waiter = select.poll()
     waiter.register(fd, select.POLLIN)
     assert waiter.poll(5000), f"nothing arrived on fd {fd}"
+
+
+class ScriptedDaemon:
+    """The soft memory daemon at the other end of one agent's socket.
+
+    ``build_server(smd_socket=daemon.path)`` blocks on the WELCOME, so
+    it runs inside :meth:`welcoming`, whose helper thread answers the
+    handshake and is joined on exit. Then the test scripts the socket
+    with :meth:`send` and :meth:`recv`, or :meth:`serve` grants every
+    REQUEST on a thread and queues what else arrives for :meth:`expect`.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(self.path)
+        self._listener.listen(1)
+        self.stream: FrameStream | None = None
+        self._send_lock = threading.Lock()  # serve() and the test both send
+        self._frames: queue.Queue = queue.Queue()
+        self._server: threading.Thread | None = None
+
+    @contextlib.contextmanager
+    def welcoming(self, startup_pages: int = 0):
+        def handshake():
+            sock, __ = self._listener.accept()
+            sock.settimeout(10)
+            self.stream = FrameStream(sock)
+            assert self.stream.recv()["op"] == "hello"
+            self.send({"op": "welcome", "pid": 1,
+                       "startup_budget": startup_pages})
+
+        helper = threading.Thread(target=handshake)
+        helper.start()
+        try:
+            yield self
+        finally:
+            helper.join(10)
+
+    def send(self, frame: dict) -> None:
+        with self._send_lock:
+            self.stream.send(frame)
+
+    def recv(self) -> dict:
+        return self.stream.recv()
+
+    def serve(self) -> None:
+        def answer():
+            while True:
+                try:
+                    frame = self.stream.recv()
+                except (OSError, ValueError):
+                    return  # closed
+                if frame["op"] == "request":
+                    self.send({"op": "grant", "id": frame["id"],
+                               "pages": frame["pages"]})
+                elif frame["op"] == "release":
+                    self.send({"op": "ok", "id": frame["id"]})
+                else:
+                    self._frames.put(frame)
+
+        self.stream.settimeout(None)
+        self._server = threading.Thread(target=answer, name="scripted-smd")
+        self._server.start()
+
+    def expect(self, op: str, timeout: float) -> dict | None:
+        """The next queued ``op`` frame, or None after ``timeout``."""
+        try:
+            while True:
+                frame = self._frames.get(timeout=timeout)
+                if frame["op"] == op:
+                    return frame
+        except queue.Empty:
+            return None
+
+    def close(self) -> None:
+        if self.stream is not None:
+            self.stream.close()
+        self._listener.close()
+        if self._server is not None:
+            self._server.join(10)

@@ -5,13 +5,16 @@ fleet's daemon — in this process or a ``kv_server`` process, where
 One pinned schedule holds the two orderings of replica apply × reclaim
 × AOF: a key the budget took never comes back after a crash or a
 failover, and a key re-written in the batch that reclaimed it comes
-back with its last value or not at all. Then hypothesis draws step
-lists and the master's kind, derandomized so a failure replays and
-shrinks; ``FLEET_ROUNDS`` (env) is how many it draws.
+back with its last value or not at all. Another presses the
+antagonist into a write burst, so DEMANDs land on the master's loop
+mid-traffic, then crashes and cold-restarts it. Then hypothesis draws
+step lists and the master's kind, derandomized so a failure replays
+and shrinks; ``FLEET_ROUNDS`` (env) is how many it draws.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.fleet import Fleet, rounds
@@ -19,7 +22,7 @@ from tests.fleet import Fleet, rounds
 STEPS = [
     "fill", "churn", "burst", ("burst", 0, True), "purge", "antagonist",
     "degraded", "poison", "kill", "term", "failover", "newborn", "deregister",
-    "bounce",
+    "bounce", "press",
 ]
 
 
@@ -41,6 +44,15 @@ def test_a_reclaimed_key_never_resurrects_nor_turns_stale(tmp_path):
         fleet.run(("burst", 0, True))
         assert taken & fleet.gone and taken - fleet.gone
         fleet.run("kill", "bounce", "failover", "term")
+
+
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_a_demand_mid_burst_never_resurrects_a_key(tmp_path, kind):
+    """The antagonist presses while the master takes a burst, on the
+    master's loop in this process or in a ``kv_server``: a key the budget
+    took mid-traffic stays gone after a crash and a cold restart."""
+    with topology(tmp_path, kind) as fleet:
+        fleet.run("fill", "press", "kill", "press", "term")
 
 
 @settings(

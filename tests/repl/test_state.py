@@ -1,19 +1,23 @@
 """ReplicationState: offsets, the backlog ring, and role transitions.
 
-Pure in-memory tests — no sockets. The invariants here are the ones
-the wire protocol leans on: offsets advance by exactly the encoded
-byte count, the backlog covers ``[backlog_off, backlog_off+size)``,
-``can_partial`` is inclusive of the window's end (a fully-caught-up
-replica partial-resyncs to an empty tail, not a full sync), and
-promotion keeps the stream coordinates while a full sync discards
-them.
+Pure in-memory tests — no sockets, but for :class:`TestOneWriter`. The
+invariants here are the ones the wire protocol leans on: offsets
+advance by exactly the encoded byte count, the backlog covers
+``[backlog_off, backlog_off+size)``, ``can_partial`` is inclusive of
+the window's end (a fully-caught-up replica partial-resyncs to an
+empty tail, not a full sync), and promotion keeps the stream
+coordinates while a full sync discards them. :class:`TestOneWriter`
+shows why the state needs no lock: on a live master the one thread
+that writes ``pending`` is the event loop, a DEMAND's tombstones
+included.
 """
 
-import sys
 import threading
 
 import pytest
 
+from repro.core.sma import SoftMemoryAllocator
+from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.persist.codec import (
     EXP_ABSOLUTE,
     EXP_KEEP,
@@ -26,6 +30,9 @@ from repro.kvstore.persist.codec import (
     scan_frames,
 )
 from repro.kvstore.repl import ReplicationState
+from repro.kvstore.store import DataStore
+from repro.tools.kv_server import build_server
+from tests.kvstore.transport_standins import ScriptedDaemon
 
 
 def encoded_len(encoder, *args) -> int:
@@ -81,52 +88,64 @@ class TestOffsets:
         assert decode_record(payloads[0])[3] == EXP_KEEP
 
 
-class TestTwoWriters:
-    def test_a_tombstone_logged_off_the_loop_never_tears_the_stream(self):
-        """A master serves a daemon's DEMAND on ``SmaAgent``'s reader
-        thread, so ``log_tombstone`` runs there while the loop runs
-        ``log_write`` and ``drain``: no record may be cut or lost, and
-        the offset counts exactly the bytes. Ten rounds, a drain after
-        every write: each round alone catches a lost record in about
-        two runs of three."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+class TestOneWriter:
+    def test_a_demands_tombstones_are_logged_on_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """A master serves its daemon's DEMAND on its own event loop, so
+        the tombstones a reclamation logs come from the thread that runs
+        ``log_write`` and ``drain``: every drained chunk parses whole,
+        and the offset counts exactly the bytes streamed to a replica."""
+        daemon = ScriptedDaemon(tmp_path / "smd.sock")
+        with daemon.welcoming(startup_pages=4):
+            store, __, master = build_server(
+                smd_socket=daemon.path, tier=False
+            )
+        daemon.serve()
+        state = master.enable_replication()
+        loggers, drained = [], []
+        real_log, real_drain = (
+            ReplicationState.log_tombstone, ReplicationState.drain
+        )
+
+        def log_tombstone(self, key):
+            if self is state:
+                loggers.append(threading.get_ident())
+            real_log(self, key)
+
+        def drain(self):
+            chunk = real_drain(self)
+            if self is state:
+                drained.append(chunk)
+            return chunk
+
+        monkeypatch.setattr(ReplicationState, "log_tombstone", log_tombstone)
+        monkeypatch.setattr(ReplicationState, "drain", drain)
+        replica = TcpKvServer(DataStore(SoftMemoryAllocator(name="replica")))
+        replica.replicaof(*master.address)
+        master.start()
+        replica.start()
         try:
-            for __ in range(10):
-                self.two_writers(writes=4_000)
+            with TcpKvClient(master.address) as client:
+                for i in range(30):
+                    assert client.execute("SET", b"a%d" % i, b"v" * 900) == "OK"
+                daemon.send({"op": "demand", "id": 1, "pages": 10_000})
+                assert daemon.expect("report", timeout=10.0)["pages_from_sds"]
+                for i in range(30):
+                    assert client.execute("SET", b"b%d" % i, b"v" * 900) == "OK"
+                assert client.execute("WAIT", 1, 15000) == 1
         finally:
-            sys.setswitchinterval(interval)
-
-    @staticmethod
-    def two_writers(writes: int) -> None:
-        state = ReplicationState()
-        state.stream_started = True
-        drained: list[bytes] = []
-        start = threading.Barrier(2)
-
-        def loop():
-            start.wait()
-            for i in range(writes):
-                state.log_write(b"k%d" % i, b"v" * 32, None, False)
-                drained.append(state.drain())
-
-        def agent():
-            start.wait()
-            for i in range(writes):
-                state.log_tombstone(b"t%d" % i)
-
-        threads = [threading.Thread(target=f) for f in (loop, agent)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-        assert not any(thread.is_alive() for thread in threads)
-        drained.append(state.drain())
-        stream = b"".join(drained)
-        records, valid = read_records(stream)
-        assert valid == len(stream)
-        assert len(records) == 2 * writes
-        assert state.master_repl_offset == len(stream)
+            replica.stop()
+            master.stop()
+            store.smd_agent.close()
+            daemon.close()
+        assert loggers and set(loggers) == {master._thread.ident}
+        for chunk in drained:
+            assert read_records(chunk)[1] == len(chunk)
+        assert state.master_repl_offset == sum(map(len, drained))
+        assert dict(replica.store.keyspace.items()) == dict(
+            store.keyspace.items()
+        )
 
 
 class TestBacklogRing:
