@@ -273,6 +273,17 @@ class RespParser:
         #: bytes discarded by the most recent quarantine
         self.last_error_dropped = 0
 
+    @property
+    def zero_copy_threshold(self) -> int | None:
+        return self._zc_min
+
+    @zero_copy_threshold.setter
+    def zero_copy_threshold(self, threshold: int | None) -> None:
+        # the tokeniser's ``$len`` table is derived here, once, not on
+        # every :meth:`parse_pipeline` call
+        self._zc_min = threshold
+        self._headers = _bulk_headers(threshold)
+
     # -- input ---------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
@@ -388,8 +399,7 @@ class RespParser:
         if not self._use_fast_path:
             return PIPELINE_FALLBACK if pos < end_of_data else PIPELINE_MORE
         buf = self._buf
-        zc_min = self.zero_copy_threshold
-        header_of = _bulk_headers(zc_min)
+        header_of = self._headers
         count_of = _ARRAY_COUNTS.get
         mv = None  # one view of the buffer, sliced per zero-copy payload
         try:
@@ -397,7 +407,9 @@ class RespParser:
                 stop = pos + self._window
                 if stop > end_of_data:
                     stop = end_of_data
-                tokens = bytes(buf[pos:stop]).split(CRLF)
+                # ``b"" +`` builds the bytes straight off the slice,
+                # without ``bytes()``'s constructor dispatch
+                tokens = (b"" + buf[pos:stop]).split(CRLF)
                 last, i = len(tokens) - 1, 0  # no CRLF behind tokens[last]
                 while i < last:  # tokens[i] heads a frame
                     head = tokens[i]
@@ -432,6 +444,7 @@ class RespParser:
                         _WINDOW_MIN if 2 * certified < _WINDOW_MIN
                         else min(2 * certified, _WINDOW_MAX)
                     )
+                    zc_min = self._zc_min
                     for n in range(len(argv), count):
                         if pos >= end_of_data:
                             break
@@ -469,14 +482,17 @@ class RespParser:
                     self._pos = frame_start  # a partial frame stays whole
                     return PIPELINE_MORE
                 else:
-                    consumed = stop - len(tokens[last]) - pos
-                    self._pos = pos = pos + consumed
-                    if 2 * consumed > self._window:
-                        self._window = min(2 * consumed, _WINDOW_MAX)
-                    if tokens[last][:1] not in (b"", b"*"):
+                    tail = tokens[last]
+                    self._pos = stop - len(tail)
+                    if tail and tail[0] != 0x2A:  # not b"*"
                         return PIPELINE_FALLBACK  # another type byte
                     if stop == end_of_data:
                         return PIPELINE_MORE
+                    # a whole window certified: the next may be wider
+                    consumed = self._pos - pos
+                    pos = self._pos
+                    if 2 * consumed > self._window:
+                        self._window = min(2 * consumed, _WINDOW_MAX)
                     if not last:  # a count line wider than a window
                         return PIPELINE_FALLBACK
         except ProtocolError:

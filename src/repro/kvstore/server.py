@@ -43,6 +43,7 @@ from time import perf_counter
 from repro.kvstore.commands import COMMANDS, dispatch, fits, lookup
 from repro.kvstore.resp import (
     NULL,
+    PIPELINE_FALLBACK,
     PIPELINE_MORE,
     ProtocolError,
     RespError,
@@ -135,34 +136,26 @@ class KvServer:
         ``bytes_dropped`` and the obs plane, never silently.
         """
         parser = self._parser
-        executed = 0
-        rejected = 0
-        observed = 0
         store = self.store
         obs = self.obs
-        # the observation is inlined because this loop is the serving
-        # hot path: with the histogram map and slowlog threshold
-        # hoisted to locals, the cost per command is one clock read,
-        # one dict get, and one histogram update.  The threshold is
-        # sampled per batch, so a CONFIG SET takes effect from the next
-        # readable event.
-        hist_of = obs._cmd_hists.get
-        learn = obs._learn_command
-        slow_s = obs._slow_s
-        slowlog_add = obs.slowlog.add
-        encode = encode_reply_into
-        run = dispatch
         hook = self.repl_hook
-        view_shape = _VIEW_SHAPES.get
+        # the observation is inlined because this loop is the serving
+        # hot path: with the histogram map and slowlog threshold in
+        # locals, the cost per command is one clock read, one dict get
+        # and one histogram update.  The threshold is sampled per
+        # batch, so a CONFIG SET takes effect from the next readable
+        # event.  Nothing else is bound per batch (DESIGN.md §7): a
+        # depth-1 batch pays this prologue for a single command.
+        hist_of = obs._cmd_hists.get
+        slow_s = obs._slow_s
         frames: list[list] = []
+        processed = rejected = 0
         while True:
             views_before = parser.views_created
-            error: ProtocolError | None = None
             try:
                 status = parser.parse_pipeline(frames)
             except ProtocolError as exc:
-                error = exc
-                status = PIPELINE_MORE  # quarantined: buffer is empty
+                status = exc  # quarantined: the buffer is empty
             if frames:
                 if parser.views_created != views_before:
                     # the batch carries zero-copy payloads (index >= 2
@@ -170,7 +163,7 @@ class KvServer:
                     # get bytes up front
                     for argv in frames:
                         n = len(argv)
-                        if n > 2 and view_shape(argv[0]) != n:
+                        if n > 2 and _VIEW_SHAPES.get(argv[0]) != n:
                             _materialize_views(argv)
                 start = perf_counter()
                 for argv in frames:
@@ -184,27 +177,28 @@ class KvServer:
                     ):
                         hook(argv, out)
                     else:
-                        encode(out, run(store, argv))
+                        encode_reply_into(out, dispatch(store, argv))
                     end = perf_counter()
                     if argv:
                         hist = hist_of(argv[0])
                         if hist is None:
-                            hist = learn(
+                            hist = obs._learn_command(
                                 argv[0], lookup(argv[0]) is not None
                             )
                         duration = end - start
                         hist.observe(duration)
-                        observed += 1
                         if duration >= slow_s:
-                            slowlog_add(_copy_argv(argv), duration)
+                            obs.slowlog.add(_copy_argv(argv), duration)
+                    else:  # an empty array: answered, never observed
+                        obs.commands -= 1
                     start = end
-                executed += len(frames)
-                frames.clear()
-            if error is not None:
-                self._record_error(error, out)
-                break
+                processed += len(frames)
             if status == PIPELINE_MORE:
                 break
+            if status != PIPELINE_FALLBACK:  # the ProtocolError raised
+                self._record_error(status, out)
+                break
+            frames.clear()
             # PIPELINE_FALLBACK: one frame that is not a plain command
             # array (another RESP type, a null, a mixed array) — pop it
             # with the generic parser.  A valid argv joins ``frames``
@@ -223,12 +217,11 @@ class KvServer:
             if type(argv) is list and all(type(a) is bytes for a in argv):
                 frames.append(argv)
             else:
-                encode(out, _BAD_ARGV)
-                executed += 1
+                encode_reply_into(out, _BAD_ARGV)
                 rejected += 1
-        self.commands_processed += executed - rejected
-        obs.commands += observed
-        return executed
+        self.commands_processed += processed
+        obs.commands += processed
+        return processed + rejected
 
     def _record_error(self, exc: ProtocolError, out: bytearray) -> None:
         """Account one parser quarantine and append its error reply."""

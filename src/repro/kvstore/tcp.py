@@ -106,7 +106,6 @@ class TcpKvServer:
         self.address: tuple[str, int] = self._listener.getsockname()
         self._stop = threading.Event()
         self.connections_served = 0
-        self.commands_processed = 0
         #: fd -> live connection; ``get(conn.fd) is conn`` is liveness
         self._conns: dict[int, _Connection] = {}
         self._listener.setblocking(False)
@@ -133,8 +132,6 @@ class TcpKvServer:
         #: the fd the daemon link is registered under; -1: none
         self._agent_fd = -1
         self.clients_dropped = 0  # slow clients disconnected at the limit
-        self.batches_executed = 0  # readable events that ran >= 1 command
-        self.max_batch = 0  # largest command count in one batch
         self._obs = store.obs
         bind_server(store.obs.registry, self)
 
@@ -170,6 +167,22 @@ class TcpKvServer:
     def connected_clients(self) -> int:
         """Connections open now, feeds included (Redis's INFO name)."""
         return len(self._conns)
+
+    # the batch counters are read off the one record of batches, the
+    # store's ``server.pipeline_batch`` histogram: they count per store
+
+    @property
+    def commands_processed(self) -> int:
+        return int(self._obs.batch_hist.total)
+
+    @property
+    def batches_executed(self) -> int:
+        return self._obs.batch_hist.count
+
+    @property
+    def max_batch(self) -> int:
+        batches = self._obs.batch_hist
+        return int(batches.vmax) if batches.count else 0
 
     # -- replication: configuration before start() ---------------------
 
@@ -329,10 +342,6 @@ class TcpKvServer:
             return self._repl.absorb(conn)
         executed = conn.session.pump(conn.out)
         if executed:
-            self.commands_processed += executed
-            self.batches_executed += 1
-            if executed > self.max_batch:
-                self.max_batch = executed
             self._obs.observe_batch(executed)
         return True
 
