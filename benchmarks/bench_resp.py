@@ -1,17 +1,10 @@
-"""RESP codec micro-benchmark: parse and encode ns/op, with a gate.
+"""RESP codec micro-benchmark: parse and encode ns/op, printed.
 
-The zero-copy hot path rewrite is held to its numbers by this file:
-``main()`` writes ``BENCH_resp.json`` (committed at the repo root) and
-the pytest gate re-measures on every CI run, failing on a >10%
-regression of the normalized encode cost or of any command-parse
-scenario — the tokeniser's slow cases (large, CRLF-laden and wide
-frames) are held next to its headline.
-
-Raw nanoseconds are machine-dependent, so the gate compares
-*normalized* costs: each metric is divided by a fixed pure-Python
-calibration workload timed in the same process moments earlier. That
-cancels host speed (CI runner vs the machine that committed the JSON)
-while preserving relative regressions in the codec itself.
+A reporter, not a gate: nanoseconds on a shared box move by more than
+any regression worth catching, so what holds the codec to its cost is
+the bytecode census over these same batches,
+``tests/kvstore/test_resp_census.py``. The serving numbers of record
+are ``benchmarks/e2e``'s.
 
 Scenarios (ns per command / per reply):
 
@@ -24,107 +17,42 @@ Scenarios (ns per command / per reply):
 * ``parse_wide_mset`` — ``*41`` MSETs: a multi-digit count and a frame
   wider than the tokeniser's smallest window.
 * ``parse_generic`` — the same small batch through the recursive
-  fallback parser (``use_fast_path=False``); kept for comparison and
-  to assert the fast path actually pays for itself.
+  fallback parser (``use_fast_path=False``), for comparison.
 * ``encode_mixed``  — ``encode_reply_into`` over the reply mix a
   SET/GET workload produces (interned +OK, bulk, int, null).
 
-Configuration: ``BENCH_RESP_QUICK=1`` (or ``--quick``) — CI-smoke
-budget. Only ``main()`` writes ``BENCH_resp.json``.
-
-Run:  pytest benchmarks/bench_resp.py --benchmark-only -q -s
-or:   python benchmarks/bench_resp.py [--quick]
+Run:  python benchmarks/bench_resp.py   (with ``repro`` importable)
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
-import time
+import timeit
 
-from repro.kvstore.resp import RespParser, encode_command, encode_reply_into
+from repro.kvstore.resp import OK, RespParser, encode_command, encode_reply_into
 from repro.kvstore.server import ZERO_COPY_THRESHOLD
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED_JSON = os.path.join(REPO_ROOT, "BENCH_resp.json")
-#: gate tolerance against the committed numbers
-MAX_REGRESSION = 0.10
 
 #: pipeline depth of the parse workloads (the serving headline's depth
 #: is 16; 64 keeps the loop hot long enough to time cleanly)
 BATCH_DEPTH = 64
 LARGE_VALUE_SIZE = 4096
 BINARY_VALUE = (bytes(range(48, 110)) + b"\r\n") * 4
-GATED_METRICS = (
-    "parse_small",
-    "parse_large_zero_copy",
-    "parse_binary_crlf",
-    "parse_wide_mset",
-    "encode_mixed",
-)
+
+
+def _best_of(func) -> float:
+    """Seconds per call: the best of five loops, each sized by
+    ``timeit`` to run for at least 0.2 s, so cheap ops (the ~100 ns
+    encode path) and expensive ones get the same wall time per sample."""
+    timer = timeit.Timer(func)
+    number, __ = timer.autorange()
+    return min(timer.repeat(5, number)) / number
 
 
 # ----------------------------------------------------------------------
-# timing core: best-of-k over a fixed iteration budget
+# workloads (the census counts these same batches)
 # ----------------------------------------------------------------------
 
 
-def _best_of(func, *, target_seconds: float, repeats: int = 5) -> float:
-    """Seconds per call: min over ``repeats`` timed loops.
-
-    Each loop is sized to run for ``target_seconds`` so cheap ops (the
-    ~100 ns encode path) and expensive ones get the same wall-time per
-    sample — min-of-repeats is only stable when a single repeat is
-    long enough to average out scheduler noise.
-    """
-    iterations = 1
-    while True:  # pilot: find an iteration count worth timing
-        t0 = time.perf_counter()
-        for __ in range(iterations):
-            func()
-        elapsed = time.perf_counter() - t0
-        if elapsed >= target_seconds / 8 or iterations >= 1 << 22:
-            break
-        iterations *= 4
-    if elapsed < target_seconds:
-        iterations = int(iterations * target_seconds / max(elapsed, 1e-9))
-    best = float("inf")
-    for __ in range(repeats):
-        t0 = time.perf_counter()
-        for __ in range(iterations):
-            func()
-        elapsed = time.perf_counter() - t0
-        best = min(best, elapsed / iterations)
-    return best
-
-
-def _calibration_ns(target_seconds: float) -> float:
-    """ns per run of a fixed pure-Python workload.
-
-    Used to normalize codec costs across hosts: byte indexing, int
-    arithmetic, and list appends — the same primitive mix the parser
-    spends its time in, with no codec code involved.
-    """
-    data = bytes(range(256)) * 4
-
-    def workload() -> int:
-        total = 0
-        out = []
-        for i in range(0, 1024, 4):
-            total += data[i]
-            out.append(data[i:i + 4])
-        return total + len(out)
-
-    return 1e9 * _best_of(workload, target_seconds=target_seconds)
-
-
-# ----------------------------------------------------------------------
-# workloads
-# ----------------------------------------------------------------------
-
-
-def _small_batch() -> tuple[bytes, int]:
+def small_batch() -> tuple[bytes, int]:
     parts = []
     for i in range(BATCH_DEPTH):
         if i % 2 == 0:
@@ -134,28 +62,30 @@ def _small_batch() -> tuple[bytes, int]:
     return b"".join(parts), BATCH_DEPTH
 
 
-def _large_batch() -> tuple[bytes, int]:
+def large_batch() -> tuple[bytes, int]:
     body = b"x" * LARGE_VALUE_SIZE
-    parts = [
-        encode_command("SET", f"big{i}", body) for i in range(8)
-    ]
+    parts = [encode_command("SET", f"big{i}", body) for i in range(8)]
     return b"".join(parts), 8
 
 
-def _binary_batch() -> tuple[bytes, int]:
+def binary_batch() -> tuple[bytes, int]:
     parts = [encode_command("SET", f"bin{i}", BINARY_VALUE) for i in range(16)]
     return b"".join(parts), 16
 
 
-def _wide_batch() -> tuple[bytes, int]:
+def wide_batch() -> tuple[bytes, int]:
     pairs = [f"k{j}" if j % 2 == 0 else f"value-{j}" for j in range(40)]
     return encode_command("MSET", *pairs) * 8, 8
+
+
+def reply_mix() -> list:
+    """The replies a SET/GET batch produces: +OK, bulk, int, null."""
+    return [(OK, b"value-%d" % i, i, None)[i % 4] for i in range(BATCH_DEPTH)]
 
 
 def _parse_cost_ns(
     payload: bytes,
     commands: int,
-    target_seconds: float,
     *,
     zero_copy_threshold: int | None = None,
     use_fast_path: bool = True,
@@ -178,23 +108,11 @@ def _parse_cost_ns(
                 pass
 
     run()  # warm the buffer to steady-state capacity
-    per_batch = _best_of(run, target_seconds=target_seconds)
-    return 1e9 * per_batch / commands
+    return 1e9 * _best_of(run) / commands
 
 
-def _encode_cost_ns(target_seconds: float) -> float:
-    from repro.kvstore.resp import OK
-
-    replies = []
-    for i in range(BATCH_DEPTH):
-        if i % 4 == 0:
-            replies.append(OK)
-        elif i % 4 == 1:
-            replies.append(b"value-%d" % i)
-        elif i % 4 == 2:
-            replies.append(i)
-        else:
-            replies.append(None)
+def _encode_cost_ns() -> float:
+    replies = reply_mix()
     out = bytearray()
 
     def run() -> None:
@@ -202,116 +120,36 @@ def _encode_cost_ns(target_seconds: float) -> float:
             encode_reply_into(out, reply)
         out.clear()
 
-    per_batch = _best_of(run, target_seconds=target_seconds)
-    return 1e9 * per_batch / len(replies)
+    return 1e9 * _best_of(run) / len(replies)
 
 
-def run_suite(quick: bool) -> dict:
-    target = 0.03 if quick else 0.15
-    calibration = _calibration_ns(target)
-    small, n_small = _small_batch()
+def run_suite() -> dict[str, float]:
+    """ns per command (per reply, for the encode mix)."""
 
     def as_served(batch: tuple[bytes, int]) -> float:
-        return _parse_cost_ns(
-            *batch, target, zero_copy_threshold=ZERO_COPY_THRESHOLD
-        )
+        return _parse_cost_ns(*batch, zero_copy_threshold=ZERO_COPY_THRESHOLD)
 
-    metrics = {
-        "parse_small": _parse_cost_ns(small, n_small, target),
-        "parse_large_zero_copy": as_served(_large_batch()),
-        "parse_binary_crlf": as_served(_binary_batch()),
-        "parse_wide_mset": as_served(_wide_batch()),
-        "parse_generic": _parse_cost_ns(
-            small, n_small, target, use_fast_path=False
-        ),
-        "encode_mixed": _encode_cost_ns(target),
-    }
     return {
-        "benchmark": "bench_resp",
-        "mode": "quick" if quick else "full",
-        "batch_depth": BATCH_DEPTH,
-        "large_value_size": LARGE_VALUE_SIZE,
-        "calibration_ns": round(calibration, 2),
-        "metrics_ns": {k: round(v, 2) for k, v in metrics.items()},
-        "metrics_normalized": {
-            k: round(v / calibration, 5) for k, v in metrics.items()
-        },
+        "parse_small": _parse_cost_ns(*small_batch()),
+        "parse_large_zero_copy": as_served(large_batch()),
+        "parse_binary_crlf": as_served(binary_batch()),
+        "parse_wide_mset": as_served(wide_batch()),
+        "parse_generic": _parse_cost_ns(*small_batch(), use_fast_path=False),
+        "encode_mixed": _encode_cost_ns(),
     }
 
 
-def print_table(doc: dict) -> None:
-    print("\n")
-    print("=" * 70)
-    print(f"RESP codec cost ({doc['mode']} mode, "
-          f"calibration {doc['calibration_ns']:.0f} ns)")
-    print("-" * 70)
-    print(f"{'scenario':>24} {'ns/op':>10} {'normalized':>11}")
-    for key, ns in doc["metrics_ns"].items():
-        print(f"{key:>24} {ns:>10.1f} "
-              f"{doc['metrics_normalized'][key]:>11.3f}")
-    print("-" * 70)
-    fast = doc["metrics_ns"]["parse_small"]
-    generic = doc["metrics_ns"]["parse_generic"]
-    print(f"fast path parses the small batch {generic / fast:.2f}x "
-          f"faster than the generic parser")
-    print("=" * 70)
-
-
-def write_json(doc: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# pytest gate
-# ----------------------------------------------------------------------
-
-
-def test_resp_codec_no_regression(benchmark):
-    quick = os.environ.get("BENCH_RESP_QUICK", "1") != "0"
-    doc = benchmark.pedantic(lambda: run_suite(quick), rounds=1, iterations=1)
-    print_table(doc)
-
-    # the tentpole must pay for itself: batch fast path beats the
-    # recursive generic parser outright (measured ~2x; 1.15 absorbs
-    # noise without letting "fast path slower than fallback" through)
-    assert (
-        doc["metrics_ns"]["parse_small"]
-        <= doc["metrics_ns"]["parse_generic"] / 1.15
-    ), doc["metrics_ns"]
-
-    if not os.path.exists(COMMITTED_JSON):
-        return  # first run on a fresh tree: nothing committed to gate on
-    with open(COMMITTED_JSON) as handle:
-        committed = json.load(handle)
-    for key in GATED_METRICS:
-        # A metric passes if EITHER comparison is within tolerance:
-        # raw ns/op holds on the machine that committed the baseline,
-        # normalized holds across hosts of different speeds. A real
-        # codec regression moves both; calibration jitter moves only
-        # one, so requiring both to fail keeps the gate stable.
-        raw = doc["metrics_ns"][key] / committed["metrics_ns"][key]
-        norm = (
-            doc["metrics_normalized"][key]
-            / committed["metrics_normalized"][key]
-        )
-        assert min(raw, norm) <= 1 + MAX_REGRESSION, (
-            f"{key} regressed beyond {MAX_REGRESSION:.0%}: "
-            f"{doc['metrics_ns'][key]:.1f} ns/op vs committed "
-            f"{committed['metrics_ns'][key]:.1f}; normalized "
-            f"{doc['metrics_normalized'][key]:.4f} vs "
-            f"{committed['metrics_normalized'][key]:.4f}"
-        )
-
-
-def main() -> None:
-    quick = "--quick" in sys.argv or os.environ.get("BENCH_RESP_QUICK") == "1"
-    doc = run_suite(quick)
-    print_table(doc)
-    write_json(doc, COMMITTED_JSON)
-    print(f"wrote {COMMITTED_JSON}")
+def print_table(metrics: dict[str, float]) -> None:
+    print("=" * 40)
+    print(f"{'scenario':>24} {'ns/op':>10}")
+    for key, ns in metrics.items():
+        print(f"{key:>24} {ns:>10.1f}")
+    print("-" * 40)
+    gain = metrics["parse_generic"] / metrics["parse_small"]
+    print(f"fast path parses the small batch {gain:.2f}x faster "
+          f"than the generic parser")
+    print("=" * 40)
 
 
 if __name__ == "__main__":
-    main()
+    print_table(run_suite())

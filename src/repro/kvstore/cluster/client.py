@@ -18,8 +18,8 @@ unchanged. Internally it keeps:
 
 Pointing the client at a *non*-cluster server degrades gracefully:
 ``CLUSTER SLOTS`` answers an empty array, the map stays empty, and
-every command routes to the startup node — which is exactly the
-overhead comparison ``bench_cluster.py`` measures.
+every command routes to the startup node, one pipelined burst per
+batch — ``tests/kvstore/test_cluster.py`` counts it.
 """
 
 from __future__ import annotations

@@ -5,9 +5,15 @@ against a :class:`ClusterState`-attached store, and
 :class:`ClusterKvClient` against two real in-process TCP servers that
 share a slot table. The multi-*process* half (supervisor, one SMD
 across shards) lives in ``tests/integration/test_cluster_processes.py``.
+
+What the client costs is counted, not timed: the round trips each
+pooled :class:`TcpKvClient` makes per pipelined burst, the ``CLUSTER
+SLOTS`` refreshes and the ``MOVED`` replies, on a warm client.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -281,3 +287,86 @@ class TestClusterKvClient:
         client, _, _ = two_shards
         client.close()
         client.close()
+
+
+# -- what a warm pipelined burst costs, counted -------------------------------
+
+DEPTH = 64
+
+
+def burst(batch: int) -> list[tuple]:
+    """The ``batch``-th pipelined burst: a SET then a GET of each key
+    of a rolling window, so every GET reads what the same burst wrote."""
+    commands = []
+    for i in range(batch * DEPTH // 2, (batch + 1) * DEPTH // 2):
+        key = b"b:%d" % (i % 512)
+        commands += [(b"SET", key, b"v" * 64), (b"GET", key)]
+    return commands
+
+
+@pytest.fixture
+def round_trips(monkeypatch) -> Counter:
+    """``(method, shard address)`` -> calls, for every pooled connection."""
+    calls: Counter = Counter()
+    for method in ("execute", "execute_pipeline"):
+        real = getattr(TcpKvClient, method)
+
+        def counted(self, *args, real=real, method=method):
+            calls[method, self._sock.getpeername()] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(TcpKvClient, method, counted)
+    return calls
+
+
+def drive(client, batches: int) -> None:
+    for b in range(batches):
+        replies = client.execute_pipeline(*burst(b))
+        assert replies[::2] == ["OK"] * (DEPTH // 2)
+        assert replies[1::2] == [b"v" * 64] * (DEPTH // 2)
+
+
+class TestClusterBurstCensus:
+    def test_a_warm_burst_is_one_pipeline_per_shard_it_touches(
+        self, two_shards, round_trips
+    ):
+        client, addresses, stores = two_shards
+        drive(client, 1)  # warm: both shards dialed
+        round_trips.clear()
+        refreshes = client.slot_map_refreshes
+        touched: Counter = Counter()
+        for b in range(10):
+            touched.update({
+                addresses[shard]
+                for __, key, *__ in burst(b)
+                for shard, store in enumerate(stores)
+                if store.cluster.owns(key_hash_slot(key))
+            })
+        drive(client, 10)
+        assert round_trips == Counter({
+            ("execute_pipeline", address): count
+            for address, count in touched.items()
+        })
+        assert touched == {addresses[0]: 10, addresses[1]: 10}
+        assert client.slot_map_refreshes == refreshes
+        assert client.moved_redirects == 0
+        assert [store.cluster.moved_replies for store in stores] == [0, 0]
+
+    def test_against_a_standalone_server_a_burst_is_one_pipeline(
+        self, round_trips
+    ):
+        store = DataStore(SoftMemoryAllocator(name="solo-burst"))
+        server = TcpKvServer(store, "127.0.0.1", 0)
+        server.start()
+        try:
+            with ClusterKvClient([server.address]) as client:
+                drive(client, 1)
+                round_trips.clear()
+                drive(client, 10)
+                assert round_trips == {
+                    ("execute_pipeline", server.address): 10
+                }
+                assert client.slot_map_refreshes == 1  # at bootstrap
+                assert client.moved_redirects == 0
+        finally:
+            server.stop()

@@ -1,4 +1,4 @@
-"""Every knob names who turns it; every wall-clock gate is on a list.
+"""Every knob names who turns it; no bench gates on a clock.
 
 A *knob* is a defaulted field of a ``@dataclass`` ``*Config`` or
 ``RetryPolicy``, a defaulted keyword of :data:`CONSTRUCTORS`, a flag of
@@ -10,6 +10,10 @@ outside the file that defines it, in ``ci.yml`` or (flags) the README —
 or sits in :data:`NEEDED`. Where a process is deployed
 (:data:`DEPLOYMENT`) is exempt by rule. What nothing turns becomes a
 constant, and the branch it selected goes with it.
+
+A bench under ``benchmarks/`` (never ``e2e/``) may print timings but
+assert only counts: no ``assert`` reads a value derived from a clock
+(:data:`CLOCKS`, or pytest-benchmark's ``benchmark.stats``).
 """
 
 import ast
@@ -34,15 +38,14 @@ NEEDED = {
     "kv_cluster --capacity": "the box's soft capacity, a fact of the "
     "deployment like --dir; the tool's own usage line sizes it",
 }
-#: asserts per bench file that compare wall-clock readings; ROADMAP 5
-#: converts them, so a count only shrinks (PR 23: bench_rpc_overhead 3 → 0)
-WALL_CLOCK_GATES = {
-    "bench_allocator_classes.py": 3,
-    "bench_cluster.py": 3,
-    "bench_resp.py": 2,
-}
-#: how those files name a timing (``x == 0`` compares no two readings)
-_TIMED = r"(?!.* == 0$).*(_n?s'\]|ratio|overhead|scaling|REGRESSION)"
+#: calls that read a clock, ``timeit``'s included
+CLOCKS = {
+    f"{name}{ns}"
+    for name in ("perf_counter", "monotonic", "time", "process_time", "thread_time")
+    for ns in ("", "_ns")
+} | {"timeit", "repeat", "autorange"}
+#: calls that put their arguments into the container they are called on
+_STORES = {"append", "extend", "add", "insert", "update", "setdefault"}
 
 
 def _sources(*tops):
@@ -128,12 +131,150 @@ def test_every_knob_is_turned_by_someone_outside_the_tests():
     assert not stale, f"NEEDED rows that are gone, or turned after all: {stale}"
 
 
+def _called(func):
+    """``f`` for ``f(...)`` and ``obj.f(...)``."""
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
+def _root(node):
+    """``row`` for ``row``, ``row["k"]``, ``row.k`` and ``row.k(...)``."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return getattr(node, "id", None)
+
+
+def _returns(function):
+    """The values ``function`` returns, not those of functions it nests."""
+    todo = list(function.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None:
+            yield node.value
+        elif not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _clock_asserts(tree):
+    """The asserts of a module that read a value derived from a clock.
+
+    Taint spreads by name over the whole module until nothing changes:
+    from a clock call to whatever is assigned from it, stored into it
+    (``samples.append(t)``) or returned by a function holding it — per
+    position, for a returned tuple. A constant dict key is judged on
+    its own: ``row["wall_s"] = elapsed`` taints ``"wall_s"``, and
+    ``{"wall_s": elapsed, "calls": n}`` taints it and clears ``"calls"``,
+    so ``row["calls"]`` stays clean while ``row[name]`` does not.
+    """
+    names, keys, clean, tuples = set(), set(), set(), {}
+
+    def tainted(node):
+        match node:
+            case ast.Call(func=func) if (
+                _called(func) in CLOCKS | names or any(tuples.get(_called(func), ()))
+            ):
+                return True
+            case ast.Attribute(value=ast.Name(id="benchmark"), attr="stats"):
+                return True
+            case ast.Subscript(value=box, slice=ast.Constant(value=str(key))):
+                return key in keys or key not in clean and tainted(box)
+            case ast.Name(id=name):
+                return name in names
+        return any(map(tainted, ast.iter_child_nodes(node)))
+
+    def taint(target):
+        match target:
+            case ast.Subscript(slice=ast.Constant(value=str(key))):
+                keys.add(key)
+            case ast.Tuple(elts=elts):
+                for each in elts:
+                    taint(each)
+            case _ if _root(target):
+                names.add(_root(target))
+
+    def bind(target, value):
+        if not isinstance(target, ast.Tuple):
+            hot = [tainted(value)]
+            target = ast.Tuple(elts=[target])
+        elif isinstance(value, ast.Tuple):
+            hot = [tainted(part) for part in value.elts]
+        else:  # unpacking a call: per position, where the callee is known
+            called = _called(getattr(value, "func", None))
+            hot = tuples.get(called) or [tainted(value)] * len(target.elts)
+        for each, each_hot in zip(target.elts, hot):
+            if each_hot:
+                taint(each)
+
+    while True:  # until a pass taints nothing new
+        before = len(names), len(keys), len(clean), dict(tuples)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    bind(target, node.value)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value:
+                bind(node.target, node.value)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bind(node.target, node.iter)
+            elif isinstance(node, ast.Dict):
+                hot = {
+                    key.value: tainted(value)
+                    for key, value in zip(node.keys, node.values)
+                    if isinstance(key, ast.Constant)
+                }
+                if any(hot.values()):
+                    keys.update(key for key, each in hot.items() if each)
+                    clean.update(key for key, each in hot.items() if not each)
+            elif isinstance(node, ast.Call) and _called(node.func) in _STORES:
+                if any(map(tainted, node.args)):
+                    taint(node.func)
+            elif isinstance(node, ast.FunctionDef):
+                for value in _returns(node):
+                    if isinstance(value, ast.Tuple):
+                        was = tuples.get(node.name, (False,) * len(value.elts))
+                        tuples[node.name] = tuple(
+                            hot or tainted(part)
+                            for hot, part in zip(was, value.elts)
+                        )
+                    elif tainted(value):
+                        names.add(node.name)
+        if (len(names), len(keys), len(clean), tuples) == before:
+            break
+    return [
+        " ".join(ast.unparse(node.test).split())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) and tainted(node.test)
+    ]
+
+
 def test_wall_clock_gates_only_shrink():
-    found = {}
-    for path, text, tree in _sources("benchmarks"):
-        if "e2e" not in path.parts and "perf_counter" in text:
-            asserts = [n for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-            tests = [" ".join(ast.unparse(n.test).split()) for n in asserts]
-            found[path.name] = sum(bool(re.match(_TIMED, t)) for t in tests)
-    found = {name: count for name, count in found.items() if count}
-    assert found == WALL_CLOCK_GATES, "convert a gate, then lower its row"
+    gates = {
+        str(path): found
+        for path, __, tree in _sources("benchmarks")
+        if "e2e" not in path.parts and (found := _clock_asserts(tree))
+    }
+    assert not gates, "assert on a count; print the timing"
+
+
+def test_the_clock_census_sees_a_timed_assert_and_only_it():
+    planted = ast.parse(
+        "import time\n"
+        "t0 = time.monotonic()\n"
+        "t1 = time.monotonic()\n"
+        "assert t1 < t0\n"
+    )
+    assert _clock_asserts(planted) == ["t1 < t0"]
+    mixed = ast.parse(
+        "from time import perf_counter\n"
+        "def run():\n"
+        "    start = perf_counter()\n"
+        "    return perf_counter() - start, 7\n"
+        "elapsed, calls = run()\n"
+        "row = {'wall_s': elapsed, 'calls': calls}\n"
+        "assert row['calls'] > 0\n"
+        "assert row['wall_s'] < 1.0\n"
+        "for key in row:\n"
+        "    assert row[key] is not None\n"
+    )
+    assert _clock_asserts(mixed) == [
+        "row['wall_s'] < 1.0",
+        "row[key] is not None",
+    ]
