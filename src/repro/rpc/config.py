@@ -76,8 +76,8 @@ class ReplyCache:
 
     Retries and injected duplicates can deliver the same frame id
     twice; the receiver answers the duplicate from this cache instead
-    of re-executing the (budget-mutating) operation. Single-threaded
-    per connection: only that connection's handler/reader touches it.
+    of re-executing the (budget-mutating) operation. Not thread-safe:
+    one thread touches each cache (the daemon's loop, or the agent's).
     """
 
     def __init__(self, capacity: int = 64) -> None:

@@ -6,44 +6,52 @@ a :class:`_RemoteSma` proxy whose ledgers are refreshed from the state
 snapshot piggybacked on every client frame, and whose ``reclaim`` sends
 a DEMAND over the wire and waits for the REPORT.
 
-Per connection there are two threads: a *reader* that only parses
-frames (so REPORTs always flow, even while this client's own request
-waits its turn) and a *handler* that executes requests against the
-daemon under a global lock (episodes from different clients must
-serialize — there is one capacity ledger).
+One thread serves every client, polling the listener, a waker and every
+client socket. Each round has a *read step*, which reads every ready
+socket (a PING gets its PONG, a REPORT goes to the DEMAND waiting for
+it or is dropped, the sender of a REQUEST or RELEASE is marked busy,
+every other frame is queued), and an *execute step*, which runs the
+queued frames in arrival order. A DEMAND runs read steps only until its
+REPORT arrives: PONGs and REPORTs flow mid-episode while nothing else
+executes, so episodes serialize on the one capacity ledger unlocked.
 
 Fault tolerance (see ``docs/PROTOCOL.md``):
 
 * requests and releases are idempotent per frame id — a retried or
   duplicated frame gets the cached reply, never a second grant;
-* PING frames are answered with PONG directly on the reader thread, so
-  liveness is visible even while the handler is busy; a client that
-  pinged once and then went silent past ``heartbeat_timeout`` is
-  reaped by the server's monitor thread;
+* a client that pinged once and then went silent past
+  ``heartbeat_timeout`` is reaped by a check every round;
+* sockets never block: a client that cannot take a whole frame is
+  dropped, and so is the sender of a frame whose fields do not fit its
+  op (after an ``error`` reply; for a bad REPORT that is the victim);
 * a reconnecting client sends ``hello`` with ``resync``: the daemon
   re-adopts as much of its still-held budget as free capacity allows
   and the follow-up ``resync`` frame settles the final ledger.
 
 Liveness: a client with an in-flight request advertises zero
-reclaimable pages, so episodes triggered by other clients skip it once
-the reader has seen that request; a demand sent just before it lands
-mid-ask, and the client answers it with zero pages. A crashed client
-is deregistered on disconnect, any demand waiting on it ends, and its
-budget returns to the unassigned pool (its memory died with it, which
-is exactly the kill semantics the paper describes).
+reclaimable pages, so episodes skip it once the read step has seen that
+request; a demand sent just before it lands mid-ask, and the client
+answers it with zero pages. A dropped client's socket closes at once,
+ending any demand waiting on it, and its deregistration queues behind
+the frames already queued, so an episode never sees the registry change
+under it. Its budget returns to the unassigned pool (its memory died
+with it, which is exactly the kill semantics the paper describes).
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
-import queue
+import select
 import socket
 import threading
 import time
+from collections import deque
+from types import SimpleNamespace
 from typing import Any
 
-from repro.core.errors import SoftMemoryDenied
+from repro.core.errors import ProtocolError, SoftMemoryDenied
 from repro.core.reclaim import ReclamationStats
 from repro.daemon.ipc import Channel
 from repro.daemon.registry import ProcessRecord
@@ -56,13 +64,21 @@ from repro.util.eventlog import EventLog
 #: and demand for the life of the machine's one daemon process
 EVENT_LOG_BOUND = 4096
 
+#: what reading a frame whose fields do not fit its op raises
+_BAD_FRAME = (KeyError, TypeError, ValueError, ProtocolError)
 
-class _RemoteBudget:
-    """Daemon-side mirror of a client's budget ledger."""
+#: the REPORT fields an episode counts
+_REPORTED = ("pages_from_budget", "pages_from_pool", "pages_from_sds",
+             "allocations_freed", "callbacks_invoked", "callback_errors")
 
-    def __init__(self) -> None:
-        self.held = 0
-        self.granted = 0
+
+def _count(frame: dict[str, Any], key: str, default: int | None = None) -> int:
+    """Field ``key`` of ``frame`` as a page count: a non-negative int
+    (``KeyError`` when it is missing and there is no default)."""
+    value = frame[key] if default is None else frame.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} is not a page count: {value!r}")
+    return value
 
 
 class _RemoteSma:
@@ -70,7 +86,8 @@ class _RemoteSma:
 
     def __init__(self, connection: "_Connection") -> None:
         self._connection = connection
-        self.budget = _RemoteBudget()
+        #: daemon-side mirror of the client's budget ledger
+        self.budget = SimpleNamespace(held=0, granted=0)
         self._flexibility = 0
         self._reclaimable = 0
         self.compressed_pages = 0
@@ -78,16 +95,12 @@ class _RemoteSma:
         self.busy = False
 
     def update_state(self, frame: dict[str, Any]) -> None:
-        self.budget.held = int(frame.get("held", self.budget.held))
-        self.budget.granted = int(frame.get("granted", self.budget.granted))
-        self._flexibility = int(
-            frame.get("flexibility", self._flexibility)
-        )
-        self._reclaimable = int(
-            frame.get("reclaimable", self._reclaimable)
-        )
-        self.compressed_pages = int(
-            frame.get("compressed", self.compressed_pages)
+        self.budget.held = _count(frame, "held", self.budget.held)
+        self.budget.granted = _count(frame, "granted", self.budget.granted)
+        self._flexibility = _count(frame, "flexibility", self._flexibility)
+        self._reclaimable = _count(frame, "reclaimable", self._reclaimable)
+        self.compressed_pages = _count(
+            frame, "compressed", self.compressed_pages
         )
 
     def flexibility(self) -> int:
@@ -98,62 +111,54 @@ class _RemoteSma:
 
     def reclaim(self, demand_pages: int) -> ReclamationStats:
         """One DEMAND/REPORT round trip (called inside an episode)."""
-        if self.busy:
-            # became busy after target selection: skip rather than
-            # demand from a client whose app thread is blocked on us
-            return ReclamationStats(demanded_pages=demand_pages)
-        report = self._connection.demand(demand_pages)
-        stats = ReclamationStats(demanded_pages=demand_pages)
+        # busy since target selection: skip rather than demand from a
+        # client whose app thread is blocked on us
+        report = None if self.busy else self._connection.demand(demand_pages)
         if report is None:  # timeout or disconnect: nothing surrendered
-            return stats
-        stats.pages_from_budget = int(report.get("pages_from_budget", 0))
-        stats.pages_from_pool = int(report.get("pages_from_pool", 0))
-        stats.pages_from_sds = int(report.get("pages_from_sds", 0))
-        stats.allocations_freed = int(report.get("allocations_freed", 0))
-        stats.callbacks_invoked = int(report.get("callbacks_invoked", 0))
-        stats.callback_errors = int(report.get("callback_errors", 0))
-        self.update_state(report)
+            return ReclamationStats(demanded_pages=demand_pages)
+        try:
+            stats = ReclamationStats(demand_pages, **{
+                key: _count(report, key, 0) for key in _REPORTED
+            })
+            granted = self._connection.record.granted_pages
+            if stats.pages_reclaimed > granted:
+                raise ProtocolError(
+                    f"surrendered {stats.pages_reclaimed} of {granted} pages"
+                )
+            self.update_state(report)
+        except _BAD_FRAME as exc:  # the victim's fault: drop the victim
+            self._connection.fail(report, exc)
+            return ReclamationStats(demanded_pages=demand_pages)
         return stats
 
 
 class _Connection:
-    """One client process's socket, reader, and handler."""
+    """One client process's socket, served by the daemon's loop."""
 
     def __init__(self, server: "RpcDaemonServer", sock: socket.socket) -> None:
+        sock.setblocking(False)
         self.server = server
-        self.config = server.rpc_config
         self.stream = FrameStream(sock)
+        self.fd = sock.fileno()
         self.proxy = _RemoteSma(self)
         self.record: ProcessRecord | None = None
-        self._send_lock = threading.Lock()
-        self._inbox: "queue.Queue[dict | None]" = queue.Queue()
-        self._demand_replies: dict[int, dict[str, Any]] = {}
-        self._demand_events: dict[int, threading.Event] = {}
-        self._demand_lock = threading.Lock()  # guards the two dicts
-        self._demand_ids = iter(range(1, 2**31))
+        self._demand_ids = itertools.count(1)
+        #: the id of the DEMAND in flight, and its REPORT once read
+        self.awaiting: int | None = None
+        self.report: dict[str, Any] | None = None
         self.reply_cache = ReplyCache(64)
         self.last_recv = time.monotonic()
         self.saw_ping = False
-        self._closed = threading.Event()
-        self.reader = threading.Thread(
-            target=self._reader_loop, daemon=True
-        )
-        self.handler = threading.Thread(
-            target=self._handler_loop, daemon=True
-        )
-
-    def start(self) -> None:
-        """Begin reading — once the server lists the connection."""
-        self.reader.start()
-        self.handler.start()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
+        self.closed = False
 
     def send(self, frame: dict[str, Any]) -> None:
-        with self._send_lock:
+        """Send one whole frame; a client that cannot take it is dropped."""
+        if self.closed:
+            return
+        try:
             self.stream.send(frame)
+        except OSError:  # BlockingIOError too: the client stopped reading
+            self.server._drop(self)
 
     def reply(self, request_id: Any, frame: dict[str, Any]) -> None:
         """Send a reply and remember it for duplicate-id resends."""
@@ -161,87 +166,26 @@ class _Connection:
             self.reply_cache.put(request_id, frame)
         self.send(frame)
 
+    def fail(self, frame: dict[str, Any], exc: Exception) -> None:
+        """Answer a frame whose fields do not fit its op; drop its sender."""
+        self.send({"op": "error", "id": frame.get("id"),
+                   "message": f"bad {frame.get('op')!r} frame: {exc}"})
+        self.server._drop(self)
+
     def demand(self, pages: int) -> dict[str, Any] | None:
-        """Send DEMAND, wait for REPORT (None on timeout/disconnect)."""
-        demand_id = next(self._demand_ids)
-        event = threading.Event()
-        with self._demand_lock:
-            self._demand_events[demand_id] = event
-        try:
-            self.send({"op": "demand", "id": demand_id, "pages": pages})
-        except OSError:
-            with self._demand_lock:
-                self._demand_events.pop(demand_id, None)
-            return None
-        answered = event.wait(timeout=self.config.demand_timeout)
-        # Pop both maps under one lock: if the REPORT lands between the
-        # wait timing out and this cleanup, we still consume (and use)
-        # it instead of stranding the reply dict entry forever.
-        with self._demand_lock:
-            self._demand_events.pop(demand_id, None)
-            reply = self._demand_replies.pop(demand_id, None)
-        if not answered and reply is None:
-            return None
-        return reply
-
-    # -- threads -------------------------------------------------------
-
-    def _reader_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                frame = self.stream.recv()
-            except (FrameClosed, OSError, ValueError):
+        """Send DEMAND, then run read steps until its REPORT arrives
+        (None on disconnect, on ``demand_timeout`` or on ``stop()``)."""
+        server = self.server
+        deadline = time.monotonic() + server.rpc_config.demand_timeout
+        self.awaiting = next(self._demand_ids)
+        self.send({"op": "demand", "id": self.awaiting, "pages": pages})
+        while self.report is None and not (self.closed or server._stopping):
+            left = deadline - time.monotonic()
+            if left <= 0:
                 break
-            self.last_recv = time.monotonic()
-            op = frame.get("op")
-            if op == "ping":
-                # answered on the reader thread so liveness is visible
-                # even while the handler executes a slow episode
-                self.saw_ping = True
-                try:
-                    self.send({"op": "pong", "t": frame.get("t")})
-                except OSError:
-                    break
-            elif op == "pong":
-                pass  # any frame already refreshed last_recv
-            elif op == "report":
-                demand_id = frame.get("id")
-                with self._demand_lock:
-                    event = self._demand_events.pop(demand_id, None)
-                    if event is not None:
-                        self._demand_replies[demand_id] = frame
-                    # no waiter: the demand timed out — drop the report
-                if event is not None:
-                    event.set()
-            else:
-                if op in ("request", "release"):
-                    # the client's app thread blocks (holding its SMA
-                    # lock) for both ops; make that visible to
-                    # concurrent episodes immediately so they never
-                    # demand from a blocked client
-                    self.proxy.busy = True
-                self._inbox.put(frame)
-        self._inbox.put(None)  # wake the handler for teardown
-        with self._demand_lock:  # and a DEMAND no REPORT will answer
-            waiting = list(self._demand_events.values())
-        for event in waiting:
-            event.set()
-
-    def _handler_loop(self) -> None:
-        while True:
-            frame = self._inbox.get()
-            if frame is None:
-                break
-            try:
-                self.server.handle_frame(self, frame)
-            except OSError:
-                break
-            finally:
-                if frame.get("op") in ("request", "release"):
-                    self.proxy.busy = False
-        self.server.disconnect(self)
-        self._closed.set()
-        self.stream.close()
+            server._read_step(left)
+        report, self.report, self.awaiting = self.report, None, None
+        return report
 
 
 class RpcDaemonServer:
@@ -262,42 +206,44 @@ class RpcDaemonServer:
             event_log=EventLog(max_events=EVENT_LOG_BOUND),
         )
         self.rpc_config = rpc_config or DEFAULT_RPC_CONFIG
-        self._lock = threading.Lock()  # serializes daemon state changes
-        self._connections: list[_Connection] = []
-        self._conn_lock = threading.Lock()
-        self._stop = threading.Event()
+        #: fd -> live connection
+        self._conns: dict[int, _Connection] = {}
+        #: the execute step's frames in arrival order; a ``None`` frame
+        #: deregisters its connection
+        self._queued: deque[tuple[_Connection, dict | None]] = deque()
+        self._stopping = False
         self.clients_reaped = 0
         if os.path.exists(socket_path):
             os.unlink(socket_path)
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(socket_path)
         self._listener.listen(16)
-        self._listener.settimeout(0.2)
-        self._accept_thread: threading.Thread | None = None
-        self._monitor_thread: threading.Thread | None = None
+        self._listener.setblocking(False)
+        # waker: stop() ends a poll that may wait without a timeout
+        self._waker_r, self._waker_w = socket.socketpair()
+        self._poller = select.poll()
+        for sock in (self._listener, self._waker_r):
+            self._poller.register(sock.fileno(), select.POLLIN)
+        self._thread: threading.Thread | None = None
 
     def start(self) -> "RpcDaemonServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="smd-accept", daemon=True
+        self._thread = threading.Thread(
+            target=self._loop, name="smd-loop", daemon=True
         )
-        self._accept_thread.start()
-        self._monitor_thread = threading.Thread(
-            target=self._monitor_loop, name="smd-monitor", daemon=True
-        )
-        self._monitor_thread.start()
+        self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        with contextlib.suppress(OSError), socket.socket(socket.AF_UNIX) as waker:
-            waker.connect(self.socket_path)  # ends a blocked accept() now
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=5)
+        self._stopping = True
+        if self._thread is not None:
+            with contextlib.suppress(OSError):
+                self._waker_w.send(b"\0")
+            self._thread.join(timeout=5)
         self._listener.close()
         for connection in self.connections():
             connection.stream.close()
+        self._waker_r.close()
+        self._waker_w.close()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
 
@@ -308,98 +254,160 @@ class RpcDaemonServer:
         self.stop()
 
     def connections(self) -> list[_Connection]:
-        with self._conn_lock:
-            return list(self._connections)
+        return list(self._conns.values())
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    # -- the loop ------------------------------------------------------
+
+    def _loop(self) -> None:
+        queued = self._queued
+        while not self._stopping:
+            due = self._reap()
+            # a reaped client's deregistration is queued: do not wait
+            self._read_step(0 if queued else due)
+            # the execute step: frames a DEMAND's read steps queue run
+            # after the frame whose episode sent it
+            while queued and not self._stopping:
+                connection, frame = queued.popleft()
+                if frame is None:
+                    self.disconnect(connection)
+                elif not connection.closed:
+                    self.handle_frame(connection, frame)
+                    if frame.get("op") in ("request", "release"):
+                        connection.proxy.busy = False
+
+    def _read_step(self, timeout: float | None) -> None:
+        """Read every ready socket once, waiting up to ``timeout``
+        seconds (None: until one is ready)."""
+        events = self._poller.poll(None if timeout is None else timeout * 1000)
+        for fd, __ in events:
+            connection = self._conns.get(fd)
+            if connection is not None:
+                self._read(connection)
+            elif fd == self._listener.fileno():
+                self._accept()
+            else:  # the waker: the loop's ``while`` sees ``_stopping``
+                self._waker_r.recv(64)
+
+    def _accept(self) -> None:
+        while True:
             try:
                 sock, __ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
+            except OSError:  # nothing (more) to accept
+                return
+            # listed before its first frame is read
             connection = _Connection(self, sock)
-            with self._conn_lock:  # listed before its first frame is read
-                # prune connections whose teardown already completed so
-                # the list cannot grow without bound under churn
-                self._connections = [
-                    c for c in self._connections if not c.closed
-                ]
-                self._connections.append(connection)
-            connection.start()
+            self._conns[connection.fd] = connection
+            self._poller.register(connection.fd, select.POLLIN)
 
-    def _monitor_loop(self) -> None:
-        """Reap clients that heartbeated once and then went silent."""
+    def _read(self, connection: _Connection) -> None:
+        try:
+            frames = connection.stream.recv_ready()
+        except (FrameClosed, OSError, ValueError):
+            self._drop(connection)
+            return
+        if frames:
+            connection.last_recv = time.monotonic()
+        for frame in frames:
+            if connection.closed:  # e.g. it could not take a PONG
+                return
+            op = frame.get("op")
+            if op == "ping":
+                connection.saw_ping = True
+                connection.send({"op": "pong", "t": frame.get("t")})
+            elif op == "report":
+                # no DEMAND waits for it (it timed out): drop the report
+                if connection.awaiting is not None and (
+                    frame.get("id") == connection.awaiting
+                ):
+                    connection.report = frame
+            elif op != "pong":  # a PONG already refreshed last_recv
+                if op in ("request", "release"):
+                    # the client's app thread blocks (holding its SMA
+                    # lock) for both ops; make that visible to episodes
+                    # at once so they never demand from a blocked client
+                    connection.proxy.busy = True
+                self._queued.append((connection, frame))
+
+    def _reap(self) -> float | None:
+        """Drop clients that pinged once and then went silent past
+        ``heartbeat_timeout``; the seconds until the next one could be
+        due (None: none can)."""
         timeout = self.rpc_config.heartbeat_timeout
-        interval = min(0.5, timeout / 2) if timeout > 0 else 0.5
-        while not self._stop.is_set():
-            if self._stop.wait(interval):
-                break
-            if timeout <= 0:
-                continue
-            now = time.monotonic()
-            for connection in self.connections():
-                if not connection.saw_ping:
-                    continue  # client never opted into heartbeats
-                if now - connection.last_recv > timeout:
-                    self.clients_reaped += 1
-                    # closing the socket unwinds reader → handler →
-                    # disconnect, returning the budget to the pool
-                    connection.stream.close()
+        if timeout <= 0:
+            return None
+        now, due = time.monotonic(), None
+        for connection in self.connections():
+            if not connection.saw_ping:
+                continue  # client never opted into heartbeats
+            left = connection.last_recv + timeout - now
+            if left < 0:
+                self.clients_reaped += 1
+                self._drop(connection)
+            elif due is None or left < due:
+                due = left
+        return due
 
-    # ------------------------------------------------------------------
-    # frame handling (runs on per-connection handler threads)
-    # ------------------------------------------------------------------
+    def _drop(self, connection: _Connection) -> None:
+        """Close a client's socket now; deregister it behind the frames
+        already queued."""
+        if connection.closed:
+            return
+        connection.closed = True
+        del self._conns[connection.fd]
+        self._poller.unregister(connection.fd)  # before the fd is freed
+        connection.stream.close()
+        self._queued.append((connection, None))
+
+    # -- frame handling (the execute step) ------------------------------
 
     def handle_frame(self, connection: _Connection, frame: dict) -> None:
         op = frame.get("op")
-        connection.proxy.update_state(frame)
-        if op in ("request", "release"):
-            cached = connection.reply_cache.get(frame.get("id"))
-            if cached is not None:
-                # retry or injected duplicate of an already-executed
-                # operation: resend the recorded outcome, don't re-run
-                connection.send(cached)
-                return
-        if op == "hello":
-            self._handle_hello(connection, frame)
-        elif op == "request":
-            self._handle_request(connection, frame)
-        elif op == "release":
-            self._handle_release(connection, frame)
-        elif op == "resync":
-            self._handle_resync(connection, frame)
-        else:
-            connection.send({"op": "error", "id": frame.get("id"),
-                             "message": f"unknown op {op!r}"})
+        try:
+            connection.proxy.update_state(frame)
+            if op in ("request", "release"):
+                cached = connection.reply_cache.get(frame.get("id"))
+                if cached is not None:
+                    # retry or injected duplicate of an already-executed
+                    # operation: resend the recorded outcome, don't re-run
+                    connection.send(cached)
+                    return
+            if op == "hello":
+                self._handle_hello(connection, frame)
+            elif op == "request":
+                self._handle_request(connection, frame)
+            elif op == "release":
+                self._handle_release(connection, frame)
+            elif op == "resync":
+                self._handle_resync(connection, frame)
+            else:
+                connection.send({"op": "error", "id": frame.get("id"),
+                                 "message": f"unknown op {op!r}"})
+        except _BAD_FRAME as exc:
+            connection.fail(frame, exc)
 
     def _handle_hello(self, connection: _Connection, frame: dict) -> None:
+        if connection.record is not None:
+            raise ProtocolError("a second hello on one connection")
         resync = bool(frame.get("resync"))
-        claim = int(frame.get("granted", 0)) if resync else 0
+        claim = _count(frame, "granted", 0) if resync else 0
+        record = ProcessRecord(
+            name=str(frame.get("name", "client")),
+            sma=connection.proxy,  # type: ignore[arg-type]
+            channel=Channel(),
+            traditional_pages=_count(frame, "traditional_pages", 0),
+        )
+        self.smd.registry.add(record)
+        unassigned = self.smd.unassigned_pages
         startup = accepted = 0
-        with self._lock:
-            record = ProcessRecord(
-                name=str(frame.get("name", "client")),
-                sma=connection.proxy,  # type: ignore[arg-type]
-                channel=Channel(),
-                traditional_pages=int(frame.get("traditional_pages", 0)),
-            )
-            self.smd.registry.add(record)
-            if resync:
-                # re-adopt what free capacity allows; the client sheds
-                # any overdraft and settles with a follow-up resync frame
-                accepted = min(claim, max(0, self.smd.unassigned_pages))
-                record.granted_pages += accepted
-                self.smd.pages_granted += accepted
-                record.resyncs += 1
-            else:
-                startup = min(
-                    self.smd.config.startup_budget_pages,
-                    self.smd.unassigned_pages,
-                )
-                record.granted_pages += startup
-                self.smd.pages_granted += startup
+        if resync:
+            # re-adopt what free capacity allows; the client sheds any
+            # overdraft and settles with a follow-up resync frame
+            accepted = min(claim, max(0, unassigned))
+            record.resyncs += 1
+        else:
+            startup = min(self.smd.config.startup_budget_pages, unassigned)
+        record.granted_pages += startup + accepted
+        self.smd.pages_granted += startup + accepted
         connection.record = record
         connection.send({
             "op": "welcome", "pid": record.pid,
@@ -412,25 +420,20 @@ class RpcDaemonServer:
             connection.send({"op": "error", "id": frame.get("id"),
                              "message": "hello first"})
             return
-        pages = int(frame["pages"])
+        request_id, pages = frame["id"], _count(frame, "pages")
         try:
-            with self._lock:
-                granted = self.smd.handle_request(record.pid, pages)
-            connection.reply(frame["id"], {
-                "op": "grant", "id": frame["id"], "pages": granted,
-            })
+            granted = self.smd.handle_request(record.pid, pages)
+            reply = {"op": "grant", "id": request_id, "pages": granted}
         except SoftMemoryDenied as exc:
-            connection.reply(frame["id"], {
-                "op": "deny", "id": frame["id"],
-                "reclaimed": exc.reclaimed,
-            })
+            reply = {"op": "deny", "id": request_id,
+                     "reclaimed": exc.reclaimed}
+        connection.reply(request_id, reply)
 
     def _handle_release(self, connection: _Connection, frame: dict) -> None:
         record = connection.record
         if record is None:
             return
-        with self._lock:
-            self.smd.handle_release(record.pid, int(frame["pages"]))
+        self.smd.handle_release(record.pid, _count(frame, "pages"))
         connection.reply(frame["id"], {"op": "ok", "id": frame["id"]})
 
     def _handle_resync(self, connection: _Connection, frame: dict) -> None:
@@ -438,19 +441,11 @@ class RpcDaemonServer:
         record = connection.record
         if record is None:
             return
-        with self._lock:
-            self.smd.adopt_granted(record.pid, int(frame.get("granted", 0)))
+        self.smd.adopt_granted(record.pid, _count(frame, "granted", 0))
 
     def disconnect(self, connection: _Connection) -> None:
         """Client went away: its budget returns to the pool."""
-        with self._conn_lock:
-            if connection in self._connections:
-                self._connections.remove(connection)
-        record = connection.record
+        record, connection.record = connection.record, None
         if record is not None:
-            with self._lock:
-                try:
-                    self.smd.deregister(record.pid)
-                except KeyError:
-                    pass
-            connection.record = None
+            with contextlib.suppress(KeyError):
+                self.smd.deregister(record.pid)

@@ -21,6 +21,7 @@ from repro.core.errors import (
     SoftMemoryDenied,
 )
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.daemon.smd import SmdConfig
 from repro.kvstore import TcpKvClient
 from repro.rpc import (
     FaultInjector,
@@ -60,6 +61,23 @@ def wait_until(predicate, timeout=8.0, interval=0.02):
 @pytest.fixture
 def socket_path(tmp_path):
     return str(tmp_path / "smd.sock")
+
+
+def hello(socket_path, name, **state):
+    """A scripted client, welcomed: its stream (reads wait up to 10 s)."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10)
+    sock.connect(socket_path)
+    stream = FrameStream(sock)
+    stream.send({"op": "hello", "name": name, **state})
+    assert stream.recv()["op"] == "welcome"
+    return stream
+
+
+def request(stream, request_id, pages):
+    """One REQUEST from a scripted client: the daemon's reply."""
+    stream.send({"op": "request", "id": request_id, "pages": pages})
+    return stream.recv()
 
 
 def churn_workload(sma, rounds, keep=30):
@@ -334,9 +352,16 @@ class TestDrivers:
                     lambda: record.granted_pages == store.sma.budget.granted
                 )
                 assert agent.stats.reconnects == 1
-                # the loop watches the redialed socket: a DEMAND is served
-                (connection,) = srv.connections()
-                assert connection.demand(1)["op"] == "report"
+                # the loop watches the redialed socket: a DEMAND that a
+                # second tenant's REQUEST sends is served (a SET larger
+                # than the first grant asks again, and that REQUEST
+                # reports the pages the first SET left it)
+                assert client.execute("SET", "k2", "v" * 300_000) == "OK"
+                tenant = hello(socket_path, "tenant")
+                reply = request(tenant, 1, srv.smd.unassigned_pages + 1)
+                assert reply["op"] in ("grant", "deny")
+                assert agent.demands_served == 1
+                tenant.close()
         finally:
             server.stop()
             agent.close()
@@ -481,7 +506,8 @@ class TestRetryMachinery:
 
     def test_late_report_after_demand_timeout_not_stranded(self, socket_path):
         """Satellite: a REPORT landing after the daemon's DEMAND wait
-        timed out must not stay in ``_demand_replies`` forever."""
+        timed out is dropped: the victim's next DEMAND is answered by
+        its own REPORT, not by the stale one."""
         slow = RpcConfig(
             heartbeat_interval=0.0, demand_timeout=0.3,
             request_retry=RetryPolicy(attempts=1),
@@ -491,18 +517,14 @@ class TestRetryMachinery:
             socket_path, soft_capacity_pages=40, rpc_config=slow
         ) as srv:
             # scripted victim claiming plenty of reclaimable pages
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(10)
-            sock.connect(socket_path)
-            victim = FrameStream(sock)
-            victim.send({
-                "op": "hello", "name": "victim", "held": 40,
-                "granted": 40, "flexibility": 40, "reclaimable": 40,
-            })
-            assert victim.recv()["op"] == "welcome"
+            victim = hello(
+                socket_path, "victim", held=40, granted=40,
+                flexibility=40, reclaimable=40,
+            )
             # mirror the claim into the daemon ledger so an episode
             # will target this victim
-            srv.smd.adopt_granted(srv.connections()[0].record.pid, 40)
+            record = srv.connections()[0].record
+            srv.smd.adopt_granted(record.pid, 40)
 
             # a real requester forces an episode -> DEMAND to victim
             sma = LockedSoftMemoryAllocator(name="asker",
@@ -528,50 +550,156 @@ class TestRetryMachinery:
             })
             t.join(timeout=10)
             assert "denied" in result  # the episode saw nothing in time
-            connection = next(
-                c for c in srv.connections()
-                if c.record is not None and c.record.name == "victim"
-            )
-            assert wait_until(
-                lambda: connection._demand_replies == {}
-            ), "late report stranded in _demand_replies"
-            assert connection._demand_events == {}
+            assert srv.smd.pages_reclaimed == 0  # the late report: dropped
+
+            t = threading.Thread(target=ask)
+            t.start()
+            again = victim.recv()
+            assert again["op"] == "demand" and again["id"] != demand["id"]
+            victim.send({
+                "op": "report", "id": again["id"],
+                "pages_reclaimed": 20, "pages_from_budget": 20,
+                "held": 20, "granted": 20,
+            })
+            t.join(timeout=10)
+            assert result["granted"] == 20
+            assert srv.smd.pages_reclaimed == 20  # its own REPORT, only
+            assert record.granted_pages == 20
             agent.close()
             victim.close()
 
-    def test_a_welcomed_client_is_already_listed(
-        self, socket_path, monkeypatch
-    ):
+    def test_a_welcomed_client_is_already_listed(self, socket_path):
         """A connection reads its first frame only once ``connections()``
         lists it: whoever holds a ``welcome`` finds its record there.
-        No sleeping — an accept loop that starts the reader before it
-        lists the connection is held right there until the hello is
-        handled, and the handler records what the list said."""
-        from repro.rpc import server as rpc_server
-
-        handled = threading.Event()
+        The handler records what the list said when the hello ran."""
         listed = []
-
-        class HeldWhileUnlisted(rpc_server._Connection):
-            def __init__(self, server, sock):
-                super().__init__(server, sock)
-                if self.reader.is_alive():  # reading, and not listed yet
-                    handled.wait(5)
 
         class Recording(RpcDaemonServer):
             def handle_frame(self, connection, frame):
                 if frame.get("op") == "hello":
                     listed.append(connection in self.connections())
                 super().handle_frame(connection, frame)
-                handled.set()
 
-        monkeypatch.setattr(rpc_server, "_Connection", HeldWhileUnlisted)
         with Recording(socket_path, soft_capacity_pages=4):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(10)
-            sock.connect(socket_path)
-            client = FrameStream(sock)
-            client.send({"op": "hello", "name": "early", "held": 0})
-            assert client.recv()["op"] == "welcome"
-            client.close()
+            hello(socket_path, "early", held=0).close()
         assert listed == [True]
+
+
+class TestDaemonLoop:
+    """One thread serves every client; a client that breaks the
+    protocol or stops reading costs only itself."""
+
+    @pytest.mark.parametrize("frame", [
+        {"op": "request", "id": 2, "pages": "five"},
+        {"op": "request", "id": 2},
+    ], ids=["pages-not-a-count", "pages-missing"])
+    def test_a_malformed_frame_drops_its_sender_and_frees_its_budget(
+        self, socket_path, frame
+    ):
+        with RpcDaemonServer(socket_path, soft_capacity_pages=20) as srv:
+            client = hello(socket_path, "garbled", held=0, granted=0)
+            assert request(client, 1, 5) == {
+                "op": "grant", "id": 1, "pages": 5,
+            }
+            assert srv.smd.assigned_pages == 5
+            client.send(frame)
+            assert client.recv()["op"] == "error"
+            with pytest.raises(FrameClosed):  # the daemon closed it
+                client.recv()
+            client.close()
+            assert wait_until(lambda: not srv.smd.registry)
+            assert srv.smd.assigned_pages == 0
+
+    def test_a_bad_report_drops_the_victim_not_the_requester(
+        self, socket_path
+    ):
+        with RpcDaemonServer(socket_path, soft_capacity_pages=40) as srv:
+            victim = hello(
+                socket_path, "victim", held=40, granted=40,
+                flexibility=40, reclaimable=40,
+            )
+            srv.smd.adopt_granted(srv.connections()[0].record.pid, 40)
+            asker = hello(socket_path, "asker", held=0, granted=0)
+            asker.send({"op": "request", "id": 1, "pages": 20})
+            demand = victim.recv()
+            assert demand["op"] == "demand"
+            victim.send({"op": "report", "id": demand["id"],
+                         "pages_from_budget": "lots"})
+            assert victim.recv()["op"] == "error"
+            with pytest.raises(FrameClosed):
+                victim.recv()
+            assert asker.recv() == {"op": "deny", "id": 1, "reclaimed": 0}
+            assert wait_until(lambda: len(srv.smd.registry) == 1)
+            assert srv.smd.assigned_pages == 0
+            assert request(asker, 2, 20)["op"] == "grant"  # still served
+            asker.close()
+            victim.close()
+
+    def test_a_second_hello_is_refused_and_strands_nothing(
+        self, socket_path
+    ):
+        with RpcDaemonServer(
+            socket_path, 50, SmdConfig(startup_budget_pages=4)
+        ) as srv:
+            client = hello(socket_path, "twice", held=0, granted=0)
+            assert srv.smd.assigned_pages == 4
+            client.send({"op": "hello", "name": "twice", "held": 0})
+            assert client.recv()["op"] == "error"
+            with pytest.raises(FrameClosed):
+                client.recv()
+            client.close()
+            assert wait_until(lambda: not srv.smd.registry)
+            assert srv.smd.assigned_pages == 0
+
+    def test_eight_clients_and_an_episode_run_one_thread(self, socket_path):
+        """The thread guard: the daemon adds exactly one thread however
+        many clients it serves, mid-episode included."""
+        before = set(threading.enumerate())
+
+        def started():
+            return [t for t in threading.enumerate() if t not in before]
+
+        with RpcDaemonServer(
+            socket_path, 16, SmdConfig(startup_budget_pages=2)
+        ) as srv:
+            clients = [
+                hello(socket_path, f"c{i}", held=0, granted=2,
+                      flexibility=2 * (i == 1), reclaimable=2 * (i == 1))
+                for i in range(8)
+            ]
+            assert srv.smd.unassigned_pages == 0
+            asker, victim = clients[0], clients[1]
+            asker.send({"op": "request", "id": 1, "pages": 1})
+            demand = victim.recv()  # the episode waits for the REPORT
+            assert demand["op"] == "demand"
+            assert len(started()) == 1
+            victim.send({"op": "report", "id": demand["id"],
+                         "pages_from_budget": 1, "granted": 1})
+            assert asker.recv() == {"op": "grant", "id": 1, "pages": 1}
+            assert len(started()) == 1
+            for client in clients:
+                client.close()
+
+    def test_a_client_that_stops_reading_is_dropped_alone(self, socket_path):
+        """The slow-reader guard: one client floods PINGs and reads no
+        PONG; the daemon drops it and keeps welcoming others."""
+        with RpcDaemonServer(socket_path, 50, rpc_config=FAST) as srv:
+            flooder = hello(socket_path, "flooder", held=0)
+            flooder._sock.setblocking(False)
+            ping = b'{"op":"ping","t":0}\n'
+            for __ in range(1_000_000):  # until its socket fills, or drops
+                try:
+                    flooder._sock.send(ping)
+                except OSError:
+                    break
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(3.0)
+            sock.connect(socket_path)
+            other = FrameStream(sock)
+            other.send({"op": "hello", "name": "other", "held": 0})
+            assert other.recv()["op"] == "welcome"
+            assert wait_until(lambda: [
+                r.name for r in srv.smd.registry
+            ] == ["other"]), "the flooder was never dropped"
+            other.close()
+            flooder.close()

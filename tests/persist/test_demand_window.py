@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import glob
 import os
+import socket
 import time
 
 import repro.kvstore.persist.engine
@@ -29,6 +30,8 @@ from repro.kvstore.persist.snapshot import read_snapshot
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig
 from repro.kvstore.values import value_bytes
+from repro.rpc.config import RpcConfig
+from repro.rpc.framing import FrameStream
 from repro.rpc.server import RpcDaemonServer
 from repro.tools.kv_server import GracefulShutdown, build_server
 from tests.kvstore.transport_standins import ScriptedDaemon
@@ -98,13 +101,16 @@ def test_a_demand_inside_the_write_window_waits_for_the_round(
 
 
 def test_a_demand_during_term_leaves_the_snapshot_whole(tmp_path, monkeypatch):
-    """The daemon DEMANDs everything while the closing snapshot is
-    written: the snapshot equals the live keyspace, the DEMAND ends
-    unanswered as soon as the agent is gone, and the daemon's ledger
-    forgets the kv."""
+    """A second tenant asks for the whole machine once the kv's loop
+    has stopped, so the daemon's episode DEMANDs from the kv and waits:
+    nobody reads the kv's socket now. The snapshot equals the live
+    keyspace, the DEMAND ends unanswered as soon as the agent closes
+    (the tenant reads its DENY during the snapshot, long before the
+    ``demand_timeout``), and the daemon's ledger forgets the kv."""
     data = str(tmp_path / "data")
     with RpcDaemonServer(
-        str(tmp_path / "smd.sock"), 64, SmdConfig(startup_budget_pages=4)
+        str(tmp_path / "smd.sock"), 64, SmdConfig(startup_budget_pages=4),
+        rpc_config=RpcConfig(demand_timeout=60.0),
     ) as daemon:
         store, persistence, server = build_server(
             smd_socket=daemon.socket_path, data_dir=data, tier=False
@@ -113,21 +119,39 @@ def test_a_demand_during_term_leaves_the_snapshot_whole(tmp_path, monkeypatch):
         with TcpKvClient(server.address) as client:
             for i in range(30):
                 assert client.execute("SET", b"k%d" % i, b"v" * 900) == "OK"
-        (connection,) = daemon.connections()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(10)
+        sock.connect(daemon.socket_path)
+        tenant = FrameStream(sock)
+        tenant.send({"op": "hello", "name": "tenant", "held": 0})
+        assert tenant.recv()["op"] == "welcome"
+        agent = store.smd_agent
+        real_close = agent.close
         real_materialize = repro.kvstore.persist.engine.materialize_entries
-        reports = []
+        replies = []
 
-        def materialize_then_demand(store_, now_unix):
+        def close_mid_demand():
+            tenant.send({"op": "request", "id": 1, "pages": 64})
+            for __ in range(1000):  # the DEMAND is out: bounded, not timed
+                if daemon.smd.demands_issued:
+                    break
+                time.sleep(0.01)
+            real_close()
+
+        def materialize_then_read(store_, now_unix):
             entries = real_materialize(store_, now_unix)
-            reports.append(connection.demand(10_000))
+            replies.append(tenant.recv())
             return entries
 
+        monkeypatch.setattr(agent, "close", close_mid_demand)
         monkeypatch.setattr(
             repro.kvstore.persist.engine, "materialize_entries",
-            materialize_then_demand,
+            materialize_then_read,
         )
-        GracefulShutdown(server, persistence, store.smd_agent).run()
-        for __ in range(1000):  # the deregistration: bounded, not timed
+        GracefulShutdown(server, persistence, agent).run()
+        assert daemon.smd.demands_issued == 1
+        tenant.close()
+        for __ in range(1000):  # the deregistrations: bounded, not timed
             if not daemon.smd.registry:
                 break
             time.sleep(0.01)
@@ -137,4 +161,6 @@ def test_a_demand_during_term_leaves_the_snapshot_whole(tmp_path, monkeypatch):
     records, __ = read_snapshot(newest)
     assert {r[1]: r[2] for r in records} == dict(store.keyspace.items())
     assert len(records) == 30
-    assert reports == [None]  # nobody was left to answer it
+    # nobody was left to answer the DEMAND
+    assert replies == [{"op": "deny", "id": 1, "reclaimed": 0}]
+    assert agent.demands_served == 0
