@@ -84,7 +84,7 @@ class SoftPtr:
     """
 
     #: ``allocation`` is the SMA / SDS layers' accessor; a slot, not a
-    #: property, because ``SoftDict.get`` reads it per chain element
+    #: property, because ``SoftDict.get`` reads it on every probe
     __slots__ = ("allocation",)
 
     def __init__(self, alloc: Allocation) -> None:

@@ -6,8 +6,9 @@ lines of C we cannot link against, so this package provides a faithful
 single-threaded stand-in:
 
 * :mod:`~repro.kvstore.resp` — RESP2 wire protocol codec,
-* :mod:`~repro.kvstore.dict` — the two-table, incrementally-rehashed
-  dict Redis uses, with bucket entries living in soft memory,
+* :mod:`~repro.kvstore.dict` — the keyspace: a dict from key to the
+  entry's soft pointer, the shape ``SoftHashTable`` has, with every
+  bucket entry living in soft memory,
 * :mod:`~repro.kvstore.store` — keyspace, TTLs, memory accounting, and
   the reclamation callback that cleans up associated traditional memory
   (the code path the paper measures as dominating reclamation time),

@@ -1,16 +1,15 @@
 """The Redis dict, with its bucket elements in soft memory.
 
-Real Redis stores the keyspace in a chained hash table with *two* tables
-and incremental rehashing: when the load factor crosses 1, a second,
-larger table is allocated and every subsequent operation migrates one
-bucket, so rehashing never stalls the event loop. The paper's prototype
-"modified this hash table to store the elements of its buckets in soft
-memory, turning it into an SDS", while keys and values stayed in
-traditional memory, deallocated via the reclamation callback.
+The paper's prototype "modified this hash table to store the elements of
+its buckets in soft memory, turning it into an SDS", while keys and
+values stayed in traditional memory, deallocated via the reclamation
+callback. The bucket index itself never held soft memory.
 
-:class:`SoftDict` reproduces that integration: chain elements are soft
-allocations whose payload is a traditional-memory ``(key, value)``
-record; reclamation drops the oldest entries first and the application
+:class:`SoftDict` reproduces that integration in the shape
+:class:`~repro.sds.soft_hash_table.SoftHashTable` has: the index is a
+dict from key to the entry's soft pointer, and every entry is one soft
+allocation whose payload is a traditional-memory ``(key, value)``
+record. Reclamation drops the oldest entries first and the application
 callback cleans up the traditional side.
 
 With a :class:`~repro.kvstore.tier.TierConfig` enabled, eviction grows
@@ -42,29 +41,9 @@ from repro.kvstore.tier import (
 from repro.kvstore.values import CompressedValue
 from repro.sds.base import SoftDataStructure
 
-#: Redis's DICT_HT_INITIAL_SIZE
-INITIAL_SIZE = 4
-#: buckets migrated per operation while rehashing (Redis migrates 1,
-#: visiting at most 10 empty buckets per step)
-REHASH_STEP_BUCKETS = 1
-REHASH_MAX_EMPTY_VISITS = 10
-
-
-class _Table:
-    """One hash table: power-of-two bucket array of soft-pointer chains."""
-
-    __slots__ = ("buckets", "size", "mask", "used")
-
-    def __init__(self, size: int) -> None:
-        assert size and (size & (size - 1)) == 0, "size must be a power of 2"
-        self.buckets: list[list[SoftPtr] | None] = [None] * size
-        self.size = size
-        self.mask = size - 1
-        self.used = 0
-
 
 class SoftDict(SoftDataStructure):
-    """Incrementally-rehashed chained dict with soft entries.
+    """Mapping from key to one soft entry each, oldest reclaimed first.
 
     ``entry_size`` is the soft bytes charged per entry when the caller
     does not pass an explicit ``size`` (the store passes key+value+
@@ -84,12 +63,10 @@ class SoftDict(SoftDataStructure):
         if entry_size <= 0:
             raise ValueError(f"entry_size must be positive: {entry_size}")
         self._entry_size = entry_size
-        self._ht0 = _Table(INITIAL_SIZE)
-        self._ht1: _Table | None = None
-        self._rehash_idx = 0
+        #: key -> entry pointer: the bucket index, in traditional memory
+        self._index: dict[bytes, SoftPtr] = {}
         #: alloc_id -> ptr in insertion (age) order, for oldest-first reclaim
         self._by_age: dict[int, SoftPtr] = {}
-        self.rehashes_completed = 0
         # -- compressed second-chance tier -----------------------------
         self.tier = tier or TierConfig()
         self.tier_stats = TierStats()
@@ -104,81 +81,6 @@ class SoftDict(SoftDataStructure):
         ) = None
         #: observability hook: promote-path latency in seconds
         self.observe_promote: Callable[[float], None] | None = None
-
-    # ------------------------------------------------------------------
-    # hashing / rehashing machinery
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _hash(key: bytes) -> int:
-        # Python's SipHash over bytes, like Redis's SipHash over keys.
-        return hash(key)
-
-    @property
-    def is_rehashing(self) -> bool:
-        return self._ht1 is not None
-
-    @property
-    def table_sizes(self) -> tuple[int, int]:
-        """(ht0 size, ht1 size or 0) — for tests and INFO output."""
-        return self._ht0.size, self._ht1.size if self._ht1 else 0
-
-    def _maybe_start_rehash(self) -> None:
-        if self.is_rehashing:
-            return
-        if self._ht0.used < self._ht0.size:
-            return
-        new_size = self._ht0.size
-        target = self._ht0.used * 2
-        while new_size < target:
-            new_size *= 2
-        self._ht1 = _Table(new_size)
-        self._rehash_idx = 0
-
-    def _rehash_step(self) -> None:
-        """Migrate up to REHASH_STEP_BUCKETS non-empty buckets to ht1."""
-        if self._ht1 is None:  # attribute, not the property: hot path
-            return
-        migrated = 0
-        empty_visits = 0
-        while migrated < REHASH_STEP_BUCKETS:
-            if self._rehash_idx >= self._ht0.size:
-                self._finish_rehash()
-                return
-            chain = self._ht0.buckets[self._rehash_idx]
-            if not chain:
-                self._rehash_idx += 1
-                empty_visits += 1
-                if empty_visits >= REHASH_MAX_EMPTY_VISITS:
-                    return
-                continue
-            for ptr in chain:
-                key, __ = ptr.deref()
-                slot = self._hash(key) & self._ht1.mask
-                bucket = self._ht1.buckets[slot]
-                if bucket is None:
-                    bucket = self._ht1.buckets[slot] = []
-                bucket.append(ptr)
-            self._ht1.used += len(chain)
-            self._ht0.used -= len(chain)
-            self._ht0.buckets[self._rehash_idx] = None
-            self._rehash_idx += 1
-            migrated += 1
-        if self._rehash_idx >= self._ht0.size:
-            self._finish_rehash()
-
-    def _finish_rehash(self) -> None:
-        assert self._ht1 is not None
-        assert self._ht0.used == 0
-        self._ht0 = self._ht1
-        self._ht1 = None
-        self._rehash_idx = 0
-        self.rehashes_completed += 1
-
-    def _tables(self) -> Iterator[_Table]:
-        yield self._ht0
-        if self._ht1 is not None:
-            yield self._ht1
 
     # ------------------------------------------------------------------
     # mapping operations
@@ -197,21 +99,18 @@ class SoftDict(SoftDataStructure):
         same-size write stores the new payload through the existing
         soft pointer — one pointer write, the way Redis swaps
         ``dictEntry->v`` on SET — and a size-changing write is one
-        ``soft_resize``. Either way the chain slot is untouched, the
-        same :class:`SoftPtr` is returned, and like a fresh insert the
+        ``soft_resize``. Either way the index is untouched, the same
+        :class:`SoftPtr` is returned, and like a fresh insert the
         overwrite refreshes the entry's age (re-inserting its age-index
         slot), preserving the oldest-first reclamation contract.
         """
         if type(key) is not bytes:
             self._check_key(key)
-        if self._ht1 is not None:  # guard inlined: hot path
-            self._rehash_step()
         want = size or self._entry_size
-        existing = self._find(key)
+        existing = self._index.get(key)
         old_value: Any | None = None
         if existing is not None:
-            ptr, table, slot = existing
-            alloc = ptr.allocation  # read once; ``_find`` saw it live
+            alloc = existing.allocation  # ``SoftPtr.deref``, inlined
             if not alloc.valid:
                 raise ReclaimedMemoryError(alloc.alloc_id)
             old_value = alloc.payload[1]
@@ -221,35 +120,27 @@ class SoftDict(SoftDataStructure):
                     alloc.payload = (key, value)
                 else:
                     try:
-                        self._sma.soft_resize(ptr, want, (key, value))
+                        self._sma.soft_resize(existing, want, (key, value))
                     except Exception:
-                        self._remove_ptr(ptr, table, slot)
+                        del self._index[key]
                         del by_age[alloc_id]
                         self._overwrite_lost(key, old_value)
                         raise
                 del by_age[alloc_id]  # refresh age: now newest
-                by_age[alloc_id] = ptr
-                return ptr, old_value
+                by_age[alloc_id] = existing
+                return existing, old_value
             # a demoted entry is never overwritten through its handle —
             # its soft size tracks the compressed bytes, not the incoming
             # value; the free below records it as a tier displacement
-            self._remove_ptr(ptr, table, slot)
-            self._free(ptr)
-        self._maybe_start_rehash()
-        target = self._ht1 if self.is_rehashing else self._ht0
-        assert target is not None
+            del self._index[key]
+            self._free(existing)
         try:
             ptr = self._alloc(want, (key, value))
         except Exception:
             if existing is not None:
                 self._overwrite_lost(key, old_value)
             raise
-        slot = self._hash(key) & target.mask
-        bucket = target.buckets[slot]
-        if bucket is None:
-            bucket = target.buckets[slot] = []
-        bucket.append(ptr)
-        target.used += 1
+        self._index[key] = ptr
         self._by_age[ptr.alloc_id] = ptr
         return ptr, old_value
 
@@ -271,66 +162,40 @@ class SoftDict(SoftDataStructure):
         # ``SoftPtr.deref`` are inlined: same probe, same liveness check
         if type(key) is not bytes:
             self._check_key(key)
-        if self._ht1 is not None:
-            self._rehash_step()
-        h = hash(key)
-        table = self._ht0
-        while True:
-            chain = table.buckets[h & table.mask]
-            if chain:
-                for ptr in chain:
-                    alloc = ptr.allocation
-                    if not alloc.valid:
-                        raise ReclaimedMemoryError(alloc.alloc_id)
-                    entry_key, value = alloc.payload
-                    if entry_key == key:
-                        return value
-            ht1 = self._ht1
-            if ht1 is None or table is ht1:
-                return default
-            table = ht1
+        ptr = self._index.get(key)
+        if ptr is None:
+            return default
+        alloc = ptr.allocation
+        if not alloc.valid:
+            raise ReclaimedMemoryError(alloc.alloc_id)
+        return alloc.payload[1]
 
     def __contains__(self, key: bytes) -> bool:
         return self._find(key) is not None
 
     def delete(self, key: bytes) -> bool:
         self._check_key(key)
-        self._rehash_step()
-        found = self._find(key)
-        if found is None:
+        ptr = self._find(key)
+        if ptr is None:
             return False
-        ptr, table, slot = found
-        self._remove_ptr(ptr, table, slot)
+        del self._index[key]
         self._free(ptr)  # maintains both age indexes
         return True
 
     def __len__(self) -> int:
-        return self._ht0.used + (self._ht1.used if self._ht1 else 0)
+        return len(self._index)
 
     def keys(self) -> Iterator[bytes]:
-        for table in self._tables():
-            for chain in table.buckets:
-                if chain:
-                    for ptr in chain:
-                        key, __ = ptr.deref()
-                        yield key
+        return iter(self._index)
 
     def items(self) -> Iterator[tuple[bytes, Any]]:
-        for table in self._tables():
-            for chain in table.buckets:
-                if chain:
-                    for ptr in chain:
-                        yield ptr.deref()
+        for ptr in self._index.values():
+            yield ptr.deref()
 
     def clear(self) -> None:
-        for table in self._tables():
-            for chain in table.buckets:
-                if chain:
-                    for ptr in chain:
-                        self._free(ptr)
-        self._ht0 = _Table(INITIAL_SIZE)
-        self._ht1 = None
-        self._rehash_idx = 0
+        for ptr in self._index.values():
+            self._free(ptr)
+        self._index.clear()
         self._by_age.clear()
         self._compressed_age.clear()
 
@@ -343,33 +208,12 @@ class SoftDict(SoftDataStructure):
         if not isinstance(key, bytes):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
 
-    def _find(self, key: bytes) -> tuple[SoftPtr, _Table, int] | None:
-        # straight-line probe of ht0 (and ht1 mid-rehash) — no tuple
-        # or generator construction: this runs per command
-        h = hash(key)
-        table = self._ht0
-        while True:
-            slot = h & table.mask
-            chain = table.buckets[slot]
-            if chain:
-                for ptr in chain:
-                    alloc = ptr.allocation  # ``SoftPtr.deref``, inlined
-                    if not alloc.valid:
-                        raise ReclaimedMemoryError(alloc.alloc_id)
-                    if alloc.payload[0] == key:
-                        return ptr, table, slot
-            ht1 = self._ht1
-            if ht1 is None or table is ht1:
-                return None
-            table = ht1
-
-    def _remove_ptr(self, ptr: SoftPtr, table: _Table, slot: int) -> None:
-        chain = table.buckets[slot]
-        assert chain is not None
-        chain.remove(ptr)
-        if not chain:
-            table.buckets[slot] = None
-        table.used -= 1
+    def _find(self, key: bytes) -> SoftPtr | None:
+        """The key's live entry pointer, or ``None`` when absent."""
+        ptr = self._index.get(key)
+        if ptr is not None and not ptr.allocation.valid:
+            raise ReclaimedMemoryError(ptr.alloc_id)
+        return ptr
 
     # ------------------------------------------------------------------
     # reclaim contract: demote-before-drop, oldest entries first
@@ -412,9 +256,8 @@ class SoftDict(SoftDataStructure):
     def _drop(self, ptr: SoftPtr) -> None:
         """Unlink one entry and free it on the reclamation path."""
         key, __ = ptr.deref()
-        found = self._find(key)
-        assert found is not None and found[0] is ptr
-        self._remove_ptr(ptr, found[1], found[2])
+        assert self._index[key] is ptr
+        del self._index[key]
         self._by_age.pop(ptr.alloc_id, None)
         self._reclaim_ptr(ptr)
 
@@ -427,10 +270,9 @@ class SoftDict(SoftDataStructure):
         pinned, too small, or incompressible). Never removes an entry:
         once the value compresses, ``soft_demote`` cannot fail.
         """
-        found = self._find(key)
-        if found is None:
+        ptr = self._find(key)
+        if ptr is None:
             return False
-        ptr = found[0]
         __, value = ptr.deref()
         if type(value) is CompressedValue:
             return True
@@ -477,10 +319,9 @@ class SoftDict(SoftDataStructure):
 
         Returns ``None`` if the key is absent or not compressed.
         """
-        found = self._find(key)
-        if found is None:
+        ptr = self._find(key)
+        if ptr is None:
             return None
-        ptr = found[0]
         __, compressed = ptr.deref()
         if type(compressed) is not CompressedValue:
             return None
@@ -510,10 +351,9 @@ class SoftDict(SoftDataStructure):
         as a demotion — the entry entered the compressed tier — which
         keeps the tier conservation identity exact after a restart.
         """
-        found = self._find(key)
-        if found is None:
+        ptr = self._find(key)
+        if ptr is None:
             return False
-        ptr = found[0]
         __, value = ptr.deref()
         if type(value) is not CompressedValue:
             return False
@@ -553,7 +393,4 @@ class SoftDict(SoftDataStructure):
         super()._free(ptr)
 
     def __repr__(self) -> str:
-        return (
-            f"<SoftDict {self.name!r} used={len(self)} "
-            f"sizes={self.table_sizes} rehashing={self.is_rehashing}>"
-        )
+        return f"<SoftDict {self.name!r} used={len(self)}>"

@@ -397,12 +397,13 @@ class RpcDaemonServer:
             traditional_pages=_count(frame, "traditional_pages", 0),
         )
         self.smd.registry.add(record)
-        unassigned = self.smd.unassigned_pages
+        # a resync's adoption may have left the pool oversubscribed
+        unassigned = max(0, self.smd.unassigned_pages)
         startup = accepted = 0
         if resync:
             # re-adopt what free capacity allows; the client sheds any
             # overdraft and settles with a follow-up resync frame
-            accepted = min(claim, max(0, unassigned))
+            accepted = min(claim, unassigned)
             record.resyncs += 1
         else:
             startup = min(self.smd.config.startup_budget_pages, unassigned)

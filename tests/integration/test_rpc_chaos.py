@@ -651,6 +651,38 @@ class TestDaemonLoop:
             assert wait_until(lambda: not srv.smd.registry)
             assert srv.smd.assigned_pages == 0
 
+    def test_a_fresh_hello_into_an_oversubscribed_pool_gets_no_budget(
+        self, socket_path
+    ):
+        """A resync may adopt more than the pool holds; a HELLO that
+        follows is welcomed with a startup budget of 0, not a negative
+        one its agent would refuse."""
+        with RpcDaemonServer(
+            socket_path, 20, SmdConfig(startup_budget_pages=4)
+        ) as srv:
+            smd = srv.smd
+            hog = hello(socket_path, "hog", held=0, granted=0)
+            hog.send({"op": "resync", "granted": 30})
+            assert wait_until(lambda: smd.unassigned_pages == -10)
+            sma = LockedSoftMemoryAllocator(name="late", request_batch_pages=1)
+            agent = SmaAgent.connect(socket_path, sma, config=FAST)
+            assert sma.budget.granted == 0
+            assert smd.registry.get(agent.pid).granted_pages == 0
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(10)
+            sock.connect(socket_path)
+            fresh = FrameStream(sock)
+            fresh.send({"op": "hello", "name": "fresh", "held": 0})
+            assert fresh.recv()["startup_budget"] == 0
+            assert [r.granted_pages for r in smd.registry] == [30, 0, 0]
+            assert smd.assigned_pages == (
+                smd.pages_granted - smd.pages_released
+                - smd.pages_reclaimed - smd.pages_forfeited
+            ) == 30
+            agent.close()
+            fresh.close()
+            hog.close()
+
     def test_eight_clients_and_an_episode_run_one_thread(self, socket_path):
         """The thread guard: the daemon adds exactly one thread however
         many clients it serves, mid-episode included."""

@@ -1,4 +1,4 @@
-"""Tests for the Redis-style incremental-rehash dict."""
+"""Tests for the soft keyspace dict: one index, soft entries."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import ReclaimedMemoryError, SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SoftMemoryDaemon
-from repro.kvstore.dict import INITIAL_SIZE, SoftDict
+from repro.kvstore.dict import SoftDict
 
 
 @pytest.fixture
@@ -39,10 +39,10 @@ class TestMappingSemantics:
     def test_size_changing_overwrite_goes_through_the_handle(self, sma, d):
         for i in range(3):
             d.put(b"k%d" % i, i, size=100)
-        ptr, table, slot = d._find(b"k0")
+        ptr = d._find(b"k0")
         again, old = d.upsert(b"k0", "grown", size=900)
         assert again is ptr and old == 0
-        assert d._find(b"k0") == (ptr, table, slot)  # chain slot untouched
+        assert d._find(b"k0") is ptr  # index untouched
         assert (ptr.size, d.get(b"k0")) == (900, "grown")
         assert len(d) == 3
         assert list(d._by_age.values())[-1] is ptr  # age refreshed: newest
@@ -82,8 +82,20 @@ class TestMappingSemantics:
         for i in range(10):
             d.put(str(i).encode(), i)
         d.clear()
-        assert len(d) == 0
-        assert d.table_sizes == (INITIAL_SIZE, 0)
+        assert len(d) == 0 and list(d.keys()) == []
+        assert d.soft_bytes == 0 and not d._by_age
+        d.put(b"1", "again")
+        assert d.get(b"1") == "again" and len(d) == 1
+
+    def test_get_refuses_a_reclaimed_pointer(self, d):
+        d.put(b"first", 1)
+        d.put(b"second", 2)
+        # the allocation dies under the dict: a lookup must raise rather
+        # than read freed memory, and a neighbour stays readable
+        d._find(b"first").allocation.valid = False
+        with pytest.raises(ReclaimedMemoryError):
+            d.get(b"first")
+        assert d.get(b"second") == 2
 
     def test_non_bytes_key_rejected(self, d):
         with pytest.raises(TypeError):
@@ -91,88 +103,6 @@ class TestMappingSemantics:
         for key in ("str-key", bytearray(b"k"), memoryview(b"k"), None):
             with pytest.raises(TypeError):
                 d.get(key)
-
-
-class TestIncrementalRehash:
-    def test_rehash_starts_at_load_factor_one(self, d):
-        for i in range(INITIAL_SIZE):
-            d.put(str(i).encode(), i)
-        d.put(b"overflow", 1)
-        assert d.is_rehashing or d.rehashes_completed >= 1
-
-    def test_rehash_finishes_eventually(self, d):
-        for i in range(100):
-            d.put(str(i).encode(), i)
-        # keep operating; migration happens one bucket per op
-        for i in range(100):
-            d.get(str(i).encode())
-        assert not d.is_rehashing
-        assert d.rehashes_completed >= 1
-
-    def test_lookups_correct_during_rehash(self, d):
-        for i in range(INITIAL_SIZE + 1):
-            d.put(str(i).encode(), i)
-        assert d.is_rehashing
-        for i in range(INITIAL_SIZE + 1):
-            assert d.get(str(i).encode()) == i
-
-    def test_get_finds_keys_in_either_table_mid_rehash(self, d):
-        keys = [b"key:%d" % i for i in range(300)]
-        for i, key in enumerate(keys):
-            d.put(key, i)
-        assert d.is_rehashing
-        seen = set()
-        for i, key in enumerate(keys):
-            if not d.is_rehashing:
-                break
-            where = "ht0" if d._find(key)[1] is d._ht0 else "ht1"
-            assert d.get(key) == i  # also migrates one bucket
-            seen.add(where)
-        assert seen == {"ht0", "ht1"}
-        assert d.get(b"absent") is None
-
-    def test_get_refuses_a_reclaimed_pointer_in_the_chain(self, d):
-        # two keys in one bucket of the initial 4-bucket table
-        by_slot: dict[int, list[bytes]] = {}
-        for i in range(64):
-            key = b"k%d" % i
-            chain = by_slot.setdefault(hash(key) & (INITIAL_SIZE - 1), [])
-            chain.append(key)
-            if len(chain) == 2:
-                break
-        first, second = chain
-        d.put(first, 1)
-        d.put(second, 2)
-        assert d.get(second) == 2
-        # the allocation dies under the dict: a lookup walking the chain
-        # must raise rather than compare against freed memory
-        d._find(first)[0].allocation.valid = False
-        with pytest.raises(ReclaimedMemoryError):
-            d.get(first)
-        with pytest.raises(ReclaimedMemoryError):
-            d.get(second)
-
-    def test_delete_during_rehash(self, d):
-        for i in range(INITIAL_SIZE + 1):
-            d.put(str(i).encode(), i)
-        assert d.is_rehashing
-        assert d.delete(b"0")
-        assert d.get(b"0") is None
-
-    def test_table_grows_power_of_two(self, d):
-        for i in range(1000):
-            d.put(str(i).encode(), i)
-        for i in range(1000):
-            d.get(str(i).encode())
-        size0, size1 = d.table_sizes
-        assert size0 >= 1024
-        assert size0 & (size0 - 1) == 0
-
-    def test_len_correct_during_rehash(self, d):
-        n = INITIAL_SIZE * 4
-        for i in range(n):
-            d.put(str(i).encode(), i)
-        assert len(d) == n
 
 
 class TestReclamation:
@@ -205,17 +135,18 @@ class TestReclamation:
         assert d.get(b"1") == "new"
 
     def test_eviction_during_rehash(self, sma):
+        """Eviction from a dict grown well past its first index resize."""
         d = SoftDict(sma, entry_size=2048)
-        for i in range(INITIAL_SIZE + 1):
+        n = 100
+        for i in range(n):
             d.put(str(i).encode(), i)
-        assert d.is_rehashing
         assert d.evict_one()
-        # table still fully functional
+        assert d.get(b"0") is None  # the oldest went
+        # the dict stays fully functional
         survivors = sum(
-            1 for i in range(INITIAL_SIZE + 1)
-            if d.get(str(i).encode()) is not None
+            1 for i in range(n) if d.get(str(i).encode()) is not None
         )
-        assert survivors == INITIAL_SIZE
+        assert survivors == len(d) == n - 1
 
 
 @settings(max_examples=30, deadline=None)

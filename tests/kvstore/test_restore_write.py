@@ -139,10 +139,10 @@ def test_restore_without_expiry_clears_the_ttl(tmp_path, second):
     replica.apply(stream_of((K2, SMALL, 60)))
     store = replica.store
     assert store.pttl(K2) > 0
-    ptr = store._dict._find(K2)[0]
+    ptr = store._dict._find(K2)
     replica.apply(stream_of((K2, second, None)))
     assert store.pttl(K2) == -1 and store._expires == {}
-    assert store._dict._find(K2)[0] is ptr  # overwritten, not re-inserted
+    assert store._dict._find(K2) is ptr  # overwritten, not re-inserted
     assert store.get(K2) == second
     assert store.traditional_bytes == len(K2) + len(second)
     assert replica.state.apply_denied == 0

@@ -437,7 +437,7 @@ class TestAReadNeverProvisions:
         store, daemon, demoted = squeezed
         dct, ts = store._dict, store._dict.tier_stats
         key = demoted[0]
-        ptr = dct._find(key)[0]
+        ptr = dct._find(key)
         compressed = dct.get(key)
         compressed_bytes = dct.compressed_bytes
         trad = store.traditional_bytes
@@ -449,7 +449,7 @@ class TestAReadNeverProvisions:
         assert store.get(key) == value
         assert page_state(store.sma, daemon) == before
         assert (ts.promotions, ts.promotion_denials) == (1, 0)
-        assert dct._find(key)[0] is ptr  # the handle survived
+        assert dct._find(key) is ptr  # the handle survived
         assert ptr.size == store._entry_size(key, value)
         assert ptr.alloc_id in dct._by_age
         assert ptr.alloc_id not in dct._compressed_age
