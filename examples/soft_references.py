@@ -79,11 +79,11 @@ def main() -> None:
     sma.soft_malloc(2048, ctx4, payload="expendable")
 
     def evict_unpinned(quota):
-        for alloc in list(ctx4.heap.iter_oldest_first()):
+        for ptr in list(ctx4.heap.iter_oldest_first()):
             if ctx4.heap.free_page_count >= quota:
                 break
-            if not alloc.pinned:
-                sma._reclaim_free_alloc(alloc)
+            if not ptr.pinned:
+                sma.reclaim_free(ptr)
         return ctx4.heap.free_page_count
 
     ctx4.reclaim_handler = evict_unpinned

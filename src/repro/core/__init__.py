@@ -27,13 +27,12 @@ from repro.core.freepool import FreePool
 from repro.core.groups import GroupRegistry
 from repro.core.heap import SdsHeap
 from repro.core.locking import LockedSoftMemoryAllocator, pinned_read
-from repro.core.pointer import Allocation, DerefScope, SoftPtr
+from repro.core.pointer import DerefScope, SoftPtr
 from repro.core.reclaim import ReclamationStats, plan_sds_quotas
 from repro.core.sma import SoftMemoryAllocator
 from repro.core.softref import ReferenceQueue, SoftReference
 
 __all__ = [
-    "Allocation",
     "AllocationPinnedError",
     "BudgetLedger",
     "DerefScope",

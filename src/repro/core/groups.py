@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.pointer import Allocation, SoftPtr
+from repro.core.pointer import SoftPtr
 
 _group_ids = itertools.count(1)
 
@@ -21,7 +21,7 @@ class GroupRegistry:
     """Tracks which allocations must live and die together."""
 
     def __init__(self) -> None:
-        self._members: dict[int, set[Allocation]] = {}
+        self._members: dict[int, set[SoftPtr]] = {}
 
     def new_group(self) -> int:
         """Create an empty group and return its id."""
@@ -31,20 +31,19 @@ class GroupRegistry:
 
     def add(self, group_id: int, ptr: SoftPtr) -> None:
         """Enroll a live allocation in a group."""
-        alloc = ptr.allocation
-        if not alloc.valid:
-            raise ValueError(f"allocation {alloc.alloc_id} is not live")
-        if alloc.group_id is not None and alloc.group_id != group_id:
+        if not ptr.valid:
+            raise ValueError(f"allocation {ptr.alloc_id} is not live")
+        if ptr.group_id is not None and ptr.group_id != group_id:
             raise ValueError(
-                f"allocation {alloc.alloc_id} already in "
-                f"group {alloc.group_id}"
+                f"allocation {ptr.alloc_id} already in "
+                f"group {ptr.group_id}"
             )
         try:
             members = self._members[group_id]
         except KeyError:
             raise ValueError(f"unknown group {group_id}") from None
-        alloc.group_id = group_id
-        members.add(alloc)
+        ptr.group_id = group_id
+        members.add(ptr)
 
     def group(self, *ptrs: SoftPtr) -> int:
         """Create a group containing ``ptrs`` in one call."""
@@ -53,20 +52,20 @@ class GroupRegistry:
             self.add(group_id, ptr)
         return group_id
 
-    def companions(self, alloc: Allocation) -> list[Allocation]:
-        """Other live members that must be reclaimed alongside ``alloc``."""
-        if alloc.group_id is None:
+    def companions(self, ptr: SoftPtr) -> list[SoftPtr]:
+        """Other live members that must be reclaimed alongside ``ptr``."""
+        if ptr.group_id is None:
             return []
-        members = self._members.get(alloc.group_id, set())
-        return [m for m in members if m is not alloc and m.valid]
+        members = self._members.get(ptr.group_id, set())
+        return [m for m in members if m is not ptr and m.valid]
 
-    def forget(self, alloc: Allocation) -> None:
+    def forget(self, ptr: SoftPtr) -> None:
         """Remove a (freed) allocation from its group, if any."""
-        if alloc.group_id is None:
+        if ptr.group_id is None:
             return
-        members = self._members.get(alloc.group_id)
+        members = self._members.get(ptr.group_id)
         if members is not None:
-            members.discard(alloc)
+            members.discard(ptr)
             if not members:
-                del self._members[alloc.group_id]
-        alloc.group_id = None
+                del self._members[ptr.group_id]
+        ptr.group_id = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.core.pointer import Allocation
+from repro.core.pointer import SoftPtr
 from repro.mem.page import Page
 from repro.mem.placer import PagePlacer
 
@@ -40,7 +40,7 @@ class SdsHeap:
             owner=f"heap:{name}"
         )
         #: live allocations in insertion (age) order; dict preserves order
-        self._allocs: dict[int, Allocation] = {}
+        self._allocs: dict[int, SoftPtr] = {}
 
     # -- placement ---------------------------------------------------
 
@@ -54,66 +54,64 @@ class SdsHeap:
 
     def allocate(
         self, size: int, context: "SdsContext", payload: Any
-    ) -> Allocation | None:
+    ) -> SoftPtr | None:
         """Place an allocation, or return ``None`` if pages are needed."""
-        placement = self._placer.place(size)
-        if placement is None:
+        placed = self._placer.place(size)
+        if placed is None:
             return None
-        alloc = Allocation(size, placement, context, payload)
-        self._allocs[alloc.alloc_id] = alloc
-        return alloc
+        page, offset = placed
+        ptr = SoftPtr(size, page, offset, context, payload)
+        self._allocs[ptr.alloc_id] = ptr
+        return ptr
 
-    def free(self, alloc: Allocation) -> None:
+    def free(self, ptr: SoftPtr) -> None:
         """Release a live allocation (normal ``soft_free`` path)."""
-        if not alloc.valid:
-            raise ValueError(f"allocation {alloc.alloc_id} already freed")
-        if alloc.placement is not None:  # else a resize holds it unplaced
-            del self._allocs[alloc.alloc_id]
-            self._placer.free(alloc.placement)
-        alloc.valid = False
-        alloc.payload = None
+        if not ptr.valid:
+            raise ValueError(f"allocation {ptr.alloc_id} already freed")
+        if ptr.page is not None:  # else a resize holds it unplaced
+            del self._allocs[ptr.alloc_id]
+            self._placer.free(ptr.page, ptr.offset, ptr.size)
+        ptr.valid = False
+        ptr.payload = None
 
-    def resize(self, alloc: Allocation, new_size: int, payload: Any) -> bool:
+    def resize(self, ptr: SoftPtr, new_size: int, payload: Any) -> bool:
         """Resize a live allocation to ``new_size``, keeping it.
 
         In place when the page has room (the placer's ``resize``), else
         the same two placer decisions as :meth:`free` followed by
-        :meth:`allocate`, in that order; the :class:`Allocation` (and
-        every handle to it) survives and becomes the newest in age
+        :meth:`allocate`, in that order; the :class:`SoftPtr` (and
+        every reference to it) survives and becomes the newest in age
         order. Returns ``False`` when the caller has to act before the
         new extent can be placed. Either idle pages are due back to the
         pool — :meth:`should_release_slack` says so, and no placement
         was tried yet — or the placement missed and pages are needed.
         By then the old extent is freed and the allocation is
-        *unplaced* — ``placement`` is ``None``, it is out of the age
+        *unplaced* — ``page`` is ``None``, it is out of the age
         index, its payload is still readable; call again to place it.
         """
         if new_size <= 0:
             raise ValueError(f"allocation size must be positive: {new_size}")
-        if not alloc.valid:
-            raise ValueError(f"allocation {alloc.alloc_id} already freed")
+        if not ptr.valid:
+            raise ValueError(f"allocation {ptr.alloc_id} already freed")
         placer = self._placer
-        old = alloc.placement
-        placement = None
-        if old is not None:
-            del self._allocs[alloc.alloc_id]
-            placement = placer.resize(old, new_size)
-            if placement is None:
-                placer.free(old)
-                alloc.placement = None
+        if ptr.page is not None:
+            del self._allocs[ptr.alloc_id]
+            if not placer.resize(ptr.page, ptr.offset, ptr.size, new_size):
+                placer.free(ptr.page, ptr.offset, ptr.size)
+                ptr.page = None
                 if placer.free_page_count >= self.FREE_PAGE_SLACK:
                     return False
-        if placement is None:
-            placement = placer.place(new_size)
-            if placement is None:
+        if ptr.page is None:
+            placed = placer.place(new_size)
+            if placed is None:
                 return False
-        alloc.size = new_size
-        alloc.placement = placement
-        alloc.payload = payload
-        self._allocs[alloc.alloc_id] = alloc
+            ptr.page, ptr.offset = placed
+        ptr.size = new_size
+        ptr.payload = payload
+        self._allocs[ptr.alloc_id] = ptr
         return True
 
-    def relocate(self, alloc: Allocation, new_size: int, payload: Any) -> bool:
+    def relocate(self, ptr: SoftPtr, new_size: int, payload: Any) -> bool:
         """Move a live allocation inside the pages this heap already owns.
 
         To a smaller extent it cannot fail (:meth:`PagePlacer.shrink`).
@@ -123,16 +121,16 @@ class SdsHeap:
         allocation keeps its handle and its place in age order.
         """
         placer = self._placer
-        if new_size < alloc.size:
-            placement = placer.shrink(alloc.placement, new_size)
+        if new_size < ptr.size:
+            placed = placer.shrink(ptr.page, ptr.offset, ptr.size, new_size)
         else:
-            placement = placer.place(new_size)
-            if placement is None:
+            placed = placer.place(new_size)
+            if placed is None:
                 return False
-            placer.free(alloc.placement)
-        alloc.placement = placement
-        alloc.size = new_size
-        alloc.payload = payload
+            placer.free(ptr.page, ptr.offset, ptr.size)
+        ptr.page, ptr.offset = placed
+        ptr.size = new_size
+        ptr.payload = payload
         return True
 
     # -- inspection ---------------------------------------------------
@@ -153,14 +151,14 @@ class SdsHeap:
     def free_page_count(self) -> int:
         return self._placer.free_page_count
 
-    def iter_oldest_first(self) -> Iterator[Allocation]:
+    def iter_oldest_first(self) -> Iterator[SoftPtr]:
         """Allocations in ascending age (insertion order).
 
         Snapshot iteration: safe to free allocations while consuming it.
         """
         return iter(list(self._allocs.values()))
 
-    def allocations(self) -> list[Allocation]:
+    def allocations(self) -> list[SoftPtr]:
         return list(self._allocs.values())
 
     # -- harvest ------------------------------------------------------
@@ -178,8 +176,8 @@ class SdsHeap:
 
     def check_invariants(self) -> None:
         self._placer.check_invariants()
-        for alloc in self._allocs.values():
-            assert alloc.valid, "invalid allocation still indexed"
+        for ptr in self._allocs.values():
+            assert ptr.valid, "invalid allocation still indexed"
 
     def __repr__(self) -> str:
         return (

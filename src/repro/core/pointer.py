@@ -11,6 +11,10 @@ concurrent access — and sketches the fixes we implement here:
 * accesses are wrapped in AIFM-style :class:`DerefScope` blocks that pin
   the allocation, making the SMA's reclamation skip it while any scope
   is active.
+
+A :class:`SoftPtr` *is* its allocation, as the prototype's one-word
+pointer is one header: placement, payload and lifecycle state live in
+the handle's own slots, so a live allocation costs one object.
 """
 
 from __future__ import annotations
@@ -19,28 +23,41 @@ import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ReclaimedMemoryError
-from repro.mem.placer import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import SdsContext
+    from repro.mem.page import Page
 
 _alloc_ids = itertools.count(1)
 
 
-class Allocation:
-    """One live soft allocation: placement + payload + lifecycle state.
+class SoftPtr:
+    """Handle to — and header of — one soft allocation.
+
+    The only way application code reaches soft memory. ``deref`` returns
+    the payload while the allocation is live and raises after reclamation;
+    use a :class:`DerefScope` to hold the payload across operations that
+    might trigger reclamation.
 
     ``alloc_id`` is a global monotone stamp (a later ``soft_malloc``
-    compares greater; a resize keeps the id). ``pins`` counts active
-    :class:`DerefScope` holds. ``payload`` stands in for the allocation's
-    contents (the C++ prototype would hand back raw bytes; the Python
-    model carries an object).
+    compares greater; a resize keeps the id). ``page`` and ``offset``
+    say where the allocation lies: ``[offset, offset+size)`` of one
+    :class:`~repro.mem.page.Page`, or, when ``size`` is over a page, a
+    tuple of pages it owns outright (``offset`` 0). ``page`` is ``None``
+    only while a resize holds the allocation unplaced. ``pins`` counts
+    active :class:`DerefScope` holds. ``payload`` stands in for the
+    allocation's contents (the C++ prototype would hand back raw bytes;
+    the Python model carries an object). Everything but ``payload`` is
+    the SMA's to write.
     """
 
+    #: slots, not properties, because ``SoftDict.get`` reads them on
+    #: every probe
     __slots__ = (
         "alloc_id",
         "size",
-        "placement",
+        "page",
+        "offset",
         "context",
         "payload",
         "pins",
@@ -51,17 +68,19 @@ class Allocation:
     def __init__(
         self,
         size: int,
-        placement: Placement,
+        page: Page | tuple[Page, ...],
+        offset: int,
         context: "SdsContext",
         payload: Any,
     ) -> None:
         self.alloc_id: int = next(_alloc_ids)
         self.size = size
-        #: ``None`` only while a resize holds the allocation unplaced
-        self.placement: Placement | None = placement
+        self.page: Page | tuple[Page, ...] | None = page
+        self.offset = offset
         self.context = context
         self.payload = payload
         self.pins = 0
+        #: True while the allocation has not been reclaimed or freed
         self.valid = True
         self.group_id: int | None = None
 
@@ -69,58 +88,25 @@ class Allocation:
     def pinned(self) -> bool:
         return self.pins > 0
 
-    def __repr__(self) -> str:
-        state = "live" if self.valid else "reclaimed"
-        return f"<Allocation {self.alloc_id} {self.size}B {state}>"
-
-
-class SoftPtr:
-    """Handle to a soft allocation.
-
-    The only way application code reaches soft memory. ``deref`` returns
-    the payload while the allocation is live and raises after reclamation;
-    use a :class:`DerefScope` to hold the payload across operations that
-    might trigger reclamation.
-    """
-
-    #: ``allocation`` is the SMA / SDS layers' accessor; a slot, not a
-    #: property, because ``SoftDict.get`` reads it on every probe
-    __slots__ = ("allocation",)
-
-    def __init__(self, alloc: Allocation) -> None:
-        self.allocation = alloc
-
-    @property
-    def valid(self) -> bool:
-        """True while the allocation has not been reclaimed or freed."""
-        return self.allocation.valid
-
-    @property
-    def alloc_id(self) -> int:
-        return self.allocation.alloc_id
-
-    @property
-    def size(self) -> int:
-        return self.allocation.size
-
     def deref(self) -> Any:
         """Return the payload, or raise if the memory was reclaimed."""
-        if not self.allocation.valid:
-            raise ReclaimedMemoryError(self.allocation.alloc_id)
-        return self.allocation.payload
+        if not self.valid:
+            raise ReclaimedMemoryError(self.alloc_id)
+        return self.payload
 
     def store(self, payload: Any) -> None:
         """Overwrite the payload in place (a write through the pointer)."""
-        if not self.allocation.valid:
-            raise ReclaimedMemoryError(self.allocation.alloc_id)
-        self.allocation.payload = payload
+        if not self.valid:
+            raise ReclaimedMemoryError(self.alloc_id)
+        self.payload = payload
 
     def try_deref(self) -> Any | None:
         """Payload if live, ``None`` if reclaimed — the cache-lookup idiom."""
-        return self.allocation.payload if self.allocation.valid else None
+        return self.payload if self.valid else None
 
     def __repr__(self) -> str:
-        return f"<SoftPtr -> {self.allocation!r}>"
+        state = "live" if self.valid else "reclaimed"
+        return f"<SoftPtr {self.alloc_id} {self.size}B {state}>"
 
 
 class DerefScope:
@@ -141,15 +127,15 @@ class DerefScope:
 
     def __enter__(self) -> tuple[Any, ...]:
         values = []
-        pinned: list[Allocation] = []
+        pinned: list[SoftPtr] = []
         try:
             for ptr in self._ptrs:
                 values.append(ptr.deref())
-                ptr.allocation.pins += 1
-                pinned.append(ptr.allocation)
+                ptr.pins += 1
+                pinned.append(ptr)
         except ReclaimedMemoryError:
-            for alloc in pinned:
-                alloc.pins -= 1
+            for ptr in pinned:
+                ptr.pins -= 1
             raise
         self._entered = True
         return tuple(values)
@@ -157,5 +143,5 @@ class DerefScope:
     def __exit__(self, *exc_info: object) -> None:
         if self._entered:
             for ptr in self._ptrs:
-                ptr.allocation.pins -= 1
+                ptr.pins -= 1
             self._entered = False

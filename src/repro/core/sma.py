@@ -30,7 +30,7 @@ from repro.core.errors import (
 )
 from repro.core.freepool import FreePool
 from repro.core.groups import GroupRegistry
-from repro.core.pointer import Allocation, SoftPtr
+from repro.core.pointer import SoftPtr
 from repro.core.reclaim import ReclamationStats
 from repro.core.softref import ReferenceQueue, ReferenceRegistry, SoftReference
 from repro.mem.page import Page
@@ -241,24 +241,23 @@ class SoftMemoryAllocator:
         :class:`~repro.core.errors.SoftMemoryDenied` only when the daemon
         cannot reclaim enough memory machine-wide.
         """
-        alloc = context.heap.allocate(size, context, payload)
-        if alloc is None:
+        ptr = context.heap.allocate(size, context, payload)
+        if ptr is None:
             self._provision(context, size)
-            alloc = context.heap.allocate(size, context, payload)
-            if alloc is None:
+            ptr = context.heap.allocate(size, context, payload)
+            if ptr is None:
                 raise ProtocolError(
                     f"provisioning did not make room for {size} bytes"
                 )
         self.stats.allocations += 1
-        return SoftPtr(alloc)
+        return ptr
 
     def soft_free(self, ptr: SoftPtr) -> None:
         """Free a live soft allocation (normal, application-driven path)."""
-        alloc = ptr.allocation
-        self.groups.forget(alloc)
-        self.refs.forget(alloc)
-        heap = alloc.context.heap
-        heap.free(alloc)
+        self.groups.forget(ptr)
+        self.refs.forget(ptr)
+        heap = ptr.context.heap
+        heap.free(ptr)
         self.stats.frees += 1
         # Periodic transfer of idle pages back to the global free pool.
         if heap.should_release_slack():
@@ -274,28 +273,27 @@ class SoftMemoryAllocator:
         :meth:`soft_malloc` in the same context — the old extent is
         freed, idle pages go back to the pool, then the new extent is
         placed, provisioning if it must. Either way it is counted as one
-        free and one allocation. What differs is identity: ``ptr`` and its
-        :class:`Allocation` survive, so soft references and group
-        membership follow the handle to the new contents, and the
-        allocation becomes the heap's newest.
+        free and one allocation. What differs is identity: ``ptr``
+        survives, so soft references and group membership follow the
+        handle to the new contents, and the allocation becomes the
+        heap's newest.
 
         If provisioning is denied the exception propagates and the
         allocation is gone, exactly as if the ``soft_malloc`` half had
         failed: ``ptr`` is dead, its references are dropped without
         queue delivery (an explicit free, not a reclamation).
         """
-        alloc = ptr.allocation
-        heap = alloc.context.heap
-        if not heap.resize(alloc, new_size, payload):
+        heap = ptr.context.heap
+        if not heap.resize(ptr, new_size, payload):
             # the old extent is freed and the allocation unplaced:
             # either slack is due and nothing was tried yet, or the
             # scan window was walked and missed — it is not walked again
             slack = heap.should_release_slack()
             if slack:
                 self.pool.put(heap.harvest_free_pages())
-            if not (slack and heap.resize(alloc, new_size, payload)):
-                self._provision_unplaced(alloc, new_size)
-                if not heap.resize(alloc, new_size, payload):
+            if not (slack and heap.resize(ptr, new_size, payload)):
+                self._provision_unplaced(ptr, new_size)
+                if not heap.resize(ptr, new_size, payload):
                     raise ProtocolError(
                         f"provisioning did not make room for {new_size} bytes"
                     )
@@ -303,20 +301,20 @@ class SoftMemoryAllocator:
         self.stats.allocations += 1
         return ptr
 
-    def _provision_unplaced(self, alloc: Allocation, new_size: int) -> None:
+    def _provision_unplaced(self, ptr: SoftPtr, new_size: int) -> None:
         """Provision for an allocation a resize holds unplaced."""
-        alloc.pins += 1  # the daemon may reclaim from this very heap
+        ptr.pins += 1  # the daemon may reclaim from this very heap
         try:
-            self._provision(alloc.context, new_size)
+            self._provision(ptr.context, new_size)
         except Exception:
-            if alloc.valid:  # nowhere to put it: the allocation is gone
-                alloc.context.heap.free(alloc)
-            self.groups.forget(alloc)
-            self.refs.forget(alloc)
+            if ptr.valid:  # nowhere to put it: the allocation is gone
+                ptr.context.heap.free(ptr)
+            self.groups.forget(ptr)
+            self.refs.forget(ptr)
             self.stats.frees += 1
             raise
         finally:
-            alloc.pins -= 1
+            ptr.pins -= 1
 
     def soft_demote(
         self, ptr: SoftPtr, new_size: int, payload: Any = None
@@ -328,19 +326,17 @@ class SoftMemoryAllocator:
         heap already owns (:meth:`SdsHeap.relocate`) — no pool draw, no
         budget request, no daemon round-trip — so it is safe inside a
         reclamation handler, where it can only *return* bytes to the
-        heap. As with :meth:`soft_resize`, ``ptr`` and its
-        :class:`Allocation` survive: references and groups follow the
-        handle.
+        heap. As with :meth:`soft_resize`, ``ptr`` survives: references
+        and groups follow the handle.
         """
-        alloc = ptr.allocation
-        if not alloc.valid:
+        if not ptr.valid:
             raise ProtocolError("demoting a dead allocation")
-        if new_size >= alloc.size:
+        if new_size >= ptr.size:
             raise ValueError(
-                f"demotion must shrink: {new_size} >= {alloc.size}"
+                f"demotion must shrink: {new_size} >= {ptr.size}"
             )
-        saved = alloc.size - new_size
-        alloc.context.heap.relocate(alloc, new_size, payload)
+        saved = ptr.size - new_size
+        ptr.context.heap.relocate(ptr, new_size, payload)
         self.stats.demotions += 1
         if self._active_stats is not None:
             self._active_stats.allocations_demoted += 1
@@ -358,9 +354,8 @@ class SoftMemoryAllocator:
         or a reclamation on another thread already took the allocation.
         Only writes grow a heap; a read never provisions.
         """
-        alloc = ptr.allocation
-        return alloc.valid and alloc.context.heap.relocate(
-            alloc, new_size, payload
+        return ptr.valid and ptr.context.heap.relocate(
+            ptr, new_size, payload
         )
 
     def _provision(self, context: SdsContext, size: int) -> None:
@@ -564,36 +559,33 @@ class SoftMemoryAllocator:
         last-chance callback fires first ("Before a list element is
         freed, the SMA invokes a developer-defined callback on the
         memory") and grouped companion allocations die too.
+        A dead ``ptr`` is left alone.
         """
-        alloc = ptr.allocation
-        self._reclaim_free_alloc(alloc)
-
-    def _reclaim_free_alloc(self, alloc: Allocation) -> None:
-        if not alloc.valid:
+        if not ptr.valid:
             return
-        companions = self.groups.companions(alloc)
-        self._reclaim_one(alloc)
+        companions = self.groups.companions(ptr)
+        self._reclaim_one(ptr)
         for other in companions:
             self._reclaim_one(other)
 
-    def _reclaim_one(self, alloc: Allocation) -> None:
-        context = alloc.context
+    def _reclaim_one(self, ptr: SoftPtr) -> None:
+        context = ptr.context
         if context.callback is not None:
             # A buggy callback in the victim must not abort reclamation:
             # the daemon (and through it some other process's allocation)
             # is waiting on these pages. Contain, count, continue.
             try:
-                context.callback(alloc.payload)
+                context.callback(ptr.payload)
             except Exception:
                 context.callback_errors += 1
                 if self._active_stats is not None:
                     self._active_stats.callback_errors += 1
             if self._active_stats is not None:
                 self._active_stats.callbacks_invoked += 1
-        self.groups.forget(alloc)
-        size = alloc.size
-        context.heap.free(alloc)
-        self.refs.notify_reclaimed(alloc)
+        self.groups.forget(ptr)
+        size = ptr.size
+        context.heap.free(ptr)
+        self.refs.notify_reclaimed(ptr)
         context.allocations_reclaimed += 1
         if self._active_stats is not None:
             self._active_stats.allocations_freed += 1

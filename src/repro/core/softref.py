@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.core.pointer import Allocation, SoftPtr
+from repro.core.pointer import SoftPtr
 
 
 class ReferenceQueue:
@@ -109,14 +109,14 @@ class ReferenceRegistry:
         self._refs.setdefault(ptr.alloc_id, []).append(ref)
         return ref
 
-    def notify_reclaimed(self, alloc: Allocation) -> None:
+    def notify_reclaimed(self, ptr: SoftPtr) -> None:
         """Deliver all of an allocation's references to their queues."""
-        for ref in self._refs.pop(alloc.alloc_id, []):
+        for ref in self._refs.pop(ptr.alloc_id, []):
             ref._on_reclaimed()
 
-    def forget(self, alloc: Allocation) -> None:
+    def forget(self, ptr: SoftPtr) -> None:
         """Drop tracking on an explicit free (no queue delivery)."""
-        self._refs.pop(alloc.alloc_id, None)
+        self._refs.pop(ptr.alloc_id, None)
 
     @property
     def tracked_count(self) -> int:

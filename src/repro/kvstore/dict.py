@@ -110,14 +110,13 @@ class SoftDict(SoftDataStructure):
         existing = self._index.get(key)
         old_value: Any | None = None
         if existing is not None:
-            alloc = existing.allocation  # ``SoftPtr.deref``, inlined
-            if not alloc.valid:
-                raise ReclaimedMemoryError(alloc.alloc_id)
-            old_value = alloc.payload[1]
+            if not existing.valid:  # ``SoftPtr.deref``, inlined
+                raise ReclaimedMemoryError(existing.alloc_id)
+            old_value = existing.payload[1]
             if type(old_value) is not CompressedValue:
-                by_age, alloc_id = self._by_age, alloc.alloc_id
-                if alloc.size == want:
-                    alloc.payload = (key, value)
+                by_age, alloc_id = self._by_age, existing.alloc_id
+                if existing.size == want:
+                    existing.payload = (key, value)
                 else:
                     try:
                         self._sma.soft_resize(existing, want, (key, value))
@@ -165,10 +164,9 @@ class SoftDict(SoftDataStructure):
         ptr = self._index.get(key)
         if ptr is None:
             return default
-        alloc = ptr.allocation
-        if not alloc.valid:
-            raise ReclaimedMemoryError(alloc.alloc_id)
-        return alloc.payload[1]
+        if not ptr.valid:
+            raise ReclaimedMemoryError(ptr.alloc_id)
+        return ptr.payload[1]
 
     def __contains__(self, key: bytes) -> bool:
         return self._find(key) is not None
@@ -211,7 +209,7 @@ class SoftDict(SoftDataStructure):
     def _find(self, key: bytes) -> SoftPtr | None:
         """The key's live entry pointer, or ``None`` when absent."""
         ptr = self._index.get(key)
-        if ptr is not None and not ptr.allocation.valid:
+        if ptr is not None and not ptr.valid:
             raise ReclaimedMemoryError(ptr.alloc_id)
         return ptr
 
@@ -235,7 +233,7 @@ class SoftDict(SoftDataStructure):
                 if self._drop_oldest_compressed():
                     return True
         for ptr in self._by_age.values():
-            if not ptr.allocation.pinned:
+            if not ptr.pinned:
                 if tier.enabled:
                     self._demote_or_drop(ptr)
                 else:
@@ -276,7 +274,7 @@ class SoftDict(SoftDataStructure):
         __, value = ptr.deref()
         if type(value) is CompressedValue:
             return True
-        if ptr.allocation.pinned:
+        if ptr.pinned:
             return False
         compressed = deflate_value(value, self.tier)
         if compressed is None:
@@ -297,7 +295,7 @@ class SoftDict(SoftDataStructure):
 
     def _drop_oldest_compressed(self) -> bool:
         for ptr in self._compressed_age.values():
-            if ptr.allocation.pinned:
+            if ptr.pinned:
                 continue
             __, compressed = ptr.deref()
             del self._compressed_age[ptr.alloc_id]

@@ -395,13 +395,12 @@ class RespParser:
         quarantining); frames appended before the poison stay valid.
         """
         end_of_data = self._len
-        pos = frame_start = self._pos
+        pos = self._pos
         if not self._use_fast_path:
             return PIPELINE_FALLBACK if pos < end_of_data else PIPELINE_MORE
         buf = self._buf
         header_of = self._headers
         count_of = _ARRAY_COUNTS.get
-        mv = None  # one view of the buffer, sliced per zero-copy payload
         try:
             while True:
                 stop = pos + self._window
@@ -468,9 +467,7 @@ class RespParser:
                         if buf[pos - 2] != 0x0D or buf[pos - 1] != 0x0A:
                             raise ProtocolError(_UNTERMINATED)
                         if zc_min is not None and length >= zc_min and n >= 2:
-                            if mv is None:
-                                mv = memoryview(buf)
-                            argv.append(mv[start:pos - 2])
+                            argv.append(memoryview(buf)[start:pos - 2])
                             self.views_created += 1
                         else:
                             argv.append(bytes(buf[start:pos - 2]))
@@ -496,6 +493,8 @@ class RespParser:
                     if not last:  # a count line wider than a window
                         return PIPELINE_FALLBACK
         except ProtocolError:
+            # every raise above comes after its frame's ``frame_start``
+            # is bound, so the prologue does not bind it
             self._quarantine(frame_start)
             raise
 

@@ -23,7 +23,7 @@ from repro.mem.errors import FrameLeakError, OutOfMemoryError
 from repro.mem.extent import ExtentMap
 from repro.mem.page import Page
 from repro.mem.physical import PhysicalMemory
-from repro.mem.placer import PagePlacer, Placement
+from repro.mem.placer import PagePlacer
 from repro.mem.sizeclass import SIZE_CLASSES, SizeClassPlacer, class_for
 from repro.mem.virtual import VirtualAddressSpace, VirtualPage
 from repro.mem.sysalloc import SystemAllocator
@@ -35,7 +35,6 @@ __all__ = [
     "Page",
     "PagePlacer",
     "PhysicalMemory",
-    "Placement",
     "SIZE_CLASSES",
     "SizeClassPlacer",
     "SystemAllocator",

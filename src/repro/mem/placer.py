@@ -10,6 +10,12 @@ them measure only the soft-memory machinery.
 
 The fit policy is "textbook, no optimizations" like the paper's prototype:
 first-fit over a bounded window of recently-opened pages.
+
+A placer keeps no per-allocation record. :meth:`PagePlacer.place`
+answers ``(page, offset)`` — a small allocation occupies ``[offset,
+offset+size)`` of that one page; a large one (``size`` over a page)
+owns every page of a tuple outright, at offset 0 — and the caller
+hands ``page``, ``offset`` and ``size`` back to free, resize or shrink.
 """
 
 from __future__ import annotations
@@ -17,28 +23,9 @@ from __future__ import annotations
 from repro.mem.page import Page
 from repro.util.units import PAGE_SIZE
 
-
-class Placement:
-    """Where an allocation physically lives (treat as immutable).
-
-    Small allocations occupy ``[offset, offset+size)`` of a single page.
-    Large allocations own every page in ``pages`` outright (``offset`` 0).
-    """
-
-    __slots__ = ("pages", "offset", "size")
-
-    def __init__(self, pages: tuple[Page, ...], offset: int, size: int) -> None:
-        self.pages = pages
-        self.offset = offset
-        self.size = size
-
-    def __repr__(self) -> str:
-        ids = ",".join(str(page.page_id) for page in self.pages)
-        return f"<Placement pages={ids} offset={self.offset} size={self.size}>"
-
-    @property
-    def is_large(self) -> bool:
-        return len(self.pages) > 1 or self.size > PAGE_SIZE
+#: an allocation's pages: the one page it lies in, or the tuple of pages
+#: a large allocation owns
+Pages = Page | tuple[Page, ...]
 
 
 class PagePlacer:
@@ -102,7 +89,7 @@ class PagePlacer:
         self._open[page] = None
         self._free_pages[page] = None
 
-    def place(self, size: int) -> Placement | None:
+    def place(self, size: int) -> tuple[Pages, int] | None:
         """Place ``size`` bytes; ``None`` means caller must add pages."""
         if size > PAGE_SIZE:
             return self._place_large(size)
@@ -121,13 +108,13 @@ class PagePlacer:
                         del self._free_pages[page]
                     if not page.free_bytes:
                         del self._open[page]
-                    return Placement((page,), offset, size)
+                    return page, offset
             scanned += 1
             if scanned >= self.SCAN_LIMIT:
                 return None
         return None
 
-    def _place_large(self, size: int) -> Placement | None:
+    def _place_large(self, size: int) -> tuple[Pages, int] | None:
         needed = -(-size // PAGE_SIZE)
         # Dedicated whole pages: take fully-free pages out of the open set.
         if len(self._free_pages) < needed:
@@ -144,47 +131,46 @@ class PagePlacer:
             # page has slack; large objects don't share pages.
             self._open.pop(page, None)
             self._free_pages.pop(page, None)
-        return Placement(tuple(chosen), 0, size)
+        return tuple(chosen), 0
 
-    def free(self, placement: Placement) -> None:
+    def free(self, page: Pages, offset: int, size: int) -> None:
         """Undo a placement; pages regain space but stay owned."""
-        # a small placement is the one-page case of the large one
-        offset = placement.offset
-        remaining = placement.size
-        for page in placement.pages:
-            if page.live_allocs <= 0:
-                raise ValueError(
-                    f"page {page.page_id} has no live allocations"
-                )
-            chunk = remaining if remaining < PAGE_SIZE else PAGE_SIZE
-            page.free(offset, chunk)
-            page.live_allocs -= 1
-            remaining -= chunk
-            self._open[page] = None
-            if not page.live_allocs:
-                self._free_pages[page] = None
+        if size > PAGE_SIZE:  # each owned page is a one-page free
+            for one in page:
+                chunk = size if size < PAGE_SIZE else PAGE_SIZE
+                self.free(one, 0, chunk)
+                size -= chunk
+            return
+        if page.live_allocs <= 0:
+            raise ValueError(f"page {page.page_id} has no live allocations")
+        page.free(offset, size)
+        page.live_allocs -= 1
+        self._open[page] = None
+        if not page.live_allocs:
+            self._free_pages[page] = None
 
-    def resize(self, placement: Placement, new_size: int) -> Placement | None:
-        """Resize a one-page placement where it lies, else ``None`` (and
+    def resize(
+        self, page: Pages, offset: int, size: int, new_size: int
+    ) -> bool:
+        """Resize a one-page allocation where it lies, else ``False`` (and
         nothing changed). A shrink frees the tail and re-opens the page as
         :meth:`free` does; a grow takes the free extent at the old end."""
-        old = placement.size
-        if old > PAGE_SIZE or new_size > PAGE_SIZE:
-            return None
-        page = placement.pages[0]
-        offset = placement.offset
-        if new_size < old:
-            page.free(offset + new_size, old - new_size)
+        if size > PAGE_SIZE or new_size > PAGE_SIZE:
+            return False
+        if new_size < size:
+            page.free(offset + new_size, size - new_size)
             self._open[page] = None
-        elif new_size > old:
-            if not page.extend(offset + old, new_size - old):
-                return None
+        elif new_size > size:
+            if not page.extend(offset + size, new_size - size):
+                return False
             if not page.free_bytes:
                 del self._open[page]
-        return Placement(placement.pages, offset, new_size)
+        return True
 
-    def shrink(self, placement: Placement, new_size: int) -> Placement:
-        """Move ``placement`` to a smaller extent; cannot fail, needs no page.
+    def shrink(
+        self, page: Pages, offset: int, size: int, new_size: int
+    ) -> tuple[Pages, int]:
+        """Move an allocation to a smaller extent; cannot fail, needs no page.
 
         The old extent is freed, then the new one goes where
         :meth:`place` puts it, else into the first entirely-free page,
@@ -192,10 +178,10 @@ class PagePlacer:
         is re-opened as the newest, so the shrunk extents that follow
         pack into it and the pages they leave free wholly.
         """
-        self.free(placement)
+        self.free(page, offset, size)
         moved = self.place(new_size)
         if moved is None:  # small, and no room in the scan window
-            page = next(iter(self._free_pages), placement.pages[0])
+            page = next(iter(self._free_pages), page)
             self._open.pop(page, None)
             self._open[page] = None
             moved = self.place(new_size)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro.mem.page import Page
-from repro.mem.placer import Placement
+from repro.mem.placer import Pages
 from repro.util.units import PAGE_SIZE
 
 #: TCMalloc-style class ladder: fine-grained small classes, then
@@ -149,14 +149,14 @@ class SizeClassPlacer:
 
     # -- placement ------------------------------------------------------------
 
-    def place(self, size: int) -> Placement | None:
+    def place(self, size: int) -> tuple[Pages, int] | None:
         if size <= 0:
             raise ValueError(f"allocation size must be positive: {size}")
         if size <= PAGE_SIZE:
             return self._place_small(size)
         return self._place_large(size)
 
-    def _place_small(self, size: int) -> Placement | None:
+    def _place_small(self, size: int) -> tuple[Pages, int] | None:
         cls = class_for(size)
         stack = self._partial.get(cls)
         if stack:
@@ -171,9 +171,9 @@ class SizeClassPlacer:
         if not slab.free_offsets:
             self._partial[cls].remove(page)  # slab is now full
         self._used_bytes += size
-        return Placement((page,), offset, size)
+        return page, offset
 
-    def _place_large(self, size: int) -> Placement | None:
+    def _place_large(self, size: int) -> tuple[Pages, int] | None:
         needed = -(-size // PAGE_SIZE)
         if len(self._free_pages) < needed:
             return None
@@ -185,20 +185,19 @@ class SizeClassPlacer:
             page.live_allocs += 1
             chosen.append(page)
         self._used_bytes += size
-        return Placement(tuple(chosen), 0, size)
+        return tuple(chosen), 0
 
-    def free(self, placement: Placement) -> None:
-        if placement.is_large:
-            for page in placement.pages:
-                page.live_allocs -= 1
-                assert page.is_free
-                del self._slabs[page]
-                self._free_pages[page] = None
+    def free(self, page: Pages, offset: int, size: int) -> None:
+        if size > PAGE_SIZE:
+            for one in page:
+                one.live_allocs -= 1
+                assert one.is_free
+                del self._slabs[one]
+                self._free_pages[one] = None
         else:
-            page = placement.pages[0]
             slab = self._slabs[page]
             was_full = not slab.free_offsets
-            slab.free_offsets.append(placement.offset)
+            slab.free_offsets.append(offset)
             page.live_allocs -= 1
             if page.is_free:
                 # fully-free slab: harvestable; drop it from the
@@ -209,36 +208,42 @@ class SizeClassPlacer:
                 self._free_pages[page] = None
             elif was_full:
                 self._partial.setdefault(slab.slot_size, []).append(page)
-        self._used_bytes -= placement.size
+        self._used_bytes -= size
 
-    def resize(self, placement: Placement, new_size: int) -> Placement | None:
+    def resize(
+        self, page: Pages, offset: int, size: int, new_size: int
+    ) -> bool:
         """:meth:`PagePlacer.resize`'s contract: the same slot when
         ``new_size`` is of its size class (a large slab's never is)."""
-        slot_size = self._slabs[placement.pages[0]].slot_size
-        if new_size > PAGE_SIZE or class_for(new_size) != slot_size:
-            return None
-        self._used_bytes += new_size - placement.size
-        return Placement(placement.pages, placement.offset, new_size)
+        if (
+            size > PAGE_SIZE
+            or new_size > PAGE_SIZE
+            or class_for(new_size) != self._slabs[page].slot_size
+        ):
+            return False
+        self._used_bytes += new_size - size
+        return True
 
-    def shrink(self, placement: Placement, new_size: int) -> Placement:
+    def shrink(
+        self, page: Pages, offset: int, size: int, new_size: int
+    ) -> tuple[Pages, int]:
         """:meth:`PagePlacer.shrink`'s contract: cannot fail, needs no page.
 
         :meth:`place` already formats an entirely-free page when the new
         class has no partial slab; the last resort is the slot the old
         extent just left, whatever its class.
         """
-        self.free(placement)
+        self.free(page, offset, size)
         moved = self.place(new_size)
         if moved is None:
-            page = placement.pages[0]
             slab = self._slabs[page]
-            offset = slab.free_offsets.pop()
-            assert offset == placement.offset
+            popped = slab.free_offsets.pop()
+            assert popped == offset
             page.live_allocs += 1
             if not slab.free_offsets:
                 self._partial[slab.slot_size].remove(page)
             self._used_bytes += new_size
-            moved = Placement((page,), offset, new_size)
+            moved = page, offset
         return moved
 
     # -- quality metrics ---------------------------------------------------

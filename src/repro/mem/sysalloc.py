@@ -16,7 +16,7 @@ import itertools
 from repro.mem.errors import OutOfMemoryError
 from repro.mem.page import Page
 from repro.mem.physical import PhysicalMemory
-from repro.mem.placer import PagePlacer, Placement
+from repro.mem.placer import PagePlacer, Pages
 
 _alloc_ids = itertools.count(1)
 
@@ -37,7 +37,8 @@ class SystemAllocator:
         self._placer = placer if placer is not None else PagePlacer(
             owner="sysalloc"
         )
-        self._live: dict[int, Placement] = {}
+        #: alloc id -> (page, offset, size), what the placer frees by
+        self._live: dict[int, tuple[Pages, int, int]] = {}
         self.total_allocs = 0
         self.total_frees = 0
 
@@ -48,23 +49,23 @@ class SystemAllocator:
         and the machine is out of frames — the failure mode soft memory
         exists to avoid.
         """
-        placement = self._placer.place(size)
-        if placement is None:
+        placed = self._placer.place(size)
+        if placed is None:
             self._grow(self._placer.pages_needed(size))
-            placement = self._placer.place(size)
-            assert placement is not None, "grow did not make room"
+            placed = self._placer.place(size)
+            assert placed is not None, "grow did not make room"
         alloc_id = next(_alloc_ids)
-        self._live[alloc_id] = placement
+        self._live[alloc_id] = (*placed, size)
         self.total_allocs += 1
         return alloc_id
 
     def free(self, alloc_id: int) -> None:
         """Free a live allocation by id."""
         try:
-            placement = self._live.pop(alloc_id)
+            page, offset, size = self._live.pop(alloc_id)
         except KeyError:
             raise ValueError(f"unknown or double-freed id {alloc_id}") from None
-        self._placer.free(placement)
+        self._placer.free(page, offset, size)
         self.total_frees += 1
 
     def _grow(self, pages: int) -> None:

@@ -143,7 +143,7 @@ class InformedCache(SoftDataStructure):
     def evict_one(self) -> bool:
         victim: int | None = None
         for index, ptr in self._cached.items():
-            if ptr.allocation.pinned:
+            if ptr.pinned:
                 continue
             if index in self._used_this_epoch:
                 victim = index

@@ -118,7 +118,7 @@ class Sache(SoftDataStructure):
         for key, ref in self._entries.items():
             if ref.cleared:
                 continue
-            if not ref.ptr.allocation.pinned:
+            if not ref.ptr.pinned:
                 del self._entries[key]
                 self._reclaim_ptr(ref.ptr)
                 return True

@@ -95,7 +95,7 @@ class SoftArray(SoftDataStructure):
     # -- reclaim policy: everything at once --------------------------------
 
     def evict_one(self) -> bool:
-        if not self._ptr.valid or self._ptr.allocation.pinned:
+        if not self._ptr.valid or self._ptr.pinned:
             return False
         self._reclaim_ptr(self._ptr)
         return True

@@ -164,7 +164,7 @@ class SoftBuffer(SoftDataStructure):
     def evict_one(self) -> bool:
         for seg_index in sorted(self._segments):
             ptr = self._segments[seg_index]
-            if ptr.valid and not ptr.allocation.pinned:
+            if ptr.valid and not ptr.pinned:
                 del self._segments[seg_index]
                 self._reclaim_ptr(ptr)
                 return True

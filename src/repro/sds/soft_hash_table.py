@@ -101,7 +101,7 @@ class SoftHashTable(SoftDataStructure):
 
     def evict_one(self) -> bool:
         for key, ptr in self._index.items():
-            if not ptr.allocation.pinned:
+            if not ptr.pinned:
                 del self._index[key]
                 self._evicted_keys.add(key)
                 self._reclaim_ptr(ptr)

@@ -115,7 +115,7 @@ class SoftLinkedList(SoftDataStructure):
     def evict_one(self) -> bool:
         node = self._head
         while node is not None:
-            if not node.ptr.allocation.pinned:
+            if not node.ptr.pinned:
                 self._unlink(node)
                 self._reclaim_ptr(node.ptr)
                 return True

@@ -106,7 +106,7 @@ class SoftLRUCache(SoftDataStructure):
 
     def evict_one(self) -> bool:
         for key, ptr in self._entries.items():
-            if not ptr.allocation.pinned:
+            if not ptr.pinned:
                 del self._entries[key]
                 self._reclaim_ptr(ptr)
                 return True

@@ -70,7 +70,7 @@ class SoftQueue(SoftDataStructure):
 
     def evict_one(self) -> bool:
         for ptr in self._items:
-            if ptr.valid and not ptr.allocation.pinned:
+            if ptr.valid and not ptr.pinned:
                 self._reclaim_ptr(ptr)
                 self.dropped += 1
                 self._compact()

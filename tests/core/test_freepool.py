@@ -36,7 +36,7 @@ class TestFreePool:
         pool = FreePool()
         placer = PagePlacer()
         placer.add_page(Page())
-        page = placer.place(10).pages[0]
+        page, __ = placer.place(10)
         with pytest.raises(ValueError):
             pool.put([page])
 

@@ -19,8 +19,8 @@ class TestGroupRegistry:
         b = sma.soft_malloc(8, ctx, "value")
         gid = sma.groups.group(a, b)
         assert gid > 0
-        assert a.allocation.group_id == gid
-        assert b.allocation.group_id == gid
+        assert a.group_id == gid
+        assert b.group_id == gid
 
     def test_companions(self, setup):
         sma, ctx = setup
@@ -28,13 +28,13 @@ class TestGroupRegistry:
         b = sma.soft_malloc(8, ctx)
         c = sma.soft_malloc(8, ctx)
         sma.groups.group(a, b, c)
-        companions = sma.groups.companions(a.allocation)
+        companions = sma.groups.companions(a)
         assert {x.alloc_id for x in companions} == {b.alloc_id, c.alloc_id}
 
     def test_ungrouped_has_no_companions(self, setup):
         sma, ctx = setup
         a = sma.soft_malloc(8, ctx)
-        assert sma.groups.companions(a.allocation) == []
+        assert sma.groups.companions(a) == []
 
     def test_cannot_join_two_groups(self, setup):
         sma, ctx = setup
@@ -63,7 +63,7 @@ class TestGroupRegistry:
         sma.groups.group(a, b)
         sma.soft_free(a)
         assert b.valid  # normal free does NOT cascade
-        assert sma.groups.companions(b.allocation) == []
+        assert sma.groups.companions(b) == []
 
     def test_empty_group_garbage_collected(self, setup):
         sma, ctx = setup

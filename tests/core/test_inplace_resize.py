@@ -51,15 +51,14 @@ def resize_or_provision(heap: SdsHeap, alloc, size: int) -> None:
 def assert_disjoint(heap: SdsHeap) -> None:
     """No two live placements share a byte."""
     spans: dict = {}
-    for alloc in heap.allocations():
-        placement = alloc.placement
-        if placement.is_large:
-            for page in placement.pages:
+    for ptr in heap.allocations():
+        if ptr.size > PAGE_SIZE:
+            for page in ptr.page:
                 assert page not in spans, "a dedicated page is shared"
                 spans[page] = [(0, PAGE_SIZE)]
             continue
-        spans.setdefault(placement.pages[0], []).append(
-            (placement.offset, placement.offset + placement.size)
+        spans.setdefault(ptr.page, []).append(
+            (ptr.offset, ptr.offset + ptr.size)
         )
     for extents in spans.values():
         extents.sort()
@@ -76,9 +75,9 @@ def test_the_overwrite_trace_keeps_every_invariant(placer_name):
     in_place = []
     placer_resize = placer.resize
 
-    def counted_resize(placement, new_size):
-        resized = placer_resize(placement, new_size)
-        in_place.append(resized is not None)
+    def counted_resize(page, offset, size, new_size):
+        resized = placer_resize(page, offset, size, new_size)
+        in_place.append(resized)
         return resized
 
     placer.resize = counted_resize
@@ -95,7 +94,7 @@ def test_the_overwrite_trace_keeps_every_invariant(placer_name):
         size = next(sizes)
         resize_or_provision(heap, alloc, size)
         assert (alloc.size, alloc.payload) == (size, size)
-        assert alloc.placement.size == size
+        assert alloc.page is not None  # placed, not left unplaced
         assert heap.allocations()[-1] is alloc, "a resize is the newest"
         heap.check_invariants()
         assert_disjoint(heap)
@@ -113,10 +112,9 @@ def test_the_overwrite_trace_keeps_every_invariant(placer_name):
 def test_a_shrink_frees_the_tail_and_keeps_the_offset():
     placer = extent_placer()
     placer.place(100)
-    placement = placer.place(1000)
-    page = placement.pages[0]
-    resized = placer.resize(placement, 600)
-    assert (resized.pages, resized.offset, resized.size) == ((page,), 100, 600)
+    page, offset = placer.place(1000)
+    assert placer.resize(page, offset, 1000, 600)
+    assert offset == 100
     assert page.extents() == [(700, PAGE_SIZE - 700)]
     assert page.live_allocs == 2
     placer.check_invariants()
@@ -124,10 +122,9 @@ def test_a_shrink_frees_the_tail_and_keeps_the_offset():
 
 def test_a_shrink_reopens_a_full_page_as_the_newest():
     placer = extent_placer(2)
-    full = placer.place(PAGE_SIZE)
-    page = full.pages[0]
+    page, offset = placer.place(PAGE_SIZE)
     assert page not in placer._open
-    placer.resize(full, PAGE_SIZE - 64)
+    placer.resize(page, offset, PAGE_SIZE, PAGE_SIZE - 64)
     assert list(placer._open)[-1] is page
     assert page.extents() == [(PAGE_SIZE - 64, 64)]
     placer.check_invariants()
@@ -135,53 +132,49 @@ def test_a_shrink_reopens_a_full_page_as_the_newest():
 
 def test_an_exact_fit_grow_takes_the_whole_hole():
     placer = extent_placer()
-    grown = placer.place(1000)
+    page, offset = placer.place(1000)
     hole = placer.place(500)
     placer.place(100)
-    page = grown.pages[0]
-    placer.free(hole)
-    resized = placer.resize(grown, 1500)
-    assert (resized.offset, resized.size) == (0, 1500)
+    placer.free(*hole, 500)
+    assert placer.resize(page, offset, 1000, 1500)
+    assert offset == 0
     assert page.extents() == [(1600, PAGE_SIZE - 1600)]
     placer.check_invariants()
 
 
 def test_a_grow_that_fills_the_page_closes_it():
     placer = extent_placer()
-    placement = placer.place(1000)
-    page = placement.pages[0]
-    placer.resize(placement, PAGE_SIZE)
+    page, offset = placer.place(1000)
+    placer.resize(page, offset, 1000, PAGE_SIZE)
     assert page.free_bytes == 0 and page not in placer._open
     placer.check_invariants()
 
 
 def test_a_grow_blocked_by_a_live_neighbour_changes_nothing():
     placer = extent_placer()
-    placement = placer.place(1000)
+    page, offset = placer.place(1000)
     placer.place(100)
-    page = placement.pages[0]
     extents = page.extents()
-    assert placer.resize(placement, 1001) is None
+    assert not placer.resize(page, offset, 1000, 1001)
     assert page.extents() == extents and page.live_allocs == 2
 
 
 def test_a_grow_the_hole_behind_is_too_short_for_changes_nothing():
     placer = extent_placer()
-    placement = placer.place(1000)
+    page, offset = placer.place(1000)
     hole = placer.place(200)
     placer.place(100)
-    placer.free(hole)
-    page = placement.pages[0]
+    placer.free(*hole, 200)
     extents = page.extents()
-    assert placer.resize(placement, 1201) is None
+    assert not placer.resize(page, offset, 1000, 1201)
     assert page.extents() == extents
 
 
 def test_a_grow_past_the_page_is_not_in_place():
     placer = extent_placer()
-    placement = placer.place(1000)
-    assert placer.resize(placement, PAGE_SIZE + 1) is None
-    assert placement.pages[0].extents() == [(1000, PAGE_SIZE - 1000)]
+    page, offset = placer.place(1000)
+    assert not placer.resize(page, offset, 1000, PAGE_SIZE + 1)
+    assert page.extents() == [(1000, PAGE_SIZE - 1000)]
 
 
 @pytest.mark.parametrize("placer_name", sorted(PLACERS))
@@ -189,9 +182,9 @@ def test_a_large_placement_is_never_resized_in_place(placer_name):
     placer = PLACERS[placer_name](owner="t")
     for _ in range(3):
         placer.add_page(Page())
-    placement = placer.place(2 * PAGE_SIZE)
+    pages, offset = placer.place(2 * PAGE_SIZE)
     for new_size in (100, 2 * PAGE_SIZE - 1, 3 * PAGE_SIZE):
-        assert placer.resize(placement, new_size) is None
+        assert not placer.resize(pages, offset, 2 * PAGE_SIZE, new_size)
     assert placer.used_bytes == 2 * PAGE_SIZE
 
 
@@ -203,23 +196,21 @@ def test_a_large_placement_is_never_resized_in_place(placer_name):
 def test_a_slab_resize_within_the_class_keeps_the_slot():
     placer = SizeClassPlacer(owner="t")
     placer.add_page(Page())
-    placement = placer.place(100)  # the 112-byte class
+    page, offset = placer.place(100)  # the 112-byte class
+    size = 100
     for new_size in (112, 97):
-        resized = placer.resize(placement, new_size)
-        assert (resized.pages, resized.offset) == (
-            placement.pages, placement.offset
-        )
+        assert placer.resize(page, offset, size, new_size)
         assert placer.used_bytes == new_size
-        placement = resized
+        size = new_size
     placer.check_invariants()
 
 
 def test_a_slab_resize_across_classes_changes_nothing():
     placer = SizeClassPlacer(owner="t")
     placer.add_page(Page())
-    placement = placer.place(100)
+    page, offset = placer.place(100)
     for new_size in (96, 113, PAGE_SIZE + 1):
-        assert placer.resize(placement, new_size) is None
+        assert not placer.resize(page, offset, 100, new_size)
     assert placer.used_bytes == 100
     placer.check_invariants()
 
@@ -234,15 +225,14 @@ def test_an_in_place_soft_resize_keeps_the_ledgers_and_refreshes_age():
     ctx = sma.create_context("c")
     ptr, other = sma.soft_malloc(1000, ctx, 1), sma.soft_malloc(100, ctx, 2)
     sma.soft_free(other)
-    where = ptr.allocation.placement.offset, ptr.allocation.placement.pages
+    where = ptr.offset, ptr.page
     mapped = sma.stats.pages_mapped
     for new_size in (3000, 10):
         assert sma.soft_resize(ptr, new_size, new_size) is ptr
-        placement = ptr.allocation.placement
-        assert (placement.offset, placement.pages) == where
+        assert (ptr.offset, ptr.page) == where
         assert ptr.size == ptr.deref() == new_size
     assert (sma.stats.allocations, sma.stats.frees) == (4, 3)
     assert sma.stats.pages_mapped == mapped
-    assert list(ctx.heap.iter_oldest_first()) == [ptr.allocation]
+    assert list(ctx.heap.iter_oldest_first()) == [ptr]
     assert ctx.heap.live_bytes == 10
     sma.check_invariants()

@@ -335,14 +335,11 @@ class RealAllocator:
         self.sma.return_excess()
 
     def where(self, ptr) -> tuple[tuple[int, ...], int]:
-        placement = ptr.allocation.placement
+        pages = ptr.page if type(ptr.page) is tuple else (ptr.page,)
         ordinals = self._ordinals
         return (
-            tuple(
-                ordinals.setdefault(page, len(ordinals))
-                for page in placement.pages
-            ),
-            placement.offset,
+            tuple(ordinals.setdefault(page, len(ordinals)) for page in pages),
+            ptr.offset,
         )
 
 

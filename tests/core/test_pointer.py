@@ -56,7 +56,7 @@ class TestSoftPtr:
         sma, ctx = setup
         ptr = sma.soft_malloc(64, ctx, payload=object())
         sma.soft_free(ptr)
-        assert ptr.allocation.payload is None
+        assert ptr.payload is None
 
     def test_size_and_id_exposed(self, setup):
         sma, ctx = setup
@@ -82,18 +82,18 @@ class TestDerefScope:
     def test_scope_pins_and_unpins(self, setup):
         sma, ctx = setup
         ptr = sma.soft_malloc(8, ctx)
-        assert not ptr.allocation.pinned
+        assert not ptr.pinned
         with DerefScope(ptr):
-            assert ptr.allocation.pinned
-        assert not ptr.allocation.pinned
+            assert ptr.pinned
+        assert not ptr.pinned
 
     def test_nested_scopes_count_pins(self, setup):
         sma, ctx = setup
         ptr = sma.soft_malloc(8, ctx)
         with DerefScope(ptr):
             with DerefScope(ptr):
-                assert ptr.allocation.pins == 2
-            assert ptr.allocation.pins == 1
+                assert ptr.pins == 2
+            assert ptr.pins == 1
 
     def test_unpins_on_exception(self, setup):
         sma, ctx = setup
@@ -101,7 +101,7 @@ class TestDerefScope:
         with pytest.raises(RuntimeError):
             with DerefScope(ptr):
                 raise RuntimeError("boom")
-        assert not ptr.allocation.pinned
+        assert not ptr.pinned
 
     def test_enter_on_reclaimed_raises_and_leaks_no_pins(self, setup):
         sma, ctx = setup
@@ -111,7 +111,7 @@ class TestDerefScope:
         with pytest.raises(ReclaimedMemoryError):
             with DerefScope(a, b):
                 pass
-        assert a.allocation.pins == 0
+        assert a.pins == 0
 
     def test_pinned_allocations_survive_reclamation(self):
         """The concurrency story: a pinned element must not be reclaimed

@@ -33,9 +33,9 @@ class TestIdentity:
     def test_same_pointer_new_size_and_payload(self, sma):
         ctx = sma.create_context("c")
         ptr = sma.soft_malloc(100, ctx, payload="old")
-        alloc, alloc_id = ptr.allocation, ptr.alloc_id
+        alloc_id = ptr.alloc_id
         assert sma.soft_resize(ptr, 3000, "new") is ptr
-        assert ptr.allocation is alloc and ptr.alloc_id == alloc_id
+        assert ptr.alloc_id == alloc_id
         assert (ptr.size, ptr.deref()) == (3000, "new")
         assert ctx.heap.live_bytes == 3000
         sma.check_invariants()
@@ -52,15 +52,15 @@ class TestIdentity:
         a, b = sma.soft_malloc(64, ctx), sma.soft_malloc(64, ctx)
         sma.soft_resize(a, 128)
         oldest_first = list(ctx.heap.iter_oldest_first())
-        assert oldest_first == [b.allocation, a.allocation]
+        assert oldest_first == [b, a]
 
     def test_multi_page_round_trip(self, sma):
         ctx = sma.create_context("c")
         ptr = sma.soft_malloc(64, ctx)
         sma.soft_resize(ptr, 3 * PAGE_SIZE)
-        assert len(ptr.allocation.placement.pages) == 3
+        assert len(ptr.page) == 3 and ptr.offset == 0
         sma.soft_resize(ptr, 64)
-        assert not ptr.allocation.placement.is_large
+        assert not isinstance(ptr.page, tuple)  # one page again
         sma.check_invariants()
 
     def test_dead_pointer_and_bad_size_rejected_untouched(self, sma):
@@ -104,7 +104,7 @@ class TestFollowTheHandle:
         a, b = sma.soft_malloc(64, ctx), sma.soft_malloc(64, ctx)
         sma.groups.group(a, b)
         sma.soft_resize(a, 512)
-        assert sma.groups.companions(b.allocation) == [a.allocation]
+        assert sma.groups.companions(b) == [a]
         sma.reclaim_free(b)  # companions still die together
         assert not a.valid and not b.valid
         sma.check_invariants()
@@ -129,8 +129,8 @@ class TestDeniedProvision:
         assert (sma.stats.allocations, sma.stats.frees) == (2, 1)
         assert ref.get() is None and len(queue) == 0
         assert sma.refs.tracked_count == 0
-        assert sma.groups.companions(anchor.allocation) == []
-        assert anchor.allocation.group_id == group
+        assert sma.groups.companions(anchor) == []
+        assert anchor.group_id == group
         assert ctx.heap.live_bytes == 3000 and sma.live_allocations == 1
         sma.check_invariants()
 

@@ -89,7 +89,7 @@ def fragmented_heap():
 
 
 def page_of(ptr):
-    return ptr.allocation.placement.pages[0]
+    return ptr.page
 
 
 def test_a_malloc_that_misses_walks_each_window_page_once(walks):
@@ -120,12 +120,12 @@ def test_a_resize_that_misses_walks_each_window_page_once(walks):
 
 def test_a_denied_promotion_over_a_full_window_walks_nothing(walks):
     sma, context, home, __, ___ = fragmented_heap()
-    before = home[0].allocation.placement
+    before = home[0].page, home[0].offset
     walks.clear()
     # no window page has 3 KiB free: eight compares, no walk, no page
     assert not sma.soft_promote(home[0], 6 * SLOT)
     assert not walks, sorted(walks.values())
-    assert home[0].allocation.placement is before
+    assert home[0].page is before[0] and home[0].offset == before[1]
     assert context.heap.page_count == 10
 
 
@@ -152,7 +152,7 @@ def test_an_in_place_resize_walks_nothing_and_places_nothing(walks, places):
     for size in (SLOT // 2, SLOT):
         sma.soft_resize(home[0], size)
         assert page_of(home[0]) is home_page
-        assert home[0].allocation.placement.offset == 0
+        assert home[0].offset == 0
     assert not walks, sorted(walks.values())
     assert places == []
     assert context.heap.page_count == 10

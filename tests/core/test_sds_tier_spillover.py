@@ -38,7 +38,7 @@ class TestAdaptiveSpillover:
                              element_size=PAGE_SIZE)
         pinned_ptrs = [low.append(i) for i in range(3)]
         for ptr in pinned_ptrs:
-            ptr.allocation.pins += 1
+            ptr.pins += 1
         high = SoftLinkedList(sma, name="high", priority=5,
                               element_size=PAGE_SIZE)
         for i in range(5):
@@ -48,7 +48,7 @@ class TestAdaptiveSpillover:
         assert len(low) == 3  # fully pinned, untouched
         assert len(high) == 1  # absorbed the whole quota
         for ptr in pinned_ptrs:
-            ptr.allocation.pins -= 1
+            ptr.pins -= 1
 
     def test_empty_contexts_skipped_without_stats_noise(self, sma):
         sma.create_context("empty-a")

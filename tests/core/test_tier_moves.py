@@ -139,11 +139,10 @@ def test_demote_last_resort_is_the_hole_the_victim_left(placer_name):
     ptrs = [sma.soft_malloc(2000, ctx, i) for i in range(24)]
     assert ctx.heap.page_count == 12 and ctx.heap.free_page_count == 0
     victim = ptrs[0]
-    page = victim.allocation.placement.pages[0]
-    offset = victim.allocation.placement.offset
+    page, offset = victim.page, victim.offset
     sma.soft_demote(victim, 200, "stub")
-    assert victim.allocation.placement.pages[0] is page
-    assert victim.allocation.placement.offset == offset
+    assert victim.page is page
+    assert victim.offset == offset
     assert ctx.heap.page_count == 12 and sma.live_bytes == 23 * 2000 + 200
     sma.check_invariants()
     sma.soft_free(ptrs[1])  # its page-mate

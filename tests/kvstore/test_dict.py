@@ -92,7 +92,7 @@ class TestMappingSemantics:
         d.put(b"second", 2)
         # the allocation dies under the dict: a lookup must raise rather
         # than read freed memory, and a neighbour stays readable
-        d._find(b"first").allocation.valid = False
+        d._find(b"first").valid = False
         with pytest.raises(ReclaimedMemoryError):
             d.get(b"first")
         assert d.get(b"second") == 2

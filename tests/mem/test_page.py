@@ -7,7 +7,7 @@ the occupancy tests drive their page through a one-page placer.
 import pytest
 
 from repro.mem.page import Page
-from repro.mem.placer import PagePlacer, Placement
+from repro.mem.placer import PagePlacer
 from repro.util.units import PAGE_SIZE
 
 
@@ -30,16 +30,14 @@ class TestPage:
 
     def test_place_tracks_allocs_and_bytes(self):
         placer, page = owned_page()
-        placement = placer.place(100)
-        assert placement.pages == (page,)
-        assert placement.offset == 0
+        assert placer.place(100) == (page, 0)
         assert page.live_allocs == 1
         assert page.used_bytes == 100
         assert not page.is_free
 
     def test_remove_returns_to_free(self):
         placer, page = owned_page()
-        placer.free(placer.place(100))
+        placer.free(*placer.place(100), 100)
         assert page.is_free
         assert page.used_bytes == 0
 
@@ -60,7 +58,7 @@ class TestPage:
     def test_remove_without_allocs_rejected(self):
         placer, page = owned_page()
         with pytest.raises(ValueError):
-            placer.free(Placement((page,), 0, 10))
+            placer.free(page, 0, 10)
 
     def test_reset(self):
         placer, page = owned_page()
@@ -77,14 +75,14 @@ class TestPage:
     def test_invariants_on_fresh_and_used(self):
         placer, page = owned_page()
         page.check_invariants()
-        placement = placer.place(64)
+        placed = placer.place(64)
         page.check_invariants()
-        placer.free(placement)
+        placer.free(*placed, 64)
         page.check_invariants()
 
     def test_fragmentation_after_interior_free(self):
         placer, page = owned_page()
         first = placer.place(1024)
         placer.place(1024)
-        placer.free(first)
+        placer.free(*first, 1024)
         assert page.fragmentation() > 0.0

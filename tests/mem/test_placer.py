@@ -18,10 +18,10 @@ def placer_with(pages: int) -> PagePlacer:
 class TestSmallObjects:
     def test_place_in_single_page(self):
         placer = placer_with(1)
-        placement = placer.place(100)
-        assert placement is not None
-        assert len(placement.pages) == 1
-        assert not placement.is_large
+        placed = placer.place(100)
+        assert placed is not None
+        page, offset = placed
+        assert type(page) is Page  # one page, not a tuple of them
 
     def test_none_without_pages(self):
         placer = PagePlacer()
@@ -38,7 +38,7 @@ class TestSmallObjects:
         placer = placer_with(1)
         placements = [placer.place(1024) for _ in range(4)]
         assert placer.place(1024) is None
-        placer.free(placements[0])
+        placer.free(*placements[0], 1024)
         assert placer.place(1024) is not None
 
     def test_invalid_size_rejected(self):
@@ -50,10 +50,12 @@ class TestSmallObjects:
 class TestLargeObjects:
     def test_spans_whole_pages(self):
         placer = placer_with(3)
-        placement = placer.place(2 * PAGE_SIZE + 10)
-        assert placement is not None
-        assert placement.is_large
-        assert len(placement.pages) == 3
+        placed = placer.place(2 * PAGE_SIZE + 10)
+        assert placed is not None
+        pages, offset = placed
+        assert type(pages) is tuple
+        assert len(pages) == 3
+        assert offset == 0
 
     def test_needs_fully_free_pages(self):
         placer = placer_with(2)
@@ -63,8 +65,8 @@ class TestLargeObjects:
 
     def test_free_large_restores_pages(self):
         placer = placer_with(2)
-        placement = placer.place(2 * PAGE_SIZE)
-        placer.free(placement)
+        placed = placer.place(2 * PAGE_SIZE)
+        placer.free(*placed, 2 * PAGE_SIZE)
         assert placer.free_page_count == 2
         placer.check_invariants()
 
@@ -85,12 +87,12 @@ class TestLargeObjects:
 class TestHarvest:
     def test_take_free_pages(self):
         placer = placer_with(3)
-        placement = placer.place(10)
+        placed = placer.place(10)
         taken = placer.take_free_pages()
         assert len(taken) == 2  # the dirty page stays
         assert placer.page_count == 1
         assert all(p.is_free for p in taken)
-        placer.free(placement)
+        placer.free(*placed, 10)
 
     def test_take_free_pages_respects_cap(self):
         placer = placer_with(5)
@@ -99,8 +101,7 @@ class TestHarvest:
 
     def test_harvested_pages_are_reset(self):
         placer = placer_with(1)
-        p = placer.place(10)
-        placer.free(p)
+        placer.free(*placer.place(10), 10)
         taken = placer.take_free_pages()
         assert taken[0].used_bytes == 0
         assert taken[0].live_allocs == 0
@@ -115,7 +116,7 @@ class TestHarvest:
     def test_add_dirty_page_rejected(self):
         placer = PagePlacer()
         elsewhere = placer_with(1)
-        page = elsewhere.place(10).pages[0]
+        page, __ = elsewhere.place(10)
         with pytest.raises(ValueError):
             placer.add_page(page)
 
@@ -130,9 +131,9 @@ class TestAccounting:
     def test_free_page_count_tracks_transitions(self):
         placer = placer_with(2)
         assert placer.free_page_count == 2
-        p = placer.place(10)
+        placed = placer.place(10)
         assert placer.free_page_count == 1
-        placer.free(p)
+        placer.free(*placed, 10)
         assert placer.free_page_count == 2
 
     def test_fragmentation_zero_when_all_free_harvestable(self):
@@ -160,19 +161,19 @@ def test_placer_random_ops_invariants(sizes, rng):
     live = []
     for size in sizes:
         if live and rng.random() < 0.4:
-            placer.free(live.pop(rng.randrange(len(live))))
-        placement = placer.place(size)
-        if placement is None:
+            placer.free(*live.pop(rng.randrange(len(live))))
+        placed = placer.place(size)
+        if placed is None:
             for _ in range(placer.pages_needed(size)):
                 placer.add_page(Page())
-            placement = placer.place(size)
-            assert placement is not None, "pages_needed promised a fit"
-        live.append(placement)
+            placed = placer.place(size)
+            assert placed is not None, "pages_needed promised a fit"
+        live.append((*placed, size))
         placer.check_invariants()
-    total = sum(p.size for p in live)
+    total = sum(size for __, __, size in live)
     assert placer.used_bytes == total
-    for p in live:
-        placer.free(p)
+    for page, offset, size in live:
+        placer.free(page, offset, size)
     assert placer.used_bytes == 0
     assert placer.free_page_count == placer.page_count
     placer.check_invariants()

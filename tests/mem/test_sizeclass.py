@@ -47,10 +47,10 @@ class TestClassLadder:
 class TestSlabPlacement:
     def test_basic_place_free(self):
         placer = placer_with(1)
-        placement = placer.place(100)
-        assert placement is not None
+        placed = placer.place(100)
+        assert placed is not None
         assert placer.used_bytes == 100
-        placer.free(placement)
+        placer.free(*placed, 100)
         assert placer.used_bytes == 0
         assert placer.free_page_count == 1
         placer.check_invariants()
@@ -64,26 +64,25 @@ class TestSlabPlacement:
             assert p is not None
             placements.append(p)
         assert placer.place(128) is None
-        offsets = {p.offset for p in placements}
+        offsets = {offset for __, offset in placements}
         assert len(offsets) == 32  # all distinct slots
 
     def test_mixed_classes_use_separate_slabs(self):
         placer = placer_with(2)
         small = placer.place(16)
         large = placer.place(2048)
-        assert small.pages[0] is not large.pages[0]
+        assert small[0] is not large[0]
         placer.check_invariants()
 
     def test_same_class_shares_slab(self):
         placer = placer_with(2)
         a = placer.place(100)
         b = placer.place(110)  # same 112-byte class
-        assert a.pages[0] is b.pages[0]
+        assert a[0] is b[0]
 
     def test_free_page_reformats_for_new_class(self):
         placer = placer_with(1)
-        a = placer.place(16)
-        placer.free(a)
+        placer.free(*placer.place(16), 16)
         b = placer.place(2048)
         assert b is not None
         placer.check_invariants()
@@ -99,7 +98,7 @@ class TestSlabPlacement:
         placer = placer_with(1)
         placements = [placer.place(2048) for _ in range(2)]
         assert placer.place(2048) is None
-        placer.free(placements[0])
+        placer.free(*placements[0], 2048)
         assert placer.place(2048) is not None
         placer.check_invariants()
 
@@ -111,10 +110,11 @@ class TestSlabPlacement:
 class TestLargeObjects:
     def test_spans_pages(self):
         placer = placer_with(3)
-        placement = placer.place(2 * PAGE_SIZE + 1)
-        assert placement is not None
-        assert len(placement.pages) == 3
-        placer.free(placement)
+        placed = placer.place(2 * PAGE_SIZE + 1)
+        assert placed is not None
+        pages, offset = placed
+        assert len(pages) == 3 and offset == 0
+        placer.free(pages, offset, 2 * PAGE_SIZE + 1)
         assert placer.free_page_count == 3
         placer.check_invariants()
 
@@ -127,8 +127,7 @@ class TestLargeObjects:
 class TestHarvest:
     def test_take_free_pages_resets(self):
         placer = placer_with(2)
-        p = placer.place(64)
-        placer.free(p)
+        placer.free(*placer.place(64), 64)
         taken = placer.take_free_pages()
         assert len(taken) == 2
         assert all(pg.is_free and pg.live_allocs == 0 for pg in taken)
@@ -179,18 +178,18 @@ def test_parity_with_textbook_placer(sizes, rng):
             index = rng.randrange(len(live["extent"]))
         for name, placer in placers.items():
             if do_free:
-                placer.free(live[name].pop(index))
+                placer.free(*live[name].pop(index))
             for _ in range(placer.pages_needed(size)):
                 placer.add_page(Page())
-            placement = placer.place(size)
-            assert placement is not None
-            live[name].append(placement)
+            placed = placer.place(size)
+            assert placed is not None
+            live[name].append((*placed, size))
             placer.check_invariants()
         order.append(size)
     for name, placer in placers.items():
-        assert placer.used_bytes == sum(p.size for p in live[name])
-        for placement in live[name]:
-            placer.free(placement)
+        assert placer.used_bytes == sum(size for __, __, size in live[name])
+        for page, offset, size in live[name]:
+            placer.free(page, offset, size)
         assert placer.used_bytes == 0
         assert placer.free_page_count == placer.page_count
         placer.check_invariants()

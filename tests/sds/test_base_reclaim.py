@@ -21,7 +21,7 @@ class CountingSds(SoftDataStructure):
         self.evict_calls += 1
         while self._ptrs:
             ptr = self._ptrs.pop(0)
-            if ptr.valid and not ptr.allocation.pinned:
+            if ptr.valid and not ptr.pinned:
                 self._reclaim_ptr(ptr)
                 return True
         return False
