@@ -16,6 +16,10 @@ Scenarios (ns per command / per reply):
   which no ``$len`` header certifies: every value is read by position.
 * ``parse_wide_mset`` — ``*41`` MSETs: a multi-digit count and a frame
   wider than the tokeniser's smallest window.
+* ``parse_mixed_sets`` — 16 SETs whose values climb a ladder from 16 B
+  to 5 KiB, with the server's zero-copy threshold: window edges fall
+  inside frames, and only the one value larger than the tokeniser's
+  widest window comes out as a memoryview.
 * ``parse_generic`` — the same small batch through the recursive
   fallback parser (``use_fast_path=False``), for comparison.
 * ``encode_mixed``  — ``encode_reply_into`` over the reply mix a
@@ -36,6 +40,12 @@ from repro.kvstore.server import ZERO_COPY_THRESHOLD
 BATCH_DEPTH = 64
 LARGE_VALUE_SIZE = 4096
 BINARY_VALUE = (bytes(range(48, 110)) + b"\r\n") * 4
+#: ``parse_mixed_sets``' value sizes: a ladder from 16 B to one value
+#: past the tokeniser's 4 KiB window
+MIXED_VALUE_SIZES = (
+    16, 32, 64, 128, 192, 256, 320, 384, 448, 512, 1024, 1536, 2048,
+    2560, 3584, 5120,
+)
 
 
 def _best_of(func) -> float:
@@ -76,6 +86,14 @@ def binary_batch() -> tuple[bytes, int]:
 def wide_batch() -> tuple[bytes, int]:
     pairs = [f"k{j}" if j % 2 == 0 else f"value-{j}" for j in range(40)]
     return encode_command("MSET", *pairs) * 8, 8
+
+
+def mixed_batch() -> tuple[bytes, int]:
+    parts = [
+        encode_command("SET", f"mix{i}", b"m" * size)
+        for i, size in enumerate(MIXED_VALUE_SIZES)
+    ]
+    return b"".join(parts), len(parts)
 
 
 def reply_mix() -> list:
@@ -134,6 +152,7 @@ def run_suite() -> dict[str, float]:
         "parse_large_zero_copy": as_served(large_batch()),
         "parse_binary_crlf": as_served(binary_batch()),
         "parse_wide_mset": as_served(wide_batch()),
+        "parse_mixed_sets": as_served(mixed_batch()),
         "parse_generic": _parse_cost_ns(*small_batch(), use_fast_path=False),
         "encode_mixed": _encode_cost_ns(),
     }

@@ -246,9 +246,12 @@ class RespParser:
     ``zero_copy_threshold`` enables handing bulk payloads of at least
     that many bytes out as ``memoryview`` slices (command-array
     elements at argv index >= 2 only, so command names and keys are
-    always real ``bytes``). ``use_fast_path=False`` disables the
-    command-array fast path entirely — a diagnostic/test seam that
-    forces every frame through the generic recursive parser.
+    always real ``bytes``). The server passes the tokeniser's widest
+    window, 4 KiB: a payload a window can hold certifies off the token
+    list, which is cheaper than reading it by position as a view, so
+    only larger ones come out zero-copy. ``use_fast_path=False``
+    disables the command-array fast path entirely — a diagnostic/test
+    seam that forces every frame through the generic recursive parser.
     """
 
     def __init__(
@@ -385,7 +388,12 @@ class RespParser:
         or more, CRLF in the payload, a payload past the window, a
         zero-padded header) is read *by position*: length decoded,
         terminator checked, ``memoryview`` handed out at argv index
-        >= 2, and the next window opens behind its frame.
+        >= 2 from the threshold up, and the next window opens behind
+        its frame. That window doubles (up to 4 KiB) after a whole
+        window certified or a frame only the window's edge cut, and
+        drops to twice the certified bytes after a view or an argument
+        that failed certification, so runs of large or CRLF-laden
+        payloads are not scanned again.
 
         Returns :data:`PIPELINE_MORE` when drained (a trailing partial
         frame stays buffered) or :data:`PIPELINE_FALLBACK` when the
@@ -424,6 +432,8 @@ class RespParser:
                     k = i + 1  # token index of the next ``$len`` header
                     for arg in argv:
                         if tokens[k] != header_of[len(arg)]:
+                            # CRLF inside, an odd header, a view's size
+                            grow = False
                             break
                         k += 2
                     else:
@@ -434,14 +444,22 @@ class RespParser:
                                 self._pos = pos + _span(tokens, 0, i)
                                 return PIPELINE_MORE
                             continue
+                        # every whole argument certified: a frame that
+                        # only the window's edge cut widens the next
+                        # window (``parse_one`` never widens it)
+                        grow = stop < end_of_data and limit is None
                     # certification ends at token k: on by position
                     del argv[(k - i - 1) >> 1:]
                     frame_start = pos + _span(tokens, 0, i) if i else pos
                     certified = frame_start + _span(tokens, i, k) - pos
                     pos += certified
-                    self._window = (
+                    collapsed = (
                         _WINDOW_MIN if 2 * certified < _WINDOW_MIN
                         else min(2 * certified, _WINDOW_MAX)
+                    )
+                    self._window = (
+                        min(2 * self._window, _WINDOW_MAX) if grow
+                        else collapsed
                     )
                     zc_min = self._zc_min
                     for n in range(len(argv), count):
@@ -469,6 +487,7 @@ class RespParser:
                         if zc_min is not None and length >= zc_min and n >= 2:
                             argv.append(memoryview(buf)[start:pos - 2])
                             self.views_created += 1
+                            self._window = collapsed
                         else:
                             argv.append(bytes(buf[start:pos - 2]))
                     else:  # the frame is whole

@@ -14,14 +14,15 @@ between parse, dispatch, and encode. The TCP front-end goes one step
 further and ``recv_into``s the parser's buffer, so inbound payload
 bytes are copied exactly once off the socket.
 
-Zero-copy argv discipline: the parser hands bulk payloads >=
-:data:`ZERO_COPY_THRESHOLD` bytes out as ``memoryview`` slices of its
-buffer (argv index >= 2 only). Those views die with the batch — before
-dispatch, the command table's ``views`` column says at which argv
-length a handler is audited to sink them safely (the SET family
-materializes inside ``DataStore.set``); every other argv gets its
-views materialized to ``bytes`` up front, key positions always do, and
-the slowlog always receives materialized argv. See DESIGN.md §7.
+Zero-copy argv discipline: the parser hands bulk payloads of at least
+:data:`ZERO_COPY_THRESHOLD` bytes (4 KiB, more than its tokeniser's
+window holds; smaller ones come out as ``bytes``) as ``memoryview``
+slices of its buffer (argv index >= 2 only). Those views die with the
+batch — before dispatch, the command table's ``views`` column says at
+which argv length a handler is audited to sink them safely (the SET
+family materializes inside ``DataStore.set``); every other argv gets
+its views materialized to ``bytes`` up front, key positions always do,
+and the slowlog always receives materialized argv. See DESIGN.md §7.
 
 Per-command latency feeds the store's observability plane
 (``store.obs``) at one clock read per command: the end-of-command
@@ -42,6 +43,7 @@ from time import perf_counter
 
 from repro.kvstore.commands import COMMANDS, dispatch, fits, lookup
 from repro.kvstore.resp import (
+    _WINDOW_MAX,
     NULL,
     PIPELINE_FALLBACK,
     PIPELINE_MORE,
@@ -55,9 +57,10 @@ from repro.kvstore.store import DataStore
 _BAD_ARGV = RespError("ERR protocol error: expected array of bulk strings")
 
 #: bulk payloads at least this large are parsed zero-copy (memoryview
-#: slices of the parser buffer); below it a ``bytes`` copy is cheaper
-#: than the view bookkeeping
-ZERO_COPY_THRESHOLD = 512
+#: slices of the parser buffer): the tokeniser's widest window, so
+#: every payload a window can hold certifies off the token list and
+#: only one no window holds is read by position as a view
+ZERO_COPY_THRESHOLD = _WINDOW_MAX
 
 # The exact-bytes view audit: spelling -> the one argv length at which
 # the table lets that command's payload views through. Only the

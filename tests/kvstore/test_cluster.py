@@ -26,8 +26,10 @@ from repro.kvstore.cluster.state import (
     parse_moved,
 )
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore import server as server_module
 from repro.kvstore.commands import dispatch
 from repro.kvstore.resp import RespError
+from repro.kvstore.server import ZERO_COPY_THRESHOLD
 from repro.kvstore.store import DataStore
 
 # keys with known owners under a 2-shard split (slots 0-8191 / 8192-16383)
@@ -257,13 +259,21 @@ class TestClusterKvClient:
             server.stop()
 
     def test_mset_with_a_zero_copy_key_does_not_kill_the_shard(
-        self, two_shards
+        self, two_shards, monkeypatch
     ):
         # a key of >= ZERO_COPY_THRESHOLD bytes at argv[3] is parsed as a
         # memoryview; it used to reach the slot hash as one, and the
         # AttributeError took the event loop (and its listener) down
         _, addresses, stores = two_shards
-        big_key = b"{a}" + b"k" * 600
+        big_key = b"{a}" + b"k" * ZERO_COPY_THRESHOLD
+        arrived = []
+        materialize = server_module._materialize_views
+
+        def recording(argv):
+            arrived.append(type(argv[3]))
+            materialize(argv)
+
+        monkeypatch.setattr(server_module, "_materialize_views", recording)
         owner = next(
             shard for shard, store in enumerate(stores)
             if store.cluster.owns(key_hash_slot(b"{a}x"))
@@ -282,6 +292,8 @@ class TestClusterKvClient:
             # and the listener still accepts
             with TcpKvClient(address) as again:
                 assert again.execute(b"PING") == "PONG"
+        # each shard's parser handed the key out as a view
+        assert arrived == [memoryview, memoryview]
 
     def test_close_idempotent(self, two_shards):
         client, _, _ = two_shards

@@ -1,6 +1,6 @@
 """The RESP codec's cost, in bytecodes: counted, no clock.
 
-The batches ``benchmarks/bench_resp.py`` times — four parse scenarios
+The batches ``benchmarks/bench_resp.py`` times — five parse scenarios
 and one encode mix — each counted per command (or per reply) with
 :func:`~tests.kvstore.test_batch_census.opcodes` over one steady-state
 batch, the parser's window already settled on it:
@@ -11,11 +11,14 @@ batch, the parser's window already settled on it:
 * ``parse_binary_crlf`` — 256 B SET payloads with CRLF inside, which
   no ``$len`` header certifies: every value is read by position;
 * ``parse_wide_mset`` — ``*41`` MSETs, wider than the smallest window;
+* ``parse_mixed_sets`` — SET values on a ladder from 16 B to 5 KiB at
+  the server's threshold: every value a window holds certifies, and a
+  window edge inside a frame does not narrow the next window;
 * ``encode_mixed`` — ``encode_reply_into`` over the reply mix a SET/GET
   workload produces (interned +OK, bulk, int, null).
 
 Each is held to :data:`GROWTH` times the largest count the tree that
-introduced this file read on CPython 3.10, 3.11 and 3.12
+introduced the scenario read on CPython 3.10, 3.11 and 3.12
 (:data:`CEILING`), and the batch fast path must cost at most
 ``1 / FAST_PATH_GAIN`` of the recursive generic parser on the small
 batch. Every parse is checked to have produced all its commands, so a
@@ -33,6 +36,7 @@ import sys
 from benchmarks.bench_resp import (
     binary_batch,
     large_batch,
+    mixed_batch,
     reply_mix,
     small_batch,
     wide_batch,
@@ -47,15 +51,17 @@ PARSES = {
     "parse_large_zero_copy": (large_batch, ZERO_COPY_THRESHOLD),
     "parse_binary_crlf": (binary_batch, ZERO_COPY_THRESHOLD),
     "parse_wide_mset": (wide_batch, ZERO_COPY_THRESHOLD),
+    "parse_mixed_sets": (mixed_batch, ZERO_COPY_THRESHOLD),
 }
 #: each scenario's largest count over CPython 3.10 / 3.11 / 3.12 when
-#: this census was written (3.11's, for every one), rounded up
+#: it was added (3.11's, for every one), rounded up
 CEILING = {
     "parse_small": 107.6,
     "parse_large_zero_copy": 318.9,
     "parse_binary_crlf": 298.2,
     "parse_wide_mset": 818.2,
     "encode_mixed": 37.5,
+    "parse_mixed_sets": 166.5,
 }
 GROWTH = 1.10
 FAST_PATH_GAIN = 1.15

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.bench_resp import mixed_batch
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import resp
 from repro.kvstore.resp import (
@@ -23,7 +24,7 @@ from repro.kvstore.resp import (
     encode_command,
     encode_reply,
 )
-from repro.kvstore.server import KvServer
+from repro.kvstore.server import ZERO_COPY_THRESHOLD, KvServer
 from repro.kvstore.store import DataStore
 
 THRESHOLD = 24
@@ -46,12 +47,24 @@ def _plain(value):
     return None if value is NULL else value
 
 
-def drive(parser: RespParser, chunks: list[bytes]):
+def _views_in(frames: list) -> list[tuple[int, int]]:
+    """``(argv index, length)`` of every memoryview in ``frames``."""
+    return [
+        (i, len(arg))
+        for argv in frames
+        if type(argv) is list
+        for i, arg in enumerate(argv)
+        if type(arg) is memoryview
+    ]
+
+
+def drive(parser: RespParser, chunks: list[bytes], views: list | None = None):
     """Feed ``chunks`` the way ``KvServer.pump`` drains a parser.
 
     Returns everything observable: the values in order (a quarantine
     shows up as its error message, and parsing goes on behind it), the
-    bytes left unconsumed and the quarantine counters.
+    bytes left unconsumed and the quarantine counters. ``views``, when
+    given, collects :func:`_views_in` of every frame handed out.
     """
     events: list = []
     for chunk in chunks:
@@ -62,6 +75,8 @@ def drive(parser: RespParser, chunks: list[bytes]):
                 try:
                     status = parser.parse_pipeline(frames)
                 finally:
+                    if views is not None:
+                        views.extend(_views_in(frames))
                     events.extend(_plain(frames))
                     frames.clear()  # views die before the next feed
                 if status == PIPELINE_MORE:
@@ -69,6 +84,8 @@ def drive(parser: RespParser, chunks: list[bytes]):
                 value = parser.parse_one()
                 if value is None:
                     break
+                if views is not None:
+                    views.extend(_views_in([value]))
                 events.append(_plain(value))
         except ProtocolError as exc:
             events.append(("error", str(exc)))
@@ -90,16 +107,20 @@ def expected_views(events: list, threshold: int) -> int:
     )
 
 
-def assert_equivalent(chunks: list[bytes]) -> None:
-    fast = RespParser(zero_copy_threshold=THRESHOLD)
+def assert_equivalent(chunks: list[bytes], threshold: int = THRESHOLD) -> list:
+    """The tokeniser's observables equal the oracle's; returns the
+    ``(argv index, length)`` of every view the tokeniser handed out."""
+    fast = RespParser(zero_copy_threshold=threshold)
     slow = RespParser(use_fast_path=False)
-    got = drive(fast, chunks)
+    seen: list = []
+    got = drive(fast, chunks, seen)
     assert got == drive(slow, chunks)
-    views = expected_views(got[0], THRESHOLD)
+    views = expected_views(got[0], threshold)
     if len(chunks) == 1:
         assert fast.views_created == views
     else:  # a frame cut by a feed boundary is read again, views and all
         assert fast.views_created >= views
+    return seen
 
 
 def cut_at(stream: bytes, cuts: list[int]) -> list[bytes]:
@@ -191,6 +212,22 @@ def test_a_payload_that_looks_like_frames_is_one_argument(lead, size):
         *[[b"PING"]] * lead, [b"SET", b"k", smuggled], [b"GET", b"k"]
     ]
     assert_equivalent([stream])
+
+
+def test_mixed_sets_at_the_served_threshold():
+    """At the server's threshold — the widest window — the tokeniser
+    equals the oracle wherever feed boundaries and window edges fall,
+    and only a payload of at least the threshold comes out as a view."""
+    batch, __ = mixed_batch()
+    stream = batch * 2  # the second batch meets the window the first left
+    cuts = [[offset] for offset in range(1, len(stream), 61)]
+    cuts += [list(range(step, len(stream), step)) for step in (1448, 4096)]
+    for offsets in [[], *cuts]:
+        seen = assert_equivalent(cut_at(stream, offsets), ZERO_COPY_THRESHOLD)
+        assert seen, "the 5 KiB value comes out as a view"
+        assert all(
+            index >= 2 and size >= ZERO_COPY_THRESHOLD for index, size in seen
+        )
 
 
 class _SlicesSeen(bytearray):
