@@ -25,6 +25,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.kvstore.values import CompressedValue, Value
+from repro.kvstore.wire import U32
 
 __all__ = [
     "TierConfig",
@@ -120,10 +121,23 @@ def deflate_value(value: Value, config: TierConfig) -> CompressedValue | None:
 
 
 def inflate_value(compressed: CompressedValue) -> Value:
-    """Decompress a demoted value back to its resident form."""
+    """Decompress a demoted value back to its resident form.
+
+    A string's plaintext is ``S``, a u32 length and the bytes: when the
+    tag is ``S`` and the length field is exactly what follows it — the
+    two checks the codec makes of a string — the value is one slice of
+    the one ``zlib.decompress``. Hashes, lists and any plaintext that
+    fails either check are decoded by the codec, with its result or its
+    exception. ``original_bytes`` is never a buffer size here: a
+    snapshot or a master's full sync supplies it, so it is outside
+    input, and zlib grows its output to what the data inflates to.
+    """
+    plain = zlib.decompress(compressed.data)
+    if plain[:1] == b"S" and len(plain) >= 5:
+        if U32.unpack_from(plain, 1)[0] == len(plain) - 5:
+            return plain[5:]
     from repro.kvstore.persist.codec import _decode_value
 
-    plain = zlib.decompress(compressed.data)
     value, offset = _decode_value(plain, 0)
     if offset != len(plain):
         raise ValueError("trailing bytes in compressed value")

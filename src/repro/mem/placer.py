@@ -9,7 +9,13 @@ baseline both build on this class, so performance comparisons between
 them measure only the soft-memory machinery.
 
 The fit policy is "textbook, no optimizations" like the paper's prototype:
-first-fit over a bounded window of recently-opened pages.
+first-fit over a bounded window of recently-opened pages. What a miss
+costs is not policy: a :class:`PagePlacer` remembers the smallest
+one-page size whose scan of the window missed, and answers a later ask
+of at least that size with ``None`` after one compare. An allocation
+that leaves its page open only takes room, so a miss stays a miss
+across it; everything that can add room or move the window forgets the
+memo (see :class:`PagePlacer`).
 
 A placer keeps no per-allocation record. :meth:`PagePlacer.place`
 answers ``(page, offset)`` — a small allocation occupies ``[offset,
@@ -27,6 +33,10 @@ from repro.util.units import PAGE_SIZE
 #: a large allocation owns
 Pages = Page | tuple[Page, ...]
 
+#: ``PagePlacer._missed`` when no miss is remembered: no one-page ask
+#: reaches it
+_NO_MISS = PAGE_SIZE + 1
+
 
 class PagePlacer:
     """Places and frees allocations within an owned set of pages.
@@ -35,6 +45,18 @@ class PagePlacer:
     allocation it returns ``None`` and the caller supplies pages through
     :meth:`add_page`. This keeps page *sourcing* (free pool, budget,
     daemon) strictly outside, where the SMA implements it.
+
+    ``_missed`` is the smallest one-page size whose scan of the window
+    missed (``_NO_MISS`` when none has): no extent of that size is
+    free in the window, so none of a larger one is either, and
+    :meth:`place` answers such an ask with ``None`` after one compare.
+    Taking room from a page that stays open cannot make a miss fit, so
+    the memo survives allocations. It is forgotten by every change that
+    can add room or move the window: :meth:`free`, a shrinking
+    :meth:`resize`, :meth:`add_page`, and any page leaving the open
+    set (a fill in :meth:`place` or in a growing :meth:`resize`, a large
+    placement, :meth:`take_free_pages`, :meth:`shrink`'s re-open), which
+    brings an older page into the window.
     """
 
     #: How many partially-used pages first-fit inspects before giving up.
@@ -48,6 +70,8 @@ class PagePlacer:
         self._open: dict[Page, None] = {}
         #: insertion-ordered entirely-free pages (O(1) reclaim scans)
         self._free_pages: dict[Page, None] = {}
+        #: smallest one-page size the window is known to miss
+        self._missed = _NO_MISS
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -88,11 +112,14 @@ class PagePlacer:
         self._pages[page] = None
         self._open[page] = None
         self._free_pages[page] = None
+        self._missed = _NO_MISS
 
     def place(self, size: int) -> tuple[Pages, int] | None:
         """Place ``size`` bytes; ``None`` means caller must add pages."""
         if size > PAGE_SIZE:
             return self._place_large(size)
+        if size >= self._missed:  # the window has missed this already
+            return None
         if size <= 0:
             raise ValueError(f"allocation size must be positive: {size}")
         # first fit, newest page first. One compare passes over a page
@@ -108,10 +135,12 @@ class PagePlacer:
                         del self._free_pages[page]
                     if not page.free_bytes:
                         del self._open[page]
+                        self._missed = _NO_MISS
                     return page, offset
             scanned += 1
             if scanned >= self.SCAN_LIMIT:
-                return None
+                break
+        self._missed = size
         return None
 
     def _place_large(self, size: int) -> tuple[Pages, int] | None:
@@ -120,6 +149,7 @@ class PagePlacer:
         if len(self._free_pages) < needed:
             return None
         chosen = list(self._free_pages)[:needed]
+        self._missed = _NO_MISS
         remaining = size
         for page in chosen:
             chunk = min(PAGE_SIZE, remaining)
@@ -146,6 +176,7 @@ class PagePlacer:
         page.free(offset, size)
         page.live_allocs -= 1
         self._open[page] = None
+        self._missed = _NO_MISS
         if not page.live_allocs:
             self._free_pages[page] = None
 
@@ -160,11 +191,13 @@ class PagePlacer:
         if new_size < size:
             page.free(offset + new_size, size - new_size)
             self._open[page] = None
+            self._missed = _NO_MISS
         elif new_size > size:
             if not page.extend(offset + size, new_size - size):
                 return False
             if not page.free_bytes:
                 del self._open[page]
+                self._missed = _NO_MISS
         return True
 
     def shrink(
@@ -184,6 +217,7 @@ class PagePlacer:
             page = next(iter(self._free_pages), page)
             self._open.pop(page, None)
             self._open[page] = None
+            self._missed = _NO_MISS
             moved = self.place(new_size)
             assert moved is not None
         return moved
@@ -203,6 +237,7 @@ class PagePlacer:
             self._open.pop(page, None)
             page.reset()
             harvested.append(page)
+        self._missed = _NO_MISS
         return harvested
 
     def fragmentation(self) -> float:
@@ -219,6 +254,8 @@ class PagePlacer:
         for page in self._open:
             assert page in self._pages, "open page not owned"
             assert page.free_bytes > 0, "full page in open set"
+        for page in list(reversed(self._open))[: self.SCAN_LIMIT]:
+            assert page.largest_free_extent() < self._missed, "stale miss"
         for page in self._free_pages:
             assert page in self._pages, "free page not owned"
             assert page.is_free, "non-free page in free set"

@@ -22,7 +22,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.heap import SdsHeap
 from repro.core.sma import SoftMemoryAllocator
@@ -344,29 +344,40 @@ class RealAllocator:
 
 
 def run_ops(allocator, ops, on_placed=None, after_op=None) -> None:
-    """Drive ``ops`` through ``allocator``; report every placement."""
+    """Drive ``ops`` through ``allocator``; report every placement.
+
+    ``("promote_again", growth)`` promotes the handle the last
+    ``promote`` named once more, whatever ran in between, so a
+    placer's memory of a miss meets the model's fresh scan."""
     live: list = []
+    promoted = None  # index in ``live`` of the last promoted handle
     for op in ops:
         kind = op[0]
+        index = None
         if kind == "malloc":
             live.append(allocator.malloc(op[1], op[2]))
+            index = -1
         elif kind in ("resize", "demote", "promote") and live:
             index = op[1] % len(live)
             live[index] = getattr(allocator, kind)(live[index], op[2])
+            if kind == "promote":
+                promoted = index
+        elif kind == "promote_again" and promoted is not None:
+            index = promoted
+            live[index] = allocator.promote(live[index], op[1])
         elif kind == "free" and live:
-            allocator.free(live.pop(op[1] % len(live)))
-            kind = None
+            gone = op[1] % len(live)
+            allocator.free(live.pop(gone))
+            if promoted is not None:
+                promoted = None if gone == promoted else (
+                    promoted - (gone < promoted)
+                )
         elif kind == "harvest":
             allocator.harvest(op[1], op[2])
-            kind = None
         elif kind == "excess":
             allocator.return_excess()
-            kind = None
-        else:
-            kind = None
-        if kind is not None and on_placed is not None:
-            handle = live[-1] if kind == "malloc" else live[op[1] % len(live)]
-            on_placed(allocator.where(handle))
+        if index is not None and on_placed is not None:
+            on_placed(allocator.where(live[index]))
         if after_op is not None:
             after_op()
 
@@ -393,6 +404,7 @@ operations = st.one_of(
     st.tuples(st.just("resize"), indexes, sizes),
     st.tuples(st.just("demote"), indexes, indexes),
     st.tuples(st.just("promote"), indexes, st.integers(0, 2 * PAGE_SIZE)),
+    st.tuples(st.just("promote_again"), st.integers(0, 2 * PAGE_SIZE)),
     st.tuples(st.just("free"), indexes),
     st.tuples(st.just("harvest"), contexts, st.integers(1, 5)),
     st.tuples(st.just("excess")),
@@ -401,6 +413,19 @@ operations = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(operations, max_size=250))
+@example(  # a denied promote asked again: before and after a fill that
+    # leaves the page open (the miss stands), then after a free
+    ops=[
+        ("malloc", 0, 2048),
+        ("malloc", 0, 1024),
+        ("promote", 0, 1024),
+        ("promote_again", 1024),
+        ("malloc", 0, 512),
+        ("promote_again", 2048),
+        ("free", 1),
+        ("promote_again", 1024),
+    ]
+)
 def test_same_page_and_offset_as_fits_then_place(ops):
     real, ref = RealAllocator(), RefAllocator()
     got: list = []

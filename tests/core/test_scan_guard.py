@@ -15,8 +15,12 @@ through a stand-in free list that counts its own iterations:
   ``place`` nothing; one that cannot stay costs exactly the
   free-then-place it did before the in-place try existed;
 * a ``soft_promote`` the heap has no room for walks nothing when the
-  whole window is too full — on a squeezed store that is what most
-  stub reads are.
+  whole window is too full, and asked again with nothing changed in
+  between it visits no page at all: the placer remembers the smallest
+  size its window missed and answers a larger ask with one compare —
+  on a squeezed store that is what most stub reads are. A ``free``
+  anywhere, or a fill that takes a page out of the window, makes it
+  ask the window again.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pytest
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.mem.extent import ExtentMap
+from repro.mem.page import Page
 from repro.mem.placer import PagePlacer
 
 SLOT = 512
@@ -173,3 +178,124 @@ def test_a_resize_that_cannot_stay_costs_what_free_then_place_does(
     assert max(walks.values()) == 1, sorted(walks.values())
     assert walks[home_page] == 0 and walks[brim] == 0
     assert set(walks) == {page_of(home[0]), *holed[2:]}
+
+
+@pytest.fixture
+def visits():
+    """Window pages a placer's first fit looks at, once :func:`watch`
+    has swapped its open set for one that counts them."""
+    seen: Counter = Counter()
+
+    class CountingOpen(dict):
+        def __reversed__(self):
+            for page in super().__reversed__():
+                seen[page] += 1
+                yield page
+
+    def watch(context) -> None:
+        placer = context.heap._placer
+        placer._open = CountingOpen(placer._open)
+
+    seen.watch = watch
+    return seen
+
+
+def live_at(context, page, offset):
+    return next(
+        ptr for ptr in context.heap.allocations()
+        if ptr.page is page and ptr.offset == offset
+    )
+
+
+def test_a_repeated_denial_walks_nothing_and_visits_no_page(walks, visits):
+    sma, context, home, holed, brim = fragmented_heap()
+    visits.watch(context)
+    walks.clear()
+    # the window's holed pages have 2 KiB free in 512-byte holes: the
+    # first ask walks each of them once and misses
+    assert not sma.soft_promote(home[0], 2 * SLOT)
+    assert set(walks) == set(holed[1:]) and max(walks.values()) == 1
+    assert set(visits) == {brim, *holed[1:]}
+    walks.clear()
+    visits.clear()
+    for size in (2 * SLOT, 3 * SLOT, 6 * SLOT):
+        assert not sma.soft_promote(home[0], size)
+    assert not walks, sorted(walks.values())
+    assert not visits, sorted(visits.values())
+    assert page_of(home[0]) is page_of(home[1]) and home[0].offset == 0
+    context.heap.check_invariants()
+
+
+def test_a_fill_that_moves_the_window_asks_it_again(walks):
+    sma, context, home, holed, brim = fragmented_heap()
+    # the oldest holed page, out of the window, gets a 1.5 KiB hole
+    sma.soft_free(live_at(context, holed[0], SLOT))
+    assert not sma.soft_promote(home[0], 2 * SLOT)
+    # filling ``brim`` takes it out of the open set, and ``holed[0]``
+    # becomes the window's eighth page
+    filler = sma.soft_malloc(SLOT, context)
+    assert page_of(filler) is brim
+    walks.clear()
+    assert sma.soft_promote(home[0], 2 * SLOT)
+    assert page_of(home[0]) is holed[0] and home[0].offset == 0
+    assert walks[holed[0]] == 1
+    assert context.heap.page_count == 10
+    context.heap.check_invariants()
+
+
+@pytest.mark.parametrize("where", ["in the window", "outside it"])
+def test_a_free_anywhere_asks_the_window_again(walks, visits, where):
+    sma, context, home, holed, brim = fragmented_heap()
+    visits.watch(context)
+    assert not sma.soft_promote(home[0], 2 * SLOT)
+    page = holed[-1] if where == "in the window" else holed[0]
+    sma.soft_free(live_at(context, page, SLOT))  # joins two holes
+    walks.clear()
+    visits.clear()
+    promoted = sma.soft_promote(home[0], 2 * SLOT)
+    assert visits, "the free left the miss standing"
+    if where == "in the window":
+        assert promoted and page_of(home[0]) is page
+    else:
+        assert not promoted and walks[page] == 0
+        assert set(walks) == set(holed[1:])
+    context.heap.check_invariants()
+
+
+def placer_over(*layouts):
+    """A placer over one page per layout, oldest first: ``x`` a live
+    512-byte extent, ``.`` a free one."""
+    placer = PagePlacer()
+    pages = []
+    for __ in layouts:  # each page is filled while it is the only open one
+        page = Page()
+        placer.add_page(page)
+        for __ in range(SLOTS_PER_PAGE):
+            placer.place(SLOT)
+        pages.append(page)
+    for page, layout in zip(pages, layouts):
+        for slot, mark in enumerate(layout):
+            if mark == ".":
+                placer.free(page, slot * SLOT, SLOT)
+    return placer, pages
+
+
+@pytest.mark.parametrize("new_size", [SLOT // 2, 2 * SLOT])
+def test_an_in_place_resize_that_adds_room_or_fills_a_page_asks_again(
+    new_size,
+):
+    """The oldest page has a 1 KiB hole, out of the window; the eight in
+    it have one 512-byte hole each, behind the extent at offset 0. A
+    shrink of that extent joins its tail to the hole; a grow into the
+    hole fills the page, and the oldest page enters the window."""
+    placer, (oldest, *window) = placer_over(
+        "..xxxxxx", *["x.xxxxxx"] * SLOTS_PER_PAGE
+    )
+    ask = 3 * SLOT // 2
+    assert placer.place(ask) is None
+    assert placer.resize(window[-1], 0, SLOT, new_size)
+    placer.check_invariants()
+    if new_size < SLOT:
+        assert placer.place(ask) == (window[-1], new_size)
+    else:
+        assert placer.place(ask) == (oldest, 0)

@@ -1,11 +1,17 @@
 """Tests for the compressed second-chance tier (demote-before-drop)."""
 
+import random
+import tracemalloc
+import zlib
+from collections import deque
+
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.client import KvClient
 from repro.kvstore.dict import SoftDict
 from repro.kvstore.persist.codec import (
+    _decode_value,
     decode_record,
     encode_demote,
     scan_frames,
@@ -20,11 +26,13 @@ from repro.kvstore.tier import (
     inflate_value,
 )
 from repro.kvstore.values import CompressedValue, value_bytes
+from repro.kvstore.wire import U32
 from repro.loadgen.driver import drive
 from repro.loadgen.engine import OperationStream
 from repro.loadgen.spec import preset
 
 from tests.core.test_tier_moves import SpyDaemon, page_state
+from tests.kvstore.test_dict_census import squeezed_store
 
 TIER = TierConfig(enabled=True)
 
@@ -93,6 +101,112 @@ class TestDeflateInflate:
     def test_compressed_value_charged_at_compressed_size(self):
         cv = deflate_value(b"z" * 1000, TIER)
         assert value_bytes(cv) == len(cv.data) < 1000
+
+
+def codec_inflate(compressed):
+    """``inflate_value`` as it was before its string fast path: every
+    plaintext decoded by the persistence codec."""
+    plain = zlib.decompress(compressed.data)
+    value, offset = _decode_value(plain, 0)
+    if offset != len(plain):
+        raise ValueError("trailing bytes in compressed value")
+    return value
+
+
+def outcome(inflate, compressed):
+    """What ``inflate`` makes of ``compressed``: its value, or the type
+    and message of what it raised."""
+    try:
+        value = inflate(compressed)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if type(value) is CompressedValue:  # compares by identity
+        return value.data, value.original_bytes, value.kind
+    return value
+
+
+def envelope(plain: bytes, original_bytes=None, kind=b"S"):
+    if original_bytes is None:
+        original_bytes = len(plain)
+    return CompressedValue(zlib.compress(plain, 1), original_bytes, kind)
+
+
+class TestInflateFastPath:
+    """A string stub inflates to one slice; nothing else changes."""
+
+    @pytest.mark.parametrize(
+        "size", [64, 65, 100, 511, 512, 1000, 2048, 4095, 4096, 8192]
+    )
+    def test_a_string_inflates_as_the_codec_does(self, size):
+        noise = random.Random(size).randbytes(size // 10)
+        value = (noise + b"v" * size)[:size]
+        cv = deflate_value(value, TIER)
+        assert cv is not None and cv.kind == b"S"
+        restored = inflate_value(cv)
+        assert type(restored) is bytes
+        assert restored == codec_inflate(cv) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {b"f" * 40: b"v" * 200, b"g" * 40: b"w" * 200},
+            {b"S" * 40: b"\x00" * 300},
+            deque([b"item" * 30, b"item" * 30, b"other" * 20]),
+            deque([b"S" * 100] * 4),
+        ],
+        ids=["hash", "hash-of-S", "list", "list-of-S"],
+    )
+    def test_hashes_and_lists_inflate_through_the_codec(self, value):
+        cv = deflate_value(value, TIER)
+        assert cv is not None and cv.kind != b"S"
+        restored = inflate_value(cv)
+        assert type(restored) is type(value)
+        assert restored == codec_inflate(cv) == value
+
+    @pytest.mark.parametrize(
+        "plain, original_bytes, kind",
+        [
+            # wrong original_bytes: the value is what the bytes say
+            (b"S" + U32.pack(300) + b"s" * 300, 1, b"S"),
+            (b"S" + U32.pack(300) + b"s" * 300, 10**6, b"S"),
+            # the envelope's kind is not the plaintext's tag
+            (b"S" + U32.pack(300) + b"s" * 300, 300, b"H"),
+            (b"L" + U32.pack(1) + U32.pack(3) + b"abc", 3, b"S"),
+            # a wrong tag
+            (b"X" + U32.pack(300) + b"s" * 300, 300, b"S"),
+            (b"s" + U32.pack(300) + b"s" * 300, 300, b"S"),
+            (b"C" + U32.pack(300) + b"S" + U32.pack(3) + b"abc", 300, b"S"),
+            # a length field past the end, or short of it
+            (b"S" + U32.pack(301) + b"s" * 300, 300, b"S"),
+            (b"S" + U32.pack(299) + b"s" * 300, 300, b"S"),
+            (b"S" + U32.pack(2**32 - 1) + b"s" * 300, 300, b"S"),
+            (b"S" + U32.pack(0), 0, b"S"),
+            # too short to hold the length field, or empty
+            (b"S\x01\x00\x00", 1, b"S"),
+            (b"S", 1, b"S"),
+            (b"", 1, b"S"),
+        ],
+    )
+    def test_a_bad_envelope_gives_what_the_codec_gives(
+        self, plain, original_bytes, kind
+    ):
+        cv = envelope(plain, original_bytes, kind)
+        assert outcome(inflate_value, cv) == outcome(codec_inflate, cv)
+
+    def test_original_bytes_is_never_a_buffer_size(self):
+        """``original_bytes`` arrives in snapshots and full syncs: a stub
+        claiming 4 GiB over 300 bytes inflates to 300 bytes, and the
+        inflate allocates nothing near the claim."""
+        cv = envelope(b"S" + U32.pack(300) + b"s" * 300, 2**32 - 1)
+        inflate_value(cv)  # warm: imports and caches allocate once
+        tracemalloc.start()
+        try:
+            value = inflate_value(cv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == b"s" * 300
+        assert peak < 64 * 1024, peak
 
 
 class TestTierConfigValidation:
@@ -405,16 +519,10 @@ class TestAReadNeverProvisions:
         """40 one-to-a-page entries, the oldest demoted by a wave that
         took its pages: the budget is taut and no hole fits an entry."""
         daemon = SpyDaemon()
-        sma = SoftMemoryAllocator(daemon, name="taut", request_batch_pages=1)
-        store = DataStore(sma, StoreConfig(tier=TIER))
-        for i in range(40):
-            store.set(b"k%02d" % i, bytes([65 + i % 26]) * 2000)
-        assert store.sma.reclaim(8).pages_reclaimed == 8
+        store, demoted = squeezed_store(daemon)
+        sma = store.sma
         assert sma.budget.granted == sma.budget.held == store.soft_pages
         assert sma.pool.page_count == 0
-        demoted = [
-            k for k, v in store._dict.items() if type(v) is CompressedValue
-        ]
         assert len(demoted) >= 8
         return store, daemon, demoted
 
