@@ -106,16 +106,18 @@ def frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), crc32(payload)) + payload
 
 
-def _frame_into(out: bytearray, parts: tuple[bytes, ...]) -> None:
-    """Append one framed record built from ``parts`` to ``out``.
+def _frame_into(out: bytearray, parts: tuple[bytes, ...]) -> bytes:
+    """Append one framed record built from ``parts`` to ``out``; return
+    the frame.
 
     One C-level join + one CRC pass beats per-part incremental CRC by
     a wide margin on the serving hot path (typical records are a
     handful of small parts, so the temporary is tiny and short-lived).
     """
     payload = b"".join(parts)
-    out += _HEADER.pack(len(payload), crc32(payload))
-    out += payload
+    frame = _HEADER.pack(len(payload), crc32(payload)) + payload
+    out += frame
+    return frame
 
 
 
@@ -242,12 +244,14 @@ def encode_write(
     value: Value,
     exp_kind: int,
     deadline_unix_ms: int = 0,
-) -> None:
-    """Append a framed W record.
+) -> bytes:
+    """Append a framed W record; return the frame, as ``bytes``.
 
     ``exp_kind`` is one of :data:`EXP_NONE` / :data:`EXP_KEEP` /
     :data:`EXP_ABSOLUTE`; the deadline is unix-epoch milliseconds and
-    only read for :data:`EXP_ABSOLUTE`.
+    only read for :data:`EXP_ABSOLUTE`. The returned frame is what a
+    second consumer of the same record appends instead of encoding it
+    again (the AOF hands it to the replication stream).
     """
     if type(value) is bytes and exp_kind == EXP_NONE:
         # serving-plane fast path: a plain SET (bytes value, no expiry
@@ -258,9 +262,9 @@ def encode_write(
             b"W", _U32.pack(len(key)), key,
             b"S", _U32.pack(len(value)), value, b"\x00",
         ))
-        out += _HEADER.pack(len(payload), crc32(payload))
-        out += payload
-        return
+        frame = _HEADER.pack(len(payload), crc32(payload)) + payload
+        out += frame
+        return frame
     parts = (b"W", _U32.pack(len(key)), key) + _value_parts(value)
     if exp_kind == EXP_ABSOLUTE:
         parts += (b"\x02", _U64.pack(deadline_unix_ms))
@@ -270,7 +274,7 @@ def encode_write(
         parts += (b"\x00",)
     else:
         raise ValueError(f"unknown expiry kind {exp_kind}")
-    _frame_into(out, parts)
+    return _frame_into(out, parts)
 
 
 def _encode_keyed(out: bytearray, tag: bytes, key: bytes) -> None:
@@ -398,20 +402,55 @@ def decode_record(payload: bytes) -> tuple:
 def read_records(data: bytes) -> tuple[list[tuple], int]:
     """Decode the valid prefix of ``data``: ``(records, valid_size)``.
 
-    The one reader behind AOF recovery, snapshot load and the replica
-    stream. ``valid_size`` ends before the first frame that fails its
-    length or CRC check (:func:`scan_frames`) *or* passes them and still
-    fails to decode — replaying past either would risk phantom state.
-    Never raises.
+    The one reader behind AOF recovery, snapshot load, a full sync and
+    the replica stream. ``valid_size`` ends before the first frame that
+    fails its length or CRC check *or* passes them and still fails to
+    decode — replaying past either would risk phantom state. Never
+    raises.
+
+    One pass over the frames: the CRC runs over a ``memoryview`` slice,
+    so a payload is never copied to be checked, and a plain SET's ``W``
+    (:func:`decode_record`'s four fast-path checks) is read in place,
+    its key and value sliced out of ``data`` as ``bytes``. Every other
+    payload is sliced out once and handed to :func:`decode_record`.
+    The result equals :func:`scan_frames` followed by
+    :func:`decode_record` up to the first :class:`CorruptRecord`, for
+    every input.
     """
-    payloads, valid_size = scan_frames(data)
     records: list[tuple] = []
-    for payload in payloads:
-        try:
-            records.append(decode_record(payload))
-        except CorruptRecord:
-            valid_size = sum(
-                HEADER_SIZE + len(p) for p in payloads[:len(records)]
-            )
+    append = records.append
+    unpack = _HEADER.unpack_from
+    u32 = _U32.unpack_from
+    view = memoryview(data)
+    total = len(data)
+    offset = 0
+    while total - offset >= HEADER_SIZE:
+        length, crc = unpack(data, offset)
+        if length > MAX_RECORD_SIZE:
             break
-    return records, valid_size
+        start = offset + HEADER_SIZE
+        end = start + length
+        if end > total:
+            break  # torn tail: the payload never fully landed
+        if crc32(view[start:end]) != crc:
+            break  # bit flip (or a torn header overlapping old bytes)
+        if length >= 11 and data[start] == 0x57:  # b"W"
+            # ``W klen key S vlen value \x00``, checked as decode_record
+            # checks it, at ``start`` instead of 0
+            tag_at = start + 5 + u32(data, start + 1)[0]
+            if tag_at + 6 <= end and data[tag_at] == 0x53:  # b"S"
+                value_at = tag_at + 5
+                value_end = value_at + u32(data, tag_at + 1)[0]
+                if value_end + 1 == end and not data[value_end]:
+                    append((
+                        "W", data[start + 5:tag_at], data[value_at:value_end],
+                        EXP_NONE, 0,
+                    ))
+                    offset = end
+                    continue
+        try:
+            append(decode_record(data[start:end]))
+        except CorruptRecord:
+            break
+        offset = end
+    return records, offset

@@ -313,24 +313,36 @@ class Persistence:
         value: Value,
         ex_relative: "float | None",
         keep_ttl: bool,
-    ) -> None:
+    ) -> "bytes | None":
+        """Append one W record; return the frame appended, or ``None``
+        when nothing was logged.
+
+        The store hands that frame to the replication stream
+        (:meth:`ReplicationState.log_frame`), so a W is encoded once and
+        the AOF and the stream carry the same bytes, an ``EXP_ABSOLUTE``
+        deadline included. The frame is the ``bytes`` object
+        :func:`encode_write` built, not a view of the write-behind
+        buffer: a ``memoryview`` over it that outlived this call would
+        make the buffer's next append raise ``BufferError``.
+        """
         if not self._logging:
-            return
+            return None
         writer = self._writer
         if writer is None:
-            return
+            return None
         with self._io_lock:
             if ex_relative is not None:
-                encode_write(
+                frame = encode_write(
                     writer.buffer, key, value,
                     EXP_ABSOLUTE, self._deadline_ms(ex_relative),
                 )
             elif keep_ttl:
-                encode_write(writer.buffer, key, value, EXP_KEEP)
+                frame = encode_write(writer.buffer, key, value, EXP_KEEP)
             else:
-                encode_write(writer.buffer, key, value, EXP_NONE)
+                frame = encode_write(writer.buffer, key, value, EXP_NONE)
             writer.records_appended += 1
             self.stats.aof_records += 1
+            return frame
 
     def _append(
         self, encoder, *args, records: int = 1, tombstones: int = 0

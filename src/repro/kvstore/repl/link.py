@@ -20,8 +20,14 @@ records. Each readable event is one read: :func:`apply_stream` takes
 the complete records out of what arrived, appends their raw bytes to
 the local AOF verbatim, replays them (``DataStore.replay`` logs nothing
 itself), and advances the replication offset by exactly the bytes
-applied; the link then flushes the AOF buffer and acks with ``REPLCONF
-ACK <offset>``, as it does after 0.2 s of quiet. Apply, read serving
+applied; the link then flushes the AOF buffer. It acks with ``REPLCONF
+ACK <offset>`` at most once per 5 ms (``_ACK_EVERY``): a read applied
+sooner after the last ACK owes one, and :meth:`ReplicaLink.tick` sends
+it at that deadline, at the last applied offset (the first read applied
+after a sync acks at once, and a read that applies nothing never
+postpones an owed ACK). An up link also acks after 0.2 s of quiet. A
+master's ``WAIT`` therefore waits at most 5 ms longer than the stream
+takes to apply. Apply, read serving
 and the group commit share the one loop thread, so nothing here takes
 a lock. Budget denials count as future misses and never stop the
 stream; tombstones always apply, so the replica's dropped-set never
@@ -60,6 +66,9 @@ _MAX_LINE = 512
 _CONNECT_TIMEOUT = 5.0
 #: seconds of quiet on an up link before it acks anyway
 _IDLE_ACK = 0.2
+#: seconds at least between two ACKs of applied reads: one sooner is
+#: owed, and :meth:`ReplicaLink.tick` sends it at this deadline
+_ACK_EVERY = 0.005
 #: ceiling of the redial backoff (seconds)
 _MAX_BACKOFF = 2.0
 
@@ -210,8 +219,13 @@ class ReplicaLink:
         self._backoff = 0.05
         self._dialed: float | None = None  # monotonic; None: never dialed
         #: when :meth:`tick` acts: redial (no socket), give up (a dial or
-        #: handshake gone quiet), or send an idle ACK (streaming)
+        #: handshake gone quiet), or send an idle or owed ACK (streaming)
         self._due = 0.0
+        #: monotonic time of this session's last ACK (-inf: none yet, so
+        #: the first read applied after a sync acks at once)
+        self._acked = float("-inf")
+        #: an applied read is not acked yet: ``_due`` is its deadline
+        self._owed = False
 
     def tick(self) -> float:
         """Run the timer if it is due; seconds until it is due again."""
@@ -221,7 +235,8 @@ class ReplicaLink:
                 if self.sock is None:
                     self._dial(now)
                 elif self._state.link_status == "up":
-                    self._send_ack()  # idle heartbeat: lag signal
+                    # an owed ACK, or the idle heartbeat: lag signal
+                    self._send_ack(now)
                     self._due = now + _IDLE_ACK
                 else:  # a dial or handshake gone quiet
                     self._drop(now)
@@ -249,6 +264,8 @@ class ReplicaLink:
         self.fd = -1
         self._handshake = None
         self._data = b""
+        self._acked = float("-inf")
+        self._owed = False
 
     # -- the session's steps ------------------------------------------
 
@@ -346,17 +363,25 @@ class ReplicaLink:
 
     def _stream(self, chunk: bytes) -> None:
         """Apply what is whole of the carried tail plus ``chunk``, ack
-        it, and keep the torn frame the read ended in."""
+        it (or owe the ACK, see :data:`_ACK_EVERY`), and keep the torn
+        frame the read ended in."""
         store = self._store
         data = self._data + chunk if self._data else chunk
         valid = apply_stream(store, self._state, data, int(time.time() * 1000))
+        now = time.monotonic()
         if valid:
             persist = store.persistence
             if persist is not None:
                 persist.flush()
             data = data[valid:]
-            self._send_ack()
-        self._due = time.monotonic() + _IDLE_ACK
+            if now - self._acked >= _ACK_EVERY:
+                self._send_ack(now)
+                self._due = now + _IDLE_ACK
+            else:  # too soon after the last: the timer sends it
+                self._owed = True
+                self._due = self._acked + _ACK_EVERY
+        elif not self._owed:  # nothing applied never postpones an ACK
+            self._due = now + _IDLE_ACK
         if len(data) >= HEADER_SIZE:
             length, __ = FRAME_HEADER.unpack_from(data, 0)
             if length > MAX_RECORD_SIZE or len(data) >= HEADER_SIZE + length:
@@ -365,7 +390,9 @@ class ReplicaLink:
                 raise ConnectionError("corrupt replication stream")
         self._data = data
 
-    def _send_ack(self) -> None:
+    def _send_ack(self, now: float) -> None:
+        """``REPLCONF ACK`` at the last applied offset; nothing is owed
+        after it."""
         # a master that left this many ACKs unread is gone: a full
         # buffer fails the send and the link redials
         self.sock.sendall(
@@ -374,3 +401,5 @@ class ReplicaLink:
                 str(self._state.master_repl_offset),
             )
         )
+        self._acked = now
+        self._owed = False

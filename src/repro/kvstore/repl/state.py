@@ -5,12 +5,13 @@ replication is engaged, so the standalone hot path pays one attribute
 load and a ``None`` check per mutation — the same discipline as
 ``store.cluster``). It is the single source of truth both roles read:
 
-* **master** — the ``log_*`` taps re-encode every mutation with the
-  ``persist/codec.py`` encoders into a ``pending`` buffer; the event
-  loop drains it once per poll round (right after the AOF group
-  commit) into the connected feeds *and* the in-memory backlog ring,
-  from which a bounced replica can partial-resync instead of paying a
-  full snapshot transfer.
+* **master** — the ``log_*`` taps encode every mutation with the
+  ``persist/codec.py`` encoders into a ``pending`` buffer (a W the AOF
+  already encoded arrives as its frame, through :meth:`log_frame`, and
+  is copied, not encoded again); the event loop drains it once per poll
+  round (right after the AOF group commit) into the connected feeds
+  *and* the in-memory backlog ring, from which a bounced replica can
+  partial-resync instead of paying a full snapshot transfer.
 * **replica** — :class:`~repro.kvstore.repl.link.ReplicaLink` appends
   the stream bytes it applies to its *own* backlog ring, which advances
   the same offset, so a promoted replica can serve
@@ -168,6 +169,19 @@ class ReplicationState:
             encode_write(out, key, value, EXP_KEEP)
         else:
             encode_write(out, key, value, EXP_NONE)
+
+    def log_frame(self, frame: bytes) -> None:
+        """Append one W frame the AOF already encoded, if this node
+        streams.
+
+        :meth:`Persistence.log_write` returns the frame it appended;
+        handing it here instead of calling :meth:`log_write` encodes a
+        W once, and the stream carries the AOF's bytes, its absolute
+        deadline included. Same gate as every other tap.
+        """
+        if self.role != "master" or not self.stream_started:
+            return
+        self.pending += frame
 
     def _append(self, encoder, *args) -> None:
         """Encode one record into ``pending``, if this node streams."""

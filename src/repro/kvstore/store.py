@@ -378,8 +378,14 @@ class DataStore:
         if self._persist is not None:
             # effect-based logging: INCR/APPEND/HSET all funnel here,
             # so the log carries resulting state and replays verbatim
-            self._persist.log_write(key, value, ex, keep_ttl)
-        if self.repl is not None:
+            frame = self._persist.log_write(key, value, ex, keep_ttl)
+            if self.repl is not None:
+                # the stream takes the AOF's frame: one encode per W
+                if frame is None:
+                    self.repl.log_write(key, value, ex, keep_ttl)
+                else:
+                    self.repl.log_frame(frame)
+        elif self.repl is not None:
             self.repl.log_write(key, value, ex, keep_ttl)
 
     def _recharge(self, key: bytes, value: Value) -> None:

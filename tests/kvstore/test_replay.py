@@ -25,6 +25,7 @@ import os
 import random
 import select
 import socket
+import time
 from collections import Counter, deque
 
 import pytest
@@ -56,6 +57,7 @@ from repro.kvstore.repl import (
     SyncHandshake,
     apply_stream,
 )
+from repro.kvstore.repl.link import _ACK_EVERY
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig, deflate_value
 from repro.kvstore.values import CompressedValue, type_name
@@ -461,6 +463,10 @@ def test_the_link_carries_a_torn_frame_over_at_every_split(leftover):
                 link._receive()
         assert state.master_repl_offset == whole == len(body), cut
         assert store.get(b"plain") == b"value"
-        # one ack per applied read, each at a frame boundary
+        # every ack at a frame boundary, strictly increasing; a read
+        # applied inside _ACK_EVERY of the last ack owes one, which the
+        # timer sends at the last applied offset
+        time.sleep(_ACK_EVERY)
+        link.tick()
         assert sock.acks == sorted(set(sock.acks)) and sock.acks[-1] == whole
         assert all(read_records(body[:ack])[1] == ack for ack in sock.acks)

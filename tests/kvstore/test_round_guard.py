@@ -16,7 +16,11 @@ and counting accepted sockets (``transport_standins.py``):
   attaching one starts no thread, and a stream chunk is one ``poll``,
   one ``recv`` and one ``sendall`` (the ACK). The replica's loop runs
   on the test's thread there, its rounds written by hand, so its idle
-  ACK cannot land inside the counted round;
+  ACK cannot land inside the counted round. The link acks at most once
+  per ``_ACK_EVERY`` (5 ms): two applied reads inside it are two
+  ``recv`` and one ``sendall``, and the link's ``tick`` past the
+  deadline sends the owed ACK, at the last applied offset — counted on
+  a clock the test moves, not timed;
 * a kv process's link to its soft memory daemon is one more socket on
   the loop too: a ``build_server(smd_socket=...)`` server runs no
   thread but its loop, a served DEMAND is one ``recv`` and one
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 import select
 import socket
 import textwrap
@@ -44,9 +49,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.kvstore.repl.link
 import repro.rpc.agent
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer, resp
+from repro.kvstore.persist.codec import EXP_NONE, encode_write
+from repro.kvstore.repl import ReplicaLink, ReplicationState
 from repro.kvstore.resp import RespParser, encode_command
 from repro.kvstore.store import DataStore
 from repro.rpc.config import RpcConfig
@@ -229,6 +237,52 @@ def test_an_applied_stream_chunk_is_one_poll_one_recv_one_sendall():
         "counts": Counter(poll=1, recv=1, sendall=1),
         "applied": b"v",
     }
+
+
+def test_two_applied_reads_inside_the_ack_window_are_one_ack(monkeypatch):
+    now = [1000.0]  # the link's monotonic clock, moved by hand
+    monkeypatch.setattr(
+        repro.kvstore.repl.link,
+        "time",
+        SimpleNamespace(monotonic=lambda: now[0], time=time.time),
+    )
+    every = getattr(repro.kvstore.repl.link, "_ACK_EVERY", 0.005)
+    store = DataStore(LockedSoftMemoryAllocator(name="ack-replica"))
+    state = ReplicationState()
+    state.become_replica("127.0.0.1", 1)
+    state.link_status = "up"  # a sync just landed
+    link = ReplicaLink(store, state, select.poll())
+    ours, theirs = socket.socketpair()
+    counts: Counter = Counter()
+    link.sock = CountingSocket(ours, counts)
+    offsets = []
+    try:
+        for key in (b"a", b"b"):
+            record = bytearray()
+            encode_write(record, key, b"v", EXP_NONE)
+            theirs.sendall(record)
+            readable(ours.fileno())
+            link.on_event(select.POLLIN)
+            offsets.append(state.master_repl_offset)
+            now[0] += every / 4
+        applied = +counts
+        theirs.sendall(record[:3])  # a read that applies nothing ...
+        readable(ours.fileno())
+        link.on_event(select.POLLIN)
+        now[0] += every  # ... and postpones nothing
+        link.tick()
+        ticked = counts - applied
+        theirs.setblocking(False)
+        acks = [int(a) for a in re.findall(
+            rb"ACK\r\n\$\d+\r\n(\d+)\r\n", theirs.recv(4096)
+        )]
+    finally:
+        ours.close()
+        theirs.close()
+    assert store.get(b"b") == b"v"
+    assert applied == Counter(recv=2, sendall=1)  # the first acks at once
+    assert ticked == Counter(recv=1, sendall=1)  # the owed one, on the timer
+    assert acks == offsets  # ... at the last applied offset
 
 
 # -- a daemon link ---------------------------------------------------------

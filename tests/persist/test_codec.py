@@ -5,6 +5,14 @@ keys and values (explicitly including CRLF, nulls, and frame-header
 look-alikes) must survive encode → frame-scan → decode verbatim, and
 the frame scanner must treat *any* byte-level damage as clean
 truncation, never an exception.
+
+``read_records`` walks the frames in one pass and reads a plain SET's
+``W`` in place; :func:`reference_read` (``scan_frames``, then
+``decode_record`` up to the first :class:`CorruptRecord`) is its oracle
+on every cut and every single-byte flip of a stream with each record
+kind, and its cost is counted: :data:`READ_CEILING` bounds its
+bytecodes per record on a 16-SET stream (``opcodes`` from
+``tests/kvstore/test_batch_census.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from repro.kvstore.persist.codec import (
     CorruptRecord,
     decode_record,
     encode_delete,
+    encode_demote,
     encode_expire,
     encode_flush,
     encode_persist,
@@ -37,6 +46,7 @@ from repro.kvstore.persist.codec import (
 )
 from repro.kvstore.values import CompressedValue
 from repro.kvstore.wire import U32, U64
+from tests.kvstore.test_batch_census import opcodes
 
 # keys/values that hunt for framing bugs: empty, CRLF, NULs, bytes that
 # look like frame headers, and high-bit garbage
@@ -373,3 +383,121 @@ def test_value_types_are_exact():
     __, __, lval, __, __ = decode_record(payloads[1])
     assert hval == {b"a": b"1", b"b": b"2"} and isinstance(hval, dict)
     assert list(lval) == [b"x", b"y"] and isinstance(lval, deque)
+
+
+# -- the one-pass reader against its reference -------------------------------
+
+
+def reference_read(data: bytes) -> tuple[list[tuple], int]:
+    """What ``read_records`` returned before it walked the frames once:
+    the frames :func:`scan_frames` proves, decoded one by one, ending
+    before the first that does not decode."""
+    records: list[tuple] = []
+    valid = 0
+    for payload in scan_frames(data)[0]:
+        try:
+            records.append(decode_record(payload))
+        except CorruptRecord:
+            break
+        valid += HEADER_SIZE + len(payload)
+    return records, valid
+
+
+def spelled(result: tuple[list[tuple], int]) -> tuple:
+    """``CompressedValue`` compares by identity: spell its fields out,
+    and every field's type with it (a key must come out as ``bytes``)."""
+    records, valid = result
+    out = []
+    for record in records:
+        fields = []
+        for field in record:
+            if type(field) is CompressedValue:
+                field = ("C", field.data, field.original_bytes, field.kind)
+            fields.append((type(field).__name__, field))
+        out.append(tuple(fields))
+    return out, valid
+
+
+def every_kind() -> bytes:
+    """One frame of each record kind the codec writes, then a ``W`` that
+    looks plain but whose lengths do not add up (one byte past the
+    expiry clause), then one more record the reader must not reach."""
+    out = bytearray()
+    encode_write(out, b"plain", b"value \r\n\x00", EXP_NONE)
+    encode_write(out, b"keep", b"v", EXP_KEEP)
+    encode_write(out, b"lease", b"v", EXP_ABSOLUTE, 2**40)
+    encode_write(out, b"hash", {b"f": b"v", b"S": b""}, EXP_NONE)
+    encode_write(out, b"list", deque([b"a", b"S\x00"]), EXP_NONE)
+    encode_write(out, b"zipped", CompressedValue(b"zz", 9, b"S"), EXP_NONE)
+    encode_delete(out, b"d")
+    encode_tombstone(out, b"t")
+    encode_demote(out, b"m")
+    encode_expire(out, b"e", 2**41)
+    encode_persist(out, b"p")
+    encode_flush(out)
+    encode_trailer(out, 11, 2**42)
+    out += frame(b"W\x01\x00\x00\x00kS\x01\x00\x00\x00v\x00\x00")
+    encode_write(out, b"after", b"v", EXP_NONE)
+    return bytes(out)
+
+
+def test_the_one_pass_reader_reads_what_the_reference_reads():
+    stream = every_kind()
+    records, valid = read_records(stream)
+    assert len(records) == 13 and [r[0] for r in records[:6]] == ["W"] * 6
+    assert spelled((records, valid)) == spelled(reference_read(stream))
+    for cut in range(len(stream) + 1):
+        data = stream[:cut]
+        assert spelled(read_records(data)) == spelled(reference_read(data)), cut
+
+
+def test_a_flipped_byte_changes_nothing_between_the_two_readers():
+    """Every byte of the stream flipped, as it lies (the CRC catches
+    it) and re-framed with a fresh CRC, so the damaged payload reaches
+    the decoders: a plain ``W`` that no longer adds up, a length that
+    overshoots, an unknown tag."""
+    stream = every_kind()
+    payloads, __ = scan_frames(stream)
+    for index in range(len(stream)):
+        for mask in (0x01, 0x80, 0xFF):
+            damaged = bytearray(stream)
+            damaged[index] ^= mask
+            data = bytes(damaged)
+            assert spelled(read_records(data)) == spelled(
+                reference_read(data)
+            ), (index, mask)
+    for at, payload in enumerate(payloads):
+        head = b"".join(frame(p) for p in payloads[:at])
+        tail = b"".join(frame(p) for p in payloads[at + 1:])
+        for index in range(len(payload)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(payload)
+                damaged[index] ^= mask
+                data = head + frame(bytes(damaged)) + tail
+                assert spelled(read_records(data)) == spelled(
+                    reference_read(data)
+                ), (at, index, mask)
+
+
+def sixteen_sets() -> bytes:
+    """What a replica reads in one 16-deep round of durable SETs."""
+    out = bytearray()
+    for i in range(16):
+        encode_write(out, b"key:%06d" % i, b"v" * (64 + 32 * i), EXP_NONE)
+    return bytes(out)
+
+
+def read_census() -> float:
+    """``read_records``'s bytecodes per record on :func:`sixteen_sets`."""
+    stream = sixteen_sets()
+    opcodes(read_records, stream)  # 3.12 counts nothing the first time
+    return opcodes(read_records, stream) / 16
+
+
+#: 1.10 x the largest per-record count of 3.10, 3.11 and 3.12
+READ_CEILING = 145.3  # 1.10 x 132.1 (3.11; 3.10 122.9, 3.12 123.9)
+
+
+def test_a_plain_set_is_read_in_one_pass():
+    assert read_census() <= READ_CEILING
+

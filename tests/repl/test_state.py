@@ -9,15 +9,20 @@ empty tail, not a full sync), and promotion keeps the stream
 coordinates while a full sync discards them. :class:`TestOneWriter`
 shows why the state needs no lock: on a live master the one thread
 that writes ``pending`` is the event loop, a DEMAND's tombstones
-included.
+included. :class:`TestOneEncode` pins that a master with an AOF encodes
+a W once: the stream takes the AOF's frame, so both carry the same
+bytes.
 """
 
 import threading
 
 import pytest
 
+import repro.kvstore.persist.engine
+import repro.kvstore.repl.state
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore.commands import dispatch
 from repro.kvstore.persist.codec import (
     EXP_ABSOLUTE,
     EXP_KEEP,
@@ -29,7 +34,9 @@ from repro.kvstore.persist.codec import (
     read_records,
     scan_frames,
 )
+from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.repl import ReplicationState
+from repro.kvstore.resp import RespError
 from repro.kvstore.store import DataStore
 from repro.tools.kv_server import build_server
 from tests.kvstore.transport_standins import ScriptedDaemon
@@ -291,3 +298,78 @@ class TestTombstoneRecords:
         assert decode_record(payloads[0]) == ("T", b"victim")
         expected = encoded_len(encode_tombstone, b"victim")
         assert state.master_repl_offset == expected
+
+
+def durable_master(tmp_path, clock):
+    """A store with an AOF and a started stream — a master that has
+    served a PSYNC — both planes on ``clock``."""
+    store = DataStore(SoftMemoryAllocator(name="durable-master"))
+    persist = Persistence(PersistenceConfig(dir=str(tmp_path)), clock=clock)
+    store.attach_persistence(persist)
+    state = ReplicationState(clock=clock)
+    state.stream_started = True
+    store.repl = state
+    return store, persist, state
+
+
+class TestOneEncode:
+    def test_a_durable_replicated_set_is_encoded_once(
+        self, tmp_path, monkeypatch
+    ):
+        store, persist, state = durable_master(tmp_path, lambda: 1000.0)
+        keys = []
+
+        def spy(out, key, *args):
+            keys.append(key)
+            return encode_write(out, key, *args)
+
+        # where each plane binds the encoder
+        monkeypatch.setattr(repro.kvstore.persist.engine, "encode_write", spy)
+        monkeypatch.setattr(repro.kvstore.repl.state, "encode_write", spy)
+        assert dispatch(store, [b"SET", b"k", b"v"]) == "OK"
+        assert keys == [b"k"]
+        persist.flush()
+        with open(persist.aof_path, "rb") as fh:
+            assert fh.read() == state.drain()
+        persist.close()
+
+    def test_without_an_aof_the_stream_encodes_it(self, tmp_path):
+        store, persist, state = durable_master(tmp_path, lambda: 1000.0)
+        persist.set_appendonly(False)
+        assert persist.log_write(b"k", b"v", None, False) is None
+        dispatch(store, [b"SET", b"k", b"v"])
+        assert read_records(state.drain())[0] == [
+            ("W", b"k", b"v", EXP_NONE, 0)
+        ]
+        persist.close()
+
+    def test_the_aof_and_the_stream_carry_the_same_bytes(self, tmp_path):
+        now = [1_000_000.0]  # one clock; it moves between commands only
+        store, persist, state = durable_master(tmp_path, lambda: now[0])
+        commands = [
+            [b"SET", b"k", b"v"],
+            [b"SETEX", b"lease", b"10", b"v"],
+            [b"SET", b"lease", b"v2", b"KEEPTTL"],
+            [b"INCR", b"n"],
+            [b"HSET", b"h", b"f", b"v"],
+            [b"APPEND", b"k", b"tail"],
+            [b"DEL", b"n"],
+            [b"EXPIRE", b"k", b"100"],
+        ]
+        for argv in commands:
+            assert not isinstance(dispatch(store, argv), RespError), argv
+            now[0] += 0.0017
+        persist.flush()
+        with open(persist.aof_path, "rb") as fh:
+            aof = fh.read()
+        stream = state.drain()
+        assert aof == stream  # byte for byte, not only in size
+        records, valid = read_records(aof)
+        assert valid == len(aof)
+        assert [(r[0], r[1]) for r in records] == [
+            ("W", b"k"), ("W", b"lease"), ("W", b"lease"), ("W", b"n"),
+            ("W", b"h"), ("W", b"k"), ("D", b"n"), ("E", b"k"),
+        ]
+        assert records[1][3:] == (EXP_ABSOLUTE, 1_000_010_001)  # 1.7 ms on
+        assert records[2][3] == EXP_KEEP
+        persist.close()
