@@ -101,7 +101,6 @@ class AofWriter:
         #: batches must not pay for fsyncs of nothing
         self._synced_size = self.good_size
         self._last_fsync = clock()
-        self.records_appended = 0
         self.fsyncs = 0
         self.fsync_errors = 0
         self.write_errors = 0
@@ -118,14 +117,9 @@ class AofWriter:
         """The write-behind buffer mutation hooks encode into."""
         return self._pending
 
-    def note_records(self, count: int) -> None:
-        """Account records encoded directly into :attr:`buffer`."""
-        self.records_appended += count
-
     def append(self, record: bytes) -> None:
         """Queue one already-framed record (slow path, tests/tools)."""
         self._pending += record
-        self.records_appended += 1
 
     # ------------------------------------------------------------------
 

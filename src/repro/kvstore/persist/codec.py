@@ -54,6 +54,8 @@ __all__ = [
     "EXP_ABSOLUTE",
     "EXP_KEEP",
     "EXP_NONE",
+    "copy_frames",
+    "deadline_ms",
     "decode_record",
     "encode_delete",
     "encode_demote",
@@ -63,6 +65,7 @@ __all__ = [
     "encode_tombstone",
     "encode_trailer",
     "encode_write",
+    "expiry_clause",
     "frame",
     "read_records",
     "scan_frames",
@@ -234,8 +237,23 @@ def _decode_value(payload: bytes, offset: int) -> tuple[Value, int]:
 
 
 # ----------------------------------------------------------------------
-# record encoders (append framed bytes straight into the caller buffer)
+# record encoders (append framed bytes straight into the caller buffer
+# and return the frame, for a second sink to copy instead of encoding)
 # ----------------------------------------------------------------------
+
+
+def expiry_clause(ex_relative: "float | None", keep_ttl: bool) -> int:
+    """The W expiry clause of a write with a TTL of ``ex_relative``
+    seconds (``None``: no TTL, or the existing one when ``keep_ttl``)."""
+    if ex_relative is not None:
+        return EXP_ABSOLUTE
+    return EXP_KEEP if keep_ttl else EXP_NONE
+
+
+def deadline_ms(now_unix: float, ex_relative: float) -> int:
+    """A TTL of ``ex_relative`` seconds from ``now_unix`` as the
+    absolute unix-epoch milliseconds W and E records carry."""
+    return int((now_unix + ex_relative) * 1000)
 
 
 def encode_write(
@@ -277,46 +295,61 @@ def encode_write(
     return _frame_into(out, parts)
 
 
-def _encode_keyed(out: bytearray, tag: bytes, key: bytes) -> None:
-    _frame_into(out, (tag, _U32.pack(len(key)), key))
+def _encode_keyed(out: bytearray, tag: bytes, key: bytes) -> bytes:
+    return _frame_into(out, (tag, _U32.pack(len(key)), key))
 
 
-def encode_delete(out: bytearray, key: bytes) -> None:
+def encode_delete(out: bytearray, key: bytes) -> bytes:
     """Append a framed D record."""
-    _encode_keyed(out, b"D", key)
+    return _encode_keyed(out, b"D", key)
 
 
-def encode_tombstone(out: bytearray, key: bytes) -> None:
+def encode_tombstone(out: bytearray, key: bytes) -> bytes:
     """Append a framed T record (soft-memory reclamation)."""
-    _encode_keyed(out, b"T", key)
+    return _encode_keyed(out, b"T", key)
 
 
-def encode_demote(out: bytearray, key: bytes) -> None:
+def encode_demote(out: bytearray, key: bytes) -> bytes:
     """Append a framed M record (second-chance tier demotion)."""
-    _encode_keyed(out, b"M", key)
+    return _encode_keyed(out, b"M", key)
 
 
-def encode_persist(out: bytearray, key: bytes) -> None:
+def encode_persist(out: bytearray, key: bytes) -> bytes:
     """Append a framed P record (TTL cleared)."""
-    _encode_keyed(out, b"P", key)
+    return _encode_keyed(out, b"P", key)
 
 
-def encode_expire(out: bytearray, key: bytes, deadline_unix_ms: int) -> None:
+def encode_expire(out: bytearray, key: bytes, deadline_unix_ms: int) -> bytes:
     """Append a framed E record (absolute deadline, unix ms)."""
-    _frame_into(
+    return _frame_into(
         out,
         (b"E", _U32.pack(len(key)), key, _U64.pack(deadline_unix_ms)),
     )
 
 
-def encode_flush(out: bytearray) -> None:
+def encode_flush(out: bytearray) -> bytes:
     """Append a framed F record (FLUSHALL)."""
-    _frame_into(out, (b"F",))
+    return _frame_into(out, (b"F",))
 
 
-def encode_trailer(out: bytearray, count: int, saved_unix_ms: int) -> None:
+def encode_trailer(out: bytearray, count: int, saved_unix_ms: int) -> bytes:
     """Append the framed Z trailer that seals a snapshot file."""
-    _frame_into(out, (b"Z", _U64.pack(count), _U64.pack(saved_unix_ms)))
+    return _frame_into(
+        out, (b"Z", _U64.pack(count), _U64.pack(saved_unix_ms))
+    )
+
+
+def copy_frames(
+    out: bytearray, frames: "bytes | memoryview"
+) -> "bytes | memoryview":
+    """Append already-framed records verbatim; return them.
+
+    A replica's local log takes the master's stream bytes untouched: the
+    master already framed and CRC'd them, and the log must replay to the
+    state the stream produced.
+    """
+    out += frames
+    return frames
 
 
 # ----------------------------------------------------------------------

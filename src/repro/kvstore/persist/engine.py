@@ -48,16 +48,10 @@ from repro.kvstore.persist.aof import (
     load_aof,
 )
 from repro.kvstore.persist.codec import (
-    EXP_ABSOLUTE,
-    EXP_KEEP,
-    EXP_NONE,
-    encode_delete,
-    encode_demote,
-    encode_expire,
-    encode_flush,
-    encode_persist,
+    deadline_ms,
     encode_tombstone,
     encode_write,
+    expiry_clause,
 )
 from repro.kvstore.persist.snapshot import (
     SnapshotEntry,
@@ -301,11 +295,32 @@ class Persistence:
         self.stats.recovery_expired_dropped += store.sweep_expired()
 
     # ------------------------------------------------------------------
-    # logging hooks (called by the store under its serialization)
+    # the AOF sink (fed by ``DataStore.log_record`` under its serialization)
     # ------------------------------------------------------------------
 
-    def _deadline_ms(self, ex_relative: float) -> int:
-        return int((self._clock() + ex_relative) * 1000)
+    def append(
+        self, encoder, args: tuple, ex: "float | None" = None, records: int = 1
+    ) -> "bytes | None":
+        """``encoder(buffer, *args)`` if logging: the AOF's one guarded
+        append. Returns the frame, or ``None`` when nothing was logged.
+
+        ``ex`` (a TTL in seconds) becomes the encoder's last argument, a
+        unix-ms deadline on this sink's clock; ``records`` counts what a
+        ``copy_frames`` appends. The frame is the encoder's ``bytes``,
+        never a view of the buffer: a view that outlived this call would
+        make the buffer's next append raise ``BufferError``.
+        """
+        writer = self._writer
+        if writer is None or not self._logging:
+            return None
+        if ex is not None:
+            args += (deadline_ms(self._clock(), ex),)
+        with self._io_lock:
+            frame = encoder(writer.buffer, *args)
+            self.stats.aof_records += records
+            if encoder is encode_tombstone:
+                self.stats.tombstones_logged += 1
+            return frame
 
     def log_write(
         self,
@@ -314,90 +329,11 @@ class Persistence:
         ex_relative: "float | None",
         keep_ttl: bool,
     ) -> "bytes | None":
-        """Append one W record; return the frame appended, or ``None``
-        when nothing was logged.
-
-        The store hands that frame to the replication stream
-        (:meth:`ReplicationState.log_frame`), so a W is encoded once and
-        the AOF and the stream carry the same bytes, an ``EXP_ABSOLUTE``
-        deadline included. The frame is the ``bytes`` object
-        :func:`encode_write` built, not a view of the write-behind
-        buffer: a ``memoryview`` over it that outlived this call would
-        make the buffer's next append raise ``BufferError``.
-        """
-        if not self._logging:
-            return None
-        writer = self._writer
-        if writer is None:
-            return None
-        with self._io_lock:
-            if ex_relative is not None:
-                frame = encode_write(
-                    writer.buffer, key, value,
-                    EXP_ABSOLUTE, self._deadline_ms(ex_relative),
-                )
-            elif keep_ttl:
-                frame = encode_write(writer.buffer, key, value, EXP_KEEP)
-            else:
-                frame = encode_write(writer.buffer, key, value, EXP_NONE)
-            writer.records_appended += 1
-            self.stats.aof_records += 1
-            return frame
-
-    def _append(
-        self, encoder, *args, records: int = 1, tombstones: int = 0
-    ) -> None:
-        """``encoder(buffer, *args)`` if logging: the one guarded append
-        behind every tap but :meth:`log_write`."""
-        if not self._logging:
-            return
-        writer = self._writer
-        if writer is None:
-            return
-        with self._io_lock:
-            encoder(writer.buffer, *args)
-            writer.note_records(records)
-            self.stats.aof_records += records
-            self.stats.tombstones_logged += tombstones
-
-    def log_delete(self, key: bytes) -> None:
-        self._append(encode_delete, key)
-
-    def log_demote(self, key: bytes) -> None:
-        """Entry demoted into the compressed second-chance tier.
-
-        Replay re-runs the demotion (when the tier is enabled) so a
-        recovered store carries the same compressed footprint; the
-        entry's bytes were already logged by its ``W`` record.
-        Promotions are deliberately not logged — a recovered-compressed
-        entry inflates on first read exactly like a live one.
-        """
-        self._append(encode_demote, key)
-
-    def log_tombstone(self, key: bytes) -> None:
-        """Reclaimed soft entry: dropped data must stay dropped."""
-        self._append(encode_tombstone, key, tombstones=1)
-
-    def log_expire(self, key: bytes, ex_relative: float) -> None:
-        self._append(encode_expire, key, self._deadline_ms(ex_relative))
-
-    def log_persist(self, key: bytes) -> None:
-        self._append(encode_persist, key)
-
-    def log_flush(self) -> None:
-        self._append(encode_flush)
-
-    def append_raw(self, data: bytes | memoryview, records: int) -> None:
-        """Append already-framed stream bytes to the AOF verbatim.
-
-        The replica's local log must replay to the same state the
-        stream produced; the master already framed and CRC'd these
-        bytes, so they go in untouched — and *before* the batch is
-        applied, so a tombstone a reclamation logs mid-apply follows
-        the ``W`` it kills.
-        """
-        if data:
-            self._append(bytearray.extend, data, records=records)
+        """One W through :meth:`append`. Nothing in ``src/`` calls it:
+        ``benchmarks/e2e/ledger.py`` times it by name, and ROADMAP 1(a)
+        retires it."""
+        clause = expiry_clause(ex_relative, keep_ttl)
+        return self.append(encode_write, (key, value, clause), ex_relative)
 
     # ------------------------------------------------------------------
     # flushing (called by the serving loop, once per batch)

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 from repro.kvstore.persist.codec import (
     HEADER_SIZE,
     MAX_RECORD_SIZE,
+    copy_frames,
     read_records,
 )
 from repro.kvstore.persist.snapshot import load_snapshot_bytes
@@ -183,9 +184,7 @@ def apply_stream(
     if not records:
         return 0
     raw = memoryview(data)[:valid]
-    persist = store.persistence
-    if persist is not None:
-        persist.append_raw(raw, len(records))
+    store.log_record(copy_frames, (raw,), None, len(records))
     counts = store.replay(records, now_ms)
     state.apply_denied += counts.denied
     state.tombstones_applied += counts.tombstones

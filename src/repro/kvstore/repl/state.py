@@ -5,13 +5,14 @@ replication is engaged, so the standalone hot path pays one attribute
 load and a ``None`` check per mutation — the same discipline as
 ``store.cluster``). It is the single source of truth both roles read:
 
-* **master** — the ``log_*`` taps encode every mutation with the
-  ``persist/codec.py`` encoders into a ``pending`` buffer (a W the AOF
-  already encoded arrives as its frame, through :meth:`log_frame`, and
-  is copied, not encoded again); the event loop drains it once per poll
-  round (right after the AOF group commit) into the connected feeds
-  *and* the in-memory backlog ring, from which a bounced replica can
-  partial-resync instead of paying a full snapshot transfer.
+* **master** — every mutation reaches ``pending`` through the store's
+  one tap: as the frame the AOF already encoded (:meth:`log_frame`
+  copies it) or, with no AOF logging, encoded here by :meth:`append`
+  with the same ``persist/codec.py`` encoder; the event loop drains it
+  once per poll round (right after the AOF group commit) into the
+  connected feeds *and* the in-memory backlog ring, from which a
+  bounced replica can partial-resync instead of paying a full snapshot
+  transfer.
 * **replica** — :class:`~repro.kvstore.repl.link.ReplicaLink` appends
   the stream bytes it applies to its *own* backlog ring, which advances
   the same offset, so a promoted replica can serve
@@ -40,16 +41,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.kvstore.persist.codec import (
-    EXP_ABSOLUTE,
-    EXP_KEEP,
-    EXP_NONE,
-    encode_delete,
-    encode_demote,
-    encode_expire,
-    encode_flush,
-    encode_persist,
-    encode_tombstone,
+    deadline_ms,
     encode_write,
+    expiry_clause,
 )
 from repro.kvstore.values import Value
 
@@ -94,9 +88,9 @@ class ReplicationState:
         self._ring = bytearray()
         self._ring_start = 0
         self.backlog_off = 0
-        #: flipped by the first PSYNC ever served; until then the
-        #: ``log_*`` taps are inert so a server that never replicates
-        #: pays nothing beyond the attribute check in the store
+        #: flipped by the first PSYNC ever served; until then
+        #: :meth:`append` and :meth:`log_frame` are inert, so a server
+        #: that never replicates pays nothing beyond the store's check
         self.stream_started = False
         #: master side: one entry per connected replica
         self.feeds: list[ReplicaFeed] = []
@@ -145,10 +139,27 @@ class ReplicationState:
         self._ring_start = 0
         self.backlog_off = offset
 
-    # -- master-side log taps (mirror Persistence.log_*) ----------------
+    # -- the stream sink (fed by ``DataStore.log_record``) ---------------
 
-    def _deadline_ms(self, ex_relative: float) -> int:
-        return int((self._clock() + ex_relative) * 1000)
+    def append(
+        self, encoder, args: tuple, ex: "float | None" = None
+    ) -> "bytes | None":
+        """``encoder(pending, *args)`` if this node streams; return the
+        frame, or ``None``. Runs when the AOF logged nothing; ``ex`` as
+        in :meth:`Persistence.append`, on this state's clock."""
+        if self.role != "master" or not self.stream_started:
+            return None
+        if ex is not None:
+            args += (deadline_ms(self._clock(), ex),)
+        return encoder(self.pending, *args)
+
+    def log_frame(self, frame: "bytes | memoryview") -> None:
+        """Append a frame the AOF already encoded, if this node streams:
+        a record is encoded once, and the stream carries the AOF's bytes,
+        an absolute deadline included. Same gate as :meth:`append`."""
+        if self.role != "master" or not self.stream_started:
+            return
+        self.pending += frame
 
     def log_write(
         self,
@@ -157,57 +168,11 @@ class ReplicationState:
         ex_relative: "float | None",
         keep_ttl: bool,
     ) -> None:
-        if self.role != "master" or not self.stream_started:
-            return
-        out = self.pending
-        if ex_relative is not None:
-            encode_write(
-                out, key, value, EXP_ABSOLUTE,
-                self._deadline_ms(ex_relative),
-            )
-        elif keep_ttl:
-            encode_write(out, key, value, EXP_KEEP)
-        else:
-            encode_write(out, key, value, EXP_NONE)
-
-    def log_frame(self, frame: bytes) -> None:
-        """Append one W frame the AOF already encoded, if this node
-        streams.
-
-        :meth:`Persistence.log_write` returns the frame it appended;
-        handing it here instead of calling :meth:`log_write` encodes a
-        W once, and the stream carries the AOF's bytes, its absolute
-        deadline included. Same gate as every other tap.
-        """
-        if self.role != "master" or not self.stream_started:
-            return
-        self.pending += frame
-
-    def _append(self, encoder, *args) -> None:
-        """Encode one record into ``pending``, if this node streams."""
-        if self.role != "master" or not self.stream_started:
-            return
-        encoder(self.pending, *args)
-
-    def log_delete(self, key: bytes) -> None:
-        self._append(encode_delete, key)
-
-    def log_tombstone(self, key: bytes) -> None:
-        """SMA reclamation (or a second-chance drop): the tombstone
-        travels the stream so dropped-stays-dropped holds fleet-wide."""
-        self._append(encode_tombstone, key)
-
-    def log_demote(self, key: bytes) -> None:
-        self._append(encode_demote, key)
-
-    def log_persist(self, key: bytes) -> None:
-        self._append(encode_persist, key)
-
-    def log_expire(self, key: bytes, ex_relative: float) -> None:
-        self._append(encode_expire, key, self._deadline_ms(ex_relative))
-
-    def log_flush(self) -> None:
-        self._append(encode_flush)
+        """One W through :meth:`append`. Nothing in ``src/`` calls it:
+        ``benchmarks/e2e/ledger.py`` times it by name, and ROADMAP 1(a)
+        retires it."""
+        clause = expiry_clause(ex_relative, keep_ttl)
+        self.append(encode_write, (key, value, clause), ex_relative)
 
     # -- the backlog ring ----------------------------------------------
 

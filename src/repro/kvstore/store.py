@@ -28,7 +28,18 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 from repro.core.errors import SoftMemoryDenied
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.dict import SoftDict
-from repro.kvstore.persist.codec import EXP_ABSOLUTE, EXP_KEEP
+from repro.kvstore.persist.codec import (
+    EXP_ABSOLUTE,
+    EXP_KEEP,
+    encode_delete,
+    encode_demote,
+    encode_expire,
+    encode_flush,
+    encode_persist,
+    encode_tombstone,
+    encode_write,
+    expiry_clause,
+)
 from repro.kvstore.tier import TierConfig
 from repro.obs.plane import (
     KvObservability,
@@ -194,29 +205,29 @@ class DataStore:
             # being replayed already says what it says
             return
         self.stats.reclaimed_keys += 1
-        if self._persist is not None:
-            # dropped soft data must stay dropped across a restart
-            self._persist.log_tombstone(key)
-        if self.repl is not None:
-            # ... and across the fleet: replicas get the tombstone too
-            self.repl.log_tombstone(key)
+        # dropped soft data must stay dropped: across a restart (the
+        # AOF's T) and across the fleet (the stream's T), so a failover
+        # never resurrects it. Second-chance drops land here too.
+        self.log_record(encode_tombstone, (key,))
 
     def _on_entry_demoted(self, key: bytes, compressed: CompressedValue) -> None:
         """Tier hook: an entry shrank to its compressed size.
 
         The value side of the traditional ledger shrinks with it, and
         the demotion is made durable so recovery re-admission is
-        budget-gated at the *compressed* size.
+        budget-gated at the *compressed* size: replay re-runs it (when
+        the tier is enabled), so a recovered store carries the same
+        compressed footprint. The entry's bytes were already logged by
+        its ``W``. Promotions are deliberately not logged: a
+        recovered-compressed entry inflates on first read exactly like
+        a live one.
         """
         self.traditional_bytes -= compressed.original_bytes - len(
             compressed.data
         )
         if key == self._restoring:
             return  # a replayed M: the log being replayed already holds it
-        if self._persist is not None:
-            self._persist.log_demote(key)
-        if self.repl is not None:
-            self.repl.log_demote(key)
+        self.log_record(encode_demote, (key,))
 
     def _on_entry_promoted(
         self, key: bytes, value: Value, compressed: CompressedValue
@@ -347,7 +358,7 @@ class DataStore:
         """Insert or replace through the soft allocator, ledgers exact.
 
         Unlogged, like :meth:`_remove` and :meth:`_clear`: a live command
-        is a primitive plus client stats plus the paired ``log_*`` calls,
+        is a primitive plus client stats plus one :meth:`log_record`,
         :meth:`replay` is the primitive alone.
         """
         # a string is its own length; only containers need the walk
@@ -375,18 +386,36 @@ class DataStore:
         elif not keep_ttl:
             self._expires.pop(key, None)
         self.stats.keys_set += 1
-        if self._persist is not None:
+        if self._persist is not None or self.repl is not None:
             # effect-based logging: INCR/APPEND/HSET all funnel here,
-            # so the log carries resulting state and replays verbatim
-            frame = self._persist.log_write(key, value, ex, keep_ttl)
-            if self.repl is not None:
-                # the stream takes the AOF's frame: one encode per W
-                if frame is None:
-                    self.repl.log_write(key, value, ex, keep_ttl)
-                else:
-                    self.repl.log_frame(frame)
-        elif self.repl is not None:
-            self.repl.log_write(key, value, ex, keep_ttl)
+            # so the log carries resulting state and replays verbatim;
+            # a store with neither sink pays no call per SET
+            self.log_record(
+                encode_write, (key, value, expiry_clause(ex, keep_ttl)), ex
+            )
+
+    def log_record(
+        self, encoder, args: tuple, ex: float | None = None, records: int = 1
+    ) -> None:
+        """The one tap a mutation's record reaches both sinks through.
+
+        ``encoder(buffer, *args)`` (a ``persist/codec.py`` encoder) runs
+        once: into the AOF when it logs, else into the stream, and the
+        stream copies the AOF's frame. So both carry the same bytes; a
+        TTL ``ex`` (seconds) becomes one unix-ms deadline, on the clock
+        of the sink that encodes. ``records`` counts a replica's
+        ``copy_frames`` of its master's stream.
+        """
+        persist = self._persist
+        frame = None
+        if persist is not None:
+            frame = persist.append(encoder, args, ex, records)
+        repl = self.repl
+        if repl is not None:
+            if frame is None:
+                repl.append(encoder, args, ex)
+            else:
+                repl.log_frame(frame)
 
     def _recharge(self, key: bytes, value: Value) -> None:
         """Re-charge an entry after in-place mutation of its value."""
@@ -659,12 +688,9 @@ class DataStore:
     def _delete_raw(self, key: bytes) -> bool:
         if not self._remove(key):
             return False
-        if self._persist is not None:
-            # expiry-driven deletes flow through here too: an expired
-            # key is propagated as a delete, the way Redis logs DEL
-            self._persist.log_delete(key)
-        if self.repl is not None:
-            self.repl.log_delete(key)
+        # expiry-driven deletes flow through here too: an expired key is
+        # propagated as a delete, the way Redis logs DEL
+        self.log_record(encode_delete, (key,))
         return True
 
     def exists(self, *keys: bytes) -> int:
@@ -706,10 +732,7 @@ class DataStore:
         if self._check_expired(key) or key not in self._dict:
             return False
         self._set_expiry(key, self._now() + seconds)
-        if self._persist is not None:
-            self._persist.log_expire(key, seconds)
-        if self.repl is not None:
-            self.repl.log_expire(key, seconds)
+        self.log_record(encode_expire, (key,), seconds)
         return True
 
     def expireat(self, key: bytes, deadline: float) -> bool:
@@ -717,10 +740,7 @@ class DataStore:
         if self._check_expired(key) or key not in self._dict:
             return False
         self._set_expiry(key, deadline)
-        if self._persist is not None:
-            self._persist.log_expire(key, deadline - self._now())
-        if self.repl is not None:
-            self.repl.log_expire(key, deadline - self._now())
+        self.log_record(encode_expire, (key,), deadline - self._now())
         return True
 
     def ttl(self, key: bytes) -> int:
@@ -742,10 +762,7 @@ class DataStore:
             return False
         cleared = self._expires.pop(key, None) is not None
         if cleared:
-            if self._persist is not None:
-                self._persist.log_persist(key)
-            if self.repl is not None:
-                self.repl.log_persist(key)
+            self.log_record(encode_persist, (key,))
         return cleared
 
     # ------------------------------------------------------------------
@@ -799,10 +816,7 @@ class DataStore:
 
     def flushall(self) -> None:
         self._clear()
-        if self._persist is not None:
-            self._persist.log_flush()
-        if self.repl is not None:
-            self.repl.log_flush()
+        self.log_record(encode_flush, ())
 
     # ------------------------------------------------------------------
     # durability plane

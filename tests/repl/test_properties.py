@@ -25,7 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.repl import ReplicationState, SyncHandshake, apply_stream
-from repro.kvstore.persist.codec import read_records
+from repro.kvstore.persist.codec import (
+    EXP_NONE,
+    encode_delete,
+    encode_flush,
+    encode_tombstone,
+    encode_write,
+    read_records,
+)
 from repro.kvstore.store import DataStore
 
 KEYS = [b"k%d" % i for i in range(8)]
@@ -47,18 +54,18 @@ ops = st.lists(
 
 
 def produce_stream(op_list) -> bytes:
-    """Encode an op sequence the way a master's log taps would."""
+    """Encode an op sequence the way a master's stream sink would."""
     state = ReplicationState()
     state.stream_started = True
     for op in op_list:
         if op[0] == "set":
-            state.log_write(op[1], op[2], None, False)
+            state.append(encode_write, (op[1], op[2], EXP_NONE))
         elif op[0] == "del":
-            state.log_delete(op[1])
+            state.append(encode_delete, (op[1],))
         elif op[0] == "tomb":
-            state.log_tombstone(op[1])
+            state.append(encode_tombstone, (op[1],))
         else:
-            state.log_flush()
+            state.append(encode_flush, ())
     return bytes(state.pending)
 
 

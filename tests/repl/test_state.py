@@ -10,16 +10,19 @@ coordinates while a full sync discards them. :class:`TestOneWriter`
 shows why the state needs no lock: on a live master the one thread
 that writes ``pending`` is the event loop, a DEMAND's tombstones
 included. :class:`TestOneEncode` pins that a master with an AOF encodes
-a W once: the stream takes the AOF's frame, so both carry the same
-bytes.
+every record once, of every kind: the stream takes the AOF's frame, so
+both carry the same bytes, even on a clock that moves on every read.
 """
 
+import random
 import threading
 
 import pytest
 
+import repro.kvstore.persist.codec as codec
 import repro.kvstore.persist.engine
 import repro.kvstore.repl.state
+import repro.kvstore.store
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
 from repro.kvstore.commands import dispatch
@@ -29,6 +32,7 @@ from repro.kvstore.persist.codec import (
     EXP_NONE,
     decode_record,
     encode_delete,
+    encode_flush,
     encode_tombstone,
     encode_write,
     read_records,
@@ -37,7 +41,8 @@ from repro.kvstore.persist.codec import (
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.repl import ReplicationState
 from repro.kvstore.resp import RespError
-from repro.kvstore.store import DataStore
+from repro.kvstore.store import DataStore, StoreConfig
+from repro.kvstore.tier import TierConfig
 from repro.tools.kv_server import build_server
 from tests.kvstore.transport_standins import ScriptedDaemon
 
@@ -52,19 +57,19 @@ class TestOffsets:
     def test_offset_advances_by_encoded_bytes(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"k", b"v", None, False)
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
         expected = encoded_len(encode_write, b"k", b"v", EXP_NONE)
         assert state.master_repl_offset == expected
         assert len(state.pending) == expected
-        state.log_delete(b"k")
+        state.append(encode_delete, (b"k",))
         expected += encoded_len(encode_delete, b"k")
         assert state.master_repl_offset == expected
 
     def test_taps_inert_until_stream_started(self):
         state = ReplicationState()
-        state.log_write(b"k", b"v", None, False)
-        state.log_tombstone(b"k")
-        state.log_flush()
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
+        state.append(encode_tombstone, (b"k",))
+        state.append(encode_flush, ())
         assert state.master_repl_offset == 0
         assert not state.pending
 
@@ -72,14 +77,14 @@ class TestOffsets:
         state = ReplicationState()
         state.stream_started = True
         state.become_replica("127.0.0.1", 1234)
-        state.log_write(b"k", b"v", None, False)
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
         assert state.master_repl_offset == 0
         assert not state.pending
 
     def test_expiring_write_encodes_absolute_deadline(self):
         state = ReplicationState(clock=lambda: 1000.0)
         state.stream_started = True
-        state.log_write(b"k", b"v", 5.0, False)
+        state.append(encode_write, (b"k", b"v", EXP_ABSOLUTE), 5.0)
         payloads, valid = scan_frames(bytes(state.pending))
         assert valid == len(state.pending)
         kind, key, value, exp_kind, deadline = decode_record(payloads[0])
@@ -90,7 +95,7 @@ class TestOffsets:
     def test_keepttl_write_encodes_keep(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"k", b"v", None, True)
+        state.append(encode_write, (b"k", b"v", EXP_KEEP))
         payloads, __ = scan_frames(bytes(state.pending))
         assert decode_record(payloads[0])[3] == EXP_KEEP
 
@@ -100,9 +105,10 @@ class TestOneWriter:
         self, tmp_path, monkeypatch
     ):
         """A master serves its daemon's DEMAND on its own event loop, so
-        the tombstones a reclamation logs come from the thread that runs
-        ``log_write`` and ``drain``: every drained chunk parses whole,
-        and the offset counts exactly the bytes streamed to a replica."""
+        the tombstones a reclamation appends come from the thread that
+        appends the W records and runs ``drain``: every drained chunk
+        parses whole, and the offset counts exactly the bytes streamed to
+        a replica."""
         daemon = ScriptedDaemon(tmp_path / "smd.sock")
         with daemon.welcoming(startup_pages=4):
             store, __, master = build_server(
@@ -111,14 +117,14 @@ class TestOneWriter:
         daemon.serve()
         state = master.enable_replication()
         loggers, drained = [], []
-        real_log, real_drain = (
-            ReplicationState.log_tombstone, ReplicationState.drain
+        real_append, real_drain = (
+            ReplicationState.append, ReplicationState.drain
         )
 
-        def log_tombstone(self, key):
-            if self is state:
+        def append(self, encoder, args, ex=None):
+            if self is state and encoder is encode_tombstone:
                 loggers.append(threading.get_ident())
-            real_log(self, key)
+            return real_append(self, encoder, args, ex)
 
         def drain(self):
             chunk = real_drain(self)
@@ -126,7 +132,7 @@ class TestOneWriter:
                 drained.append(chunk)
             return chunk
 
-        monkeypatch.setattr(ReplicationState, "log_tombstone", log_tombstone)
+        monkeypatch.setattr(ReplicationState, "append", append)
         monkeypatch.setattr(ReplicationState, "drain", drain)
         replica = TcpKvServer(DataStore(SoftMemoryAllocator(name="replica")))
         replica.replicaof(*master.address)
@@ -159,7 +165,7 @@ class TestBacklogRing:
     def test_drain_moves_pending_into_backlog(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"k", b"v", None, False)
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
         data = state.drain()
         assert data and not state.pending
         assert state.backlog_since(state.backlog_off) == data
@@ -171,7 +177,7 @@ class TestBacklogRing:
         state.stream_started = True
         total = 0
         for i in range(20):
-            state.log_write(b"key%d" % i, b"x" * 16, None, False)
+            state.append(encode_write, (b"key%d" % i, b"x" * 16, EXP_NONE))
             state.drain()
             total = state.master_repl_offset
         assert state.backlog_size <= 64
@@ -181,7 +187,7 @@ class TestBacklogRing:
         state = ReplicationState(backlog_capacity=64)
         state.stream_started = True
         for i in range(20):
-            state.log_write(b"key%d" % i, b"x" * 16, None, False)
+            state.append(encode_write, (b"key%d" % i, b"x" * 16, EXP_NONE))
             state.drain()
         lo = state.backlog_off
         hi = state.backlog_off + state.backlog_size
@@ -195,9 +201,9 @@ class TestBacklogRing:
     def test_backlog_since_returns_exact_tail(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"a", b"1", None, False)
+        state.append(encode_write, (b"a", b"1", EXP_NONE))
         cut = state.master_repl_offset
-        state.log_write(b"b", b"2", None, False)
+        state.append(encode_write, (b"b", b"2", EXP_NONE))
         whole = state.drain()
         assert state.backlog_since(cut) == whole[cut:]
         assert state.backlog_since(state.master_repl_offset) == b""
@@ -205,7 +211,7 @@ class TestBacklogRing:
     def test_note_applied_mirrors_master_arithmetic(self):
         master = ReplicationState()
         master.stream_started = True
-        master.log_write(b"k", b"v", None, False)
+        master.append(encode_write, (b"k", b"v", EXP_NONE))
         data = master.drain()
         replica = ReplicationState()
         replica.become_replica("127.0.0.1", 1)
@@ -232,7 +238,7 @@ class TestRoleTransitions:
     def test_adopt_discards_dead_coordinates(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"k", b"v", None, False)
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
         state.drain()
         state.become_replica("127.0.0.1", 1)
         state.adopt("b" * 40, 9000)
@@ -268,7 +274,7 @@ class TestFeeds:
     def test_info_lines_per_role(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_write(b"k", b"v", None, False)
+        state.append(encode_write, (b"k", b"v", EXP_NONE))
         offset = state.master_repl_offset
         state.register_feed("127.0.0.1:1", offset)
         master_info = "\n".join(state.info_lines())
@@ -293,17 +299,22 @@ class TestTombstoneRecords:
     def test_tombstone_travels_as_T(self):
         state = ReplicationState()
         state.stream_started = True
-        state.log_tombstone(b"victim")
+        state.append(encode_tombstone, (b"victim",))
         payloads, __ = scan_frames(bytes(state.pending))
         assert decode_record(payloads[0]) == ("T", b"victim")
         expected = encoded_len(encode_tombstone, b"victim")
         assert state.master_repl_offset == expected
 
 
-def durable_master(tmp_path, clock):
+def durable_master(tmp_path, clock, **config):
     """A store with an AOF and a started stream — a master that has
-    served a PSYNC — both planes on ``clock``."""
-    store = DataStore(SoftMemoryAllocator(name="durable-master"))
+    served a PSYNC — every plane on ``clock``. Its SMA asks for one page
+    at a time, so its budget is the pages it holds and a reclamation
+    reaches the keyspace."""
+    store = DataStore(
+        SoftMemoryAllocator(name="durable-master", request_batch_pages=1),
+        StoreConfig(time_fn=clock, **config),
+    )
     persist = Persistence(PersistenceConfig(dir=str(tmp_path)), clock=clock)
     store.attach_persistence(persist)
     state = ReplicationState(clock=clock)
@@ -312,40 +323,118 @@ def durable_master(tmp_path, clock):
     return store, persist, state
 
 
+class Clock:
+    """Unix seconds a test moves by hand, plus ``tick`` on every read."""
+
+    def __init__(self, tick: float = 0.0) -> None:
+        self.now = 1_000_000.0
+        self.tick = tick
+        self.reads: list[float] = []
+
+    def __call__(self) -> float:
+        now = self.now
+        self.reads.append(now)
+        self.now += self.tick
+        return now
+
+
+#: the record kind each encoder writes
+KINDS = {
+    "encode_write": "W",
+    "encode_delete": "D",
+    "encode_tombstone": "T",
+    "encode_demote": "M",
+    "encode_expire": "E",
+    "encode_persist": "P",
+    "encode_flush": "F",
+}
+
+
+def spy_on_encoders(monkeypatch) -> list[tuple]:
+    """Log ``(kind, key)`` per encode (``("F",)`` for a flush), wherever
+    the store or a sink binds an encoder."""
+    encodes: list[tuple] = []
+    for name, kind in KINDS.items():
+        def spy(out, *args, kind=kind, real=getattr(codec, name)):
+            encodes.append((kind,) + args[:1])
+            return real(out, *args)
+
+        for module in (
+            repro.kvstore.store,
+            repro.kvstore.persist.engine,
+            repro.kvstore.repl.state,
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return encodes
+
+
 class TestOneEncode:
     def test_a_durable_replicated_set_is_encoded_once(
         self, tmp_path, monkeypatch
     ):
-        store, persist, state = durable_master(tmp_path, lambda: 1000.0)
-        keys = []
-
-        def spy(out, key, *args):
-            keys.append(key)
-            return encode_write(out, key, *args)
-
-        # where each plane binds the encoder
-        monkeypatch.setattr(repro.kvstore.persist.engine, "encode_write", spy)
-        monkeypatch.setattr(repro.kvstore.repl.state, "encode_write", spy)
-        assert dispatch(store, [b"SET", b"k", b"v"]) == "OK"
-        assert keys == [b"k"]
+        """Every record of every kind, a SET's ``W`` first: one encode,
+        and the stream carries exactly the AOF's records."""
+        store, persist, state = durable_master(
+            tmp_path, Clock(), tier=TierConfig(enabled=True)
+        )
+        encodes = spy_on_encoders(monkeypatch)
+        incompressible = random.Random(1).randbytes(3000)
+        steps = [
+            (lambda: dispatch(store, [b"SET", b"k", b"v"]), [("W", b"k")]),
+            (lambda: dispatch(store, [b"EXPIRE", b"k", b"100"]),
+             [("E", b"k")]),
+            (lambda: dispatch(store, [b"PERSIST", b"k"]), [("P", b"k")]),
+            (lambda: dispatch(store, [b"DEL", b"k"]), [("D", b"k")]),
+            *[
+                (lambda i=i: store.set(b"c%d" % i, b"A" * 3000),
+                 [("W", b"c%d" % i)])
+                for i in range(3)
+            ],
+            # a one-page squeeze demotes the oldest compressible entry
+            (lambda: store.sma.reclaim(1), [("M", b"c0")]),
+            (lambda: dispatch(store, [b"FLUSHALL"]), [("F",)]),
+            (lambda: store.set(b"noise", incompressible), [("W", b"noise")]),
+            # squeezed to nothing, an incompressible entry is reclaimed
+            (lambda: store.sma.reclaim(store.sma.held_pages),
+             [("T", b"noise")]),
+        ]
+        stream = b""
+        for action, records in steps:
+            del encodes[:]
+            action()
+            chunk = state.drain()
+            assert [r[:2] for r in read_records(chunk)[0]] == records
+            assert encodes == records
+            stream += chunk
+        assert store.stats.reclaimed_keys == 1
+        assert persist.stats.tombstones_logged == 1
         persist.flush()
         with open(persist.aof_path, "rb") as fh:
-            assert fh.read() == state.drain()
+            assert fh.read() == stream
         persist.close()
 
     def test_without_an_aof_the_stream_encodes_it(self, tmp_path):
         store, persist, state = durable_master(tmp_path, lambda: 1000.0)
         persist.set_appendonly(False)
-        assert persist.log_write(b"k", b"v", None, False) is None
+        assert persist.append(encode_write, (b"k", b"v", EXP_NONE)) is None
         dispatch(store, [b"SET", b"k", b"v"])
         assert read_records(state.drain())[0] == [
             ("W", b"k", b"v", EXP_NONE, 0)
         ]
         persist.close()
 
-    def test_the_aof_and_the_stream_carry_the_same_bytes(self, tmp_path):
-        now = [1_000_000.0]  # one clock; it moves between commands only
-        store, persist, state = durable_master(tmp_path, lambda: now[0])
+    @pytest.mark.parametrize(
+        "tick", [0.0, 0.0007], ids=["between-commands", "every-read"]
+    )
+    def test_the_aof_and_the_stream_carry_the_same_bytes(
+        self, tmp_path, tick
+    ):
+        """One clock that moves 1.7 ms between commands and, in the
+        second case, 0.7 ms more on every read: a deadline the two sinks
+        read apart would differ between them."""
+        clock = Clock(tick)
+        store, persist, state = durable_master(tmp_path, clock)
         commands = [
             [b"SET", b"k", b"v"],
             [b"SETEX", b"lease", b"10", b"v"],
@@ -355,10 +444,12 @@ class TestOneEncode:
             [b"APPEND", b"k", b"tail"],
             [b"DEL", b"n"],
             [b"EXPIRE", b"k", b"100"],
+            [b"EXPIREAT", b"lease", b"1000200"],
+            [b"PERSIST", b"k"],
         ]
         for argv in commands:
             assert not isinstance(dispatch(store, argv), RespError), argv
-            now[0] += 0.0017
+            clock.now += 0.0017
         persist.flush()
         with open(persist.aof_path, "rb") as fh:
             aof = fh.read()
@@ -369,7 +460,12 @@ class TestOneEncode:
         assert [(r[0], r[1]) for r in records] == [
             ("W", b"k"), ("W", b"lease"), ("W", b"lease"), ("W", b"n"),
             ("W", b"h"), ("W", b"k"), ("D", b"n"), ("E", b"k"),
+            ("E", b"lease"), ("P", b"k"),
         ]
-        assert records[1][3:] == (EXP_ABSOLUTE, 1_000_010_001)  # 1.7 ms on
+        if tick:  # 10 s past an instant the clock returned
+            assert records[1][3] == EXP_ABSOLUTE
+            assert records[1][4] in {int((t + 10) * 1000) for t in clock.reads}
+        else:
+            assert records[1][3:] == (EXP_ABSOLUTE, 1_000_010_001)  # 1.7 ms on
         assert records[2][3] == EXP_KEEP
         persist.close()
