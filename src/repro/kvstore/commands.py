@@ -180,18 +180,21 @@ def cmd_save(store: DataStore, args: list[bytes]) -> Any:
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
-    if not persist.checkpoint(background=False):
+    if persist.bgsave_in_progress:
         return RespError("ERR Background save already in progress")
+    persist.checkpoint()
     return OK
 
 
 def cmd_bgsave(store: DataStore, args: list[bytes]) -> Any:
-    """BGSAVE: materialize under the lock, serialize in a thread."""
+    """BGSAVE: switch the log here, fork a child that writes the
+    snapshot from its copy-on-write image; the loop reaps it."""
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
-    if not persist.checkpoint(background=True):
+    if persist.bgsave_in_progress:
         return RespError("ERR Background save already in progress")
+    persist.checkpoint(background=True)
     return SimpleString("Background saving started")
 
 
@@ -203,9 +206,10 @@ def cmd_bgrewriteaof(store: DataStore, args: list[bytes]) -> Any:
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
-    if not persist.checkpoint(background=True):
+    if persist.bgsave_in_progress:
         return RespError("ERR Background append only file rewriting "
                          "already in progress")
+    persist.checkpoint(background=True)
     return SimpleString("Background append only file rewriting started")
 
 

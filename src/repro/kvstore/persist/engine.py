@@ -7,10 +7,11 @@ to one :class:`~repro.kvstore.store.DataStore`. On-disk layout::
     <dir>/incr-<g>.aof    append-only log of everything after base-<g>
 
 Generations make the naming convention the manifest: checkpoint ``g``
-switches appends to a fresh ``incr-<g>.aof`` *first* (under the
-caller's serialization, so the switch point is exact), then serializes
-``base-<g>.snap``; until the snapshot lands, recovery still finds
-``base-<g-1>`` + ``incr-<g-1>`` + ``incr-<g>`` — a contiguous history.
+switches appends to a fresh ``incr-<g>.aof`` *first* (on the serving
+loop, so the switch point is exact), then serializes ``base-<g>.snap``
+(``BGSAVE``: from a forked child's image of the switch point); until
+the snapshot lands, recovery still finds ``base-<g-1>`` +
+``incr-<g-1>`` + ``incr-<g>`` — a contiguous history.
 Recovery therefore: picks the newest *valid* snapshot, replays the
 contiguous run of incremental logs from that generation upward, and
 tolerates a torn or corrupt tail by clean truncation (a corrupt record
@@ -33,9 +34,9 @@ Soft-memory awareness:
 
 from __future__ import annotations
 
+import gc
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -54,7 +55,6 @@ from repro.kvstore.persist.codec import (
     expiry_clause,
 )
 from repro.kvstore.persist.snapshot import (
-    SnapshotEntry,
     materialize_entries,
     read_snapshot,
     write_snapshot,
@@ -128,15 +128,8 @@ class Persistence:
         self._generation = 0
         self._logging = False
         self._closed = False
-        #: guards the writer (buffer + flush) — hooks append on the
-        #: event loop thread (a replica's stream and a daemon's DEMAND
-        #: too), but BGSAVE/rewrite checkpoints and :meth:`close` swap
-        #: the writer from whichever thread calls them
-        self._io_lock = threading.Lock()
-        #: guards checkpoint bookkeeping (one BGSAVE at a time)
-        self._save_lock = threading.Lock()
-        self._bgsave_thread: threading.Thread | None = None
-        self.bgsave_in_progress = False
+        #: ``(pid, generation)`` of the BGSAVE child not yet reaped
+        self._child: tuple[int, int] | None = None
         self.last_bgsave_error: str | None = None
         os.makedirs(config.dir, exist_ok=True)
 
@@ -168,6 +161,11 @@ class Persistence:
     @property
     def generation(self) -> int:
         return self._generation
+
+    @property
+    def bgsave_in_progress(self) -> bool:
+        """A BGSAVE child exists (exited or not, it is not yet reaped)."""
+        return self._child is not None
 
     @property
     def aof_enabled(self) -> bool:
@@ -315,12 +313,11 @@ class Persistence:
             return None
         if ex is not None:
             args += (deadline_ms(self._clock(), ex),)
-        with self._io_lock:
-            frame = encoder(writer.buffer, *args)
-            self.stats.aof_records += records
-            if encoder is encode_tombstone:
-                self.stats.tombstones_logged += 1
-            return frame
+        frame = encoder(writer.buffer, *args)
+        self.stats.aof_records += records
+        if encoder is encode_tombstone:
+            self.stats.tombstones_logged += 1
+        return frame
 
     def log_write(
         self,
@@ -344,80 +341,91 @@ class Persistence:
         writer = self._writer
         if writer is None:
             return True
-        with self._io_lock:
-            if writer.pending_bytes:
-                self.stats.flushes += 1
-            # even with nothing pending the writer may owe a deferred
-            # everysec fsync for bytes already written
-            return writer.flush(force_fsync=force_fsync)
+        if writer.pending_bytes:
+            self.stats.flushes += 1
+        # even with nothing pending the writer may owe a deferred
+        # everysec fsync for bytes already written
+        return writer.flush(force_fsync=force_fsync)
 
     # ------------------------------------------------------------------
     # checkpoints (SAVE / BGSAVE / BGREWRITEAOF)
     # ------------------------------------------------------------------
 
-    def checkpoint(self, *, background: bool = False) -> bool:
-        """Capture a snapshot and (when AOF is on) rotate the log.
-
-        Must be called under the store's serialization (command
-        handlers already are). The materialization and the log switch
-        happen synchronously — the switch point is exact — and only
-        the snapshot serialization moves to a thread for ``BGSAVE``.
-        Returns False when a background save is already running.
-        """
-        store = self._store
-        if store is None:
+    def checkpoint(self, *, background: bool = False) -> None:
+        """Capture a snapshot and (when AOF is on) rotate the log, on the
+        serving loop (the switch point is exact), once a running BGSAVE
+        child has exited. ``background`` forks a child that writes the
+        snapshot from its copy-on-write image; :meth:`reap` collects it.
+        The child touches only the store, which no thread but the loop
+        touches, and its file: it needs no lock held at the fork."""
+        if self._store is None:
             raise RuntimeError("persistence is not attached to a store")
-        with self._save_lock:
-            if self.bgsave_in_progress:
-                return False
-            gen = self._generation + 1
-            entries = self._materialize(store)
-            if self._logging:
-                with self._io_lock:
-                    writer = self._writer
-                    if writer is not None:
-                        writer.flush(force_fsync=True)
-                self._generation = gen
-                with self._io_lock:
-                    self._open_writer()
-            else:
-                self._generation = gen
-            if background:
-                self.bgsave_in_progress = True
-                self._bgsave_thread = threading.Thread(
-                    target=self._write_base,
-                    args=(gen, entries),
-                    name="kv-bgsave",
-                    daemon=True,
-                )
-                self._bgsave_thread.start()
-                return True
-        self._write_base(gen, entries)
-        return True
+        self.join_bgsave()
+        if self._logging:
+            self._writer.flush(force_fsync=True)  # seal the old log
+        self._generation = gen = self._generation + 1
+        if self._logging:
+            self._open_writer()
+        if not background:
+            error = None
+            try:
+                self._write_base(gen)
+            except OSError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            self._saved(gen, error)
+            return
+        pid = os.fork()
+        if pid == 0:  # the child: never returns into the loop's code
+            status = 1
+            try:
+                gc.disable()  # a collection would copy every page
+                # a kept listener would block a restart's bind
+                os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+                self._write_base(gen)
+                status = 0
+            except Exception as exc:
+                message = f"bgsave: {type(exc).__name__}: {exc}\n"
+                os.write(2, message.encode())
+            finally:
+                os._exit(status)
+        self._child = (pid, gen)
 
-    def join_bgsave(self, timeout: float | None = None) -> None:
-        """Wait for an in-flight BGSAVE thread (tests, orderly drains)."""
-        thread = self._bgsave_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout)
-
-    def _materialize(self, store: "DataStore") -> list[SnapshotEntry]:
-        """A consistent cut of the keyspace (under store serialization)."""
-        return materialize_entries(store, self._clock())
-
-    def _write_base(self, gen: int, entries: list[SnapshotEntry]) -> None:
+    def reap(self, options: int = os.WNOHANG) -> None:
+        """Collect the BGSAVE child if it has exited (``options=0``:
+        wait for it). The loop calls it once per round."""
+        if self._child is None:
+            return
+        pid, gen = self._child
         try:
-            write_snapshot(
-                self._base_path(gen), entries, int(self._clock() * 1000)
-            )
+            done, status = os.waitpid(pid, options)
+        except ChildProcessError:  # collected elsewhere: no status to read
+            error = "child status lost"
+        else:
+            if done == 0:
+                return  # still writing
+            code = os.waitstatus_to_exitcode(status)
+            error = None if code == 0 else f"child exited with {code}"
+        self._child = None
+        self._saved(gen, error)
+
+    def join_bgsave(self) -> None:
+        """Wait for the BGSAVE child, if any, and collect it."""
+        self.reap(0)
+
+    def _write_base(self, gen: int) -> None:
+        """Materialize the keyspace and write it as ``base-<gen>.snap``."""
+        entries = materialize_entries(self._store, self._clock())
+        write_snapshot(
+            self._base_path(gen), entries, int(self._clock() * 1000)
+        )
+
+    def _saved(self, gen: int, error: "str | None") -> None:
+        """Book a finished save: LASTSAVE and cleanup only on success."""
+        self.last_bgsave_error = error
+        if error is None:
             self.stats.rdb_saves += 1
             self.stats.rdb_last_save_time = int(self._clock())
-            self.last_bgsave_error = None
             self._cleanup(gen)
-        except OSError as exc:
-            self.last_bgsave_error = f"{type(exc).__name__}: {exc}"
-        finally:
-            self.bgsave_in_progress = False
 
     def _cleanup(self, current_gen: int) -> None:
         """Drop generations older than the fallback window."""
@@ -463,11 +471,10 @@ class Persistence:
             if self._writer is None:
                 self._open_writer()
             self._logging = True
-            self.checkpoint(background=False)
+            self.checkpoint()
         else:
             self._logging = False
-            with self._io_lock:
-                self._retire_writer()
+            self._retire_writer()
 
     def set_appendfsync(self, policy: str) -> None:
         if policy not in FSYNC_POLICIES:
@@ -482,23 +489,19 @@ class Persistence:
     # ------------------------------------------------------------------
 
     def close(self, *, final_snapshot: bool = False) -> None:
-        """Flush and seal. Idempotent: a second close (or a signal
-        racing the first) is a no-op — never a double flush."""
-        with self._save_lock:
-            if self._closed:
-                return
-            self._closed = True
-        thread = self._bgsave_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=10)
+        """Wait for a BGSAVE child, flush and seal. Idempotent: a second
+        close is a no-op — never a double flush."""
+        if self._closed:
+            return
+        self._closed = True
+        self.join_bgsave()
         if final_snapshot and self._store is not None:
             try:
-                self.checkpoint(background=False)
+                self.checkpoint()
             except OSError:
                 pass
         self._logging = False
-        with self._io_lock:
-            self._retire_writer()
+        self._retire_writer()
 
     @property
     def closed(self) -> bool:

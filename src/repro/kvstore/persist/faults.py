@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import errno
 import random
-import threading
 from dataclasses import dataclass
 
 from repro.kvstore.persist.aof import BinaryFile, RealFile
@@ -104,7 +103,6 @@ class DiskFaultInjector:
         self.plan = plan
         self.stats = DiskFaultStats()
         self._rng = random.Random(plan.seed)
-        self._lock = threading.Lock()
         self._writes_seen = 0
 
     def open(self, path: str) -> "FaultyFile":
@@ -118,32 +116,30 @@ class DiskFaultInjector:
 
     def _roll_write(self, size: int) -> dict[str, int | bool]:
         plan = self.plan
-        with self._lock:
-            self._writes_seen += 1
-            if self._writes_seen <= plan.after_writes:
-                return {}
-            fate: dict[str, int | bool] = {}
-            if (
-                plan.enospc_after_bytes is not None
-                and self.stats.bytes_written + size > plan.enospc_after_bytes
-            ):
-                fate["enospc_room"] = max(
-                    0, plan.enospc_after_bytes - self.stats.bytes_written
-                )
-                fate["enospc"] = True
-            if self._rng.random() < plan.short_write:
-                fate["short"] = self._rng.randrange(size) if size else 0
-            if self._rng.random() < plan.bit_flip:
-                fate["flip_at"] = self._rng.randrange(size) if size else 0
-                fate["flip_bit"] = 1 << self._rng.randrange(8)
-                fate["flip"] = size > 0
-            return fate
+        self._writes_seen += 1
+        if self._writes_seen <= plan.after_writes:
+            return {}
+        fate: dict[str, int | bool] = {}
+        if (
+            plan.enospc_after_bytes is not None
+            and self.stats.bytes_written + size > plan.enospc_after_bytes
+        ):
+            fate["enospc_room"] = max(
+                0, plan.enospc_after_bytes - self.stats.bytes_written
+            )
+            fate["enospc"] = True
+        if self._rng.random() < plan.short_write:
+            fate["short"] = self._rng.randrange(size) if size else 0
+        if self._rng.random() < plan.bit_flip:
+            fate["flip_at"] = self._rng.randrange(size) if size else 0
+            fate["flip_bit"] = 1 << self._rng.randrange(8)
+            fate["flip"] = size > 0
+        return fate
 
     def _roll_fsync(self) -> bool:
-        with self._lock:
-            if self._writes_seen <= self.plan.after_writes:
-                return False
-            return self._rng.random() < self.plan.fsync_error
+        if self._writes_seen <= self.plan.after_writes:
+            return False
+        return self._rng.random() < self.plan.fsync_error
 
 
 class FaultyFile:

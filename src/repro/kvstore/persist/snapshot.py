@@ -29,7 +29,7 @@ from repro.kvstore.persist.codec import (
     encode_write,
     read_records,
 )
-from repro.kvstore.values import CompressedValue, Value
+from repro.kvstore.values import Value
 
 MAGIC = b"RPROSNAP1\n"
 
@@ -107,13 +107,13 @@ def load_snapshot_bytes(body: bytes) -> tuple[list[tuple], int] | None:
 
 
 def materialize_entries(store, now_unix: float) -> list[SnapshotEntry]:
-    """Copy the live keyspace (containers included) for serialization.
+    """List the live keyspace for serialization, values by reference.
 
-    Must run under the store's serialization: the copies are a
-    consistent cut, and whoever serializes them afterwards (a BGSAVE
-    thread, a replication full sync) never touches live mutable
-    values. Store deadlines are on the store clock; they come out as
-    absolute unix-ms anchored at ``now_unix``.
+    Whoever calls it serializes the list before the keyspace can move:
+    SAVE and a replication full sync on the serving loop, BGSAVE in its
+    forked child, whose copy-on-write image no one else mutates. So
+    nothing is copied. Store deadlines are on the store clock; they come
+    out as absolute unix-ms anchored at ``now_unix``.
     """
     now_store = store._now()
     entries: list[SnapshotEntry] = []
@@ -124,10 +124,6 @@ def materialize_entries(store, now_unix: float) -> list[SnapshotEntry]:
         deadline_ms: int | None = None
         if deadline is not None:
             deadline_ms = int((now_unix + (deadline - now_store)) * 1000)
-        if isinstance(value, dict):
-            value = dict(value)
-        elif not isinstance(value, (bytes, CompressedValue)):
-            value = type(value)(value)
         entries.append((key, value, deadline_ms))
     return entries
 

@@ -357,8 +357,9 @@ class ReplicaLink:
         persist = store.persistence
         if persist is not None:
             # seal the synced state as a local base-<g>.snap so a
-            # replica restart recovers it without the master
-            persist.checkpoint(background=False)
+            # replica restart recovers it without the master (after a
+            # BGSAVE child still writing the pre-sync state)
+            persist.checkpoint()
 
     def _stream(self, chunk: bytes) -> None:
         """Apply what is whole of the carried tail plus ``chunk``, ack

@@ -104,7 +104,7 @@ class TcpKvServer:
             (host, port), backlog=_LISTEN_BACKLOG, reuse_port=False
         )
         self.address: tuple[str, int] = self._listener.getsockname()
-        self._stop = threading.Event()
+        self._stopping = False
         self.connections_served = 0
         #: fd -> live connection; ``get(conn.fd) is conn`` is liveness
         self._conns: dict[int, _Connection] = {}
@@ -138,7 +138,8 @@ class TcpKvServer:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "TcpKvServer":
-        """Begin serving (returns immediately; loop runs on a thread)."""
+        """Serve on a new thread and return at once (an in-process node;
+        a process that is only this server calls :meth:`serve`)."""
         self._thread = threading.Thread(
             target=self._loop, name="kv-event-loop", daemon=True
         )
@@ -146,10 +147,12 @@ class TcpKvServer:
         return self
 
     def stop(self) -> None:
-        """Stop the loop, flush pending output, close every socket."""
-        if self._stop.is_set():
+        """Stop the loop (it flushes pending output, closes every
+        socket) and join :meth:`start`'s thread. On the serving thread,
+        a signal handler's case, it only sets a flag and sends a byte."""
+        if self._stopping:
             return
-        self._stop.set()
+        self._stopping = True
         try:
             self._waker_w.send(b"\0")
         except OSError:
@@ -200,14 +203,18 @@ class TcpKvServer:
 
     # -- the loop ------------------------------------------------------
 
+    def serve(self) -> None:
+        """Run the event loop on the calling thread until :meth:`stop`."""
+        self._loop()
+
     def _loop(self) -> None:
         repl, store, conns = self._repl, self.store, self._conns
         poll, per_second = self._poller.poll, self._per_second
-        listener, stopped = self._listener.fileno(), self._stop.is_set
+        listener = self._listener.fileno()
         flush, recv = self._flush, self._on_readable
         agent = store.smd_agent
         try:
-            while not stopped():
+            while not self._stopping:
                 # with an everysec AOF, cap the block so a quiet server
                 # still retires the deferred fsync within its window
                 persist = store.persistence
@@ -231,7 +238,7 @@ class TcpKvServer:
                 for fd, mask in poll(timeout):
                     conn = conns.get(fd)
                     if conn is None:
-                        # listener, waker (the ``while`` sees ``_stop``),
+                        # listener, waker (the ``while`` sees the flag),
                         # the link to a master or to the daemon, or
                         # closed by an earlier event of this round
                         if fd == listener:
@@ -259,6 +266,7 @@ class TcpKvServer:
                     # one fsync) covers every batch executed this round;
                     # an idle round retires the deferred everysec fsync
                     persist.flush()
+                    persist.reap()  # a BGSAVE child, once it has exited
                 # replication broadcast rides between the group commit
                 # and the reply drain: stream bytes for this round's
                 # writes go to every feed, and deferred PSYNC replies

@@ -15,7 +15,8 @@ machine-wide Soft Memory Daemon over the RPC plane instead of running
 budget-free — which is how N shard processes come to share one soft
 capacity ledger. ``repro.tools.kv_cluster`` spawns exactly this shape.
 
-The process prints one machine-readable line once it is accepting::
+The loop runs on the main thread, the process's only thread. It
+prints one machine-readable line once bound, before it serves::
 
     READY <host> <port>
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-import threading
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.persist.aof import FSYNC_POLICIES
@@ -138,29 +138,21 @@ def build_server(
 
 
 class GracefulShutdown:
-    """One-shot shutdown: signal-safe to request, idempotent to run."""
+    """One-shot shutdown: signal-safe to request, idempotent to run
+    (each step it takes is)."""
 
     def __init__(self, server, persistence, agent=None) -> None:
         self._server = server
         self._persistence = persistence
         self._agent = agent
-        self._requested = threading.Event()
-        self._done = False
-        self._lock = threading.Lock()
 
     def request(self, signum=None, frame=None) -> None:
-        """Signal-handler shape; only flips an event, never does I/O."""
-        self._requested.set()
-
-    def wait(self) -> None:
-        self._requested.wait()
+        """Signal-handler shape: stops the loop (a flag and one waker
+        byte, see :meth:`TcpKvServer.stop`); :meth:`run` does the rest."""
+        self._server.stop()
 
     def run(self) -> None:
         """Stop serving, seal the log, snapshot. Safe to call twice."""
-        with self._lock:
-            if self._done:
-                return
-            self._done = True
         self._server.stop()  # drains replies + force-fsyncs the AOF
         if self._agent is not None:
             # forfeit the remaining grant back to the machine ledger,
@@ -257,10 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, shutdown.request)
     signal.signal(signal.SIGINT, shutdown.request)
 
-    server.start()
     host, port = server.address
     print(f"READY {host} {port}", flush=True)
-    shutdown.wait()
+    server.serve()  # until a signal stops the loop
     shutdown.run()
     return 0
 

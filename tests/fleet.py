@@ -48,6 +48,50 @@ POISONS = [
 ]
 
 
+#: a ``sitecustomize`` for kv_server processes: a BGSAVE child announces
+#: itself as ``<gate>/child-<pid>``, then waits for ``<gate>/open``
+#: before it writes the snapshot (at most a minute: never a stray process)
+HOLD_CHILD = """\
+import os, time
+from repro.kvstore.persist import engine
+PARENT, write = os.getpid(), engine.write_snapshot
+def held(*args):
+    if os.getpid() != PARENT:
+        open(os.path.join({gate!r}, "child-%d" % os.getpid()), "w").close()
+        deadline = time.monotonic() + 60
+        while not os.path.exists(os.path.join({gate!r}, "open")):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+    return write(*args)
+engine.write_snapshot = held
+"""
+
+
+def hold_bgsave_children(workdir: str, monkeypatch) -> str:
+    """Every ``kv_server`` spawned from here on holds its BGSAVE child
+    before the snapshot write (:data:`HOLD_CHILD`); returns the gate
+    directory. :func:`held_child` waits for one; creating
+    ``<gate>/open`` frees them all."""
+    gate = os.path.join(workdir, "gate")
+    os.makedirs(gate)
+    with open(os.path.join(gate, "sitecustomize.py"), "w") as fh:
+        fh.write(HOLD_CHILD.format(gate=gate))
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [path, gate])))
+    return gate
+
+
+def held_child(gate: str, timeout: float = 30.0) -> int:
+    """The pid of the one child waiting at ``gate``, once it waits."""
+    deadline = time.monotonic() + timeout
+    while not (pids := [n for n in os.listdir(gate) if n.startswith("child-")]):
+        assert time.monotonic() < deadline, "no BGSAVE child reached the gate"
+        time.sleep(0.01)
+    (name,) = pids
+    return int(name[len("child-"):])
+
+
 def rounds(default: int) -> range:
     """``FLEET_ROUNDS`` (env) rounds, else ``default``: CI runs every
     round-scaled schedule 25 deep."""
@@ -441,6 +485,10 @@ class Fleet:
                 assert isinstance(parser.parse_one(), RespError)
             self.master.poisoned[0] += 1
             self.master.poisoned[1] += expected_drop(frame)
+
+    def bgsave(self) -> None:
+        """BGSAVE on the master: its loop forks the snapshot's writer."""
+        assert self.master.call(b"BGSAVE") == "Background saving started"
 
     # -- faults --------------------------------------------------------
 

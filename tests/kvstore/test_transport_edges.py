@@ -48,8 +48,8 @@ def server():
     srv = TcpKvServer(store)
     srv._listener = CountingListener(srv._listener, Counter())
     yield srv
-    if not srv._stop.is_set():  # the test failed before driving the loop
-        srv._stop.set()
+    if not srv._stopping:  # the test failed before driving the loop
+        srv._stopping = True
         srv._shutdown()
 
 

@@ -14,10 +14,13 @@ and shrinks; ``FLEET_ROUNDS`` (env) is how many it draws.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.fleet import Fleet, rounds
+from tests.fleet import Fleet, hold_bgsave_children, held_child, rounds
 
 STEPS = [
     "fill", "churn", "burst", ("burst", 0, True), "purge", "antagonist",
@@ -53,6 +56,37 @@ def test_a_demand_mid_burst_never_resurrects_a_key(tmp_path, kind):
     took mid-traffic stays gone after a crash and a cold restart."""
     with topology(tmp_path, kind) as fleet:
         fleet.run("fill", "press", "kill", "press", "term")
+
+
+def test_a_kill_while_the_bgsave_child_writes_recovers_from_either_base(
+    tmp_path, monkeypatch
+):
+    """SIGKILL a ``kv_server`` master while its BGSAVE child waits to
+    write ``base-<g>.snap``: the restart recovers from ``base-<g-1>`` and
+    both logs. The orphaned child's late rename then puts ``base-<g>``
+    under the restarted master's ``incr-<g>``, and a second crash
+    recovers from that pair."""
+    gate = hold_bgsave_children(str(tmp_path), monkeypatch)
+    try:
+        with topology(tmp_path / "fleet", "process") as fleet:
+            fleet.run("fill", ("burst", 40))
+            gen = fleet.master.info()["generation"] + 1
+            base = os.path.join(fleet.master.server["data_dir"], f"base-{gen}.snap")
+            fleet.run("bgsave")
+            held_child(gate)
+            fleet.run("kill", ("burst", 40))
+            assert not os.path.exists(base)
+            open(os.path.join(gate, "open"), "w").close()
+            deadline = time.monotonic() + 30
+            while not os.path.exists(base):  # the orphan's rename
+                assert time.monotonic() < deadline, "the orphan never wrote"
+                time.sleep(0.01)
+            fleet.run("kill")
+            assert os.path.exists(base)
+            assert fleet.master.info()["snapshots_rejected"] == 0
+            fleet.run(("burst", 40), "term")
+    finally:
+        open(os.path.join(gate, "open"), "w").close()
 
 
 @settings(

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: public names only ``tests/`` reaches, and who needs each one
 NEEDED = {
-    "join_bgsave": "the tests' only deterministic wait for a BGSAVE",
     "unsubscribe": "ROADMAP 6's trace-ring subscribers detach with it",
     "aof_path": "tests size, read and corrupt the live log through it",
     "tracked_count": "the proof a freed referent leaves no registry entry",
