@@ -176,13 +176,16 @@ _NO_PERSISTENCE = RespError(
 
 
 def cmd_save(store: DataStore, args: list[bytes]) -> Any:
-    """SAVE: synchronous checkpoint (snapshot + AOF rotation)."""
+    """SAVE: synchronous checkpoint (snapshot + AOF rotation); a failed
+    snapshot write is an error reply, as in Redis."""
     persist = store.persistence
     if persist is None:
         return _NO_PERSISTENCE
     if persist.bgsave_in_progress:
         return RespError("ERR Background save already in progress")
     persist.checkpoint()
+    if persist.last_bgsave_error is not None:
+        return RespError(f"ERR {persist.last_bgsave_error}")
     return OK
 
 

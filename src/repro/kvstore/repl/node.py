@@ -3,11 +3,13 @@
 :class:`ReplNode` is what a serving transport does for ``PSYNC`` /
 ``REPLCONF`` / ``WAIT`` / ``REPLICAOF``: it defers sync requests to the
 round's broadcast step, cuts new feeds in (backlog tail or fresh
-snapshot), ships each round's stream bytes to every feed, absorbs the
-feeds' ``REPLCONF ACK`` offsets, and flips the node between master and
-replica (opening and closing its ``ReplicaLink``). Roles, offsets and
-the backlog ring stay in the ``ReplicationState`` on ``store.repl``;
-this module owns only what needs sockets.
+snapshot), ships the stream bytes to every feed at most once per
+:data:`_FEED_EVERY` (a PSYNC cut-in, ``WAIT`` and the transport's
+shutdown ship at once), absorbs the feeds' ``REPLCONF ACK`` offsets,
+and flips the node between master and replica (opening and closing its
+``ReplicaLink``). Roles, offsets and the backlog ring stay in the
+``ReplicationState`` on ``store.repl``; this module owns only what
+needs sockets.
 
 The transport (``kvstore/tcp.py``) hands over control in five places and
 nowhere else: a command whose table row says ``transport``
@@ -15,7 +17,9 @@ nowhere else: a command whose table row says ``transport``
 on a feed socket (:meth:`~ReplNode.absorb`), a closed feed connection
 (:meth:`~ReplNode.feed_closed`), the step between a round's group commit
 and its reply drain (:meth:`~ReplNode.broadcast`, behind the loop's
-inline test of ``psync_requests`` and ``state.pending``), and ``link`` —
+inline test of ``psync_requests`` and ``state.pending``; while
+``pending`` holds bytes the loop bounds its poll by :meth:`~ReplNode.tick`,
+and its shutdown calls :meth:`~ReplNode.ship`), and ``link`` —
 whose ``tick`` the loop runs once a round, whose socket's events it
 passes on and which its shutdown closes. In return it lends its poll
 object, its map of live connections by fd, and its ``flush``, ``close``
@@ -44,6 +48,12 @@ from repro.kvstore.store import DataStore
 #: WAIT 0 means "no deadline" in Redis; this server runs WAIT on the
 #: loop thread, so an unreachable replica must not wedge it forever
 _WAIT_MAX_BLOCK = 10.0
+#: a master ships its stream to the feeds at most once per this many
+#: seconds: a round that writes sooner after the last ship holds its
+#: bytes in ``pending``, and the owed ship leaves at the deadline. The
+#: replica's ACK rule upstream (``_ACK_EVERY``, ``link.py``) mirrored:
+#: one send and one replica wake-up per window, not per write round
+_FEED_EVERY = 0.001
 
 _NOT_MASTER = RespError("ERR Can't SYNC while not master")
 _BAD_PORT = "Invalid master port"
@@ -73,6 +83,10 @@ class ReplNode:
         #: ``(conn, replid, offset)`` PSYNCs awaiting this round's broadcast
         self.psync_requests: list[tuple[Any, str, int]] = []
         self.link: ReplicaLink | None = None
+        #: monotonic time the next ship may leave: the last one plus
+        #: :data:`_FEED_EVERY` (-inf: none yet, so the first write after
+        #: a quiet spell ships at once)
+        self._due = float("-inf")
 
     # -- roles (on the loop thread, or before the loop starts) ----------
 
@@ -95,6 +109,9 @@ class ReplNode:
         # against whoever is master now
         for conn in list(self.feed_conns):
             self._close(conn)
+        # a replica ships nothing: a held tail goes to the backlog, or
+        # the loop's feed timer would wake it forever
+        state.drain()
         state.become_replica(host, port)
         # dialed by the loop's next tick
         self.link = ReplicaLink(self._store, state, self._poller)
@@ -166,10 +183,9 @@ class ReplNode:
         if state is None or state.role != "master":
             return 0
         target = state.master_repl_offset
-        # the waited-on writes may still sit in pending: ship them now
-        data = state.drain()
+        # the waited-on writes may still be held in pending: ship them now
+        self.ship()
         for conn in list(self.feed_conns):  # flush may close + remove
-            conn.out += data
             if conn.pending:
                 self._flush(conn)  # answers False for a closed one
         budget = timeout_ms / 1000.0 if timeout_ms else _WAIT_MAX_BLOCK
@@ -188,21 +204,40 @@ class ReplNode:
 
     # -- the broadcast step ----------------------------------------------
 
-    def broadcast(self, flush_queue: list) -> None:
-        """Ship this round's stream bytes; answer deferred PSYNCs.
+    def tick(self) -> float:
+        """Seconds until bytes held in ``pending`` are due to ship; the
+        loop bounds its poll by it while ``pending`` holds any."""
+        return max(0.0, self._due - time.monotonic())
 
-        Order matters: existing feeds take the drained bytes first,
-        then new feeds are cut in at the post-drain offset — via the
-        backlog tail (partial) or a fresh snapshot (full), either of
-        which already covers those bytes."""
+    def ship(self) -> list:
+        """Ship what ``pending`` holds now: it moves to the backlog and
+        to every live feed's output. The feeds that took bytes."""
+        state = self._store.repl
+        if state.role != "master" or not state.pending:
+            return []
+        self._due = time.monotonic() + _FEED_EVERY
+        data = state.drain()
+        took = []
+        for conn in self.feed_conns:
+            if self._live.get(conn.fd) is conn:
+                conn.out += data
+                took.append(conn)
+        return took
+
+    def broadcast(self, flush_queue: list) -> None:
+        """Ship the stream bytes if due; answer deferred PSYNCs.
+
+        The bytes ship when :data:`_FEED_EVERY` has passed since the
+        last ship (else they stay held, and :meth:`tick` times the owed
+        ship), or at once when a PSYNC waits. Order matters: existing
+        feeds take the drained bytes first, then new feeds are cut in
+        at the post-drain offset — via the backlog tail (partial) or a
+        fresh snapshot (full), either of which already covers those
+        bytes."""
         state = self._store.repl  # not None: the loop's gate saw it
         owed = []
-        data = state.drain() if state.role == "master" else b""
-        if data:
-            for conn in self.feed_conns:
-                if self._live.get(conn.fd) is conn:
-                    conn.out += data
-                    owed.append(conn)
+        if self.psync_requests or time.monotonic() >= self._due:
+            owed = self.ship()
         requests, self.psync_requests = self.psync_requests, []
         for conn, replid, offset in requests:
             if self._live.get(conn.fd) is not conn:

@@ -9,10 +9,11 @@ load and a ``None`` check per mutation — the same discipline as
   one tap: as the frame the AOF already encoded (:meth:`log_frame`
   copies it) or, with no AOF logging, encoded here by :meth:`append`
   with the same ``persist/codec.py`` encoder; the event loop drains it
-  once per poll round (right after the AOF group commit) into the
-  connected feeds *and* the in-memory backlog ring, from which a
-  bounced replica can partial-resync instead of paying a full snapshot
-  transfer.
+  (right after the AOF group commit, at most once per ``_FEED_EVERY``
+  in ``repl/node.py``; at once for a PSYNC cut-in, ``WAIT`` or
+  shutdown) into the connected feeds *and* the in-memory backlog ring,
+  from which a bounced replica can partial-resync instead of paying a
+  full snapshot transfer.
 * **replica** — :class:`~repro.kvstore.repl.link.ReplicaLink` appends
   the stream bytes it applies to its *own* backlog ring, which advances
   the same offset, so a promoted replica can serve

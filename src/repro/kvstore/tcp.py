@@ -15,7 +15,9 @@ into the connection's output buffer. A replica's link to its master is
 one more socket on the same loop (``repl/link.py``), and so is a kv
 process's link to its soft memory daemon (``rpc/agent.py``).
 Replies leave at the end of the poll round — after the round's
-single AOF group commit — in one non-blocking send per connection;
+single AOF group commit — in one non-blocking send per connection; a
+master's replication stream leaves with them, but to its feeds at most
+once per millisecond (``_FEED_EVERY`` in ``repl/node.py``);
 leftovers are written when the socket reports writable (write interest
 is toggled on and off). Slow clients that let their output buffer grow
 past a fixed limit are disconnected, like Redis's
@@ -233,6 +235,13 @@ class TcpKvServer:
                     due = link.tick() * per_second
                     if timeout is None or due < timeout:
                         timeout = due
+                state = store.repl
+                if state is not None and state.pending:
+                    # stream bytes held inside the feed window: wake
+                    # when the owed ship is due
+                    due = repl.tick() * per_second
+                    if timeout is None or due < timeout:
+                        timeout = due
                 flush_queue: list[_Connection] = []
                 accepting = False
                 for fd, mask in poll(timeout):
@@ -268,10 +277,12 @@ class TcpKvServer:
                     persist.flush()
                     persist.reap()  # a BGSAVE child, once it has exited
                 # replication broadcast rides between the group commit
-                # and the reply drain: stream bytes for this round's
-                # writes go to every feed, and deferred PSYNC replies
-                # (snapshot or backlog tail) are served — after the
-                # drain, so a brand-new feed cannot see bytes twice
+                # and the reply drain: the stream bytes go to every feed
+                # once the feed window since the last ship has passed
+                # (else they stay held, and a later round ships them),
+                # and deferred PSYNC replies (snapshot or backlog tail)
+                # are served — after a drain, so a brand-new feed cannot
+                # see bytes twice
                 state = store.repl
                 if state is not None and (
                     repl.psync_requests or state.pending
@@ -427,6 +438,8 @@ class TcpKvServer:
             # commit before the reply drain below: if the loop died
             # mid-round, pending replies must not beat their log bytes
             persist.flush(force_fsync=True)
+        if self.store.repl is not None:
+            self._repl.ship()  # the held stream tail: the drain sends it
         conns = list(self._conns.values())
         deadline = time.monotonic() + _SHUTDOWN_FLUSH_TIMEOUT
         pending = {c.fd: c for c in conns if c.pending}

@@ -25,6 +25,7 @@ census also runs as a script, for interpreters without pytest:
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from repro.core.sma import SoftMemoryAllocator
@@ -41,7 +42,11 @@ SET_BOUND = 1.33
 
 
 def opcodes(call, *args) -> int:
-    """Bytecodes executed by ``call(*args)`` and every frame it calls."""
+    """Bytecodes executed by ``call(*args)`` and every frame it calls.
+
+    Counted with the cyclic GC off (its prior state restored after): a
+    collection that lands inside the call would run traced ``__del__``
+    and weakref callbacks, and charge them to the probe."""
     count = 0
 
     def local(frame, event, arg):
@@ -55,12 +60,16 @@ def opcodes(call, *args) -> int:
         frame.f_trace_lines = False
         return local
 
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         call(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 

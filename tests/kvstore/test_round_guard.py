@@ -21,6 +21,14 @@ and counting accepted sockets (``transport_standins.py``):
   ``recv`` and one ``sendall``, and the link's ``tick`` past the
   deadline sends the owed ACK, at the last applied offset — counted on
   a clock the test moves, not timed;
+* a master ships its stream to a feed at most once per ``_FEED_EVERY``
+  (1 ms), the same rule downstream: four write rounds inside one window
+  are two feed ``send``, the first at once and the owed one at the
+  deadline, at the master's full offset; the first write after a quiet
+  spell ships in its own round, and ``WAIT`` ships held bytes before it
+  blocks — its loop driven on the test's thread, on a clock the test
+  sets. Live, ``stop()`` ships a held tail: the replica ends at the
+  master's offset;
 * a kv process's link to its soft memory daemon is one more socket on
   the loop too: a ``build_server(smd_socket=...)`` server runs no
   thread but its loop, a served DEMAND is one ``recv`` and one
@@ -37,6 +45,7 @@ goes through ``selectors``: EXPERIMENTS.md shows it red there.
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
 import re
 import select
@@ -50,6 +59,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.kvstore.repl.link
+import repro.kvstore.repl.node
 import repro.rpc.agent
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer, resp
@@ -283,6 +293,266 @@ def test_two_applied_reads_inside_the_ack_window_are_one_ack(monkeypatch):
     assert applied == Counter(recv=2, sendall=1)  # the first acks at once
     assert ticked == Counter(recv=1, sendall=1)  # the owed one, on the timer
     assert acks == offsets  # ... at the last applied offset
+
+
+# -- a master's feed ---------------------------------------------------------
+
+
+def held(sock: socket.socket) -> bytes:
+    """What ``sock`` has received by now, read without blocking."""
+    data = b""
+    sock.settimeout(0)
+    with contextlib.suppress(BlockingIOError):
+        while chunk := sock.recv(65536):
+            data += chunk
+    sock.settimeout(5)
+    return data
+
+
+class FeedRig:
+    """A bare master whose loop the test drives, one feed and one writer.
+
+    The feed is a raw socket that asked ``PSYNC ? -1``; the writer is a
+    plain client connection. Each method is one round for :func:`drive`,
+    run where the loop polls; ``now`` is ``repl/node.py``'s monotonic
+    clock, set by hand to :attr:`T0` plus a round's ``at``. ``sends`` is
+    the feed socket's ``send`` count at the start of each round: what
+    the rounds before it shipped.
+    """
+
+    T0 = 1000.0
+
+    def __init__(self, monkeypatch) -> None:
+        self.now = [self.T0]
+        monkeypatch.setattr(
+            repro.kvstore.repl.node,
+            "time",
+            SimpleNamespace(monotonic=lambda: self.now[0], time=time.time),
+        )
+        self.every = getattr(repro.kvstore.repl.node, "_FEED_EVERY", 0.001)
+        self.master = bare_server("feed-master")
+        self.listener = self.master._listener = CountingListener(
+            self.master._listener, Counter()
+        )
+        # both wait in the listen queue: one accept round takes them
+        self.feed = socket.create_connection(self.master.address, timeout=5)
+        self.writer = socket.create_connection(self.master.address, timeout=5)
+        self.synced_at = -1  # the FULLRESYNC offset, once read
+        self.streamed = 0  # stream bytes the feed has read since
+        self.replies = b""  # what the writer has been answered
+        self.sends: list[int] = []
+
+    def close(self) -> None:
+        self.feed.close()
+        self.writer.close()
+
+    def _fd(self, index: int) -> int:
+        return self.listener.accepted[index].fileno()
+
+    def _settle(self) -> None:
+        """Read what the last round put on both sockets (a loopback
+        ``send`` has landed by the time it returns)."""
+        if self.listener.accepted:
+            self.sends.append(self.listener.accepted[0].counts["send"])
+        self.replies += held(self.writer)
+        if self.synced_at >= 0:
+            self.streamed += len(held(self.feed))
+
+    @property
+    def lag(self) -> int:
+        """Stream bytes the master produced that the feed has not read."""
+        state = self.master.store.repl
+        return state.master_repl_offset - self.synced_at - self.streamed
+
+    def accept(self):
+        return [(self.listener.fileno(), select.POLLIN)]
+
+    def psync(self):
+        self._settle()
+        self.feed.sendall(encode_command("PSYNC", "?", "-1"))
+        readable(self._fd(0))
+        return [(self._fd(0), select.POLLIN)]
+
+    def _request(self, command: bytes):
+        if self.synced_at < 0:  # the PSYNC reply: header, then snapshot
+            head = b""
+            while head.count(b"\r\n") < 2:
+                head += self.feed.recv(4096)
+            line, size, body = head.split(b"\r\n", 2)
+            assert line.startswith(b"+FULLRESYNC ")
+            self.synced_at = int(line.split()[2])
+            read_exactly(self.feed, int(size[1:]) - len(body))
+        self._settle()
+        self.writer.sendall(command)
+        readable(self._fd(1))
+        return [(self._fd(1), select.POLLIN)]
+
+    def write(self, key: str, at: float = 0.0):
+        """A round that runs one SET, ``at`` seconds past ``T0``."""
+        def round_():
+            self.now[0] = self.T0 + at
+            return self._request(encode_command("SET", key, "v"))
+        return round_
+
+    def wait(self):
+        """A round that runs ``WAIT 1 0``; a helper thread plays the
+        replica: it reads the stream up to the master's offset, then
+        acks it (or, if the bytes never come, hangs up, which ends the
+        WAIT at 0)."""
+        target = self.master.store.repl.master_repl_offset
+        owed = target - self.synced_at - self.streamed
+
+        def replica():
+            try:
+                read_exactly(self.feed, owed)
+                self.streamed += owed
+                self.feed.sendall(
+                    encode_command("REPLCONF", "ACK", str(target))
+                )
+            except (OSError, AssertionError):
+                self.feed.shutdown(socket.SHUT_RDWR)
+
+        self.acker = threading.Thread(target=replica)
+        self.acker.start()
+        return self._request(encode_command("WAIT", "1", "0"))
+
+    def idle(self, at: float):
+        """A round with no event, ``at`` seconds past ``T0``."""
+        def round_():
+            self.now[0] = self.T0 + at
+            self._settle()
+            return []
+        return round_
+
+    def look(self):
+        """The last round: read what the rounds before it sent."""
+        self._settle()
+        self.seen_lag = self.lag
+        return []
+
+
+def test_write_rounds_inside_the_feed_window_are_one_send(monkeypatch):
+    """``N`` write rounds inside one ``_FEED_EVERY`` window: the first
+    ships at once, the rest are held, and the owed ship at the deadline
+    carries the master's full offset — two sends where a per-round
+    broadcast makes ``N``."""
+    rig = FeedRig(monkeypatch)
+    quarter = rig.every / 4
+    try:
+        drive(
+            rig.master,
+            rig.accept,
+            rig.psync,
+            rig.write("k0"),
+            *[rig.write(f"k{i}", at=i * quarter) for i in range(1, 4)],
+            rig.idle(at=rig.every),
+            rig.look,
+        )
+    finally:
+        rig.close()
+    # seen by the rounds psync, k0 .. k3, the deadline and the last: the
+    # sync reply, k0 at once, k1 .. k3 held, then the owed ship
+    assert rig.sends == [0, 1, 2, 2, 2, 2, 3]
+    assert rig.replies == b"+OK\r\n" * 4  # no reply waits for the stream
+    assert rig.seen_lag == 0
+    # while bytes are held, each poll blocks until the owed ship is due
+    per_second = rig.master._per_second
+    due = [pytest.approx(left * quarter * per_second) for left in (3, 2, 1)]
+    assert rig.master._poller.timeouts == [
+        None, None, None, None, *due, None, None
+    ]
+
+
+def test_the_first_write_after_a_quiet_spell_ships_in_its_own_round(
+    monkeypatch,
+):
+    rig = FeedRig(monkeypatch)
+    try:
+        drive(
+            rig.master,
+            rig.accept,
+            rig.psync,
+            rig.write("a"),
+            rig.write("b", at=rig.every / 2),  # held ...
+            rig.idle(at=rig.every),  # ... and shipped on the timer
+            rig.write("c", at=10 * rig.every),
+            rig.look,
+        )
+    finally:
+        rig.close()
+    assert rig.sends[-4:] == [2, 2, 3, 4]
+    assert rig.seen_lag == 0
+
+
+def test_wait_inside_the_feed_window_ships_the_held_bytes_first(
+    monkeypatch,
+):
+    """A write held inside the window, then ``WAIT 1 0``: the WAIT ships
+    it before it blocks, so the replica can ack it — the clock never
+    reaches the deadline."""
+    rig = FeedRig(monkeypatch)
+    try:
+        drive(
+            rig.master,
+            rig.accept,
+            rig.psync,
+            rig.write("a"),
+            rig.write("b", at=rig.every / 4),
+            rig.wait,
+            rig.look,
+        )
+        rig.acker.join(10)
+    finally:
+        rig.close()
+    assert rig.replies == b"+OK\r\n" * 2 + b":1\r\n"
+    assert rig.sends[-3:] == [2, 2, 3]  # held, then the WAIT's one send
+    assert rig.seen_lag == 0
+
+
+def test_stop_ships_a_held_tail_to_the_replica(monkeypatch):
+    """A master stopped while it holds stream bytes (the window set
+    wide, so the second SET is held) leaves its replica at its offset."""
+    monkeypatch.setattr(
+        repro.kvstore.repl.node, "_FEED_EVERY", 60.0, raising=False
+    )
+    master = bare_server("tail-master").start()
+    replica = bare_server("tail-replica").start()
+    try:
+        with TcpKvClient(replica.address) as client:
+            assert str(client.execute("REPLICAOF", *master.address)) == "OK"
+        with TcpKvClient(master.address) as client:
+            for __ in range(1500):  # the sync: bounded, not timed
+                if client.execute("WAIT", "1", "10") == 1:
+                    break
+            for key in ("a", "b"):  # "a" ships at once, "b" is held
+                assert str(client.execute("SET", key, "v")) == "OK"
+        offset = master.store.repl.master_repl_offset
+        master.stop()
+        for __ in range(500):
+            if replica.store.repl.master_repl_offset == offset:
+                break
+            time.sleep(0.01)
+        assert replica.store.repl.master_repl_offset == offset
+        assert replica.store.get(b"b") == b"v"
+    finally:
+        replica.stop()
+        master.stop()
+
+
+def test_a_master_that_turns_replica_moves_its_held_tail_to_the_backlog():
+    """``REPLICAOF`` on a master that holds stream bytes: they go to its
+    backlog, where the offset it offers in PSYNC already counts them,
+    and ``pending`` is left empty — a replica ships nothing, so held
+    bytes would keep its loop's feed timer due forever."""
+    server = bare_server("turning-master")
+    state = server.enable_replication()
+    state.stream_started = True  # as the first PSYNC served sets it
+    server.store.set(b"k", b"v")
+    held, offset = bytes(state.pending), state.master_repl_offset
+    server.replicaof("127.0.0.1", 1)
+    drive(server)  # no round: the loop only shuts down
+    assert (state.pending, state.master_repl_offset) == (b"", offset)
+    assert state.backlog_since(offset - len(held)) == held
 
 
 # -- a daemon link ---------------------------------------------------------

@@ -113,14 +113,17 @@ class ScriptedPoll:
     another thread could act between the kernel's answer and the loop
     reading it — that returns the round's ``[(fd, mask)]``. After the
     last one the server is stopped, so the loop ends in its shutdown.
+    ``timeouts`` is what the loop asked each poll to block for.
     """
 
     def __init__(self, server, *rounds) -> None:
         self._real = server._poller
         self._server = server
         self._rounds = list(rounds)
+        self.timeouts: list = []
 
     def poll(self, timeout=None):
+        self.timeouts.append(timeout)
         if not self._rounds:
             self._server.stop()  # no loop thread to join: returns at once
             return []

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import errno
 import os
 
 import pytest
 
 from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore.commands import dispatch
+from repro.kvstore.persist import engine
 from repro.kvstore.persist.engine import Persistence, PersistenceConfig
 from repro.kvstore.resp import RespError, SimpleString
 from repro.kvstore.store import DataStore
@@ -78,6 +80,26 @@ class TestSaveFamily:
             "Background append only file rewriting started"
         )
         store.persistence.join_bgsave()
+
+    def test_a_failed_save_is_an_error_reply(self, store, monkeypatch):
+        """A snapshot write that fails (a full disk here) answers
+        ``-ERR`` with the error, as Redis's SAVE does, not ``+OK``."""
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(engine, "write_snapshot", full_disk)
+        run(store, "SET", "k", "v")
+        reply = run(store, "SAVE")
+        assert isinstance(reply, RespError)
+        assert str(reply).startswith("ERR OSError: ")
+        assert "No space left on device" in str(reply)
+        status = info_section(store, "Persistence")[b"rdb_last_bgsave_status"]
+        assert status == b"err"
+        assert run(store, "LASTSAVE") == 0
+        monkeypatch.undo()  # the disk has room again
+        assert run(store, "SAVE") == SimpleString("OK")
+        status = info_section(store, "Persistence")[b"rdb_last_bgsave_status"]
+        assert status == b"ok"
 
     def test_save_without_persistence_errors(self, bare_store):
         for cmd in ("SAVE", "BGSAVE", "BGREWRITEAOF", "LASTSAVE"):
