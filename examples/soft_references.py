@@ -76,10 +76,13 @@ def main() -> None:
     # -- 4. pinning against reclamation ----------------------------------
     ctx4 = sma.create_context("pinned")
     precious = sma.soft_malloc(2048, ctx4, payload="do-not-drop")
-    sma.soft_malloc(2048, ctx4, payload="expendable")
+    # the SDS keeps its own pointers, oldest first: the heap only counts
+    oldest_first = [
+        precious, sma.soft_malloc(2048, ctx4, payload="expendable")
+    ]
 
     def evict_unpinned(quota):
-        for ptr in list(ctx4.heap.iter_oldest_first()):
+        for ptr in oldest_first:
             if ctx4.heap.free_page_count >= quota:
                 break
             if not ptr.pinned:

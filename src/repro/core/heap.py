@@ -15,7 +15,7 @@ which allocations die during reclamation is SDS policy
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.core.pointer import SoftPtr
 from repro.mem.page import Page
@@ -26,7 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class SdsHeap:
-    """Pages + live allocations of a single soft data structure."""
+    """Pages + live allocation count of a single soft data structure.
+
+    A :class:`SoftPtr` is its allocation, so the heap keeps no registry
+    of them: which allocation dies first is the SDS's policy, kept in
+    the SDS's own age index (``SoftDict._by_age``), and the heap counts.
+    """
 
     #: harvest free pages back to the process pool once this many idle
     #: (the prototype "periodically transfers free pages back")
@@ -39,8 +44,8 @@ class SdsHeap:
         self._placer = placer if placer is not None else PagePlacer(
             owner=f"heap:{name}"
         )
-        #: live allocations in insertion (age) order; dict preserves order
-        self._allocs: dict[int, SoftPtr] = {}
+        #: allocations made and not yet freed (a resize keeps its one)
+        self.live_allocations = 0
 
     # -- placement ---------------------------------------------------
 
@@ -60,17 +65,16 @@ class SdsHeap:
         if placed is None:
             return None
         page, offset = placed
-        ptr = SoftPtr(size, page, offset, context, payload)
-        self._allocs[ptr.alloc_id] = ptr
-        return ptr
+        self.live_allocations += 1
+        return SoftPtr(size, page, offset, context, payload)
 
     def free(self, ptr: SoftPtr) -> None:
         """Release a live allocation (normal ``soft_free`` path)."""
         if not ptr.valid:
             raise ValueError(f"allocation {ptr.alloc_id} already freed")
         if ptr.page is not None:  # else a resize holds it unplaced
-            del self._allocs[ptr.alloc_id]
             self._placer.free(ptr.page, ptr.offset, ptr.size)
+        self.live_allocations -= 1
         ptr.valid = False
         ptr.payload = None
 
@@ -80,35 +84,38 @@ class SdsHeap:
         In place when the page has room (the placer's ``resize``), else
         the same two placer decisions as :meth:`free` followed by
         :meth:`allocate`, in that order; the :class:`SoftPtr` (and
-        every reference to it) survives and becomes the newest in age
-        order. Returns ``False`` when the caller has to act before the
-        new extent can be placed. Either idle pages are due back to the
-        pool — :meth:`should_release_slack` says so, and no placement
-        was tried yet — or the placement missed and pages are needed.
-        By then the old extent is freed and the allocation is
-        *unplaced* — ``page`` is ``None``, it is out of the age
-        index, its payload is still readable; call again to place it.
+        every reference to it) survives and stays one live allocation.
+        The placer is asked once: where it lies (its ``resize``), and
+        only after that missed, where else (its ``place``). Returns
+        ``False`` when the caller has to act before the new extent can
+        be placed. Either idle pages are due back to the pool —
+        :meth:`should_release_slack` says so, and no placement was tried
+        yet — or the placement missed and pages are needed. By then the
+        old extent is freed and the allocation is *unplaced* — ``page``
+        is ``None``, its payload is still readable; call again to place
+        it.
         """
         if new_size <= 0:
             raise ValueError(f"allocation size must be positive: {new_size}")
         if not ptr.valid:
             raise ValueError(f"allocation {ptr.alloc_id} already freed")
         placer = self._placer
-        if ptr.page is not None:
-            del self._allocs[ptr.alloc_id]
-            if not placer.resize(ptr.page, ptr.offset, ptr.size, new_size):
-                placer.free(ptr.page, ptr.offset, ptr.size)
-                ptr.page = None
-                if placer.free_page_count >= self.FREE_PAGE_SLACK:
-                    return False
-        if ptr.page is None:
-            placed = placer.place(new_size)
-            if placed is None:
+        page = ptr.page
+        if page is not None:
+            if placer.resize(page, ptr.offset, ptr.size, new_size):
+                ptr.size = new_size
+                ptr.payload = payload
+                return True
+            placer.free(page, ptr.offset, ptr.size)
+            ptr.page = None
+            if placer.free_page_count >= self.FREE_PAGE_SLACK:
                 return False
-            ptr.page, ptr.offset = placed
+        placed = placer.place(new_size)
+        if placed is None:
+            return False
+        ptr.page, ptr.offset = placed
         ptr.size = new_size
         ptr.payload = payload
-        self._allocs[ptr.alloc_id] = ptr
         return True
 
     def relocate(self, ptr: SoftPtr, new_size: int, payload: Any) -> bool:
@@ -118,7 +125,7 @@ class SdsHeap:
         To a larger one the new extent is placed before the old one is
         freed, so ``False`` — no room without new pages — leaves all as
         it was. No unplaced state, nothing for the SMA to provision; the
-        allocation keeps its handle and its place in age order.
+        allocation keeps its handle.
         """
         placer = self._placer
         if new_size < ptr.size:
@@ -136,10 +143,6 @@ class SdsHeap:
     # -- inspection ---------------------------------------------------
 
     @property
-    def live_allocations(self) -> int:
-        return len(self._allocs)
-
-    @property
     def live_bytes(self) -> int:
         return self._placer.used_bytes
 
@@ -150,16 +153,6 @@ class SdsHeap:
     @property
     def free_page_count(self) -> int:
         return self._placer.free_page_count
-
-    def iter_oldest_first(self) -> Iterator[SoftPtr]:
-        """Allocations in ascending age (insertion order).
-
-        Snapshot iteration: safe to free allocations while consuming it.
-        """
-        return iter(list(self._allocs.values()))
-
-    def allocations(self) -> list[SoftPtr]:
-        return list(self._allocs.values())
 
     # -- harvest ------------------------------------------------------
 
@@ -176,8 +169,7 @@ class SdsHeap:
 
     def check_invariants(self) -> None:
         self._placer.check_invariants()
-        for ptr in self._allocs.values():
-            assert ptr.valid, "invalid allocation still indexed"
+        assert self.live_allocations >= 0, "more frees than allocations"
 
     def __repr__(self) -> str:
         return (

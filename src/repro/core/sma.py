@@ -275,8 +275,8 @@ class SoftMemoryAllocator:
         placed, provisioning if it must. Either way it is counted as one
         free and one allocation. What differs is identity: ``ptr``
         survives, so soft references and group membership follow the
-        handle to the new contents, and the allocation becomes the
-        heap's newest.
+        handle to the new contents; where it stands in age order is the
+        SDS's to say (``SoftDict.upsert`` makes it its newest).
 
         If provisioning is denied the exception propagates and the
         allocation is gone, exactly as if the ``soft_malloc`` half had

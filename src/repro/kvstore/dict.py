@@ -108,13 +108,13 @@ class SoftDict(SoftDataStructure):
             self._check_key(key)
         want = size or self._entry_size
         existing = self._index.get(key)
-        old_value: Any | None = None
-        if existing is not None:
+        if existing is None:
+            old_value: Any | None = None
+        else:
             if not existing.valid:  # ``SoftPtr.deref``, inlined
                 raise ReclaimedMemoryError(existing.alloc_id)
             old_value = existing.payload[1]
             if type(old_value) is not CompressedValue:
-                by_age, alloc_id = self._by_age, existing.alloc_id
                 if existing.size == want:
                     existing.payload = (key, value)
                 else:
@@ -122,11 +122,12 @@ class SoftDict(SoftDataStructure):
                         self._sma.soft_resize(existing, want, (key, value))
                     except Exception:
                         del self._index[key]
-                        del by_age[alloc_id]
+                        del self._by_age[existing.alloc_id]
                         self._overwrite_lost(key, old_value)
                         raise
-                del by_age[alloc_id]  # refresh age: now newest
-                by_age[alloc_id] = existing
+                by_age = self._by_age  # refresh age: now newest
+                del by_age[existing.alloc_id]
+                by_age[existing.alloc_id] = existing
                 return existing, old_value
             # a demoted entry is never overwritten through its handle —
             # its soft size tracks the compressed bytes, not the incoming

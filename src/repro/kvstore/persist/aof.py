@@ -94,7 +94,9 @@ class AofWriter:
         self.fsync_policy = fsync_policy
         self._clock = clock
         self._file: BinaryFile | None = file_factory(path)
-        self._pending = bytearray()
+        #: the write-behind buffer mutation hooks encode into; a plain
+        #: attribute, because every logged record reaches it
+        self.buffer = bytearray()
         #: bytes known to be intact in the file (resume point on error)
         self.good_size = os.path.getsize(path) if os.path.exists(path) else 0
         #: bytes covered by the last successful fsync — read-only
@@ -110,16 +112,11 @@ class AofWriter:
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._pending)
-
-    @property
-    def buffer(self) -> bytearray:
-        """The write-behind buffer mutation hooks encode into."""
-        return self._pending
+        return len(self.buffer)
 
     def append(self, record: bytes) -> None:
         """Queue one already-framed record (slow path, tests/tools)."""
-        self._pending += record
+        self.buffer += record
 
     # ------------------------------------------------------------------
 
@@ -127,18 +124,20 @@ class AofWriter:
         """Push the pending buffer to the file, fsync per policy.
 
         Returns True when the pending buffer fully reached the file.
-        On a write error the file is rolled back to the last known-good
-        size and the buffer is kept for the next flush.
+        The file is written from the buffer itself, not from a copy; a
+        short write drops the bytes that reached the file and leaves
+        exactly the unwritten tail pending. On a write error the file is
+        rolled back to the last known-good size and the buffer is kept
+        for the next flush.
         """
         file = self._file
+        pending = self.buffer
         if file is None:
-            return not self._pending
-        if self._pending:
-            data = bytes(self._pending)
-            written = 0
+            return not pending
+        while pending:
             try:
-                while written < len(data):
-                    written += file.write(data[written:])
+                with memoryview(pending) as view:
+                    written = file.write(view)
             except OSError:
                 self.write_errors += 1
                 # Roll back to the clean prefix so a retry cannot leave
@@ -149,8 +148,8 @@ class AofWriter:
                 except OSError:
                     self.dirty_tail = True
                 return False
-            self.good_size += len(data)
-            self._pending.clear()
+            self.good_size += written
+            del pending[:written]
         unsynced = self.good_size > self._synced_size
         if force_fsync:
             if unsynced:
@@ -190,7 +189,7 @@ class AofWriter:
     def __repr__(self) -> str:
         return (
             f"<AofWriter {self.path!r} good={self.good_size}B "
-            f"pending={len(self._pending)}B policy={self.fsync_policy}>"
+            f"pending={len(self.buffer)}B policy={self.fsync_policy}>"
         )
 
 

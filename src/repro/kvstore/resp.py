@@ -265,6 +265,10 @@ class RespParser:
         self._len = 0  # valid bytes in ``_buf`` (the rest is slack)
         self.zero_copy_threshold = zero_copy_threshold
         self._use_fast_path = use_fast_path
+        if not use_fast_path:
+            # bound per instance, so the serving parser's hot path
+            # carries no test for the diagnostic seam
+            self.parse_pipeline = self._parse_nothing
         self._window = _WINDOW_MIN  # bytes the next tokeniser pass splits
         #: lifetime count of memoryview payloads handed out
         self.views_created = 0
@@ -404,11 +408,7 @@ class RespParser:
         """
         end_of_data = self._len
         pos = self._pos
-        if not self._use_fast_path:
-            return PIPELINE_FALLBACK if pos < end_of_data else PIPELINE_MORE
-        buf = self._buf
         header_of = self._headers
-        count_of = _ARRAY_COUNTS.get
         try:
             while True:
                 stop = pos + self._window
@@ -416,11 +416,11 @@ class RespParser:
                     stop = end_of_data
                 # ``b"" +`` builds the bytes straight off the slice,
                 # without ``bytes()``'s constructor dispatch
-                tokens = (b"" + buf[pos:stop]).split(CRLF)
+                tokens = (b"" + self._buf[pos:stop]).split(CRLF)
                 last, i = len(tokens) - 1, 0  # no CRLF behind tokens[last]
                 while i < last:  # tokens[i] heads a frame
                     head = tokens[i]
-                    count = count_of(head)
+                    count = _ARRAY_COUNTS.get(head)
                     if count is None:  # wide, zero-padded, or no array
                         frame_start = pos + _span(tokens, 0, i) if i else pos
                         if head[:1] != b"*" or head[1:2] == b"-":
@@ -462,6 +462,7 @@ class RespParser:
                         else collapsed
                     )
                     zc_min = self._zc_min
+                    buf = self._buf
                     for n in range(len(argv), count):
                         if pos >= end_of_data:
                             break
@@ -499,9 +500,12 @@ class RespParser:
                     return PIPELINE_MORE
                 else:
                     tail = tokens[last]
-                    self._pos = stop - len(tail)
-                    if tail and tail[0] != 0x2A:  # not b"*"
-                        return PIPELINE_FALLBACK  # another type byte
+                    if tail:
+                        self._pos = stop - len(tail)
+                        if tail[0] != 0x2A:  # not b"*"
+                            return PIPELINE_FALLBACK  # another type byte
+                    else:
+                        self._pos = stop
                     if stop == end_of_data:
                         return PIPELINE_MORE
                     # a whole window certified: the next may be wider
@@ -516,6 +520,11 @@ class RespParser:
             # is bound, so the prologue does not bind it
             self._quarantine(frame_start)
             raise
+
+    def _parse_nothing(self, out: list, limit: int | None = None) -> int:
+        """:meth:`parse_pipeline` with the fast path off: every frame
+        is left to :meth:`parse_one`."""
+        return PIPELINE_FALLBACK if self._pos < self._len else PIPELINE_MORE
 
     def parse_one(self) -> Any | None:
         """Return the next complete value, or ``None`` if more bytes needed.

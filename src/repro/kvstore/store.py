@@ -31,6 +31,7 @@ from repro.kvstore.dict import SoftDict
 from repro.kvstore.persist.codec import (
     EXP_ABSOLUTE,
     EXP_KEEP,
+    EXP_NONE,
     encode_delete,
     encode_demote,
     encode_expire,
@@ -440,13 +441,37 @@ class DataStore:
         keep_ttl: bool = False,
     ) -> None:
         """SET: store ``value`` under ``key``; optional relative expiry."""
-        # zero-copy serving hands large payloads in as memoryviews over
-        # the parser's reusable buffer; the store retains values beyond
-        # the batch, so this is the point where bytes must materialize
-        if type(value) is memoryview:
-            value = bytes(value)
-        self._check_types(key, value)
-        self._write(key, value, ex=ex, keep_ttl=keep_ttl)
+        if (
+            type(value) is not bytes or type(key) is not bytes
+            or ex is not None or keep_ttl
+        ):
+            if type(value) is memoryview:
+                # zero-copy serving hands large payloads in as views
+                # over the parser's reusable buffer; the store retains
+                # values beyond the batch, so bytes materialize here
+                return self.set(key, bytes(value), ex=ex, keep_ttl=keep_ttl)
+            self._check_types(key, value)
+            self._write(key, value, ex=ex, keep_ttl=keep_ttl)
+            return
+        # a plain SET (bytes, no TTL) is every SET of the serving plane,
+        # so ``_check_types``, ``_write`` and ``_put`` are inlined, as
+        # :meth:`get` inlines ``_read``: the same checks, ledgers, expiry
+        # clear and record, down to one ``SoftDict.upsert``
+        size = len(value)
+        __, old = self._dict.upsert(
+            key, value, self.config.entry_overhead_bytes + len(key) + size
+        )
+        if old is None:
+            self.traditional_bytes += len(key) + size
+        elif type(old) is bytes:
+            self.traditional_bytes += size - len(old)
+        else:
+            self.traditional_bytes += size - value_bytes(old)
+        if self._expires:
+            self._expires.pop(key, None)
+        self.stats.keys_set += 1
+        if self._persist is not None or self.repl is not None:
+            self.log_record(encode_write, (key, value, EXP_NONE))
 
     def get(self, key: bytes) -> bytes | None:
         """GET: ``None`` for missing, expired, or *reclaimed* keys."""
@@ -882,6 +907,8 @@ class DataStore:
         """
         now = self._now()
         soft_dict = self._dict
+        upsert = soft_dict.upsert
+        overhead = self.config.entry_overhead_bytes
         expires = self._expires
         written = denied = tombstones = 0
         for record in records:
@@ -889,22 +916,36 @@ class DataStore:
             if kind == "W":
                 __, key, value, exp_kind, deadline_ms = record
                 ex: float | None = None
-                if exp_kind == EXP_ABSOLUTE:
+                if exp_kind == EXP_NONE:  # a plain SET: tested first
+                    pass
+                elif exp_kind == EXP_ABSOLUTE:
                     ex = (deadline_ms - now_ms) / 1000.0
                 elif exp_kind == EXP_KEEP:
                     kept = expires.get(key)
                     if kept is not None:
                         # carried at the log's millisecond granularity
                         ex = int((kept - now) * 1000) / 1000.0
+                # :meth:`_put`, inlined as in :meth:`set`: a replica
+                # applies every record of its master's stream here
+                if type(value) is bytes:
+                    size = len(value)
+                else:
+                    size = value_bytes(value)
                 self._restoring = key
                 try:
-                    self._put(key, value)
+                    __, old = upsert(key, value, overhead + len(key) + size)
                 except SoftMemoryDenied:
                     # budget exhausted (or degraded mode): a future miss
                     denied += 1
                     continue
                 finally:
                     self._restoring = None
+                if old is None:
+                    self.traditional_bytes += len(key) + size
+                elif type(old) is bytes:
+                    self.traditional_bytes += size - len(old)
+                else:
+                    self.traditional_bytes += size - value_bytes(old)
                 if type(value) is CompressedValue:
                     # a snapshot carried this entry demoted: admitted at
                     # the compressed size, it must live in the compressed
@@ -912,7 +953,7 @@ class DataStore:
                     soft_dict.register_compressed(key)
                 if ex is not None:
                     self._set_expiry(key, now + ex)
-                else:
+                elif expires:
                     expires.pop(key, None)
                 written += 1
             elif kind == "D":

@@ -1,5 +1,7 @@
 """Tests for per-SDS heaps."""
 
+import sys
+
 import pytest
 
 from repro.core.heap import SdsHeap
@@ -49,26 +51,39 @@ class TestAllocateFree:
 
 
 class TestAgeOrder:
-    def test_oldest_first_iteration(self, ctx):
-        heap = heap_with(2)
-        allocs = [heap.allocate(10, ctx, i) for i in range(5)]
-        assert [a.payload for a in heap.iter_oldest_first()] == [0, 1, 2, 3, 4]
-        for a in allocs:
-            heap.free(a)
+    """The heap keeps a count, not an age registry: which allocation
+    dies first is the SDS's order (``SoftDict._by_age``)."""
 
     def test_order_survives_interior_free(self, ctx):
         heap = heap_with(2)
         allocs = [heap.allocate(10, ctx, i) for i in range(5)]
         heap.free(allocs[2])
-        assert [a.payload for a in heap.iter_oldest_first()] == [0, 1, 3, 4]
+        assert [a.payload for a in allocs if a.valid] == [0, 1, 3, 4]
+        assert heap.live_allocations == 4
+        heap.check_invariants()
+
+    def test_the_heap_holds_nothing_per_allocation(self, ctx):
+        heap = heap_with(4)
+
+        def footprint() -> int:
+            return sum(sys.getsizeof(value) for value in vars(heap).values())
+
+        before = footprint()
+        allocs = [heap.allocate(16, ctx, i) for i in range(500)]
+        assert heap.live_allocations == 500
+        assert footprint() == before, "a per-allocation registry is back"
+        for alloc in allocs:
+            heap.free(alloc)
+        assert footprint() == before
 
     def test_safe_to_free_while_iterating(self, ctx):
         heap = heap_with(2)
-        for i in range(5):
-            heap.allocate(10, ctx, i)
-        for alloc in heap.iter_oldest_first():
+        allocs = [heap.allocate(10, ctx, i) for i in range(5)]
+        for alloc in allocs:
             heap.free(alloc)
         assert heap.live_allocations == 0
+        assert heap.live_bytes == 0
+        heap.check_invariants()
 
 
 class TestHarvest:

@@ -13,6 +13,7 @@ from repro.core.sma import SoftMemoryAllocator
 from repro.core.softref import ReferenceQueue
 from repro.daemon.policy import SelectionConfig
 from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
+from repro.kvstore.dict import SoftDict
 from repro.mem.sizeclass import SizeClassPlacer
 from repro.sds.soft_linked_list import SoftLinkedList
 from repro.util.units import PAGE_SIZE
@@ -48,11 +49,14 @@ class TestIdentity:
         assert sma.live_allocations == 1
 
     def test_resized_allocation_becomes_the_newest(self, sma):
-        ctx = sma.create_context("c")
-        a, b = sma.soft_malloc(64, ctx), sma.soft_malloc(64, ctx)
-        sma.soft_resize(a, 128)
-        oldest_first = list(ctx.heap.iter_oldest_first())
-        assert oldest_first == [b, a]
+        # the heap keeps a count, not an age order: the kv's order is
+        # ``SoftDict._by_age``, and a size-changing overwrite — one
+        # ``soft_resize`` through the same handle — moves to its end
+        keyspace = SoftDict(sma)
+        a, b = keyspace.put(b"a", 1, size=64), keyspace.put(b"b", 2, size=64)
+        assert keyspace.upsert(b"a", 3, size=128)[0] is a
+        assert a.size == 128
+        assert list(keyspace._by_age.values()) == [b, a]
 
     def test_multi_page_round_trip(self, sma):
         ctx = sma.create_context("c")

@@ -65,7 +65,7 @@ def walks(monkeypatch) -> Counter:
     return counts
 
 
-def fragmented_heap():
+def fragmented_heap(held: list | None = None):
     """One context over ten full-looking pages, oldest first:
 
     * ``home`` — eight live 512-byte extents, full, not open;
@@ -74,7 +74,8 @@ def fragmented_heap():
     * ``brim`` — one extent freed, 512 bytes free, the newest open page.
 
     The scan window (newest eight open pages) is ``brim`` plus the seven
-    newest holed pages.
+    newest holed pages. ``held``, when given, receives every pointer
+    still live.
     """
     sma = SoftMemoryAllocator(name="scan-guard", request_batch_pages=1)
     context = sma.create_context("c")
@@ -87,6 +88,8 @@ def fragmented_heap():
         for ptr in extents[::2]:
             sma.soft_free(ptr)
     sma.soft_free(brim[0])
+    if held is not None:
+        held.extend(ptr for extents in pages for ptr in extents if ptr.valid)
     assert PagePlacer.SCAN_LIMIT == 8, "the fixture is cut to the window"
     assert context.heap.page_count == 10 and context.heap.free_page_count == 0
     holed_pages = [page_of(extents[-1]) for extents in holed]
@@ -200,10 +203,9 @@ def visits():
     return seen
 
 
-def live_at(context, page, offset):
+def live_at(held, page, offset):
     return next(
-        ptr for ptr in context.heap.allocations()
-        if ptr.page is page and ptr.offset == offset
+        ptr for ptr in held if ptr.page is page and ptr.offset == offset
     )
 
 
@@ -227,9 +229,10 @@ def test_a_repeated_denial_walks_nothing_and_visits_no_page(walks, visits):
 
 
 def test_a_fill_that_moves_the_window_asks_it_again(walks):
-    sma, context, home, holed, brim = fragmented_heap()
+    held = []
+    sma, context, home, holed, brim = fragmented_heap(held)
     # the oldest holed page, out of the window, gets a 1.5 KiB hole
-    sma.soft_free(live_at(context, holed[0], SLOT))
+    sma.soft_free(live_at(held, holed[0], SLOT))
     assert not sma.soft_promote(home[0], 2 * SLOT)
     # filling ``brim`` takes it out of the open set, and ``holed[0]``
     # becomes the window's eighth page
@@ -245,11 +248,12 @@ def test_a_fill_that_moves_the_window_asks_it_again(walks):
 
 @pytest.mark.parametrize("where", ["in the window", "outside it"])
 def test_a_free_anywhere_asks_the_window_again(walks, visits, where):
-    sma, context, home, holed, brim = fragmented_heap()
+    held = []
+    sma, context, home, holed, brim = fragmented_heap(held)
     visits.watch(context)
     assert not sma.soft_promote(home[0], 2 * SLOT)
     page = holed[-1] if where == "in the window" else holed[0]
-    sma.soft_free(live_at(context, page, SLOT))  # joins two holes
+    sma.soft_free(live_at(held, page, SLOT))  # joins two holes
     walks.clear()
     visits.clear()
     promoted = sma.soft_promote(home[0], 2 * SLOT)

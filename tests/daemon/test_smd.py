@@ -108,15 +108,15 @@ class TestRequestPath:
     def test_denies_when_nothing_reclaimable(self):
         smd = daemon(capacity=10)
         a = attach(smd, "a")
-        fill(a, 10)
+        lst = SoftLinkedList(a, element_size=PAGE_SIZE)
+        held = [lst.append(i) for i in range(10)]
         # Pin everything in a, making its memory unreclaimable.
-        ctx = a.contexts[0]
         b = attach(smd, "b")
-        for alloc in ctx.heap.allocations():
+        for alloc in held:
             alloc.pins += 1
         with pytest.raises(SoftMemoryDenied):
             fill(b, 5)
-        for alloc in ctx.heap.allocations():
+        for alloc in held:
             alloc.pins -= 1
 
     def test_denial_counted_and_logged(self):

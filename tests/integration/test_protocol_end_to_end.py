@@ -43,8 +43,7 @@ class TestFigure1Protocol:
             callback=self.freed_payloads.append,
         )
         # A fills the whole machine's soft capacity: 200 elements = 100 pages
-        for i in range(200):
-            self.sds_a.append(f"A-{i}")
+        self.ptrs_a = [self.sds_a.append(f"A-{i}") for i in range(200)]
 
     def test_full_protocol_sequence(self):
         sds_b = SoftLinkedList(self.b, name="B-data", element_size=2048)
@@ -98,7 +97,7 @@ class TestFigure1Protocol:
         assert self.rec_a.pages_reclaimed_from == a_before
 
     def test_denial_leaves_consistent_state(self):
-        for alloc in self.a.contexts[0].heap.allocations():
+        for alloc in self.ptrs_a:
             alloc.pins += 1  # A refuses to give anything up
         sds_b = SoftLinkedList(self.b, name="B-data", element_size=2048)
         with pytest.raises(SoftMemoryDenied):

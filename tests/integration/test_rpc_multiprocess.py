@@ -133,10 +133,9 @@ class TestCrossProcess:
                                             request_batch_pages=4)
             agent = SmaAgent.connect(socket_path, sma)
             lst = SoftLinkedList(sma, element_size=PAGE_SIZE)
-            for i in range(20):
-                lst.append(i)
+            held = [lst.append(i) for i in range(20)]
             # pin everything: nothing is reclaimable anywhere
-            for alloc in sma.contexts[0].heap.allocations():
+            for alloc in held:
                 alloc.pins += 1
             sma2 = LockedSoftMemoryAllocator(name="greedy",
                                              request_batch_pages=4)

@@ -94,7 +94,7 @@ def test_load_aof_round_trip(tmp_path):
     encode_delete(out, b"k2")
     writer.append(bytes(out[:HEADER_SIZE + 7]))  # first framed record
     records, truncated = (None, None)
-    writer._pending = out  # append both frames wholesale
+    writer.buffer = out  # append both frames wholesale
     writer.flush()
     writer.close()
     records, truncated = load_aof(path)

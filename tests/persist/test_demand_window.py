@@ -1,13 +1,13 @@
 """A daemon's DEMAND never lands between a write and its log record.
 
-``DataStore._write`` puts a key and only then logs its ``W``, to the
-AOF and to the replication stream. A DEMAND served inside that window
-would log the key's ``T`` before its ``W``, and a replay of either log
-would bring back a key the budget took. A kv process serves its
-daemon's socket on its own event loop, so a DEMAND that arrives inside
-the window waits for the round to end. The hook here sits in the
-window for one key: it has the daemon DEMAND everything the kv holds
-and waits, bounded, for the REPORT.
+``DataStore.set`` puts a key (``SoftDict.upsert``) and only then logs
+its ``W``, to the AOF and to the replication stream. A DEMAND served
+inside that window would log the key's ``T`` before its ``W``, and a
+replay of either log would bring back a key the budget took. A kv
+process serves its daemon's socket on its own event loop, so a DEMAND
+that arrives inside the window waits for the round to end. The hook
+here sits in the window for one key: it has the daemon DEMAND
+everything the kv holds and waits, bounded, for the REPORT.
 
 Shutdown has the same kind of window: the closing snapshot walks the
 keyspace after the loop stopped. The agent closes before it, so a
@@ -25,6 +25,7 @@ import repro.kvstore.persist.engine
 from repro.core.sma import SoftMemoryAllocator
 from repro.daemon.smd import SmdConfig
 from repro.kvstore import TcpKvClient
+from repro.kvstore.dict import SoftDict
 from repro.kvstore.persist.codec import read_records
 from repro.kvstore.persist.snapshot import read_snapshot
 from repro.kvstore.store import DataStore, StoreConfig
@@ -55,15 +56,16 @@ def test_a_demand_inside_the_write_window_waits_for_the_round(
     repl = server.enable_replication()
     repl.stream_started = True  # what serving a PSYNC does
     seen = {}
-    real_put = DataStore._put
+    real_upsert = SoftDict.upsert
 
-    def put_then_demand(self, key, value):
-        real_put(self, key, value)
+    def upsert_then_demand(self, key, value, size=None):
+        done = real_upsert(self, key, value, size)
         if key == TARGET and "report" not in seen:
             daemon.send({"op": "demand", "id": 1, "pages": 10_000})
             seen["report"] = daemon.expect("report", timeout=1.0)
+        return done
 
-    monkeypatch.setattr(DataStore, "_put", put_then_demand)
+    monkeypatch.setattr(SoftDict, "upsert", upsert_then_demand)
     server.start()
     try:
         with TcpKvClient(server.address) as client:

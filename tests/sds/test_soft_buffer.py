@@ -63,9 +63,7 @@ class TestWriteRead:
     def test_bytes_are_real(self, buf, sma):
         """The soft allocation actually holds the content."""
         buf.write(b"payload-bytes")
-        ctx = buf.context
-        allocs = ctx.heap.allocations()
-        __, payload = allocs[0].payload
+        __, payload = buf._segments[0].payload
         assert bytes(payload[:13]) == b"payload-bytes"
 
 

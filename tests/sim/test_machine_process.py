@@ -48,9 +48,8 @@ class TestSoftArbitration:
         machine = Machine(MachineConfig(soft_capacity_bytes=MIB))
         a = machine.spawn("a")
         lst = SoftLinkedList(a.sma, element_size=PAGE_SIZE)
-        for i in range(256):
-            lst.append(i)
-        for alloc in a.sma.contexts[0].heap.allocations():
+        held = [lst.append(i) for i in range(256)]
+        for alloc in held:
             alloc.pins += 1  # nothing reclaimable
         b = machine.spawn("b")
         lb = SoftLinkedList(b.sma, element_size=PAGE_SIZE)
