@@ -78,7 +78,7 @@ class SdsHeap:
         ptr.valid = False
         ptr.payload = None
 
-    def resize(self, ptr: SoftPtr, new_size: int, payload: Any) -> bool:
+    def resize(self, ptr: SoftPtr, new_size: int, payload: Any) -> bool | None:
         """Resize a live allocation to ``new_size``, keeping it.
 
         In place when the page has room (the placer's ``resize``), else
@@ -87,13 +87,13 @@ class SdsHeap:
         every reference to it) survives and stays one live allocation.
         The placer is asked once: where it lies (its ``resize``), and
         only after that missed, where else (its ``place``). Returns
-        ``False`` when the caller has to act before the new extent can
-        be placed. Either idle pages are due back to the pool —
-        :meth:`should_release_slack` says so, and no placement was tried
-        yet — or the placement missed and pages are needed. By then the
-        old extent is freed and the allocation is *unplaced* — ``page``
-        is ``None``, its payload is still readable; call again to place
-        it.
+        a falsy value when the caller has to act before the new extent
+        can be placed: ``None`` when idle pages are due back to the pool
+        (:meth:`should_release_slack`) and no placement was tried yet,
+        ``False`` when the placement missed and pages are needed. By
+        then the old extent is freed and the allocation is *unplaced* —
+        ``page`` is ``None``, its payload is still readable; call again
+        to place it.
         """
         if new_size <= 0:
             raise ValueError(f"allocation size must be positive: {new_size}")
@@ -109,7 +109,7 @@ class SdsHeap:
             placer.free(page, ptr.offset, ptr.size)
             ptr.page = None
             if placer.free_page_count >= self.FREE_PAGE_SLACK:
-                return False
+                return None
         placed = placer.place(new_size)
         if placed is None:
             return False

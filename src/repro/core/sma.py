@@ -284,14 +284,14 @@ class SoftMemoryAllocator:
         queue delivery (an explicit free, not a reclamation).
         """
         heap = ptr.context.heap
-        if not heap.resize(ptr, new_size, payload):
-            # the old extent is freed and the allocation unplaced:
-            # either slack is due and nothing was tried yet, or the
-            # scan window was walked and missed — it is not walked again
-            slack = heap.should_release_slack()
-            if slack:
+        placed = heap.resize(ptr, new_size, payload)
+        if not placed:
+            # the old extent is freed and the allocation unplaced: either
+            # slack is due (None) and nothing was tried yet, or the scan
+            # window was walked and missed — it is not walked again
+            if placed is None:
                 self.pool.put(heap.harvest_free_pages())
-            if not (slack and heap.resize(ptr, new_size, payload)):
+            if not (placed is None and heap.resize(ptr, new_size, payload)):
                 self._provision_unplaced(ptr, new_size)
                 if not heap.resize(ptr, new_size, payload):
                     raise ProtocolError(

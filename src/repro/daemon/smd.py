@@ -16,7 +16,7 @@ reclamation episode described in sections 3.3-4:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.core.errors import ProtocolError, SoftMemoryDenied
 from repro.daemon.ipc import Channel, SmaDaemonClient
@@ -32,6 +32,20 @@ from repro.util.eventlog import EventLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reclaim import ReclamationStats
     from repro.core.sma import SoftMemoryAllocator
+
+#: a continuation: it yields each demand as ``(target, pages)``, is sent
+#: the target's stats and returns the pages granted or surrendered
+Steps = Generator[tuple[ProcessRecord, int], "ReclamationStats", int]
+
+
+def _drive(steps: Steps) -> int:
+    """Run ``steps`` to its end; each target answers with its ``reclaim``."""
+    try:
+        record, pages = next(steps)
+        while True:
+            record, pages = steps.send(record.sma.reclaim(pages))
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass(frozen=True)
@@ -214,7 +228,7 @@ class SoftMemoryDaemon:
         The aggressive proactive mode uses this; it goes through the
         same settlement as pressure-triggered demands.
         """
-        return self._demand(self.registry.get(pid), pages)
+        return _drive(self._demand(self.registry.get(pid), pages))
 
     # ------------------------------------------------------------------
     # request path
@@ -228,6 +242,10 @@ class SoftMemoryDaemon:
         case *no* budget changes hands (partial reclamation results stay
         reclaimed — the machine is simply less pressured afterwards).
         """
+        return _drive(self.request_steps(pid, pages))
+
+    def request_steps(self, pid: int, pages: int) -> Steps:
+        """:meth:`handle_request` as a continuation (:data:`Steps`)."""
         if pages <= 0:
             raise ValueError(f"request must be positive: {pages}")
         self.requests += 1
@@ -236,7 +254,7 @@ class SoftMemoryDaemon:
         self.log.record(now, "request", pid=pid, name=record.name, pages=pages)
         shortfall = pages - self.unassigned_pages
         if shortfall > 0:
-            reclaimed = self._reclaim_episode(shortfall, requester=record)
+            reclaimed = yield from self._reclaim_episode(shortfall, record)
             if reclaimed < shortfall:
                 self.denials += 1
                 record.requests_denied += 1
@@ -270,7 +288,7 @@ class SoftMemoryDaemon:
     # reclamation episode
     # ------------------------------------------------------------------
 
-    def _reclaim_episode(self, needed: int, requester: ProcessRecord) -> int:
+    def _reclaim_episode(self, needed: int, requester: ProcessRecord) -> Steps:
         """Demand pages from targets until ``needed`` capacity is free."""
         self.reclamation_episodes += 1
         sel = self.config.selection
@@ -293,7 +311,7 @@ class SoftMemoryDaemon:
             for record, demand in plan:
                 if total >= needed:
                     break
-                total += self._demand(record, demand)
+                total += yield from self._demand(record, demand)
         else:
             for record in targets[: sel.target_cap]:
                 if total >= needed:
@@ -301,7 +319,7 @@ class SoftMemoryDaemon:
                 demand = demand_size(record, needed - total, sel)
                 if demand <= 0:
                     continue
-                total += self._demand(record, demand)
+                total += yield from self._demand(record, demand)
         if total > needed:
             self.over_reclaimed_pages += total - needed
         self.log.record(
@@ -309,7 +327,7 @@ class SoftMemoryDaemon:
         )
         return total
 
-    def _demand(self, record: ProcessRecord, pages: int) -> int:
+    def _demand(self, record: ProcessRecord, pages: int) -> Steps:
         """Issue one reclamation demand and settle the ledgers."""
         self.demands_issued += 1
         record.demands_received += 1
@@ -317,7 +335,7 @@ class SoftMemoryDaemon:
         self.log.record(
             self._time_fn(), "demand", pid=record.pid, pages=pages
         )
-        stats: "ReclamationStats" = record.sma.reclaim(pages)
+        stats = yield record, pages
         surrendered = stats.pages_reclaimed
         if surrendered > record.granted_pages:
             raise ProtocolError(

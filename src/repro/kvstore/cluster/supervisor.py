@@ -28,6 +28,7 @@ same port its siblings advertise.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -40,6 +41,11 @@ from repro.kvstore.client import TcpKvClient
 from repro.rpc.server import RpcDaemonServer
 
 Address = tuple[str, int]
+
+#: seconds one health-check PING may take, and the failed PINGs in a row
+#: after which a live but unresponsive shard is killed and restarted
+PING_TIMEOUT = 2.0
+MAX_PING_FAILURES = 3
 
 _SRC_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -66,20 +72,15 @@ def spawn_kv_server(
             env=env,
             text=True,
         )
-    line = ""
-    done = threading.Event()
-
-    def read() -> None:
-        nonlocal line
-        line = proc.stdout.readline().strip()
-        done.set()
-
-    threading.Thread(target=read, daemon=True).start()
-    if done.wait(timeout) and line.startswith("READY "):
+    ready = select.poll()
+    ready.register(proc.stdout, select.POLLIN)
+    line = proc.stdout.readline().strip() if ready.poll(timeout * 1000) else ""
+    if line.startswith("READY "):
         __, host, port = line.split()
         return proc, (host, int(port))
     proc.kill()
     proc.wait()
+    proc.stdout.close()
     try:
         with open(stderr_path) as fh:
             detail = fh.read()[-2000:]
@@ -140,10 +141,6 @@ class ClusterSupervisor:
         data_dir: str | None = None,
         workdir: str | None = None,
         health_interval: float = 0.5,
-        ping_timeout: float = 2.0,
-        max_ping_failures: int = 3,
-        restart: bool = True,
-        shard_args: tuple[str, ...] = (),
     ) -> None:
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
@@ -151,10 +148,6 @@ class ClusterSupervisor:
         self.workdir = workdir or tempfile.mkdtemp(prefix="kv-cluster-")
         self.data_dir = data_dir
         self.health_interval = health_interval
-        self.ping_timeout = ping_timeout
-        self.max_ping_failures = max_ping_failures
-        self.restart = restart
-        self.shard_args = tuple(shard_args)
         self.startup_budget_pages = startup_budget_pages
         if ports is None:
             ports = free_ports(host, shards)
@@ -169,7 +162,7 @@ class ClusterSupervisor:
         self.daemon = RpcDaemonServer(
             self.smd_socket,
             soft_capacity_pages,
-            SmdConfig(startup_budget_pages=startup_budget_pages),
+            config=SmdConfig(startup_budget_pages=startup_budget_pages),
         )
         self._stop = threading.Event()
         self._monitor: threading.Thread | None = None
@@ -244,7 +237,6 @@ class ClusterSupervisor:
             shard_dir = os.path.join(self.data_dir, f"shard-{shard.index}")
             os.makedirs(shard_dir, exist_ok=True)
             argv += ["--dir", shard_dir]
-        argv += list(self.shard_args)
         return argv
 
     def _spawn(self, shard: ShardProcess, *, ready_timeout: float) -> None:
@@ -263,8 +255,8 @@ class ClusterSupervisor:
         try:
             with TcpKvClient(
                 shard.address,
-                timeout=self.ping_timeout,
-                connect_timeout=self.ping_timeout,
+                timeout=PING_TIMEOUT,
+                connect_timeout=PING_TIMEOUT,
             ) as client:
                 return client.execute(b"PING") == "PONG"
         except Exception:
@@ -276,17 +268,13 @@ class ClusterSupervisor:
                 if self._stop.is_set():
                     return
                 if not shard.alive:
-                    if self.restart:
-                        self._restart(shard, reason="exited")
+                    self._restart(shard, reason="exited")
                     continue
                 if self.ping(shard):
                     shard.ping_failures = 0
                     continue
                 shard.ping_failures += 1
-                if (
-                    self.restart
-                    and shard.ping_failures >= self.max_ping_failures
-                ):
+                if shard.ping_failures >= MAX_PING_FAILURES:
                     shard.proc.kill()
                     shard.proc.wait(timeout=10)
                     self._restart(shard, reason="unresponsive")

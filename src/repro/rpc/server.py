@@ -3,17 +3,17 @@
 Wraps a real :class:`~repro.daemon.smd.SoftMemoryDaemon` behind a unix
 domain socket. Each client process appears in the daemon's registry as
 a :class:`_RemoteSma` proxy whose ledgers are refreshed from the state
-snapshot piggybacked on every client frame, and whose ``reclaim`` sends
-a DEMAND over the wire and waits for the REPORT.
+snapshot piggybacked on every client frame.
 
 One thread serves every client, polling the listener, a waker and every
 client socket. Each round has a *read step*, which reads every ready
-socket (a PING gets its PONG, a REPORT goes to the DEMAND waiting for
-it or is dropped, the sender of a REQUEST or RELEASE is marked busy,
-every other frame is queued), and an *execute step*, which runs the
-queued frames in arrival order. A DEMAND runs read steps only until its
-REPORT arrives: PONGs and REPORTs flow mid-episode while nothing else
-executes, so episodes serialize on the one capacity ledger unlocked.
+socket (a PING gets its PONG, a REPORT goes to the episode parked on it
+or is dropped, the sender of a REQUEST or RELEASE is marked busy, every
+other frame is queued), and an *execute step*, which runs the queued
+frames in arrival order. A REQUEST's episode (``request_steps``) parks
+on each DEMAND and resumes when the REPORT is read, the victim closes or
+``demand_timeout`` passes; meanwhile the execute step pauses, so
+episodes serialize on the one capacity ledger unlocked.
 
 Fault tolerance (see ``docs/PROTOCOL.md``):
 
@@ -32,7 +32,7 @@ Liveness: a client with an in-flight request advertises zero
 reclaimable pages, so episodes skip it once the read step has seen that
 request; a demand sent just before it lands mid-ask, and the client
 answers it with zero pages. A dropped client's socket closes at once,
-ending any demand waiting on it, and its deregistration queues behind
+resuming any episode parked on it, and its deregistration queues behind
 the frames already queued, so an episode never sees the registry change
 under it. Its budget returns to the unassigned pool (its memory died
 with it, which is exactly the kill semantics the paper describes).
@@ -48,14 +48,15 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Generator
 
 from repro.core.errors import ProtocolError, SoftMemoryDenied
 from repro.core.reclaim import ReclamationStats
 from repro.daemon.ipc import Channel
 from repro.daemon.registry import ProcessRecord
-from repro.daemon.smd import SmdConfig, SoftMemoryDaemon
+from repro.daemon.smd import SmdConfig, SoftMemoryDaemon, Steps
 from repro.rpc.config import DEFAULT_RPC_CONFIG, ReplyCache, RpcConfig
 from repro.rpc.framing import FrameClosed, FrameStream
 from repro.util.eventlog import EventLog
@@ -85,7 +86,7 @@ class _RemoteSma:
     """Stands in for the client's SMA inside the daemon's registry."""
 
     def __init__(self, connection: "_Connection") -> None:
-        self._connection = connection
+        self.connection = connection
         #: daemon-side mirror of the client's budget ledger
         self.budget = SimpleNamespace(held=0, granted=0)
         self._flexibility = 0
@@ -109,28 +110,6 @@ class _RemoteSma:
     def reclaimable_pages(self) -> int:
         return 0 if self.busy else self._reclaimable
 
-    def reclaim(self, demand_pages: int) -> ReclamationStats:
-        """One DEMAND/REPORT round trip (called inside an episode)."""
-        # busy since target selection: skip rather than demand from a
-        # client whose app thread is blocked on us
-        report = None if self.busy else self._connection.demand(demand_pages)
-        if report is None:  # timeout or disconnect: nothing surrendered
-            return ReclamationStats(demanded_pages=demand_pages)
-        try:
-            stats = ReclamationStats(demand_pages, **{
-                key: _count(report, key, 0) for key in _REPORTED
-            })
-            granted = self._connection.record.granted_pages
-            if stats.pages_reclaimed > granted:
-                raise ProtocolError(
-                    f"surrendered {stats.pages_reclaimed} of {granted} pages"
-                )
-            self.update_state(report)
-        except _BAD_FRAME as exc:  # the victim's fault: drop the victim
-            self._connection.fail(report, exc)
-            return ReclamationStats(demanded_pages=demand_pages)
-        return stats
-
 
 class _Connection:
     """One client process's socket, served by the daemon's loop."""
@@ -142,10 +121,7 @@ class _Connection:
         self.fd = sock.fileno()
         self.proxy = _RemoteSma(self)
         self.record: ProcessRecord | None = None
-        self._demand_ids = itertools.count(1)
-        #: the id of the DEMAND in flight, and its REPORT once read
-        self.awaiting: int | None = None
-        self.report: dict[str, Any] | None = None
+        self.demand_ids = itertools.count(1)
         self.reply_cache = ReplyCache(64)
         self.last_recv = time.monotonic()
         self.saw_ping = False
@@ -172,20 +148,21 @@ class _Connection:
                    "message": f"bad {frame.get('op')!r} frame: {exc}"})
         self.server._drop(self)
 
-    def demand(self, pages: int) -> dict[str, Any] | None:
-        """Send DEMAND, then run read steps until its REPORT arrives
-        (None on disconnect, on ``demand_timeout`` or on ``stop()``)."""
-        server = self.server
-        deadline = time.monotonic() + server.rpc_config.demand_timeout
-        self.awaiting = next(self._demand_ids)
-        self.send({"op": "demand", "id": self.awaiting, "pages": pages})
-        while self.report is None and not (self.closed or server._stopping):
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
-            server._read_step(left)
-        report, self.report, self.awaiting = self.report, None, None
-        return report
+
+@dataclass
+class _Parked:
+    """A REQUEST's episode, parked on the DEMAND it sent ``victim``."""
+
+    episode: Generator[tuple[_Connection, int], dict | None, None]
+    victim: _Connection
+    demand_id: int
+    deadline: float
+    report: dict[str, Any] | None = None
+
+    def left(self) -> float:
+        """Seconds until it resumes (on the REPORT, a close or a timeout)."""
+        done = self.report is not None or self.victim.closed
+        return 0.0 if done else max(0.0, self.deadline - time.monotonic())
 
 
 class RpcDaemonServer:
@@ -211,6 +188,7 @@ class RpcDaemonServer:
         #: the execute step's frames in arrival order; a ``None`` frame
         #: deregisters its connection
         self._queued: deque[tuple[_Connection, dict | None]] = deque()
+        self._parked: _Parked | None = None  # the execute step waits on it
         self._stopping = False
         self.clients_reaped = 0
         if os.path.exists(socket_path):
@@ -261,32 +239,36 @@ class RpcDaemonServer:
     def _loop(self) -> None:
         queued = self._queued
         while not self._stopping:
-            due = self._reap()
-            # a reaped client's deregistration is queued: do not wait
-            self._read_step(0 if queued else due)
-            # the execute step: frames a DEMAND's read steps queue run
-            # after the frame whose episode sent it
-            while queued and not self._stopping:
+            wait, parked = self._reap(), self._parked
+            if parked is not None:  # the reaper may have closed its victim
+                left = parked.left()
+                wait = left if wait is None else min(wait, left)
+            elif queued:  # e.g. a reaped client's deregistration
+                wait = 0
+            for fd, __ in self._poller.poll(  # the read step
+                None if wait is None else wait * 1000
+            ):
+                connection = self._conns.get(fd)
+                if connection is not None:
+                    self._read(connection)
+                elif fd == self._listener.fileno():
+                    self._accept()
+                else:  # the waker: the loop's ``while`` sees ``_stopping``
+                    self._waker_r.recv(64)
+            if parked is not None and not parked.left():
+                self._parked = None
+                self._resume(parked.episode, parked.report)
+            # the execute step: frames read while an episode is parked
+            # run after the frame whose episode sent the DEMAND
+            while queued and self._parked is None and not self._stopping:
                 connection, frame = queued.popleft()
                 if frame is None:
                     self.disconnect(connection)
                 elif not connection.closed:
                     self.handle_frame(connection, frame)
-                    if frame.get("op") in ("request", "release"):
+                    op = frame.get("op")
+                    if self._parked is None and op in ("request", "release"):
                         connection.proxy.busy = False
-
-    def _read_step(self, timeout: float | None) -> None:
-        """Read every ready socket once, waiting up to ``timeout``
-        seconds (None: until one is ready)."""
-        events = self._poller.poll(None if timeout is None else timeout * 1000)
-        for fd, __ in events:
-            connection = self._conns.get(fd)
-            if connection is not None:
-                self._read(connection)
-            elif fd == self._listener.fileno():
-                self._accept()
-            else:  # the waker: the loop's ``while`` sees ``_stopping``
-                self._waker_r.recv(64)
 
     def _accept(self) -> None:
         while True:
@@ -315,11 +297,12 @@ class RpcDaemonServer:
                 connection.saw_ping = True
                 connection.send({"op": "pong", "t": frame.get("t")})
             elif op == "report":
-                # no DEMAND waits for it (it timed out): drop the report
-                if connection.awaiting is not None and (
-                    frame.get("id") == connection.awaiting
+                # no episode is parked on it (it timed out): drop it
+                parked = self._parked
+                if parked is not None and parked.victim is connection and (
+                    frame.get("id") == parked.demand_id
                 ):
-                    connection.report = frame
+                    parked.report = frame
             elif op != "pong":  # a PONG already refreshed last_recv
                 if op in ("request", "release"):
                     # the client's app thread blocks (holding its SMA
@@ -422,13 +405,52 @@ class RpcDaemonServer:
                              "message": "hello first"})
             return
         request_id, pages = frame["id"], _count(frame, "pages")
+        steps = self.smd.request_steps(record.pid, pages)
+        self._resume(self._episode(steps, connection, request_id))
+
+    def _resume(self, episode: Generator, report: dict | None = None) -> None:
+        """Run ``episode`` on to its next DEMAND, parked, or to its end."""
+        with contextlib.suppress(StopIteration):
+            victim, demand_id = episode.send(report)
+            deadline = time.monotonic() + self.rpc_config.demand_timeout
+            self._parked = _Parked(episode, victim, demand_id, deadline)
+
+    def _episode(self, steps: Steps, requester: _Connection, request_id: Any):
+        """A REQUEST's episode: it yields each DEMAND's victim and id, is
+        sent its REPORT (None: none came) and ends in the reply."""
+        stats = None
         try:
-            granted = self.smd.handle_request(record.pid, pages)
-            reply = {"op": "grant", "id": request_id, "pages": granted}
+            while True:
+                record, pages = steps.send(stats)
+                stats = ReclamationStats(demanded_pages=pages)
+                # busy since target selection: skip rather than demand
+                # from a client whose app thread is blocked on us
+                if record.sma.busy:
+                    continue
+                victim = record.sma.connection
+                demand_id = next(victim.demand_ids)
+                victim.send({"op": "demand", "id": demand_id, "pages": pages})
+                report = None if victim.closed else (yield victim, demand_id)
+                if report is None:  # nothing surrendered
+                    continue
+                try:
+                    counted = ReclamationStats(pages, **{
+                        key: _count(report, key, 0) for key in _REPORTED
+                    })
+                    grant = victim.record.granted_pages
+                    if counted.pages_reclaimed > grant:
+                        raise ProtocolError(f"surrendered over {grant} pages")
+                    victim.proxy.update_state(report)
+                    stats = counted
+                except _BAD_FRAME as exc:  # the victim's fault: drop it
+                    victim.fail(report, exc)
+        except StopIteration as done:
+            reply = {"op": "grant", "id": request_id, "pages": done.value}
         except SoftMemoryDenied as exc:
             reply = {"op": "deny", "id": request_id,
                      "reclaimed": exc.reclaimed}
-        connection.reply(request_id, reply)
+        requester.reply(request_id, reply)
+        requester.proxy.busy = False
 
     def _handle_release(self, connection: _Connection, frame: dict) -> None:
         record = connection.record

@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     supervisor = ClusterSupervisor(
-        args.shards,
+        shards=args.shards,
         host=args.host,
         soft_capacity_pages=args.capacity,
         data_dir=args.dir,

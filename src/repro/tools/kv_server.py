@@ -158,7 +158,8 @@ class GracefulShutdown:
             # forfeit the remaining grant back to the machine ledger,
             # before the closing snapshot: with the loop stopped nothing
             # reads the daemon's socket, and an unread DEMAND would hold
-            # the daemon's episode for ``demand_timeout``
+            # the daemon's execute step (its episode parked) for up to
+            # ``demand_timeout``
             self._agent.close()
         if self._persistence is not None:
             self._persistence.close(final_snapshot=True)

@@ -10,6 +10,7 @@ reconnect re-registers the process and resyncs the budget ledger.
 
 import dataclasses
 import socket
+import sys
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.core.errors import (
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.daemon.smd import SmdConfig
 from repro.kvstore import TcpKvClient
+from repro.obs.oracle import check_smd
 from repro.rpc import (
     FaultInjector,
     FaultPlan,
@@ -78,6 +80,38 @@ def request(stream, request_id, pages):
     """One REQUEST from a scripted client: the daemon's reply."""
     stream.send({"op": "request", "id": request_id, "pages": pages})
     return stream.recv()
+
+
+def park_an_episode(srv, socket_path):
+    """A victim holding all 40 pages of ``srv`` and an asker whose
+    REQUEST for 20 parks an episode on it: (victim, asker, DEMAND)."""
+    victim = hello(socket_path, "victim", held=40, granted=40,
+                   flexibility=40, reclaimable=40)
+    victim.send({"op": "resync", "granted": 40})
+    assert wait_until(lambda: srv.smd.unassigned_pages == 0)
+    asker = hello(socket_path, "asker", held=0, granted=0)
+    asker.send({"op": "request", "id": 1, "pages": 20})
+    demand = victim.recv()
+    assert demand["op"] == "demand"
+    return victim, asker, demand
+
+
+class DepthPoller:
+    """A ``select.poll`` that records its caller's stack depth per call."""
+
+    def __init__(self, poller):
+        self._poller = poller
+        self.depths = []
+
+    def __getattr__(self, name):  # register, unregister
+        return getattr(self._poller, name)
+
+    def poll(self, *timeout):
+        frame, depth = sys._getframe(1), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        self.depths.append(depth)
+        return self._poller.poll(*timeout)
 
 
 def churn_workload(sma, rounds, keep=30):
@@ -711,6 +745,75 @@ class TestDaemonLoop:
             assert len(started()) == 1
             for client in clients:
                 client.close()
+
+    def test_an_episode_waits_at_the_loop_s_one_poll(self, socket_path):
+        """The poll-depth guard: every ``poll`` the daemon makes is made
+        at one stack depth, mid-episode included — a wait nested in the
+        episode would poll deeper. Counted, no clock read."""
+        srv = RpcDaemonServer(socket_path, 40)
+        srv._poller = poller = DepthPoller(srv._poller)
+        with srv:
+            victim, asker, demand = park_an_episode(srv, socket_path)
+            before = len(poller.depths)
+            for t in range(3):  # the REPORT is late; PINGs are served
+                victim.send({"op": "ping", "t": t})
+                assert victim.recv() == {"op": "pong", "t": t}
+            victim.send({"op": "report", "id": demand["id"],
+                         "pages_from_budget": 20, "granted": 20})
+            assert asker.recv() == {"op": "grant", "id": 1, "pages": 20}
+            assert len(poller.depths) - before >= 3
+            victim.close()
+            asker.close()
+        assert len(set(poller.depths)) == 1, set(poller.depths)
+
+    def test_a_silent_client_is_reaped_while_an_episode_waits(
+        self, socket_path
+    ):
+        quick_reaper = RpcConfig(heartbeat_timeout=0.3, demand_timeout=60.0)
+        with RpcDaemonServer(socket_path, 40, rpc_config=quick_reaper) as srv:
+            ghost = hello(socket_path, "ghost", held=0, granted=0)
+            victim, asker, demand = park_an_episode(srv, socket_path)
+            ghost.send({"op": "ping", "t": 0})
+            assert ghost.recv()["op"] == "pong"
+            # ...and then the ghost freezes while the victim holds its
+            # REPORT: the reaper closes it (reads wait up to 10 s)
+            with pytest.raises(FrameClosed):
+                ghost.recv()
+            assert srv.clients_reaped == 1
+            # its deregistration waits behind the parked episode
+            assert len(srv.smd.registry) == 3
+            victim.send({"op": "report", "id": demand["id"],
+                         "pages_from_budget": 20, "granted": 20})
+            assert asker.recv() == {"op": "grant", "id": 1, "pages": 20}
+            assert wait_until(lambda: len(srv.smd.registry) == 2)
+            check_smd(srv.smd)
+            for client in (ghost, victim, asker):
+                client.close()
+
+    def test_a_victim_that_closes_mid_episode_ends_it_at_once(
+        self, socket_path
+    ):
+        """The requester's reply comes within its 10 s read, long
+        before ``demand_timeout``."""
+        patient = RpcConfig(demand_timeout=60.0)
+        with RpcDaemonServer(socket_path, 40, rpc_config=patient) as srv:
+            victim, asker, __ = park_an_episode(srv, socket_path)
+            victim.close()
+            assert asker.recv() == {"op": "deny", "id": 1, "reclaimed": 0}
+            assert wait_until(lambda: len(srv.smd.registry) == 1)
+            check_smd(srv.smd)
+            assert srv.smd.assigned_pages == 0
+            asker.close()
+
+    def test_stop_with_an_episode_parked_keeps_the_ledger(self, socket_path):
+        srv = RpcDaemonServer(socket_path, 40).start()
+        victim, asker, __ = park_an_episode(srv, socket_path)
+        srv.stop()
+        assert not srv._thread.is_alive()
+        check_smd(srv.smd)
+        assert srv.smd.assigned_pages == 40  # nothing was surrendered
+        victim.close()
+        asker.close()
 
     def test_a_client_that_stops_reading_is_dropped_alone(self, socket_path):
         """The slow-reader guard: one client floods PINGs and reads no

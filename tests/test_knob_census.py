@@ -21,7 +21,9 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONSTRUCTORS = {"TcpKvServer", "build_server"}
+CONSTRUCTORS = {
+    "TcpKvServer", "build_server", "ClusterSupervisor", "RpcDaemonServer",
+}
 DEPLOYMENT = re.compile(
     r"[. -](host|port|(data_)?dir|addr|smd.socket|cluster.nodes|replicaof)$"
 )
@@ -37,6 +39,15 @@ NEEDED = {
     "tests/cluster/test_trace.py::TestDiurnalArrivals drives 'diurnal'",
     "kv_cluster --capacity": "the box's soft capacity, a fact of the "
     "deployment like --dir; the tool's own usage line sizes it",
+    "ClusterSupervisor.ports": "tests/integration/test_cluster_processes.py"
+    "::test_a_shard_that_never_starts_leaves_nothing_running holds one",
+    "ClusterSupervisor.startup_budget_pages": "tests/obs/"
+    "test_cluster_soak.py starts each shard with 8 pages",
+    "ClusterSupervisor.workdir": "tests/fleet.py keeps the daemon's unix "
+    "socket path under the kernel's length limit",
+    "ClusterSupervisor.health_interval": "tests/integration/"
+    "test_cluster_processes.py checks every 0.2 s, so a SIGKILLed shard "
+    "is back within test time",
 }
 #: calls that read a clock, ``timeit``'s included
 CLOCKS = {
