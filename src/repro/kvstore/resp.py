@@ -272,6 +272,9 @@ class RespParser:
         self._window = _WINDOW_MIN  # bytes the next tokeniser pass splits
         #: lifetime count of memoryview payloads handed out
         self.views_created = 0
+        #: a payload view was handed out since the caller last cleared
+        #: this (``KvServer.pump`` audits such a batch's argv)
+        self.viewed = False
         #: lifetime count of :class:`ProtocolError` quarantines
         self.errors = 0
         #: total bytes discarded by quarantines (fed but never parsed,
@@ -488,6 +491,7 @@ class RespParser:
                         if zc_min is not None and length >= zc_min and n >= 2:
                             argv.append(memoryview(buf)[start:pos - 2])
                             self.views_created += 1
+                            self.viewed = True
                             self._window = collapsed
                         else:
                             argv.append(bytes(buf[start:pos - 2]))

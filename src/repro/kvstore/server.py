@@ -109,7 +109,6 @@ class KvServer:
         self.store = store
         self.obs = store.obs
         self._parser = RespParser(zero_copy_threshold=ZERO_COPY_THRESHOLD)
-        self.commands_processed = 0
         self.protocol_errors = 0
         #: bytes fed but discarded by protocol-error quarantines
         self.bytes_dropped = 0
@@ -122,6 +121,13 @@ class KvServer:
     def parser(self) -> RespParser:
         """The session's parser (the TCP front-end ``recv_into``s its buffer)."""
         return self._parser
+
+    @property
+    def commands_processed(self) -> int:
+        """Commands executed by every session of this store: the obs
+        plane's count, the one ``pump`` keeps (``TcpKvServer``'s
+        counters are per store too)."""
+        return self.obs.commands
 
     def pump(self, out: bytearray) -> int:
         """Execute every complete buffered command, replies into ``out``.
@@ -154,16 +160,16 @@ class KvServer:
         frames: list[list] = []
         processed = rejected = 0
         while True:
-            views_before = parser.views_created
             try:
                 status = parser.parse_pipeline(frames)
             except ProtocolError as exc:
                 status = exc  # quarantined: the buffer is empty
             if frames:
-                if parser.views_created != views_before:
+                if parser.viewed:
                     # the batch carries zero-copy payloads (index >= 2
                     # only): argv outside the table's audited shapes
                     # get bytes up front
+                    parser.viewed = False
                     for argv in frames:
                         n = len(argv)
                         if n > 2 and _VIEW_SHAPES.get(argv[0]) != n:
@@ -222,7 +228,6 @@ class KvServer:
             else:
                 encode_reply_into(out, _BAD_ARGV)
                 rejected += 1
-        self.commands_processed += processed
         obs.commands += processed
         return processed + rejected
 

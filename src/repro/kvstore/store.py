@@ -855,6 +855,8 @@ class DataStore:
         Recovery (newest valid snapshot + AOF tail replay) runs before
         logging starts, so replayed mutations are not re-logged. After
         this returns, every mutation flows into the append-only log.
+        Attach before a ``TcpKvServer`` over this store starts serving:
+        its loop reads the plane once, not once a round.
         """
         if self._persist is not None:
             raise RuntimeError("a persistence plane is already attached")

@@ -15,13 +15,22 @@ into the connection's output buffer. A replica's link to its master is
 one more socket on the same loop (``repl/link.py``), and so is a kv
 process's link to its soft memory daemon (``rpc/agent.py``).
 Replies leave at the end of the poll round — after the round's
-single AOF group commit — in one non-blocking send per connection; a
-master's replication stream leaves with them, but to its feeds at most
-once per millisecond (``_FEED_EVERY`` in ``repl/node.py``);
-leftovers are written when the socket reports writable (write interest
-is toggled on and off). Slow clients that let their output buffer grow
-past a fixed limit are disconnected, like Redis's
-client-output-buffer-limits.
+single AOF group commit — in one non-blocking send per connection (a
+partial send hands over to ``_flush`` where it stopped); a master's
+replication stream leaves with them, but to its feeds at most once per
+millisecond (``_FEED_EVERY`` in ``repl/node.py``); leftovers are
+written when the socket reports writable (write interest is toggled on
+and off). Slow clients that let their output buffer grow past a fixed
+limit are disconnected, like Redis's client-output-buffer-limits.
+
+What one depth-1 GET round costs is counted, not timed
+(``tests/kvstore/test_round_guard.py``): three syscalls (``poll``,
+``recv_into``, ``send``), and between them 8 Python calls — the
+parser's ``recv_from``, ``pump`` and its ``parse_pipeline``, and the
+command's five (dispatch, the store's and the dict's ``get``, the
+reply's encode, its latency histogram) — and 23 C calls. The loop reads
+the client's bytes, records the batch size (``tally[n] += 1``) and
+sends a whole reply inline, and binds the store's persistence once.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ class TcpKvServer:
             self._conns,
             flush=self._flush,
             close=self._close,
-            recv=self._on_readable,
+            recv=self._read_feed,
         )
         self._poller.register(self._listener.fileno(), _READ)
         # waker: stop() signals the (possibly idle, fully blocked) loop
@@ -178,16 +187,15 @@ class TcpKvServer:
 
     @property
     def commands_processed(self) -> int:
-        return int(self._obs.batch_hist.total)
+        return int(self._obs.batch_hist.snapshot().total)
 
     @property
     def batches_executed(self) -> int:
-        return self._obs.batch_hist.count
+        return self._obs.batch_hist.snapshot().count
 
     @property
     def max_batch(self) -> int:
-        batches = self._obs.batch_hist
-        return int(batches.vmax) if batches.count else 0
+        return int(self._obs.batch_hist.snapshot().vmax)
 
     # -- replication: configuration before start() ---------------------
 
@@ -213,13 +221,15 @@ class TcpKvServer:
         repl, store, conns = self._repl, self.store, self._conns
         poll, per_second = self._poller.poll, self._per_second
         listener = self._listener.fileno()
-        flush, recv = self._flush, self._on_readable
+        flush, close = self._flush, self._close
         agent = store.smd_agent
+        # attached before the loop runs (``kv_server`` recovers first)
+        persist = store.persistence
+        batches = self._obs.batch_hist.tally
         try:
             while not self._stopping:
                 # with an everysec AOF, cap the block so a quiet server
                 # still retires the deferred fsync within its window
-                persist = store.persistence
                 timeout = None
                 if persist is not None and persist.aof_enabled:
                     if persist.config.appendfsync == "everysec":
@@ -261,9 +271,32 @@ class TcpKvServer:
                     # it) drains first, before this round generates more
                     if mask & _WRITE and not flush(conn):
                         continue
-                    if mask & ~_WRITE and not recv(conn):
-                        continue
-                    if not conn.queued and len(conn.out) > conn.pos:
+                    if mask & ~_WRITE:
+                        if conn.feed is not None:
+                            if not self._read_feed(conn):
+                                continue
+                        else:
+                            # one recv_into the parser's buffer, then
+                            # every complete command: the replies wait
+                            # for the round's end, after the group commit
+                            try:
+                                nbytes = conn.parser.recv_from(
+                                    conn.sock, _RECV_SIZE
+                                )
+                            except (BlockingIOError, InterruptedError):
+                                nbytes = None
+                            except OSError:
+                                nbytes = 0
+                            if nbytes == 0:  # EOF, reset, or the hang-up
+                                close(conn)
+                                continue
+                            if nbytes and (
+                                executed := conn.session.pump(conn.out)
+                            ):
+                                batches[executed] += 1
+                    # only ``_flush`` moves ``pos``, and it empties
+                    # ``out`` once ``pos`` reaches its end
+                    if conn.out and not conn.queued:
                         conn.queued = True
                         flush_queue.append(conn)
                 if accepting:
@@ -294,6 +327,23 @@ class TcpKvServer:
                 # syscall on the wire, not one per readable event
                 for conn in flush_queue:
                     conn.queued = False
+                    if conns.get(conn.fd) is not conn:
+                        continue  # closed by a later event of this round
+                    if not conn.pos:
+                        # ``_flush``'s first send, inline: the round's
+                        # replies, whole, on a socket not watched for
+                        # writable. Anything else is ``_flush``'s, from
+                        # the ``pos`` this send reached
+                        out = conn.out
+                        try:
+                            conn.pos = conn.sock.send(out)
+                        except OSError:  # ``_flush`` sends, and sorts it
+                            pass
+                        else:
+                            if conn.pos == len(out) and not conn.want_write:
+                                out.clear()
+                                conn.pos = 0
+                                continue
                     flush(conn)
         finally:
             self._shutdown()
@@ -340,13 +390,11 @@ class TcpKvServer:
             self._poller.register(fd, _READ)
         self._agent_fd = fd
 
-    def _on_readable(self, conn: _Connection) -> bool:
-        """Recv straight into the parser buffer, execute the batch.
-
-        Returns False when the connection was closed. Replies are
-        *not* flushed here — the loop sends each connection's round of
-        replies in one syscall after the round's group commit.
-        """
+    def _read_feed(self, conn: _Connection) -> bool:
+        """Recv a replica feed's bytes into its parser and hand them to
+        the repl node, which takes its REPLCONF ACKs (a feed carries
+        nothing else); False when the connection was closed. The loop
+        reads a client's bytes inline, with the same three outcomes."""
         try:
             nbytes = conn.parser.recv_from(conn.sock, _RECV_SIZE)
         except (BlockingIOError, InterruptedError):
@@ -356,13 +404,7 @@ class TcpKvServer:
         if not nbytes:  # EOF, reset, or the hang-up that woke us
             self._close(conn)
             return False
-        if conn.feed is not None:
-            # a replica feed socket carries nothing but REPLCONF ACKs
-            return self._repl.absorb(conn)
-        executed = conn.session.pump(conn.out)
-        if executed:
-            self._obs.observe_batch(executed)
-        return True
+        return self._repl.absorb(conn)
 
     def _flush(self, conn: _Connection) -> bool:
         """Write as much pending output as the socket accepts.

@@ -4,7 +4,8 @@ Dependency-free runtime telemetry for every layer of the reproduction:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with pull
   gauges and fixed-bucket latency histograms (one cell each, written
-  in place by an already-serialized caller);
+  in place by an already-serialized caller), and a count histogram
+  written as one tally (the serving loop's batch sizes);
 * :mod:`repro.obs.slowlog` — a Redis-SLOWLOG-style bounded ring of the
   slowest commands;
 * :mod:`repro.obs.plane` — :class:`KvObservability`, the serving-plane
@@ -20,6 +21,7 @@ command), because per-command latency cannot be reconstructed later.
 """
 
 from repro.obs.metrics import (
+    CountHistogram,
     Gauge,
     HistSnapshot,
     Histogram,
@@ -40,6 +42,7 @@ __all__ = [
     "Gauge",
     "MultiGauge",
     "Histogram",
+    "CountHistogram",
     "HistSnapshot",
     "MetricsRegistry",
     "Slowlog",

@@ -5,11 +5,12 @@ Design constraints (see ISSUE 3):
 * **dependency-free** — pure stdlib, importable anywhere the core is;
 * **lock-free writes** — the only metric written per event is the
   histogram, and every writer in this repo is already serialized
-  (commands and tier promotions run under the serving plane's
-  execution lock, batch sizes are recorded by its one loop thread), so
-  a :class:`Histogram` *is* its one cell: ``observe`` updates the
-  bucket counts, count, sum and extrema in place.  Only creating a
-  metric takes the registry lock;
+  (commands, tier promotions and batch sizes are all recorded on the
+  serving plane's one loop thread), so a :class:`Histogram` *is* its
+  one cell: ``observe`` updates the bucket counts, count, sum and
+  extrema in place.  A :class:`CountHistogram` (whole counts: commands
+  per batch) is one tally its writer bumps without a call, and a read
+  derives the cells.  Only creating a metric takes the registry lock;
 * **monotonic histograms** — counts and sums can only grow, which is
   what lets ``repro.obs.oracle`` assert over ``INFO`` that no series
   ever decreases across arbitrary traffic.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
@@ -33,6 +35,7 @@ __all__ = [
     "Gauge",
     "MultiGauge",
     "Histogram",
+    "CountHistogram",
     "HistSnapshot",
     "MetricsRegistry",
 ]
@@ -132,6 +135,15 @@ class HistSnapshot:
         return self.vmax
 
 
+def _checked(bounds: Iterable[float] | None) -> tuple[float, ...]:
+    chosen = tuple(bounds) if bounds is not None else DEFAULT_LATENCY_BOUNDS
+    if not chosen:
+        raise ValueError("histogram needs at least one bucket bound")
+    if any(b >= a for b, a in zip(chosen, chosen[1:])):
+        raise ValueError(f"bounds must be strictly increasing: {chosen}")
+    return chosen
+
+
 class Histogram:
     """Fixed-bucket histogram: one cell, one write method.
 
@@ -146,13 +158,8 @@ class Histogram:
         self, name: str, bounds: Iterable[float] | None = None
     ) -> None:
         self.name = name
-        chosen = tuple(bounds) if bounds is not None else DEFAULT_LATENCY_BOUNDS
-        if not chosen:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b >= a for b, a in zip(chosen, chosen[1:])):
-            raise ValueError(f"bounds must be strictly increasing: {chosen}")
-        self.bounds = chosen
-        self.counts = [0] * (len(chosen) + 1)  # last = overflow
+        self.bounds = _checked(bounds)
+        self.counts = [0] * (len(self.bounds) + 1)  # last = overflow
         self.count = 0
         self.total = 0.0
         self.vmin = float("inf")
@@ -180,6 +187,52 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count}>"
+
+
+class CountHistogram:
+    """A histogram of whole counts, written as one tally.
+
+    The serving loop records each batch's command count as
+    ``tally[n] += 1``: a dict store, no frame and no C call.  A read
+    folds the tally into exactly the cells :meth:`Histogram.observe`
+    would have built (for counts below 2**53 the sum is exact in any
+    order); the one ``list(items())`` is a single C call, so a reader
+    on another thread sees a consistent tally while the loop adds to
+    it.
+    """
+
+    __slots__ = ("name", "bounds", "tally")
+
+    def __init__(
+        self, name: str, bounds: Iterable[float] | None = None
+    ) -> None:
+        self.name = name
+        self.bounds = _checked(bounds)
+        #: value -> how many times it was recorded
+        self.tally: defaultdict[int, int] = defaultdict(int)
+
+    def observe(self, value: int) -> None:
+        self.tally[value] += 1
+
+    def snapshot(self) -> HistSnapshot:
+        seen = list(self.tally.items())
+        counts = [0] * (len(self.bounds) + 1)
+        count = total = 0
+        for value, times in seen:
+            counts[bisect_left(self.bounds, value)] += times
+            count += times
+            total += value * times
+        return HistSnapshot(
+            bounds=self.bounds,
+            counts=tuple(counts),
+            count=count,
+            total=float(total),
+            vmin=min(seen)[0] if seen else 0.0,
+            vmax=max(seen)[0] if seen else 0.0,
+        )
+
+    def __repr__(self) -> str:
+        return f"<CountHistogram {self.name} values={len(self.tally)}>"
 
 
 class MetricsRegistry:
@@ -238,6 +291,13 @@ class MetricsRegistry:
             name, Histogram, lambda: Histogram(name, bounds)
         )
 
+    def count_histogram(
+        self, name: str, bounds: Iterable[float] | None = None
+    ) -> CountHistogram:
+        return self._get_or_create(
+            name, CountHistogram, lambda: CountHistogram(name, bounds)
+        )
+
     # -- queries --------------------------------------------------------
 
     def get(self, name: str) -> Any | None:
@@ -273,7 +333,7 @@ class MetricsRegistry:
                     continue
                 for suffix, value in values.items():
                     out[f"{name}.{suffix}"] = value
-            elif isinstance(metric, Histogram):
+            elif isinstance(metric, (Histogram, CountHistogram)):
                 snap = metric.snapshot()
                 out[f"{name}.count"] = snap.count
                 out[f"{name}.sum"] = snap.total

@@ -77,12 +77,11 @@ class KvObservability:
         #: bytes fed to a parser but discarded by an error quarantine
         #: (the poisoned frame and everything buffered behind it)
         self.protocol_dropped_bytes = 0
-        self.batch_hist = self.registry.histogram(
+        #: commands per readable event; the serving loop bumps its
+        #: ``tally`` in place, and a read derives the histogram
+        self.batch_hist = self.registry.count_histogram(
             "server.pipeline_batch", bounds=BATCH_BOUNDS
         )
-        #: record one readable event's pipelined command count (the
-        #: histogram's own method: no frame of ours around it)
-        self.observe_batch = self.batch_hist.observe
 
     # -- hot path -------------------------------------------------------
 

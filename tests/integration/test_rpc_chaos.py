@@ -135,8 +135,21 @@ def churn_workload(sma, rounds, keep=30):
 
 
 class TestFaultyStream:
+    def setup_method(self):
+        self._sockets: list[socket.socket] = []
+
+    def teardown_method(self):
+        for sock in self._sockets:
+            sock.close()
+
+    def _socketpair(self):
+        """A connected pair, closed when the test ends."""
+        pair = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sockets.extend(pair)
+        return pair
+
     def _pair(self, plan):
-        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        a, b = self._socketpair()
         injector = FaultInjector(plan)
         return injector.wrap(FrameStream(a)), FrameStream(b), injector
 
@@ -175,7 +188,7 @@ class TestFaultyStream:
         assert injector.stats.dropped == 1
 
     def test_recv_side_duplicate(self):
-        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        a, b = self._socketpair()
         injector = FaultInjector(FaultPlan(duplicate=1.0))
         left, right = FrameStream(a), injector.wrap(FrameStream(b))
         left.send({"n": 7})

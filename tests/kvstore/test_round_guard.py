@@ -12,6 +12,12 @@ and counting accepted sockets (``transport_standins.py``):
   per round, not per command;
 * a partial write costs exactly one ``modify`` to watch the socket
   writable and one to stop, and one more round;
+* around its three syscalls a depth-1 GET round enters three Python
+  frames of its own (``recv_from``, ``pump``, ``parse_pipeline``) and
+  the command's five, and makes :data:`DEPTH_1_C_CALLS` C calls;
+  a 16-deep round adds only per-command calls. Counted with
+  ``sys.setprofile`` on the loop thread between two polls, GC off —
+  calls, not time, and the same on every interpreter;
 * a replica's link to its master is one more socket on its own loop:
   attaching one starts no thread, and a stream chunk is one ``poll``,
   one ``recv`` and one ``sendall`` (the ACK). The replica's loop runs
@@ -46,10 +52,13 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import inspect
+import os
 import re
 import select
 import socket
+import sys
 import textwrap
 import threading
 import time
@@ -177,6 +186,114 @@ def test_a_partial_write_is_one_modify_on_and_one_off(served):
     assert served.counts == Counter(poll=2, recv_into=1, send=3, modify=2)
     one_round(served, 1)  # and the connection is back to three calls
     assert served.counts == Counter(poll=3, recv_into=2, send=4, modify=2)
+
+
+# -- a round's calls --------------------------------------------------------
+
+#: the Python frames one GET adds to a round, by file and function
+PER_GET = Counter({
+    ("commands.py", "dispatch"): 1,
+    ("store.py", "get"): 1,
+    ("dict.py", "get"): 1,
+    ("resp.py", "encode_reply_into"): 1,
+    ("metrics.py", "observe"): 1,  # its command's latency histogram
+})
+#: the frames a round enters beyond its commands': one receive into
+#: the parser, one batch and its one parse
+PER_ROUND = Counter({
+    ("resp.py", "recv_from"): 1,
+    ("server.py", "pump"): 1,
+    ("resp.py", "parse_pipeline"): 1,
+})
+#: a depth-1 GET round's C calls beyond its ``poll`` (``recv_into``
+#: and ``send`` among them); 26 before the loop dropped its frames
+DEPTH_1_C_CALLS = 23
+
+
+class CallCensus:
+    """The loop's poll object, profiling the loop thread between polls.
+
+    Each ``poll`` that returns while :attr:`armed` opens a round:
+    ``sys.setprofile`` counts the Python frames the loop enters (by
+    file and function) and the C functions it calls (by caller and
+    name) until it polls again. The census's own frame and calls and
+    the poll itself are not counted.
+    """
+
+    def __init__(self, real) -> None:
+        self._real = real
+        self.armed = False
+        self.rounds: list[tuple[Counter, Counter]] = []
+
+    def poll(self, *args):
+        sys.setprofile(None)
+        events = self._real.poll(*args)
+        if self.armed:
+            python, c = Counter(), Counter()
+            self.rounds.append((python, c))
+            own = CallCensus.poll.__code__
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "call" and code is not own:
+                    python[os.path.basename(code.co_filename), code.co_name] += 1
+                elif event == "c_call" and arg is not sys.setprofile:
+                    c[code.co_name, arg.__name__] += 1
+
+            sys.setprofile(profile)
+        return events
+
+    def __getattr__(self, name):  # register, modify, unregister, close
+        return getattr(self._real, name)
+
+
+def counted_rounds(depth: int, rounds: int = 20) -> list:
+    """The calls of one round of ``depth`` pipelined GETs, counted on
+    the loop thread with the cyclic GC off: ``(python, c)``, the same
+    in each of ``rounds`` rounds."""
+    server = TcpKvServer(DataStore(LockedSoftMemoryAllocator(name="census")))
+    census = server._poller = CallCensus(server._poller)
+    server.start()
+    client = socket.create_connection(server.address, timeout=5)
+    client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    served = SimpleNamespace(client=client)
+    collecting = gc.isenabled()
+    try:
+        client.sendall(encode_command("SET", "k", "v"))
+        assert read_exactly(client, 5) == b"+OK\r\n"
+        for __ in range(3):  # the parser's buffer and window settle
+            one_round(served, depth)
+        gc.disable()
+        census.armed = True
+        for __ in range(rounds):
+            one_round(served, depth)
+        census.armed = False
+        one_round(served, depth)  # its poll closes the last counted round
+    finally:
+        if collecting:
+            gc.enable()
+        client.close()
+        server.stop()
+    assert len(census.rounds) == rounds
+    assert all(counted == census.rounds[0] for counted in census.rounds)
+    return census.rounds[0]
+
+
+def test_a_depth_1_get_round_enters_three_frames_beyond_its_command():
+    python, c = counted_rounds(1)
+    assert python == PER_ROUND + PER_GET
+    assert sum(python.values()) == 8  # 12 before the loop dropped its frames
+    assert sum(c.values()) == DEPTH_1_C_CALLS
+    assert c[("_loop", "send")] == c[("recv_from", "recv_into")] == 1
+
+
+def test_a_16_deep_round_adds_only_per_command_calls():
+    (python, c), (deep_python, deep_c) = counted_rounds(1), counted_rounds(16)
+    assert deep_python == python + Counter(
+        {frame: 15 * n for frame, n in PER_GET.items()}
+    )
+    assert not c - deep_c
+    assert all(n % 15 == 0 for n in (deep_c - c).values())
 
 
 # -- a replica ------------------------------------------------------------

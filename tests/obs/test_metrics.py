@@ -4,16 +4,20 @@ losing its set-value gauges, counters and per-thread cells."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
 from repro.kvstore import DataStore, TcpKvClient, TcpKvServer
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
+    CountHistogram,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.plane import BATCH_BOUNDS
 from repro.tools.metrics_dump import parse_info
 
 
@@ -61,6 +65,47 @@ class TestHistogram:
         snap = h.snapshot()
         for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
             assert snap.vmin <= snap.quantile(q) <= snap.vmax
+
+
+class TestCountHistogram:
+    """The serving loop writes batch sizes as ``tally[n] += 1``; every
+    read must see exactly what :meth:`Histogram.observe` builds."""
+
+    def test_a_seeded_run_of_batch_sizes_reads_as_observe_builds(self):
+        rng = random.Random(47)
+        sizes = [rng.randint(1, 2000) for __ in range(5000)]
+        sizes += [1] * 3000 + [16] * 500 + [1024, 1025, 2000]  # edges
+        rng.shuffle(sizes)
+        observed = Histogram("batches", bounds=BATCH_BOUNDS)
+        tallied = CountHistogram("batches", bounds=BATCH_BOUNDS)
+        for n in sizes:
+            observed.observe(n)
+            tallied.tally[n] += 1  # the loop's write, no call
+        snap = tallied.snapshot()
+        assert snap == observed.snapshot()
+        assert (snap.count, snap.total, snap.vmin, snap.vmax) == (
+            len(sizes), float(sum(sizes)), 1, 2000
+        )
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert snap.quantile(q) == observed.snapshot().quantile(q)
+
+    def test_observe_and_the_registry_series_agree(self):
+        mine, theirs = MetricsRegistry("a"), MetricsRegistry("b")
+        tallied = mine.count_histogram("b", bounds=BATCH_BOUNDS)
+        observed = theirs.histogram("b", bounds=BATCH_BOUNDS)
+        assert mine.snapshot() == theirs.snapshot()  # both empty
+        for n in (3, 1, 700, 1, 4096):
+            tallied.observe(n)
+            observed.observe(n)
+        assert mine.snapshot() == theirs.snapshot()
+        assert mine.count_histogram("b") is tallied
+        with pytest.raises(TypeError):
+            mine.histogram("b")
+
+    def test_rejects_bad_bounds(self):
+        with pytest.raises(ValueError):
+            CountHistogram("h", bounds=[2, 1])
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):

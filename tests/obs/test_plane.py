@@ -78,8 +78,8 @@ class TestObserveCommand:
 
     def test_batch_histogram(self):
         obs = KvObservability("t")
-        obs.observe_batch(1)
-        obs.observe_batch(16)
+        obs.batch_hist.observe(1)
+        obs.batch_hist.observe(16)
         snap = obs.batch_hist.snapshot()
         assert snap.count == 2
         assert snap.vmax == 16
