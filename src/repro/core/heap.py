@@ -30,7 +30,7 @@ class SdsHeap:
 
     A :class:`SoftPtr` is its allocation, so the heap keeps no registry
     of them: which allocation dies first is the SDS's policy, kept in
-    the SDS's own age index (``SoftDict._by_age``), and the heap counts.
+    the SDS's own age order (``SoftDict._index``), and the heap counts.
     """
 
     #: harvest free pages back to the process pool once this many idle
@@ -149,6 +149,10 @@ class SdsHeap:
     @property
     def page_count(self) -> int:
         return self._placer.page_count
+
+    @property
+    def stranded_bytes(self) -> int:
+        return self._placer.stranded_bytes
 
     @property
     def free_page_count(self) -> int:

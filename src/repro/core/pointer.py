@@ -39,8 +39,10 @@ class SoftPtr:
     use a :class:`DerefScope` to hold the payload across operations that
     might trigger reclamation.
 
-    ``alloc_id`` is a global monotone stamp (a later ``soft_malloc``
-    compares greater; a resize keeps the id). ``page`` and ``offset``
+    ``alloc_id`` is a global monotone stamp, taken when the id is
+    first read (ids are unique, and of two handles the one read first
+    compares less; a resize keeps the id), so an allocation nobody asks
+    about holds no int of its own. ``page`` and ``offset``
     say where the allocation lies: ``[offset, offset+size)`` of one
     :class:`~repro.mem.page.Page`, or, when ``size`` is over a page, a
     tuple of pages it owns outright (``offset`` 0). ``page`` is ``None``
@@ -54,7 +56,7 @@ class SoftPtr:
     #: slots, not properties, because ``SoftDict.get`` reads them on
     #: every probe
     __slots__ = (
-        "alloc_id",
+        "_alloc_id",
         "size",
         "page",
         "offset",
@@ -73,7 +75,8 @@ class SoftPtr:
         context: "SdsContext",
         payload: Any,
     ) -> None:
-        self.alloc_id: int = next(_alloc_ids)
+        #: 0 until :attr:`alloc_id` is first read
+        self._alloc_id = 0
         self.size = size
         self.page: Page | tuple[Page, ...] | None = page
         self.offset = offset
@@ -83,6 +86,14 @@ class SoftPtr:
         #: True while the allocation has not been reclaimed or freed
         self.valid = True
         self.group_id: int | None = None
+
+    @property
+    def alloc_id(self) -> int:
+        """This allocation's id, stamped from the global counter on the
+        first read."""
+        if not self._alloc_id:
+            self._alloc_id = next(_alloc_ids)
+        return self._alloc_id
 
     @property
     def pinned(self) -> bool:

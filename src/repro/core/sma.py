@@ -646,6 +646,22 @@ class SoftMemoryAllocator:
         return sum(c.heap.live_bytes for c in self._contexts)
 
     @property
+    def heap_bloat(self) -> float:
+        """Heap pages x page size / live bytes (0 with nothing live):
+        how many bytes of page the heaps hold per byte they place."""
+        live = self.live_bytes
+        if not live:
+            return 0.0
+        pages = sum(c.heap.page_count for c in self._contexts)
+        return pages * PAGE_SIZE / live
+
+    @property
+    def stranded_bytes(self) -> int:
+        """Free bytes in heap pages that hold a live allocation: room no
+        reclamation can hand back as a page."""
+        return sum(c.heap.stranded_bytes for c in self._contexts)
+
+    @property
     def compressed_bytes(self) -> int:
         """Live bytes held in compressed second-chance tiers."""
         return sum(c.compressed_bytes for c in self._contexts)

@@ -94,7 +94,9 @@ class ReferenceRegistry:
     """Per-SMA table of references, notified on the reclamation path."""
 
     def __init__(self) -> None:
-        self._refs: dict[int, list[SoftReference]] = {}
+        #: allocation handle -> its references; keyed by the handle
+        #: itself, so no path here reads ``alloc_id``
+        self._refs: dict[SoftPtr, list[SoftReference]] = {}
 
     def create(
         self,
@@ -106,17 +108,17 @@ class ReferenceRegistry:
         if not ptr.valid:
             raise ValueError("cannot reference a reclaimed allocation")
         ref = SoftReference(ptr, queue=queue, tag=tag)
-        self._refs.setdefault(ptr.alloc_id, []).append(ref)
+        self._refs.setdefault(ptr, []).append(ref)
         return ref
 
     def notify_reclaimed(self, ptr: SoftPtr) -> None:
         """Deliver all of an allocation's references to their queues."""
-        for ref in self._refs.pop(ptr.alloc_id, []):
+        for ref in self._refs.pop(ptr, []):
             ref._on_reclaimed()
 
     def forget(self, ptr: SoftPtr) -> None:
         """Drop tracking on an explicit free (no queue delivery)."""
-        self._refs.pop(ptr.alloc_id, None)
+        self._refs.pop(ptr, None)
 
     @property
     def tracked_count(self) -> int:

@@ -8,23 +8,29 @@ callback. The bucket index itself never held soft memory.
 :class:`SoftDict` reproduces that integration in the shape
 :class:`~repro.sds.soft_hash_table.SoftHashTable` has: the index is a
 dict from key to the entry's soft pointer, and every entry is one soft
-allocation whose payload is a traditional-memory ``(key, value)``
-record. Reclamation drops the oldest entries first and the application
-callback cleans up the traditional side.
+allocation whose payload is the traditional-memory value. The key is
+already the index's own key, so the entry stores no record around the
+two; the reclamation callback still receives ``(key, value)``, built on
+the drop path alone. The index is kept in age order — an overwrite moves
+its key to the newest end — so reclamation drops the oldest entries
+first by walking the index itself, and the application callback cleans
+up the traditional side.
 
 With a :class:`~repro.kvstore.tier.TierConfig` enabled, eviction grows
 a middle state: the oldest resident entry *demotes* — its value is
 zlib-compressed and the soft allocation relocated at compressed size
 via ``SoftMemoryAllocator.soft_demote``, which cannot fail — instead of
-dropping. Only a later pressure wave (or the tier watermark) truly
-drops compressed entries, firing the usual reclamation callback; a read
-in between is served from the stub, and *promotes* the entry back to
-residency only where the heap already owns the room.
+dropping, and its key moves to a second dict of demoted entries in
+demotion order. Only a later pressure wave (or the tier watermark)
+truly drops compressed entries, firing the usual reclamation callback;
+a read in between is served from the stub, and *promotes* the entry
+back to residency only where the heap already owns the room.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 from repro.core.context import ReclaimCallback
@@ -63,15 +69,14 @@ class SoftDict(SoftDataStructure):
         if entry_size <= 0:
             raise ValueError(f"entry_size must be positive: {entry_size}")
         self._entry_size = entry_size
-        #: key -> entry pointer: the bucket index, in traditional memory
+        #: key -> entry pointer of every resident entry, oldest write
+        #: first: the bucket index and the reclamation order in one dict
         self._index: dict[bytes, SoftPtr] = {}
-        #: alloc_id -> ptr in insertion (age) order, for oldest-first reclaim
-        self._by_age: dict[int, SoftPtr] = {}
         # -- compressed second-chance tier -----------------------------
         self.tier = tier or TierConfig()
         self.tier_stats = TierStats()
-        #: alloc_id -> ptr of demoted entries, oldest demotion first
-        self._compressed_age: dict[int, SoftPtr] = {}
+        #: key -> entry pointer of demoted entries, oldest demotion first
+        self._compressed_age: dict[bytes, SoftPtr] = {}
         #: owner hooks: ledger/durability reactions to tier transitions.
         #: ``on_demoted(key, compressed)`` after a demotion lands,
         #: ``on_promoted(key, value, compressed)`` after a promotion.
@@ -96,52 +101,51 @@ class SoftDict(SoftDataStructure):
         """Insert or overwrite; returns ``(ptr, previous value or None)``.
 
         Overwriting a resident entry goes through its handle: a
-        same-size write stores the new payload through the existing
-        soft pointer — one pointer write, the way Redis swaps
+        same-size write stores the new value through the existing soft
+        pointer — one pointer write, the way Redis swaps
         ``dictEntry->v`` on SET — and a size-changing write is one
-        ``soft_resize``. Either way the index is untouched, the same
-        :class:`SoftPtr` is returned, and like a fresh insert the
-        overwrite refreshes the entry's age (re-inserting its age-index
-        slot), preserving the oldest-first reclamation contract.
+        ``soft_resize``. Either way the same :class:`SoftPtr` is
+        returned, and like a fresh insert the overwrite refreshes the
+        entry's age — its key moves to the index's newest end —
+        preserving the oldest-first reclamation contract.
         """
         if type(key) is not bytes:
             self._check_key(key)
         want = size or self._entry_size
-        existing = self._index.get(key)
-        if existing is None:
-            old_value: Any | None = None
-        else:
+        index = self._index
+        existing = index.get(key)
+        if existing is not None:
             if not existing.valid:  # ``SoftPtr.deref``, inlined
                 raise ReclaimedMemoryError(existing.alloc_id)
-            old_value = existing.payload[1]
-            if type(old_value) is not CompressedValue:
-                if existing.size == want:
-                    existing.payload = (key, value)
-                else:
-                    try:
-                        self._sma.soft_resize(existing, want, (key, value))
-                    except Exception:
-                        del self._index[key]
-                        del self._by_age[existing.alloc_id]
-                        self._overwrite_lost(key, old_value)
-                        raise
-                by_age = self._by_age  # refresh age: now newest
-                del by_age[existing.alloc_id]
-                by_age[existing.alloc_id] = existing
-                return existing, old_value
-            # a demoted entry is never overwritten through its handle —
-            # its soft size tracks the compressed bytes, not the incoming
-            # value; the free below records it as a tier displacement
-            del self._index[key]
-            self._free(existing)
+            old_value = existing.payload
+            if existing.size == want:
+                existing.payload = value
+            else:
+                try:
+                    self._sma.soft_resize(existing, want, value)
+                except Exception:
+                    del index[key]
+                    self._overwrite_lost(key, old_value)
+                    raise
+            del index[key]  # refresh age: now newest
+            index[key] = existing
+            return existing, old_value
+        # a demoted entry is never overwritten through its handle — its
+        # soft size tracks the compressed bytes, not the incoming value
+        stub = self._compressed_age.get(key)
+        if stub is None:
+            old_value = None
+        else:
+            old_value = stub.deref()
+            del self._compressed_age[key]
+            self._free_compressed(stub)
         try:
-            ptr = self._alloc(want, (key, value))
+            ptr = self._alloc(want, value)
         except Exception:
-            if existing is not None:
+            if stub is not None:
                 self._overwrite_lost(key, old_value)
             raise
-        self._index[key] = ptr
-        self._by_age[ptr.alloc_id] = ptr
+        index[key] = ptr
         return ptr, old_value
 
     def _overwrite_lost(self, key: bytes, old_value: Any) -> None:
@@ -159,15 +163,17 @@ class SoftDict(SoftDataStructure):
 
     def get(self, key: bytes, default: Any = None) -> Any:
         # every GET lands here, so ``_check_key``, ``_find`` and
-        # ``SoftPtr.deref`` are inlined: same probe, same liveness check
+        # ``SoftPtr.deref`` are inlined: same probes, same liveness check
         if type(key) is not bytes:
             self._check_key(key)
         ptr = self._index.get(key)
         if ptr is None:
-            return default
+            ptr = self._compressed_age.get(key)
+            if ptr is None:
+                return default
         if not ptr.valid:
             raise ReclaimedMemoryError(ptr.alloc_id)
-        return ptr.payload[1]
+        return ptr.payload
 
     def __contains__(self, key: bytes) -> bool:
         return self._find(key) is not None
@@ -177,25 +183,32 @@ class SoftDict(SoftDataStructure):
         ptr = self._find(key)
         if ptr is None:
             return False
-        del self._index[key]
-        self._free(ptr)  # maintains both age indexes
+        if self._index.pop(key, None) is None:
+            del self._compressed_age[key]
+            self._free_compressed(ptr)
+        else:
+            self._free(ptr)
         return True
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._index) + len(self._compressed_age)
 
     def keys(self) -> Iterator[bytes]:
-        return iter(self._index)
+        return chain(self._index, self._compressed_age)
 
     def items(self) -> Iterator[tuple[bytes, Any]]:
-        for ptr in self._index.values():
-            yield ptr.deref()
+        """``(key, value)`` pairs in reclamation order: residents oldest
+        write first, then demoted entries oldest demotion first."""
+        for index in (self._index, self._compressed_age):
+            for key, ptr in index.items():
+                yield key, ptr.deref()
 
     def clear(self) -> None:
         for ptr in self._index.values():
             self._free(ptr)
+        for ptr in self._compressed_age.values():
+            self._free_compressed(ptr)
         self._index.clear()
-        self._by_age.clear()
         self._compressed_age.clear()
 
     # ------------------------------------------------------------------
@@ -208,9 +221,14 @@ class SoftDict(SoftDataStructure):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
 
     def _find(self, key: bytes) -> SoftPtr | None:
-        """The key's live entry pointer, or ``None`` when absent."""
+        """The key's live entry pointer, resident or demoted, or ``None``
+        when absent."""
         ptr = self._index.get(key)
-        if ptr is not None and not ptr.valid:
+        if ptr is None:
+            ptr = self._compressed_age.get(key)
+            if ptr is None:
+                return None
+        if not ptr.valid:
             raise ReclaimedMemoryError(ptr.alloc_id)
         return ptr
 
@@ -233,31 +251,33 @@ class SoftDict(SoftDataStructure):
             if compressed > WATERMARK_FRAC * len(self):
                 if self._drop_oldest_compressed():
                     return True
-        for ptr in self._by_age.values():
+        for key, ptr in self._index.items():
             if not ptr.pinned:
                 if tier.enabled:
-                    self._demote_or_drop(ptr)
+                    self._demote_or_drop(key, ptr)
                 else:
-                    self._drop(ptr)
+                    self._drop(self._index, key, ptr)
                 return True
         # entries recovered in compressed form stay reclaimable even
         # with the tier switched off (no-op unless such entries exist)
         return self._drop_oldest_compressed()
 
-    def _demote_or_drop(self, ptr: SoftPtr) -> None:
+    def _demote_or_drop(self, key: bytes, ptr: SoftPtr) -> None:
         """Demote one resident victim, dropping it if compression fails."""
-        key, __ = ptr.deref()
         if not self.demote(key):
             # too small / incompressible: the victim drops like before
             self.tier_stats.incompressible += 1
-            self._drop(ptr)
+            self._drop(self._index, key, ptr)
 
-    def _drop(self, ptr: SoftPtr) -> None:
-        """Unlink one entry and free it on the reclamation path."""
-        key, __ = ptr.deref()
-        assert self._index[key] is ptr
-        del self._index[key]
-        self._by_age.pop(ptr.alloc_id, None)
+    def _drop(
+        self, index: dict[bytes, SoftPtr], key: bytes, ptr: SoftPtr
+    ) -> None:
+        """Unlink one entry from ``index`` and free it on the reclamation
+        path. The callback is handed the entry's ``(key, value)`` record,
+        built here: the one path where an entry leaves with its key."""
+        value = ptr.deref()
+        del index[key]
+        ptr.payload = (key, value)
         self._reclaim_ptr(ptr)
 
     def demote(self, key: bytes) -> bool:
@@ -272,7 +292,7 @@ class SoftDict(SoftDataStructure):
         ptr = self._find(key)
         if ptr is None:
             return False
-        __, value = ptr.deref()
+        value = ptr.payload
         if type(value) is CompressedValue:
             return True
         if ptr.pinned:
@@ -283,8 +303,8 @@ class SoftDict(SoftDataStructure):
         new_size = ptr.size - compressed.original_bytes + len(compressed.data)
         if not 0 < new_size < ptr.size:
             return False
-        self._sma.soft_demote(ptr, new_size, (key, compressed))
-        self._enter_tier(ptr, compressed)
+        self._sma.soft_demote(ptr, new_size, compressed)
+        self._enter_tier(key, compressed)
         if self.on_demoted is not None:
             # the owner's ledger/durability hook must not abort the
             # reclamation wave the demotion is servicing
@@ -295,14 +315,13 @@ class SoftDict(SoftDataStructure):
         return True
 
     def _drop_oldest_compressed(self) -> bool:
-        for ptr in self._compressed_age.values():
+        compressed_age = self._compressed_age
+        for key, ptr in compressed_age.items():
             if ptr.pinned:
                 continue
-            __, compressed = ptr.deref()
-            del self._compressed_age[ptr.alloc_id]
-            self._context.compressed_bytes -= len(compressed.data)
+            self._context.compressed_bytes -= len(ptr.deref().data)
             self.tier_stats.second_chance_drops += 1
-            self._drop(ptr)
+            self._drop(compressed_age, key, ptr)
             return True
         return False
 
@@ -321,15 +340,15 @@ class SoftDict(SoftDataStructure):
         ptr = self._find(key)
         if ptr is None:
             return None
-        __, compressed = ptr.deref()
+        compressed = ptr.payload
         if type(compressed) is not CompressedValue:
             return None
         started = time.perf_counter()
         value = inflate_value(compressed)
         new_size = ptr.size + compressed.original_bytes - len(compressed.data)
-        if self._sma.soft_promote(ptr, new_size, (key, value)):
-            del self._compressed_age[ptr.alloc_id]
-            self._by_age[ptr.alloc_id] = ptr
+        if self._sma.soft_promote(ptr, new_size, value):
+            del self._compressed_age[key]
+            self._index[key] = ptr
             self._context.compressed_bytes -= len(compressed.data)
             self.tier_stats.promotions += 1
             if self.on_promoted is not None:
@@ -345,25 +364,24 @@ class SoftDict(SoftDataStructure):
 
         Recovery re-admits snapshot entries that were demoted when the
         snapshot was taken; they arrive through :meth:`upsert` carrying
-        a :class:`CompressedValue` and must live in the compressed age
-        index (so pressure drops them and reads promote them). Counted
-        as a demotion — the entry entered the compressed tier — which
-        keeps the tier conservation identity exact after a restart.
+        a :class:`CompressedValue` and must live in the compressed dict
+        (so pressure drops them and reads promote them). Counted as a
+        demotion — the entry entered the compressed tier — which keeps
+        the tier conservation identity exact after a restart.
         """
         ptr = self._find(key)
         if ptr is None:
             return False
-        __, value = ptr.deref()
+        value = ptr.payload
         if type(value) is not CompressedValue:
             return False
-        if ptr.alloc_id not in self._compressed_age:
-            self._enter_tier(ptr, value)
+        if key in self._index:
+            self._enter_tier(key, value)
         return True
 
-    def _enter_tier(self, ptr: SoftPtr, compressed: CompressedValue) -> None:
-        """Move an entry's handle from the resident to the compressed index."""
-        del self._by_age[ptr.alloc_id]
-        self._compressed_age[ptr.alloc_id] = ptr
+    def _enter_tier(self, key: bytes, compressed: CompressedValue) -> None:
+        """Move a resident entry's handle into the compressed dict."""
+        self._compressed_age[key] = self._index.pop(key)
         self._context.compressed_bytes += len(compressed.data)
         self.tier_stats.demotions += 1
         self.tier_stats.bytes_saved += (
@@ -378,18 +396,14 @@ class SoftDict(SoftDataStructure):
     def compressed_bytes(self) -> int:
         return self._context.compressed_bytes
 
-    def _free(self, ptr: SoftPtr) -> None:
-        # Keep both age indexes consistent on every free path.
-        self._by_age.pop(ptr.alloc_id, None)
-        if self._compressed_age.pop(ptr.alloc_id, None) is not None:
-            # a client operation (DEL, overwrite, expiry, FLUSHALL)
-            # removed a compressed entry: the tier loses it without a
-            # drop or a promotion — a displacement, for the identity
-            # demotions == promotions + drops + displacements + held
-            __, compressed = ptr.deref()
-            self._context.compressed_bytes -= len(compressed.data)
-            self.tier_stats.displacements += 1
-        super()._free(ptr)
+    def _free_compressed(self, ptr: SoftPtr) -> None:
+        """Free a demoted entry a client operation (DEL, overwrite,
+        expiry, FLUSHALL) removed. The tier loses it without a drop or a
+        promotion — a displacement, for the identity demotions ==
+        promotions + drops + displacements + held."""
+        self._context.compressed_bytes -= len(ptr.payload.data)
+        self.tier_stats.displacements += 1
+        self._free(ptr)
 
     def __repr__(self) -> str:
         return f"<SoftDict {self.name!r} used={len(self)}>"

@@ -15,9 +15,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from repro.util.units import PAGE_SIZE
+
+#: every offset inside a page, one int object each. A free list holds
+#: only these, so the offsets ``allocate`` hands out are shared by all
+#: the handles of a heap instead of each holding its own int (CPython's
+#: small-int cache, extended to a page)
+_OFFSETS = tuple(range(PAGE_SIZE + 1))
+
 
 class ExtentMap:
-    """Byte-granularity free-space tracking over a region of ``capacity``.
+    """Byte-granularity free-space tracking over a region of ``capacity``
+    bytes, at most one page.
 
     Free space is a sorted list of non-overlapping, non-adjacent
     ``(offset, length)`` extents. ``allocate`` is first-fit; ``free``
@@ -27,8 +36,10 @@ class ExtentMap:
     __slots__ = ("capacity", "_free", "free_bytes")
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0 < capacity <= PAGE_SIZE:
+            raise ValueError(
+                f"capacity must be in [1, {PAGE_SIZE}], got {capacity}"
+            )
         self.capacity = capacity
         #: address-ordered (offset, length) free extents
         self._free: list[tuple[int, int]] = [(0, capacity)]
@@ -44,7 +55,7 @@ class ExtentMap:
                 if length == size:
                     free.pop(i)
                 else:
-                    free[i] = (offset + size, length - size)
+                    free[i] = (_OFFSETS[offset + size], length - size)
                 self.free_bytes -= size
                 return offset
         return None
@@ -87,9 +98,9 @@ class ExtentMap:
             else:
                 free[i - 1] = (prev_off, prev_len + size)
         elif nxt_off == end:
-            free[i] = (offset, size + nxt_len)
+            free[i] = (_OFFSETS[offset], size + nxt_len)
         else:
-            free.insert(i, (offset, size))
+            free.insert(i, (_OFFSETS[offset], size))
         self.free_bytes += size
 
     def extend(self, end: int, size: int) -> bool:
@@ -103,7 +114,7 @@ class ExtentMap:
         if length == size:
             del free[i]
         else:
-            free[i] = (end + size, length - size)
+            free[i] = (_OFFSETS[end + size], length - size)
         self.free_bytes -= size
         return True
 

@@ -92,6 +92,11 @@ class PagePlacer:
     def free_page_count(self) -> int:
         return len(self._free_pages)
 
+    @property
+    def stranded_bytes(self) -> int:
+        """Free bytes in the pages that hold a live allocation."""
+        return sum(p.free_bytes for p in self._pages if p.live_allocs)
+
     def pages_needed(self, size: int) -> int:
         """Pages the caller must add after ``place(size)`` returned ``None``.
 

@@ -98,6 +98,15 @@ class SizeClassPlacer:
     def free_page_count(self) -> int:
         return len(self._free_pages)
 
+    @property
+    def stranded_bytes(self) -> int:
+        """Free slot bytes in the slabs that hold a live allocation."""
+        return sum(
+            len(slab.free_offsets) * slab.slot_size
+            for page, slab in self._slabs.items()
+            if page.live_allocs and slab.slot_size != _LARGE
+        )
+
     def pages_needed(self, size: int) -> int:
         if size <= PAGE_SIZE:
             if self._partial.get(class_for(size)):

@@ -178,6 +178,10 @@ def bind_sma(
     registry.gauge(f"{prefix}.unused_pages", fn=lambda: sma.budget.unused)
     registry.gauge(f"{prefix}.pool_pages", fn=lambda: sma.pool.page_count)
     registry.gauge(f"{prefix}.live_bytes", fn=lambda: sma.live_bytes)
+    registry.gauge(f"{prefix}.heap_bloat", fn=lambda: sma.heap_bloat)
+    registry.gauge(
+        f"{prefix}.stranded_bytes", fn=lambda: sma.stranded_bytes
+    )
     registry.gauge(
         f"{prefix}.live_allocations", fn=lambda: sma.live_allocations
     )

@@ -52,7 +52,7 @@ class TestAllocateFree:
 
 class TestAgeOrder:
     """The heap keeps a count, not an age registry: which allocation
-    dies first is the SDS's order (``SoftDict._by_age``)."""
+    dies first is the SDS's order (``SoftDict._index``)."""
 
     def test_order_survives_interior_free(self, ctx):
         heap = heap_with(2)

@@ -50,13 +50,13 @@ class TestIdentity:
 
     def test_resized_allocation_becomes_the_newest(self, sma):
         # the heap keeps a count, not an age order: the kv's order is
-        # ``SoftDict._by_age``, and a size-changing overwrite — one
+        # ``SoftDict._index``, and a size-changing overwrite — one
         # ``soft_resize`` through the same handle — moves to its end
         keyspace = SoftDict(sma)
         a, b = keyspace.put(b"a", 1, size=64), keyspace.put(b"b", 2, size=64)
         assert keyspace.upsert(b"a", 3, size=128)[0] is a
         assert a.size == 128
-        assert list(keyspace._by_age.values()) == [b, a]
+        assert list(keyspace._index.values()) == [b, a]
 
     def test_multi_page_round_trip(self, sma):
         ctx = sma.create_context("c")

@@ -45,7 +45,7 @@ class TestMappingSemantics:
         assert d._find(b"k0") is ptr  # index untouched
         assert (ptr.size, d.get(b"k0")) == (900, "grown")
         assert len(d) == 3
-        assert list(d._by_age.values())[-1] is ptr  # age refreshed: newest
+        assert list(d._index.values())[-1] is ptr  # age refreshed: newest
         assert (sma.stats.allocations, sma.stats.frees) == (4, 1)
         sma.check_invariants()
 
@@ -61,7 +61,7 @@ class TestMappingSemantics:
         assert seen == [(b"victim", "old")] and d.evictions == 1
         assert b"victim" not in d and len(d) == 1
         assert d.get(b"anchor") == "a"
-        assert [p.deref()[0] for p in d._by_age.values()] == [b"anchor"]
+        assert list(d._index) == [b"anchor"] and not d._compressed_age
         sma.check_invariants()
         d.put(b"victim", "back", size=800)  # the slot is reusable
         assert d.get(b"victim") == "back"
@@ -83,7 +83,7 @@ class TestMappingSemantics:
             d.put(str(i).encode(), i)
         d.clear()
         assert len(d) == 0 and list(d.keys()) == []
-        assert d.soft_bytes == 0 and not d._by_age
+        assert d.soft_bytes == 0 and not d._index
         d.put(b"1", "again")
         assert d.get(b"1") == "again" and len(d) == 1
 

@@ -488,8 +488,8 @@ def test_every_demote_attempt_is_accounted(store, monkeypatch):
     monkeypatch.setattr(
         SoftDict,
         "_demote_or_drop",
-        lambda self, ptr: (
-            attempts.append(ptr.alloc_id) or demote_or_drop(self, ptr)
+        lambda self, key, ptr: (
+            attempts.append(key) or demote_or_drop(self, key, ptr)
         ),
     )
     rng = random.Random(7)
@@ -559,9 +559,9 @@ class TestAReadNeverProvisions:
         assert (ts.promotions, ts.promotion_denials) == (1, 0)
         assert dct._find(key) is ptr  # the handle survived
         assert ptr.size == store._entry_size(key, value)
-        assert ptr.alloc_id in dct._by_age
-        assert ptr.alloc_id not in dct._compressed_age
-        assert list(dct._by_age)[-1] == ptr.alloc_id  # newest resident
+        assert dct._index[key] is ptr
+        assert key not in dct._compressed_age
+        assert list(dct._index)[-1] == key  # newest resident
         assert dct.compressed_entries == len(demoted) - 1
         assert dct.compressed_bytes == compressed_bytes - len(compressed.data)
         assert store.traditional_bytes == trad + 2000 - len(compressed.data)

@@ -46,6 +46,8 @@ class TestAllocate:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             ExtentMap(0)
+        with pytest.raises(ValueError):  # a map covers at most one page
+            ExtentMap(4097)
 
 
 class TestFree:

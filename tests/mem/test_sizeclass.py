@@ -155,6 +155,15 @@ class TestFragmentation:
         placer.place(16)  # 255 free slots stuck behind one live slot
         assert placer.fragmentation() == 1.0
 
+    def test_stranded_bytes_are_the_free_slots_of_used_slabs(self):
+        placer = placer_with(3)
+        slots = PAGE_SIZE // class_for(100)
+        placed = [placer.place(100) for _ in range(slots + 4)]
+        assert placer.stranded_bytes == (slots - 4) * class_for(100)
+        for page, offset in placed[slots:]:  # the second slab empties
+            placer.free(page, offset, 100)
+        assert placer.stranded_bytes == 0  # the first slab is full
+
 
 @settings(max_examples=30, deadline=None)
 @given(

@@ -7,14 +7,18 @@ must return populated soft_memory / stats / latency sections.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from repro.core.locking import LockedSoftMemoryAllocator
+from repro.core.sma import SoftMemoryAllocator
 from repro.kvstore import TcpKvClient, TcpKvServer
+from repro.kvstore.commands import dispatch
 from repro.kvstore.store import DataStore, StoreConfig
 from repro.kvstore.tier import TierConfig
 from repro.tools import metrics_dump
+from repro.util.units import PAGE_SIZE
 
 
 @pytest.fixture
@@ -226,3 +230,47 @@ class TestMetricsDump:
         assert rc == 0
         delta = json.loads(out.read_text())["diff"]
         assert delta["Stats"]["store.stats.keys_set"] == 1
+
+
+class TestHeapGauges:
+    """INFO's ``sma.heap_bloat`` and ``sma.stranded_bytes`` are what the
+    placer's pages say, fresh and after size-changing overwrites."""
+
+    KEYS = 4096
+
+    @staticmethod
+    def soft_memory(store: DataStore) -> dict:
+        payload = dispatch(store, [b"INFO", b"softmemory"])
+        return metrics_dump.parse_info(payload)["SoftMemory"]
+
+    @staticmethod
+    def page_sums(store: DataStore) -> tuple[float, int]:
+        """Bloat and stranded bytes summed independently: over the
+        keyspace heap's pages, and over the entries' own sizes."""
+        pages = store.keyspace.context.heap._placer.pages
+        live = sum(
+            store.keyspace._find(key).size for key in store.keyspace.keys()
+        )
+        stranded = sum(page.free_bytes for page in pages if not page.is_free)
+        return len(pages) * PAGE_SIZE / live, stranded
+
+    def check(self, store: DataStore) -> float:
+        fields = self.soft_memory(store)
+        bloat, stranded = self.page_sums(store)
+        assert fields["sma.heap_bloat"] == pytest.approx(bloat, rel=1e-5)
+        assert fields["sma.stranded_bytes"] == stranded
+        return bloat
+
+    def test_each_equals_a_sum_over_the_pages(self):
+        store = DataStore(SoftMemoryAllocator(name="heap-gauges"))
+        fields = self.soft_memory(store)
+        assert fields["sma.heap_bloat"] == fields["sma.stranded_bytes"] == 0
+        rng = random.Random(1)
+        for i in range(self.KEYS):
+            store.set(b"key:%d" % i, b"u" * rng.randint(512, 2048))
+        fresh = self.check(store)
+        for __ in range(50_000):
+            key = b"key:%d" % rng.randrange(self.KEYS)
+            store.set(key, b"u" * rng.randint(512, 2048))
+        aged = self.check(store)
+        assert aged > fresh

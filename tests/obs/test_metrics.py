@@ -214,13 +214,14 @@ _INFO_KEYS = {
     "Cluster": ["cluster_enabled"],
     "SoftMemory": [
         "sma.callback_errors", "sma.contexts", "sma.degraded",
-        "sma.granted_pages", "sma.held_pages", "sma.live_allocations",
+        "sma.granted_pages", "sma.heap_bloat", "sma.held_pages",
+        "sma.live_allocations",
         "sma.live_bytes", "sma.pool_pages", "sma.stats.allocations",
         "sma.stats.batch_denials", "sma.stats.daemon_requests",
         "sma.stats.degraded_denials", "sma.stats.frees",
         "sma.stats.pages_mapped", "sma.stats.pages_rebacked",
         "sma.stats.pages_released", "sma.stats.reclamations",
-        "sma.unused_pages", "tier.bytes_saved", "tier.compressed_bytes",
+        "sma.stranded_bytes", "sma.unused_pages", "tier.bytes_saved", "tier.compressed_bytes",
         "tier.compressed_entries", "tier.demotions", "tier.displacements",
         "tier.enabled", "tier.incompressible", "tier.promote_latency.count",
         "tier.promote_latency.max", "tier.promote_latency.mean",

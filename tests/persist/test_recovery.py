@@ -277,6 +277,28 @@ def test_checkpoint_rotates_generation_and_recovers(tmp_path):
     persist2.close()
 
 
+def test_a_snapshot_keeps_the_reclaim_order(tmp_path):
+    """A base file lists the keyspace oldest write first, so a restart
+    from it reclaims the key written least recently, not the one
+    inserted first."""
+    unix = FakeUnix()
+    store, persist = open_persist(tmp_path, unix)
+    store.set(b"a", b"first")
+    store.set(b"b", b"second")
+    store.set(b"a", b"third")
+    persist.checkpoint()
+    gen = persist.generation
+    persist.close()
+    assert os.path.getsize(tmp_path / f"incr-{gen}.aof") == 0  # no tail
+
+    store2, persist2 = open_persist(tmp_path, unix)
+    assert persist2.stats.recovered_keys == 2
+    assert store2.keyspace.evict_one()
+    assert store2.get(b"b") is None
+    assert store2.get(b"a") == b"third"
+    persist2.close()
+
+
 def test_corrupt_newest_base_falls_back_to_older(tmp_path):
     unix = FakeUnix()
     store, persist = open_persist(tmp_path, unix)
